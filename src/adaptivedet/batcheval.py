@@ -3,8 +3,13 @@
 The per-instance functions in :mod:`adaptivedet.detectors` are the normative
 definitions; this module recomputes the same statistics for a whole batch of
 trials at once with stacked LAPACK calls so Monte Carlo runs stay fast.
-Consistency between the two paths is enforced by the test suite.
+Each family splits into ``prepare_*`` (everything that depends only on the
+training SCM and the geometry) and ``evaluate_*`` (the test-data part), so
+one prepared batch serves any number of test means.  Consistency between
+the two paths is enforced by the test suite.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +49,79 @@ def _energy(Q, x):
     return np.einsum("bp,bp->b", proj.conj(), proj).real
 
 
-def point_family_stats(x, S, H, J=None, s=None, R=None):
-    """All point-family statistics for stacked trials.
+@dataclass(frozen=True)
+class PointPrepared:
+    """Point-family state that depends only on the training SCM and geometry.
 
-    ``x`` is (B, N), ``S`` is (B, N, N); the geometry (H, J, s) and the true
-    covariance ``R`` (for the clairvoyant references) are shared by the batch.
+    ``T`` whitens by S^-1/2; ``QH``/``QHp``/``QB`` are orthonormal bases of the
+    whitened H, of H with the whitened J projected out, and of [H J];
+    ``QJ`` is None without interference and ``QB`` is None when [H J] fills
+    the space (p + q = N).  ``Ri_H``/``G``/``Ri_s`` carry the
+    clairvoyant references and are None without a true covariance.
     """
-    x = np.asarray(x)
-    B, N = x.shape
+
+    T: np.ndarray
+    Ht: np.ndarray
+    QH: np.ndarray
+    st: np.ndarray
+    ss: np.ndarray
+    QJ: np.ndarray
+    Hp: np.ndarray
+    QHp: np.ndarray
+    QB: np.ndarray
+    HtHp: np.ndarray
+    Ri_H: np.ndarray = None
+    G: np.ndarray = None
+    Ri_s: np.ndarray = None
+    s_energy: float = None
+
+
+def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
+    """The test-independent half of :func:`point_family_stats`.
+
+    ``S`` is (B, N, N); the geometry (H, J, s) and the true covariance ``R``
+    (for the clairvoyant references) are shared by the batch.
+    """
+    N = S.shape[-1]
     H = np.asarray(H, dtype=np.complex128)
     J = np.zeros((N, 0), dtype=np.complex128) if J is None else np.asarray(J, dtype=np.complex128)
     s = H[:, 0] if s is None else np.asarray(s, dtype=np.complex128)
 
     T = _inv_sqrt_stack(S)
-    xt = np.einsum("bij,bj->bi", T, x)
     Ht = T @ H
     QH = _basis(Ht)
+    st = np.einsum("bij,j->bi", T, s)
+    ss = np.einsum("bn,bn->b", st.conj(), st).real
+    if J.shape[1]:
+        Jt = T @ J
+        QJ = _basis(Jt)
+        Hp = Ht - QJ @ (_ct(QJ) @ Ht)
+        QHp = _basis(Hp)
+        QB = _basis(np.concatenate([Ht, Jt], axis=2))
+    else:
+        QJ, Hp, QHp, QB = None, Ht, QH, QH
+    if H.shape[1] + J.shape[1] >= N:
+        QB = None
+    prep = dict(T=T, Ht=Ht, QH=QH, st=st, ss=ss, QJ=QJ, Hp=Hp, QHp=QHp, QB=QB,
+                HtHp=_ct(Ht) @ Hp)
+    if R is not None:
+        R = np.asarray(R, dtype=np.complex128)
+        Ri_s = np.linalg.solve(R, s)
+        Ri_H = np.linalg.solve(R, H)
+        prep.update(Ri_H=Ri_H, G=H.conj().T @ Ri_H, Ri_s=Ri_s,
+                    s_energy=float(np.real(s.conj() @ Ri_s)))
+    return PointPrepared(**prep)
+
+
+def evaluate_point(prep: PointPrepared, x) -> dict:
+    """All point-family statistics of the stacked test vectors ``x`` (B, N).
+
+    ``wald_phe_i`` is nan when [H J] fills the space (p + q = N): its
+    normalizing orthocomplement is empty there.
+    """
+    x = np.asarray(x)
+    T, QH, st, ss = prep.T, prep.QH, prep.st, prep.ss
+    xt = np.einsum("bij,bj->bi", T, x)
     u = _energy(QH, xt)
     v = np.einsum("bn,bn->b", xt.conj(), xt).real
     denom = 1.0 + v - u
@@ -76,9 +138,7 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
         "beta": 1.0 / denom,
     }
 
-    st = np.einsum("bij,j->bi", T, s)
     cs = np.einsum("bn,bn->b", st.conj(), xt)
-    ss = np.einsum("bn,bn->b", st.conj(), st).real
     u1 = np.abs(cs) ** 2 / ss
     denom1 = 1.0 + v - u1
     out.update({
@@ -89,24 +149,23 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
         "smi": u1 / ss,
     })
 
-    q = J.shape[1]
-    if q:
-        Jt = T @ J
-        QJ = _basis(Jt)
+    QJ = prep.QJ
+    if QJ is not None:
         xp = xt - np.einsum("bnq,bq->bn", QJ, np.einsum("bnq,bn->bq", QJ.conj(), xt))
-        Hp = Ht - QJ @ (_ct(QJ) @ Ht)
-        QHp = _basis(Hp)
-        QB = _basis(np.concatenate([Ht, Jt], axis=2))
     else:
-        xp, Hp, QHp, QB = xt, Ht, QH, QH
-    ui = _energy(QHp, xp)
+        xp = xt
+    ui = _energy(prep.QHp, xp)
     vi = np.einsum("bn,bn->b", xp.conj(), xp).real
     denom_i = 1.0 + vi - ui
     a = _energy(QH, xp)
-    coords = np.linalg.solve(_ct(Ht) @ Hp, np.einsum("bnp,bn->bp", Hp.conj(), xt)[..., None])
-    y = np.einsum("bnp,bp->bn", Ht, coords[..., 0])
+    coords = np.linalg.solve(prep.HtHp, np.einsum("bnp,bn->bp", prep.Hp.conj(), xt)[..., None])
+    y = np.einsum("bnp,bp->bn", prep.Ht, coords[..., 0])
     wald_he = np.einsum("bn,bn->b", y.conj(), y).real
-    v_b = v - _energy(QB, xt)
+    if prep.QB is not None:
+        v_b = v - _energy(prep.QB, xt)
+        wald_phe = wald_he / np.maximum(v_b, np.finfo(float).tiny)
+    else:
+        wald_phe = np.full_like(wald_he, np.nan)
     safe_vi = np.where(vi > 0, vi, 1.0)
     out.update({
         "glrt_he_i": ui / denom_i,
@@ -116,21 +175,26 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
         "ts_rao_he_i": a,
         "rao_phe_i": np.where(vi > 0, a / safe_vi, 0.0),
         "wald_he_i": wald_he,
-        "wald_phe_i": wald_he / np.maximum(v_b, np.finfo(float).tiny),
+        "wald_phe_i": wald_phe,
         "beta_i": 1.0 / denom_i,
     })
 
-    if R is not None:
-        R = np.asarray(R, dtype=np.complex128)
-        Ri_s = np.linalg.solve(R, s)
-        s_energy = float(np.real(s.conj() @ Ri_s))
-        Ri_H = np.linalg.solve(R, H)
-        G = H.conj().T @ Ri_H
-        coef = np.linalg.solve(G, np.einsum("np,bn->bp", Ri_H.conj(), x).T).T
+    if prep.Ri_H is not None:
+        Ri_H = prep.Ri_H
+        coef = np.linalg.solve(prep.G, np.einsum("np,bn->bp", Ri_H.conj(), x).T).T
         smf = np.einsum("bp,bp->b", np.einsum("np,bn->bp", Ri_H.conj(), x).conj(), coef).real
         out["smf"] = smf
-        out["mf"] = np.abs(np.einsum("n,bn->b", Ri_s.conj(), x)) ** 2 / s_energy ** 2
+        out["mf"] = np.abs(np.einsum("n,bn->b", prep.Ri_s.conj(), x)) ** 2 / prep.s_energy ** 2
     return out
+
+
+def point_family_stats(x, S, H, J=None, s=None, R=None):
+    """All point-family statistics for stacked trials.
+
+    ``x`` is (B, N), ``S`` is (B, N, N); the geometry (H, J, s) and the true
+    covariance ``R`` (for the clairvoyant references) are shared by the batch.
+    """
+    return evaluate_point(prepare_point(S, H, J, s, R), x)
 
 
 def solve_sigma_batch(eigs, target: float):
@@ -168,22 +232,43 @@ def solve_sigma_batch(eigs, target: float):
     return 0.5 * (lo + hi)
 
 
-def distributed_family_stats(X, S, s, H, L: int):
-    """All distributed-family statistics for stacked trials.
+@dataclass(frozen=True)
+class DistributedPrepared:
+    """Distributed-family state that depends only on the training SCM and
+    geometry: the whitener, the whitened steering vector and subspace, and the
+    inverse square root ``Cb`` of the whitened subspace Gram ``Bp``."""
 
-    ``X`` is (B, N, K), ``S`` is (B, N, N); ``s`` (rank-one steering), ``H``
-    (direction/DOS subspace), and the training count ``L`` are shared.
-    """
-    X = np.asarray(X)
-    B, N, K = X.shape
+    L: int
+    T: np.ndarray
+    st: np.ndarray
+    ss: np.ndarray
+    Ht: np.ndarray
+    QH: np.ndarray
+    Bp: np.ndarray
+    Cb: np.ndarray
+
+
+def prepare_distributed(S, s, H, L: int) -> DistributedPrepared:
+    """The test-independent half of :func:`distributed_family_stats`."""
     s = np.asarray(s, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
+    T = _inv_sqrt_stack(S)
+    st = np.einsum("bij,j->bi", T, s)
+    Ht = T @ H
+    Bp = _ct(Ht) @ Ht
+    return DistributedPrepared(
+        L=L, T=T, st=st, ss=np.einsum("bn,bn->b", st.conj(), st).real,
+        Ht=Ht, QH=_basis(Ht), Bp=Bp, Cb=_inv_sqrt_stack(Bp))
+
+
+def evaluate_distributed(prep: DistributedPrepared, X) -> dict:
+    """All distributed-family statistics of the stacked test blocks ``X`` (B, N, K)."""
+    X = np.asarray(X)
+    B, N, K = X.shape
+    L, st, ss, Ht, QH = prep.L, prep.st, prep.ss, prep.Ht, prep.QH
     IK = np.eye(K)
 
-    T = _inv_sqrt_stack(S)
-    Xt = T @ X
-    st = np.einsum("bij,j->bi", T, s)
-    ss = np.einsum("bn,bn->b", st.conj(), st).real
+    Xt = prep.T @ X
     c = np.einsum("bnk,bn->bk", Xt.conj(), st)
     G0 = _ct(Xt) @ Xt
     M0 = IK + G0
@@ -225,8 +310,6 @@ def distributed_family_stats(X, S, s, H, L: int):
     out["wald_phe"] = (L + K) / sigma1 * out["gamf"]
 
     # Direction detectors
-    Ht = T @ H
-    QH = _basis(Ht)
     W = _ct(QH) @ Xt                     # (B, p, K)
     A = _ct(W) @ W
     out["amdd"] = np.linalg.eigvalsh(A).real[:, -1]
@@ -235,8 +318,7 @@ def distributed_family_stats(X, S, s, H, L: int):
     out["gadd"] = out["amdd"] / trG0
     HX = _ct(Ht) @ Xt                    # (B, p, K)
     Ap = HX @ np.linalg.solve(M0, _ct(HX))
-    Bp = _ct(Ht) @ Ht
-    Cb = _inv_sqrt_stack(Bp)
+    Bp, Cb = prep.Bp, prep.Cb
     Mb = Cb @ Ap @ Cb
     wb, Vb = np.linalg.eigh(Mb)
     theta = np.einsum("bpq,bq->bp", Cb, Vb[..., -1])
@@ -255,3 +337,12 @@ def distributed_family_stats(X, S, s, H, L: int):
         "bkp,bpk->b", A2, np.linalg.solve(G, _ct(A2))
     ).real
     return out
+
+
+def distributed_family_stats(X, S, s, H, L: int):
+    """All distributed-family statistics for stacked trials.
+
+    ``X`` is (B, N, K), ``S`` is (B, N, N); ``s`` (rank-one steering), ``H``
+    (direction/DOS subspace), and the training count ``L`` are shared.
+    """
+    return evaluate_distributed(prepare_distributed(S, s, H, L), X)

@@ -312,30 +312,30 @@ def run_grid(args, snrs, cos2s):
     thresholds = _thresholds(detectors, cfg, args)
     want_mc = args.mode in ("montecarlo", "both")
     want_analytic = args.mode in ("analytic", "both")
+    points = [(s, c) for c in cos2s for s in snrs]
+    means = [_build_signal(cfg, geometry, R, snr_db, cos2, args.seed, gi)
+             for gi, (snr_db, cos2) in enumerate(points)]
+    if want_mc:
+        # every grid point shares the trial streams: one noise pass serves all
+        plan = mc.TrialPlan(
+            n_trials=args.trials, master_seed=args.seed, scenario=cfg,
+            covariance=cov, detectors=detectors, hypothesis="h1",
+            geometry=geometry,
+            interference_mean=_jammer_mean(cfg, geometry, R, args.jnr_db),
+            batch_size=args.batch_size)
+        counts = mc.exceedance_counts(plan, means, thresholds)
     rows = []
-    for gi, (snr_db, cos2) in enumerate((s, c) for c in cos2s for s in snrs):
+    for gi, ((snr_db, cos2), s_mean) in enumerate(zip(points, means)):
         rho = 10.0 ** (snr_db / 10.0)
-        s_mean = _build_signal(cfg, geometry, R, snr_db, cos2, args.seed, gi)
-        stats = None
-        n_mc = None
-        if want_mc:
-            plan = mc.TrialPlan(
-                n_trials=args.trials, master_seed=args.seed, scenario=cfg,
-                covariance=cov, detectors=detectors, hypothesis="h1",
-                geometry=geometry, signal_mean=s_mean,
-                interference_mean=_jammer_mean(cfg, geometry, R, args.jnr_db),
-                batch_size=args.batch_size)
-            stats = mc.run_trials(plan)
-            n_mc = args.trials
-        for det in detectors:
+        for di, det in enumerate(detectors):
             row = {"detector": det, "snr_db": snr_db, "cos2phi": cos2,
                    "threshold": thresholds[det], "seed": args.seed if want_mc else None,
-                   "n_trials": n_mc}
+                   "n_trials": args.trials if want_mc else None}
             if want_analytic:
                 row["pd_analytic"] = _analytic_pd(det, cfg, geometry, R, s_mean,
                                                   rho, cos2, thresholds[det])
             if want_mc:
-                est = mc.estimate_pd(plan, det, thresholds[det], stats=stats[det])
+                est = mc.pd_estimate(int(counts[gi, di]), args.trials)
                 row.update({"pd_mc": est.pd, "ci_low": est.ci_low, "ci_high": est.ci_high})
             rows.append(row)
     return rows
@@ -351,19 +351,22 @@ def run_cfar_check(args):
         covariance=covariances[0], detectors=detectors, hypothesis="h0",
         geometry=geometry, batch_size=args.batch_size)
     base_stats = mc.run_trials(base_plan)
+    thresholds = {det: mc.calibrate_threshold(base_plan, det, stats=base_stats[det])
+                  for det in detectors}
+    # the sweep shares trial streams with the calibration run (common random
+    # numbers), which makes the cross-covariance comparison sharp; the first
+    # covariance's statistics are the calibration run's own
+    reports = mc.cfar_sweep(detectors, cfg, covariances, thresholds, args.trials,
+                            master_seed=args.seed, geometry=geometry,
+                            batch_size=args.batch_size, stats=base_stats)
     rows = []
     failed = []
     for det in detectors:
-        thr = mc.calibrate_threshold(base_plan, det, stats=base_stats[det])
-        # the sweep shares trial streams with the calibration run (common
-        # random numbers), which makes the cross-covariance comparison sharp
-        report = mc.cfar_sweep(det, cfg, covariances, thr, args.trials,
-                               master_seed=args.seed, geometry=geometry,
-                               batch_size=args.batch_size)
+        report = reports[det]
         for cov_row in report.rows:
             rows.append({
                 "detector": det, "covariance": cov_row.covariance,
-                "threshold": thr, "pfa_hat": cov_row.pfa_hat,
+                "threshold": report.threshold, "pfa_hat": cov_row.pfa_hat,
                 "ci_low": cov_row.ci_low, "ci_high": cov_row.ci_high,
                 "n_trials": cov_row.n, "seed": args.seed,
                 "status": "pass" if report.passed else "fail",

@@ -45,7 +45,8 @@ def interference_bank(x, S, H, J) -> InterferenceStats:
     """All eight interference-rejection statistics plus the loss factor.
 
     With an empty ``J`` the bank reduces exactly to the corresponding
-    point-target statistics.
+    point-target statistics.  ``wald_phe_i`` is nan when [H J] fills the
+    space (p + q = N): the orthocomplement that normalizes it is empty.
     """
     x = np.asarray(x, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
@@ -69,8 +70,11 @@ def interference_bank(x, S, H, J) -> InterferenceStats:
     coords = np.linalg.solve(Ht.conj().T @ H_perp, H_perp.conj().T @ xt)
     y = Ht @ coords
     wald_he = float(np.real(y.conj() @ y))
-    QB = linalg.orthonormal_basis(np.concatenate([Ht, Jt], axis=1))
-    v_b = float(np.real(xt.conj() @ xt)) - float(np.sum(np.abs(QB.conj().T @ xt) ** 2))
+    wald_phe = np.nan
+    if H.shape[1] + J.shape[1] < N:
+        QB = linalg.orthonormal_basis(np.concatenate([Ht, Jt], axis=1))
+        v_b = float(np.real(xt.conj() @ xt)) - float(np.sum(np.abs(QB.conj().T @ xt) ** 2))
+        wald_phe = wald_he / v_b if v_b > 0 else 0.0
     return InterferenceStats(
         glrt_he_i=u / denom,
         ts_glrt_he_i=u,
@@ -79,7 +83,7 @@ def interference_bank(x, S, H, J) -> InterferenceStats:
         ts_rao_he_i=a,
         rao_phe_i=a / v if v > 0 else 0.0,
         wald_he_i=wald_he,
-        wald_phe_i=wald_he / v_b if v_b > 0 else 0.0,
+        wald_phe_i=wald_phe,
         beta_i=1.0 / denom,
     )
 

@@ -124,3 +124,14 @@ class TestValidationCommands:
         assert by_det["kglrt"] == {"pass"}
         assert by_det["smi"] == {"fail"}
         assert rc == 0  # smi is labeled non-CFAR; its failure is expected
+
+    def test_cfar_check_batch_size_invariance(self, tmp_path):
+        args = ["cfar-check", "--detectors", "kglrt,asd,smi", "--trials", "3000",
+                "--N", "6", "--p", "1", "--L", "12", "--seed", "4"]
+        blobs = []
+        for extra in ([], ["--batch-size", "64"], ["--batch-size", "577"]):
+            out = tmp_path / f"cfar{len(blobs)}.csv"
+            cli.main(args + extra + ["--out", str(out)])
+            blobs.append(out.read_bytes())
+        assert len(_read(str(tmp_path / "cfar0.csv"))) == 9
+        assert blobs[0] == blobs[1] == blobs[2]

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from adaptivedet import batcheval, montecarlo as mc, scenario as sc
+from adaptivedet import batcheval, cli, montecarlo as mc, scenario as sc
 from adaptivedet.detectors import (
     distributed_bank,
     direction_bank,
@@ -11,7 +13,7 @@ from adaptivedet.detectors import (
     subspace_bank,
 )
 from adaptivedet.distributions import ComplexChi2, threshold_for_pfa
-from adaptivedet.errors import InfeasibleError
+from adaptivedet.errors import GeometryError, InfeasibleError
 
 
 def _point_plan(n=2000, seed=11, hypothesis="h0", **kw):
@@ -42,6 +44,101 @@ class TestReproducibility:
         b = mc.run_trials(_point_plan(n=400))
         for name in a:
             assert np.array_equal(a[name], b[name][:100])
+
+
+class TestTrialStreams:
+    def test_reused_generator_matches_fresh_streams(self):
+        streams = mc.TrialStreams(20240817)
+        n = 2 * 6 * (12 + 1)
+        out = np.empty(n)
+        for i in (0, 1, 4095, 4096, 2**40 + 3, 1, 0):
+            streams.standard_normal(i, out)
+            assert np.array_equal(out, mc.trial_rng(20240817, i).standard_normal(n)), i
+
+
+class TestExceedanceCounts:
+    @staticmethod
+    def _assert_counts_match(plan, means, batch_size):
+        plan = replace(plan, batch_size=batch_size)
+        base = mc.run_trials(replace(plan, signal_mean=means[0]))
+        thresholds = {d: float(np.median(base[d])) for d in plan.detectors}
+        counts = mc.exceedance_counts(plan, means, thresholds)
+        assert counts.shape == (len(means), len(plan.detectors))
+        for g, mean in enumerate(means):
+            plan_g = replace(plan, signal_mean=mean)
+            stats = mc.run_trials(plan_g)
+            for d, det in enumerate(plan.detectors):
+                ref = mc.estimate_pd(plan_g, det, thresholds[det], stats=stats[det])
+                assert mc.pd_estimate(int(counts[g, d]), plan.n_trials) == ref, (g, det)
+
+    @pytest.mark.parametrize("batch_size", [64, 577])
+    def test_point_family_with_jammer(self, batch_size):
+        cfg = sc.ScenarioConfig(N=8, p=2, q=2, L=16, pfa=1e-2)
+        geom = mc.Geometry.default(cfg)
+        cov = sc.CovarianceModel.ar1(0.9)
+        R = cov.build(cfg.N)
+        jammer = cli._jammer_mean(cfg, geom, R, 20.0)
+        means = [sc.actual_signal(geom.H, R, sc.SignalSpec(snr_db=snr, cos2phi=0.8, seed=g))
+                 for g, snr in enumerate((0.0, 6.0, 12.0))]
+        plan = mc.TrialPlan(n_trials=700, master_seed=3, scenario=cfg, covariance=cov,
+                            detectors=tuple(sorted(batcheval.POINT_FAMILY)),
+                            hypothesis="h1", geometry=geom, interference_mean=jammer)
+        self._assert_counts_match(plan, means, batch_size)
+
+    @pytest.mark.parametrize("batch_size", [64, 577])
+    def test_distributed_family(self, batch_size):
+        cfg = sc.ScenarioConfig(N=6, p=2, L=12, K=4, pfa=1e-2)
+        geom = mc.Geometry.default(cfg)
+        cov = sc.CovarianceModel.ar1(0.5)
+        R = cov.build(cfg.N)
+        means = [np.outer(sc.actual_signal(geom.s[:, None], R,
+                                           sc.SignalSpec(snr_db=snr, seed=g)),
+                          np.ones(cfg.K) / 2.0)
+                 for g, snr in enumerate((0.0, 8.0))]
+        plan = mc.TrialPlan(n_trials=300, master_seed=8, scenario=cfg, covariance=cov,
+                            detectors=tuple(sorted(batcheval.DISTRIBUTED_FAMILY)),
+                            hypothesis="h1", geometry=geom)
+        self._assert_counts_match(plan, means, batch_size)
+
+    def test_grid_draws_each_trial_once(self, monkeypatch, tmp_path):
+        drawn = []
+        original = mc.TrialStreams.standard_normal
+
+        def counting(self, trial_index, out):
+            drawn.append(trial_index)
+            return original(self, trial_index, out)
+
+        monkeypatch.setattr(mc.TrialStreams, "standard_normal", counting)
+        rc = cli.main(["pd-vs-snr", "--mode", "montecarlo", "--snr",
+                       ",".join(str(s) for s in range(0, 25, 2)),
+                       "--detectors", "sglrt,samf", "--trials", "300",
+                       "--batch-size", "128", "--out", str(tmp_path / "grid.csv")])
+        assert rc == 0
+        assert sorted(drawn) == list(range(300))
+
+
+class TestFullSpaceGeometry:
+    # p + q = N: [H J] spans the space, so wald_phe_i has nothing to normalize by
+    CFG = sc.ScenarioConfig(N=4, p=2, q=2, L=8, pfa=1e-2)
+
+    def test_wald_phe_i_is_nan_in_both_paths(self):
+        geom = mc.Geometry.default(self.CFG)
+        for seed in range(5):
+            d = sc.synthesize(self.CFG, sc.CovarianceModel.ar1(0.9), seed=seed)
+            ints = interference_bank(d.test_vector, d.scm, geom.H, geom.J)
+            batched = batcheval.point_family_stats(
+                d.test_vector[None], d.scm[None], geom.H, geom.J)
+            assert np.isnan(ints.wald_phe_i)
+            assert np.isnan(batched["wald_phe_i"][0])
+            assert batched["wald_he_i"][0] == pytest.approx(ints.wald_he_i, rel=1e-10)
+
+    def test_plan_rejects_wald_phe_i(self):
+        with pytest.raises(GeometryError):
+            mc.TrialPlan(n_trials=100, master_seed=0, scenario=self.CFG,
+                         covariance=sc.CovarianceModel.identity(),
+                         detectors=("glrt_he_i", "wald_phe_i"))
+        mc.TrialPlan(n_trials=100, master_seed=0, scenario=self.CFG,
+                     covariance=sc.CovarianceModel.identity(), detectors=("glrt_he_i",))
 
 
 class TestBatchedMatchesPlain:
@@ -172,7 +269,8 @@ class TestCfarSweep:
                             covariance=self.COVS[0], detectors=("kglrt",),
                             hypothesis="h0")
         thr = mc.calibrate_threshold(plan, "kglrt")
-        report = mc.cfar_sweep("kglrt", cfg, self.COVS, thr, 20_000, master_seed=17)
+        report = mc.cfar_sweep(("kglrt",), cfg, self.COVS, {"kglrt": thr}, 20_000,
+                               master_seed=17)["kglrt"]
         assert report.passed
 
     def test_smi_fails_with_large_ratio(self):
@@ -181,7 +279,8 @@ class TestCfarSweep:
                             covariance=self.COVS[0], detectors=("smi",),
                             hypothesis="h0")
         thr = mc.calibrate_threshold(plan, "smi")
-        report = mc.cfar_sweep("smi", cfg, self.COVS, thr, 20_000, master_seed=17)
+        report = mc.cfar_sweep(("smi",), cfg, self.COVS, {"smi": thr}, 20_000,
+                               master_seed=17)["smi"]
         assert not report.passed
         rates = [row.pfa_hat for row in report.rows]
         assert max(rates) > 2 * max(min(rates), 1e-12)
