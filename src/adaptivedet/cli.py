@@ -25,11 +25,13 @@ from scipy import stats as sstats
 
 from . import batcheval, montecarlo as mc, scenario as sc
 from .detectors import mismatch_geometry
-from .errors import InfeasibleError
 from .distributions import (
+    DISTRIBUTED_DETECTORS,
+    POINT_DETECTORS,
     ComplexBeta,
     ComplexChi2,
     ComplexF,
+    invert_pfa,
     pd_distributed,
     pd_interference,
     pd_point,
@@ -46,6 +48,8 @@ IDENTITY_COLUMNS = ("identity", "max_rel_err", "n_instances", "status")
 DEFAULT_DETECTORS = ("sglrt", "samf", "srao", "asd", "sabort", "wsabort",
                      "dnsamf", "aed", "smf")
 NON_CFAR = frozenset({"smi"})
+# flipping the top bit of the 128-bit Philox key gives calibration its own streams
+CALIBRATION_KEY_BIT = 1 << 127
 
 
 def _fmt(value) -> str:
@@ -218,49 +222,76 @@ def _jammer_mean(cfg, geometry, R, jnr_db):
     return np.repeat(j[:, None], cfg.K, axis=1)
 
 
+# rank-one detectors are their p = 1 subspace twins, and the interference
+# GLRTs are central like the point bank at reduced dimension N - q; only the
+# scale-invariant statistics keep their law when the test noise power changes
+RANK_ONE_ALIAS = {"kglrt": "sglrt", "amf": "samf", "dmrao": "srao", "ace": "asd"}
+INTERFERENCE_ALIAS = {"glrt_he_i": "sglrt", "ts_glrt_he_i": "samf", "glrt_phe_i": "asd"}
+SCALE_INVARIANT = frozenset({"asd", "ace", "glrt_phe_i"})
+
+
+def _analytic_law(detector, cfg):
+    """Which finite-sample law serves ``detector`` under ``cfg``: ``"point"``,
+    ``"interference"``, ``"distributed"``, or None for Monte Carlo.
+
+    Point laws need K = 1 and, except for ``aed`` and ``smf``, a loss factor
+    (p < N, with p = 1 for the rank-one twins); interference laws need
+    p + q < N and distributed laws N > 1.  Under ``phe`` only the
+    scale-invariant detectors keep their law.
+    """
+    if cfg.environment == sc.PARTIALLY_HOMOGENEOUS and detector not in SCALE_INVARIANT:
+        return None
+    if detector in RANK_ONE_ALIAS and cfg.K == 1:
+        return "point" if 1 < cfg.N else None
+    if detector in POINT_DETECTORS and cfg.K == 1:
+        return "point" if cfg.p < cfg.N or detector in ("aed", "smf") else None
+    if detector in INTERFERENCE_ALIAS and cfg.K == 1:
+        return "interference" if cfg.p + cfg.q < cfg.N else None
+    if detector in DISTRIBUTED_DETECTORS:
+        return "distributed" if 1 < cfg.N else None
+    return None
+
+
 def _analytic_pd(detector, cfg, geometry, R, s_mean, rho, cos2phi, eta):
     """Analytic PD when the detector has a finite-sample law here, else None."""
+    law = _analytic_law(detector, cfg)
     N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
-    if detector in ("kglrt", "amf", "dmrao", "ace") and p == 1 and K == 1:
-        alias = {"kglrt": "sglrt", "amf": "samf", "dmrao": "srao", "ace": "asd"}
-        return pd_point(alias[detector], N, 1, L, rho, cos2phi, eta)
-    if detector in ("sglrt", "samf", "srao", "asd", "sabort", "wsabort",
-                    "dnsamf", "aed", "smf") and K == 1:
-        return pd_point(detector, N, p, L, rho, cos2phi, eta)
-    if detector in ("gkglrt", "gamf"):
-        if detector == "gamf" and cos2phi != 1.0:
-            return None  # loss-factor law is only known without mismatch
-        return pd_distributed(detector, N, K, L, rho, cos2phi, eta)
-    if detector in ("glrt_he_i", "ts_glrt_he_i", "glrt_phe_i") and K == 1 and p + q < N:
+    scale = cfg.test_scale ** 2  # sigma2 under phe, where only scale-invariant laws apply
+    if law == "point":
+        if detector in RANK_ONE_ALIAS:
+            if p != 1:
+                return None  # cos2phi is measured against the subspace, not s
+            detector = RANK_ONE_ALIAS[detector]
+        return pd_point(detector, N, p, L, rho / scale, cos2phi, eta)
+    if law == "interference":
         geom = mismatch_geometry(s_mean[:, 0], R, geometry.H, geometry.J)
-        return pd_interference(detector, N, p, q, L, geom.rho_eff, geom.delta2_i, eta)
+        return pd_interference(detector, N, p, q, L, geom.rho_eff / scale,
+                               geom.delta2_i / scale, eta)
+    if law == "distributed" and (detector == "gkglrt" or cos2phi == 1.0):
+        # the gamf loss-factor law is only known without mismatch
+        return pd_distributed(detector, N, K, L, rho, cos2phi, eta)
     return None
 
 
 def analytic_threshold(detector, cfg):
     """Threshold from the detector's finite-sample H0 law, or None."""
+    law = _analytic_law(detector, cfg)
     N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
-    try:
-        if detector in ("kglrt", "amf", "dmrao", "ace") and K == 1:
-            alias = {"kglrt": "sglrt", "amf": "samf", "dmrao": "srao", "ace": "asd"}
-            return threshold_for_pfa(alias[detector], N, 1, L, cfg.pfa)
-        if K == 1 and detector in ("sglrt", "samf", "srao", "asd", "sabort",
-                                   "wsabort", "dnsamf", "aed", "smf"):
-            return threshold_for_pfa(detector, N, p, L, cfg.pfa)
-        if detector in ("glrt_he_i", "ts_glrt_he_i", "glrt_phe_i") and K == 1 and p + q < N:
-            # the central laws match the point bank at reduced dimension N - q
-            alias = {"glrt_he_i": "sglrt", "ts_glrt_he_i": "samf", "glrt_phe_i": "asd"}
-            return threshold_for_pfa(alias[detector], N - q, p, L, cfg.pfa)
-        if detector in ("gkglrt", "gamf"):
-            return _distributed_threshold(detector, cfg)
-    except ValueError:
-        return None
+    if law == "point":
+        p = 1 if detector in RANK_ONE_ALIAS else p
+        return threshold_for_pfa(RANK_ONE_ALIAS.get(detector, detector), N, p, L, cfg.pfa)
+    if law == "interference":
+        return threshold_for_pfa(INTERFERENCE_ALIAS[detector], N - q, p, L, cfg.pfa)
+    if law == "distributed":
+        return invert_pfa(lambda eta: pd_distributed(detector, N, K, L, 0.0, 1.0, eta),
+                          cfg.pfa)
     return None
 
 
 def _thresholds(detectors, cfg, args):
     """Analytic thresholds where available; one shared MC calibration run for
-    the rest."""
+    the rest, on the Philox key ``args.seed ^ CALIBRATION_KEY_BIT`` so that no
+    threshold is scored on the (key, trial) streams that set it."""
     out = {}
     needs_mc = []
     for det in detectors:
@@ -271,33 +302,13 @@ def _thresholds(detectors, cfg, args):
             out[det] = thr
     if needs_mc:
         plan = mc.TrialPlan(
-            n_trials=args.trials, master_seed=args.seed, scenario=cfg,
-            covariance=sc.CovarianceModel.parse(args.covariance),
+            n_trials=args.trials, master_seed=args.seed ^ CALIBRATION_KEY_BIT,
+            scenario=cfg, covariance=sc.CovarianceModel.parse(args.covariance),
             detectors=tuple(needs_mc), hypothesis="h0", batch_size=args.batch_size)
         stats = mc.run_trials(plan)
         for det in needs_mc:
             out[det] = mc.calibrate_threshold(plan, det, stats=stats[det])
     return out
-
-
-def _distributed_threshold(detector, cfg):
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if pd_distributed(detector, cfg.N, cfg.K, cfg.L, 0.0, 1.0, hi) < cfg.pfa:
-            break
-        lo, hi = hi, 2 * hi
-    else:
-        raise InfeasibleError("could not bracket the distributed threshold")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = pd_distributed(detector, cfg.N, cfg.K, cfg.L, 0.0, 1.0, mid)
-        if abs(val - cfg.pfa) <= 1e-3 * cfg.pfa:
-            return mid
-        if val > cfg.pfa:
-            lo = mid
-        else:
-            hi = mid
-    raise InfeasibleError("distributed threshold inversion did not converge")
 
 
 def run_grid(args, snrs, cos2s):

@@ -6,13 +6,13 @@ from .core import (
     ComplexF,
     cbeta_pdf_grid,
     cf_sf_nodes,
-    poisson_window,
 )
 from .detection import (
     DISTRIBUTED_DETECTORS,
     INTERFERENCE_DETECTORS,
     POINT_DETECTORS,
     integrate_adaptive,
+    invert_pfa,
     pd_distributed,
     pd_interference,
     pd_point,
@@ -27,8 +27,8 @@ __all__ = [
     "ComplexF",
     "cbeta_pdf_grid",
     "cf_sf_nodes",
-    "poisson_window",
     "integrate_adaptive",
+    "invert_pfa",
     "pd_point",
     "pd_point_generic_aed",
     "pfa_point",

@@ -13,42 +13,42 @@ Conventions (fixed package-wide):
   component, so increasing ``delta`` pushes mass toward zero (loss-factor
   semantics).
 
-All CDFs/PDFs are Poisson mixtures over central terms; the mixture window is
-truncated where the Poisson tail mass drops below ``POISSON_TAIL`` and the
-per-term incomplete beta/gamma values are advanced by exact integer-shape
-recurrences, so a mixture costs one special-function call plus a cumulative
-sum.
+Every law is one of scipy's real noncentral laws at doubled parameters:
+``CChi2(k, delta)`` is ``ncx2(2k, 2 delta)`` at ``2 t``, and ``CF(m, n,
+delta)`` is ``ncf(2m, 2n, 2 delta)`` at ``t n / m``.  ``CBeta(a, b, delta)``
+follows from ``CF(b, a, delta)``: ``A / (A + B) <= x`` exactly when
+``B / A >= (1 - x) / x``.
+
+Zero noncentrality goes to the central law, node by node: scipy 1.17's
+``ncf.sf`` returns ``-cdf`` at ``nc = 0``, and every false-alarm evaluation
+(and every loss-factor node with no signal component) runs there.  The
+central ``CF(m, n)`` survival at ``t`` is the incomplete beta
+``I_{1/(1+t)}(n, m)``.  Survival probabilities always come from an ``sf``
+routine, never ``1 - cdf``, so deep tails (pfa <= 1e-6) keep their relative
+accuracy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-
-POISSON_TAIL = 1e-12
-POISSON_TERM_CAP = 100_000
+from scipy import special, stats
 
 
-def poisson_window(delta: float):
-    """Index window and weights of a Poisson(delta) pmf covering all but
-    ``POISSON_TAIL`` of the mass (hard cap ``POISSON_TERM_CAP`` terms)."""
-    if delta < 0:
-        raise ValueError("noncentrality must be nonnegative")
-    if delta == 0.0:
-        return 0, np.ones(1)
-    sd = np.sqrt(delta)
-    j_lo = max(0, int(np.floor(delta - 10.0 * sd - 30.0)))
-    j_hi = int(np.ceil(delta + 10.0 * sd + 30.0))
-    j_hi = min(j_hi, j_lo + POISSON_TERM_CAP - 1)
-    j = np.arange(j_lo, j_hi + 1, dtype=float)
-    w = np.exp(j * np.log(delta) - delta - special.gammaln(j + 1.0))
-    return j_lo, w
+def _validate(dist, *shapes):
+    for name in shapes:
+        value = getattr(dist, name)
+        if int(value) != value or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if dist.delta < 0:
+        raise ValueError("delta must be nonnegative")
 
 
-def _validate_shape(name: str, value: int) -> int:
-    if int(value) != value or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+def _as_grid(x, upper=np.inf):
+    """``x`` as a float array checked to lie in ``[0, upper]``, and whether it was scalar."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any((arr < 0) | (arr > upper)):
+        raise ValueError(f"argument must lie in [0, {upper}]")
+    return arr, np.isscalar(x) or np.ndim(x) == 0
 
 
 @dataclass(frozen=True)
@@ -59,35 +59,16 @@ class ComplexChi2:
     delta: float = 0.0
 
     def __post_init__(self):
-        _validate_shape("k", self.k)
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        _validate(self, "k")
 
     def cdf(self, t):
         t, scalar = _as_grid(t)
-        if np.any(t < 0):
-            raise ValueError("chi-square argument must be nonnegative")
-        j0, w = poisson_window(self.delta)
-        p0 = special.gammainc(self.k + j0, t)
-        # P(a+1, t) = P(a, t) - t^a e^-t / Gamma(a+1), advanced by cumprod/cumsum
-        terms = _gamma_terms(self.k + j0, t, len(w))
-        p = p0[None, :] - np.concatenate(
-            [np.zeros((1, t.size)), np.cumsum(terms[:-1], axis=0)], axis=0
-        )
-        out = np.clip(w @ p, 0.0, 1.0)
+        out = stats.ncx2.cdf(2.0 * t, 2 * self.k, 2.0 * self.delta)
         return out[0] if scalar else out
 
     def sf(self, t):
         t, scalar = _as_grid(t)
-        if np.any(t < 0):
-            raise ValueError("chi-square argument must be nonnegative")
-        j0, w = poisson_window(self.delta)
-        q0 = special.gammaincc(self.k + j0, t)
-        terms = _gamma_terms(self.k + j0, t, len(w))
-        q = q0[None, :] + np.concatenate(
-            [np.zeros((1, t.size)), np.cumsum(terms[:-1], axis=0)], axis=0
-        )
-        out = np.clip(w @ q, 0.0, 1.0)
+        out = stats.ncx2.sf(2.0 * t, 2 * self.k, 2.0 * self.delta)
         return out[0] if scalar else out
 
     def sample(self, rng, size=None):
@@ -108,23 +89,16 @@ class ComplexF:
     delta: float = 0.0
 
     def __post_init__(self):
-        _validate_shape("m", self.m)
-        _validate_shape("n", self.n)
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        _validate(self, "m", "n")
 
     def cdf(self, t):
         t, scalar = _as_grid(t)
-        if np.any(t < 0):
-            raise ValueError("F argument must be nonnegative")
-        out = 1.0 - _cf_sf_core(self.m, self.n, np.full_like(t, self.delta), t)
-        return out[0] if scalar else np.clip(out, 0.0, 1.0)
+        out = stats.ncf.cdf(t * self.n / self.m, 2 * self.m, 2 * self.n, 2.0 * self.delta)
+        return out[0] if scalar else out
 
     def sf(self, t):
         t, scalar = _as_grid(t)
-        if np.any(t < 0):
-            raise ValueError("F argument must be nonnegative")
-        out = _cf_sf_core(self.m, self.n, np.full_like(t, self.delta), t)
+        out = cf_sf_nodes(self.m, self.n, self.delta, t)
         return out[0] if scalar else out
 
     def sample(self, rng, size=None):
@@ -143,29 +117,16 @@ class ComplexBeta:
     delta: float = 0.0
 
     def __post_init__(self):
-        _validate_shape("a", self.a)
-        _validate_shape("b", self.b)
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        _validate(self, "a", "b")
 
     def cdf(self, x):
-        x, scalar = _as_grid(x)
-        if np.any((x < 0) | (x > 1)):
-            raise ValueError("beta argument must lie in [0, 1]")
-        j0, w = poisson_window(self.delta)
-        c0 = special.betainc(self.a, self.b + j0, x)
-        # I_x(a, b+1) = I_x(a, b) + x^a (1-x)^b / (b B(a, b))
-        terms = _beta_cdf_terms(self.a, self.b + j0, x, len(w))
-        c = c0[None, :] + np.concatenate(
-            [np.zeros((1, x.size)), np.cumsum(terms[:-1], axis=0)], axis=0
-        )
-        out = np.clip(w @ c, 0.0, 1.0)
+        x, scalar = _as_grid(x, upper=1.0)
+        with np.errstate(divide="ignore"):
+            out = cf_sf_nodes(self.b, self.a, self.delta, (1.0 - x) / x)
         return out[0] if scalar else out
 
     def pdf(self, x):
-        x, scalar = _as_grid(x)
-        if np.any((x < 0) | (x > 1)):
-            raise ValueError("beta argument must lie in [0, 1]")
+        x, scalar = _as_grid(x, upper=1.0)
         out = cbeta_pdf_grid(self.a, self.b, self.delta, x)
         return out[0] if scalar else out
 
@@ -176,115 +137,32 @@ class ComplexBeta:
         return float(out[0]) if size is None else out
 
 
-def _as_grid(x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return arr, np.isscalar(x) or np.ndim(x) == 0
-
-
-def _gamma_terms(a0: int, t: np.ndarray, count: int) -> np.ndarray:
-    """Rows ``j``: ``t^(a0+j) e^-t / Gamma(a0+j+1)`` for ``j = 0..count-1``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log0 = a0 * np.log(t) - t - special.gammaln(a0 + 1.0)
-        d0 = np.where(t > 0, np.exp(log0), 0.0)
-    if count == 1:
-        return d0[None, :]
-    j = np.arange(1, count, dtype=float)[:, None]
-    ratios = t[None, :] / (a0 + j)
-    return np.concatenate([d0[None, :], d0[None, :] * np.cumprod(ratios, axis=0)], axis=0)
-
-
-def _beta_cdf_terms(a: int, b0: int, x: np.ndarray, count: int) -> np.ndarray:
-    """Rows ``j``: ``x^a (1-x)^(b0+j) / ((b0+j) B(a, b0+j))``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log0 = (
-            a * np.log(x)
-            + b0 * np.log1p(-x)
-            - np.log(b0)
-            - special.betaln(a, b0)
-        )
-        e0 = np.where((x > 0) & (x < 1), np.exp(log0), 0.0)
-    if count == 1:
-        return e0[None, :]
-    j = np.arange(0, count - 1, dtype=float)[:, None]
-    ratios = (1.0 - x)[None, :] * (a + b0 + j) / (b0 + j + 1.0)
-    return np.concatenate([e0[None, :], e0[None, :] * np.cumprod(ratios, axis=0)], axis=0)
-
-
 def cbeta_pdf_grid(a: int, b: int, delta: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized noncentral-Beta density on a grid (shared Poisson window)."""
-    j0, w = poisson_window(delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log0 = (
-            (a - 1.0) * np.log(x)
-            + (b + j0 - 1.0) * np.log1p(-x)
-            - special.betaln(a, b + j0)
-        )
-        interior = (x > 0) & (x < 1)
-        f0 = np.where(interior, np.exp(np.where(interior, log0, 0.0)), 0.0)
-    _edge_pdf(a, b + j0, x, f0)
-    if len(w) == 1:
-        return f0
-    j = np.arange(0, len(w) - 1, dtype=float)[:, None]
-    ratios = (1.0 - x)[None, :] * (a + b + j0 + j) / (b + j0 + j)
-    rows = np.concatenate([f0[None, :], f0[None, :] * np.cumprod(ratios, axis=0)], axis=0)
-    return w @ rows
-
-
-def _edge_pdf(a, b, x, out):
-    # Integer shapes: density at the endpoints is finite only for unit shapes.
+    """Noncentral-Beta density on a grid: the ``CF(b, a, delta)`` density at
+    ``(1 - x) / x`` times the Jacobian ``1 / x**2``."""
+    x = np.asarray(x, dtype=float)
+    if delta == 0.0:  # central Beta(a, b), endpoints included
+        return np.exp(special.xlogy(a - 1, x) + special.xlog1py(b - 1, -x) - special.betaln(a, b))
+    out = np.zeros_like(x)
+    inner = (x > 0.0) & (x < 1.0)
+    xi = x[inner]
+    out[inner] = (stats.ncf.pdf((1.0 - xi) / xi * a / b, 2 * b, 2 * a, 2.0 * delta)
+                  * (a / b) / (xi * xi))
+    # the density is finite at an endpoint only for a unit shape there
     if a == 1:
-        out[x == 0.0] = b  # central Beta(1, b) density at 0
-    if np.ndim(b) == 0 and b == 1:
-        out[x == 1.0] = a
-
-
-def _cf_sf_core(m: int, n: int, deltas: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Survival of ``CF(m, n, delta_i)`` at ``t_i``, vectorized over nodes.
-
-    Shares one Poisson index window across all nodes (union of per-node
-    windows), advancing ``I_y(m+j, n)`` by the integer-shape recurrence.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    y = ts / (1.0 + ts)
-    one_my = 1.0 / (1.0 + ts)
-    dmax = float(deltas.max()) if deltas.size else 0.0
-    dmin = float(deltas.min()) if deltas.size else 0.0
-    j_hi = poisson_window(dmax)[0] + len(poisson_window(dmax)[1]) - 1
-    j_lo = poisson_window(dmin)[0]
-    count = j_hi - j_lo + 1
-    j = np.arange(j_lo, j_hi + 1, dtype=float)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = j * np.log(np.maximum(deltas, np.finfo(float).tiny))[None, :] - deltas[None, :] - special.gammaln(j + 1.0)
-        w = np.exp(logw)
-    # delta == 0 columns come out right: j_lo is 0 whenever any delta is 0,
-    # the j = 0 row gives weight 1 and higher rows underflow to 0.
-    # survival of the central term at the window base
-    s0 = special.betainc(n, m + j_lo, one_my)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logd0 = (
-            (m + j_lo) * np.log(y)
-            + n * np.log(one_my)
-            - np.log(m + j_lo)
-            - special.betaln(m + j_lo, n)
-        )
-        d0 = np.where(y > 0, np.exp(logd0), 0.0)
-    if count > 1:
-        jj = np.arange(0, count - 1, dtype=float)[:, None]
-        ratios = y[None, :] * (m + n + j_lo + jj) / (m + j_lo + jj + 1.0)
-        d = np.concatenate([d0[None, :], d0[None, :] * np.cumprod(ratios, axis=0)], axis=0)
-        s = s0[None, :] + np.concatenate(
-            [np.zeros((1, ts.size)), np.cumsum(d[:-1], axis=0)], axis=0
-        )
-    else:
-        s = s0[None, :]
-    return np.clip(np.sum(w * s, axis=0), 0.0, 1.0)
+        out[x == 0.0] = b + delta
+    if b == 1:
+        out[x == 1.0] = a * np.exp(-delta)
+    return out
 
 
 def cf_sf_nodes(m: int, n: int, deltas, ts) -> np.ndarray:
-    """Public wrapper of the node-vectorized ``CF`` survival (used by quadrature)."""
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if deltas.shape != ts.shape:
-        deltas, ts = np.broadcast_arrays(deltas, ts)
-    return _cf_sf_core(m, n, deltas, ts)
+    """Survival of ``CF(m, n, delta_i)`` at ``t_i``, vectorized over nodes
+    (used by quadrature); ``delta_i = 0`` nodes use the central law."""
+    deltas, ts = np.broadcast_arrays(np.asarray(deltas, float), np.atleast_1d(ts).astype(float))
+    out = special.betainc(n, m, 1.0 / (1.0 + ts))
+    noncentral = deltas > 0.0
+    if np.any(noncentral):
+        out[noncentral] = stats.ncf.sf(ts[noncentral] * n / m, 2 * m, 2 * n,
+                                       2.0 * deltas[noncentral])
+    return out

@@ -8,11 +8,15 @@ quadrature with panel splits at the event-region kinks.
 """
 
 import numpy as np
+from scipy import optimize
 
 from ..errors import InfeasibleError
 from .core import ComplexChi2, ComplexF, cbeta_pdf_grid, cf_sf_nodes
 
 QUAD_TOL = 1e-6
+# log-threshold range searched for a false-alarm target: every supported
+# false-alarm curve is near 1 at exp(-40) and negligible at exp(40)
+LOG_ETA_BRACKET = (-40.0, 40.0)
 
 POINT_DETECTORS = (
     "sglrt", "samf", "srao", "asd", "sabort", "wsabort", "dnsamf", "aed", "smf",
@@ -210,28 +214,34 @@ def pd_interference(detector: str, N: int, p: int, q: int, L: int,
     )
 
 
-def threshold_for_pfa(detector: str, N: int, p: int, L: int, pfa: float,
-                      rtol: float = 1e-3, tol: float = QUAD_TOL) -> float:
-    """Invert ``pfa_point`` by bisection to relative accuracy ``rtol``."""
+def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3) -> float:
+    """Threshold ``eta`` with ``|pfa_of(eta) - pfa| <= rtol * pfa``.
+
+    ``pfa_of`` is a nonincreasing false-alarm curve.  ``brentq`` solves
+    ``log(pfa_of / pfa) = 0`` in ``log eta`` over ``LOG_ETA_BRACKET`` (tails
+    are near-linear there), with the tolerance band flattened into an exact
+    zero so that it stops at the first threshold inside the band.
+    """
     if not 0.0 < pfa < 1.0:
         raise InfeasibleError("target false-alarm probability must lie in (0, 1)")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if pfa_point(detector, N, p, L, hi, tol=tol) < pfa:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
+
+    def excess(log_eta):
+        ratio = pfa_of(float(np.exp(log_eta))) / pfa
+        return 0.0 if abs(ratio - 1.0) <= rtol else float(np.log(max(ratio, 1e-300)))
+
+    lo, hi = LOG_ETA_BRACKET
+    if excess(lo) < 0.0 or excess(hi) > 0.0:
         raise InfeasibleError("could not bracket the requested false-alarm target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = pfa_point(detector, N, p, L, mid, tol=tol)
-        if abs(value - pfa) <= rtol * pfa:
-            return mid
-        if value > pfa:
-            lo = mid
-        else:
-            hi = mid
-    raise InfeasibleError("false-alarm inversion did not converge")
+    root = optimize.brentq(excess, lo, hi, xtol=1e-12)
+    if excess(root) != 0.0:
+        raise InfeasibleError("false-alarm inversion did not converge")
+    return float(np.exp(root))
+
+
+def threshold_for_pfa(detector: str, N: int, p: int, L: int, pfa: float,
+                      rtol: float = 1e-3, tol: float = QUAD_TOL) -> float:
+    """Invert ``pfa_point`` to relative accuracy ``rtol`` (see :func:`invert_pfa`)."""
+    return invert_pfa(lambda eta: pfa_point(detector, N, p, L, eta, tol=tol), pfa, rtol)
 
 
 def _check_point_args(detector, N, p, L, rho, cos2phi, eta):

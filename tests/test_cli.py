@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from adaptivedet import cli
+from adaptivedet import cli, montecarlo as mc, scenario as sc
+from adaptivedet.distributions import pd_distributed
 
 
 def _read(path):
@@ -135,3 +136,72 @@ class TestValidationCommands:
             blobs.append(out.read_bytes())
         assert len(_read(str(tmp_path / "cfar0.csv"))) == 9
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+class TestAnalyticLaws:
+    def test_p_equals_n_falls_back_to_monte_carlo(self, tmp_path):
+        # sglrt has no loss factor at p = N; aed keeps its closed form
+        out = tmp_path / "pn.csv"
+        rc = cli.main(["pd-vs-snr", "--N", "4", "--p", "4", "--L", "8",
+                       "--detectors", "sglrt,aed", "--snr", "0,10", "--trials", "2000",
+                       "--mode", "both", "--out", str(out)])
+        assert rc == 0
+        cfg = sc.ScenarioConfig(N=4, p=4, L=8)
+        assert cli.analytic_threshold("sglrt", cfg) is None
+        rows = _read(str(out))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["threshold"] != "" and row["pd_mc"] != ""
+            assert (row["pd_analytic"] == "") == (row["detector"] == "sglrt")
+
+    def test_phe_keeps_only_scale_invariant_laws(self, tmp_path):
+        out = tmp_path / "phe.csv"
+        rc = cli.main(["pd-vs-snr", "--env", "phe:4", "--mode", "both",
+                       "--detectors", "sglrt,asd,aed", "--snr", "0,10",
+                       "--trials", "4000", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        rows = _read(str(out))
+        assert len(rows) == 6
+        for row in rows:
+            if row["detector"] == "asd":
+                pd = float(row["pd_analytic"])
+                assert float(row["ci_low"]) <= pd <= float(row["ci_high"]), row
+            else:
+                assert row["pd_analytic"] == "", row
+
+    @pytest.mark.parametrize("det", ["gkglrt", "gamf"])
+    def test_distributed_threshold_round_trip(self, det):
+        cfg = sc.ScenarioConfig(N=8, p=1, K=4, L=16, pfa=1e-3)
+        eta = cli.analytic_threshold(det, cfg)
+        assert abs(pd_distributed(det, 8, 4, 16, 0.0, 1.0, eta) - 1e-3) <= 1e-3 * 1e-3
+
+    def test_calibration_streams_disjoint_from_scoring(self, monkeypatch, tmp_path):
+        draws = {"calibration": set(), "scoring": set()}
+        phase = []
+
+        def tagged(name, fn):
+            def wrapper(*args, **kwargs):
+                phase.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+            return wrapper
+
+        original = mc.TrialStreams.standard_normal
+
+        def recording(self, trial_index, out):
+            key = tuple(int(k) for k in self._bitgen.state["state"]["key"])
+            draws[phase[-1]].add((key, trial_index))
+            return original(self, trial_index, out)
+
+        monkeypatch.setattr(mc.TrialStreams, "standard_normal", recording)
+        monkeypatch.setattr(mc, "run_trials", tagged("calibration", mc.run_trials))
+        monkeypatch.setattr(mc, "exceedance_counts", tagged("scoring", mc.exceedance_counts))
+        rc = cli.main(["pd-vs-snr", "--mode", "montecarlo", "--snr=-40", "--N", "8",
+                       "--p", "2", "--K", "4", "--L", "16",
+                       "--detectors", "glrt_phe,rao_dos,snrdd", "--trials", "500",
+                       "--pfa", "1e-2", "--seed", "2", "--out", str(tmp_path / "c.csv")])
+        assert rc == 0
+        assert len(draws["calibration"]) == len(draws["scoring"]) == 500
+        assert not draws["calibration"] & draws["scoring"]

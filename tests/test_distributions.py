@@ -6,6 +6,7 @@ from adaptivedet.distributions import (
     ComplexBeta,
     ComplexChi2,
     ComplexF,
+    cf_sf_nodes,
     integrate_adaptive,
     pd_distributed,
     pd_interference,
@@ -110,6 +111,38 @@ class TestComplexBeta:
         assert sstats.kstest(samples, d.cdf).pvalue > 0.01
 
 
+class TestCentralRouting:
+    """Zero noncentrality must give the central laws (scipy 1.17's ncf.sf
+    returns -cdf at nc = 0), also inside arrays that mix zero and nonzero."""
+
+    TS = np.array([0.0, 0.05, 0.5, 1.0, 3.0, 40.0])
+
+    def test_zero_delta_f_is_central_beta(self):
+        for m, n in ((1, 1), (2, 13), (4, 26)):
+            sf = ComplexF(m, n, 0.0).sf(self.TS)
+            np.testing.assert_allclose(sf, special.betainc(n, m, 1.0 / (1.0 + self.TS)),
+                                       rtol=1e-12, atol=0.0)
+            assert np.all((sf >= 0.0) & (sf <= 1.0))
+
+    def test_zero_delta_chi2_is_central_gamma(self):
+        for k in (1, 3, 8):
+            sf = ComplexChi2(k, 0.0).sf(self.TS)
+            np.testing.assert_allclose(sf, special.gammaincc(k, self.TS), rtol=1e-12, atol=0.0)
+            assert np.all((sf >= 0.0) & (sf <= 1.0))
+
+    def test_mixed_nodes(self):
+        m, n = 2, 13
+        ts = np.repeat([0.3, 2.0, 15.0], 2)
+        deltas = np.tile([0.0, 4.0], 3)
+        sf = cf_sf_nodes(m, n, deltas, ts)
+        zero = deltas == 0.0
+        np.testing.assert_allclose(sf[zero], special.betainc(n, m, 1.0 / (1.0 + ts[zero])),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sf[~zero], sstats.ncf.sf(ts[~zero] * n / m, 2 * m, 2 * n, 8.0),
+                                   rtol=1e-12, atol=0.0)
+        assert np.all((sf >= 0.0) & (sf <= 1.0))
+
+
 class TestCdfShapeProperties:
     @pytest.mark.parametrize("dist,grid", [
         (ComplexChi2(3, 2.5), np.linspace(0, 40, 1000)),
@@ -166,8 +199,9 @@ class TestPointCurves:
     def test_threshold_round_trip(self):
         for det in ("sglrt", "samf", "srao", "asd", "sabort", "wsabort",
                     "dnsamf", "aed", "smf"):
-            eta = threshold_for_pfa(det, self.N, self.p, self.L, 1e-3)
-            assert abs(pfa_point(det, self.N, self.p, self.L, eta) - 1e-3) <= 1e-3 * 1e-3
+            for pfa in (1e-3, 1e-6):
+                eta = threshold_for_pfa(det, self.N, self.p, self.L, pfa)
+                assert abs(pfa_point(det, self.N, self.p, self.L, eta) - pfa) <= 1e-3 * pfa
 
     def test_degenerate_threshold(self):
         for det in ("samf", "aed"):
