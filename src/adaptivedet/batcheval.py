@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
+from .roots import find_root
 
 POINT_FAMILY = frozenset({
     "sglrt", "srao", "samf", "asd", "sabort", "wsabort", "dnsamf", "aed", "beta",
@@ -198,13 +199,18 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
 
 
 def solve_sigma_batch(eigs, target: float):
-    """Vectorized bracketed bisection of the power-mismatch root equation.
+    """Root ``sigma^2`` of ``sum_k lam_k / (lam_k + sigma^2) = target``, row by row.
 
-    ``eigs`` is (B, r) with nonnegative rows; rows must have more than
-    ``target`` positive eigenvalues for a root to exist.
+    ``eigs`` is (B, r); negative entries count as zero, and so do entries at
+    or below ``1e-12`` times the row's largest.  The left side decreases
+    strictly from the row's count of positive eigenvalues to zero, so a root
+    exists iff ``0 < target < count``.  It lies between ``lam_min (count -
+    target) / target`` (halved for rounding) and ``trace / target``, where
+    the left side is at least ``count lam_min / (lam_min + sigma^2)`` and
+    below ``trace / sigma^2``.
     """
     eigs = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
-    top = eigs.max(axis=1)
+    top = eigs.max(axis=1, initial=0.0)
     if np.any(top <= 0):
         raise InfeasibleError("every trial needs a positive eigenvalue")
     eigs = np.where(eigs > 1e-12 * top[:, None], eigs, 0.0)
@@ -217,19 +223,10 @@ def solve_sigma_batch(eigs, target: float):
             frac = np.where(eigs > 0, eigs / (eigs + s2[:, None]), 0.0)
         return frac.sum(axis=1) - target
 
-    lo = 1e-12 * top
-    hi = top.copy()
-    for _ in range(200):
-        mask = f(hi) > 0
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        pos = f(mid) > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
+    smallest = np.where(eigs > 0, eigs, np.inf).min(axis=1)
+    lo = 0.5 * smallest * (counts - target) / target
+    hi = eigs.sum(axis=1) / target
+    return find_root(f, lo, hi)[0]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import batcheval, montecarlo as mc, scenario as sc
 from .detectors import mismatch_geometry
@@ -388,6 +387,9 @@ def run_cfar_check(args):
 
 
 def run_validate_dist(args):
+    # imported here: scipy.stats costs more start-up time than most runs take
+    from scipy import stats as sstats
+
     rng = np.random.default_rng(args.seed)
     n = args.trials
     rows = []

@@ -9,10 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import linalg
-from ..errors import InfeasibleError
-
-EIG_ZERO_RTOL = 1e-12
+from .. import batcheval, linalg
 
 
 @dataclass(frozen=True)
@@ -108,41 +105,14 @@ def rao_he_recast(X, S, s) -> float:
 
 
 def solve_sigma(eigs, target: float) -> float:
-    """Root of ``sum_k lam_k / (lam_k + sigma^2) = target`` by bracketed bisection.
+    """Root of ``sum_k lam_k / (lam_k + sigma^2) = target``: one row of
+    :func:`adaptivedet.batcheval.solve_sigma_batch`.
 
-    Eigenvalues below ``EIG_ZERO_RTOL`` times the largest are treated as zero;
-    the left side decreases strictly from the count of positive eigenvalues to
-    zero, so the root exists iff ``0 < target < count``.
+    Eigenvalues at or below ``1e-12`` times the largest are treated as
+    zero; the left side decreases strictly from the count of positive
+    eigenvalues to zero, so the root exists iff ``0 < target < count``.
     """
-    eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0 or np.max(eigs) <= 0:
-        raise InfeasibleError("need at least one positive eigenvalue")
-    top = float(np.max(eigs))
-    eigs = eigs[eigs > EIG_ZERO_RTOL * top]
-    r = eigs.size
-    if not 0.0 < target < r:
-        raise InfeasibleError(
-            f"target {target} outside (0, {r}): no positive root exists")
-
-    def f(s2):
-        return float(np.sum(eigs / (eigs + s2))) - target
-
-    lo = 1e-12 * top
-    hi = top
-    for _ in range(200):
-        if f(hi) <= 0:
-            break
-        hi *= 2.0
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-14 * mid:
-            break
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    return float(batcheval.solve_sigma_batch(np.reshape(eigs, (1, -1)), target)[0])
 
 
 def distributed_rank1_phe(X, S, s, L: int) -> DistributedPHEStats:

@@ -16,7 +16,6 @@ from .detection import (
     pd_distributed,
     pd_interference,
     pd_point,
-    pd_point_generic_aed,
     pfa_point,
     threshold_for_pfa,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "integrate_adaptive",
     "invert_pfa",
     "pd_point",
-    "pd_point_generic_aed",
     "pfa_point",
     "pd_distributed",
     "pd_interference",

@@ -19,19 +19,29 @@ delta)`` is ``ncf(2m, 2n, 2 delta)`` at ``t n / m``.  ``CBeta(a, b, delta)``
 follows from ``CF(b, a, delta)``: ``A / (A + B) <= x`` exactly when
 ``B / A >= (1 - x) / x``.
 
-Zero noncentrality goes to the central law, node by node: scipy 1.17's
-``ncf.sf`` returns ``-cdf`` at ``nc = 0``, and every false-alarm evaluation
-(and every loss-factor node with no signal component) runs there.  The
-central ``CF(m, n)`` survival at ``t`` is the incomplete beta
-``I_{1/(1+t)}(n, m)``.  Survival probabilities always come from an ``sf``
-routine, never ``1 - cdf``, so deep tails (pfa <= 1e-6) keep their relative
-accuracy.
+The laws are evaluated by the ``scipy.special`` kernels that
+``scipy.stats.ncf``/``ncx2`` dispatch to (scipy 1.17): the public
+``ncfdtr``/``chndtr`` for the noncentral cdfs and the private
+``_ncf_sf``/``_ncf_pdf``/``_ncx2_sf`` ufuncs, for which scipy has no public
+name.  They return the same bits as the ``scipy.stats`` methods inside the
+support; ``scipy.stats`` is not imported because its import alone costs more
+than most CLI runs.  The support ends are set here, as ``scipy.stats`` does:
+the raw survival kernels return ``-0.0`` or ``nan`` at ``0`` and ``inf``.
+
+Zero noncentrality goes to the central law, node by node: ``_ncf_sf``
+returns ``-cdf`` at ``nc = 0``, and every false-alarm evaluation (and every
+loss-factor node with no signal component) runs there.  The central ``CF(m,
+n)`` survival at ``t`` is the incomplete beta ``I_{1/(1+t)}(n, m)`` and the
+central ``CChi2(k)`` law is the regularized incomplete gamma.  Survival
+probabilities always come from an ``sf`` routine, never ``1 - cdf``, so deep
+tails (pfa <= 1e-6) keep their relative accuracy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+from scipy.special import _ufuncs
 
 
 def _validate(dist, *shapes):
@@ -63,12 +73,18 @@ class ComplexChi2:
 
     def cdf(self, t):
         t, scalar = _as_grid(t)
-        out = stats.ncx2.cdf(2.0 * t, 2 * self.k, 2.0 * self.delta)
+        if self.delta == 0.0:
+            out = special.gammainc(self.k, t)
+        else:
+            out = special.chndtr(2.0 * t, 2 * self.k, 2.0 * self.delta)
         return out[0] if scalar else out
 
     def sf(self, t):
         t, scalar = _as_grid(t)
-        out = stats.ncx2.sf(2.0 * t, 2 * self.k, 2.0 * self.delta)
+        if self.delta == 0.0:
+            out = special.gammaincc(self.k, t)
+        else:
+            out = _support_sf(t, _ufuncs._ncx2_sf(2.0 * t, 2 * self.k, 2.0 * self.delta))
         return out[0] if scalar else out
 
     def sample(self, rng, size=None):
@@ -93,7 +109,7 @@ class ComplexF:
 
     def cdf(self, t):
         t, scalar = _as_grid(t)
-        out = stats.ncf.cdf(t * self.n / self.m, 2 * self.m, 2 * self.n, 2.0 * self.delta)
+        out = special.ncfdtr(2 * self.m, 2 * self.n, 2.0 * self.delta, t * self.n / self.m)
         return out[0] if scalar else out
 
     def sf(self, t):
@@ -146,7 +162,7 @@ def cbeta_pdf_grid(a: int, b: int, delta: float, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
-    out[inner] = (stats.ncf.pdf((1.0 - xi) / xi * a / b, 2 * b, 2 * a, 2.0 * delta)
+    out[inner] = (_ufuncs._ncf_pdf((1.0 - xi) / xi * a / b, 2 * b, 2 * a, 2.0 * delta)
                   * (a / b) / (xi * xi))
     # the density is finite at an endpoint only for a unit shape there
     if a == 1:
@@ -163,6 +179,12 @@ def cf_sf_nodes(m: int, n: int, deltas, ts) -> np.ndarray:
     out = special.betainc(n, m, 1.0 / (1.0 + ts))
     noncentral = deltas > 0.0
     if np.any(noncentral):
-        out[noncentral] = stats.ncf.sf(ts[noncentral] * n / m, 2 * m, 2 * n,
-                                       2.0 * deltas[noncentral])
+        tn = ts[noncentral]
+        out[noncentral] = _support_sf(tn, _ufuncs._ncf_sf(tn * n / m, 2 * m, 2 * n,
+                                                          2.0 * deltas[noncentral]))
     return out
+
+
+def _support_sf(t, sf):
+    """A survival kernel's values ``sf`` at ``t`` with the support ends set."""
+    return np.where(t == 0.0, 1.0, np.where(t == np.inf, 0.0, sf))

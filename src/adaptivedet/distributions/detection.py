@@ -8,9 +8,9 @@ quadrature with panel splits at the event-region kinks.
 """
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import InfeasibleError
+from ..roots import find_root
 from .core import ComplexChi2, ComplexF, cbeta_pdf_grid, cf_sf_nodes
 
 QUAD_TOL = 1e-6
@@ -152,18 +152,6 @@ def pd_point(detector: str, N: int, p: int, L: int, rho: float, cos2phi: float,
     )
 
 
-def pd_point_generic_aed(N, p, L, rho, cos2phi, eta, tol=QUAD_TOL) -> float:
-    """AED detection probability through the loss-factor mixture (cross-check
-    path for the closed form used by :func:`pd_point`)."""
-    _check_point_args("aed", N, p, L, rho, cos2phi, eta)
-    return _pd_beta_mixture(
-        "aed", eta,
-        f_m=p, f_n=L - N + 1, f_noncentrality=rho * cos2phi,
-        beta_a=L - N + p + 1, beta_b=N - p, beta_delta=rho * (1.0 - cos2phi),
-        tol=tol,
-    )
-
-
 def pfa_point(detector: str, N: int, p: int, L: int, eta: float,
               tol: float = QUAD_TOL) -> float:
     """False-alarm probability: the zero-SNR case of :func:`pd_point`."""
@@ -217,10 +205,10 @@ def pd_interference(detector: str, N: int, p: int, q: int, L: int,
 def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3) -> float:
     """Threshold ``eta`` with ``|pfa_of(eta) - pfa| <= rtol * pfa``.
 
-    ``pfa_of`` is a nonincreasing false-alarm curve.  ``brentq`` solves
-    ``log(pfa_of / pfa) = 0`` in ``log eta`` over ``LOG_ETA_BRACKET`` (tails
-    are near-linear there), with the tolerance band flattened into an exact
-    zero so that it stops at the first threshold inside the band.
+    ``pfa_of`` is a nonincreasing false-alarm curve.  :func:`find_root`
+    solves ``log(pfa_of / pfa) = 0`` in ``log eta`` over ``LOG_ETA_BRACKET``
+    (tails are near-linear there), with the tolerance band flattened into an
+    exact zero so that it stops at the first threshold inside the band.
     """
     if not 0.0 < pfa < 1.0:
         raise InfeasibleError("target false-alarm probability must lie in (0, 1)")
@@ -229,11 +217,11 @@ def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3) -> float:
         ratio = pfa_of(float(np.exp(log_eta))) / pfa
         return 0.0 if abs(ratio - 1.0) <= rtol else float(np.log(max(ratio, 1e-300)))
 
-    lo, hi = LOG_ETA_BRACKET
-    if excess(lo) < 0.0 or excess(hi) > 0.0:
-        raise InfeasibleError("could not bracket the requested false-alarm target")
-    root = optimize.brentq(excess, lo, hi, xtol=1e-12)
-    if excess(root) != 0.0:
+    try:
+        root, value = find_root(excess, *LOG_ETA_BRACKET, xtol=1e-12)
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"false-alarm inversion failed: {exc}") from None
+    if value != 0.0:
         raise InfeasibleError("false-alarm inversion did not converge")
     return float(np.exp(root))
 

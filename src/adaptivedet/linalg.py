@@ -17,10 +17,10 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def check_hermitian_pd(S, rtol: float = 1e-12) -> np.ndarray:
-    """Validate that ``S`` is Hermitian positive definite.
+def hermitian_pd_eigh(S, rtol: float = 1e-12):
+    """Eigendecomposition ``(w, V)`` of a Hermitian positive definite ``S``.
 
-    Returns the symmetrized ``(S + S^H)/2`` so downstream eigensolvers see an
+    ``S`` is symmetrized to ``(S + S^H)/2`` first so the eigensolver sees an
     exactly Hermitian matrix.  Raises :class:`DefinitenessError` if ``S``
     deviates from Hermitian symmetry by more than ``rtol`` (relative) or has
     a non-positive eigenvalue.
@@ -30,11 +30,10 @@ def check_hermitian_pd(S, rtol: float = 1e-12) -> np.ndarray:
     asym = np.linalg.norm(S - np.conj(np.swapaxes(S, -2, -1)), axis=(-2, -1), keepdims=True)
     if np.any(asym > rtol * np.maximum(scale, np.finfo(float).tiny)):
         raise DefinitenessError("matrix is not Hermitian to the required tolerance")
-    S = 0.5 * (S + np.conj(np.swapaxes(S, -2, -1)))
-    w = np.linalg.eigvalsh(S)
+    w, V = np.linalg.eigh(0.5 * (S + np.conj(np.swapaxes(S, -2, -1))))
     if np.any(w[..., 0] <= 0):
         raise DefinitenessError("matrix has a non-positive eigenvalue")
-    return S
+    return w, V
 
 
 def inv_sqrt(S) -> np.ndarray:
@@ -43,16 +42,14 @@ def inv_sqrt(S) -> np.ndarray:
     Computed from the eigendecomposition of ``S`` so the result is itself
     Hermitian positive definite and commutes with ``S``.
     """
-    S = check_hermitian_pd(S)
-    w, V = np.linalg.eigh(S)
+    w, V = hermitian_pd_eigh(S)
     T = (V * (1.0 / np.sqrt(w))[..., None, :]) @ np.conj(np.swapaxes(V, -2, -1))
     return 0.5 * (T + np.conj(np.swapaxes(T, -2, -1)))
 
 
 def herm_sqrt(S) -> np.ndarray:
     """Hermitian square root ``A`` with ``A A = S`` (eigendecomposition based)."""
-    S = check_hermitian_pd(S)
-    w, V = np.linalg.eigh(S)
+    w, V = hermitian_pd_eigh(S)
     A = (V * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(V, -2, -1))
     return 0.5 * (A + np.conj(np.swapaxes(A, -2, -1)))
 

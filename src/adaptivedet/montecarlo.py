@@ -303,22 +303,3 @@ def cfar_sweep(detectors, config: ScenarioConfig, covariances, thresholds,
                                   rows=tuple(det_rows), passed=passed)
     return reports
 
-
-def roc_invariance_check(detector: str, g, plan: TrialPlan,
-                         threshold: float = None) -> bool:
-    """Decision-set equality under a strictly increasing statistic transform.
-
-    Verifies that thresholding ``g(statistic)`` at ``g(threshold)`` reproduces
-    exactly the decisions of thresholding the statistic itself on every trial.
-    A sampled derivative-sign test rejects non-monotone maps up front.
-    """
-    stats = run_trials(plan)[detector]
-    if threshold is None:
-        threshold = calibrate_threshold(plan.under("h0"), detector, stats=stats)
-    probe = np.unique(np.concatenate([stats, [threshold]]))
-    gp = np.asarray([g(t) for t in probe], dtype=float)
-    if np.any(np.diff(gp) <= 0):
-        raise ValueError("transform is not strictly increasing on the statistic range")
-    base = stats > threshold
-    mapped = np.asarray([g(t) for t in stats], dtype=float) > g(threshold)
-    return bool(np.all(base == mapped))

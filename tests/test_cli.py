@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import adaptivedet
 from adaptivedet import cli, montecarlo as mc, scenario as sc
 from adaptivedet.distributions import pd_distributed
 
@@ -205,3 +211,29 @@ class TestAnalyticLaws:
         assert rc == 0
         assert len(draws["calibration"]) == len(draws["scoring"]) == 500
         assert not draws["calibration"] & draws["scoring"]
+
+
+class TestImportPath:
+    def test_cli_start_leaves_heavy_scipy_modules_out(self, tmp_path):
+        # scipy.stats and scipy.optimize (which pulls in scipy.linalg) cost
+        # more start-up time than most CLI runs take; only validate-dist
+        # needs scipy.stats, and it imports it when it runs
+        out = tmp_path / "dist.csv"
+        code = textwrap.dedent(f"""
+            import sys
+            import adaptivedet, adaptivedet.cli as cli
+            cli.build_parser()
+            heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg")
+            loaded = [m for m in heavy if m in sys.modules]
+            assert not loaded, loaded
+            sys.exit(cli.main(["validate-dist", "--trials", "20000", "--seed", "3",
+                               "--out", {str(out)!r}]))
+        """)
+        src = str(Path(adaptivedet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        rows = _read(str(out))
+        assert len(rows) == 7
+        assert all(r["status"] == "pass" for r in rows)

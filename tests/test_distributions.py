@@ -6,16 +6,29 @@ from adaptivedet.distributions import (
     ComplexBeta,
     ComplexChi2,
     ComplexF,
+    cbeta_pdf_grid,
     cf_sf_nodes,
     integrate_adaptive,
     pd_distributed,
     pd_interference,
     pd_point,
-    pd_point_generic_aed,
     pfa_point,
     threshold_for_pfa,
 )
+from adaptivedet.distributions.detection import QUAD_TOL, _check_point_args, _pd_beta_mixture
 from adaptivedet.errors import InfeasibleError
+
+
+def pd_point_generic_aed(N, p, L, rho, cos2phi, eta, tol=QUAD_TOL) -> float:
+    """AED detection probability through the loss-factor mixture (cross-check
+    path for the closed form used by :func:`pd_point`)."""
+    _check_point_args("aed", N, p, L, rho, cos2phi, eta)
+    return _pd_beta_mixture(
+        "aed", eta,
+        f_m=p, f_n=L - N + 1, f_noncentrality=rho * cos2phi,
+        beta_a=L - N + p + 1, beta_b=N - p, beta_delta=rho * (1.0 - cos2phi),
+        tol=tol,
+    )
 
 
 class TestComplexChi2:
@@ -141,6 +154,70 @@ class TestCentralRouting:
         np.testing.assert_allclose(sf[~zero], sstats.ncf.sf(ts[~zero] * n / m, 2 * m, 2 * n, 8.0),
                                    rtol=1e-12, atol=0.0)
         assert np.all((sf >= 0.0) & (sf <= 1.0))
+
+
+class TestScipyKernels:
+    """The laws call the scipy.special kernels behind scipy.stats.ncf/ncx2
+    directly; they must give scipy.stats' values inside the support and its
+    values at the support ends, where the raw kernels do not."""
+
+    def test_interior_nodes_match_scipy_stats(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m, n = (int(v) for v in rng.integers(1, 14, size=2))
+            delta = float(rng.exponential(10.0)) + 1e-3
+            ts = rng.exponential(2.0, size=50)
+            np.testing.assert_array_equal(
+                cf_sf_nodes(m, n, delta, ts), sstats.ncf.sf(ts * n / m, 2 * m, 2 * n, 2 * delta))
+            np.testing.assert_array_equal(
+                ComplexF(m, n, delta).cdf(ts), sstats.ncf.cdf(ts * n / m, 2 * m, 2 * n, 2 * delta))
+            np.testing.assert_array_equal(
+                ComplexChi2(m, delta).sf(ts), sstats.ncx2.sf(2 * ts, 2 * m, 2 * delta))
+            np.testing.assert_array_equal(
+                ComplexChi2(m, delta).cdf(ts), sstats.ncx2.cdf(2 * ts, 2 * m, 2 * delta))
+            xs = rng.uniform(0.0, 1.0, size=50)
+            np.testing.assert_array_equal(
+                cbeta_pdf_grid(m, n, delta, xs),
+                sstats.ncf.pdf((1 - xs) / xs * m / n, 2 * n, 2 * m, 2 * delta) * (m / n) / xs ** 2)
+
+    def test_chi2_support_ends(self):
+        for k, delta in ((8, 7.0), (1, 0.5), (3, 0.0)):
+            d = ComplexChi2(k, delta)
+            assert d.sf(0.0) == 1.0 and d.cdf(0.0) == 0.0
+            assert d.sf(np.inf) == 0.0 and d.cdf(np.inf) == 1.0
+
+    def test_f_support_ends(self):
+        for delta in (0.0, 4.0):
+            d = ComplexF(2, 13, delta)
+            assert d.sf(0.0) == 1.0 and d.cdf(0.0) == 0.0
+            assert d.sf(np.inf) == 0.0 and d.cdf(np.inf) == 1.0
+
+    def test_beta_support_ends(self):
+        for delta in (0.0, 20.0):
+            d = ComplexBeta(13, 10, delta)
+            ends = d.cdf(np.array([0.0, 1.0]))
+            assert ends[0] == 0.0 and ends[1] == 1.0
+
+    def test_beta_endpoint_densities(self):
+        a, b, delta = 3, 5, 2.5
+        ends = np.array([0.0, 1.0])
+        assert np.array_equal(cbeta_pdf_grid(a, b, delta, ends), [0.0, 0.0])
+        assert np.array_equal(cbeta_pdf_grid(1, b, delta, ends), [b + delta, 0.0])
+        assert np.array_equal(cbeta_pdf_grid(a, 1, delta, ends), [0.0, a * np.exp(-delta)])
+        # the unit-shape endpoint values are the limits of the interior density
+        np.testing.assert_allclose(cbeta_pdf_grid(1, b, delta, np.array([1e-9])), b + delta,
+                                   rtol=1e-6)
+        np.testing.assert_allclose(cbeta_pdf_grid(a, 1, delta, np.array([1 - 1e-9])),
+                                   a * np.exp(-delta), rtol=1e-6)
+
+    def test_mixed_deltas_with_support_ends(self):
+        m, n = 2, 13
+        ts = np.array([0.0, 0.0, 1.5, 1.5, np.inf, np.inf])
+        deltas = np.tile([0.0, 4.0], 3)
+        sf = cf_sf_nodes(m, n, deltas, ts)
+        assert np.array_equal(sf[[0, 1, 4, 5]], [1.0, 1.0, 0.0, 0.0])
+        assert sf[2] == special.betainc(n, m, 1.0 / 2.5)
+        assert sf[3] == sstats.ncf.sf(1.5 * n / m, 2 * m, 2 * n, 8.0)
 
 
 class TestCdfShapeProperties:
