@@ -2,11 +2,12 @@
 
 The per-instance functions in :mod:`adaptivedet.detectors` are the normative
 definitions; this module recomputes the same statistics for a whole batch of
-trials at once with stacked LAPACK calls so Monte Carlo runs stay fast.
-Each family splits into ``prepare_*`` (everything that depends only on the
-training SCM and the geometry) and ``evaluate_*`` (the test-data part), so
-one prepared batch serves any number of test means.  Consistency between
-the two paths is enforced by the test suite.
+trials (point geometry shared or stacked per trial) with stacked LAPACK calls
+so Monte Carlo runs and the identity suite stay fast.  Each family splits
+into ``prepare_*`` (everything that depends only on the training SCM and the
+geometry) and ``evaluate_*`` (the test-data part), so one prepared batch
+serves any number of test means.  Consistency between the two paths is
+enforced by the test suite.
 """
 
 from dataclasses import dataclass
@@ -80,28 +81,29 @@ class PointPrepared:
 def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     """The test-independent half of :func:`point_family_stats`.
 
-    ``S`` is (B, N, N); the geometry (H, J, s) and the true covariance ``R``
-    (for the clairvoyant references) are shared by the batch.
+    ``S`` is (B, N, N); ``H`` (N, p) or (B, N, p), ``J`` (N, q) or (B, N, q)
+    and ``s`` (N,) or (B, N) are shared or stacked per trial.  The true
+    covariance ``R`` (clairvoyant references) needs shared geometry.
     """
     N = S.shape[-1]
     H = np.asarray(H, dtype=np.complex128)
     J = np.zeros((N, 0), dtype=np.complex128) if J is None else np.asarray(J, dtype=np.complex128)
-    s = H[:, 0] if s is None else np.asarray(s, dtype=np.complex128)
+    s = H[..., 0] if s is None else np.asarray(s, dtype=np.complex128)
 
     T = _inv_sqrt_stack(S)
     Ht = T @ H
     QH = _basis(Ht)
-    st = np.einsum("bij,j->bi", T, s)
+    st = np.einsum("...ij,...j->...i", T, s)
     ss = np.einsum("bn,bn->b", st.conj(), st).real
-    if J.shape[1]:
+    if J.shape[-1]:
         Jt = T @ J
         QJ = _basis(Jt)
         Hp = Ht - QJ @ (_ct(QJ) @ Ht)
         QHp = _basis(Hp)
-        QB = _basis(np.concatenate([Ht, Jt], axis=2))
+        QB = _basis(np.concatenate([Ht, Jt], axis=-1))
     else:
         QJ, Hp, QHp, QB = None, Ht, QH, QH
-    if H.shape[1] + J.shape[1] >= N:
+    if H.shape[-1] + J.shape[-1] >= N:
         QB = None
     prep = dict(T=T, Ht=Ht, QH=QH, st=st, ss=ss, QJ=QJ, Hp=Hp, QHp=QHp, QB=QB,
                 HtHp=_ct(Ht) @ Hp)
@@ -192,8 +194,8 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
 def point_family_stats(x, S, H, J=None, s=None, R=None):
     """All point-family statistics for stacked trials.
 
-    ``x`` is (B, N), ``S`` is (B, N, N); the geometry (H, J, s) and the true
-    covariance ``R`` (for the clairvoyant references) are shared by the batch.
+    ``x`` is (B, N), ``S`` is (B, N, N); the geometry (H, J, s) is shared
+    or stacked per trial as in :func:`prepare_point`.
     """
     return evaluate_point(prepare_point(S, H, J, s, R), x)
 

@@ -12,6 +12,7 @@ batch is drawn, coloured, turned into a sample covariance and prepared
 (:func:`exceedance_counts`).
 """
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from .scenario import CovarianceModel, ScenarioConfig
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_BATCH = 4096
+log = logging.getLogger(__name__)
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -220,8 +222,8 @@ def calibrate_threshold(plan: TrialPlan, detector: str, stats=None) -> float:
     """Threshold at the plan's nominal false-alarm rate: the ``ceil(n * pfa)``-th
     largest H0 statistic (decisions downstream use strict ``>``).
 
-    Calibration plans should carry ``n_trials >= 100 / pfa`` so the order
-    statistic is stable; fewer than ``1 / pfa`` trials is an error.
+    Below ``100 / pfa`` trials the order statistic is unstable and a warning
+    is logged; fewer than ``1 / pfa`` trials is an error.
     """
     pfa = plan.scenario.pfa
     m = int(np.ceil(plan.n_trials * pfa))
@@ -230,6 +232,9 @@ def calibrate_threshold(plan: TrialPlan, detector: str, stats=None) -> float:
             "too few trials to place the false-alarm order statistic")
     if plan.hypothesis != "h0":
         raise ValueError("calibration plans must run under h0")
+    if plan.n_trials * pfa < 100.0:
+        log.warning("calibrating %s on n=%d trials at pfa=%g: order statistic m=%d "
+                    "is unstable below n*pfa = 100", detector, plan.n_trials, pfa, m)
     if stats is None:
         stats = run_trials(plan)[detector]
     return float(np.partition(stats, len(stats) - m)[len(stats) - m])

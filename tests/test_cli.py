@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import adaptivedet
-from adaptivedet import cli, montecarlo as mc, scenario as sc
+from adaptivedet import batcheval, cli, montecarlo as mc, scenario as sc
 from adaptivedet.distributions import pd_distributed
 
 
@@ -142,6 +142,57 @@ class TestValidationCommands:
             blobs.append(out.read_bytes())
         assert len(_read(str(tmp_path / "cfar0.csv"))) == 9
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+class TestIdentitySuite:
+    def test_one_perturbed_instance_fails_its_row(self, tmp_path, monkeypatch):
+        real = batcheval.point_family_stats
+        calls = []
+
+        def perturbed(x, S, H, J=None, s=None, R=None):
+            out = real(x, S, H, J, s, R)
+            if not calls:
+                out["samf"] = out["samf"].copy()
+                out["samf"][0] *= 1 + 1e-8
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(batcheval, "point_family_stats", perturbed)
+        out = tmp_path / "ids.csv"
+        assert cli.main(["identities", "--trials", "1000", "--out", str(out)]) == 1
+        rows = _read(str(out))
+        assert [r["identity"] for r in rows] == [name for name, _, _ in cli.IDENTITIES]
+        assert {r["identity"] for r in rows if r["status"] == "fail"} == {"samf=sglrt/beta"}
+
+    @pytest.mark.parametrize("n", [1000, 1008, 2000])
+    def test_blocks_cover_every_size_class(self, n, monkeypatch):
+        real = batcheval.point_family_stats
+        blocks = []
+
+        def recording(x, S, H, J=None, s=None, R=None):
+            B, N, p = H.shape
+            blocks.append((N, p, B))
+            return real(x, S, H, J, s, R)
+
+        monkeypatch.setattr(batcheval, "point_family_stats", recording)
+        cli.identity_suite(n, 0)
+        per_class = {}
+        for N, p, B in blocks:
+            per_class[N, p] = per_class.get((N, p), 0) + B
+        sizes = cli.IDENTITY_SIZES
+        assert per_class == {size: len(range(c, n, len(sizes)))
+                             for c, size in enumerate(sizes)}
+        assert sum(B for _, _, B in blocks) == n
+        assert max(B for _, _, B in blocks) <= 32
+
+    def test_csv_ignores_batch_size(self, tmp_path):
+        blobs = []
+        for extra in ([], ["--batch-size", "64"], ["--batch-size", "577"], []):
+            out = tmp_path / f"ids{len(blobs)}.csv"
+            assert cli.main(["identities", "--trials", "1000", "--seed", "5",
+                             "--out", str(out)] + extra) == 0
+            blobs.append(out.read_bytes())
+        assert all(blob == blobs[0] for blob in blobs)
 
 
 class TestAnalyticLaws:

@@ -219,6 +219,20 @@ class TestCalibration:
         with pytest.raises(ValueError):
             mc.calibrate_threshold(plan, "kglrt")
 
+    def test_warns_below_stable_trial_count(self, rng, caplog):
+        stats = rng.uniform(size=5000)
+        plan = _point_plan(n=5000)  # n * pfa = 50
+        with caplog.at_level("WARNING", logger="adaptivedet.montecarlo"):
+            mc.calibrate_threshold(plan, "kglrt", stats=stats)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "n=5000" in message and "pfa=0.01" in message and "m=50" in message
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="adaptivedet.montecarlo"):
+            mc.calibrate_threshold(_point_plan(n=10_000), "kglrt",
+                                   stats=rng.uniform(size=10_000))
+        assert caplog.records == []
+
     def test_held_out_pfa(self):
         plan = _point_plan(n=40_000, seed=21)
         thr = mc.calibrate_threshold(plan, "kglrt")
