@@ -32,8 +32,10 @@ from .distributions import (
     ComplexF,
     invert_pfa,
     pd_distributed,
-    pd_interference,
-    pd_point,
+    pd_distributed_grid,
+    pd_interference_grid,
+    pd_point,  # noqa: F401 -- perfbench's tracer wraps this name here
+    pd_point_grid,
     threshold_for_pfa,
 )
 
@@ -266,25 +268,35 @@ def _analytic_law(detector, cfg):
     return None
 
 
-def _analytic_pd(detector, cfg, geometry, R, s_mean, rho, cos2phi, eta):
-    """Analytic PD when the detector has a finite-sample law here, else None."""
+def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
+    """Analytic PD of every grid cell, from one lockstep call, where the
+    detector has a finite-sample law here; None marks a cell without one.
+
+    ``means`` (the cells' signal means) is read only by interference laws.
+    """
     law = _analytic_law(detector, cfg)
     N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
     scale = cfg.test_scale ** 2  # sigma2 under phe, where only scale-invariant laws apply
+    out = [None] * len(rho)
     if law == "point":
         if detector in RANK_ONE_ALIAS:
             if p != 1:
-                return None  # cos2phi is measured against the subspace, not s
+                return out  # cos2phi is measured against the subspace, not s
             detector = RANK_ONE_ALIAS[detector]
-        return pd_point(detector, N, p, L, rho / scale, cos2phi, eta)
+        return list(pd_point_grid(detector, N, p, L, rho / scale, cos2phi, eta))
     if law == "interference":
-        geom = mismatch_geometry(s_mean[:, 0], R, geometry.H, geometry.J)
-        return pd_interference(detector, N, p, q, L, geom.rho_eff / scale,
-                               geom.delta2_i / scale, eta)
-    if law == "distributed" and (detector == "gkglrt" or cos2phi == 1.0):
+        geoms = [mismatch_geometry(s[:, 0], R, geometry.H, geometry.J) for s in means]
+        return list(pd_interference_grid(
+            detector, N, p, q, L, np.array([g.rho_eff for g in geoms]) / scale,
+            np.array([g.delta2_i for g in geoms]) / scale, eta))
+    if law == "distributed":
         # the gamf loss-factor law is only known without mismatch
-        return pd_distributed(detector, N, K, L, rho, cos2phi, eta)
-    return None
+        cells = np.flatnonzero((cos2phi == 1.0) | (detector == "gkglrt"))
+        if cells.size:
+            pds = pd_distributed_grid(detector, N, K, L, rho[cells], cos2phi[cells], eta)
+            for i, pd in zip(cells, pds):
+                out[i] = pd
+    return out
 
 
 def analytic_threshold(detector, cfg):
@@ -338,8 +350,15 @@ def run_grid(args, snrs, cos2s):
     want_mc = args.mode in ("montecarlo", "both")
     want_analytic = args.mode in ("analytic", "both")
     points = [(s, c) for c in cos2s for s in snrs]
-    means = [_build_signal(cfg, geometry, R, snr_db, cos2, args.seed, gi)
-             for gi, (snr_db, cos2) in enumerate(points)]
+    rho = np.array([10.0 ** (snr_db / 10.0) for snr_db, _ in points])
+    cos2phi = np.array([c for _, c in points])
+    # signal means feed Monte Carlo and interference laws only; each cell's
+    # mean comes from its own generator, so skipping them changes nothing else
+    means = None
+    if want_mc or (want_analytic and any(_analytic_law(det, cfg) == "interference"
+                                         for det in detectors)):
+        means = [_build_signal(cfg, geometry, R, snr_db, cos2, args.seed, gi)
+                 for gi, (snr_db, cos2) in enumerate(points)]
     if want_mc:
         # every grid point shares the trial streams: one noise pass serves all
         plan = mc.TrialPlan(
@@ -349,16 +368,17 @@ def run_grid(args, snrs, cos2s):
             interference_mean=_jammer_mean(cfg, geometry, R, args.jnr_db),
             batch_size=args.batch_size)
         counts = mc.exceedance_counts(plan, means, thresholds)
+    if want_analytic:
+        pds = {det: _analytic_pds(det, cfg, geometry, R, means, rho, cos2phi, thresholds[det])
+               for det in detectors}
     rows = []
-    for gi, ((snr_db, cos2), s_mean) in enumerate(zip(points, means)):
-        rho = 10.0 ** (snr_db / 10.0)
+    for gi, (snr_db, cos2) in enumerate(points):
         for di, det in enumerate(detectors):
             row = {"detector": det, "snr_db": snr_db, "cos2phi": cos2,
                    "threshold": thresholds[det], "seed": args.seed if want_mc else None,
                    "n_trials": args.trials if want_mc else None}
             if want_analytic:
-                row["pd_analytic"] = _analytic_pd(det, cfg, geometry, R, s_mean,
-                                                  rho, cos2, thresholds[det])
+                row["pd_analytic"] = pds[det][gi]
             if want_mc:
                 est = mc.pd_estimate(int(counts[gi, di]), args.trials)
                 row.update({"pd_mc": est.pd, "ci_low": est.ci_low, "ci_high": est.ci_high})

@@ -5,6 +5,7 @@ from .core import (
     ComplexChi2,
     ComplexF,
     cbeta_pdf_grid,
+    cbeta_pdf_nodes,
     cf_sf_nodes,
 )
 from .detection import (
@@ -14,8 +15,11 @@ from .detection import (
     integrate_adaptive,
     invert_pfa,
     pd_distributed,
+    pd_distributed_grid,
     pd_interference,
+    pd_interference_grid,
     pd_point,
+    pd_point_grid,
     pfa_point,
     threshold_for_pfa,
 )
@@ -25,13 +29,17 @@ __all__ = [
     "ComplexChi2",
     "ComplexF",
     "cbeta_pdf_grid",
+    "cbeta_pdf_nodes",
     "cf_sf_nodes",
     "integrate_adaptive",
     "invert_pfa",
     "pd_point",
+    "pd_point_grid",
     "pfa_point",
     "pd_distributed",
+    "pd_distributed_grid",
     "pd_interference",
+    "pd_interference_grid",
     "threshold_for_pfa",
     "POINT_DETECTORS",
     "DISTRIBUTED_DETECTORS",

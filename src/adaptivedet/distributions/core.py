@@ -35,6 +35,15 @@ n)`` survival at ``t`` is the incomplete beta ``I_{1/(1+t)}(n, m)`` and the
 central ``CChi2(k)`` law is the regularized incomplete gamma.  Survival
 probabilities always come from an ``sf`` routine, never ``1 - cdf``, so deep
 tails (pfa <= 1e-6) keep their relative accuracy.
+
+The loss-factor density that quadrature integrates has a closed form.  By
+Kummer's transformation (Abramowitz & Stegun 13.1.27) the hypergeometric
+series of the ``CBeta(a, b, delta)`` density ends after ``a + 1`` terms:
+``f(x) = Beta(a, b)pdf(x) e^{-delta x} sum_{k=0}^{a} C(a, k) (delta (1 - x))^k
+/ (b)_k``, a generalized Laguerre polynomial (A&S 13.6.9) with positive
+terms.  :func:`cbeta_pdf_nodes` evaluates it for an array of ``delta``, which
+the scalar-``delta`` :func:`cbeta_pdf_grid` (boost's noncentral-F density, the
+``ComplexBeta.pdf`` oracle) cannot take.
 """
 
 from dataclasses import dataclass
@@ -81,10 +90,7 @@ class ComplexChi2:
 
     def sf(self, t):
         t, scalar = _as_grid(t)
-        if self.delta == 0.0:
-            out = special.gammaincc(self.k, t)
-        else:
-            out = _support_sf(t, _ufuncs._ncx2_sf(2.0 * t, 2 * self.k, 2.0 * self.delta))
+        out = cchi2_sf_nodes(self.k, self.delta, t)
         return out[0] if scalar else out
 
     def sample(self, rng, size=None):
@@ -172,17 +178,99 @@ def cbeta_pdf_grid(a: int, b: int, delta: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def cbeta_pdf_nodes(a: int, b: int, deltas, x) -> np.ndarray:
+    """Noncentral-Beta density at nodes ``x_i`` with noncentralities
+    ``delta_i``, by the finite Kummer sum of the module docstring.
+
+    ``delta_i = 0`` nodes get the central Beta(a, b) density, bit-equal to
+    :func:`cbeta_pdf_grid`.  The polynomial in ``y = delta (1 - x)`` is
+    summed in scaled Horner form: its coefficients are multiplied by ``G**k``,
+    with ``G`` chosen to give the first and last the value 1, and it runs in
+    ``y / G`` where that is at most 1 and in ``G / y`` (times ``(y / G)**a``)
+    elsewhere.  Every partial sum then lies between 1 and the sum of the
+    scaled coefficients, so nothing overflows, and the factors meet in log
+    space.  Every node goes through the same whole-array operations, so its
+    value does not depend on the other nodes of the call.  Laws whose scaled
+    coefficients leave the floating-point range (``a`` in the thousands) use
+    boost's density, one ``delta`` at a time.
+    """
+    deltas, x = _nodes(deltas, x)
+    log_pdf = special.xlogy(a - 1, x) + special.xlog1py(b - 1, -x) - special.betaln(a, b)
+    noncentral = deltas > 0.0
+    if not noncentral.any():
+        return np.exp(log_pdf)
+    coefs, g = _kummer_coefficients(a, b)
+    if coefs is None:
+        out = np.exp(log_pdf)
+        for d in np.unique(deltas[noncentral]):
+            at = deltas == d
+            out[at] = cbeta_pdf_grid(a, b, d, x[at])
+        return out
+    y = deltas * (1.0 - x) / g
+    big = y > 1.0
+    y_big = np.where(big, y, 1.0)
+    z = np.where(big, 1.0 / y_big, y)
+    s = np.where(big, coefs[0], coefs[a])
+    for k in range(1, a + 1):
+        s = s * z + np.where(big, coefs[k], coefs[a - k])
+    log_pdf += np.log(s) + a * np.log(y_big) - deltas * x
+    out = np.exp(log_pdf)
+    # the density is finite at an endpoint only for a unit shape there
+    if a == 1:
+        end = noncentral & (x == 0.0)
+        out[end] = b + deltas[end]
+    if b == 1:
+        end = noncentral & (x == 1.0)
+        out[end] = a * np.exp(-deltas[end])
+    return out
+
+
+def _kummer_coefficients(a, b):
+    """``C(a, k) G**k / (b)_k`` for ``k = 0..a`` and ``G``, or ``(None, G)``
+    when they leave the floating-point range."""
+    k = np.arange(1, a + 1)
+    ratios = (a - k + 1) / (k * (b + k - 1.0))  # consecutive coefficient ratios
+    g = float(np.exp(-np.mean(np.log(ratios))))
+    with np.errstate(over="ignore"):
+        coefs = np.concatenate(([1.0], np.cumprod(ratios * g)))
+    if not np.all(np.isfinite(coefs)) or coefs.max() > 1e300:
+        return None, g
+    return coefs, g
+
+
+def cchi2_sf_nodes(k: int, deltas, ts) -> np.ndarray:
+    """Survival of ``CChi2(k, delta_i)`` at ``t_i``, vectorized over nodes;
+    ``delta_i = 0`` nodes use the central law."""
+    deltas, ts = _nodes(deltas, ts)
+    out = special.gammaincc(k, ts)
+    noncentral = deltas > 0.0
+    if noncentral.any():
+        tn = ts[noncentral]
+        out[noncentral] = _support_sf(tn, _ufuncs._ncx2_sf(2.0 * tn, 2 * k,
+                                                           2.0 * deltas[noncentral]))
+    return out
+
+
 def cf_sf_nodes(m: int, n: int, deltas, ts) -> np.ndarray:
     """Survival of ``CF(m, n, delta_i)`` at ``t_i``, vectorized over nodes
     (used by quadrature); ``delta_i = 0`` nodes use the central law."""
-    deltas, ts = np.broadcast_arrays(np.asarray(deltas, float), np.atleast_1d(ts).astype(float))
+    deltas, ts = _nodes(deltas, ts)
     out = special.betainc(n, m, 1.0 / (1.0 + ts))
     noncentral = deltas > 0.0
-    if np.any(noncentral):
+    if noncentral.any():
         tn = ts[noncentral]
         out[noncentral] = _support_sf(tn, _ufuncs._ncf_sf(tn * n / m, 2 * m, 2 * n,
                                                           2.0 * deltas[noncentral]))
     return out
+
+
+def _nodes(deltas, ts):
+    """``deltas`` and ``ts`` as float arrays of one shape, at least 1-D."""
+    deltas = np.asarray(deltas, dtype=float)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if deltas.shape != ts.shape:
+        deltas, ts = np.broadcast_arrays(deltas, ts)
+    return deltas, ts
 
 
 def _support_sf(t, sf):

@@ -5,13 +5,26 @@ complex noncentral F variable compared against a detector-specific threshold
 map into that conditional scale.  Detection probability is the loss-factor
 average of the conditional survival, computed by adaptive Gauss-Legendre
 quadrature with panel splits at the event-region kinks.
+
+A grid of cells that share a law (detector, threshold and degrees of
+freedom) is integrated in lockstep: :func:`integrate_adaptive` keeps one
+array of active panels over every cell and refines them all in one integrand
+call per round, so a grid costs about ``max_depth`` vectorized calls instead
+of one Python-level call per panel.  The loss-factor density is the finite
+Kummer sum :func:`~.core.cbeta_pdf_nodes`, which takes each cell's own
+noncentrality.  Every per-node operation is elementwise, so a cell's value
+does not depend on which other cells share the call: :func:`pd_point` and
+its siblings are one-cell calls of the grid functions.
 """
+
+import logging
 
 import numpy as np
 
 from ..errors import InfeasibleError
 from ..roots import find_root
-from .core import ComplexChi2, ComplexF, cbeta_pdf_grid, cf_sf_nodes
+from .core import cbeta_pdf_nodes, cchi2_sf_nodes, cf_sf_nodes
+from .core import cbeta_pdf_grid  # noqa: F401 -- perfbench's tracer wraps this name here
 
 QUAD_TOL = 1e-6
 # log-threshold range searched for a false-alarm target: every supported
@@ -26,36 +39,74 @@ INTERFERENCE_DETECTORS = ("glrt_he_i", "ts_glrt_he_i", "glrt_phe_i")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+logger = logging.getLogger(__name__)
+
 
 def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_TOL,
-                       max_depth: int = 48):
-    """Adaptive 15-point Gauss-Legendre quadrature of a vectorized ``f``.
+                       max_depth: int = 48, n=None):
+    """Adaptive 15-point Gauss-Legendre quadrature over ``[a, b]``, of one
+    integral or of ``n`` integrals in lockstep.
 
     Panels are pre-split at ``breakpoints`` and then bisected until the
-    two-half refinement of a panel changes its value by less than the
-    panel's share of the absolute tolerance ``tol``.
-    """
-    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    two-half refinement of a panel changes its value by at most the panel's
+    share of the absolute tolerance ``tol``; a panel still unresolved at
+    ``max_depth`` is accepted as it stands, and one warning is logged per call
+    that had any.  Each refinement round makes one call of ``f`` over every
+    active panel of every integral, so there are at most ``max_depth + 1``.
 
-    def panel(lo, hi):
+    With ``n`` None, ``f(x)`` is one vectorized integrand on a 1-D array of
+    nodes and a float is returned.  With an integer ``n``, ``f((cell, x))``
+    evaluates integrand ``cell[i]`` at node ``x[i]``, and an array of the
+    ``n`` integrals is returned.  An integral's value does not depend on the
+    others: panel sums run node by node and each integral adds its accepted
+    panels in its own order.
+    """
+    pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
+    count = 1 if n is None else int(n)
+    width = len(_GL_NODES)
+
+    def panel_sums(cell, lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        return half * float(_GL_WEIGHTS @ f(mid + half * _GL_NODES))
+        x = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+        values = f(x) if n is None else f((np.repeat(cell, width), x))
+        # a row-wise reduction, not a BLAS product: its result for a panel
+        # must not depend on how many panels share the call
+        return half * (np.asarray(values, dtype=float).reshape(-1, width) * _GL_WEIGHTS).sum(axis=1)
 
-    total = 0.0
-    stack = [(lo, hi, panel(lo, hi), 0) for lo, hi in zip(pts[:-1], pts[1:])]
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
+    cell = np.repeat(np.arange(count), len(pts) - 1)
+    lo = np.tile(pts[:-1], count)
+    hi = np.tile(pts[1:], count)
+    coarse = None
+    total = np.zeros(count)
+    for depth in range(max_depth + 1):
         mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
+        # both halves of every active panel, and the first round's whole panels
+        parts = ((lo, mid), (mid, hi)) + (((lo, hi),) if coarse is None else ())
+        sums = panel_sums(np.tile(cell, len(parts)), np.concatenate([p[0] for p in parts]),
+                          np.concatenate([p[1] for p in parts]))
+        k = cell.size
+        left, right = sums[:k], sums[k:2 * k]
+        coarse = sums[2 * k:] if coarse is None else coarse
         fine = left + right
-        if depth >= max_depth or abs(fine - coarse) <= tol * (hi - lo) / (b - a):
-            total += fine
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return total
+        done = np.abs(fine - coarse) <= tol * (hi - lo) / (b - a)
+        if depth == max_depth and not done.all():
+            logger.warning("quadrature reached max_depth=%d with %d unresolved panels in "
+                           "%d of %d integrals; their values are accepted unrefined",
+                           max_depth, np.count_nonzero(~done), np.unique(cell[~done]).size,
+                           count)
+            done[:] = True
+        total += np.bincount(cell[done], weights=fine[done], minlength=count)
+        if done.all():
+            break
+        # each split panel becomes its two halves in place, so every
+        # integral's panels keep their left-to-right order
+        keep = ~done
+        cell = np.repeat(cell[keep], 2)
+        lo, hi = (np.column_stack((lo[keep], mid[keep])).ravel(),
+                  np.column_stack((mid[keep], hi[keep])).ravel())
+        coarse = np.column_stack((left[keep], right[keep])).ravel()
+    return float(total[0]) if n is None else total
 
 
 def _sglrt_space_threshold(detector: str, eta: float, beta: np.ndarray):
@@ -106,44 +157,54 @@ def _event_breakpoints(detector: str, eta: float):
 
 def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
                      beta_delta, tol):
-    """Average the conditional F survival over the loss-factor law.
+    """Average the conditional F survival over the loss-factor law, for every
+    cell at once.
 
-    ``f_noncentrality`` is the coefficient multiplying ``beta`` in the
-    conditional noncentrality.
+    ``f_noncentrality`` (the coefficient multiplying ``beta`` in the
+    conditional noncentrality) and ``beta_delta`` are per-cell values that
+    broadcast together; the result has their shape.
     """
+    f_nc, beta_delta = np.broadcast_arrays(np.asarray(f_noncentrality, dtype=float),
+                                           np.asarray(beta_delta, dtype=float))
     if eta <= 0.0:
-        return 1.0
+        return np.ones(f_nc.shape)
+    shape, f_nc, beta_delta = f_nc.shape, f_nc.ravel(), beta_delta.ravel()
 
-    def integrand(beta):
-        dens = cbeta_pdf_grid(beta_a, beta_b, beta_delta, beta)
+    def integrand(cell_beta):
+        cell, beta = cell_beta
+        dens = cbeta_pdf_nodes(beta_a, beta_b, beta_delta[cell], beta)
         g, feasible = _sglrt_space_threshold(detector, eta, beta)
         sf = np.zeros_like(beta)
         certain = feasible & (g <= 0.0)
         sf[certain] = 1.0
         todo = feasible & (g > 0.0) & np.isfinite(g)
-        if np.any(todo):
-            sf[todo] = cf_sf_nodes(f_m, f_n, f_noncentrality * beta[todo], g[todo])
+        if todo.any():
+            sf[todo] = cf_sf_nodes(f_m, f_n, f_nc[cell[todo]] * beta[todo], g[todo])
         return dens * sf
 
-    return float(np.clip(
-        integrate_adaptive(integrand, 0.0, 1.0,
-                           breakpoints=_event_breakpoints(detector, eta), tol=tol),
-        0.0, 1.0))
+    pd = integrate_adaptive(integrand, 0.0, 1.0, breakpoints=_event_breakpoints(detector, eta),
+                            tol=tol, n=f_nc.size)
+    return np.clip(pd, 0.0, 1.0).reshape(shape)
 
 
-def pd_point(detector: str, N: int, p: int, L: int, rho: float, cos2phi: float,
-             eta: float, tol: float = QUAD_TOL) -> float:
-    """Detection probability of a point-target detector at threshold ``eta``.
+def _cells(*values):
+    """Per-cell arguments as equal-shape float arrays of at least one dimension."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in values))
 
-    ``rho`` is the output SNR (linear) and ``cos2phi`` the cosine-squared
-    mismatch angle between the whitened actual signal and the whitened
-    nominal subspace.
+
+def pd_point_grid(detector: str, N: int, p: int, L: int, rho, cos2phi, eta: float,
+                  tol: float = QUAD_TOL) -> np.ndarray:
+    """Detection probabilities of a point-target detector at threshold ``eta``
+    over cells of output SNR ``rho`` (linear) and ``cos2phi``, the
+    cosine-squared mismatch angle between the whitened actual signal and the
+    whitened nominal subspace; one lockstep quadrature serves every cell.
     """
+    rho, cos2phi = _cells(rho, cos2phi)
     _check_point_args(detector, N, p, L, rho, cos2phi, eta)
     if detector == "aed":
-        return float(ComplexF(N, L - N + 1, rho).sf(eta)) if eta > 0 else 1.0
+        return cf_sf_nodes(N, L - N + 1, rho, eta)
     if detector == "smf":
-        return float(ComplexChi2(p, rho).sf(eta)) if eta > 0 else 1.0
+        return cchi2_sf_nodes(p, rho, eta)
     return _pd_beta_mixture(
         detector, eta,
         f_m=p, f_n=L - N + 1, f_noncentrality=rho * cos2phi,
@@ -152,19 +213,27 @@ def pd_point(detector: str, N: int, p: int, L: int, rho: float, cos2phi: float,
     )
 
 
+def pd_point(detector: str, N: int, p: int, L: int, rho: float, cos2phi: float,
+             eta: float, tol: float = QUAD_TOL) -> float:
+    """Detection probability of one cell of :func:`pd_point_grid`."""
+    return float(pd_point_grid(detector, N, p, L, rho, cos2phi, eta, tol=tol)[0])
+
+
 def pfa_point(detector: str, N: int, p: int, L: int, eta: float,
               tol: float = QUAD_TOL) -> float:
     """False-alarm probability: the zero-SNR case of :func:`pd_point`."""
     return pd_point(detector, N, p, L, 0.0, 1.0, eta, tol=tol)
 
 
-def pd_distributed(detector: str, N: int, K: int, L: int, rho: float,
-                   cos2phi_rk1: float, eta: float, tol: float = QUAD_TOL) -> float:
-    """Detection probability of the rank-one distributed-target GLRT/2S-GLRT."""
+def pd_distributed_grid(detector: str, N: int, K: int, L: int, rho, cos2phi_rk1,
+                        eta: float, tol: float = QUAD_TOL) -> np.ndarray:
+    """Detection probabilities of the rank-one distributed-target GLRT/2S-GLRT
+    over cells of ``(rho, cos2phi_rk1)``."""
     if detector not in DISTRIBUTED_DETECTORS:
         raise ValueError(f"unsupported distributed detector {detector!r}")
     if L < N or K < 1:
         raise ValueError("need L >= N and K >= 1")
+    rho, cos2phi_rk1 = _cells(rho, cos2phi_rk1)
     _check_common(rho, cos2phi_rk1, eta)
     if detector == "gkglrt":
         beta_a, beta_b, beta_delta = L + K - N + 1, N - 1, rho * (1.0 - cos2phi_rk1)
@@ -178,10 +247,16 @@ def pd_distributed(detector: str, N: int, K: int, L: int, rho: float,
     )
 
 
-def pd_interference(detector: str, N: int, p: int, q: int, L: int,
-                    rho_eff: float, delta2_i: float, eta: float,
-                    tol: float = QUAD_TOL) -> float:
-    """Detection probability of the interference-rejection GLRT family.
+def pd_distributed(detector: str, N: int, K: int, L: int, rho: float,
+                   cos2phi_rk1: float, eta: float, tol: float = QUAD_TOL) -> float:
+    """Detection probability of one cell of :func:`pd_distributed_grid`."""
+    return float(pd_distributed_grid(detector, N, K, L, rho, cos2phi_rk1, eta, tol=tol)[0])
+
+
+def pd_interference_grid(detector: str, N: int, p: int, q: int, L: int, rho_eff,
+                         delta2_i, eta: float, tol: float = QUAD_TOL) -> np.ndarray:
+    """Detection probabilities of the interference-rejection GLRT family over
+    cells of ``(rho_eff, delta2_i)``.
 
     ``rho_eff`` is the effective SNR surviving interference rejection and
     ``delta2_i`` the rejected/mismatched energy driving the loss factor.
@@ -192,7 +267,8 @@ def pd_interference(detector: str, N: int, p: int, q: int, L: int,
         raise ValueError("need p + q < N for a proper loss-factor law")
     if L < N:
         raise ValueError("need L >= N")
-    if rho_eff < 0 or delta2_i < 0 or eta < 0:
+    rho_eff, delta2_i = _cells(rho_eff, delta2_i)
+    if np.any(rho_eff < 0) or np.any(delta2_i < 0) or eta < 0:
         raise ValueError("rho_eff, delta2_i, and eta must be nonnegative")
     return _pd_beta_mixture(
         detector, eta,
@@ -200,6 +276,14 @@ def pd_interference(detector: str, N: int, p: int, q: int, L: int,
         beta_a=L - N + p + q + 1, beta_b=N - p - q, beta_delta=delta2_i,
         tol=tol,
     )
+
+
+def pd_interference(detector: str, N: int, p: int, q: int, L: int,
+                    rho_eff: float, delta2_i: float, eta: float,
+                    tol: float = QUAD_TOL) -> float:
+    """Detection probability of one cell of :func:`pd_interference_grid`."""
+    return float(pd_interference_grid(detector, N, p, q, L, rho_eff, delta2_i, eta,
+                                      tol=tol)[0])
 
 
 def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3) -> float:
@@ -245,9 +329,9 @@ def _check_point_args(detector, N, p, L, rho, cos2phi, eta):
 
 
 def _check_common(rho, cos2phi, eta):
-    if rho < 0:
+    if np.any(rho < 0):
         raise ValueError("SNR must be nonnegative")
-    if not 0.0 <= cos2phi <= 1.0:
+    if not np.all((0.0 <= cos2phi) & (cos2phi <= 1.0)):
         raise ValueError("cos2phi must lie in [0, 1]")
     if eta < 0:
         raise ValueError("threshold must be nonnegative")

@@ -264,6 +264,45 @@ class TestAnalyticLaws:
         assert not draws["calibration"] & draws["scoring"]
 
 
+class TestAnalyticGrid:
+    MESA = ["mesa", "--snr", "0,10,30", "--cos2phi", "0,0.5,1", "--N", "6", "--p", "2",
+            "--q", "1", "--L", "12", "--trials", "400", "--pfa", "1e-2", "--seed", "5",
+            "--detectors", "samf,sabort,ts_glrt_he_i,gamf,smi"]
+
+    def _columns(self, tmp_path, mode, columns):
+        out = tmp_path / f"{mode}.csv"
+        assert cli.main(self.MESA + ["--mode", mode, "--out", str(out)]) == 0
+        return [[row[c] for c in ("detector", "snr_db", "cos2phi", "threshold") + columns]
+                for row in _read(str(out))]
+
+    def test_both_mode_joins_the_single_modes(self, tmp_path):
+        analytic = ("pd_analytic",)
+        mc_cols = ("pd_mc", "ci_low", "ci_high")
+        both_a = self._columns(tmp_path, "both", analytic)
+        assert both_a == self._columns(tmp_path, "analytic", analytic)
+        assert self._columns(tmp_path, "both", mc_cols) == self._columns(tmp_path, "montecarlo",
+                                                                         mc_cols)
+        filled = {(r[0], r[2]) for r in both_a if r[4] != ""}
+        assert {d for d, _ in filled} == {"samf", "sabort", "ts_glrt_he_i", "gamf"}
+        assert {c for d, c in filled if d == "gamf"} == {"1"}  # gamf's law needs cos2phi = 1
+
+    @pytest.mark.parametrize("detectors,built", [("samf,sabort", 0), ("samf,ts_glrt_he_i", 9)])
+    def test_analytic_means_only_for_interference_laws(self, detectors, built, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        original = cli._build_signal
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_build_signal", counting)
+        argv = self.MESA[:-1] + [detectors, "--mode", "analytic", "--out",
+                                 str(tmp_path / "m.csv")]
+        assert cli.main(argv) == 0
+        assert len(calls) == built
+
+
 class TestImportPath:
     def test_cli_start_leaves_heavy_scipy_modules_out(self, tmp_path):
         # scipy.stats and scipy.optimize (which pulls in scipy.linalg) cost

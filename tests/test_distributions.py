@@ -1,3 +1,7 @@
+import logging
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy import special, stats as sstats
@@ -7,6 +11,7 @@ from adaptivedet.distributions import (
     ComplexChi2,
     ComplexF,
     cbeta_pdf_grid,
+    cbeta_pdf_nodes,
     cf_sf_nodes,
     integrate_adaptive,
     pd_distributed,
@@ -220,6 +225,101 @@ class TestScipyKernels:
         assert sf[3] == sstats.ncf.sf(1.5 * n / m, 2 * m, 2 * n, 8.0)
 
 
+def exact_cbeta_pdf(a, b, delta, x):
+    """The finite Kummer sum of the CBeta(a, b, delta) density at ``x`` in
+    40-digit decimal arithmetic: an oracle independent of both kernels."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, delta = Decimal(float(x)), Decimal(float(delta))
+        y = delta * (1 - x)
+        total = sum(math.comb(a, k) * y ** k / math.prod(range(b, b + k)) for k in range(a + 1))
+        norm = Decimal(math.factorial(a + b - 1)) / (math.factorial(a - 1) * math.factorial(b - 1))
+        return float(norm * x ** (a - 1) * (1 - x) ** (b - 1) * (-delta * x).exp() * total)
+
+
+class TestFiniteSumDensity:
+    """cbeta_pdf_nodes (the finite Kummer sum over an array of deltas) against
+    cbeta_pdf_grid (boost's noncentral-F density, one delta at a time)."""
+
+    def test_matches_boost_density(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            a, b = (int(v) for v in rng.integers(1, 41, size=2))
+            delta = float(10.0 ** rng.uniform(-3.0, 4.0))
+            # half the nodes where the mass is (near a / delta when delta is large)
+            bulk = min(1.0, 60.0 * (a + 1) / delta)
+            xs = np.concatenate((rng.uniform(0.0, 1.0, 10), rng.uniform(0.0, bulk, 10)))
+            got = cbeta_pdf_nodes(a, b, np.full_like(xs, delta), xs)
+            ref = cbeta_pdf_grid(a, b, delta, xs)
+            for x, g, r in zip(xs, got, ref):
+                if r <= 1e-6:
+                    continue
+                if abs(g / r - 1.0) > 1e-12:
+                    # boost errs by up to 1e-11 at large delta (see below):
+                    # the difference may not exceed boost's own error
+                    e = exact_cbeta_pdf(a, b, delta, x)
+                    assert abs(g - r) <= 1e-12 * r + abs(r - e), (a, b, delta, x)
+
+    @pytest.mark.parametrize("a,b,delta,x", [
+        (2, 35, 2966.839335379619, 3.287497111793137e-06),
+        (8, 36, 9353.999530994439, 0.00010804100291910765),
+        (11, 4, 9706.148300134775, 0.00019907727350648198),
+    ])
+    def test_exact_sum_decides_where_boost_errs(self, a, b, delta, x):
+        got = cbeta_pdf_nodes(a, b, np.array([delta]), np.array([x]))[0]
+        ref = cbeta_pdf_grid(a, b, delta, np.array([x]))[0]
+        exact = exact_cbeta_pdf(a, b, delta, x)
+        assert abs(ref / exact - 1.0) > 1e-12
+        assert abs(got / exact - 1.0) <= 1e-13
+
+    def test_matches_exact_sum(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            a, b = (int(v) for v in rng.integers(1, 41, size=2))
+            delta = float(10.0 ** rng.uniform(-3.0, 4.0))
+            xs = rng.uniform(0.0, min(1.0, 60.0 * (a + 1) / delta), 4)
+            got = cbeta_pdf_nodes(a, b, np.full_like(xs, delta), xs)
+            for x, g in zip(xs, got):
+                e = exact_cbeta_pdf(a, b, delta, x)
+                if e > 1e-6:
+                    assert abs(g / e - 1.0) <= 1e-13, (a, b, delta, x)
+
+    def test_mixed_zero_and_nonzero_deltas(self):
+        a, b = 15, 10
+        xs = np.linspace(0.01, 0.99, 12)
+        deltas = np.tile([0.0, 3.0, 0.0, 2e3], 3)
+        got = cbeta_pdf_nodes(a, b, deltas, xs)
+        zero = deltas == 0.0
+        assert np.array_equal(got[zero], cbeta_pdf_grid(a, b, 0.0, xs[zero]))
+        for i in np.flatnonzero(~zero):
+            assert got[i] == cbeta_pdf_nodes(a, b, deltas[i:i + 1], xs[i:i + 1])[0]
+            np.testing.assert_allclose(got[i], cbeta_pdf_grid(a, b, deltas[i], xs[i:i + 1]),
+                                       rtol=1e-12, atol=1e-300)
+
+    def test_extreme_nodes_stay_finite(self):
+        xs = np.array([0.0, 1e-300, 1.0 - 1e-16, 1.0])
+        for a, b in ((1, 1), (1, 7), (7, 1), (15, 10), (40, 40), (200, 60)):
+            for delta in (0.0, 1e5):
+                out = cbeta_pdf_nodes(a, b, np.full_like(xs, delta), xs)
+                assert np.all(np.isfinite(out) & (out >= 0.0)), (a, b, delta, out)
+
+    def test_unit_shape_endpoints(self):
+        a, b, delta = 3, 5, 2.5
+        ends = np.array([0.0, 1.0])
+        deltas = np.full(2, delta)
+        assert np.array_equal(cbeta_pdf_nodes(a, b, deltas, ends), [0.0, 0.0])
+        assert np.array_equal(cbeta_pdf_nodes(1, b, deltas, ends), [b + delta, 0.0])
+        assert np.array_equal(cbeta_pdf_nodes(a, 1, deltas, ends), [0.0, a * np.exp(-delta)])
+
+    def test_wide_law_uses_boost(self):
+        # coefficients of a law this wide leave the floating-point range
+        a, b = 700, 10
+        xs = np.linspace(0.5, 0.999, 7)
+        for delta in (0.5, 50.0):
+            assert np.array_equal(cbeta_pdf_nodes(a, b, np.full_like(xs, delta), xs),
+                                  cbeta_pdf_grid(a, b, delta, xs))
+
+
 class TestCdfShapeProperties:
     @pytest.mark.parametrize("dist,grid", [
         (ComplexChi2(3, 2.5), np.linspace(0, 40, 1000)),
@@ -352,3 +452,32 @@ class TestIntegrator:
         f = lambda x: np.where(x < 0.3, 0.0, x - 0.3)
         val = integrate_adaptive(f, 0.0, 1.0, breakpoints=(0.3,))
         assert abs(val - 0.5 * 0.7 ** 2) < 1e-9
+
+    def test_unresolved_step_warns(self, caplog):
+        # no dyadic split ever lands on 1/3, so its panel reaches max_depth
+        f = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
+        with caplog.at_level(logging.WARNING, logger="adaptivedet.distributions"):
+            val = integrate_adaptive(f, 0.0, 1.0)
+        assert abs(val - 2.0 / 3.0) <= 1e-12
+        assert len(caplog.records) == 1
+        assert "max_depth=48" in caplog.text and "1 of 1 integrals" in caplog.text
+
+    def test_resolved_integrals_do_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="adaptivedet.distributions"):
+            integrate_adaptive(lambda x: 3 * x ** 2, 0.0, 1.0)
+            pd_point("samf", 12, 2, 24, 1e4, 0.0, 1.8)
+        assert not caplog.records
+
+    def test_lockstep_integrals_equal_single(self):
+        scale = np.array([1.0, -2.0, 30.0, 0.0])
+
+        def many(cell_x):
+            cell, x = cell_x
+            return scale[cell] * np.sin(20.0 * x) + np.where(x < 0.4, 0.0, 1.0)
+
+        vals = integrate_adaptive(many, 0.0, 1.0, breakpoints=(0.4,), n=scale.size)
+        for i, c in enumerate(scale):
+            one = integrate_adaptive(lambda x: c * np.sin(20.0 * x) + np.where(x < 0.4, 0.0, 1.0),
+                                     0.0, 1.0, breakpoints=(0.4,))
+            assert one == vals[i]
+            assert abs(one - (c * (1.0 - np.cos(20.0)) / 20.0 + 0.6)) < 1e-9
