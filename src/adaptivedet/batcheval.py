@@ -1,13 +1,14 @@
 """Vectorized (stacked-trial) evaluation of the detector banks.
 
-The per-instance functions in :mod:`adaptivedet.detectors` are the normative
-definitions; this module recomputes the same statistics for a whole batch of
-trials (point geometry shared or stacked per trial) with stacked LAPACK calls
-so Monte Carlo runs and the identity suite stay fast.  Each family splits
-into ``prepare_*`` (everything that depends only on the training SCM and the
-geometry) and ``evaluate_*`` (the test-data part), so one prepared batch
-serves any number of test means.  Consistency between the two paths is
-enforced by the test suite.
+This is the one implementation of every statistic: the Monte Carlo engine
+and the identity suite call it on batches of trials (point geometry shared or
+stacked per trial), and :mod:`adaptivedet.detectors` on a single instance
+(B = 1).  Each family splits into ``prepare_*`` (everything that depends only
+on the training SCM and the geometry) and ``evaluate_*`` (the test-data
+part), so one prepared batch serves any number of test means.  The normative
+per-instance forms (projectors, ``M = S + X X^H`` and the ``R0``/``R1``
+covariance MLEs, generalized eigenpairs) live in ``tests/oracles.py``, and
+the test suite holds these kernels to them.
 """
 
 from dataclasses import dataclass
@@ -16,20 +17,6 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .roots import find_root
-
-POINT_FAMILY = frozenset({
-    "sglrt", "srao", "samf", "asd", "sabort", "wsabort", "dnsamf", "aed", "beta",
-    "kglrt", "amf", "dmrao", "ace", "smi",
-    "glrt_he_i", "ts_glrt_he_i", "glrt_phe_i", "rao_he_i", "ts_rao_he_i",
-    "rao_phe_i", "wald_he_i", "wald_phe_i", "beta_i",
-    "smf", "mf",
-})
-DISTRIBUTED_FAMILY = frozenset({
-    "gkglrt", "gamf", "rao_he", "glrt_phe", "gasd", "rao_phe", "wald_phe",
-    "glrdd", "amdd", "snrdd", "gadd",
-    "glrt_dos", "rao_dos", "wald_dos",
-})
-ALL_DETECTORS = POINT_FAMILY | DISTRIBUTED_FAMILY
 
 
 def _ct(a):
@@ -234,8 +221,10 @@ def solve_sigma_batch(eigs, target: float):
 @dataclass(frozen=True)
 class DistributedPrepared:
     """Distributed-family state that depends only on the training SCM and
-    geometry: the whitener, the whitened steering vector and subspace, and the
-    inverse square root ``Cb`` of the whitened subspace Gram ``Bp``."""
+    geometry: the whitener, the whitened steering vector of the rank-one bank,
+    and the whitened subspace of the direction and DOS banks with the inverse
+    square root ``Cb`` of its Gram ``Bp``.  The parts of a bank left out are
+    None."""
 
     L: int
     T: np.ndarray
@@ -247,53 +236,77 @@ class DistributedPrepared:
     Cb: np.ndarray
 
 
-def prepare_distributed(S, s, H, L: int) -> DistributedPrepared:
-    """The test-independent half of :func:`distributed_family_stats`."""
-    s = np.asarray(s, dtype=np.complex128)
-    H = np.asarray(H, dtype=np.complex128)
+def prepare_distributed(S, s, H, L) -> DistributedPrepared:
+    """The test-independent half of :func:`distributed_family_stats`.
+
+    ``s`` None leaves out the rank-one bank, ``L`` None its partially
+    homogeneous half, and ``H`` None the direction and DOS banks.
+    """
     T = _inv_sqrt_stack(S)
-    st = np.einsum("bij,j->bi", T, s)
-    Ht = T @ H
-    Bp = _ct(Ht) @ Ht
-    return DistributedPrepared(
-        L=L, T=T, st=st, ss=np.einsum("bn,bn->b", st.conj(), st).real,
-        Ht=Ht, QH=_basis(Ht), Bp=Bp, Cb=_inv_sqrt_stack(Bp))
+    st = ss = Ht = QH = Bp = Cb = None
+    if s is not None:
+        st = np.einsum("bij,j->bi", T, np.asarray(s, dtype=np.complex128))
+        ss = np.einsum("bn,bn->b", st.conj(), st).real
+    if H is not None:
+        Ht = T @ np.asarray(H, dtype=np.complex128)
+        Bp = _ct(Ht) @ Ht
+        QH, Cb = _basis(Ht), _inv_sqrt_stack(Bp)
+    return DistributedPrepared(L=L, T=T, st=st, ss=ss, Ht=Ht, QH=QH, Bp=Bp, Cb=Cb)
 
 
 def evaluate_distributed(prep: DistributedPrepared, X) -> dict:
-    """All distributed-family statistics of the stacked test blocks ``X`` (B, N, K)."""
-    X = np.asarray(X)
-    B, N, K = X.shape
-    L, st, ss, Ht, QH = prep.L, prep.st, prep.ss, prep.Ht, prep.QH
-    IK = np.eye(K)
+    """The distributed-family statistics of the stacked test blocks ``X``
+    (B, N, K) for the banks ``prep`` holds.
 
+    Besides the statistics, the PHE half gives the noise-power MLEs
+    ``sigma0_hat``/``sigma1_hat`` and the direction bank the unit-norm
+    maximizing direction ``theta_max`` (B, p) of ``snrdd``.
+    """
+    X = np.asarray(X)
+    K = X.shape[-1]
     Xt = prep.T @ X
-    c = np.einsum("bnk,bn->bk", Xt.conj(), st)
     G0 = _ct(Xt) @ Xt
-    M0 = IK + G0
+    M0 = np.eye(K) + G0
+    trG0 = np.trace(G0, axis1=-2, axis2=-1).real
+    out = {}
+    if prep.st is not None:
+        out.update(_rank_one_bank(prep, Xt, G0, M0, trG0))
+    if prep.QH is not None:
+        out.update(_subspace_banks(prep, Xt, G0, M0, trG0))
+    return out
+
+
+def _rank_one_bank(prep, Xt, G0, M0, trG0):
+    B, N, K = Xt.shape
+    L, st, ss = prep.L, prep.st, prep.ss
+    IK = np.eye(K)
+    c = np.einsum("bnk,bn->bk", Xt.conj(), st)
     num = np.einsum("bk,bk->b", c.conj(), np.linalg.solve(M0, c[..., None])[..., 0]).real
     gamf_num = np.einsum("bk,bk->b", c.conj(), c).real
-    trG0 = np.trace(G0, axis1=-2, axis2=-1).real
-
     out = {
         "gkglrt": num / (ss - num),
         "gamf": gamf_num / ss,
+        "gasd": gamf_num / (ss * trG0),
     }
     # Rao (HE), matrix-inversion-lemma form
     G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
     inner = np.linalg.solve(IK + G1, np.linalg.solve(M0, c[..., None]))
     out["rao_he"] = np.einsum("bk,bk->b", c.conj(), inner[..., 0]).real / ss
+    if L is None:
+        return out
 
     # PHE bank
     target = N * K / (L + K)
     eig0 = np.linalg.eigvalsh(G0).real
     eig1 = np.linalg.eigvalsh(0.5 * (G1 + _ct(G1))).real
+    # G1 is G0 less a rank-one part, so its rounding noise is on G0's scale
+    # (with N = 1 it is all noise): it counts as zero against G0's top eigenvalue
+    eig1 = np.where(eig1 > 1e-12 * eig0[:, -1:], eig1, 0.0)
     sigma0 = solve_sigma_batch(eig0, target)
     sigma1 = solve_sigma_batch(eig1, target)
     det0 = np.linalg.det(IK + G0 / sigma0[:, None, None]).real
     det1 = np.linalg.det(IK + G1 / sigma1[:, None, None]).real
     out["glrt_phe"] = sigma0 ** target * det0 / (sigma1 ** target * det1)
-    out["gasd"] = gamf_num / (ss * trG0)
     out["sigma0_hat"] = sigma0
     out["sigma1_hat"] = sigma1
 
@@ -307,8 +320,13 @@ def evaluate_distributed(prep: DistributedPrepared, X) -> dict:
     # Wald (PHE): the projected-data Gram kills the steering component, so the
     # statistic collapses onto the generalized AMF rescaled by the H1 MLE.
     out["wald_phe"] = (L + K) / sigma1 * out["gamf"]
+    return out
 
-    # Direction detectors
+
+def _subspace_banks(prep, Xt, G0, M0, trG0):
+    """The direction detectors and the double-subspace trio."""
+    Ht, QH = prep.Ht, prep.QH
+    out = {}
     W = _ct(QH) @ Xt                     # (B, p, K)
     A = _ct(W) @ W
     out["amdd"] = np.linalg.eigvalsh(A).real[:, -1]
@@ -324,6 +342,7 @@ def evaluate_distributed(prep: DistributedPrepared, X) -> dict:
     y = np.einsum("bpk,bp->bk", HX.conj(), theta)          # Xt^H Ht theta
     denom_t = np.einsum("bp,bpq,bq->b", theta.conj(), Bp, theta).real
     out["snrdd"] = np.einsum("bk,bk->b", y.conj(), y).real / denom_t
+    out["theta_max"] = theta / np.linalg.norm(theta, axis=-1, keepdims=True)
 
     # Double-subspace trio
     out["wald_dos"] = np.einsum("bpk,bpk->b", W.conj(), W).real
@@ -342,6 +361,8 @@ def distributed_family_stats(X, S, s, H, L: int):
     """All distributed-family statistics for stacked trials.
 
     ``X`` is (B, N, K), ``S`` is (B, N, N); ``s`` (rank-one steering), ``H``
-    (direction/DOS subspace), and the training count ``L`` are shared.
+    (direction/DOS subspace), and the training count ``L`` are shared, and
+    each may be None to leave out the banks that need it (see
+    :func:`prepare_distributed`).
     """
     return evaluate_distributed(prepare_distributed(S, s, H, L), X)

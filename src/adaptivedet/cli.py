@@ -22,11 +22,9 @@ import sys
 
 import numpy as np
 
-from . import batcheval, montecarlo as mc, scenario as sc
+from . import batcheval, montecarlo as mc, registry, scenario as sc
 from .detectors import mismatch_geometry
 from .distributions import (
-    DISTRIBUTED_DETECTORS,
-    POINT_DETECTORS,
     ComplexBeta,
     ComplexChi2,
     ComplexF,
@@ -46,9 +44,6 @@ CFAR_COLUMNS = ("detector", "covariance", "threshold", "pfa_hat", "ci_low",
 DIST_COLUMNS = ("suite", "params", "n_samples", "ks_stat", "p_value", "status")
 IDENTITY_COLUMNS = ("identity", "max_rel_err", "n_instances", "status")
 
-DEFAULT_DETECTORS = ("sglrt", "samf", "srao", "asd", "sabort", "wsabort",
-                     "dnsamf", "aed", "smf")
-NON_CFAR = frozenset({"smi"})
 # each identity: its name, the statistic, and that statistic rebuilt from others
 IDENTITIES = (
     ("samf=sglrt/beta", "samf", lambda f: f["sglrt"] / f["beta"]),
@@ -66,6 +61,13 @@ IDENTITY_SIZES = ((4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3), (12, 1), (12, 
 IDENTITY_BLOCK = 32
 # flipping the top bit of the 128-bit Philox key gives calibration its own streams
 CALIBRATION_KEY_BIT = 1 << 127
+# each grid command's SNR (dB) and cos^2(phi) lists for a flag left unset
+# (None where the flag has a default of its own)
+GRID_DEFAULTS = {
+    "pd-vs-snr": (np.arange(0.0, 25.0), None),
+    "pd-vs-mismatch": (None, np.linspace(0.0, 1.0, 21)),
+    "mesa": (np.linspace(0.0, 40.0, 41), np.linspace(0.0, 1.0, 21)),
+}
 
 
 def _fmt(value) -> str:
@@ -114,14 +116,10 @@ def parse_config_file(path) -> dict:
 
 
 def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
     return [float(v) for v in str(text).split(",") if v.strip() != ""]
 
 
 def _str_list(text):
-    if isinstance(text, (list, tuple)):
-        return [str(v) for v in text]
     return [v.strip() for v in str(text).split(",") if v.strip() != ""]
 
 
@@ -152,44 +150,35 @@ def build_parser():
                        help="'he' or 'phe:SIGMA2'")
         p.add_argument("--covariance", type=str, default="ar1:0.9",
                        help="identity | ar1:RHO | ar1w:RHO:CNR_DB")
-        p.add_argument("--detectors", type=str, default=",".join(DEFAULT_DETECTORS))
+        p.add_argument("--detectors", type=str, default=",".join(registry.names(default=True)))
         p.add_argument("--mode", choices=("analytic", "montecarlo", "both"),
                        default="analytic")
         p.add_argument("--jnr-db", type=float, default=None,
                        help="add a coherent jammer at this JNR under H1")
 
-    p_snr = sub_map["pd-vs-snr"] = sub.add_parser(
-        "pd-vs-snr", help="PD against SNR at fixed mismatch")
-    add_common(p_snr)
+    def command(name, help_text):
+        sub_map[name] = sub.add_parser(name, help=help_text)
+        add_common(sub_map[name])
+        return sub_map[name]
+
+    p_snr = command("pd-vs-snr", "PD against SNR at fixed mismatch")
     p_snr.add_argument("--snr", type=str, default=None, help="dB list (default 0..24)")
     p_snr.add_argument("--cos2phi", type=str, default="1.0")
 
-    p_mis = sub_map["pd-vs-mismatch"] = sub.add_parser(
-        "pd-vs-mismatch", help="PD against cos^2(phi) at fixed SNR")
-    add_common(p_mis)
+    p_mis = command("pd-vs-mismatch", "PD against cos^2(phi) at fixed SNR")
     p_mis.add_argument("--snr", type=str, default="18.0")
     p_mis.add_argument("--cos2phi", type=str, default=None,
                        help="list (default 21 points on [0, 1])")
 
-    p_mesa = sub_map["mesa"] = sub.add_parser(
-        "mesa", help="PD over the (SNR, cos^2 phi) grid")
-    add_common(p_mesa)
+    p_mesa = command("mesa", "PD over the (SNR, cos^2 phi) grid")
     p_mesa.add_argument("--snr", type=str, default=None, help="default 0..40, 41 points")
     p_mesa.add_argument("--cos2phi", type=str, default=None, help="default 21 points")
 
-    p_cfar = sub_map["cfar-check"] = sub.add_parser(
-        "cfar-check", help="false-alarm invariance sweep")
-    add_common(p_cfar)
+    p_cfar = command("cfar-check", "false-alarm invariance sweep")
     p_cfar.add_argument("--covariances", type=str,
                         default="identity,ar1:0.9,ar1w:0.99:30")
-
-    p_dist = sub_map["validate-dist"] = sub.add_parser(
-        "validate-dist", help="KS validation of distributions")
-    add_common(p_dist)
-
-    p_id = sub_map["identities"] = sub.add_parser(
-        "identities", help="exact algebraic identity suite")
-    add_common(p_id)
+    command("validate-dist", "KS validation of distributions")
+    command("identities", "exact algebraic identity suite")
 
     return parser, sub_map
 
@@ -211,17 +200,12 @@ def _scenario_from_args(args) -> sc.ScenarioConfig:
                              environment=environment, sigma2=sigma2, pfa=pfa)
 
 
-def _signal_nominal(cfg, geometry):
-    """Nominal structure the mismatch angle is measured against."""
-    if cfg.K == 1:
-        return geometry.H
-    return geometry.s[:, None]
-
-
 def _build_signal(cfg, geometry, R, snr_db, cos2phi, seed, grid_index):
     spec = sc.SignalSpec(snr_db=snr_db, cos2phi=cos2phi)
     rng = np.random.default_rng((seed, 0x51, grid_index))
-    s0 = sc.actual_signal(_signal_nominal(cfg, geometry), R, spec, rng=rng)
+    # the mismatch angle is measured against H for a point target, s otherwise
+    nominal = geometry.H if cfg.K == 1 else geometry.s[:, None]
+    s0 = sc.actual_signal(nominal, R, spec, rng=rng)
     if cfg.K == 1:
         return s0[:, None]
     coords = np.ones(cfg.K, dtype=np.complex128) / np.sqrt(cfg.K)
@@ -238,34 +222,26 @@ def _jammer_mean(cfg, geometry, R, jnr_db):
     return np.repeat(j[:, None], cfg.K, axis=1)
 
 
-# rank-one detectors are their p = 1 subspace twins, and the interference
-# GLRTs are central like the point bank at reduced dimension N - q; only the
-# scale-invariant statistics keep their law when the test noise power changes
-RANK_ONE_ALIAS = {"kglrt": "sglrt", "amf": "samf", "dmrao": "srao", "ace": "asd"}
-INTERFERENCE_ALIAS = {"glrt_he_i": "sglrt", "ts_glrt_he_i": "samf", "glrt_phe_i": "asd"}
-SCALE_INVARIANT = frozenset({"asd", "ace", "glrt_phe_i"})
-
-
 def _analytic_law(detector, cfg):
     """Which finite-sample law serves ``detector`` under ``cfg``: ``"point"``,
     ``"interference"``, ``"distributed"``, or None for Monte Carlo.
 
-    Point laws need K = 1 and, except for ``aed`` and ``smf``, a loss factor
-    (p < N, with p = 1 for the rank-one twins); interference laws need
+    Point and interference laws need K = 1.  A point law with a loss factor
+    needs p < N (p is 1 for the rank-one twins); interference laws need
     p + q < N and distributed laws N > 1.  Under ``phe`` only the
-    scale-invariant detectors keep their law.
+    scale-invariant detectors keep their law: the test noise power then only
+    rescales the SNR.
     """
-    if cfg.environment == sc.PARTIALLY_HOMOGENEOUS and detector not in SCALE_INVARIANT:
+    spec = registry.lookup(detector)
+    if cfg.environment == sc.PARTIALLY_HOMOGENEOUS and not spec.scale_invariant:
         return None
-    if detector in RANK_ONE_ALIAS and cfg.K == 1:
-        return "point" if 1 < cfg.N else None
-    if detector in POINT_DETECTORS and cfg.K == 1:
-        return "point" if cfg.p < cfg.N or detector in ("aed", "smf") else None
-    if detector in INTERFERENCE_ALIAS and cfg.K == 1:
-        return "interference" if cfg.p + cfg.q < cfg.N else None
-    if detector in DISTRIBUTED_DETECTORS:
-        return "distributed" if 1 < cfg.N else None
-    return None
+    if spec.law in ("point", "interference") and cfg.K != 1:
+        return None
+    p = 1 if spec.rank_one else cfg.p
+    holds = {"point": p < cfg.N or not spec.loss_factor,
+             "interference": p + cfg.q < cfg.N,
+             "distributed": 1 < cfg.N}
+    return spec.law if holds.get(spec.law) else None
 
 
 def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
@@ -274,15 +250,14 @@ def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
 
     ``means`` (the cells' signal means) is read only by interference laws.
     """
+    spec = registry.lookup(detector)
     law = _analytic_law(detector, cfg)
     N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
     scale = cfg.test_scale ** 2  # sigma2 under phe, where only scale-invariant laws apply
     out = [None] * len(rho)
     if law == "point":
-        if detector in RANK_ONE_ALIAS:
-            if p != 1:
-                return out  # cos2phi is measured against the subspace, not s
-            detector = RANK_ONE_ALIAS[detector]
+        if spec.rank_one and p != 1:
+            return out  # cos2phi is measured against the subspace, not s
         return list(pd_point_grid(detector, N, p, L, rho / scale, cos2phi, eta))
     if law == "interference":
         geoms = [mismatch_geometry(s[:, 0], R, geometry.H, geometry.J) for s in means]
@@ -290,8 +265,7 @@ def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
             detector, N, p, q, L, np.array([g.rho_eff for g in geoms]) / scale,
             np.array([g.delta2_i for g in geoms]) / scale, eta))
     if law == "distributed":
-        # the gamf loss-factor law is only known without mismatch
-        cells = np.flatnonzero((cos2phi == 1.0) | (detector == "gkglrt"))
+        cells = np.flatnonzero((cos2phi == 1.0) | spec.mismatch)
         if cells.size:
             pds = pd_distributed_grid(detector, N, K, L, rho[cells], cos2phi[cells], eta)
             for i, pd in zip(cells, pds):
@@ -301,13 +275,13 @@ def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
 
 def analytic_threshold(detector, cfg):
     """Threshold from the detector's finite-sample H0 law, or None."""
+    spec = registry.lookup(detector)
     law = _analytic_law(detector, cfg)
     N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
     if law == "point":
-        p = 1 if detector in RANK_ONE_ALIAS else p
-        return threshold_for_pfa(RANK_ONE_ALIAS.get(detector, detector), N, p, L, cfg.pfa)
-    if law == "interference":
-        return threshold_for_pfa(INTERFERENCE_ALIAS[detector], N - q, p, L, cfg.pfa)
+        return threshold_for_pfa(detector, N, 1 if spec.rank_one else p, L, cfg.pfa)
+    if law == "interference":  # central like its point statistic at dimension N - q
+        return threshold_for_pfa(spec.canonical, N - q, p, L, cfg.pfa)
     if law == "distributed":
         return invert_pfa(lambda eta: pd_distributed(detector, N, K, L, 0.0, 1.0, eta),
                           cfg.pfa)
@@ -337,12 +311,21 @@ def _thresholds(detectors, cfg, args):
     return out
 
 
+def _detectors(args):
+    """The ``--detectors`` names, each checked to be in the registry once."""
+    names = _str_list(args.detectors)
+    unknown = [n for n in names if n not in registry.DETECTORS]
+    if unknown:
+        raise ValueError(f"unknown detectors: {unknown}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"detectors named more than once: {repeated}")
+    return tuple(names)
+
+
 def run_grid(args, snrs, cos2s):
     cfg = _scenario_from_args(args)
-    detectors = tuple(_str_list(args.detectors))
-    unknown = set(detectors) - batcheval.ALL_DETECTORS
-    if unknown:
-        raise ValueError(f"unknown detectors: {sorted(unknown)}")
+    detectors = _detectors(args)
     geometry = mc.Geometry.default(cfg)
     cov = sc.CovarianceModel.parse(args.covariance)
     R = cov.build(cfg.N)
@@ -388,7 +371,7 @@ def run_grid(args, snrs, cos2s):
 
 def run_cfar_check(args):
     cfg = _scenario_from_args(args)
-    detectors = tuple(_str_list(args.detectors))
+    detectors = _detectors(args)
     covariances = [sc.CovarianceModel.parse(c) for c in _str_list(args.covariances)]
     geometry = mc.Geometry.default(cfg)
     base_plan = mc.TrialPlan(
@@ -416,7 +399,7 @@ def run_cfar_check(args):
                 "n_trials": cov_row.n, "seed": args.seed,
                 "status": "pass" if report.passed else "fail",
             })
-        if not report.passed and det not in NON_CFAR:
+        if not report.passed and registry.DETECTORS[det].cfar:
             failed.append(det)
     return rows, failed
 
@@ -427,24 +410,16 @@ def run_validate_dist(args):
 
     rng = np.random.default_rng(args.seed)
     n = args.trials
-    rows = []
-    suites = [
+    # (suite, params, samples, law cdf): six laws sampled directly, then the
+    # AED sampling law through the full data path
+    suites = [(name, params, dist.sample(rng, size=n), dist.cdf) for name, params, dist in (
         ("cchi2", "k=1,delta=0", ComplexChi2(1, 0.0)),
         ("cchi2", "k=3,delta=2.5", ComplexChi2(3, 2.5)),
         ("cf", "m=2,n=13,delta=0", ComplexF(2, 13, 0.0)),
         ("cf", "m=2,n=13,delta=8", ComplexF(2, 13, 8.0)),
         ("cbeta", "a=13,b=10,delta=0", ComplexBeta(13, 10, 0.0)),
         ("cbeta", "a=13,b=10,delta=20", ComplexBeta(13, 10, 20.0)),
-    ]
-    failed = False
-    for name, params, dist in suites:
-        samples = dist.sample(rng, size=n)
-        stat, pvalue = sstats.kstest(samples, dist.cdf)
-        rows.append({"suite": name, "params": params, "n_samples": n,
-                     "ks_stat": stat, "p_value": pvalue,
-                     "status": "pass" if pvalue > 0.01 else "fail"})
-        failed |= pvalue <= 0.01
-    # AED sampling law through the full data path
+    )]
     N, L, rho = 12, 24, 10.0
     cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-3)
     geometry = mc.Geometry.default(cfg)
@@ -456,14 +431,15 @@ def run_validate_dist(args):
                         covariance=cov, detectors=("aed",), hypothesis="h1",
                         geometry=geometry, signal_mean=s0[:, None],
                         batch_size=args.batch_size)
-    samples = mc.run_trials(plan)["aed"]
-    law = ComplexF(N, L - N + 1, rho)
-    stat, pvalue = sstats.kstest(samples, law.cdf)
-    rows.append({"suite": "aed-law", "params": f"N={N},L={L},rho={rho:g}",
-                 "n_samples": n, "ks_stat": stat, "p_value": pvalue,
-                 "status": "pass" if pvalue > 0.01 else "fail"})
-    failed |= pvalue <= 0.01
-    return rows, failed
+    suites.append(("aed-law", f"N={N},L={L},rho={rho:g}", mc.run_trials(plan)["aed"],
+                   ComplexF(N, L - N + 1, rho).cdf))
+    rows = []
+    for name, params, samples, cdf in suites:
+        stat, pvalue = sstats.kstest(samples, cdf)
+        rows.append({"suite": name, "params": params, "n_samples": n,
+                     "ks_stat": stat, "p_value": pvalue,
+                     "status": "pass" if pvalue > 0.01 else "fail"})
+    return rows, any(row["p_value"] <= 0.01 for row in rows)
 
 
 def identity_suite(n_instances: int, seed: int):
@@ -528,39 +504,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "pd-vs-snr":
-            snrs = _float_list(args.snr) if args.snr is not None else list(np.arange(0.0, 25.0))
-            cos2s = _float_list(args.cos2phi)
-            rows = run_grid(args, snrs, cos2s)
-            emit_csv(rows, args.out, GRID_COLUMNS)
+        if args.command in GRID_DEFAULTS:
+            axes = [_float_list(text) if text is not None else list(default)
+                    for text, default in zip((args.snr, args.cos2phi),
+                                             GRID_DEFAULTS[args.command])]
+            emit_csv(run_grid(args, *axes), args.out, GRID_COLUMNS)
             return 0
-        if args.command == "pd-vs-mismatch":
-            snrs = _float_list(args.snr)
-            cos2s = (_float_list(args.cos2phi) if args.cos2phi is not None
-                     else list(np.linspace(0.0, 1.0, 21)))
-            rows = run_grid(args, snrs, cos2s)
-            emit_csv(rows, args.out, GRID_COLUMNS)
-            return 0
-        if args.command == "mesa":
-            snrs = _float_list(args.snr) if args.snr is not None else list(np.linspace(0.0, 40.0, 41))
-            cos2s = (_float_list(args.cos2phi) if args.cos2phi is not None
-                     else list(np.linspace(0.0, 1.0, 21)))
-            rows = run_grid(args, snrs, cos2s)
-            emit_csv(rows, args.out, GRID_COLUMNS)
-            return 0
-        if args.command == "cfar-check":
-            rows, failed = run_cfar_check(args)
-            emit_csv(rows, args.out, CFAR_COLUMNS)
-            return 1 if failed else 0
-        if args.command == "validate-dist":
-            rows, failed = run_validate_dist(args)
-            emit_csv(rows, args.out, DIST_COLUMNS)
-            return 1 if failed else 0
-        if args.command == "identities":
-            rows, failed = run_identities(args)
-            emit_csv(rows, args.out, IDENTITY_COLUMNS)
-            return 1 if failed else 0
-        raise ValueError(f"unknown command {args.command!r}")
+        # the validation commands exit 1 when a validated property fails
+        run, columns = {"cfar-check": (run_cfar_check, CFAR_COLUMNS),
+                        "validate-dist": (run_validate_dist, DIST_COLUMNS),
+                        "identities": (run_identities, IDENTITY_COLUMNS)}[args.command]
+        rows, failed = run(args)
+        emit_csv(rows, args.out, columns)
+        return 1 if failed else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

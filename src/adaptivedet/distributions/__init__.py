@@ -9,9 +9,6 @@ from .core import (
     cf_sf_nodes,
 )
 from .detection import (
-    DISTRIBUTED_DETECTORS,
-    INTERFERENCE_DETECTORS,
-    POINT_DETECTORS,
     integrate_adaptive,
     invert_pfa,
     pd_distributed,
@@ -41,7 +38,4 @@ __all__ = [
     "pd_interference",
     "pd_interference_grid",
     "threshold_for_pfa",
-    "POINT_DETECTORS",
-    "DISTRIBUTED_DETECTORS",
-    "INTERFERENCE_DETECTORS",
 ]

@@ -42,8 +42,9 @@ series of the ``CBeta(a, b, delta)`` density ends after ``a + 1`` terms:
 ``f(x) = Beta(a, b)pdf(x) e^{-delta x} sum_{k=0}^{a} C(a, k) (delta (1 - x))^k
 / (b)_k``, a generalized Laguerre polynomial (A&S 13.6.9) with positive
 terms.  :func:`cbeta_pdf_nodes` evaluates it for an array of ``delta``, which
-the scalar-``delta`` :func:`cbeta_pdf_grid` (boost's noncentral-F density, the
-``ComplexBeta.pdf`` oracle) cannot take.
+the scalar-``delta`` :func:`cbeta_pdf_grid` (boost's noncentral-F density,
+kept as the cross-check and for laws too wide for the sum) cannot take; it is
+also the more accurate of the two, so ``ComplexBeta.pdf`` uses it.
 """
 
 from dataclasses import dataclass
@@ -149,7 +150,7 @@ class ComplexBeta:
 
     def pdf(self, x):
         x, scalar = _as_grid(x, upper=1.0)
-        out = cbeta_pdf_grid(self.a, self.b, self.delta, x)
+        out = cbeta_pdf_nodes(self.a, self.b, self.delta, x)
         return out[0] if scalar else out
 
     def sample(self, rng, size=None):
@@ -168,8 +169,11 @@ def cbeta_pdf_grid(a: int, b: int, delta: float, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     inner = (x > 0.0) & (x < 1.0)
     xi = x[inner]
-    out[inner] = (_ufuncs._ncf_pdf((1.0 - xi) / xi * a / b, 2 * b, 2 * a, 2.0 * delta)
-                  * (a / b) / (xi * xi))
+    dens = _ufuncs._ncf_pdf((1.0 - xi) / xi * a / b, 2 * b, 2 * a, 2.0 * delta) * (a / b)
+    # the Jacobian 1 / x**2; x**2 underflows below about 1e-162, where dividing
+    # by x twice keeps the density finite
+    sq = xi * xi
+    out[inner] = np.divide(dens, sq, out=dens / xi / xi, where=sq > 0.0)
     # the density is finite at an endpoint only for a unit shape there
     if a == 1:
         out[x == 0.0] = b + delta

@@ -1,8 +1,9 @@
 """Analytic detection probability, false-alarm probability, and thresholds.
 
 Every supported detector reduces, conditionally on its loss factor, to a
-complex noncentral F variable compared against a detector-specific threshold
-map into that conditional scale.  Detection probability is the loss-factor
+complex noncentral F variable compared against a threshold mapped into that
+conditional scale; the map and the law's capabilities are the detector's row
+in :mod:`adaptivedet.registry`.  Detection probability is the loss-factor
 average of the conditional survival, computed by adaptive Gauss-Legendre
 quadrature with panel splits at the event-region kinks.
 
@@ -21,6 +22,7 @@ import logging
 
 import numpy as np
 
+from .. import registry
 from ..errors import InfeasibleError
 from ..roots import find_root
 from .core import cbeta_pdf_nodes, cchi2_sf_nodes, cf_sf_nodes
@@ -30,12 +32,6 @@ QUAD_TOL = 1e-6
 # log-threshold range searched for a false-alarm target: every supported
 # false-alarm curve is near 1 at exp(-40) and negligible at exp(40)
 LOG_ETA_BRACKET = (-40.0, 40.0)
-
-POINT_DETECTORS = (
-    "sglrt", "samf", "srao", "asd", "sabort", "wsabort", "dnsamf", "aed", "smf",
-)
-DISTRIBUTED_DETECTORS = ("gkglrt", "gamf")
-INTERFERENCE_DETECTORS = ("glrt_he_i", "ts_glrt_he_i", "glrt_phe_i")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -109,52 +105,6 @@ def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_
     return float(total[0]) if n is None else total
 
 
-def _sglrt_space_threshold(detector: str, eta: float, beta: np.ndarray):
-    """Map a detector threshold to the conditional (SGLRT-scale) threshold.
-
-    Returns ``(g, feasible)``: the event ``statistic > eta`` given a loss
-    factor ``beta`` equals ``conditional F > g`` where feasible, and has
-    probability zero elsewhere.  ``g <= 0`` means certain exceedance.
-    """
-    feasible = np.ones_like(beta, dtype=bool)
-    if detector in ("sglrt", "glrt_he_i", "gkglrt"):
-        g = np.full_like(beta, eta)
-    elif detector in ("samf", "ts_glrt_he_i", "gamf"):
-        g = eta * beta
-    elif detector == "sabort":
-        g = eta - beta
-    elif detector == "wsabort":
-        with np.errstate(divide="ignore"):
-            g = eta / beta - 1.0
-    elif detector == "srao":
-        feasible = beta > eta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(feasible, eta / (beta - eta), np.inf)
-    elif detector == "dnsamf":
-        feasible = beta > eta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(feasible, eta * (1.0 - beta) / (beta - eta), np.inf)
-    elif detector in ("asd", "glrt_phe_i"):
-        if eta >= 1.0:
-            feasible = np.zeros_like(beta, dtype=bool)
-            g = np.full_like(beta, np.inf)
-        else:
-            g = eta * (1.0 - beta) / (1.0 - eta)
-    elif detector == "aed":
-        g = (1.0 + eta) * beta - 1.0
-    else:
-        raise ValueError(f"no conditional threshold map for detector {detector!r}")
-    return g, feasible
-
-
-def _event_breakpoints(detector: str, eta: float):
-    if detector in ("srao", "dnsamf", "sabort"):
-        return (eta,)
-    if detector == "aed":
-        return (1.0 / (1.0 + eta),)
-    return ()
-
-
 def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
                      beta_delta, tol):
     """Average the conditional F survival over the loss-factor law, for every
@@ -164,6 +114,7 @@ def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
     conditional noncentrality) and ``beta_delta`` are per-cell values that
     broadcast together; the result has their shape.
     """
+    spec = registry.lookup(detector)
     f_nc, beta_delta = np.broadcast_arrays(np.asarray(f_noncentrality, dtype=float),
                                            np.asarray(beta_delta, dtype=float))
     if eta <= 0.0:
@@ -173,16 +124,15 @@ def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
     def integrand(cell_beta):
         cell, beta = cell_beta
         dens = cbeta_pdf_nodes(beta_a, beta_b, beta_delta[cell], beta)
-        g, feasible = _sglrt_space_threshold(detector, eta, beta)
+        g = spec.threshold_map(eta, beta)
         sf = np.zeros_like(beta)
-        certain = feasible & (g <= 0.0)
-        sf[certain] = 1.0
-        todo = feasible & (g > 0.0) & np.isfinite(g)
+        sf[g <= 0.0] = 1.0
+        todo = (g > 0.0) & np.isfinite(g)
         if todo.any():
             sf[todo] = cf_sf_nodes(f_m, f_n, f_nc[cell[todo]] * beta[todo], g[todo])
         return dens * sf
 
-    pd = integrate_adaptive(integrand, 0.0, 1.0, breakpoints=_event_breakpoints(detector, eta),
+    pd = integrate_adaptive(integrand, 0.0, 1.0, breakpoints=spec.breakpoints(eta),
                             tol=tol, n=f_nc.size)
     return np.clip(pd, 0.0, 1.0).reshape(shape)
 
@@ -200,15 +150,21 @@ def pd_point_grid(detector: str, N: int, p: int, L: int, rho, cos2phi, eta: floa
     whitened nominal subspace; one lockstep quadrature serves every cell.
     """
     rho, cos2phi = _cells(rho, cos2phi)
-    _check_point_args(detector, N, p, L, rho, cos2phi, eta)
-    if detector == "aed":
+    spec = _check_point_args(detector, N, p, L, rho, cos2phi, eta)
+    if not spec.loss_factor:  # the known-covariance chi-square, or the F law of the AED
+        if spec.clairvoyant:
+            return cchi2_sf_nodes(p, rho, eta)
         return cf_sf_nodes(N, L - N + 1, rho, eta)
-    if detector == "smf":
-        return cchi2_sf_nodes(p, rho, eta)
+    return _subspace_law(detector, N, p, 0, L, rho * cos2phi, rho * (1.0 - cos2phi), eta, tol)
+
+
+def _subspace_law(detector, N, p, q, L, rho_eff, delta2, eta, tol):
+    """The loss-factor mixture of a subspace GLRT-family law with ``q``
+    interference dimensions rejected (q = 0 for the point bank)."""
     return _pd_beta_mixture(
         detector, eta,
-        f_m=p, f_n=L - N + 1, f_noncentrality=rho * cos2phi,
-        beta_a=L - N + p + 1, beta_b=N - p, beta_delta=rho * (1.0 - cos2phi),
+        f_m=p, f_n=L - N + q + 1, f_noncentrality=rho_eff,
+        beta_a=L - N + p + q + 1, beta_b=N - p - q, beta_delta=delta2,
         tol=tol,
     )
 
@@ -229,15 +185,14 @@ def pd_distributed_grid(detector: str, N: int, K: int, L: int, rho, cos2phi_rk1,
                         eta: float, tol: float = QUAD_TOL) -> np.ndarray:
     """Detection probabilities of the rank-one distributed-target GLRT/2S-GLRT
     over cells of ``(rho, cos2phi_rk1)``."""
-    if detector not in DISTRIBUTED_DETECTORS:
-        raise ValueError(f"unsupported distributed detector {detector!r}")
+    spec = _law(detector, "distributed")
     if L < N or K < 1:
         raise ValueError("need L >= N and K >= 1")
     rho, cos2phi_rk1 = _cells(rho, cos2phi_rk1)
     _check_common(rho, cos2phi_rk1, eta)
-    if detector == "gkglrt":
+    if spec.mismatch:  # the GLRT's loss factor carries the mismatched energy
         beta_a, beta_b, beta_delta = L + K - N + 1, N - 1, rho * (1.0 - cos2phi_rk1)
-    else:  # gamf: the loss factor is central under both hypotheses
+    else:  # the 2S-GLRT's loss factor is central under both hypotheses
         beta_a, beta_b, beta_delta = L - N + 2, N - 1, 0.0
     return _pd_beta_mixture(
         detector, eta,
@@ -261,8 +216,7 @@ def pd_interference_grid(detector: str, N: int, p: int, q: int, L: int, rho_eff,
     ``rho_eff`` is the effective SNR surviving interference rejection and
     ``delta2_i`` the rejected/mismatched energy driving the loss factor.
     """
-    if detector not in INTERFERENCE_DETECTORS:
-        raise ValueError(f"unsupported interference detector {detector!r}")
+    _law(detector, "interference")
     if p + q >= N:
         raise ValueError("need p + q < N for a proper loss-factor law")
     if L < N:
@@ -270,12 +224,7 @@ def pd_interference_grid(detector: str, N: int, p: int, q: int, L: int, rho_eff,
     rho_eff, delta2_i = _cells(rho_eff, delta2_i)
     if np.any(rho_eff < 0) or np.any(delta2_i < 0) or eta < 0:
         raise ValueError("rho_eff, delta2_i, and eta must be nonnegative")
-    return _pd_beta_mixture(
-        detector, eta,
-        f_m=p, f_n=L - N + q + 1, f_noncentrality=rho_eff,
-        beta_a=L - N + p + q + 1, beta_b=N - p - q, beta_delta=delta2_i,
-        tol=tol,
-    )
+    return _subspace_law(detector, N, p, q, L, rho_eff, delta2_i, eta, tol)
 
 
 def pd_interference(detector: str, N: int, p: int, q: int, L: int,
@@ -316,16 +265,26 @@ def threshold_for_pfa(detector: str, N: int, p: int, L: int, pfa: float,
     return invert_pfa(lambda eta: pfa_point(detector, N, p, L, eta, tol=tol), pfa, rtol)
 
 
+def _law(detector, kind):
+    """The registry row of ``detector``, which must have a ``kind`` law."""
+    spec = registry.lookup(detector)
+    if spec.law != kind:
+        raise ValueError(f"no {kind} law for detector {detector!r}")
+    return spec
+
+
 def _check_point_args(detector, N, p, L, rho, cos2phi, eta):
-    if detector not in POINT_DETECTORS:
-        raise ValueError(f"unsupported point detector {detector!r}")
+    spec = _law(detector, "point")
     if L < N:
         raise ValueError("need L >= N training vectors")
     if not 1 <= p <= N:
         raise ValueError("need 1 <= p <= N")
-    if p == N and detector not in ("aed", "smf"):
+    if spec.rank_one and p != 1:
+        raise ValueError(f"{detector!r} is a rank-one detector: its law needs p = 1")
+    if p == N and spec.loss_factor:
         raise ValueError("loss-factor mixture needs p < N")
     _check_common(rho, cos2phi, eta)
+    return spec
 
 
 def _check_common(rho, cos2phi, eta):

@@ -1,8 +1,9 @@
 """Complex Hermitian linear-algebra kernel.
 
-Whitening, projection, and eigen primitives that every detector statistic
-is built from.  All functions accept stacked inputs (leading batch axes)
-wherever the underlying LAPACK drivers do.
+Checked whitening, square-root and basis primitives for per-instance work:
+signal geometry, and the input checks of the detector banks.  All functions
+accept stacked inputs (leading batch axes) wherever the underlying LAPACK
+drivers do.
 """
 
 import numpy as np
@@ -70,66 +71,3 @@ def orthonormal_basis(A) -> np.ndarray:
     if np.any(d.min(axis=-1) <= RCOND_LIMIT * d.max(axis=-1)):
         raise RankError("matrix is numerically rank deficient")
     return Q
-
-
-def ortho_projector(A) -> np.ndarray:
-    """Orthogonal projector onto the column span of ``A``: ``A (A^H A)^-1 A^H``."""
-    A = _as_complex(A)
-    if A.shape[-1] == 0:
-        n = A.shape[-2]
-        return np.zeros(A.shape[:-2] + (n, n), dtype=np.complex128)
-    Q = orthonormal_basis(A)
-    return Q @ np.conj(np.swapaxes(Q, -2, -1))
-
-
-def perp_projector(A) -> np.ndarray:
-    """Projector onto the orthogonal complement of the column span of ``A``."""
-    A = _as_complex(A)
-    n = A.shape[-2]
-    return np.eye(n, dtype=np.complex128) - ortho_projector(A)
-
-
-def oblique_projector(H, J) -> np.ndarray:
-    """Oblique projector onto span(H) along span(J).
-
-    ``P H = H`` and ``P J = 0``; requires ``[H J]`` to have full column rank.
-    """
-    H = _as_complex(H)
-    J = _as_complex(J)
-    if J.shape[-1] == 0:
-        return ortho_projector(H)
-    orthonormal_basis(np.concatenate([H, J], axis=-1))  # rank check on [H J]
-    PJp = perp_projector(J)
-    G = np.conj(np.swapaxes(H, -2, -1)) @ PJp @ H
-    if np.linalg.cond(G) > 1.0 / RCOND_LIMIT:
-        raise RankError("signal and interference subspaces overlap")
-    return H @ np.linalg.solve(G, np.conj(np.swapaxes(H, -2, -1)) @ PJp)
-
-
-def max_eig_pair(A, B=None):
-    """Largest generalized eigenpair of ``A v = lambda B v``.
-
-    ``A`` must be Hermitian positive semidefinite and ``B`` Hermitian positive
-    definite (``B = I`` when omitted).  Solved by reduction with
-    ``B^{-1/2}``, keeping a single Hermitian eigensolver.
-
-    Returns
-    -------
-    lam : float
-        The largest eigenvalue.
-    v : ndarray
-        Unit-norm eigenvector satisfying ``A v = lam B v``.
-    """
-    A = _as_complex(A)
-    if B is None:
-        w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
-        return float(w[-1]), V[:, -1]
-    B = _as_complex(B)
-    if A.shape != B.shape:
-        raise ValueError("A and B must have identical shapes")
-    T = inv_sqrt(B)
-    M = T @ A @ T
-    w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
-    v = T @ V[:, -1]
-    v = v / np.linalg.norm(v)
-    return float(w[-1]), v

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import batcheval, scenario
+from . import batcheval, registry, scenario
 from .errors import GeometryError, InfeasibleError
 from .linalg import herm_sqrt
 from .scenario import CovarianceModel, ScenarioConfig
@@ -92,7 +92,7 @@ class TrialPlan:
             raise ValueError("hypothesis must be 'h0' or 'h1'")
         if self.geometry is None:
             object.__setattr__(self, "geometry", Geometry.default(self.scenario))
-        unknown = set(self.detectors) - batcheval.ALL_DETECTORS
+        unknown = set(self.detectors) - set(registry.DETECTORS)
         if unknown:
             raise ValueError(f"unknown detectors: {sorted(unknown)}")
         H, J = self.geometry.H, self.geometry.J
@@ -147,9 +147,9 @@ def _noise_pass(plan: TrialPlan):
     training SCM and everything that depends only on it are computed once.
     """
     cfg = plan.scenario
-    wanted = set(plan.detectors)
-    point = bool(wanted & batcheval.POINT_FAMILY)
-    dist = bool(wanted & batcheval.DISTRIBUTED_FAMILY)
+    families = {registry.DETECTORS[name].family for name in plan.detectors}
+    point = "point" in families
+    dist = "distributed" in families
     if point and cfg.K != 1:
         raise ValueError("point-target detectors need K = 1")
 

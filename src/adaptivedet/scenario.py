@@ -232,19 +232,14 @@ def actual_signal(H: np.ndarray, R: np.ndarray, spec: SignalSpec, rng=None) -> n
     return linalg.herm_sqrt(R) @ s_bar
 
 
-def draw_noise(rng, N: int, L: int, K: int):
-    """White training and test draws in the fixed consumption order.
-
-    One flat block of ``2 N (L + K)`` standard normals per trial, laid out as
-    training-real, training-imag, test-real, test-imag; this layout is the
-    reproducibility contract shared with the batched trial engine.
-    """
-    flat = rng.standard_normal(2 * N * (L + K))
-    return assemble_noise(flat, N, L, K)
-
-
 def assemble_noise(flat, N: int, L: int, K: int):
-    """Turn flat standard-normal blocks (last axis) into complex noise pairs."""
+    """Turn flat standard-normal blocks (last axis) into complex noise pairs.
+
+    Each block holds the ``2 N (L + K)`` draws of one trial, laid out as
+    training-real, training-imag, test-real, test-imag; this layout is the
+    reproducibility contract shared by :func:`synthesize` and the batched
+    trial engine.
+    """
     nt = N * L
     ns = N * K
     shape = flat.shape[:-1]
@@ -267,7 +262,8 @@ def synthesize(config: ScenarioConfig, model: CovarianceModel, signal=None,
     rng = as_rng(seed)
     R = build_covariance(model, config.N)
     A = linalg.herm_sqrt(R)
-    w_train, w_test = draw_noise(rng, config.N, config.L, config.K)
+    w_train, w_test = assemble_noise(rng.standard_normal(2 * config.N * (config.L + config.K)),
+                                     config.N, config.L, config.K)
     training = A @ w_train
     test = config.test_scale * (A @ w_test)
     if hypothesis == "h1":

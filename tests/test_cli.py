@@ -100,6 +100,20 @@ class TestGridCommands:
         assert not out.exists()  # no partial output
 
 
+class TestDetectorList:
+    @pytest.mark.parametrize("argv,named", [
+        (["cfar-check", "--detectors", "gkglrt,gkglrt"], "gkglrt"),
+        (["cfar-check", "--detectors", "kglrt,nope"], "nope"),
+        (["pd-vs-snr", "--detectors", "samf,sglrt,samf", "--mode", "both"], "samf"),
+        (["pd-vs-snr", "--detectors", "sglrt,bogus"], "bogus"),
+    ])
+    def test_unknown_or_repeated_names_exit_1(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(argv + ["--trials", "200", "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidationCommands:
     def test_identities_pass(self, tmp_path):
         out = tmp_path / "ids.csv"

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from adaptivedet.detectors import (
     direction_bank,
     distributed_rank1_he,
     distributed_rank1_phe,
     dos_bank,
     rank_one_bank,
-    rao_he_recast,
     solve_sigma,
     subspace_bank,
 )
@@ -43,7 +43,10 @@ class TestRankOneHE:
         for _ in range(25):
             X, S, s, _ = _instance(rng, 6, 3, 14)
             he = distributed_rank1_he(X, S, s)
-            assert he.rao_he == pytest.approx(rao_he_recast(X, S, s), rel=1e-10)
+            recast = oracles.rao_he_recast(X, S, s)
+            assert he.rao_he == pytest.approx(recast, rel=1e-10)
+            assert oracles.distributed_rank1_he(X, S, s)["rao_he"] == pytest.approx(
+                recast, rel=1e-10)
 
 
 class TestSolveSigma:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from adaptivedet import linalg
 from adaptivedet.detectors import (
     interference_bank,
@@ -63,7 +64,7 @@ class TestInterferenceBank:
             st = interference_bank(x, S, H, J)
             T = linalg.inv_sqrt(S)
             xt, Ht, Jt = T @ x, T @ H, T @ J
-            P = linalg.oblique_projector(Ht, Jt)
+            P = oracles.oblique_projector(Ht, Jt)
             y = P @ xt
             assert st.wald_he_i == pytest.approx(float(np.real(y.conj() @ y)), rel=1e-10)
 

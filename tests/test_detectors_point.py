@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from adaptivedet import detectors
 from adaptivedet.detectors import clairvoyant_bank, rank_one_bank, subspace_bank
+from adaptivedet.errors import DefinitenessError, RankError
 from conftest import crandn, random_hpd
 
 
@@ -70,6 +72,37 @@ class TestSubspaceBank:
         vals = np.asarray(vals)
         mapped = vals / (1.0 + vals)
         assert np.array_equal(np.argsort(vals), np.argsort(mapped))
+
+
+class TestInputChecks:
+    """Every bank checks the outside input before the batched kernel runs."""
+
+    def test_covariance_must_be_hermitian_positive_definite(self, rng):
+        x, S, H = _random_instance(rng, 5, 2, 10)
+        X = crandn(rng, 5, 3)
+        for bad in (-S, S + np.triu(np.ones((5, 5)), 1)):
+            for call in (lambda: subspace_bank(x, bad, H),
+                         lambda: detectors.interference_bank(x, bad, H, None),
+                         lambda: detectors.distributed_rank1_he(X, bad, H[:, 0]),
+                         lambda: detectors.dos_bank(X, bad, H)):
+                with pytest.raises(DefinitenessError):
+                    call()
+
+    def test_subspaces_must_have_full_rank(self, rng):
+        x, S, H = _random_instance(rng, 5, 2, 10)
+        low = np.stack([H[:, 0], 2 * H[:, 0]], axis=1)
+        with pytest.raises(RankError):
+            subspace_bank(x, S, low)
+        with pytest.raises(RankError):
+            detectors.direction_bank(crandn(rng, 5, 3), S, low)
+        with pytest.raises(RankError):
+            detectors.interference_bank(x, S, H, H[:, :1])
+
+    def test_steering_must_be_nonzero(self, rng):
+        x, S, _ = _random_instance(rng, 5, 1, 10)
+        zero = np.zeros(5, dtype=complex)
+        with pytest.raises(ValueError, match="nonzero"):
+            detectors.distributed_rank1_phe(crandn(rng, 5, 2), S, zero, 10)
 
 
 class TestRankOneBank:

@@ -303,6 +303,16 @@ class TestFiniteSumDensity:
                 out = cbeta_pdf_nodes(a, b, np.full_like(xs, delta), xs)
                 assert np.all(np.isfinite(out) & (out >= 0.0)), (a, b, delta, out)
 
+    def test_nodes_where_x_squared_underflows(self):
+        # below about 1e-162, x**2 is 0: no density may come out as 0/0 there
+        for x in (1e-300, 1e-170):
+            got = ComplexBeta(2, 10, 5.0).pdf(x)
+            assert got == cbeta_pdf_nodes(2, 10, np.array([5.0]), np.array([x]))[0]
+            assert got == pytest.approx(exact_cbeta_pdf(2, 10, 5.0, x), rel=1e-13)
+        # a law this wide goes to boost, whose density there is x**2999-small
+        wide = cbeta_pdf_nodes(3000, 10, np.full(2, 1e5), np.array([1e-300, 1e-170]))
+        assert np.array_equal(wide, [0.0, 0.0])
+
     def test_unit_shape_endpoints(self):
         a, b, delta = 3, 5, 2.5
         ends = np.array([0.0, 1.0])

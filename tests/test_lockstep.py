@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adaptivedet import registry
 from adaptivedet.distributions import (
-    POINT_DETECTORS,
     detection,
     pd_distributed,
     pd_distributed_grid,
@@ -17,6 +17,10 @@ from adaptivedet.distributions import (
     pd_point_grid,
     threshold_for_pfa,
 )
+
+POINT_LAWS = registry.names(law="point", rank_one=False)
+INTERFERENCE_LAWS = registry.names(law="interference")
+DISTRIBUTED_LAWS = registry.names(law="distributed")
 
 # derandomized and without an example database: the same cases on every run
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -34,7 +38,7 @@ def _split(cells):
 
 class TestGridEqualsOneCell:
     @SETTINGS
-    @given(st.sampled_from(POINT_DETECTORS), st.integers(4, 12), st.data(), ETA, CELLS)
+    @given(st.sampled_from(POINT_LAWS), st.integers(4, 12), st.data(), ETA, CELLS)
     def test_point(self, det, N, data, eta, cells):
         p = data.draw(st.integers(1, N - 1))
         L = data.draw(st.integers(N, 3 * N))
@@ -44,7 +48,7 @@ class TestGridEqualsOneCell:
             assert grid[i] == pd_point(det, N, p, L, r, c, eta)
 
     @SETTINGS
-    @given(st.sampled_from(detection.INTERFERENCE_DETECTORS), st.integers(4, 12), st.data(),
+    @given(st.sampled_from(INTERFERENCE_LAWS), st.integers(4, 12), st.data(),
            ETA, CELLS)
     def test_interference(self, det, N, data, eta, cells):
         p = data.draw(st.integers(1, N - 2))
@@ -57,7 +61,7 @@ class TestGridEqualsOneCell:
             assert grid[i] == pd_interference(det, N, p, q, L, rho_eff[i], delta2[i], eta)
 
     @SETTINGS
-    @given(st.sampled_from(detection.DISTRIBUTED_DETECTORS), st.integers(2, 10),
+    @given(st.sampled_from(DISTRIBUTED_LAWS), st.integers(2, 10),
            st.integers(1, 5), st.data(), ETA, CELLS)
     def test_distributed(self, det, N, K, data, eta, cells):
         L = data.draw(st.integers(N, 3 * N))

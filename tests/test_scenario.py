@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from adaptivedet import linalg, scenario as sc
 from adaptivedet.errors import GeometryError, RankError
 
@@ -72,7 +73,7 @@ class TestActualSignal:
     def test_matched_in_subspace(self):
         s0 = self._check(sc.SignalSpec(snr_db=12.0, cos2phi=1.0, seed=5))
         T = linalg.inv_sqrt(self.R)
-        P = linalg.ortho_projector(T @ self.H)
+        P = oracles.ortho_projector(T @ self.H)
         resid = (np.eye(6) - P) @ (T @ s0)
         assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(T @ s0)
 
@@ -107,6 +108,16 @@ class TestSynthesize:
         assert np.array_equal(a.test, b.test)
         assert np.array_equal(a.training, b.training)
         assert np.array_equal(a.scm, b.scm)
+
+    def test_noise_follows_the_flat_layout(self):
+        # training-real, training-imag, test-real, test-imag: the layout the
+        # batched trial engine shares with synthesize
+        cfg = sc.ScenarioConfig(N=4, p=1, L=8, K=3, pfa=1e-2)
+        d = sc.synthesize(cfg, self.model, hypothesis="h0", seed=12)
+        w_train, w_test = oracles.draw_noise(np.random.default_rng(12), 4, 8, 3)
+        A = linalg.herm_sqrt(sc.build_covariance(self.model, 4))
+        assert np.array_equal(d.training, A @ w_train)
+        assert np.array_equal(d.test, A @ w_test)
 
     def test_scm_matches_training(self):
         d = sc.synthesize(self.cfg, self.model, hypothesis="h0", seed=1)
