@@ -5,7 +5,10 @@ and the identity suite call it on batches of trials (point geometry shared or
 stacked per trial), and :mod:`adaptivedet.detectors` on a single instance
 (B = 1).  Each family splits into ``prepare_*`` (everything that depends only
 on the training SCM and the geometry) and ``evaluate_*`` (the test-data
-part), so one prepared batch serves any number of test means.  The normative
+part), so one prepared batch serves any number of test means.  Both
+families whiten with the inverse Cholesky factor of the sample covariance
+(:func:`_whitener`); a covariance that is not positive definite raises
+:class:`~adaptivedet.errors.DefinitenessError`.  The normative
 per-instance forms (projectors, ``M = S + X X^H`` and the ``R0``/``R1``
 covariance MLEs, generalized eigenpairs) live in ``tests/oracles.py``, and
 the test suite holds these kernels to them.
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import DefinitenessError, InfeasibleError
 from .roots import find_root
 
 
@@ -23,13 +26,16 @@ def _ct(a):
     return np.conj(np.swapaxes(a, -2, -1))
 
 
-def _inv_sqrt_stack(S):
-    w, V = np.linalg.eigh(S)
-    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ _ct(V)
-
-
-def _basis(A):
-    return np.linalg.qr(A)[0]
+def _whitener(S):
+    """Inverse Cholesky factor ``T`` of the stacked Hermitian positive
+    definite ``S``: ``T S T^H = I``, so ``T^H T = S^-1`` and every ``S^-1``
+    quadratic form is an inner product of whitened vectors.  Any square root
+    of ``S`` whitens equally well; the triangular one is the cheapest."""
+    try:
+        factor = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise DefinitenessError("matrix is not positive definite") from None
+    return np.linalg.inv(factor)
 
 
 def _energy(Q, x):
@@ -42,23 +48,24 @@ def _energy(Q, x):
 class PointPrepared:
     """Point-family state that depends only on the training SCM and geometry.
 
-    ``T`` whitens by S^-1/2; ``QH``/``QHp``/``QB`` are orthonormal bases of the
-    whitened H, of H with the whitened J projected out, and of [H J];
-    ``QJ`` is None without interference and ``QB`` is None when [H J] fills
-    the space (p + q = N).  ``Ri_H``/``G``/``Ri_s`` carry the
-    clairvoyant references and are None without a true covariance.
+    ``T`` whitens (``T S T^H = I``); ``QH``/``QHp``/``QB`` are orthonormal
+    bases of the whitened H, of H with the whitened J projected out, and of
+    [J H]; ``QJ`` is None without interference and ``QB`` is None when
+    [J H] fills the space (p + q = N).  ``E`` maps a whitened vector to the
+    coordinates, in the [J H] basis, of its oblique projection onto H along
+    J.
+    ``Ri_H``/``G``/``Ri_s`` carry the clairvoyant references and are None
+    without a true covariance.
     """
 
     T: np.ndarray
-    Ht: np.ndarray
     QH: np.ndarray
     st: np.ndarray
     ss: np.ndarray
     QJ: np.ndarray
-    Hp: np.ndarray
     QHp: np.ndarray
     QB: np.ndarray
-    HtHp: np.ndarray
+    E: np.ndarray
     Ri_H: np.ndarray = None
     G: np.ndarray = None
     Ri_s: np.ndarray = None
@@ -71,29 +78,29 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     ``S`` is (B, N, N); ``H`` (N, p) or (B, N, p), ``J`` (N, q) or (B, N, q)
     and ``s`` (N,) or (B, N) are shared or stacked per trial.  The true
     covariance ``R`` (clairvoyant references) needs shared geometry.
+
+    One QR ``[Jt Ht] = Q R`` gives ``QJ`` (its first q columns), ``QHp``
+    (its last p) and ``QB`` (all of Q).  With ``R22`` the trailing p x p
+    block, the oblique projection of ``xt`` onto ``Ht`` along ``Jt`` is
+    ``Ht a`` with ``a = R22^-1 QHp^H xt``, so its error grows with
+    cond(R22) = cond(Hp), not with the square of it.
     """
     N = S.shape[-1]
     H = np.asarray(H, dtype=np.complex128)
     J = np.zeros((N, 0), dtype=np.complex128) if J is None else np.asarray(J, dtype=np.complex128)
     s = H[..., 0] if s is None else np.asarray(s, dtype=np.complex128)
+    q = J.shape[-1]
 
-    T = _inv_sqrt_stack(S)
+    T = _whitener(S)
     Ht = T @ H
-    QH = _basis(Ht)
+    QH, RH = np.linalg.qr(Ht)
     st = np.einsum("...ij,...j->...i", T, s)
     ss = np.einsum("bn,bn->b", st.conj(), st).real
-    if J.shape[-1]:
-        Jt = T @ J
-        QJ = _basis(Jt)
-        Hp = Ht - QJ @ (_ct(QJ) @ Ht)
-        QHp = _basis(Hp)
-        QB = _basis(np.concatenate([Ht, Jt], axis=-1))
-    else:
-        QJ, Hp, QHp, QB = None, Ht, QH, QH
-    if H.shape[-1] + J.shape[-1] >= N:
-        QB = None
-    prep = dict(T=T, Ht=Ht, QH=QH, st=st, ss=ss, QJ=QJ, Hp=Hp, QHp=QHp, QB=QB,
-                HtHp=_ct(Ht) @ Hp)
+    Q, Rb = np.linalg.qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
+    QHp = Q[..., q:]
+    E = Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp))
+    prep = dict(T=T, QH=QH, st=st, ss=ss, QJ=Q[..., :q] if q else None, QHp=QHp,
+                QB=Q if H.shape[-1] + q < N else None, E=E)
     if R is not None:
         R = np.asarray(R, dtype=np.complex128)
         Ri_s = np.linalg.solve(R, s)
@@ -148,11 +155,13 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
     vi = np.einsum("bn,bn->b", xp.conj(), xp).real
     denom_i = 1.0 + vi - ui
     a = _energy(QH, xp)
-    coords = np.linalg.solve(prep.HtHp, np.einsum("bnp,bn->bp", prep.Hp.conj(), xt)[..., None])
-    y = np.einsum("bnp,bp->bn", prep.Ht, coords[..., 0])
-    wald_he = np.einsum("bn,bn->b", y.conj(), y).real
+    y = np.einsum("bin,bn->bi", prep.E, xt)
+    wald_he = np.einsum("bi,bi->b", y.conj(), y).real
     if prep.QB is not None:
-        v_b = v - _energy(prep.QB, xt)
+        # the residual itself, not v less the energy in [J H], which cancels
+        # when the data lies close to that span
+        res = xt - np.einsum("bni,bi->bn", prep.QB, np.einsum("bni,bn->bi", prep.QB.conj(), xt))
+        v_b = np.einsum("bn,bn->b", res.conj(), res).real
         wald_phe = wald_he / np.maximum(v_b, np.finfo(float).tiny)
     else:
         wald_phe = np.full_like(wald_he, np.nan)
@@ -222,9 +231,9 @@ def solve_sigma_batch(eigs, target: float):
 class DistributedPrepared:
     """Distributed-family state that depends only on the training SCM and
     geometry: the whitener, the whitened steering vector of the rank-one bank,
-    and the whitened subspace of the direction and DOS banks with the inverse
-    square root ``Cb`` of its Gram ``Bp``.  The parts of a bank left out are
-    None."""
+    and the whitened subspace of the direction and DOS banks with the
+    whitener ``Cb`` of its Gram ``Bp`` (``Cb Bp Cb^H = I``).  The parts of a
+    bank left out are None."""
 
     L: int
     T: np.ndarray
@@ -242,7 +251,7 @@ def prepare_distributed(S, s, H, L) -> DistributedPrepared:
     ``s`` None leaves out the rank-one bank, ``L`` None its partially
     homogeneous half, and ``H`` None the direction and DOS banks.
     """
-    T = _inv_sqrt_stack(S)
+    T = _whitener(S)
     st = ss = Ht = QH = Bp = Cb = None
     if s is not None:
         st = np.einsum("bij,j->bi", T, np.asarray(s, dtype=np.complex128))
@@ -250,7 +259,7 @@ def prepare_distributed(S, s, H, L) -> DistributedPrepared:
     if H is not None:
         Ht = T @ np.asarray(H, dtype=np.complex128)
         Bp = _ct(Ht) @ Ht
-        QH, Cb = _basis(Ht), _inv_sqrt_stack(Bp)
+        QH, Cb = np.linalg.qr(Ht)[0], _whitener(Bp)
     return DistributedPrepared(L=L, T=T, st=st, ss=ss, Ht=Ht, QH=QH, Bp=Bp, Cb=Cb)
 
 
@@ -330,15 +339,16 @@ def _subspace_banks(prep, Xt, G0, M0, trG0):
     W = _ct(QH) @ Xt                     # (B, p, K)
     A = _ct(W) @ W
     out["amdd"] = np.linalg.eigvalsh(A).real[:, -1]
-    C0 = _inv_sqrt_stack(M0)
-    out["glrdd"] = np.linalg.eigvalsh(C0 @ A @ C0).real[:, -1]
+    C0 = _whitener(M0)
+    out["glrdd"] = np.linalg.eigvalsh(C0 @ A @ _ct(C0)).real[:, -1]
     out["gadd"] = out["amdd"] / trG0
     HX = _ct(Ht) @ Xt                    # (B, p, K)
     Ap = HX @ np.linalg.solve(M0, _ct(HX))
     Bp, Cb = prep.Bp, prep.Cb
-    Mb = Cb @ Ap @ Cb
-    wb, Vb = np.linalg.eigh(Mb)
-    theta = np.einsum("bpq,bq->bp", Cb, Vb[..., -1])
+    # theta^H Ap theta / theta^H Bp theta is largest at theta = Cb^H v, with v
+    # the top eigenvector of Cb Ap Cb^H
+    Vb = np.linalg.eigh(Cb @ Ap @ _ct(Cb))[1]
+    theta = np.einsum("bqp,bq->bp", Cb.conj(), Vb[..., -1])
     y = np.einsum("bpk,bp->bk", HX.conj(), theta)          # Xt^H Ht theta
     denom_t = np.einsum("bp,bpq,bq->b", theta.conj(), Bp, theta).real
     out["snrdd"] = np.einsum("bk,bk->b", y.conj(), y).real / denom_t

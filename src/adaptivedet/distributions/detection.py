@@ -152,8 +152,8 @@ def pd_point_grid(detector: str, N: int, p: int, L: int, rho, cos2phi, eta: floa
     rho, cos2phi = _cells(rho, cos2phi)
     spec = _check_point_args(detector, N, p, L, rho, cos2phi, eta)
     if not spec.loss_factor:  # the known-covariance chi-square, or the F law of the AED
-        if spec.clairvoyant:
-            return cchi2_sf_nodes(p, rho, eta)
+        if spec.clairvoyant:  # the SMF sees only the matched energy
+            return cchi2_sf_nodes(p, rho * cos2phi, eta)
         return cf_sf_nodes(N, L - N + 1, rho, eta)
     return _subspace_law(detector, N, p, 0, L, rho * cos2phi, rho * (1.0 - cos2phi), eta, tol)
 

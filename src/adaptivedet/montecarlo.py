@@ -145,17 +145,22 @@ def _noise_pass(plan: TrialPlan):
     ``prepared`` the point and distributed family state (None where the plan
     has no detector of that family) that :func:`_statistics` needs; the
     training SCM and everything that depends only on it are computed once.
+    Only the distributed banks the plan's detectors read are prepared.
     """
     cfg = plan.scenario
-    families = {registry.DETECTORS[name].family for name in plan.detectors}
-    point = "point" in families
-    dist = "distributed" in families
+    rows = [registry.DETECTORS[name] for name in plan.detectors]
+    point = any(row.family == "point" for row in rows)
+    reads = {arg for row in rows for arg in row.reads}
+    dist = bool(reads)
     if point and cfg.K != 1:
         raise ValueError("point-target detectors need K = 1")
 
     R = scenario.build_covariance(plan.covariance, cfg.N)
     A = herm_sqrt(R)
     geom = plan.geometry
+    s = geom.s if "s" in reads else None
+    H = geom.H if "H" in reads else None
+    L = cfg.L if "L" in reads else None
     streams = TrialStreams(plan.master_seed)
     n_flat = 2 * cfg.N * (cfg.L + cfg.K)
     for start in range(0, plan.n_trials, plan.batch_size):
@@ -168,7 +173,7 @@ def _noise_pass(plan: TrialPlan):
         S = training @ np.conj(np.swapaxes(training, -2, -1))
         prepared = (
             batcheval.prepare_point(S, geom.H, geom.J, geom.s, R=R) if point else None,
-            batcheval.prepare_distributed(S, geom.s, geom.H, cfg.L) if dist else None)
+            batcheval.prepare_distributed(S, s, H, L) if dist else None)
         yield trials, cfg.test_scale * (A @ w_test), prepared
 
 

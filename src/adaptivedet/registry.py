@@ -64,6 +64,10 @@ class Detector:
     ``clairvoyant`` statistics use the true covariance.  ``cfar`` and
     ``scale_invariant`` (unchanged when the test data is scaled) are
     properties of the statistic; ``default`` marks the CLI's default bank.
+    ``reads`` names the arguments of
+    :func:`adaptivedet.batcheval.prepare_distributed` a distributed statistic
+    needs: ``s`` for the rank-one bank, ``L`` for its partially homogeneous
+    half, ``H`` for the direction and double-subspace banks.
     """
 
     name: str
@@ -77,6 +81,7 @@ class Detector:
     cfar: bool = True
     scale_invariant: bool = False
     default: bool = False
+    reads: tuple = ()
 
     def threshold_map(self, eta: float, beta: np.ndarray) -> np.ndarray:
         """The conditional threshold ``g`` given loss factors ``beta``."""
@@ -92,8 +97,11 @@ def _point(name, law="point", **kw):
     return Detector(name, "point", law=law, canonical=canonical, **kw)
 
 
-def _dist(name, **kw):
-    return Detector(name, "distributed", **kw)
+def _dist(name, reads, **kw):
+    return Detector(name, "distributed", reads=reads, **kw)
+
+
+_RANK_ONE, _PHE, _SUBSPACE = ("s",), ("s", "L"), ("H",)
 
 
 # table order is the order of the default bank and of the README table
@@ -128,22 +136,22 @@ DETECTORS = {d.name: d for d in (
     _point("wald_phe_i", law=None, scale_invariant=True),
     _point("beta_i", law=None),
     # distributed rank-one bank; gamf's loss factor is central only without mismatch
-    _dist("gkglrt", law="distributed", canonical="sglrt"),
-    _dist("gamf", law="distributed", canonical="samf", mismatch=False),
-    _dist("rao_he"),
-    _dist("glrt_phe", scale_invariant=True),
-    _dist("gasd", scale_invariant=True),
-    _dist("rao_phe", scale_invariant=True),
-    _dist("wald_phe", scale_invariant=True),
+    _dist("gkglrt", _RANK_ONE, law="distributed", canonical="sglrt"),
+    _dist("gamf", _RANK_ONE, law="distributed", canonical="samf", mismatch=False),
+    _dist("rao_he", _RANK_ONE),
+    _dist("glrt_phe", _PHE, scale_invariant=True),
+    _dist("gasd", _RANK_ONE, scale_invariant=True),
+    _dist("rao_phe", _PHE, scale_invariant=True),
+    _dist("wald_phe", _PHE, scale_invariant=True),
     # direction detectors
-    _dist("glrdd"),
-    _dist("amdd"),
-    _dist("snrdd"),
-    _dist("gadd", scale_invariant=True),
+    _dist("glrdd", _SUBSPACE),
+    _dist("amdd", _SUBSPACE),
+    _dist("snrdd", _SUBSPACE),
+    _dist("gadd", _SUBSPACE, scale_invariant=True),
     # double-subspace trio
-    _dist("glrt_dos"),
-    _dist("rao_dos"),
-    _dist("wald_dos"),
+    _dist("glrt_dos", _SUBSPACE),
+    _dist("rao_dos", _SUBSPACE),
+    _dist("wald_dos", _SUBSPACE),
 )}
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from adaptivedet import batcheval
-from adaptivedet.errors import InfeasibleError
+from adaptivedet import batcheval, registry
+from adaptivedet.errors import DefinitenessError, InfeasibleError
 from conftest import crandn
 
 # derandomized and without an example database: the same cases on every run
@@ -84,3 +84,117 @@ class TestDistributedFamily:
             assert len(ref) == 16
             for name, value in ref.items():
                 assert batched[name][b] == pytest.approx(value, rel=1e-10, abs=0), name
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(crandn(rng, n, n))[0]
+
+
+@st.composite
+def near_aligned(draw):
+    """A stack of point instances whose H lies nearly inside span(J), and
+    test data ``x = H c0 + J d0 + r`` with ``r`` orthogonal to [H J] in the
+    S^-1 inner product, built in whitened coordinates from one unitary
+    frame ``U`` and carried over by the Cholesky factor ``A`` of ``S``.
+
+    One direction of the whitened H keeps only a share ``eps`` outside
+    span(J), so cond(Ht^H Hp) = eps^-2 lies in [1e5, 1e8].  A rounding
+    error of size u in H tilts that direction by u / eps towards r, which
+    moves the exact statistic by about u |r| / eps^2 whatever the method;
+    ``|r|`` in [1e-4, 1e-3] keeps that below the tolerance, while the error
+    of the normal-equation form, u / eps^2, does not shrink with ``r``.
+    """
+    N = draw(st.integers(4, 12))
+    p = draw(st.integers(2, N - 2))
+    q = draw(st.integers(1, N - p - 1))
+    B = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = 10.0 ** -draw(st.floats(2.5, 4.0))
+    r_norm = 10.0 ** -draw(st.floats(3.0, 4.0))
+    U = _unitary(rng, N)
+    Jw = U[:, :q] @ _unitary(rng, q)
+    spread = np.ones(p)
+    spread[-1] = eps
+    Hw = U[:, :q] @ crandn(rng, q, p) + U[:, q:q + p] @ (
+        _unitary(rng, p) * spread @ _unitary(rng, p))
+    train = crandn(rng, B, N, 2 * N)
+    S = train @ train.conj().transpose(0, 2, 1)
+    A = np.linalg.cholesky(S)
+    c0, d0 = crandn(rng, B, p), crandn(rng, B, q)
+    z = crandn(rng, B, N - p - q)
+    rw = r_norm * (z / np.linalg.norm(z, axis=1, keepdims=True)) @ U[:, q + p:].T
+    H, J = A @ Hw, A @ Jw
+    x = (np.einsum("bnp,bp->bn", H, c0) + np.einsum("bnq,bq->bn", J, d0)
+         + np.einsum("bij,bj->bi", A, rw))
+    wald_he = np.linalg.norm(c0 @ Hw.T, axis=1) ** 2
+    return x, S, H, J, wald_he, wald_he / r_norm ** 2
+
+
+class TestWaldNearAlignedInterference:
+    @SETTINGS
+    @given(near_aligned())
+    def test_wald_pair_matches_construction(self, case):
+        """The S^-1 geometry of (x, H, J) is that of (A^-1 x, A^-1 H, A^-1 J),
+        so the oblique projection of x onto H along J has energy |Hw c0|^2,
+        and the residual outside [H J] has energy |r|^2."""
+        x, S, H, J, wald_he, wald_phe = case
+        out = batcheval.point_family_stats(x, S, H, J)
+        assert out["wald_he_i"] == pytest.approx(wald_he, rel=1e-10, abs=0)
+        assert out["wald_phe_i"] == pytest.approx(wald_phe, rel=1e-10, abs=0)
+
+
+@st.composite
+def rotated(draw):
+    """Random instances of both families (p + q < N, so every statistic is
+    defined, with L = 2N) and a random unitary U."""
+    N = draw(st.integers(3, 10))
+    p = draw(st.integers(1, N - 2))
+    q = draw(st.integers(0, N - p - 1))
+    K = draw(st.integers(1, 4))
+    B = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = crandn(rng, B, N, 2 * N)
+    R = crandn(rng, N, N + 4)
+    return dict(X=crandn(rng, B, N, K), S=train @ train.conj().transpose(0, 2, 1),
+                H=crandn(rng, N, p), J=crandn(rng, N, q), R=R @ R.conj().T,
+                L=2 * N, U=_unitary(rng, N))
+
+
+def _every_statistic(X, S, H, J, R, L):
+    out = batcheval.point_family_stats(X[:, :, 0], S, H, J, R=R)
+    out.update(batcheval.distributed_family_stats(X, S, H[:, 0], H, L))
+    return out
+
+
+class TestInvariances:
+    @SETTINGS
+    @given(rotated())
+    def test_unitary_rotation_leaves_every_statistic(self, case):
+        """Every statistic sees S only through S^-1 quadratic forms, so it is
+        unchanged when U rotates (x, S, H, J) and the true covariance; the
+        triangular whitener of U S U^H is not U times that of S, so this holds
+        the kernels to the invariance rather than to a shared factor."""
+        U = case["U"]
+        Uh = U.conj().T
+        base = _every_statistic(case["X"], case["S"], case["H"], case["J"],
+                                case["R"], case["L"])
+        turned = _every_statistic(U @ case["X"], U @ case["S"] @ Uh, U @ case["H"],
+                                  U @ case["J"], U @ case["R"] @ Uh, case["L"])
+        for name in (*registry.DETECTORS, "sigma0_hat", "sigma1_hat"):
+            assert turned[name] == pytest.approx(base[name], rel=1e-10, abs=0), name
+        # theta_max is a unit vector of H coordinates, fixed up to a phase
+        overlap = np.abs(np.einsum("bp,bp->b", base["theta_max"].conj(), turned["theta_max"]))
+        assert overlap == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("family", ["point", "distributed"])
+    def test_indefinite_covariance_raises_definiteness_error(self, family, rng):
+        N = 4
+        train = crandn(rng, 2, N, 2 * N)
+        S = train @ train.conj().transpose(0, 2, 1)
+        S[1] = np.diag([1.0, 1.0, -1.0, 1.0])
+        H = crandn(rng, N, 2)
+        with pytest.raises(DefinitenessError):
+            if family == "point":
+                batcheval.prepare_point(S, H)
+            else:
+                batcheval.prepare_distributed(S, H[:, 0], H, 2 * N)

@@ -158,6 +158,34 @@ class TestValidationCommands:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+class TestDistributedBanks:
+    # N K / (L + K) = 1 reaches the rank of the H1 data Gram, so the PHE
+    # noise power has no root; only the PHE detectors need it
+    @pytest.mark.parametrize("argv", [
+        ["cfar-check", "--N", "2", "--p", "1", "--K", "4", "--L", "4",
+         "--detectors", "gkglrt,glrdd", "--trials", "2000"],
+        ["pd-vs-snr", "--N", "2", "--p", "1", "--K", "4", "--L", "4",
+         "--detectors", "glrdd", "--mode", "montecarlo"],
+    ])
+    def test_runs_without_a_phe_root(self, argv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert _read(str(out))
+
+
+class TestSmfMismatch:
+    def test_analytic_pd_inside_every_interval(self, tmp_path):
+        # the known-covariance SMF sees only the matched energy rho cos2phi
+        out = tmp_path / "smf.csv"
+        rc = cli.main(["pd-vs-mismatch", "--snr", "12", "--cos2phi", "0,0.5,1",
+                       "--detectors", "smf", "--mode", "both", "--trials", "4000",
+                       "--seed", "3", "--out", str(out)])
+        rows = _read(str(out))
+        assert rc == 0 and len(rows) == 3
+        for r in rows:
+            assert float(r["ci_low"]) <= float(r["pd_analytic"]) <= float(r["ci_high"]), r
+
+
 class TestIdentitySuite:
     def test_one_perturbed_instance_fails_its_row(self, tmp_path, monkeypatch):
         real = batcheval.point_family_stats
@@ -323,11 +351,19 @@ class TestImportPath:
         # more start-up time than most CLI runs take; only validate-dist
         # needs scipy.stats, and it imports it when it runs
         out = tmp_path / "dist.csv"
+        # nor do the Monte Carlo kernels (numpy's Cholesky, not scipy.linalg)
+        mc_out = tmp_path / "mc.csv"
         code = textwrap.dedent(f"""
             import sys
             import adaptivedet, adaptivedet.cli as cli
             cli.build_parser()
             heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg")
+            loaded = [m for m in heavy if m in sys.modules]
+            assert not loaded, loaded
+            for argv in (["pd-vs-snr", "--mode", "montecarlo", "--trials", "500"],
+                         ["cfar-check", "--K", "4", "--trials", "1000", "--detectors",
+                          "gkglrt,glrt_phe,snrdd,rao_dos"]):
+                assert cli.main(argv + ["--out", {str(mc_out)!r}]) == 0, argv
             loaded = [m for m in heavy if m in sys.modules]
             assert not loaded, loaded
             sys.exit(cli.main(["validate-dist", "--trials", "20000", "--seed", "3",

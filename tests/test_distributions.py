@@ -379,6 +379,14 @@ class TestPointCurves:
             pds = [pd_point(det, self.N, self.p, self.L, 50.0, c, eta) for c in c2s]
             assert all(b >= a - 1e-9 for a, b in zip(pds, pds[1:]))
 
+    def test_smf_sees_the_matched_energy(self):
+        # the known-covariance SMF statistic is CChi2(p, rho cos2phi)
+        eta = threshold_for_pfa("smf", self.N, self.p, self.L, 1e-3)
+        for rho, c2 in ((50.0, 0.0), (50.0, 0.4), (50.0, 1.0)):
+            want = sstats.ncx2.sf(2 * eta, 2 * self.p, 2 * rho * c2)
+            got = pd_point("smf", self.N, self.p, self.L, rho, c2, eta)
+            assert got == pytest.approx(want, rel=1e-9)
+
     def test_smf_threshold_closed_form(self):
         eta = threshold_for_pfa("smf", self.N, 1, self.L, 1e-3)
         assert abs(eta - np.log(1000.0)) < 1e-3 * np.log(1000.0)

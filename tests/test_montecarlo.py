@@ -110,6 +110,48 @@ class TestExceedanceCounts:
         assert sorted(drawn) == list(range(300))
 
 
+class TestBankPreparation:
+    """The noise pass prepares only the distributed banks the plan reads."""
+
+    PHE = ("glrt_phe", "rao_phe", "wald_phe")
+
+    @staticmethod
+    def _run(detectors):
+        cfg = sc.ScenarioConfig(N=6, p=2, L=12, K=4, pfa=1e-2)
+        plan = mc.TrialPlan(n_trials=300, master_seed=5, scenario=cfg,
+                            covariance=sc.CovarianceModel.ar1(0.5),
+                            detectors=tuple(detectors), batch_size=128)
+        return mc.run_trials(plan)
+
+    @pytest.mark.parametrize("detectors", [
+        ("gkglrt", "gamf", "rao_he", "gasd"),
+        ("glrdd", "amdd", "snrdd", "gadd", "glrt_dos", "rao_dos", "wald_dos"),
+        ("gasd", "snrdd"),
+    ] + [(name,) for name in PHE])
+    def test_root_solver_only_for_phe_detectors(self, detectors, monkeypatch):
+        calls = []
+        original = batcheval.solve_sigma_batch
+
+        def counting(eigs, target):
+            calls.append(len(eigs))
+            return original(eigs, target)
+
+        monkeypatch.setattr(batcheval, "solve_sigma_batch", counting)
+        out = self._run(detectors)
+        assert set(out) == set(detectors)
+        if set(detectors) & set(self.PHE):
+            assert calls == [128, 128, 128, 128, 44, 44]  # sigma0 and sigma1 per batch
+        else:
+            assert calls == []
+
+    def test_partial_banks_give_the_full_pass_bits(self):
+        full = self._run(registry.names(family="distributed"))
+        for detectors in (("gkglrt", "gasd"), ("glrdd", "rao_dos"), ("wald_phe",)):
+            part = self._run(detectors)
+            for name in detectors:
+                assert np.array_equal(part[name], full[name]), name
+
+
 class TestFullSpaceGeometry:
     # p + q = N: [H J] spans the space, so wald_phe_i has nothing to normalize by
     CFG = sc.ScenarioConfig(N=4, p=2, q=2, L=8, pfa=1e-2)
