@@ -38,6 +38,12 @@ def _whitener(S):
     return np.linalg.inv(factor)
 
 
+def _ratio(num, den):
+    """``num / den`` for nonnegative ``num``, with the edge values of a zero
+    ``den``: 0 over a zero ``num`` (null data) and +inf over a positive one."""
+    return np.divide(num, den, out=np.where(num > 0, np.inf, 0.0), where=den > 0)
+
+
 def _energy(Q, x):
     """|Q^H x|^2 summed over basis columns; Q (B,N,p), x (B,N) -> (B,)."""
     proj = np.einsum("bnp,bn->bp", Q.conj(), x)
@@ -54,8 +60,9 @@ class PointPrepared:
     [J H] fills the space (p + q = N).  ``E`` maps a whitened vector to the
     coordinates, in the [J H] basis, of its oblique projection onto H along
     J.
-    ``Ri_H``/``G``/``Ri_s`` carry the clairvoyant references and are None
-    without a true covariance.
+    ``W`` is the clairvoyant map, None without a true covariance: its first
+    p rows are the R-whitened basis of H and its last the MVDR weight
+    ``(R^-1 s / s^H R^-1 s)^H``.
     """
 
     T: np.ndarray
@@ -66,10 +73,7 @@ class PointPrepared:
     QHp: np.ndarray
     QB: np.ndarray
     E: np.ndarray
-    Ri_H: np.ndarray = None
-    G: np.ndarray = None
-    Ri_s: np.ndarray = None
-    s_energy: float = None
+    W: np.ndarray = None
 
 
 def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
@@ -77,7 +81,9 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
 
     ``S`` is (B, N, N); ``H`` (N, p) or (B, N, p), ``J`` (N, q) or (B, N, q)
     and ``s`` (N,) or (B, N) are shared or stacked per trial.  The true
-    covariance ``R`` (clairvoyant references) needs shared geometry.
+    covariance ``R`` (clairvoyant references) needs shared geometry: the
+    clairvoyant pair is ``smf`` and ``mf`` whitened by R instead of S, one
+    ``(p + 1, N)`` map ``W`` of the test vector.
 
     One QR ``[Jt Ht] = Q R`` gives ``QJ`` (its first q columns), ``QHp``
     (its last p) and ``QB`` (all of Q).  With ``R22`` the trailing p x p
@@ -102,11 +108,10 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     prep = dict(T=T, QH=QH, st=st, ss=ss, QJ=Q[..., :q] if q else None, QHp=QHp,
                 QB=Q if H.shape[-1] + q < N else None, E=E)
     if R is not None:
-        R = np.asarray(R, dtype=np.complex128)
-        Ri_s = np.linalg.solve(R, s)
-        Ri_H = np.linalg.solve(R, H)
-        prep.update(Ri_H=Ri_H, G=H.conj().T @ Ri_H, Ri_s=Ri_s,
-                    s_energy=float(np.real(s.conj() @ Ri_s)))
+        TR = _whitener(np.asarray(R, dtype=np.complex128))
+        sR = TR @ s
+        mvdr = (sR.conj() / np.real(sR.conj() @ sR)) @ TR
+        prep["W"] = np.vstack([_ct(np.linalg.qr(TR @ H)[0]) @ TR, mvdr])
     return PointPrepared(**prep)
 
 
@@ -114,7 +119,8 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
     """All point-family statistics of the stacked test vectors ``x`` (B, N).
 
     ``wald_phe_i`` is nan when [H J] fills the space (p + q = N): its
-    normalizing orthocomplement is empty there.
+    normalizing orthocomplement is empty there.  A ratio over a zero energy
+    is 0 for null data and +inf otherwise (:func:`_ratio`).
     """
     x = np.asarray(x)
     T, QH, st, ss = prep.T, prep.QH, prep.st, prep.ss
@@ -122,15 +128,14 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
     u = _energy(QH, xt)
     v = np.einsum("bn,bn->b", xt.conj(), xt).real
     denom = 1.0 + v - u
-    safe_v = np.where(v > 0, v, 1.0)
     out = {
         "sglrt": u / denom,
         "srao": u / ((1.0 + v) * denom),
         "samf": u,
-        "asd": np.where(v > 0, u / safe_v, 0.0),
+        "asd": _ratio(u, v),
         "sabort": (1.0 + u) / denom,
         "wsabort": (1.0 + v) / denom ** 2,
-        "dnsamf": np.where(v > 0, u / (safe_v * denom), 0.0),
+        "dnsamf": _ratio(u, v * denom),
         "aed": v,
         "beta": 1.0 / denom,
     }
@@ -142,7 +147,7 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
         "kglrt": u1 / denom1,
         "amf": u1,
         "dmrao": u1 / ((1.0 + v) * denom1),
-        "ace": np.where(v > 0, u1 / safe_v, 0.0),
+        "ace": _ratio(u1, v),
         "smi": u1 / ss,
     })
 
@@ -161,29 +166,25 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
         # the residual itself, not v less the energy in [J H], which cancels
         # when the data lies close to that span
         res = xt - np.einsum("bni,bi->bn", prep.QB, np.einsum("bni,bn->bi", prep.QB.conj(), xt))
-        v_b = np.einsum("bn,bn->b", res.conj(), res).real
-        wald_phe = wald_he / np.maximum(v_b, np.finfo(float).tiny)
+        wald_phe = _ratio(wald_he, np.einsum("bn,bn->b", res.conj(), res).real)
     else:
         wald_phe = np.full_like(wald_he, np.nan)
-    safe_vi = np.where(vi > 0, vi, 1.0)
     out.update({
         "glrt_he_i": ui / denom_i,
         "ts_glrt_he_i": ui,
-        "glrt_phe_i": np.where(vi > 0, ui / safe_vi, 0.0),
+        "glrt_phe_i": _ratio(ui, vi),
         "rao_he_i": a / ((1.0 + vi) * (1.0 + vi - a)),
         "ts_rao_he_i": a,
-        "rao_phe_i": np.where(vi > 0, a / safe_vi, 0.0),
+        "rao_phe_i": _ratio(a, vi),
         "wald_he_i": wald_he,
         "wald_phe_i": wald_phe,
         "beta_i": 1.0 / denom_i,
     })
 
-    if prep.Ri_H is not None:
-        Ri_H = prep.Ri_H
-        coef = np.linalg.solve(prep.G, np.einsum("np,bn->bp", Ri_H.conj(), x).T).T
-        smf = np.einsum("bp,bp->b", np.einsum("np,bn->bp", Ri_H.conj(), x).conj(), coef).real
-        out["smf"] = smf
-        out["mf"] = np.abs(np.einsum("n,bn->b", prep.Ri_s.conj(), x)) ** 2 / prep.s_energy ** 2
+    if prep.W is not None:
+        y = np.abs(x @ prep.W.T) ** 2
+        out["smf"] = y[:, :-1].sum(axis=1)
+        out["mf"] = y[:, -1]
     return out
 
 
@@ -295,7 +296,7 @@ def _rank_one_bank(prep, Xt, G0, M0, trG0):
     out = {
         "gkglrt": num / (ss - num),
         "gamf": gamf_num / ss,
-        "gasd": gamf_num / (ss * trG0),
+        "gasd": _ratio(gamf_num, ss * trG0),
     }
     # Rao (HE), matrix-inversion-lemma form
     G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
@@ -341,7 +342,7 @@ def _subspace_banks(prep, Xt, G0, M0, trG0):
     out["amdd"] = np.linalg.eigvalsh(A).real[:, -1]
     C0 = _whitener(M0)
     out["glrdd"] = np.linalg.eigvalsh(C0 @ A @ _ct(C0)).real[:, -1]
-    out["gadd"] = out["amdd"] / trG0
+    out["gadd"] = _ratio(out["amdd"], trG0)
     HX = _ct(Ht) @ Xt                    # (B, p, K)
     Ap = HX @ np.linalg.solve(M0, _ct(HX))
     Bp, Cb = prep.Bp, prep.Cb

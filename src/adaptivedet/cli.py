@@ -260,10 +260,9 @@ def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
             return out  # cos2phi is measured against the subspace, not s
         return list(pd_point_grid(detector, N, p, L, rho / scale, cos2phi, eta))
     if law == "interference":
-        geoms = [mismatch_geometry(s[:, 0], R, geometry.H, geometry.J) for s in means]
+        geo = mismatch_geometry(np.array([s[:, 0] for s in means]), R, geometry.H, geometry.J)
         return list(pd_interference_grid(
-            detector, N, p, q, L, np.array([g.rho_eff for g in geoms]) / scale,
-            np.array([g.delta2_i for g in geoms]) / scale, eta))
+            detector, N, p, q, L, geo.rho_eff / scale, geo.delta2_i / scale, eta))
     if law == "distributed":
         cells = np.flatnonzero((cos2phi == 1.0) | spec.mismatch)
         if cells.size:

@@ -68,7 +68,8 @@ class InterferenceStats:
 @dataclass(frozen=True)
 class InterferenceGeometry:
     """Noncentrality split of a signal against the (H, J) pair: the effective
-    SNR surviving interference rejection, and the rejected/mismatched rest."""
+    SNR surviving interference rejection, and the rejected/mismatched rest
+    (floats for one signal, arrays for a stack)."""
 
     rho_eff: float
     delta2_i: float
@@ -132,11 +133,13 @@ def _row(cls, stats, **extra):
                   if f.name not in extra}, **extra)
 
 
-def _point(x, S, H, J=None, R=None, steering=None):
+def _point(x, S, H, J=None, steering=None):
+    """The point family of ``x`` (N,), or of a stack (G, N) against one ``S``."""
     H = np.asarray(H, dtype=np.complex128)
     HJ = H if J is None else np.concatenate([H, J], axis=1)
+    x = np.reshape(x, (-1, H.shape[0]))
     S1 = _checked(S, HJ, steering=steering)
-    return batcheval.point_family_stats(np.asarray(x)[None], S1, H, J, R=R)
+    return batcheval.point_family_stats(x, np.broadcast_to(S1, (len(x),) + S1.shape[1:]), H, J)
 
 
 def _distributed(X, S, s=None, H=None, L=None):
@@ -175,13 +178,13 @@ def rank_one_bank(x, S, s) -> RankOneStats:
 
 def clairvoyant_bank(x, R, H) -> ClairvoyantStats:
     """Known-covariance references; the rank-one entries use the first column
-    of ``H`` as the steering vector."""
-    R = np.asarray(R, dtype=np.complex128)
-    stats = _point(x, R, H, R=R)
-    s = np.asarray(H, dtype=np.complex128)[:, 0]
-    Ri_s = np.linalg.solve(R, s)
+    of ``H`` as the steering vector, and ``w_mvdr`` is the conjugated last row
+    of the clairvoyant map."""
+    R1 = _checked(R, H)
+    prep = batcheval.prepare_point(R1, H, R=R1[0])
+    stats = batcheval.evaluate_point(prep, np.asarray(x)[None])
     return ClairvoyantStats(smf=float(stats["smf"][0]), mf=float(stats["mf"][0]),
-                            w_mvdr=Ri_s / float(np.real(s.conj() @ Ri_s)))
+                            w_mvdr=prep.W[-1].conj())
 
 
 def interference_bank(x, S, H, J) -> InterferenceStats:
@@ -195,29 +198,19 @@ def interference_bank(x, S, H, J) -> InterferenceStats:
 
 
 def mismatch_geometry(s0, R, H, J) -> InterferenceGeometry:
-    """Effective SNR and loss-factor noncentrality of an actual signal.
+    """Effective SNR and loss-factor noncentrality of an actual signal ``s0``
+    (N,), or arrays of them for a stack of signals (G, N).
 
-    Both quantities are energies in the true-covariance whitened space:
-    the part of the J-orthogonalized signal matched by the J-orthogonalized
-    nominal subspace, and the remainder.
+    They are the interference kernel's energies at S = R: ``rho_eff`` is
+    ``ts_glrt_he_i``, the part of the J-orthogonalized signal matched by the
+    J-orthogonalized nominal subspace, and ``delta2_i = 1/beta_i - 1`` the
+    remainder.
     """
-    s0 = np.asarray(s0, dtype=np.complex128)
-    H = np.asarray(H, dtype=np.complex128)
-    N = s0.shape[0]
-    J = np.zeros((N, 0), dtype=np.complex128) if J is None else np.asarray(J, dtype=np.complex128)
-    if J.shape[1]:
-        linalg.orthonormal_basis(np.concatenate([H, J], axis=1))
-    T = linalg.inv_sqrt(R)
-    sb = T @ s0
-    Hb = T @ H
-    Jb = T @ J
-    QJ = linalg.orthonormal_basis(Jb)
-    s_perp = sb - QJ @ (QJ.conj().T @ sb)
-    H_perp = Hb - QJ @ (QJ.conj().T @ Hb)
-    QHp = linalg.orthonormal_basis(H_perp)
-    rho_eff = float(np.sum(np.abs(QHp.conj().T @ s_perp) ** 2))
-    delta2 = float(np.real(s_perp.conj() @ s_perp)) - rho_eff
-    return InterferenceGeometry(rho_eff=rho_eff, delta2_i=max(delta2, 0.0))
+    stats = _point(s0, R, H, J)
+    rho_eff, delta2_i = stats["ts_glrt_he_i"], np.maximum(1.0 / stats["beta_i"] - 1.0, 0.0)
+    if np.ndim(s0) == 1:
+        return InterferenceGeometry(rho_eff=float(rho_eff[0]), delta2_i=float(delta2_i[0]))
+    return InterferenceGeometry(rho_eff=rho_eff, delta2_i=delta2_i)
 
 
 def distributed_rank1_he(X, S, s) -> DistributedHEStats:

@@ -96,9 +96,9 @@ class TrialPlan:
         if unknown:
             raise ValueError(f"unknown detectors: {sorted(unknown)}")
         H, J = self.geometry.H, self.geometry.J
-        if "wald_phe_i" in self.detectors and H.shape[1] + J.shape[1] >= H.shape[0]:
-            raise GeometryError(
-                "wald_phe_i needs p + q < N: [H J] leaves no orthocomplement")
+        short = [d for d in self.detectors if registry.DETECTORS[d].orthocomplement]
+        if short and H.shape[1] + J.shape[1] >= H.shape[0]:
+            raise GeometryError(f"{short[0]} needs p + q < N: [H J] leaves no orthocomplement")
 
     def under(self, hypothesis: str) -> "TrialPlan":
         return replace(self, hypothesis=hypothesis)
@@ -157,6 +157,7 @@ def _noise_pass(plan: TrialPlan):
 
     R = scenario.build_covariance(plan.covariance, cfg.N)
     A = herm_sqrt(R)
+    R_clairvoyant = R if any(row.clairvoyant for row in rows) else None
     geom = plan.geometry
     s = geom.s if "s" in reads else None
     H = geom.H if "H" in reads else None
@@ -172,7 +173,7 @@ def _noise_pass(plan: TrialPlan):
         training = A @ w_train
         S = training @ np.conj(np.swapaxes(training, -2, -1))
         prepared = (
-            batcheval.prepare_point(S, geom.H, geom.J, geom.s, R=R) if point else None,
+            batcheval.prepare_point(S, geom.H, geom.J, geom.s, R=R_clairvoyant) if point else None,
             batcheval.prepare_distributed(S, s, H, L) if dist else None)
         yield trials, cfg.test_scale * (A @ w_test), prepared
 

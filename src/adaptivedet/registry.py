@@ -61,7 +61,8 @@ class Detector:
     threshold map is the one of ``canonical``.  ``rank_one`` laws live at p =
     1, ``loss_factor`` laws average over a loss factor (so need p < N), and
     ``mismatch`` says whether the law still holds for a mismatched signal.
-    ``clairvoyant`` statistics use the true covariance.  ``cfar`` and
+    ``clairvoyant`` statistics use the true covariance, and ``orthocomplement``
+    ones need p + q < N to normalize by the complement of [H J].  ``cfar`` and
     ``scale_invariant`` (unchanged when the test data is scaled) are
     properties of the statistic; ``default`` marks the CLI's default bank.
     ``reads`` names the arguments of
@@ -78,6 +79,7 @@ class Detector:
     loss_factor: bool = True
     mismatch: bool = True
     clairvoyant: bool = False
+    orthocomplement: bool = False
     cfar: bool = True
     scale_invariant: bool = False
     default: bool = False
@@ -133,7 +135,7 @@ DETECTORS = {d.name: d for d in (
     _point("ts_rao_he_i", law=None),
     _point("rao_phe_i", law=None, scale_invariant=True),
     _point("wald_he_i", law=None),
-    _point("wald_phe_i", law=None, scale_invariant=True),
+    _point("wald_phe_i", law=None, scale_invariant=True, orthocomplement=True),
     _point("beta_i", law=None),
     # distributed rank-one bank; gamf's loss factor is central only without mismatch
     _dist("gkglrt", _RANK_ONE, law="distributed", canonical="sglrt"),

@@ -20,6 +20,14 @@ def _c(a):
     return np.asarray(a, dtype=np.complex128)
 
 
+def _ratio(num: float, den: float) -> float:
+    """``num / den``, and at ``den = 0`` the kernels' edge values: 0 over a
+    zero ``num`` (null data) and +inf over a positive one."""
+    if den > 0:
+        return num / den
+    return np.inf if num > 0 else 0.0
+
+
 def ortho_projector(A) -> np.ndarray:
     """Orthogonal projector onto the column span of ``A``: ``A (A^H A)^-1 A^H``."""
     A = _c(A)
@@ -97,10 +105,10 @@ def subspace_bank(x, S, H) -> dict:
         "sglrt": u / denom,
         "srao": u / ((1.0 + v) * denom),
         "samf": u,
-        "asd": u / v if v > 0 else 0.0,
+        "asd": _ratio(u, v),
         "sabort": (1.0 + u) / denom,
         "wsabort": (1.0 + v) / denom ** 2,
-        "dnsamf": u / (v * denom) if v > 0 else 0.0,
+        "dnsamf": _ratio(u, v * denom),
         "aed": v,
         "beta": 1.0 / denom,
     }
@@ -128,7 +136,9 @@ def clairvoyant_bank(x, R, H) -> dict:
 
 def interference_bank(x, S, H, J) -> dict:
     """Interference rejection: whitened data and H with the whitened J
-    projected out; the Wald pair projects obliquely onto H along J."""
+    projected out.  The Wald pair projects obliquely onto H along J by an
+    SVD least-squares fit of the whitened data on [J H]: the H part of the
+    fit is the projection, and the fit's residual normalizes ``wald_phe_i``."""
     x, H = _c(x), _c(H)
     N = x.shape[0]
     J = np.zeros((N, 0), dtype=np.complex128) if J is None else _c(J)
@@ -143,25 +153,38 @@ def interference_bank(x, S, H, J) -> dict:
     denom = 1.0 + v - u
     QH = linalg.orthonormal_basis(Ht)
     a = float(np.sum(np.abs(QH.conj().T @ x_perp) ** 2))
-    coords = np.linalg.solve(Ht.conj().T @ H_perp, H_perp.conj().T @ xt)
-    y = Ht @ coords
-    wald_he = float(np.real(y.conj() @ y))
+    basis = np.concatenate([Jt, Ht], axis=1)
+    coef = np.linalg.lstsq(basis, xt, rcond=None)[0]
+    wald_he = float(np.linalg.norm(Ht @ coef[J.shape[1]:]) ** 2)
     wald_phe = np.nan
     if H.shape[1] + J.shape[1] < N:
-        QB = linalg.orthonormal_basis(np.concatenate([Ht, Jt], axis=1))
-        v_b = float(np.real(xt.conj() @ xt)) - float(np.sum(np.abs(QB.conj().T @ xt) ** 2))
-        wald_phe = wald_he / v_b if v_b > 0 else 0.0
+        wald_phe = _ratio(wald_he, float(np.linalg.norm(xt - basis @ coef) ** 2))
     return {
         "glrt_he_i": u / denom,
         "ts_glrt_he_i": u,
-        "glrt_phe_i": u / v if v > 0 else 0.0,
+        "glrt_phe_i": _ratio(u, v),
         "rao_he_i": a / ((1.0 + v) * (1.0 + v - a)),
         "ts_rao_he_i": a,
-        "rao_phe_i": a / v if v > 0 else 0.0,
+        "rao_phe_i": _ratio(a, v),
         "wald_he_i": wald_he,
         "wald_phe_i": wald_phe,
         "beta_i": 1.0 / denom,
     }
+
+
+def mismatch_geometry(s0, R, H, J) -> dict:
+    """``rho_eff`` and ``delta2_i`` of an actual signal: in the R-whitened
+    space, the energy of the J-orthogonalized signal in the J-orthogonalized
+    nominal subspace, and the rest of its energy."""
+    s0, H = _c(s0), _c(H)
+    J = np.zeros((s0.shape[0], 0), dtype=np.complex128) if J is None else _c(J)
+    T = linalg.inv_sqrt(R)
+    QJ = linalg.orthonormal_basis(T @ J)
+    s_perp = T @ s0 - QJ @ (QJ.conj().T @ (T @ s0))
+    QHp = linalg.orthonormal_basis(T @ H - QJ @ (QJ.conj().T @ (T @ H)))
+    rho_eff = float(np.sum(np.abs(QHp.conj().T @ s_perp) ** 2))
+    return {"rho_eff": rho_eff,
+            "delta2_i": max(float(np.real(s_perp.conj() @ s_perp)) - rho_eff, 0.0)}
 
 
 def point_family(x, S, H, J=None, R=None) -> dict:
@@ -253,7 +276,7 @@ def distributed_rank1_phe(X, S, s, L: int) -> dict:
     R1 = A @ (np.eye(N) + Z @ Z.conj().T / sigma1) @ A / (L + K)
     return {
         "glrt_phe": num / den,
-        "gasd": float(np.real(c.conj() @ c)) / (ss * float(np.real(np.trace(G0)))),
+        "gasd": _ratio(float(np.real(c.conj() @ c)), ss * float(np.real(np.trace(G0)))),
         "rao_phe": rao_form(R0, sigma0),
         "wald_phe": rao_form(R1, sigma1),
         "sigma0_hat": sigma0,
@@ -278,7 +301,7 @@ def direction_bank(X, S, H) -> dict:
     y = HX.conj().T @ theta
     return {"glrdd": glrdd, "amdd": amdd,
             "snrdd": float(np.real(y.conj() @ y)) / float(np.real(theta.conj() @ Bp @ theta)),
-            "gadd": amdd / float(np.real(np.trace(G0)))}
+            "gadd": _ratio(amdd, float(np.real(np.trace(G0))))}
 
 
 def dos_bank(X, S, H) -> dict:

@@ -13,14 +13,19 @@ from conftest import crandn
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+def _training(draw, N, square):
+    """The identity suite's training count L = 2N, or with ``square`` the
+    smallest ones, L in {N, N + 1}, where S is worst conditioned."""
+    return draw(st.sampled_from((N, N + 1))) if square else 2 * N
+
+
 @st.composite
-def instances(draw):
-    """A stack of B random point instances sharing (N, p, q), p + q <= N, with
-    the identity suite's training count L = 2N."""
+def instances(draw, square=False):
+    """A stack of B random point instances sharing (N, p, q), p + q <= N."""
     N = draw(st.integers(2, 12))
     p = draw(st.integers(1, N))
     q = draw(st.integers(0, N - p))
-    L = 2 * N
+    L = _training(draw, N, square)
     B = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     train = crandn(rng, B, N, L)
@@ -29,14 +34,14 @@ def instances(draw):
 
 
 @st.composite
-def blocks(draw):
+def blocks(draw, square=False):
     """A stack of B random distributed instances sharing (N, K, p) and the
-    geometry (s, H), with K up to 2N (so K > N occurs) and L = 2N."""
+    geometry (s, H), with K up to 2N (so K > N occurs)."""
     N = draw(st.integers(1, 10))
     K = draw(st.integers(1, 2 * N))
     p = draw(st.integers(1, N))
     B = draw(st.integers(1, 3))
-    L = 2 * N
+    L = _training(draw, N, square)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     train = crandn(rng, B, N, L)
     return (crandn(rng, B, N, K), train @ train.conj().transpose(0, 2, 1),
@@ -50,40 +55,56 @@ def _or_infeasible(f, *args):
         return None
 
 
+def _point_rows_equal_oracle(x, S, H, J):
+    N, p, q = H.shape[1], H.shape[2], J.shape[2]
+    batched = batcheval.evaluate_point(batcheval.prepare_point(S, H, J), x)
+    for b in range(x.shape[0]):
+        ref = oracles.point_family(x[b], S[b], H[b], J[b])
+        for name, value in ref.items():
+            if name == "wald_phe_i" and p + q == N:
+                assert np.isnan(value) and np.isnan(batched[name][b])
+                continue
+            assert batched[name][b] == pytest.approx(value, rel=1e-10, abs=0), name
+
+
+def _distributed_rows_equal_oracle(X, S, s, H, L):
+    """All 14 statistics and both noise-power MLEs; a draw whose PHE root
+    does not exist (target at or above a Gram rank) raises InfeasibleError on
+    both sides."""
+    refs = [_or_infeasible(oracles.distributed_family, X[b], S[b], s, H, L)
+            for b in range(X.shape[0])]
+    batched = _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L)
+    assert (batched is None) == any(ref is None for ref in refs)
+    if batched is None:
+        return
+    for b, ref in enumerate(refs):
+        assert len(ref) == 16
+        for name, value in ref.items():
+            assert batched[name][b] == pytest.approx(value, rel=1e-10, abs=0), name
+
+
 class TestStackedGeometry:
     @SETTINGS
     @given(instances())
     def test_rows_equal_per_instance_banks(self, case):
-        x, S, H, J = case
-        N, p, q = H.shape[1], H.shape[2], J.shape[2]
-        batched = batcheval.evaluate_point(batcheval.prepare_point(S, H, J), x)
-        for b in range(x.shape[0]):
-            ref = oracles.point_family(x[b], S[b], H[b], J[b])
-            for name, value in ref.items():
-                if name == "wald_phe_i" and p + q == N:
-                    assert np.isnan(value) and np.isnan(batched[name][b])
-                    continue
-                assert batched[name][b] == pytest.approx(value, rel=1e-10, abs=0), name
+        _point_rows_equal_oracle(*case)
+
+    @SETTINGS
+    @given(instances(square=True))
+    def test_rows_equal_oracle_at_square_training(self, case):
+        _point_rows_equal_oracle(*case)
 
 
 class TestDistributedFamily:
     @SETTINGS
     @given(blocks())
     def test_rows_equal_oracle(self, case):
-        """All 14 statistics and both noise-power MLEs; a draw whose PHE
-        root does not exist (target at or above a Gram rank) raises
-        InfeasibleError on both sides."""
-        X, S, s, H, L = case
-        refs = [_or_infeasible(oracles.distributed_family, X[b], S[b], s, H, L)
-                for b in range(X.shape[0])]
-        batched = _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L)
-        assert (batched is None) == any(ref is None for ref in refs)
-        if batched is None:
-            return
-        for b, ref in enumerate(refs):
-            assert len(ref) == 16
-            for name, value in ref.items():
-                assert batched[name][b] == pytest.approx(value, rel=1e-10, abs=0), name
+        _distributed_rows_equal_oracle(*case)
+
+    @SETTINGS
+    @given(blocks(square=True))
+    def test_rows_equal_oracle_at_square_training(self, case):
+        _distributed_rows_equal_oracle(*case)
 
 
 def _unitary(rng, n):
@@ -141,6 +162,10 @@ class TestWaldNearAlignedInterference:
         out = batcheval.point_family_stats(x, S, H, J)
         assert out["wald_he_i"] == pytest.approx(wald_he, rel=1e-10, abs=0)
         assert out["wald_phe_i"] == pytest.approx(wald_phe, rel=1e-10, abs=0)
+        for b in range(x.shape[0]):
+            ref = oracles.interference_bank(x[b], S[b], H[b], J[b])
+            assert ref["wald_he_i"] == pytest.approx(wald_he[b], rel=1e-10, abs=0)
+            assert ref["wald_phe_i"] == pytest.approx(wald_phe[b], rel=1e-10, abs=0)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from adaptivedet import batcheval
 from adaptivedet.detectors import (
     direction_bank,
     distributed_rank1_he,
@@ -168,6 +169,17 @@ class TestDosBank:
         assert ds.glrt_dos == pytest.approx(1.0, abs=1e-14)
         assert ds.rao_dos == pytest.approx(0.0, abs=1e-14)
         assert ds.wald_dos == pytest.approx(0.0, abs=1e-14)
+
+    def test_null_data_scale_invariant_ratios_are_zero(self, rng):
+        """At X = 0 gasd and gadd are 0/0; like asd they give 0, in the kernel
+        and the oracle alike and with no warning.  (The oracle's gasd sits in
+        the PHE bank, whose noise-power root does not exist at X = 0.)"""
+        _, S, s, H = _instance(rng, 5, 2, 12, p=2)
+        X = np.zeros((5, 2), dtype=complex)
+        out = batcheval.distributed_family_stats(X[None], S[None], s, H, None)
+        assert out["gasd"][0] == 0.0 and out["gadd"][0] == 0.0
+        assert direction_bank(X, S, H).gadd == 0.0
+        assert oracles.direction_bank(X, S, H)["gadd"] == 0.0
 
     def test_glrt_dos_at_least_one(self, rng):
         for _ in range(50):

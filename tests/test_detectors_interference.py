@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from adaptivedet import linalg
@@ -86,6 +87,18 @@ class TestInterferenceBank:
             assert 0.0 < st.beta_i <= 1.0
             assert 0.0 <= st.glrt_phe_i <= 1.0
 
+    def test_wald_phe_over_zero_residual(self):
+        """Data in span(H), with J orthogonal to H, leaves no residual outside
+        [H J]: a positive Wald energy over it is +inf and null data gives 0,
+        in the kernel and the oracle alike and with no warning."""
+        N = 6
+        H = np.eye(N, 2, dtype=complex)
+        J = np.eye(N, dtype=complex)[:, [3]]
+        for c, want in (([2.0, 1.0 - 1.0j], np.inf), ([0.0, 0.0], 0.0)):
+            x = H @ np.array(c)
+            assert interference_bank(x, np.eye(N), H, J).wald_phe_i == want
+            assert oracles.interference_bank(x, np.eye(N), H, J)["wald_phe_i"] == want
+
     def test_overlapping_subspaces_rejected(self, rng):
         x, S, H, _ = _instance(rng, 6, 2, 0, 12)
         with pytest.raises(linalg.RankError):
@@ -132,3 +145,37 @@ class TestMismatchGeometry:
             geom = mismatch_geometry(s0, R, H, J)
             total = float(np.real(s0.conj() @ np.linalg.solve(R, s0)))
             assert geom.rho_eff + geom.delta2_i <= total + 1e-9
+
+
+@st.composite
+def signals(draw):
+    """A stack of G random signals against a random true covariance R and
+    geometry (N, p, q) with q >= 0 and p + q <= N."""
+    N = draw(st.integers(2, 12))
+    p = draw(st.integers(1, N))
+    q = draw(st.integers(0, N - p))
+    G = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return crandn(rng, G, N), random_hpd(rng, N), crandn(rng, N, p), crandn(rng, N, q)
+
+
+class TestMismatchGeometryKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(signals())
+    def test_matches_oracle_and_stacks(self, case):
+        """The interference kernel at S = R against the eigh/projector form,
+        and a stacked call against one call per signal.  Both quantities are
+        parts of the whitened signal energy, and ``delta2_i`` comes from a
+        difference of energies on both sides (it is 0 up to rounding when
+        p + q = N), so the tolerances are relative to that energy."""
+        s0, R, H, J = case
+        stacked = mismatch_geometry(s0, R, H, J)
+        for g, s in enumerate(s0):
+            one = mismatch_geometry(s, R, H, J)
+            ref = oracles.mismatch_geometry(s, R, H, J)
+            energy = ref["rho_eff"] + ref["delta2_i"]
+            for name, value in ref.items():
+                assert getattr(one, name) == pytest.approx(
+                    value, rel=1e-10, abs=1e-10 * energy), name
+                assert getattr(stacked, name)[g] == pytest.approx(
+                    getattr(one, name), rel=1e-14, abs=1e-14 * energy), name

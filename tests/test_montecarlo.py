@@ -152,6 +152,19 @@ class TestBankPreparation:
                 assert np.array_equal(part[name], full[name]), name
 
 
+class TestClairvoyantPreparation:
+    @pytest.mark.parametrize("detectors, has_map", [
+        (("sglrt", "glrt_he_i"), False), (("sglrt", "smf"), True), (("mf",), True)])
+    def test_map_only_for_clairvoyant_detectors(self, detectors, has_map):
+        """The noise pass builds the clairvoyant map W only for a plan that
+        has a clairvoyant detector."""
+        cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
+        plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
+                            covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
+        (_, _, (point, _)), = mc._noise_pass(plan)
+        assert (point.W is not None) == has_map
+
+
 class TestFullSpaceGeometry:
     # p + q = N: [H J] spans the space, so wald_phe_i has nothing to normalize by
     CFG = sc.ScenarioConfig(N=4, p=2, q=2, L=8, pfa=1e-2)

@@ -63,6 +63,19 @@ class TestScaleInvariance:
         assert changed == set(registry.names(scale_invariant=False))
 
 
+class TestOrthocomplement:
+    def test_flag_matches_the_statistics(self, rng):
+        """Where [H J] fills the space (p + q = N) exactly the flagged point
+        statistics have nothing to normalize by and are nan."""
+        N, p, q = 5, 2, 3
+        train = crandn(rng, 3, N, 2 * N)
+        out = batcheval.point_family_stats(
+            crandn(rng, 3, N), train @ train.conj().transpose(0, 2, 1),
+            crandn(rng, N, p), crandn(rng, N, q), R=random_hpd(rng, N))
+        assert {name for name, v in out.items() if np.isnan(v).any()} == set(
+            registry.names(orthocomplement=True))
+
+
 class TestTable:
     def test_cfar_defaults_and_phe_laws(self):
         assert registry.names(cfar=False) == ("smi",)
