@@ -372,20 +372,17 @@ def run_cfar_check(args):
     cfg = _scenario_from_args(args)
     detectors = _detectors(args)
     covariances = [sc.CovarianceModel.parse(c) for c in _str_list(args.covariances)]
-    geometry = mc.Geometry.default(cfg)
-    base_plan = mc.TrialPlan(
+    plan = mc.TrialPlan(
         n_trials=args.trials, master_seed=args.seed, scenario=cfg,
         covariance=covariances[0], detectors=detectors, hypothesis="h0",
-        geometry=geometry, batch_size=args.batch_size)
-    base_stats = mc.run_trials(base_plan)
-    thresholds = {det: mc.calibrate_threshold(base_plan, det, stats=base_stats[det])
+        batch_size=args.batch_size)
+    # one pass: every covariance colours the same trial streams (common random
+    # numbers), which makes the cross-covariance comparison sharp; the
+    # thresholds are calibrated on the first covariance's statistics
+    stats = mc.sweep_trials(plan, covariances)
+    thresholds = {det: mc.calibrate_threshold(plan, det, stats=stats[0][det])
                   for det in detectors}
-    # the sweep shares trial streams with the calibration run (common random
-    # numbers), which makes the cross-covariance comparison sharp; the first
-    # covariance's statistics are the calibration run's own
-    reports = mc.cfar_sweep(detectors, cfg, covariances, thresholds, args.trials,
-                            master_seed=args.seed, geometry=geometry,
-                            batch_size=args.batch_size, stats=base_stats)
+    reports = mc.cfar_sweep(covariances, thresholds, stats)
     rows = []
     failed = []
     for det in detectors:

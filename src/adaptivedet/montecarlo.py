@@ -5,10 +5,11 @@ counter-based stream split (one Philox counter block range per trial), so
 results are a pure function of the plan and are independent of batch size,
 worker count, and execution order.  Aggregation is count-based.
 
-Every trial of a plan uses the same noise whatever its test mean, so one
-noise pass per (covariance, seed) serves every grid point and detector: each
-batch is drawn, coloured, turned into a sample covariance and prepared
-(whitened) once, and only the test-data half of the statistics runs per mean
+Every trial of a plan uses the same white noise whatever its test mean or
+covariance, so one draw per seed serves every grid point, detector and
+covariance: each batch is drawn once, then coloured, turned into a sample
+covariance and prepared (whitened) once per covariance (:func:`sweep_trials`),
+and only the test-data half of the statistics runs per mean
 (:func:`exceedance_counts`).
 """
 
@@ -138,14 +139,18 @@ def _test_mean(plan: TrialPlan, signal_mean) -> np.ndarray:
     return mean
 
 
-def _noise_pass(plan: TrialPlan):
-    """Yield ``(trials, noise, prepared)`` once per batch of the plan.
+def _noise_pass(plan: TrialPlan, covariances):
+    """Yield ``(c, trials, noise, prepared)`` per batch of the plan and per
+    covariance ``covariances[c]``, one covariance's state alive at a time.
 
-    ``noise`` is the batch's coloured, scaled test noise (B, N, K) and
-    ``prepared`` the point and distributed family state (None where the plan
-    has no detector of that family) that :func:`_statistics` needs; the
-    training SCM and everything that depends only on it are computed once.
-    Only the distributed banks the plan's detectors read are prepared.
+    Each batch is drawn once, and every covariance colours that same white
+    draw with its own square root (common random numbers), so its trials are
+    bit-identical to a pass over it alone.  ``noise`` is the batch's coloured,
+    scaled test noise (B, N, K) and ``prepared`` the point and distributed
+    family state (None where the plan has no detector of that family) that
+    :func:`_statistics` needs.  Only the distributed banks the plan's
+    detectors read are prepared, and the clairvoyant map only for a plan with
+    a clairvoyant detector, from each covariance's own R.
     """
     cfg = plan.scenario
     rows = [registry.DETECTORS[name] for name in plan.detectors]
@@ -155,9 +160,11 @@ def _noise_pass(plan: TrialPlan):
     if point and cfg.K != 1:
         raise ValueError("point-target detectors need K = 1")
 
-    R = scenario.build_covariance(plan.covariance, cfg.N)
-    A = herm_sqrt(R)
-    R_clairvoyant = R if any(row.clairvoyant for row in rows) else None
+    clairvoyant = any(row.clairvoyant for row in rows)
+    colours = []
+    for cov in covariances:
+        R = scenario.build_covariance(cov, cfg.N)
+        colours.append((herm_sqrt(R), R if clairvoyant else None))
     geom = plan.geometry
     s = geom.s if "s" in reads else None
     H = geom.H if "H" in reads else None
@@ -170,12 +177,13 @@ def _noise_pass(plan: TrialPlan):
         for row, i in enumerate(trials):
             streams.standard_normal(i, flat[row])
         w_train, w_test = scenario.assemble_noise(flat, cfg.N, cfg.L, cfg.K)
-        training = A @ w_train
-        S = training @ np.conj(np.swapaxes(training, -2, -1))
-        prepared = (
-            batcheval.prepare_point(S, geom.H, geom.J, geom.s, R=R_clairvoyant) if point else None,
-            batcheval.prepare_distributed(S, s, H, L) if dist else None)
-        yield trials, cfg.test_scale * (A @ w_test), prepared
+        for c, (A, R) in enumerate(colours):
+            training = A @ w_train
+            S = training @ np.conj(np.swapaxes(training, -2, -1))
+            prepared = (
+                batcheval.prepare_point(S, geom.H, geom.J, geom.s, R=R) if point else None,
+                batcheval.prepare_distributed(S, s, H, L) if dist else None)
+            yield c, trials, cfg.test_scale * (A @ w_test), prepared
 
 
 def _statistics(prepared, test) -> dict:
@@ -189,19 +197,30 @@ def _statistics(prepared, test) -> dict:
     return stats
 
 
+def sweep_trials(plan: TrialPlan, covariances) -> list:
+    """The plan's detector statistics under each covariance model, from one
+    draw of the plan's trial streams (common random numbers).
+
+    Returns one dict per covariance, in order; entry ``c`` maps detector name
+    to an ``(n_trials,)`` array ordered by trial index and equals
+    ``run_trials(replace(plan, covariance=covariances[c]))``.
+    """
+    mean = _test_mean(plan, plan.signal_mean)
+    out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
+    for c, trials, noise, prepared in _noise_pass(plan, covariances):
+        stats = _statistics(prepared, noise + mean)
+        for name in out[c]:
+            out[c][name][trials.start:trials.stop] = stats[name]
+    return out
+
+
 def run_trials(plan: TrialPlan) -> dict:
     """Evaluate the plan's detector statistics for every trial.
 
     Returns a dict mapping detector name to an ``(n_trials,)`` array ordered
     by trial index.
     """
-    mean = _test_mean(plan, plan.signal_mean)
-    out = {name: np.empty(plan.n_trials) for name in plan.detectors}
-    for trials, noise, prepared in _noise_pass(plan):
-        stats = _statistics(prepared, noise + mean)
-        for name in out:
-            out[name][trials.start:trials.stop] = stats[name]
-    return out
+    return sweep_trials(plan, (plan.covariance,))[0]
 
 
 def exceedance_counts(plan: TrialPlan, signal_means, thresholds) -> np.ndarray:
@@ -216,7 +235,7 @@ def exceedance_counts(plan: TrialPlan, signal_means, thresholds) -> np.ndarray:
     """
     means = [_test_mean(plan, s) for s in signal_means]
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
-    for _, noise, prepared in _noise_pass(plan):
+    for _, _, noise, prepared in _noise_pass(plan, (plan.covariance,)):
         for g, mean in enumerate(means):
             stats = _statistics(prepared, noise + mean)
             for d, name in enumerate(plan.detectors):
@@ -277,40 +296,26 @@ class CfarReport:
     passed: bool
 
 
-def cfar_sweep(detectors, config: ScenarioConfig, covariances, thresholds,
-               n_trials: int, master_seed: int = 0, geometry: Geometry = None,
-               batch_size: int = DEFAULT_BATCH, stats=None) -> dict:
+def cfar_sweep(covariances, thresholds, stats) -> dict:
     """Empirical false-alarm rates of several detectors across covariance models.
 
-    Returns a :class:`CfarReport` per detector, keyed by name; ``thresholds``
-    maps each detector to its threshold.  A detector passes when every
-    covariance's empirical rate lies inside the Wilson 99% interval of the
-    first covariance's rate.  All runs share per-trial streams (common random
-    numbers), so a CFAR detector's rates co-move and the comparison is sharp.
-    Each covariance takes one noise pass for all detectors; ``stats``, the
-    H0 statistics of the first covariance when the caller already has them
-    (say, from calibrating the thresholds), saves that covariance's pass.
+    ``stats[c]`` maps each detector of ``thresholds`` to its H0 statistics
+    under ``covariances[c]``, as :func:`sweep_trials` returns them.  Returns a
+    :class:`CfarReport` per detector, keyed by name.  A detector passes when
+    every covariance's empirical rate lies inside the Wilson 99% interval of
+    the first covariance's rate.  The statistics share per-trial streams
+    (common random numbers), so a CFAR detector's rates co-move and the
+    comparison is sharp.
     """
-    detectors = tuple(dict.fromkeys(detectors))
-    rows = {det: [] for det in detectors}
-    for i, cov in enumerate(covariances):
-        plan = TrialPlan(
-            n_trials=n_trials, master_seed=master_seed, scenario=config,
-            covariance=cov, detectors=detectors, hypothesis="h0",
-            geometry=geometry, batch_size=batch_size)
-        if i == 0 and stats is not None:
-            counts = [int(np.sum(stats[det] > thresholds[det])) for det in detectors]
-        else:
-            counts = exceedance_counts(plan, [None], thresholds)[0]
-        for det, k in zip(detectors, counts):
-            est = pd_estimate(int(k), n_trials)
-            rows[det].append(CfarRow(covariance=cov.label(), pfa_hat=est.pd,
-                                     ci_low=est.ci_low, ci_high=est.ci_high, n=est.n))
     reports = {}
-    for det, det_rows in rows.items():
-        first = det_rows[0]
-        passed = all(first.ci_low <= row.pfa_hat <= first.ci_high for row in det_rows[1:])
-        reports[det] = CfarReport(detector=det, threshold=thresholds[det],
-                                  rows=tuple(det_rows), passed=passed)
+    for det, threshold in thresholds.items():
+        rows = []
+        for cov, cov_stats in zip(covariances, stats):
+            est = pd_estimate(int(np.sum(cov_stats[det] > threshold)), len(cov_stats[det]))
+            rows.append(CfarRow(covariance=cov.label(), pfa_hat=est.pd,
+                                ci_low=est.ci_low, ci_high=est.ci_high, n=est.n))
+        first = rows[0]
+        passed = all(first.ci_low <= row.pfa_hat <= first.ci_high for row in rows[1:])
+        reports[det] = CfarReport(detector=det, threshold=threshold,
+                                  rows=tuple(rows), passed=passed)
     return reports
-

@@ -245,11 +245,13 @@ CFAR_DIST = ("gkglrt", "gamf", "rao_he", "glrdd", "amdd", "snrdd", "gadd",
              "glrt_dos", "rao_dos", "wald_dos", "gasd")
 
 
-def _h0_stats(cfg, detectors, covariance, n, geometry):
+def _h0_stats(cfg, detectors, covariances, n, geometry):
+    """The plan under the first covariance and the H0 statistics under each
+    covariance, from one sweep over common trial streams."""
     plan = mc.TrialPlan(n_trials=n, master_seed=MASTER_SEED, scenario=cfg,
-                        covariance=covariance, detectors=detectors,
+                        covariance=covariances[0], detectors=detectors,
                         hypothesis="h0", geometry=geometry)
-    return plan, mc.run_trials(plan)
+    return plan, mc.sweep_trials(plan, covariances)
 
 
 def test_criterion_07_cfar_sweep():
@@ -258,13 +260,12 @@ def test_criterion_07_cfar_sweep():
         for cfg, dets in ((POINT_CFG, CFAR_POINT + GEOMETRY_DEPENDENT_I + ("smi",)),
                           (DIST_CFG, CFAR_DIST)):
             geometry = mc.Geometry.default(cfg)
-            plans, stats = zip(*(_h0_stats(cfg, dets, cov, n, geometry)
-                                 for cov in SWEEP_COVS))
+            plan, stats = _h0_stats(cfg, dets, SWEEP_COVS, n, geometry)
             cfar_set = CFAR_POINT if cfg is POINT_CFG else CFAR_DIST
             rates = {}
             intervals = {}
             for det in dets:
-                thr = mc.calibrate_threshold(plans[0], det, stats=stats[0][det])
+                thr = mc.calibrate_threshold(plan, det, stats=stats[0][det])
                 rates[det] = [float(np.mean(s[det] > thr)) for s in stats]
                 intervals[det] = mc.wilson_interval(
                     int(round(rates[det][0] * n)), n)
@@ -286,7 +287,7 @@ def test_criterion_07_cfar_sweep():
         for cfg, det in ((POINT_CFG, "asd"), (POINT_CFG, "glrt_phe_i"),
                          (DIST_CFG, "gasd")):
             geometry = mc.Geometry.default(cfg)
-            plan, stats = _h0_stats(cfg, (det,), SWEEP_COVS[0], n, geometry)
+            plan, (stats,) = _h0_stats(cfg, (det,), SWEEP_COVS[:1], n, geometry)
             thr = mc.calibrate_threshold(plan, det, stats=stats[det])
             lo, hi = mc.wilson_interval(
                 int(round(float(np.mean(stats[det] > thr)) * n)), n)
@@ -295,7 +296,7 @@ def test_criterion_07_cfar_sweep():
                     N=cfg.N, p=cfg.p, q=cfg.q, K=cfg.K, L=cfg.L,
                     environment=sc.PARTIALLY_HOMOGENEOUS, sigma2=sigma2,
                     pfa=cfg.pfa)
-                _, phe_stats = _h0_stats(phe_cfg, (det,), SWEEP_COVS[0], n, geometry)
+                _, (phe_stats,) = _h0_stats(phe_cfg, (det,), SWEEP_COVS[:1], n, geometry)
                 rate = float(np.mean(phe_stats[det] > thr))
                 assert lo <= rate <= hi, (det, sigma2, rate, (lo, hi))
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -150,12 +151,23 @@ class TestValidationCommands:
         args = ["cfar-check", "--detectors", "kglrt,asd,smi", "--trials", "3000",
                 "--N", "6", "--p", "1", "--L", "12", "--seed", "4"]
         blobs = []
-        for extra in ([], ["--batch-size", "64"], ["--batch-size", "577"]):
+        for extra in ([], ["--batch-size", "64"], ["--batch-size", "97"],
+                      ["--batch-size", "577"]):
             out = tmp_path / f"cfar{len(blobs)}.csv"
             cli.main(args + extra + ["--out", str(out)])
             blobs.append(out.read_bytes())
         assert len(_read(str(tmp_path / "cfar0.csv"))) == 9
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+
+    def test_cfar_check_draws_each_stream_once(self, tmp_path, stream_draws):
+        """All three covariances colour one draw of each (key, trial) stream."""
+        cli.main(["cfar-check", "--detectors", "kglrt,asd,smi", "--trials", "500",
+                  "--N", "6", "--p", "1", "--L", "12", "--seed", "4", "--batch-size", "97",
+                  "--out", str(tmp_path / "cfar.csv")])
+        assert len(_read(str(tmp_path / "cfar.csv"))) == 9
+        counts = Counter(stream_draws)
+        assert len(counts) == 500
+        assert set(counts.values()) == {1}
 
 
 class TestDistributedBanks:
@@ -274,27 +286,19 @@ class TestAnalyticLaws:
         eta = cli.analytic_threshold(det, cfg)
         assert abs(pd_distributed(det, 8, 4, 16, 0.0, 1.0, eta) - 1e-3) <= 1e-3 * 1e-3
 
-    def test_calibration_streams_disjoint_from_scoring(self, monkeypatch, tmp_path):
-        draws = {"calibration": set(), "scoring": set()}
-        phase = []
+    def test_calibration_streams_disjoint_from_scoring(self, monkeypatch, tmp_path,
+                                                       stream_draws):
+        draws = {}
 
         def tagged(name, fn):
             def wrapper(*args, **kwargs):
-                phase.append(name)
+                start = len(stream_draws)
                 try:
                     return fn(*args, **kwargs)
                 finally:
-                    phase.pop()
+                    draws[name] = set(stream_draws[start:])
             return wrapper
 
-        original = mc.TrialStreams.standard_normal
-
-        def recording(self, trial_index, out):
-            key = tuple(int(k) for k in self._bitgen.state["state"]["key"])
-            draws[phase[-1]].add((key, trial_index))
-            return original(self, trial_index, out)
-
-        monkeypatch.setattr(mc.TrialStreams, "standard_normal", recording)
         monkeypatch.setattr(mc, "run_trials", tagged("calibration", mc.run_trials))
         monkeypatch.setattr(mc, "exceedance_counts", tagged("scoring", mc.exceedance_counts))
         rc = cli.main(["pd-vs-snr", "--mode", "montecarlo", "--snr=-40", "--N", "8",

@@ -93,21 +93,13 @@ class TestExceedanceCounts:
                             hypothesis="h1", geometry=geom)
         self._assert_counts_match(plan, means, batch_size)
 
-    def test_grid_draws_each_trial_once(self, monkeypatch, tmp_path):
-        drawn = []
-        original = mc.TrialStreams.standard_normal
-
-        def counting(self, trial_index, out):
-            drawn.append(trial_index)
-            return original(self, trial_index, out)
-
-        monkeypatch.setattr(mc.TrialStreams, "standard_normal", counting)
+    def test_grid_draws_each_trial_once(self, tmp_path, stream_draws):
         rc = cli.main(["pd-vs-snr", "--mode", "montecarlo", "--snr",
                        ",".join(str(s) for s in range(0, 25, 2)),
                        "--detectors", "sglrt,samf", "--trials", "300",
                        "--batch-size", "128", "--out", str(tmp_path / "grid.csv")])
         assert rc == 0
-        assert sorted(drawn) == list(range(300))
+        assert sorted(i for _, i in stream_draws) == list(range(300))
 
 
 class TestBankPreparation:
@@ -161,7 +153,7 @@ class TestClairvoyantPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, (point, _)), = mc._noise_pass(plan)
+        (_, _, _, (point, _)), = mc._noise_pass(plan, (plan.covariance,))
         assert (point.W is not None) == has_map
 
 
@@ -308,8 +300,8 @@ class TestCfarSweep:
                             covariance=self.COVS[0], detectors=("kglrt",),
                             hypothesis="h0")
         thr = mc.calibrate_threshold(plan, "kglrt")
-        report = mc.cfar_sweep(("kglrt",), cfg, self.COVS, {"kglrt": thr}, 20_000,
-                               master_seed=17)["kglrt"]
+        report = mc.cfar_sweep(self.COVS, {"kglrt": thr},
+                               mc.sweep_trials(plan, self.COVS))["kglrt"]
         assert report.passed
 
     def test_smi_fails_with_large_ratio(self):
@@ -318,11 +310,32 @@ class TestCfarSweep:
                             covariance=self.COVS[0], detectors=("smi",),
                             hypothesis="h0")
         thr = mc.calibrate_threshold(plan, "smi")
-        report = mc.cfar_sweep(("smi",), cfg, self.COVS, {"smi": thr}, 20_000,
-                               master_seed=17)["smi"]
+        report = mc.cfar_sweep(self.COVS, {"smi": thr},
+                               mc.sweep_trials(plan, self.COVS))["smi"]
         assert not report.passed
         rates = [row.pfa_hat for row in report.rows]
         assert max(rates) > 2 * max(min(rates), 1e-12)
+
+
+class TestSweepTrials:
+    COVS = TestCfarSweep.COVS
+
+    @pytest.mark.parametrize("batch_size", [97, 4096])
+    @pytest.mark.parametrize("cfg, detectors", [
+        # smf: the clairvoyant map must come from each covariance's own R
+        (sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2), ("sglrt", "samf", "smf", "glrt_he_i")),
+        (sc.ScenarioConfig(N=6, p=2, L=12, K=4, pfa=1e-2), ("gkglrt", "gasd", "glrt_phe")),
+    ])
+    def test_each_covariance_equals_its_own_run(self, cfg, detectors, batch_size):
+        plan = mc.TrialPlan(n_trials=300, master_seed=21, scenario=cfg,
+                            covariance=self.COVS[0], detectors=detectors,
+                            batch_size=batch_size)
+        swept = mc.sweep_trials(plan, self.COVS)
+        assert len(swept) == len(self.COVS)
+        for cov, stats in zip(self.COVS, swept):
+            alone = mc.run_trials(replace(plan, covariance=cov))
+            for name in detectors:
+                assert np.array_equal(stats[name], alone[name]), (cov.label(), name)
 
 
 class TestOrientationAndScale:
