@@ -401,7 +401,8 @@ def run_cfar_check(args):
 
 
 def run_validate_dist(args):
-    # imported here: scipy.stats costs more start-up time than most runs take
+    # imported here, the one command that needs scipy.stats (for its KS test):
+    # no other command loads any scipy module, which would double its start-up
     from scipy import stats as sstats
 
     rng = np.random.default_rng(args.seed)

@@ -351,25 +351,34 @@ class TestAnalyticGrid:
 
 class TestImportPath:
     def test_cli_start_leaves_heavy_scipy_modules_out(self, tmp_path):
-        # scipy.stats and scipy.optimize (which pulls in scipy.linalg) cost
-        # more start-up time than most CLI runs take; only validate-dist
-        # needs scipy.stats, and it imports it when it runs
+        # scipy.special alone is half of the package's start-up: the integer-DOF
+        # laws are finite numpy sums, and scipy is imported only inside the
+        # functions without one (the noncentral chi-square, validate-dist)
         out = tmp_path / "dist.csv"
-        # nor do the Monte Carlo kernels (numpy's Cholesky, not scipy.linalg)
-        mc_out = tmp_path / "mc.csv"
+        run_out = tmp_path / "run.csv"
         code = textwrap.dedent(f"""
             import sys
             import adaptivedet, adaptivedet.cli as cli
+
+            def scipy_modules():
+                return [m for m in sys.modules if m.startswith("scipy")]
+
             cli.build_parser()
-            heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg")
-            loaded = [m for m in heavy if m in sys.modules]
-            assert not loaded, loaded
-            for argv in (["pd-vs-snr", "--mode", "montecarlo", "--trials", "500"],
+            assert not scipy_modules(), scipy_modules()
+            common = ["--N", "12", "--p", "2", "--L", "24", "--pfa", "1e-3"]
+            for argv in (["pd-vs-snr", "--mode", "montecarlo", *common, "--q", "3",
+                          "--detectors", "sglrt,samf,srao,asd,sabort,wsabort,dnsamf,aed,smf",
+                          "--snr", "0,12,24", "--trials", "500"],
+                         ["mesa", "--mode", "analytic", *common, "--detectors", "samf,sabort",
+                          "--snr", "0,16,40", "--cos2phi", "0,0.5,1"],
+                         ["cfar-check", "--N", "8", "--p", "2", "--K", "4", "--L", "16",
+                          "--detectors", "gkglrt,gasd,glrdd,snrdd,rao_dos", "--pfa", "1e-2",
+                          "--trials", "1000"],
                          ["cfar-check", "--K", "4", "--trials", "1000", "--detectors",
-                          "gkglrt,glrt_phe,snrdd,rao_dos"]):
-                assert cli.main(argv + ["--out", {str(mc_out)!r}]) == 0, argv
-            loaded = [m for m in heavy if m in sys.modules]
-            assert not loaded, loaded
+                          "gkglrt,glrt_phe,snrdd,rao_dos"],
+                         ["identities", "--trials", "1000"]):
+                assert cli.main(argv + ["--out", {str(run_out)!r}]) == 0, argv
+                assert not scipy_modules(), (argv, scipy_modules())
             sys.exit(cli.main(["validate-dist", "--trials", "20000", "--seed", "3",
                                "--out", {str(out)!r}]))
         """)

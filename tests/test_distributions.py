@@ -1,7 +1,9 @@
 import logging
 import math
+import warnings
 from decimal import Decimal, localcontext
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats as sstats
@@ -161,9 +163,44 @@ class TestCentralRouting:
         assert np.all((sf >= 0.0) & (sf <= 1.0))
 
 
+def mp_cf(m, n, delta, t):
+    """``(cdf, sf)`` of ``CF(m, n, delta)`` at ``t`` in mpmath.
+
+    ``B`` is an Erlang waiting time, so the cdf is ``P(J < n)`` for a Poisson
+    count ``J`` of mean ``A / t``: ``sum_{j<n} E[(A/t)^j e^{-A/t}] / j!``,
+    which is ``x^m e^{-delta w} sum_{j<n} w^j L_j^{(m-1)}(-delta x)`` with
+    ``x = t/(1+t)`` and ``w = 1 - x``.  mpmath sums each Laguerre polynomial
+    as its hypergeometric series (positive terms, no recurrence), and the
+    precision rises until ``1 - cdf`` keeps 20 digits.
+    """
+    def at(dps):
+        with mp.workdps(dps):
+            t_, d = mp.mpf(float(t)), mp.mpf(float(delta))
+            x, w = t_ / (1 + t_), 1 / (1 + t_)
+            total = mp.fsum(w ** j * mp.laguerre(j, m - 1, -d * x) for j in range(n))
+            cdf = x ** m * mp.exp(-d * w) * total
+            return cdf, 1 - cdf
+
+    dps = 30
+    cdf, sf = at(dps)
+    while sf < mp.mpf(10) ** (20 - dps):
+        dps = 30 + (int(-mp.log10(sf)) if sf > 0 else 2 * dps)
+        cdf, sf = at(dps)
+    return float(cdf), float(sf)
+
+
+def assert_law_close(got, ref, where):
+    """The finite-sum laws' bound: 1e-13 absolute, and 1e-12 relative where
+    the reference is at least 1e-300."""
+    err = abs(got - ref)
+    assert err <= 1e-13 and (ref < 1e-300 or err <= 1e-12 * ref), (where, got, ref)
+
+
 class TestScipyKernels:
-    """The laws call the scipy.special kernels behind scipy.stats.ncf/ncx2
-    directly; they must give scipy.stats' values inside the support and its
+    """The laws still on scipy.special kernels (the noncentral chi-square and
+    boost's noncentral-F density) give scipy.stats' values inside the support;
+    the finite sums that replaced ``_ncf_sf``/``ncfdtr`` stay within the
+    finite-sum bound of mpmath and of scipy.stats.  Every law gives scipy.stats'
     values at the support ends, where the raw kernels do not."""
 
     def test_interior_nodes_match_scipy_stats(self):
@@ -172,10 +209,16 @@ class TestScipyKernels:
             m, n = (int(v) for v in rng.integers(1, 14, size=2))
             delta = float(rng.exponential(10.0)) + 1e-3
             ts = rng.exponential(2.0, size=50)
-            np.testing.assert_array_equal(
-                cf_sf_nodes(m, n, delta, ts), sstats.ncf.sf(ts * n / m, 2 * m, 2 * n, 2 * delta))
-            np.testing.assert_array_equal(
-                ComplexF(m, n, delta).cdf(ts), sstats.ncf.cdf(ts * n / m, 2 * m, 2 * n, 2 * delta))
+            sf, cdf = cf_sf_nodes(m, n, delta, ts), ComplexF(m, n, delta).cdf(ts)
+            ncf = sstats.ncf(2 * m, 2 * n, 2 * delta)
+            for i, (t, s, c, ref_s, ref_c) in enumerate(zip(ts, sf, cdf, ncf.sf(ts * n / m),
+                                                            ncf.cdf(ts * n / m))):
+                assert_law_close(s, ref_s, ("scipy sf", m, n, delta, t))
+                assert_law_close(c, ref_c, ("scipy cdf", m, n, delta, t))
+                if i % 10 == 0:
+                    mp_c, mp_s = mp_cf(m, n, delta, t)
+                    assert_law_close(s, mp_s, ("mpmath sf", m, n, delta, t))
+                    assert_law_close(c, mp_c, ("mpmath cdf", m, n, delta, t))
             np.testing.assert_array_equal(
                 ComplexChi2(m, delta).sf(ts), sstats.ncx2.sf(2 * ts, 2 * m, 2 * delta))
             np.testing.assert_array_equal(
@@ -221,8 +264,89 @@ class TestScipyKernels:
         deltas = np.tile([0.0, 4.0], 3)
         sf = cf_sf_nodes(m, n, deltas, ts)
         assert np.array_equal(sf[[0, 1, 4, 5]], [1.0, 1.0, 0.0, 0.0])
-        assert sf[2] == special.betainc(n, m, 1.0 / 2.5)
-        assert sf[3] == sstats.ncf.sf(1.5 * n / m, 2 * m, 2 * n, 8.0)
+        for got, delta, ref in ((sf[2], 0.0, special.betainc(n, m, 1.0 / 2.5)),
+                                (sf[3], 4.0, sstats.ncf.sf(1.5 * n / m, 2 * m, 2 * n, 8.0))):
+            assert_law_close(got, ref, ("scipy", delta))
+            assert_law_close(got, mp_cf(m, n, delta, 1.5)[1], ("mpmath", delta))
+
+
+class TestFiniteSumLaws:
+    """The numpy finite sums behind the CF and CChi2 laws against mpmath."""
+
+    @pytest.mark.parametrize("n", [1, 4, 13, 30, 60, 100])
+    def test_noncentral_f_against_mpmath(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3, 5, 12):
+            deltas = np.concatenate(([0.0, 1e4], 10.0 ** rng.uniform(-3.0, 4.0, 5)))
+            # three nodes about the law's bulk (both tails), four anywhere
+            bulk = (m + deltas[:3]) / n * 10.0 ** rng.uniform(-1.5, 1.5, 3)
+            ts = np.clip(np.concatenate((bulk, 10.0 ** rng.uniform(-3.0, 3.0, 4))), 1e-3, 1e3)
+            sf = cf_sf_nodes(m, n, deltas, ts)
+            for d, t, s in zip(deltas, ts, sf):
+                ref_cdf, ref_sf = mp_cf(m, n, d, t)
+                assert_law_close(s, ref_sf, ("sf", m, n, d, t))
+                assert_law_close(ComplexF(m, n, d).cdf(t), ref_cdf, ("cdf", m, n, d, t))
+
+    @pytest.mark.parametrize("m,n,delta,t", [
+        (2, 13, 8.0, 12.0),        # sf about 1e-8: the tail continuation
+        (3, 100, 0.0066, 52.57),   # sf about 1e-170, one term of the tail carrying it
+        (12, 100, 1e4, 14.35),     # a prefactor below e**-600, kept in log space
+        (1, 30, 1e3, 0.53),        # the same with a cdf near 1e-246
+        (1, 100, 1e5, 130.0),      # a prefactor e**-763, below the smallest double
+    ])
+    def test_deep_tails_against_mpmath(self, m, n, delta, t):
+        ref_cdf, ref_sf = mp_cf(m, n, delta, t)
+        assert min(ref_cdf, ref_sf) < 1e-7
+        assert_law_close(cf_sf_nodes(m, n, delta, t)[0], ref_sf, "sf")
+        assert_law_close(ComplexF(m, n, delta).cdf(t), ref_cdf, "cdf")
+
+    def test_central_survival_against_mpmath(self):
+        # down to pfa 1e-8 and on to 1e-300, where the prefactor leaves the
+        # floating-point range and the terms meet in log space
+        ts = 10.0 ** np.linspace(-3.0, 3.0, 49)
+        with mp.workdps(30):
+            for m, n in ((1, 1), (2, 13), (12, 13), (5, 100), (12, 60)):
+                ref = [float(mp.betainc(n, m, 0, 1 / (1 + mp.mpf(t)), regularized=True))
+                       for t in ts]
+                for t, got, r in zip(ts, cf_sf_nodes(m, n, 0.0, ts), ref):
+                    if r >= 1e-300:
+                        assert abs(got / r - 1.0) <= 1e-12, ("CF", m, n, t)
+            for k in (1, 2, 5, 12, 100):
+                tk = np.concatenate((ts, [750.0, 800.0]))
+                ref = [float(mp.gammainc(k, mp.mpf(t), regularized=True)) for t in tk]
+                for t, got, r in zip(tk, ComplexChi2(k).sf(tk), ref):
+                    if r >= 1e-300:
+                        assert abs(got / r - 1.0) <= 1e-12, ("CChi2", k, t)
+
+    def test_large_n_delta_nodes_stay_finite(self):
+        ts = np.array([1e-3, 0.5, 1.0, 30.0, 1e3, 1e8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, n in ((1, 100), (12, 100), (12, 1000)):
+                for delta in (1e6, 1e8):
+                    sf = cf_sf_nodes(m, n, delta, ts)
+                    cdf = ComplexF(m, n, delta).cdf(ts)
+                    for out in (sf, cdf):
+                        ok = np.isfinite(out) & (out >= 0.0) & (out <= 1.0)
+                        assert ok.all(), (m, n, delta, out)
+
+    def test_each_node_alone_equals_the_node_in_an_array(self):
+        m, n = 2, 13
+        ts = np.array([0.0, np.inf, 0.3, 1.5, 4.0, 12.0, 40.0, 1e3, 0.05, 14.35, 1.0, 5e-3])
+        deltas = np.array([4.0, 4.0, 0.0, 0.0, 4.0, 8.0, 30.0, 1e4, 1e4, 1e4, 1e8, 2.5])
+        sf = cf_sf_nodes(m, n, deltas, ts)
+        # tail-continuation nodes (sf far below the switch) are among them
+        assert np.count_nonzero((deltas > 0.0) & (sf > 0.0) & (sf < 1e-4)) >= 2
+        for i in range(ts.size):
+            assert sf[i] == cf_sf_nodes(m, n, deltas[i:i + 1], ts[i:i + 1])[0], i
+            assert cf_sf_nodes(m, n, deltas[i], ts[i])[0] == sf[i], i
+        for delta in np.unique(deltas):
+            cdf = ComplexF(m, n, delta).cdf(ts)
+            for i in range(ts.size):
+                assert ComplexF(m, n, delta).cdf(ts[i]) == cdf[i], (delta, i)
+        erlang = ComplexChi2(3).sf(ts)
+        for i in range(ts.size):
+            assert ComplexChi2(3).sf(ts[i]) == erlang[i], i
 
 
 def exact_cbeta_pdf(a, b, delta, x):
