@@ -401,8 +401,10 @@ def run_cfar_check(args):
 
 
 def run_validate_dist(args):
-    # imported here, the one command that needs scipy.stats (for its KS test):
-    # no other command loads any scipy module, which would double its start-up
+    # imported here, the one command that needs scipy.stats (for its KS test),
+    # which would double every command's start-up; the benchmark commands load
+    # no scipy module (analytic smf at nonzero SNR and wide Beta laws load
+    # scipy.special only)
     from scipy import stats as sstats
 
     rng = np.random.default_rng(args.seed)

@@ -22,6 +22,7 @@ from adaptivedet.distributions import (
     pfa_point,
     threshold_for_pfa,
 )
+from adaptivedet.distributions import core
 from adaptivedet.distributions.detection import QUAD_TOL, _check_point_args, _pd_beta_mixture
 from adaptivedet.errors import InfeasibleError
 
@@ -322,13 +323,45 @@ class TestFiniteSumLaws:
         ts = np.array([1e-3, 0.5, 1.0, 30.0, 1e3, 1e8])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for m, n in ((1, 100), (12, 100), (12, 1000)):
-                for delta in (1e6, 1e8):
-                    sf = cf_sf_nodes(m, n, delta, ts)
-                    cdf = ComplexF(m, n, delta).cdf(ts)
+            for m, n in ((1, 100), (12, 100), (12, 1000), (1, 2000), (12, 2000)):
+                for delta in (1e4, 1e6, 1e8):
+                    # and one node in the law's bulk
+                    tn = np.append(ts, (m + delta) / n)
+                    sf = cf_sf_nodes(m, n, delta, tn)
+                    cdf = ComplexF(m, n, delta).cdf(tn)
                     for out in (sf, cdf):
                         ok = np.isfinite(out) & (out >= 0.0) & (out <= 1.0)
                         assert ok.all(), (m, n, delta, out)
+
+    @pytest.mark.parametrize("m", [1, 12])
+    def test_capped_tail_switch_at_large_n(self, m, monkeypatch):
+        # from n = 497 on the switch stays at 1/4: nodes about the bulk, the
+        # two with sf below it continued past n, against boost's noncentral F
+        continued = []
+        tail = core._cf_tail
+
+        def counted_tail(*args):  # (m, n, w, ...): count the nodes w
+            continued.append(args[2].size)
+            return tail(*args)
+
+        monkeypatch.setattr(core, "_cf_tail", counted_tail)
+        n, delta = 2000, 1e4
+        ts = (m + delta) / n * np.array([0.9, 1.0, 1.1, 1.25])
+        sf = cf_sf_nodes(m, n, delta, ts)
+        assert continued == [2] and np.count_nonzero(sf < 0.25) == 2
+        np.testing.assert_allclose(sf, sstats.ncf.sf(ts * n / m, 2 * m, 2 * n, 2 * delta),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_tail_stops_where_its_sum_overflows(self, monkeypatch):
+        # every node continued, as a switch above 1 would: a node whose mass
+        # lies far above n overflows its tail sum and keeps its 1 - cdf
+        monkeypatch.setattr(core, "_TAIL_SWITCH", 1.0)
+        monkeypatch.setattr(core, "_TAIL_CAP", 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sf = cf_sf_nodes(2, 13, np.array([1e4, 8.0]), np.array([1.0, 12.0]))
+        assert sf[0] == 1.0
+        assert_law_close(sf[1], mp_cf(2, 13, 8.0, 12.0)[1], "tail")
 
     def test_each_node_alone_equals_the_node_in_an_array(self):
         m, n = 2, 13
