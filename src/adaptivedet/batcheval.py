@@ -5,10 +5,11 @@ and the identity suite call it on batches of trials (point geometry shared or
 stacked per trial), and :mod:`adaptivedet.detectors` on a single instance
 (B = 1).  Each family splits into ``prepare_*`` (everything that depends only
 on the training SCM and the geometry) and ``evaluate_*`` (the test-data
-part), so one prepared batch serves any number of test means.  Both
-families whiten with the inverse Cholesky factor of the sample covariance
-(:func:`_whitener`); a covariance that is not positive definite raises
-:class:`~adaptivedet.errors.DefinitenessError`.  The normative
+part), so one prepared batch serves any number of test means; both hold only
+the banks whose inputs ``prepare_*`` is given (registry column ``reads``).
+Both families whiten with the inverse Cholesky factor of the sample
+covariance (:func:`_whitener`); a covariance that is not positive definite
+raises :class:`~adaptivedet.errors.DefinitenessError`.  The normative
 per-instance forms (projectors, ``M = S + X X^H`` and the ``R0``/``R1``
 covariance MLEs, generalized eigenpairs) live in ``tests/oracles.py``, and
 the test suite holds these kernels to them.
@@ -54,25 +55,25 @@ def _energy(Q, x):
 class PointPrepared:
     """Point-family state that depends only on the training SCM and geometry.
 
-    ``T`` whitens (``T S T^H = I``); ``QH``/``QHp``/``QB`` are orthonormal
-    bases of the whitened H, of H with the whitened J projected out, and of
-    [J H]; ``QJ`` is None without interference and ``QB`` is None when
-    [J H] fills the space (p + q = N).  ``E`` maps a whitened vector to the
-    coordinates, in the [J H] basis, of its oblique projection onto H along
-    J.
-    ``W`` is the clairvoyant map, None without a true covariance: its first
-    p rows are the R-whitened basis of H and its last the MVDR weight
-    ``(R^-1 s / s^H R^-1 s)^H``.
+    ``T`` whitens (``T S T^H = I``); ``QH`` is an orthonormal basis of the
+    whitened H, and ``st``/``ss`` the whitened steering vector and its energy.
+    ``QJ``/``QHp``/``QB`` are bases of J, of H with J projected out, and of
+    [J H] (whitened), with ``QJ`` None at q = 0 and ``QB`` None when [J H]
+    fills the space (p + q = N); ``E`` maps a whitened vector to the
+    coordinates, in the [J H] basis, of its oblique projection onto H along J.
+    ``W`` is the clairvoyant map: its first p rows are the R-whitened basis
+    of H and its last the MVDR weight ``(R^-1 s / s^H R^-1 s)^H``.  The parts
+    of a bank left out are None.
     """
 
     T: np.ndarray
     QH: np.ndarray
-    st: np.ndarray
-    ss: np.ndarray
-    QJ: np.ndarray
-    QHp: np.ndarray
-    QB: np.ndarray
-    E: np.ndarray
+    st: np.ndarray = None
+    ss: np.ndarray = None
+    QJ: np.ndarray = None
+    QHp: np.ndarray = None
+    QB: np.ndarray = None
+    E: np.ndarray = None
     W: np.ndarray = None
 
 
@@ -80,10 +81,11 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     """The test-independent half of :func:`point_family_stats`.
 
     ``S`` is (B, N, N); ``H`` (N, p) or (B, N, p), ``J`` (N, q) or (B, N, q)
-    and ``s`` (N,) or (B, N) are shared or stacked per trial.  The true
-    covariance ``R`` (clairvoyant references) needs shared geometry: the
-    clairvoyant pair is ``smf`` and ``mf`` whitened by R instead of S, one
-    ``(p + 1, N)`` map ``W`` of the test vector.
+    and ``s`` (N,) or (B, N) are shared or stacked per trial.  ``s`` None
+    leaves out the rank-one bank and ``mf``, ``J`` None the interference bank
+    (an (N, 0) ``J`` keeps it at q = 0).  The true covariance ``R`` needs
+    shared geometry: the clairvoyant pair is ``smf`` and ``mf`` whitened by R
+    instead of S, one ``(p + 1, N)`` map ``W`` of the test vector.
 
     One QR ``[Jt Ht] = Q R`` gives ``QJ`` (its first q columns), ``QHp``
     (its last p) and ``QB`` (all of Q).  With ``R22`` the trailing p x p
@@ -91,41 +93,41 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     ``Ht a`` with ``a = R22^-1 QHp^H xt``, so its error grows with
     cond(R22) = cond(Hp), not with the square of it.
     """
-    N = S.shape[-1]
     H = np.asarray(H, dtype=np.complex128)
-    J = np.zeros((N, 0), dtype=np.complex128) if J is None else np.asarray(J, dtype=np.complex128)
-    s = H[..., 0] if s is None else np.asarray(s, dtype=np.complex128)
-    q = J.shape[-1]
-
     T = _whitener(S)
     Ht = T @ H
     QH, RH = np.linalg.qr(Ht)
-    st = np.einsum("...ij,...j->...i", T, s)
-    ss = np.einsum("bn,bn->b", st.conj(), st).real
-    Q, Rb = np.linalg.qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
-    QHp = Q[..., q:]
-    E = Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp))
-    prep = dict(T=T, QH=QH, st=st, ss=ss, QJ=Q[..., :q] if q else None, QHp=QHp,
-                QB=Q if H.shape[-1] + q < N else None, E=E)
+    prep = dict(T=T, QH=QH)
+    if s is not None:
+        s = np.asarray(s, dtype=np.complex128)
+        st = np.einsum("...ij,...j->...i", T, s)
+        prep.update(st=st, ss=np.einsum("bn,bn->b", st.conj(), st).real)
+    if J is not None:
+        J = np.asarray(J, dtype=np.complex128)
+        q = J.shape[-1]
+        Q, Rb = np.linalg.qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
+        QHp = Q[..., q:]
+        prep.update(QJ=Q[..., :q] if q else None, QHp=QHp,
+                    QB=Q if H.shape[-1] + q < S.shape[-1] else None,
+                    E=Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp)))
     if R is not None:
         TR = _whitener(np.asarray(R, dtype=np.complex128))
-        sR = TR @ s
+        sR = TR @ (H[..., 0] if s is None else s)
         mvdr = (sR.conj() / np.real(sR.conj() @ sR)) @ TR
         prep["W"] = np.vstack([_ct(np.linalg.qr(TR @ H)[0]) @ TR, mvdr])
     return PointPrepared(**prep)
 
 
 def evaluate_point(prep: PointPrepared, x) -> dict:
-    """All point-family statistics of the stacked test vectors ``x`` (B, N).
+    """The statistics of the banks ``prep`` holds for test vectors ``x`` (B, N).
 
     ``wald_phe_i`` is nan when [H J] fills the space (p + q = N): its
     normalizing orthocomplement is empty there.  A ratio over a zero energy
     is 0 for null data and +inf otherwise (:func:`_ratio`).
     """
     x = np.asarray(x)
-    T, QH, st, ss = prep.T, prep.QH, prep.st, prep.ss
-    xt = np.einsum("bij,bj->bi", T, x)
-    u = _energy(QH, xt)
+    xt = np.einsum("bij,bj->bi", prep.T, x)
+    u = _energy(prep.QH, xt)
     v = np.einsum("bn,bn->b", xt.conj(), xt).real
     denom = 1.0 + v - u
     out = {
@@ -139,27 +141,38 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
         "aed": v,
         "beta": 1.0 / denom,
     }
+    if prep.st is not None:
+        out.update(_point_rank_one_bank(prep, xt, v))
+    if prep.QHp is not None:
+        out.update(_interference_bank(prep, xt))
+    if prep.W is not None:
+        y = np.abs(x @ prep.W.T) ** 2
+        out["smf"] = y[:, :-1].sum(axis=1)
+        if prep.st is not None:
+            out["mf"] = y[:, -1]
+    return out
 
-    cs = np.einsum("bn,bn->b", st.conj(), xt)
-    u1 = np.abs(cs) ** 2 / ss
+
+def _point_rank_one_bank(prep, xt, v):
+    u1 = np.abs(np.einsum("bn,bn->b", prep.st.conj(), xt)) ** 2 / prep.ss
     denom1 = 1.0 + v - u1
-    out.update({
+    return {
         "kglrt": u1 / denom1,
         "amf": u1,
         "dmrao": u1 / ((1.0 + v) * denom1),
         "ace": _ratio(u1, v),
-        "smi": u1 / ss,
-    })
+        "smi": u1 / prep.ss,
+    }
 
+
+def _interference_bank(prep, xt):
     QJ = prep.QJ
-    if QJ is not None:
-        xp = xt - np.einsum("bnq,bq->bn", QJ, np.einsum("bnq,bn->bq", QJ.conj(), xt))
-    else:
-        xp = xt
+    xp = xt if QJ is None else xt - np.einsum(
+        "bnq,bq->bn", QJ, np.einsum("bnq,bn->bq", QJ.conj(), xt))
     ui = _energy(prep.QHp, xp)
     vi = np.einsum("bn,bn->b", xp.conj(), xp).real
     denom_i = 1.0 + vi - ui
-    a = _energy(QH, xp)
+    a = _energy(prep.QH, xp)
     y = np.einsum("bin,bn->bi", prep.E, xt)
     wald_he = np.einsum("bi,bi->b", y.conj(), y).real
     if prep.QB is not None:
@@ -169,7 +182,7 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
         wald_phe = _ratio(wald_he, np.einsum("bn,bn->b", res.conj(), res).real)
     else:
         wald_phe = np.full_like(wald_he, np.nan)
-    out.update({
+    return {
         "glrt_he_i": ui / denom_i,
         "ts_glrt_he_i": ui,
         "glrt_phe_i": _ratio(ui, vi),
@@ -179,13 +192,7 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
         "wald_he_i": wald_he,
         "wald_phe_i": wald_phe,
         "beta_i": 1.0 / denom_i,
-    })
-
-    if prep.W is not None:
-        y = np.abs(x @ prep.W.T) ** 2
-        out["smf"] = y[:, :-1].sum(axis=1)
-        out["mf"] = y[:, -1]
-    return out
+    }
 
 
 def point_family_stats(x, S, H, J=None, s=None, R=None):

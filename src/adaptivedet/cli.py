@@ -200,12 +200,9 @@ def _scenario_from_args(args) -> sc.ScenarioConfig:
                              environment=environment, sigma2=sigma2, pfa=pfa)
 
 
-def _build_signal(cfg, geometry, R, snr_db, cos2phi, seed, grid_index):
+def _build_signal(cfg, build, snr_db, cos2phi, seed, grid_index):
     spec = sc.SignalSpec(snr_db=snr_db, cos2phi=cos2phi)
-    rng = np.random.default_rng((seed, 0x51, grid_index))
-    # the mismatch angle is measured against H for a point target, s otherwise
-    nominal = geometry.H if cfg.K == 1 else geometry.s[:, None]
-    s0 = sc.actual_signal(nominal, R, spec, rng=rng)
+    s0 = build(spec, np.random.default_rng((seed, 0x51, grid_index)))
     if cfg.K == 1:
         return s0[:, None]
     coords = np.ones(cfg.K, dtype=np.complex128) / np.sqrt(cfg.K)
@@ -339,7 +336,9 @@ def run_grid(args, snrs, cos2s):
     means = None
     if want_mc or (want_analytic and any(_analytic_law(det, cfg) == "interference"
                                          for det in detectors)):
-        means = [_build_signal(cfg, geometry, R, snr_db, cos2, args.seed, gi)
+        # the mismatch angle is measured against H for a point target, s otherwise
+        build = sc.signal_builder(geometry.H if cfg.K == 1 else geometry.s[:, None], R)
+        means = [_build_signal(cfg, build, snr_db, cos2, args.seed, gi)
                  for gi, (snr_db, cos2) in enumerate(points)]
     if want_mc:
         # every grid point shares the trial streams: one noise pass serves all

@@ -134,12 +134,19 @@ def _row(cls, stats, **extra):
 
 
 def _point(x, S, H, J=None, steering=None):
-    """The point family of ``x`` (N,), or of a stack (G, N) against one ``S``."""
+    """The point family of ``x`` (N,), or of a stack (G, N) against one ``S``,
+    with the interference bank for a ``J`` and the rank-one one for a ``steering``."""
     H = np.asarray(H, dtype=np.complex128)
     HJ = H if J is None else np.concatenate([H, J], axis=1)
     x = np.reshape(x, (-1, H.shape[0]))
     S1 = _checked(S, HJ, steering=steering)
-    return batcheval.point_family_stats(x, np.broadcast_to(S1, (len(x),) + S1.shape[1:]), H, J)
+    return batcheval.point_family_stats(
+        x, np.broadcast_to(S1, (len(x),) + S1.shape[1:]), H, J, steering)
+
+
+def _interference(x, S, H, J):
+    """:func:`_point` with the interference bank, at q = 0 for a ``J`` of None."""
+    return _point(x, S, H, np.zeros((np.shape(H)[0], 0)) if J is None else J)
 
 
 def _distributed(X, S, s=None, H=None, L=None):
@@ -181,7 +188,7 @@ def clairvoyant_bank(x, R, H) -> ClairvoyantStats:
     of ``H`` as the steering vector, and ``w_mvdr`` is the conjugated last row
     of the clairvoyant map."""
     R1 = _checked(R, H)
-    prep = batcheval.prepare_point(R1, H, R=R1[0])
+    prep = batcheval.prepare_point(R1, H, s=np.asarray(H)[:, 0], R=R1[0])
     stats = batcheval.evaluate_point(prep, np.asarray(x)[None])
     return ClairvoyantStats(smf=float(stats["smf"][0]), mf=float(stats["mf"][0]),
                             w_mvdr=prep.W[-1].conj())
@@ -194,7 +201,7 @@ def interference_bank(x, S, H, J) -> InterferenceStats:
     point-target statistics.  ``wald_phe_i`` is nan when [H J] fills the
     space (p + q = N): the orthocomplement that normalizes it is empty.
     """
-    return _row(InterferenceStats, _point(x, S, H, J))
+    return _row(InterferenceStats, _interference(x, S, H, J))
 
 
 def mismatch_geometry(s0, R, H, J) -> InterferenceGeometry:
@@ -206,7 +213,7 @@ def mismatch_geometry(s0, R, H, J) -> InterferenceGeometry:
     J-orthogonalized nominal subspace, and ``delta2_i = 1/beta_i - 1`` the
     remainder.
     """
-    stats = _point(s0, R, H, J)
+    stats = _interference(s0, R, H, J)
     rho_eff, delta2_i = stats["ts_glrt_he_i"], np.maximum(1.0 / stats["beta_i"] - 1.0, 0.0)
     if np.ndim(s0) == 1:
         return InterferenceGeometry(rho_eff=float(rho_eff[0]), delta2_i=float(delta2_i[0]))

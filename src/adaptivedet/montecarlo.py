@@ -148,16 +148,16 @@ def _noise_pass(plan: TrialPlan, covariances):
     bit-identical to a pass over it alone.  ``noise`` is the batch's coloured,
     scaled test noise (B, N, K) and ``prepared`` the point and distributed
     family state (None where the plan has no detector of that family) that
-    :func:`_statistics` needs.  Only the distributed banks the plan's
-    detectors read are prepared, and the clairvoyant map only for a plan with
-    a clairvoyant detector, from each covariance's own R.
+    :func:`_statistics` needs.  Only the banks the plan's detectors read
+    (registry column ``reads``) are prepared, and the clairvoyant map only for
+    a plan with a clairvoyant detector, from each covariance's own R.
     """
     cfg = plan.scenario
     rows = [registry.DETECTORS[name] for name in plan.detectors]
-    point = any(row.family == "point" for row in rows)
-    reads = {arg for row in rows for arg in row.reads}
-    dist = bool(reads)
-    if point and cfg.K != 1:
+    reads = {}  # family -> the prepare_* arguments its rows read
+    for row in rows:
+        reads.setdefault(row.family, set()).update(row.reads)
+    if "point" in reads and cfg.K != 1:
         raise ValueError("point-target detectors need K = 1")
 
     clairvoyant = any(row.clairvoyant for row in rows)
@@ -166,9 +166,11 @@ def _noise_pass(plan: TrialPlan, covariances):
         R = scenario.build_covariance(cov, cfg.N)
         colours.append((herm_sqrt(R), R if clairvoyant else None))
     geom = plan.geometry
-    s = geom.s if "s" in reads else None
-    H = geom.H if "H" in reads else None
-    L = cfg.L if "L" in reads else None
+    given = dict(s=geom.s, H=geom.H, J=geom.J, L=cfg.L)
+    # each family's prepare_* gets the arguments its rows read, None for the rest
+    kw = {family: {arg: given[arg] if arg in reads[family] else None for arg in args}
+          for family, args in (("point", ("J", "s")), ("distributed", ("s", "H", "L")))
+          if family in reads}
     streams = TrialStreams(plan.master_seed)
     n_flat = 2 * cfg.N * (cfg.L + cfg.K)
     for start in range(0, plan.n_trials, plan.batch_size):
@@ -181,8 +183,9 @@ def _noise_pass(plan: TrialPlan, covariances):
             training = A @ w_train
             S = training @ np.conj(np.swapaxes(training, -2, -1))
             prepared = (
-                batcheval.prepare_point(S, geom.H, geom.J, geom.s, R=R) if point else None,
-                batcheval.prepare_distributed(S, s, H, L) if dist else None)
+                batcheval.prepare_point(S, geom.H, R=R, **kw["point"]) if "point" in kw else None,
+                batcheval.prepare_distributed(S, **kw["distributed"])
+                if "distributed" in kw else None)
             yield c, trials, cfg.test_scale * (A @ w_test), prepared
 
 

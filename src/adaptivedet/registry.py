@@ -65,10 +65,12 @@ class Detector:
     ones need p + q < N to normalize by the complement of [H J].  ``cfar`` and
     ``scale_invariant`` (unchanged when the test data is scaled) are
     properties of the statistic; ``default`` marks the CLI's default bank.
-    ``reads`` names the arguments of
-    :func:`adaptivedet.batcheval.prepare_distributed` a distributed statistic
-    needs: ``s`` for the rank-one bank, ``L`` for its partially homogeneous
-    half, ``H`` for the direction and double-subspace banks.
+    ``reads`` names the optional arguments of the family's ``prepare_*`` in
+    :mod:`adaptivedet.batcheval` the statistic needs.  Point: ``s`` for the
+    rank-one bank and ``mf``, ``J`` for the interference bank, none for the
+    subspace bank (``clairvoyant`` ones also need ``R``).  Distributed:
+    ``s`` for the rank-one bank, ``L`` for its partially homogeneous half,
+    ``H`` for the direction and double-subspace banks.
     """
 
     name: str
@@ -99,6 +101,10 @@ def _point(name, law="point", **kw):
     return Detector(name, "point", law=law, canonical=canonical, **kw)
 
 
+def _interference(name, law=None, **kw):
+    return _point(name, law, reads=("J",), **kw)
+
+
 def _dist(name, reads, **kw):
     return Detector(name, "distributed", reads=reads, **kw)
 
@@ -119,24 +125,24 @@ DETECTORS = {d.name: d for d in (
     _point("aed", loss_factor=False, default=True),
     _point("beta", law=None),
     # rank-one bank: the p = 1 twins of the subspace bank, and the SMI
-    _point("kglrt", canonical="sglrt", rank_one=True),
-    _point("amf", canonical="samf", rank_one=True),
-    _point("dmrao", canonical="srao", rank_one=True),
-    _point("ace", canonical="asd", rank_one=True, scale_invariant=True),
-    _point("smi", law=None, cfar=False),
+    _point("kglrt", canonical="sglrt", rank_one=True, reads=_RANK_ONE),
+    _point("amf", canonical="samf", rank_one=True, reads=_RANK_ONE),
+    _point("dmrao", canonical="srao", rank_one=True, reads=_RANK_ONE),
+    _point("ace", canonical="asd", rank_one=True, reads=_RANK_ONE, scale_invariant=True),
+    _point("smi", law=None, cfar=False, reads=_RANK_ONE),
     # clairvoyant (known-covariance) references
     _point("smf", loss_factor=False, clairvoyant=True, default=True),
-    _point("mf", law=None, clairvoyant=True),
+    _point("mf", law=None, clairvoyant=True, reads=_RANK_ONE),
     # interference rejection; the GLRT trio has the point laws at dimension N - q
-    _point("glrt_he_i", law="interference", canonical="sglrt"),
-    _point("ts_glrt_he_i", law="interference", canonical="samf"),
-    _point("glrt_phe_i", law="interference", canonical="asd", scale_invariant=True),
-    _point("rao_he_i", law=None),
-    _point("ts_rao_he_i", law=None),
-    _point("rao_phe_i", law=None, scale_invariant=True),
-    _point("wald_he_i", law=None),
-    _point("wald_phe_i", law=None, scale_invariant=True, orthocomplement=True),
-    _point("beta_i", law=None),
+    _interference("glrt_he_i", "interference", canonical="sglrt"),
+    _interference("ts_glrt_he_i", "interference", canonical="samf"),
+    _interference("glrt_phe_i", "interference", canonical="asd", scale_invariant=True),
+    _interference("rao_he_i"),
+    _interference("ts_rao_he_i"),
+    _interference("rao_phe_i", scale_invariant=True),
+    _interference("wald_he_i"),
+    _interference("wald_phe_i", scale_invariant=True, orthocomplement=True),
+    _interference("beta_i"),
     # distributed rank-one bank; gamf's loss factor is central only without mismatch
     _dist("gkglrt", _RANK_ONE, law="distributed", canonical="sglrt"),
     _dist("gamf", _RANK_ONE, law="distributed", canonical="samf", mismatch=False),

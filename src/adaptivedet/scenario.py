@@ -209,27 +209,35 @@ def actual_signal(H: np.ndarray, R: np.ndarray, spec: SignalSpec, rng=None) -> n
     reproducible and the
     statistics depend only on (rho, cos2phi).
     """
-    rng = as_rng(spec.seed if rng is None else rng)
+    return signal_builder(H, R)(spec, rng)
+
+
+def signal_builder(H: np.ndarray, R: np.ndarray):
+    """:func:`actual_signal` of one (H, R), whitened once, as ``build(spec, rng)``."""
     N, p = H.shape
-    T = linalg.inv_sqrt(R)
-    Q = linalg.orthonormal_basis(T @ H)
-    coeff = complex_normal(rng, p)
-    u = Q @ coeff
-    u = u / np.linalg.norm(u)
-    cos2 = spec.cos2phi
-    if cos2 < 1.0:
-        if p == N:
-            raise GeometryError("cannot mismatch a signal when the subspace fills the space")
-        raw = complex_normal(rng, N)
-        w = raw - Q @ (Q.conj().T @ raw)
-        norm = np.linalg.norm(w)
-        if norm < 1e-12:
-            raise GeometryError("degenerate orthocomplement draw")
-        w = w / norm
-    else:
-        w = np.zeros(N, dtype=np.complex128)
-    s_bar = np.sqrt(spec.rho) * (np.sqrt(cos2) * u + np.sqrt(1.0 - cos2) * w)
-    return linalg.herm_sqrt(R) @ s_bar
+    Q = linalg.orthonormal_basis(linalg.inv_sqrt(R) @ H)
+    A = linalg.herm_sqrt(R)
+
+    def build(spec: SignalSpec, rng=None) -> np.ndarray:
+        rng = as_rng(spec.seed if rng is None else rng)
+        u = Q @ complex_normal(rng, p)
+        u = u / np.linalg.norm(u)
+        cos2 = spec.cos2phi
+        if cos2 < 1.0:
+            if p == N:
+                raise GeometryError("cannot mismatch a signal when the subspace fills the space")
+            raw = complex_normal(rng, N)
+            w = raw - Q @ (Q.conj().T @ raw)
+            norm = np.linalg.norm(w)
+            if norm < 1e-12:
+                raise GeometryError("degenerate orthocomplement draw")
+            w = w / norm
+        else:
+            w = np.zeros(N, dtype=np.complex128)
+        s_bar = np.sqrt(spec.rho) * (np.sqrt(cos2) * u + np.sqrt(1.0 - cos2) * w)
+        return A @ s_bar
+
+    return build
 
 
 def assemble_noise(flat, N: int, L: int, K: int):

@@ -57,7 +57,7 @@ def _or_infeasible(f, *args):
 
 def _point_rows_equal_oracle(x, S, H, J):
     N, p, q = H.shape[1], H.shape[2], J.shape[2]
-    batched = batcheval.evaluate_point(batcheval.prepare_point(S, H, J), x)
+    batched = batcheval.evaluate_point(batcheval.prepare_point(S, H, J, H[..., 0]), x)
     for b in range(x.shape[0]):
         ref = oracles.point_family(x[b], S[b], H[b], J[b])
         for name, value in ref.items():
@@ -186,7 +186,7 @@ def rotated(draw):
 
 
 def _every_statistic(X, S, H, J, R, L):
-    out = batcheval.point_family_stats(X[:, :, 0], S, H, J, R=R)
+    out = batcheval.point_family_stats(X[:, :, 0], S, H, J, H[:, 0], R=R)
     out.update(batcheval.distributed_family_stats(X, S, H[:, 0], H, L))
     return out
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import adaptivedet
-from adaptivedet import batcheval, cli, montecarlo as mc, scenario as sc
+from adaptivedet import batcheval, cli, linalg, montecarlo as mc, scenario as sc
 from adaptivedet.distributions import pd_distributed
 
 
@@ -69,6 +69,23 @@ class TestGridCommands:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert cli.main(args + ["--out", str(out3), "--batch-size", "97"]) == 0
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_grid_whitens_the_covariance_once(self, K, tmp_path, monkeypatch):
+        """Every cell's signal mean comes from one whitening of R."""
+        real, calls = linalg.inv_sqrt, []
+
+        def counting(S):
+            calls.append(1)
+            return real(S)
+
+        monkeypatch.setattr(linalg, "inv_sqrt", counting)
+        detectors = "kglrt" if K == 1 else "gkglrt"
+        assert cli.main(["pd-vs-snr", "--snr", "0,5,10", "--cos2phi", "0.5", "--K", str(K),
+                         "--detectors", detectors, "--mode", "montecarlo", "--trials", "200",
+                         "--N", "6", "--p", "1", "--L", "12",
+                         "--out", str(tmp_path / "g.csv")]) == 0
+        assert len(calls) == 1
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

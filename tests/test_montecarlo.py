@@ -157,6 +157,53 @@ class TestClairvoyantPreparation:
         assert (point.W is not None) == has_map
 
 
+class TestPointBankPreparation:
+    """The noise pass prepares and evaluates only the point banks the plan
+    reads, and a plan of part of the family gives the full plan's bits."""
+
+    @staticmethod
+    def _run(detectors, p, q, batch_size):
+        cfg = sc.ScenarioConfig(N=6, p=p, q=q, L=12, pfa=1e-2)
+        plan = mc.TrialPlan(n_trials=300, master_seed=5, scenario=cfg,
+                            covariance=sc.CovarianceModel.ar1(0.5),
+                            detectors=tuple(detectors), batch_size=batch_size)
+        return mc.run_trials(plan)
+
+    @pytest.mark.parametrize("batch_size", [128, 300])
+    @pytest.mark.parametrize("detectors, p, q", [
+        (registry.names(family="point", reads=(), clairvoyant=False), 2, 3),
+        (registry.names(family="point", reads=("s",), clairvoyant=False), 1, 3),
+        (registry.names(family="point", reads=("J",)), 2, 3),
+        (registry.names(family="point", reads=("J",)), 2, 0),
+        (("smf", "mf"), 2, 3),
+        (registry.names(family="point"), 2, 3),
+    ])
+    def test_partial_banks_give_the_full_pass_bits(self, detectors, p, q, batch_size):
+        full = self._run(registry.names(family="point"), p, q, 97)
+        part = self._run(detectors, p, q, batch_size)
+        assert set(part) == set(detectors)
+        for name in detectors:
+            assert np.array_equal(part[name], full[name]), name
+
+    @pytest.mark.parametrize("detectors, held", [
+        (("sglrt", "aed", "beta"), ()),
+        (("sglrt", "kglrt"), ("st", "ss")),
+        (("glrt_he_i", "wald_phe_i"), ("QJ", "QHp", "QB", "E")),
+        (("smf",), ("W",)),
+        (("mf",), ("st", "ss", "W")),
+    ])
+    def test_only_the_read_banks_are_prepared(self, detectors, held):
+        """A subspace-only plan with q > 0 holds no rank-one or interference
+        state; every other plan holds exactly its banks' state."""
+        cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
+        plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
+                            covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
+        (_, _, _, (point, dist)), = mc._noise_pass(plan, (plan.covariance,))
+        optional = ("st", "ss", "QJ", "QHp", "QB", "E", "W")
+        assert {f for f in optional if getattr(point, f) is not None} == set(held)
+        assert dist is None
+
+
 class TestFullSpaceGeometry:
     # p + q = N: [H J] spans the space, so wald_phe_i has nothing to normalize by
     CFG = sc.ScenarioConfig(N=4, p=2, q=2, L=8, pfa=1e-2)

@@ -1,10 +1,12 @@
 """The detector registry against the statistics, the docs and the oracles."""
 
 import ast
+import itertools
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -35,7 +37,7 @@ def scaled_instances(draw):
 def _all_stats(case, scale):
     X = scale * case["X"]
     H = case["H"]
-    out = batcheval.point_family_stats(X[:, :, 0], case["S"], H, case["J"], R=case["R"])
+    out = batcheval.point_family_stats(X[:, :, 0], case["S"], H, case["J"], H[:, 0], case["R"])
     out.update(batcheval.distributed_family_stats(X, case["S"], H[:, 0], H, case["L"]))
     return out
 
@@ -69,11 +71,45 @@ class TestOrthocomplement:
         statistics have nothing to normalize by and are nan."""
         N, p, q = 5, 2, 3
         train = crandn(rng, 3, N, 2 * N)
+        x, H = crandn(rng, 3, N), crandn(rng, N, p)
         out = batcheval.point_family_stats(
-            crandn(rng, 3, N), train @ train.conj().transpose(0, 2, 1),
-            crandn(rng, N, p), crandn(rng, N, q), R=random_hpd(rng, N))
+            x, train @ train.conj().transpose(0, 2, 1), H, crandn(rng, N, q), H[:, 0],
+            R=random_hpd(rng, N))
         assert {name for name, v in out.items() if np.isnan(v).any()} == set(
             registry.names(orthocomplement=True))
+
+
+def _subsets(args):
+    return [set(c) for n in range(len(args) + 1) for c in itertools.combinations(args, n)]
+
+
+class TestReads:
+    @pytest.mark.parametrize("given", _subsets("sJR"))
+    def test_point_column_matches_the_kernel(self, given, rng):
+        """Given any of s, J and R, the point kernel returns exactly the
+        statistics whose ``reads`` (and, for a clairvoyant one, R) it has."""
+        N = 6
+        train = crandn(rng, 2, N, 2 * N)
+        args = dict(J=crandn(rng, N, 2), s=crandn(rng, N), R=random_hpd(rng, N))
+        prep = batcheval.prepare_point(train @ train.conj().transpose(0, 2, 1), crandn(rng, N, 2),
+                                       **{k: v for k, v in args.items() if k in given})
+        out = batcheval.evaluate_point(prep, crandn(rng, 2, N))
+        assert set(out) == {d.name for d in registry.DETECTORS.values()
+                            if d.family == "point" and set(d.reads) <= given
+                            and ("R" in given or not d.clairvoyant)}
+
+    @pytest.mark.parametrize("given", _subsets("sHL"))
+    def test_distributed_column_matches_the_kernel(self, given, rng):
+        """Likewise the distributed kernel, whose PHE half (L) also needs s."""
+        N, K = 6, 3
+        train = crandn(rng, 2, N, 2 * N)
+        args = dict(s=crandn(rng, N), H=crandn(rng, N, 2), L=2 * N)
+        prep = batcheval.prepare_distributed(train @ train.conj().transpose(0, 2, 1),
+                                             **{k: args[k] if k in given else None for k in args})
+        out = batcheval.evaluate_distributed(prep, crandn(rng, 2, N, K))
+        assert set(out) - {"sigma0_hat", "sigma1_hat", "theta_max"} == {
+            d.name for d in registry.DETECTORS.values()
+            if d.family == "distributed" and set(d.reads) <= given}
 
 
 class TestTable:

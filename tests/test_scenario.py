@@ -96,6 +96,17 @@ class TestActualSignal:
         with pytest.raises(GeometryError):
             sc.actual_signal(H_full, np.eye(3), sc.SignalSpec(snr_db=0.0, cos2phi=0.5))
 
+    def test_builder_gives_actual_signal_bits(self):
+        """One builder, whitened once, serves many cells with the bits of a
+        fresh actual_signal per cell."""
+        build = sc.signal_builder(self.H, self.R)
+        for i, cos2 in enumerate((1.0, 0.6, 0.0)):
+            spec = sc.SignalSpec(snr_db=3.0 * i, cos2phi=cos2, seed=i)
+            assert np.array_equal(build(spec), sc.actual_signal(self.H, self.R, spec))
+            assert np.array_equal(build(spec, np.random.default_rng((1, i))),
+                                  sc.actual_signal(self.H, self.R, spec,
+                                                   rng=np.random.default_rng((1, i))))
+
 
 class TestSynthesize:
     def setup_method(self):
