@@ -1,15 +1,17 @@
 """Vectorized (stacked-trial) evaluation of the detector banks.
 
-This is the one implementation of every statistic: the Monte Carlo engine
-and the identity suite call it on batches of trials (point geometry shared or
-stacked per trial), and :mod:`adaptivedet.detectors` on a single instance
-(B = 1).  Each family splits into ``prepare_*`` (everything that depends only
-on the training SCM and the geometry) and ``evaluate_*`` (the test-data
-part), so one prepared batch serves any number of test means; both hold only
-the banks whose inputs ``prepare_*`` is given (registry column ``reads``).
-Both families whiten with the inverse Cholesky factor of the sample
-covariance (:func:`_whitener`); a covariance that is not positive definite
-raises :class:`~adaptivedet.errors.DefinitenessError`.  The normative
+This is the one implementation of every statistic: the Monte Carlo engine,
+the identity suite and the analytic mismatch geometry (:func:`mismatch_geometry`,
+the interference kernel at S = R) call it on batches of trials, with the point
+geometry shared or stacked per trial.  Each family splits into ``prepare_*``
+(everything that depends only on the training SCM and the geometry) and
+``evaluate_*`` (the test-data part), so one prepared batch serves any number
+of test means; both hold only the banks whose inputs ``prepare_*`` is given
+(registry column ``reads``).  ``prepare_*`` checks its input from the factors
+it computes anyway: the Cholesky factor of the sample covariance
+(:func:`_whitener`) raises :class:`~adaptivedet.errors.DefinitenessError`, the
+QR of a whitened subspace :class:`~adaptivedet.errors.RankError`
+(:func:`_qr`), and an all-zero steering vector ``ValueError``.  The normative
 per-instance forms (projectors, ``M = S + X X^H`` and the ``R0``/``R1``
 covariance MLEs, generalized eigenpairs) live in ``tests/oracles.py``, and
 the test suite holds these kernels to them.
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, InfeasibleError
+from .errors import DefinitenessError, InfeasibleError, RankError
+from .linalg import RCOND_LIMIT
 from .roots import find_root
 
 
@@ -31,12 +34,37 @@ def _whitener(S):
     """Inverse Cholesky factor ``T`` of the stacked Hermitian positive
     definite ``S``: ``T S T^H = I``, so ``T^H T = S^-1`` and every ``S^-1``
     quadratic form is an inner product of whitened vectors.  Any square root
-    of ``S`` whitens equally well; the triangular one is the cheapest."""
+    of ``S`` whitens equally well; the triangular one is the cheapest.
+
+    The Cholesky factorization reads only the lower triangle of ``S``, so a
+    non-Hermitian ``S`` is taken as the Hermitian matrix of that triangle,
+    not rejected; no symmetry pass runs here."""
     try:
         factor = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise DefinitenessError("matrix is not positive definite") from None
     return np.linalg.inv(factor)
+
+
+def _qr(A):
+    """Reduced QR ``(Q, R)`` of the stacked ``A`` (..., N, m), after checking
+    that every ``A`` has full column rank: ``m <= N`` and the smallest
+    ``|diag R|`` above ``RCOND_LIMIT`` times the largest (:class:`RankError`)."""
+    Q, R = np.linalg.qr(A)
+    d = np.abs(R.diagonal(0, -2, -1))
+    if A.shape[-1] > A.shape[-2] or (d.min(-1) <= RCOND_LIMIT * d.max(-1)).any():
+        raise RankError("subspace is numerically rank deficient")
+    return Q, R
+
+
+def _steering(T, s):
+    """The whitened steering vector ``T s`` (B, N) and its energy (B,);
+    ``s`` (N,) or (B, N) must not be all zero (``ValueError``)."""
+    s = np.asarray(s, dtype=np.complex128)
+    if not s.any(-1).all():
+        raise ValueError("steering vector must be nonzero")
+    st = np.einsum("...ij,...j->...i", T, s)
+    return st, np.einsum("bn,bn->b", st.conj(), st).real
 
 
 def _ratio(num, den):
@@ -91,21 +119,20 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     (its last p) and ``QB`` (all of Q).  With ``R22`` the trailing p x p
     block, the oblique projection of ``xt`` onto ``Ht`` along ``Jt`` is
     ``Ht a`` with ``a = R22^-1 QHp^H xt``, so its error grows with
-    cond(R22) = cond(Hp), not with the square of it.
+    cond(R22) = cond(Hp), not with the square of it.  Both QRs check that
+    their whitened matrix has full column rank (:func:`_qr`).
     """
     H = np.asarray(H, dtype=np.complex128)
     T = _whitener(S)
     Ht = T @ H
-    QH, RH = np.linalg.qr(Ht)
+    QH, RH = _qr(Ht)
     prep = dict(T=T, QH=QH)
     if s is not None:
-        s = np.asarray(s, dtype=np.complex128)
-        st = np.einsum("...ij,...j->...i", T, s)
-        prep.update(st=st, ss=np.einsum("bn,bn->b", st.conj(), st).real)
+        prep["st"], prep["ss"] = _steering(T, s)
     if J is not None:
         J = np.asarray(J, dtype=np.complex128)
         q = J.shape[-1]
-        Q, Rb = np.linalg.qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
+        Q, Rb = _qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
         QHp = Q[..., q:]
         prep.update(QJ=Q[..., :q] if q else None, QHp=QHp,
                     QB=Q if H.shape[-1] + q < S.shape[-1] else None,
@@ -204,6 +231,35 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
     return evaluate_point(prepare_point(S, H, J, s, R), x)
 
 
+@dataclass(frozen=True)
+class InterferenceGeometry:
+    """Noncentrality split of a signal against the (H, J) pair: the effective
+    SNR surviving interference rejection, and the rejected/mismatched rest
+    (floats for one signal, arrays for a stack)."""
+
+    rho_eff: float
+    delta2_i: float
+
+
+def mismatch_geometry(s0, R, H, J) -> InterferenceGeometry:
+    """Effective SNR and loss-factor noncentrality of an actual signal ``s0``
+    (N,), or arrays of them for a stack of signals (G, N).
+
+    They are the interference kernel's energies at S = R: ``rho_eff`` is
+    ``ts_glrt_he_i``, the part of the J-orthogonalized signal matched by the
+    J-orthogonalized nominal subspace, and ``delta2_i = 1/beta_i - 1`` the
+    remainder.  ``J`` None is q = 0.
+    """
+    R = np.asarray(R, dtype=np.complex128)
+    x = np.reshape(s0, (-1, R.shape[0]))
+    J = np.zeros((R.shape[0], 0)) if J is None else J
+    stats = point_family_stats(x, np.broadcast_to(R, (len(x),) + R.shape), H, J)
+    rho_eff, delta2_i = stats["ts_glrt_he_i"], np.maximum(1.0 / stats["beta_i"] - 1.0, 0.0)
+    if np.ndim(s0) == 1:
+        return InterferenceGeometry(rho_eff=float(rho_eff[0]), delta2_i=float(delta2_i[0]))
+    return InterferenceGeometry(rho_eff=rho_eff, delta2_i=delta2_i)
+
+
 def solve_sigma_batch(eigs, target: float):
     """Root ``sigma^2`` of ``sum_k lam_k / (lam_k + sigma^2) = target``, row by row.
 
@@ -256,18 +312,19 @@ class DistributedPrepared:
 def prepare_distributed(S, s, H, L) -> DistributedPrepared:
     """The test-independent half of :func:`distributed_family_stats`.
 
-    ``s`` None leaves out the rank-one bank, ``L`` None its partially
-    homogeneous half, and ``H`` None the direction and DOS banks.
+    ``s`` (N,) or (B, N) and ``H`` (N, p) or (B, N, p) are shared or stacked
+    per trial.  ``s`` None leaves out the rank-one bank, ``L`` None its
+    partially homogeneous half, and ``H`` None the direction and DOS banks.
+    The input checks are those of :func:`prepare_point`.
     """
     T = _whitener(S)
     st = ss = Ht = QH = Bp = Cb = None
     if s is not None:
-        st = np.einsum("bij,j->bi", T, np.asarray(s, dtype=np.complex128))
-        ss = np.einsum("bn,bn->b", st.conj(), st).real
+        st, ss = _steering(T, s)
     if H is not None:
         Ht = T @ np.asarray(H, dtype=np.complex128)
         Bp = _ct(Ht) @ Ht
-        QH, Cb = np.linalg.qr(Ht)[0], _whitener(Bp)
+        QH, Cb = _qr(Ht)[0], _whitener(Bp)
     return DistributedPrepared(L=L, T=T, st=st, ss=ss, Ht=Ht, QH=QH, Bp=Bp, Cb=Cb)
 
 
@@ -378,9 +435,9 @@ def _subspace_banks(prep, Xt, G0, M0, trG0):
 def distributed_family_stats(X, S, s, H, L: int):
     """All distributed-family statistics for stacked trials.
 
-    ``X`` is (B, N, K), ``S`` is (B, N, N); ``s`` (rank-one steering), ``H``
-    (direction/DOS subspace), and the training count ``L`` are shared, and
-    each may be None to leave out the banks that need it (see
-    :func:`prepare_distributed`).
+    ``X`` is (B, N, K), ``S`` is (B, N, N); ``s`` (rank-one steering) and
+    ``H`` (direction/DOS subspace) are shared or stacked per trial, the
+    training count ``L`` is shared, and each may be None to leave out the
+    banks that need it (see :func:`prepare_distributed`).
     """
     return evaluate_distributed(prepare_distributed(S, s, H, L), X)

@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import batcheval, montecarlo as mc, registry, scenario as sc
-from .detectors import mismatch_geometry
 from .distributions import (
     ComplexBeta,
     ComplexChi2,
@@ -257,7 +256,8 @@ def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
             return out  # cos2phi is measured against the subspace, not s
         return list(pd_point_grid(detector, N, p, L, rho / scale, cos2phi, eta))
     if law == "interference":
-        geo = mismatch_geometry(np.array([s[:, 0] for s in means]), R, geometry.H, geometry.J)
+        geo = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]), R,
+                                          geometry.H, geometry.J)
         return list(pd_interference_grid(
             detector, N, p, q, L, geo.rho_eff / scale, geo.delta2_i / scale, eta))
     if law == "distributed":

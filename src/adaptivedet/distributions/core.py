@@ -180,9 +180,8 @@ class ComplexF:
         return out[0] if scalar else out
 
     def sample(self, rng, size=None):
-        num = ComplexChi2(self.m, self.delta).sample(rng, size=size or 1)
-        den = ComplexChi2(self.n).sample(rng, size=size or 1)
-        out = np.asarray(num) / np.asarray(den)
+        n = 1 if size is None else size
+        out = ComplexChi2(self.m, self.delta).sample(rng, n) / ComplexChi2(self.n).sample(rng, n)
         return float(out[0]) if size is None else out
 
 
@@ -209,9 +208,9 @@ class ComplexBeta:
         return out[0] if scalar else out
 
     def sample(self, rng, size=None):
-        num = np.asarray(ComplexChi2(self.a).sample(rng, size=size or 1))
-        den = np.asarray(ComplexChi2(self.b, self.delta).sample(rng, size=size or 1))
-        out = num / (num + den)
+        n = 1 if size is None else size
+        num = ComplexChi2(self.a).sample(rng, n)
+        out = num / (num + ComplexChi2(self.b, self.delta).sample(rng, n))
         return float(out[0]) if size is None else out
 
 

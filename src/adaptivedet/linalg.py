@@ -37,6 +37,7 @@ def hermitian_pd_eigh(S, rtol: float = 1e-12):
     return w, V
 
 
+# perfbench's tracer resolves this name (tracer.WRAPS)
 def inv_sqrt(S) -> np.ndarray:
     """Hermitian inverse square root ``T`` with ``T S T = I``.
 
@@ -55,6 +56,7 @@ def herm_sqrt(S) -> np.ndarray:
     return 0.5 * (A + np.conj(np.swapaxes(A, -2, -1)))
 
 
+# perfbench's tracer resolves this name (tracer.WRAPS)
 def orthonormal_basis(A) -> np.ndarray:
     """Orthonormal basis ``Q`` for the column span of a full-column-rank ``A``.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptivedet import montecarlo as mc
+from adaptivedet import batcheval, montecarlo as mc
 
 
 def crandn(rng, *shape):
@@ -13,6 +13,18 @@ def random_hpd(rng, n, extra=0.0):
     """Random Hermitian positive definite matrix (Wishart-style)."""
     A = crandn(rng, n, n + 4)
     return A @ A.conj().T + extra * np.eye(n)
+
+
+def point_b1(x, S, H, J=None, s=None, R=None):
+    """The point kernel on one test vector ``x`` (N,): each statistic as a float."""
+    out = batcheval.point_family_stats(np.asarray(x)[None], np.asarray(S)[None], H, J, s, R)
+    return {name: float(value[0]) for name, value in out.items()}
+
+
+def distributed_b1(X, S, s=None, H=None, L=None):
+    """The distributed kernel on one test block ``X`` (N, K): row 0 of each output."""
+    out = batcheval.distributed_family_stats(np.asarray(X)[None], np.asarray(S)[None], s, H, L)
+    return {name: value[0] for name, value in out.items()}
 
 
 @pytest.fixture

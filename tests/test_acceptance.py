@@ -12,19 +12,10 @@ import pytest
 from scipy import optimize, stats as sstats
 
 from adaptivedet import montecarlo as mc, scenario as sc
+from adaptivedet.batcheval import solve_sigma_batch
 from adaptivedet.cli import identity_suite, main as cli_main
-from adaptivedet.detectors import (
-    direction_bank,
-    distributed_rank1_he,
-    distributed_rank1_phe,
-    dos_bank,
-    interference_bank,
-    rank_one_bank,
-    solve_sigma,
-    subspace_bank,
-)
 from adaptivedet.distributions import ComplexBeta, ComplexChi2, ComplexF, pd_point, threshold_for_pfa
-from conftest import crandn
+from conftest import crandn, distributed_b1, point_b1
 
 MASTER_SEED = 20230817
 
@@ -78,26 +69,23 @@ def test_criterion_02_reductions():
             S = train @ train.conj().T
             X = x[:, None]
             H1 = s[:, None]
-            rs = rank_one_bank(x, S, s)
-            ps = subspace_bank(x, S, H1)
-            he = distributed_rank1_he(X, S, s)
-            phe = distributed_rank1_phe(X, S, s, L)
-            di = direction_bank(X, S, H1)
-            do = dos_bank(X, S, H1)
-            ints = interference_bank(x, S, H1, None)
+            # the point family with H = s, q = 0; the distributed one at K = 1
+            pt = point_b1(x, S, H1, np.zeros((N, 0)), s)
+            dist = distributed_b1(X, S, s, H1, L)
             tol = dict(rel=1e-12)
-            assert he.gkglrt == pytest.approx(rs.kglrt, **tol)
-            assert he.gamf == pytest.approx(rs.amf, **tol)
-            assert phe.gasd == pytest.approx(rs.ace, **tol)
-            assert di.amdd == pytest.approx(ps.samf, **tol)
-            assert di.gadd == pytest.approx(ps.asd, **tol)
-            assert di.snrdd == pytest.approx(ps.samf, **tol)
-            assert do.wald_dos == pytest.approx(ps.samf, **tol)
-            assert do.glrt_dos == pytest.approx(1.0 + ps.sglrt, **tol)
-            assert di.glrdd == pytest.approx(rs.kglrt / (1.0 + rs.kglrt), **tol)
-            assert ints.glrt_he_i == pytest.approx(ps.sglrt, **tol)
-            assert ints.ts_glrt_he_i == pytest.approx(ps.samf, **tol)
-            assert ints.beta_i == pytest.approx(ps.beta, **tol)
+            assert pt["kglrt"] == pytest.approx(pt["sglrt"], **tol)
+            assert dist["gkglrt"] == pytest.approx(pt["kglrt"], **tol)
+            assert dist["gamf"] == pytest.approx(pt["amf"], **tol)
+            assert dist["gasd"] == pytest.approx(pt["ace"], **tol)
+            assert dist["amdd"] == pytest.approx(pt["samf"], **tol)
+            assert dist["gadd"] == pytest.approx(pt["asd"], **tol)
+            assert dist["snrdd"] == pytest.approx(pt["samf"], **tol)
+            assert dist["wald_dos"] == pytest.approx(pt["samf"], **tol)
+            assert dist["glrt_dos"] == pytest.approx(1.0 + pt["sglrt"], **tol)
+            assert dist["glrdd"] == pytest.approx(pt["kglrt"] / (1.0 + pt["kglrt"]), **tol)
+            assert pt["glrt_he_i"] == pytest.approx(pt["sglrt"], **tol)
+            assert pt["ts_glrt_he_i"] == pytest.approx(pt["samf"], **tol)
+            assert pt["beta_i"] == pytest.approx(pt["beta"], **tol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +300,11 @@ def test_criterion_08_sigma_solver():
             r = int(rng.integers(1, 7))
             eigs = rng.exponential(2.0, size=r) + 1e-6
             target = float(rng.uniform(0.05, 0.95)) * r
-            s2 = solve_sigma(eigs, target)
+            s2 = solve_sigma_batch(eigs[None], target)[0]
             assert abs(np.sum(eigs / (eigs + s2)) - target) <= 1e-10
         for lam, t in ((1.0, 0.5), (7.5, 0.25), (0.3, 0.9), (123.4, 0.01)):
-            assert solve_sigma([lam], t) == pytest.approx(lam * (1 - t) / t, rel=1e-12)
+            assert solve_sigma_batch(np.array([[lam]]), t)[0] == pytest.approx(
+                lam * (1 - t) / t, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

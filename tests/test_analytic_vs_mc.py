@@ -6,7 +6,7 @@ import pytest
 
 from adaptivedet import montecarlo as mc, scenario as sc
 from adaptivedet.cli import analytic_threshold
-from adaptivedet.detectors import mismatch_geometry
+from adaptivedet.batcheval import mismatch_geometry
 from adaptivedet.distributions import pd_distributed, pd_interference
 
 

@@ -35,17 +35,19 @@ def instances(draw, square=False):
 
 @st.composite
 def blocks(draw, square=False):
-    """A stack of B random distributed instances sharing (N, K, p) and the
-    geometry (s, H), with K up to 2N (so K > N occurs)."""
+    """A stack of B random distributed instances sharing (N, K, p), with the
+    geometry (s, H) shared or stacked per trial and K up to 2N (so K > N
+    occurs)."""
     N = draw(st.integers(1, 10))
     K = draw(st.integers(1, 2 * N))
     p = draw(st.integers(1, N))
     B = draw(st.integers(1, 3))
     L = _training(draw, N, square)
+    lead = (B,) if draw(st.booleans()) else ()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     train = crandn(rng, B, N, L)
     return (crandn(rng, B, N, K), train @ train.conj().transpose(0, 2, 1),
-            crandn(rng, N), crandn(rng, N, p), L)
+            crandn(rng, *lead, N), crandn(rng, *lead, N, p), L)
 
 
 def _or_infeasible(f, *args):
@@ -71,7 +73,9 @@ def _distributed_rows_equal_oracle(X, S, s, H, L):
     """All 14 statistics and both noise-power MLEs; a draw whose PHE root
     does not exist (target at or above a Gram rank) raises InfeasibleError on
     both sides."""
-    refs = [_or_infeasible(oracles.distributed_family, X[b], S[b], s, H, L)
+    stacked = s.ndim == 2
+    refs = [_or_infeasible(oracles.distributed_family, X[b], S[b],
+                           s[b] if stacked else s, H[b] if stacked else H, L)
             for b in range(X.shape[0])]
     batched = _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L)
     assert (batched is None) == any(ref is None for ref in refs)

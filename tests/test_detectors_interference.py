@@ -4,11 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from adaptivedet import linalg
-from adaptivedet.detectors import (
-    interference_bank,
-    mismatch_geometry,
-    subspace_bank,
-)
+from adaptivedet.batcheval import mismatch_geometry
+from adaptivedet.detectors import interference_bank, subspace_bank
 from adaptivedet.scenario import SignalSpec, actual_signal
 from conftest import crandn, random_hpd
 

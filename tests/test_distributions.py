@@ -61,6 +61,7 @@ class TestComplexChi2:
         d = ComplexChi2(3, 2.5)
         samples = d.sample(rng, size=100_000)
         assert sstats.kstest(samples, d.cdf).pvalue > 0.01
+        assert d.sample(rng, size=0).shape == (0,)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
@@ -92,6 +93,7 @@ class TestComplexF:
         d = ComplexF(2, 13, 8.0)
         samples = d.sample(rng, size=100_000)
         assert sstats.kstest(samples, d.cdf).pvalue > 0.01
+        assert d.sample(rng, size=0).shape == (0,)
 
 
 class TestComplexBeta:
@@ -130,6 +132,7 @@ class TestComplexBeta:
         d = ComplexBeta(13, 10, 20.0)
         samples = d.sample(rng, size=100_000)
         assert sstats.kstest(samples, d.cdf).pvalue > 0.01
+        assert d.sample(rng, size=0).shape == (0,)
 
 
 class TestCentralRouting:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivedet.batcheval import solve_sigma_batch
-from adaptivedet.detectors import solve_sigma
 from adaptivedet.distributions import invert_pfa, pd_distributed
 from adaptivedet.errors import InfeasibleError
 from adaptivedet.roots import find_root
@@ -64,7 +63,6 @@ class TestSigmaRoot:
         batch = solve_sigma_batch(eigs, target)
         for i, row in enumerate(eigs):
             assert solve_sigma_batch(row[None, :], target)[0] == batch[i]
-            assert solve_sigma(row, target) == batch[i]
 
     @SETTINGS
     @given(spectra())
@@ -78,7 +76,8 @@ class TestSigmaRoot:
     @SETTINGS
     @given(st.floats(1e-6, 1e6), st.floats(0.01, 0.99))
     def test_single_eigenvalue_closed_form(self, lam, t):
-        assert solve_sigma([lam], t) == pytest.approx(lam * (1 - t) / t, rel=1e-12)
+        assert solve_sigma_batch(np.array([[lam]]), t)[0] == pytest.approx(
+            lam * (1 - t) / t, rel=1e-12)
 
     @pytest.mark.parametrize("eigs,target", [
         ([1.0, 2.0, 3.0], 3.0),          # target at the count
@@ -91,7 +90,7 @@ class TestSigmaRoot:
     ])
     def test_infeasible_raises(self, eigs, target):
         with pytest.raises(InfeasibleError):
-            solve_sigma(eigs, target)
+            solve_sigma_batch(np.array([eigs], dtype=float), target)
 
     def test_one_infeasible_row_fails_the_batch(self):
         with pytest.raises(InfeasibleError):
