@@ -33,7 +33,8 @@ from .distributions import (
     pd_interference_grid,
     pd_point,  # noqa: F401 -- perfbench's tracer wraps this name here
     pd_point_grid,
-    threshold_for_pfa,
+    threshold_for_pfa,  # noqa: F401 -- perfbench's tracer wraps this name here
+    thresholds_for_pfa,
 )
 
 GRID_COLUMNS = ("detector", "snr_db", "cos2phi", "threshold", "pd_analytic",
@@ -269,33 +270,42 @@ def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
     return out
 
 
+def analytic_thresholds(detectors, cfg):
+    """Thresholds from the detectors' finite-sample H0 laws, by name (none for
+    a detector without one here), in one lockstep solve per law group: point
+    laws at (N, p or 1, L), interference laws at (N - q, p, L), distributed."""
+    N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
+    groups = {}
+    for det in detectors:
+        spec, law = registry.lookup(det), _analytic_law(det, cfg)
+        if law == "interference":  # central like its point statistic at dimension N - q
+            groups.setdefault((N - q, p, L), []).append((det, spec.canonical))
+        elif law:
+            key = (N, 1 if spec.rank_one else p, L) if law == "point" else law
+            groups.setdefault(key, []).append((det, det))
+    out = {}
+    for key, members in groups.items():
+        dets, laws = zip(*members)
+        if key == "distributed":
+            etas = invert_pfa(lambda e: [pd_distributed(d, N, K, L, 0.0, 1.0, x)
+                                         for d, x in zip(laws, e)], cfg.pfa, names=laws)
+        else:
+            etas = thresholds_for_pfa(laws, *key, cfg.pfa)
+        out.update(zip(dets, etas.tolist()))
+    return {det: out[det] for det in detectors if det in out}
+
+
 def analytic_threshold(detector, cfg):
     """Threshold from the detector's finite-sample H0 law, or None."""
-    spec = registry.lookup(detector)
-    law = _analytic_law(detector, cfg)
-    N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
-    if law == "point":
-        return threshold_for_pfa(detector, N, 1 if spec.rank_one else p, L, cfg.pfa)
-    if law == "interference":  # central like its point statistic at dimension N - q
-        return threshold_for_pfa(spec.canonical, N - q, p, L, cfg.pfa)
-    if law == "distributed":
-        return invert_pfa(lambda eta: pd_distributed(detector, N, K, L, 0.0, 1.0, eta),
-                          cfg.pfa)
-    return None
+    return analytic_thresholds([detector], cfg).get(detector)
 
 
 def _thresholds(detectors, cfg, args):
     """Analytic thresholds where available; one shared MC calibration run for
     the rest, on the Philox key ``args.seed ^ CALIBRATION_KEY_BIT`` so that no
     threshold is scored on the (key, trial) streams that set it."""
-    out = {}
-    needs_mc = []
-    for det in detectors:
-        thr = analytic_threshold(det, cfg)
-        if thr is None:
-            needs_mc.append(det)
-        else:
-            out[det] = thr
+    out = analytic_thresholds(detectors, cfg)
+    needs_mc = [det for det in detectors if det not in out]
     if needs_mc:
         plan = mc.TrialPlan(
             n_trials=args.trials, master_seed=args.seed ^ CALIBRATION_KEY_BIT,

@@ -19,6 +19,7 @@ from .detection import (
     pd_point_grid,
     pfa_point,
     threshold_for_pfa,
+    thresholds_for_pfa,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "pd_interference",
     "pd_interference_grid",
     "threshold_for_pfa",
+    "thresholds_for_pfa",
 ]

@@ -16,6 +16,11 @@ Kummer sum :func:`~.core.cbeta_pdf_nodes`, which takes each cell's own
 noncentrality.  Every per-node operation is elementwise, so a cell's value
 does not depend on which other cells share the call: :func:`pd_point` and
 its siblings are one-cell calls of the grid functions.
+
+A plan's thresholds are solved alike: :func:`thresholds_for_pfa` inverts the
+point laws of many detectors in one elementwise root solve, each round one
+quadrature whose cells carry their own detector and threshold, and each
+threshold has the bits of its detector solved alone.
 """
 
 import logging
@@ -53,13 +58,17 @@ def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_
     With ``n`` None, ``f(x)`` is one vectorized integrand on a 1-D array of
     nodes and a float is returned.  With an integer ``n``, ``f((cell, x))``
     evaluates integrand ``cell[i]`` at node ``x[i]``, and an array of the
-    ``n`` integrals is returned.  An integral's value does not depend on the
+    ``n`` integrals is returned; ``breakpoints`` may then also be one
+    sequence per integral.  An integral's value does not depend on the
     others: panel sums run node by node and each integral adds its accepted
     panels in its own order.
     """
-    pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
     count = 1 if n is None else int(n)
     width = len(_GL_NODES)
+    shared = n is None or not any(np.ndim(bp) for bp in breakpoints)
+    pts = [np.array([a] + sorted(p for p in set(bp) if a < p < b) + [b], dtype=float)
+           for bp in ([breakpoints] if shared else breakpoints)]
+    pts = pts * count if shared else pts
 
     def panel_sums(cell, lo, hi):
         mid = 0.5 * (lo + hi)
@@ -70,9 +79,9 @@ def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_
         # must not depend on how many panels share the call
         return half * (np.asarray(values, dtype=float).reshape(-1, width) * _GL_WEIGHTS).sum(axis=1)
 
-    cell = np.repeat(np.arange(count), len(pts) - 1)
-    lo = np.tile(pts[:-1], count)
-    hi = np.tile(pts[1:], count)
+    cell = np.repeat(np.arange(count), [e.size - 1 for e in pts])
+    lo = np.concatenate([e[:-1] for e in pts])
+    hi = np.concatenate([e[1:] for e in pts])
     coarse = None
     total = np.zeros(count)
     for depth in range(max_depth + 1):
@@ -110,21 +119,28 @@ def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
     """Average the conditional F survival over the loss-factor law, for every
     cell at once.
 
-    ``f_noncentrality`` (the coefficient multiplying ``beta`` in the
+    ``eta``, ``f_noncentrality`` (the coefficient multiplying ``beta`` in the
     conditional noncentrality) and ``beta_delta`` are per-cell values that
-    broadcast together; the result has their shape.
+    broadcast together; the result has their shape.  ``detector`` is one name,
+    or a sequence of one per cell.
     """
-    spec = registry.lookup(detector)
-    f_nc, beta_delta = np.broadcast_arrays(np.asarray(f_noncentrality, dtype=float),
-                                           np.asarray(beta_delta, dtype=float))
-    if eta <= 0.0:
-        return np.ones(f_nc.shape)
-    shape, f_nc, beta_delta = f_nc.shape, f_nc.ravel(), beta_delta.ravel()
+    cells = np.broadcast_arrays(np.asarray(eta, dtype=float),
+                                np.asarray(f_noncentrality, dtype=float),
+                                np.asarray(beta_delta, dtype=float))
+    shape, (etas, f_nc, beta_delta) = cells[0].shape, (c.ravel() for c in cells)
+    dets = [detector] * etas.size if isinstance(detector, str) else detector
+    pairs = list(zip(dets, etas.tolist()))
+    # the distinct (detector, threshold) pairs, and the one of each cell
+    index = {pair: k for k, pair in enumerate(dict.fromkeys(pairs))}
+    laws, law = list(index), np.array([index[pair] for pair in pairs])
 
     def integrand(cell_beta):
         cell, beta = cell_beta
         dens = cbeta_pdf_nodes(beta_a, beta_b, beta_delta[cell], beta)
-        g = spec.threshold_map(eta, beta)
+        g = np.empty_like(beta)
+        for k, (d, e) in enumerate(laws):
+            at = law[cell] == k if len(laws) > 1 else slice(None)
+            g[at] = registry.lookup(d).threshold_map(e, beta[at])
         sf = np.zeros_like(beta)
         sf[g <= 0.0] = 1.0
         todo = (g > 0.0) & np.isfinite(g)
@@ -132,9 +148,11 @@ def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
             sf[todo] = cf_sf_nodes(f_m, f_n, f_nc[cell[todo]] * beta[todo], g[todo])
         return dens * sf
 
-    pd = integrate_adaptive(integrand, 0.0, 1.0, breakpoints=spec.breakpoints(eta),
-                            tol=tol, n=f_nc.size)
-    return np.clip(pd, 0.0, 1.0).reshape(shape)
+    breaks = [registry.lookup(d).breakpoints(e) for d, e in laws]
+    pd = integrate_adaptive(integrand, 0.0, 1.0, tol=tol, n=etas.size,
+                            breakpoints=breaks[0] if len(laws) == 1 else [breaks[k] for k in law])
+    # a threshold <= 0 is crossed with certainty
+    return np.where(etas > 0.0, np.clip(pd, 0.0, 1.0), 1.0).reshape(shape)
 
 
 def _cells(*values):
@@ -235,34 +253,57 @@ def pd_interference(detector: str, N: int, p: int, q: int, L: int,
                                       tol=tol)[0])
 
 
-def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3) -> float:
-    """Threshold ``eta`` with ``|pfa_of(eta) - pfa| <= rtol * pfa``.
+def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3, names=("eta",)) -> np.ndarray:
+    """Thresholds ``eta`` with ``|pfa_of(eta) - pfa| <= rtol * pfa``, one per
+    element of ``names``; ``pfa_of`` maps an array of them elementwise.
 
-    ``pfa_of`` is a nonincreasing false-alarm curve.  :func:`find_root`
-    solves ``log(pfa_of / pfa) = 0`` in ``log eta`` over ``LOG_ETA_BRACKET``
-    (tails are near-linear there), with the tolerance band flattened into an
-    exact zero so that it stops at the first threshold inside the band.
+    One :func:`find_root` call solves ``log(pfa_of / pfa) = 0`` in ``log eta``
+    over ``LOG_ETA_BRACKET`` (tails are near-linear there), with the tolerance
+    band flattened into an exact zero so that each element stops at its first
+    threshold inside the band.  A failure names its elements and the target.
     """
     if not 0.0 < pfa < 1.0:
         raise InfeasibleError("target false-alarm probability must lie in (0, 1)")
 
     def excess(log_eta):
-        ratio = pfa_of(float(np.exp(log_eta))) / pfa
-        return 0.0 if abs(ratio - 1.0) <= rtol else float(np.log(max(ratio, 1e-300)))
+        ratio = np.asarray(pfa_of(np.exp(log_eta)), dtype=float) / pfa
+        return np.where(np.abs(ratio - 1.0) <= rtol, 0.0, np.log(np.maximum(ratio, 1e-300)))
 
     try:
-        root, value = find_root(excess, *LOG_ETA_BRACKET, xtol=1e-12)
+        root, value = find_root(excess, *(np.full(len(names), end) for end in LOG_ETA_BRACKET),
+                                xtol=1e-12)
+        failed, reason = value != 0.0, "did not converge"
     except InfeasibleError as exc:
-        raise InfeasibleError(f"false-alarm inversion failed: {exc}") from None
-    if value != 0.0:
-        raise InfeasibleError("false-alarm inversion did not converge")
-    return float(np.exp(root))
+        failed, reason = np.broadcast_to(exc.failed, len(names)), str(exc)
+    if failed.any():
+        raise InfeasibleError(f"false-alarm inversion for {', '.join(np.array(names)[failed])} "
+                              f"at pfa {pfa:g} failed: {reason}")
+    return np.exp(root)
+
+
+def thresholds_for_pfa(detectors, N: int, p: int, L: int, pfa: float,
+                       rtol: float = 1e-3, tol: float = QUAD_TOL) -> np.ndarray:
+    """Thresholds inverting :func:`pfa_point` of each of ``detectors`` at
+    (N, p, L) to relative accuracy ``rtol``, in one :func:`invert_pfa` solve
+    whose closed forms (``smf``, ``aed``) and quadrature cells go in lockstep."""
+    specs = [_check_point_args(d, N, p, L, 0.0, 1.0, 0.0) for d in detectors]
+    mix = np.array([s.loss_factor for s in specs], dtype=bool)
+    mixtures = [d for d, s in zip(detectors, specs) if s.loss_factor]
+
+    def pfa_of(etas):
+        out = np.array([0.0 if s.loss_factor else pd_point_grid(d, N, p, L, 0.0, 1.0, e)[0]
+                        for d, s, e in zip(detectors, specs, etas)])
+        if mixtures:
+            out[mix] = _subspace_law(mixtures, N, p, 0, L, 0.0, 0.0, etas[mix], tol)
+        return out
+
+    return invert_pfa(pfa_of, pfa, rtol, names=detectors)
 
 
 def threshold_for_pfa(detector: str, N: int, p: int, L: int, pfa: float,
                       rtol: float = 1e-3, tol: float = QUAD_TOL) -> float:
-    """Invert ``pfa_point`` to relative accuracy ``rtol`` (see :func:`invert_pfa`)."""
-    return invert_pfa(lambda eta: pfa_point(detector, N, p, L, eta, tol=tol), pfa, rtol)
+    """The threshold of one detector by :func:`thresholds_for_pfa`."""
+    return float(thresholds_for_pfa([detector], N, p, L, pfa, rtol, tol)[0])
 
 
 def _law(detector, kind):

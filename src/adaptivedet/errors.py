@@ -14,4 +14,9 @@ class GeometryError(ValueError):
 
 
 class InfeasibleError(ValueError):
-    """A root-finding or calibration target lies outside the feasible range."""
+    """A root-finding or calibration target lies outside the feasible range;
+    ``failed`` marks the elements of an elementwise solve at fault (True: all)."""
+
+    def __init__(self, message, failed=True):
+        super().__init__(message)
+        self.failed = failed

@@ -28,14 +28,15 @@ def find_root(f, lo, hi, xtol: float = 0.0):
     by element (0-d arrays for scalar brackets).  An element has converged when
     its value is exactly zero or its bracket is narrower than
     ``xtol + RTOL * |x|``.  Returns ``(x, f(x))``: for each element the
-    bracket end with the smaller ``|f|``.  Raises :class:`InfeasibleError`
-    when an element's ends do not bracket a sign change or it does not
-    converge.
+    bracket end with the smaller ``|f|``.  Raises :class:`InfeasibleError`,
+    its ``failed`` marking the elements at fault, when an element's ends do
+    not bracket a sign change or it does not converge.
     """
     x1, x2 = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     f1, f2 = np.asarray(f(x1), dtype=float), np.asarray(f(x2), dtype=float)
-    if not np.all(np.sign(f1) * np.sign(f2) <= 0.0):
-        raise InfeasibleError("the root is not bracketed")
+    bracketed = np.sign(f1) * np.sign(f2) <= 0.0
+    if not np.all(bracketed):
+        raise InfeasibleError("the root is not bracketed", failed=~bracketed)
     # x1 is the newest point, x2 the end across the sign change, x3 the end
     # dropped last; x3 = x2 makes the first step a bisection
     x3, f3 = x2, f2
@@ -66,4 +67,4 @@ def find_root(f, lo, hi, xtol: float = 0.0):
         cross = active & ~same
         x2, f2 = np.where(cross, x1, x2), np.where(cross, f1, f2)
         x1, f1 = np.where(active, xt, x1), np.where(active, ft, f1)
-    raise InfeasibleError("the root solver did not converge")
+    raise InfeasibleError("the root solver did not converge", failed=active)

@@ -14,7 +14,8 @@ from scipy import optimize, stats as sstats
 from adaptivedet import montecarlo as mc, scenario as sc
 from adaptivedet.batcheval import solve_sigma_batch
 from adaptivedet.cli import identity_suite, main as cli_main
-from adaptivedet.distributions import ComplexBeta, ComplexChi2, ComplexF, pd_point, threshold_for_pfa
+from adaptivedet.distributions import (ComplexBeta, ComplexChi2, ComplexF, pd_point,
+                                       thresholds_for_pfa)
 from conftest import crandn, distributed_b1, point_b1
 
 MASTER_SEED = 20230817
@@ -129,8 +130,9 @@ ADAPTIVE_BANK = ("sglrt", "samf", "srao", "asd", "sabort", "wsabort", "dnsamf", 
 
 @pytest.fixture(scope="module")
 def fig_thresholds():
-    return {d: threshold_for_pfa(d, FIG_N, FIG_P, FIG_L, FIG_PFA, rtol=1e-6)
-            for d in ADAPTIVE_BANK + ("smf",)}
+    bank = ADAPTIVE_BANK + ("smf",)
+    etas = thresholds_for_pfa(bank, FIG_N, FIG_P, FIG_L, FIG_PFA, rtol=1e-6)
+    return dict(zip(bank, etas.tolist()))
 
 
 def _pd(det, rho, cos2, thresholds):

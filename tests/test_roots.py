@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivedet.batcheval import solve_sigma_batch
-from adaptivedet.distributions import invert_pfa, pd_distributed
+from adaptivedet.distributions import invert_pfa, pd_distributed, thresholds_for_pfa
 from adaptivedet.errors import InfeasibleError
 from adaptivedet.roots import find_root
 
@@ -112,3 +112,17 @@ class TestInvertPfa:
     def test_jump_over_the_band_raises(self):
         with pytest.raises(InfeasibleError):
             invert_pfa(lambda eta: 1.0 if eta < 2.0 else 1e-9, 1e-3)
+
+    def test_infeasible_element_is_named(self):
+        # at L = N the F law's tail decays like 1/eta: sglrt's false-alarm rate
+        # stays above 1e-20 over the whole bracket; smf's and srao's reach it
+        with pytest.raises(InfeasibleError, match=r"for sglrt at pfa 1e-20 failed"):
+            thresholds_for_pfa(["smf", "sglrt", "srao"], 4, 1, 4, 1e-20)
+        assert np.all(np.isfinite(thresholds_for_pfa(["smf", "srao"], 4, 1, 4, 1e-20)))
+
+    def test_unconverged_elements_are_named(self):
+        jumps = np.array([False, True, False])
+        with pytest.raises(InfeasibleError, match=r"for b at pfa 0.001 failed: did not converge"):
+            invert_pfa(lambda eta: np.where(jumps & (eta >= 2.0), 1e-9,
+                                            np.where(jumps, 1.0, np.exp(-eta))),
+                       1e-3, names=("a", "b", "c"))
