@@ -280,9 +280,10 @@ def solve_sigma_batch(eigs, target: float):
     if np.any(counts <= target) or target <= 0:
         raise InfeasibleError("root target outside the feasible range for some trial")
 
-    def f(s2):
+    def f(s2, at):
+        rows = eigs if at.size == len(eigs) else eigs[at]  # every row while all are active
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(eigs > 0, eigs / (eigs + s2[:, None]), 0.0)
+            frac = np.where(rows > 0, rows / (rows + s2[:, None]), 0.0)
         return frac.sum(axis=1) - target
 
     smallest = np.where(eigs > 0, eigs, np.inf).min(axis=1)

@@ -27,12 +27,9 @@ from .distributions import (
     ComplexBeta,
     ComplexChi2,
     ComplexF,
-    invert_pfa,
-    pd_distributed,
-    pd_distributed_grid,
-    pd_interference_grid,
+    pd_cells,
     pd_point,  # noqa: F401 -- perfbench's tracer wraps this name here
-    pd_point_grid,
+    resolve_law,
     threshold_for_pfa,  # noqa: F401 -- perfbench's tracer wraps this name here
     thresholds_for_pfa,
 )
@@ -147,7 +144,7 @@ def build_parser():
                        help="training count (default 2N)")
         p.add_argument("--pfa", type=float, default=None)
         p.add_argument("--env", type=str, default="he",
-                       help="'he' or 'phe:SIGMA2'")
+                       help="'he', 'phe' or 'phe:SIGMA2'")
         p.add_argument("--covariance", type=str, default="ar1:0.9",
                        help="identity | ar1:RHO | ar1w:RHO:CNR_DB")
         p.add_argument("--detectors", type=str, default=",".join(registry.names(default=True)))
@@ -184,20 +181,16 @@ def build_parser():
 
 
 def _scenario_from_args(args) -> sc.ScenarioConfig:
-    env = args.env.strip().lower()
-    sigma2 = 1.0
-    if env.startswith("phe"):
-        environment = sc.PARTIALLY_HOMOGENEOUS
-        if ":" in env:
-            sigma2 = float(env.split(":", 1)[1])
-    elif env == "he":
-        environment = sc.HOMOGENEOUS
-    else:
+    # exactly 'he', 'phe' or 'phe:SIGMA2'
+    environment, colon, sigma2 = args.env.strip().lower().partition(":")
+    if environment not in (sc.HOMOGENEOUS, sc.PARTIALLY_HOMOGENEOUS) or (
+            colon and environment != sc.PARTIALLY_HOMOGENEOUS):
         raise ValueError(f"unknown environment {args.env!r}")
     L = args.L if args.L is not None else 2 * args.N
     pfa = args.pfa if args.pfa is not None else (1e-2 if args.command == "cfar-check" else 1e-3)
     return sc.ScenarioConfig(N=args.N, p=args.p, q=args.q, K=args.K, L=L,
-                             environment=environment, sigma2=sigma2, pfa=pfa)
+                             environment=environment,
+                             sigma2=float(sigma2) if colon else 1.0, pfa=pfa)
 
 
 def _build_signal(cfg, build, snr_db, cos2phi, seed, grid_index):
@@ -219,93 +212,26 @@ def _jammer_mean(cfg, geometry, R, jnr_db):
     return np.repeat(j[:, None], cfg.K, axis=1)
 
 
-def _analytic_law(detector, cfg):
-    """Which finite-sample law serves ``detector`` under ``cfg``: ``"point"``,
-    ``"interference"``, ``"distributed"``, or None for Monte Carlo.
-
-    Point and interference laws need K = 1.  A point law with a loss factor
-    needs p < N (p is 1 for the rank-one twins); interference laws need
-    p + q < N and distributed laws N > 1.  Under ``phe`` only the
-    scale-invariant detectors keep their law: the test noise power then only
-    rescales the SNR.
-    """
-    spec = registry.lookup(detector)
-    if cfg.environment == sc.PARTIALLY_HOMOGENEOUS and not spec.scale_invariant:
-        return None
-    if spec.law in ("point", "interference") and cfg.K != 1:
-        return None
-    p = 1 if spec.rank_one else cfg.p
-    holds = {"point": p < cfg.N or not spec.loss_factor,
-             "interference": p + cfg.q < cfg.N,
-             "distributed": 1 < cfg.N}
-    return spec.law if holds.get(spec.law) else None
-
-
-def _analytic_pds(detector, cfg, geometry, R, means, rho, cos2phi, eta):
-    """Analytic PD of every grid cell, from one lockstep call, where the
-    detector has a finite-sample law here; None marks a cell without one.
-
-    ``means`` (the cells' signal means) is read only by interference laws.
-    """
-    spec = registry.lookup(detector)
-    law = _analytic_law(detector, cfg)
-    N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
-    scale = cfg.test_scale ** 2  # sigma2 under phe, where only scale-invariant laws apply
-    out = [None] * len(rho)
-    if law == "point":
-        if spec.rank_one and p != 1:
-            return out  # cos2phi is measured against the subspace, not s
-        return list(pd_point_grid(detector, N, p, L, rho / scale, cos2phi, eta))
-    if law == "interference":
-        geo = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]), R,
-                                          geometry.H, geometry.J)
-        return list(pd_interference_grid(
-            detector, N, p, q, L, geo.rho_eff / scale, geo.delta2_i / scale, eta))
-    if law == "distributed":
-        cells = np.flatnonzero((cos2phi == 1.0) | spec.mismatch)
-        if cells.size:
-            pds = pd_distributed_grid(detector, N, K, L, rho[cells], cos2phi[cells], eta)
-            for i, pd in zip(cells, pds):
-                out[i] = pd
-    return out
-
-
-def analytic_thresholds(detectors, cfg):
-    """Thresholds from the detectors' finite-sample H0 laws, by name (none for
-    a detector without one here), in one lockstep solve per law group: point
-    laws at (N, p or 1, L), interference laws at (N - q, p, L), distributed."""
-    N, p, q, K, L = cfg.N, cfg.p, cfg.q, cfg.K, cfg.L
-    groups = {}
-    for det in detectors:
-        spec, law = registry.lookup(det), _analytic_law(det, cfg)
-        if law == "interference":  # central like its point statistic at dimension N - q
-            groups.setdefault((N - q, p, L), []).append((det, spec.canonical))
-        elif law:
-            key = (N, 1 if spec.rank_one else p, L) if law == "point" else law
-            groups.setdefault(key, []).append((det, det))
-    out = {}
-    for key, members in groups.items():
-        dets, laws = zip(*members)
-        if key == "distributed":
-            etas = invert_pfa(lambda e: [pd_distributed(d, N, K, L, 0.0, 1.0, x)
-                                         for d, x in zip(laws, e)], cfg.pfa, names=laws)
-        else:
-            etas = thresholds_for_pfa(laws, *key, cfg.pfa)
-        out.update(zip(dets, etas.tolist()))
-    return {det: out[det] for det in detectors if det in out}
+def _laws(detectors, cfg):
+    """Each detector's finite-sample law under ``cfg``, or why it has none."""
+    return {det: resolve_law(det, cfg.N, cfg.p, cfg.L, cfg.q, cfg.K, cfg.environment)
+            for det in detectors}
 
 
 def analytic_threshold(detector, cfg):
     """Threshold from the detector's finite-sample H0 law, or None."""
-    return analytic_thresholds([detector], cfg).get(detector)
+    law = _laws([detector], cfg)[detector]
+    return None if isinstance(law, str) else float(thresholds_for_pfa([law], cfg.pfa)[0])
 
 
-def _thresholds(detectors, cfg, args):
-    """Analytic thresholds where available; one shared MC calibration run for
-    the rest, on the Philox key ``args.seed ^ CALIBRATION_KEY_BIT`` so that no
-    threshold is scored on the (key, trial) streams that set it."""
-    out = analytic_thresholds(detectors, cfg)
-    needs_mc = [det for det in detectors if det not in out]
+def _thresholds(laws, cfg, args):
+    """Thresholds of the detectors with a finite-sample law in one solve; one
+    shared MC calibration run for the rest, on the Philox key ``args.seed ^
+    CALIBRATION_KEY_BIT`` so that no threshold is scored on the (key, trial)
+    streams that set it."""
+    analytic = {det: law for det, law in laws.items() if not isinstance(law, str)}
+    out = dict(zip(analytic, thresholds_for_pfa(list(analytic.values()), cfg.pfa).tolist()))
+    needs_mc = [det for det in laws if det not in out]
     if needs_mc:
         plan = mc.TrialPlan(
             n_trials=args.trials, master_seed=args.seed ^ CALIBRATION_KEY_BIT,
@@ -331,21 +257,23 @@ def _detectors(args):
 
 def run_grid(args, snrs, cos2s):
     cfg = _scenario_from_args(args)
-    detectors = _detectors(args)
+    laws = _laws(_detectors(args), cfg)
+    detectors = tuple(laws)
     geometry = mc.Geometry.default(cfg)
     cov = sc.CovarianceModel.parse(args.covariance)
     R = cov.build(cfg.N)
-    thresholds = _thresholds(detectors, cfg, args)
+    thresholds = _thresholds(laws, cfg, args)
     want_mc = args.mode in ("montecarlo", "both")
     want_analytic = args.mode in ("analytic", "both")
     points = [(s, c) for c in cos2s for s in snrs]
     rho = np.array([10.0 ** (snr_db / 10.0) for snr_db, _ in points])
     cos2phi = np.array([c for _, c in points])
+    interference = want_analytic and any(law.kind == "interference" for law in laws.values()
+                                         if not isinstance(law, str))
     # signal means feed Monte Carlo and interference laws only; each cell's
     # mean comes from its own generator, so skipping them changes nothing else
     means = None
-    if want_mc or (want_analytic and any(_analytic_law(det, cfg) == "interference"
-                                         for det in detectors)):
+    if want_mc or interference:
         # the mismatch angle is measured against H for a point target, s otherwise
         build = sc.signal_builder(geometry.H if cfg.K == 1 else geometry.s[:, None], R)
         means = [_build_signal(cfg, build, snr_db, cos2, args.seed, gi)
@@ -360,16 +288,24 @@ def run_grid(args, snrs, cos2s):
             batch_size=args.batch_size)
         counts = mc.exceedance_counts(plan, means, thresholds)
     if want_analytic:
-        pds = {det: _analytic_pds(det, cfg, geometry, R, means, rho, cos2phi, thresholds[det])
-               for det in detectors}
+        # every cell's law inputs, once per grid, on the test noise's scale
+        # (sigma2 under phe, where only scale-invariant laws apply)
+        scale = cfg.test_scale ** 2
+        cells = dict.fromkeys(("point", "distributed"), (rho / scale, cos2phi))
+        if interference:
+            geo = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]), R,
+                                              geometry.H, geometry.J)
+            cells["interference"] = (geo.rho_eff / scale, geo.delta2_i / scale)
+        pds = {det: pd_cells(law, thresholds[det], *cells[law.kind])
+               for det, law in laws.items() if not isinstance(law, str)}
     rows = []
     for gi, (snr_db, cos2) in enumerate(points):
         for di, det in enumerate(detectors):
             row = {"detector": det, "snr_db": snr_db, "cos2phi": cos2,
                    "threshold": thresholds[det], "seed": args.seed if want_mc else None,
                    "n_trials": args.trials if want_mc else None}
-            if want_analytic:
-                row["pd_analytic"] = pds[det][gi]
+            if want_analytic and det in pds and not np.isnan(pds[det][gi]):
+                row["pd_analytic"] = pds[det][gi]  # NaN: no law for this cell
             if want_mc:
                 est = mc.pd_estimate(int(counts[gi, di]), args.trials)
                 row.update({"pd_mc": est.pd, "ci_low": est.ci_low, "ci_high": est.ci_high})
@@ -392,21 +328,12 @@ def run_cfar_check(args):
     thresholds = {det: mc.calibrate_threshold(plan, det, stats=stats[0][det])
                   for det in detectors}
     reports = mc.cfar_sweep(covariances, thresholds, stats)
-    rows = []
-    failed = []
-    for det in detectors:
-        report = reports[det]
-        for cov_row in report.rows:
-            rows.append({
-                "detector": det, "covariance": cov_row.covariance,
-                "threshold": report.threshold, "pfa_hat": cov_row.pfa_hat,
-                "ci_low": cov_row.ci_low, "ci_high": cov_row.ci_high,
-                "n_trials": cov_row.n, "seed": args.seed,
-                "status": "pass" if report.passed else "fail",
-            })
-        if not report.passed and registry.DETECTORS[det].cfar:
-            failed.append(det)
-    return rows, failed
+    rows = [{"detector": det, "covariance": row.covariance, "threshold": report.threshold,
+             "pfa_hat": row.pfa_hat, "ci_low": row.ci_low, "ci_high": row.ci_high,
+             "n_trials": row.n, "seed": args.seed, "status": "pass" if report.passed else "fail"}
+            for det, report in reports.items() for row in report.rows]
+    return rows, [det for det, report in reports.items()
+                  if not report.passed and registry.DETECTORS[det].cfar]
 
 
 def run_validate_dist(args):

@@ -9,8 +9,10 @@ from .core import (
     cf_sf_nodes,
 )
 from .detection import (
+    Law,
     integrate_adaptive,
     invert_pfa,
+    pd_cells,
     pd_distributed,
     pd_distributed_grid,
     pd_interference,
@@ -18,6 +20,7 @@ from .detection import (
     pd_point,
     pd_point_grid,
     pfa_point,
+    resolve_law,
     threshold_for_pfa,
     thresholds_for_pfa,
 )
@@ -29,6 +32,7 @@ __all__ = [
     "cbeta_pdf_grid",
     "cbeta_pdf_nodes",
     "cf_sf_nodes",
+    "Law",
     "integrate_adaptive",
     "invert_pfa",
     "pd_point",
@@ -38,6 +42,8 @@ __all__ = [
     "pd_distributed_grid",
     "pd_interference",
     "pd_interference_grid",
+    "pd_cells",
+    "resolve_law",
     "threshold_for_pfa",
     "thresholds_for_pfa",
 ]

@@ -1,35 +1,32 @@
 """Analytic detection probability, false-alarm probability, and thresholds.
 
-Every supported detector reduces, conditionally on its loss factor, to a
-complex noncentral F variable compared against a threshold mapped into that
-conditional scale; the map and the law's capabilities are the detector's row
-in :mod:`adaptivedet.registry`.  Detection probability is the loss-factor
-average of the conditional survival, computed by adaptive Gauss-Legendre
-quadrature with panel splits at the event-region kinks.
+Every analytic law here is the complex noncentral F of Kelly (1986) averaged
+over a loss factor, a mixture with four integer parameters, or one of two
+closed forms (the ``smf`` chi-square and the ``aed`` F).  :func:`resolve_law`
+decides once per detector and scenario which law applies and with what
+parameters, or why none does; everything else takes its :class:`Law`.
 
-A grid of cells that share a law (detector, threshold and degrees of
-freedom) is integrated in lockstep: :func:`integrate_adaptive` keeps one
-array of active panels over every cell and refines them all in one integrand
-call per round, so a grid costs about ``max_depth`` vectorized calls instead
-of one Python-level call per panel.  The loss-factor density is the finite
-Kummer sum :func:`~.core.cbeta_pdf_nodes`, which takes each cell's own
-noncentrality.  Every per-node operation is elementwise, so a cell's value
-does not depend on which other cells share the call: :func:`pd_point` and
-its siblings are one-cell calls of the grid functions.
-
-A plan's thresholds are solved alike: :func:`thresholds_for_pfa` inverts the
-point laws of many detectors in one elementwise root solve, each round one
-quadrature whose cells carry their own detector and threshold, and each
-threshold has the bits of its detector solved alone.
+Detection probability is the loss-factor average of the conditional
+survival, by adaptive Gauss-Legendre quadrature with panel splits at the
+event's kinks.  :func:`integrate_adaptive` refines the panels of every cell
+of a call in one integrand call per round, and every per-node operation is
+elementwise, so a cell's value does not depend on which other cells share
+the call: :func:`pd_cells` serves a whole grid, and :func:`pd_point` and its
+siblings are one-cell calls of it.  Thresholds are solved alike:
+:func:`thresholds_for_pfa` inverts any mix of laws in one elementwise root
+solve, with one evaluation per distinct law parameters each round, and each
+threshold has the bits of its law solved alone.
 """
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import registry
 from ..errors import InfeasibleError
 from ..roots import find_root
+from ..scenario import HOMOGENEOUS, PARTIALLY_HOMOGENEOUS
 from .core import cbeta_pdf_nodes, cchi2_sf_nodes, cf_sf_nodes
 from .core import cbeta_pdf_grid  # noqa: F401 -- perfbench's tracer wraps this name here
 
@@ -114,22 +111,12 @@ def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_
     return float(total[0]) if n is None else total
 
 
-def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
-                     beta_delta, tol):
+def _pd_beta_mixture(detectors, etas, f_m, f_n, f_nc, beta_a, beta_b, beta_delta, tol):
     """Average the conditional F survival over the loss-factor law, for every
-    cell at once.
-
-    ``eta``, ``f_noncentrality`` (the coefficient multiplying ``beta`` in the
-    conditional noncentrality) and ``beta_delta`` are per-cell values that
-    broadcast together; the result has their shape.  ``detector`` is one name,
-    or a sequence of one per cell.
-    """
-    cells = np.broadcast_arrays(np.asarray(eta, dtype=float),
-                                np.asarray(f_noncentrality, dtype=float),
-                                np.asarray(beta_delta, dtype=float))
-    shape, (etas, f_nc, beta_delta) = cells[0].shape, (c.ravel() for c in cells)
-    dets = [detector] * etas.size if isinstance(detector, str) else detector
-    pairs = list(zip(dets, etas.tolist()))
+    cell at once: cell ``i`` has the threshold map of ``detectors[i]``,
+    threshold ``etas[i]``, conditional noncentrality ``f_nc[i] * beta`` and
+    loss-factor noncentrality ``beta_delta[i]`` (1-D arrays)."""
+    pairs = list(zip(detectors, etas.tolist()))
     # the distinct (detector, threshold) pairs, and the one of each cell
     index = {pair: k for k, pair in enumerate(dict.fromkeys(pairs))}
     laws, law = list(index), np.array([index[pair] for pair in pairs])
@@ -152,12 +139,116 @@ def _pd_beta_mixture(detector, eta, f_m, f_n, f_noncentrality, beta_a, beta_b,
     pd = integrate_adaptive(integrand, 0.0, 1.0, tol=tol, n=etas.size,
                             breakpoints=breaks[0] if len(laws) == 1 else [breaks[k] for k in law])
     # a threshold <= 0 is crossed with certainty
-    return np.where(etas > 0.0, np.clip(pd, 0.0, 1.0), 1.0).reshape(shape)
+    return np.where(etas > 0.0, np.clip(pd, 0.0, 1.0), 1.0)
 
 
-def _cells(*values):
-    """Per-cell arguments as equal-shape float arrays of at least one dimension."""
-    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in values))
+@dataclass(frozen=True)
+class Law:
+    """The finite-sample law of one detector at fixed dimensions (see
+    :func:`resolve_law`).
+
+    ``params`` is ``("mixture", f_m, f_n, beta_a, beta_b)``: given its loss
+    factor ``beta ~ CBeta(beta_a, beta_b, delta)``, the statistic exceeds
+    ``eta`` when ``CF(f_m, f_n, c beta)`` exceeds the threshold map of registry
+    row ``canonical``.  Or a closed form: ``("cchi2", f_m, ...)`` is ``CChi2(f_m,
+    c)`` and ``("cf", f_m, f_n, ...)`` is ``CF(f_m, f_n, rho)``.  A cell
+    ``(rho, cos2phi)`` has ``c = rho cos2phi`` and ``delta = rho (1 -
+    cos2phi)``; an ``interference`` law's cell is ``(c, delta) = (rho_eff,
+    delta2_i)``.  ``no_pd`` says why the law gives no detection probability
+    (None: it gives every cell's); a ``matched`` law still gives it at
+    ``cos2phi = 1``.
+    """
+
+    name: str
+    kind: str
+    canonical: str
+    params: tuple
+    no_pd: str = None
+    matched: bool = False
+
+
+def resolve_law(detector: str, N: int, p: int, L: int, q: int = 0, K: int = 1,
+                environment: str = HOMOGENEOUS):
+    """The :class:`Law` of ``detector`` at (N, p, q, K, L) in ``environment``
+    (``he`` or ``phe``), or a short reason why it has none.  Every condition
+    under which an analytic law applies is decided here."""
+    spec = registry.lookup(detector)
+    if spec.law is None:
+        return f"{detector} has no finite-sample law"
+    if L < N or K < 1 or not 1 <= p <= N:
+        return "need L >= N, K >= 1 and 1 <= p <= N"
+    if environment == PARTIALLY_HOMOGENEOUS and not spec.scale_invariant:
+        # the test noise power then only rescales the SNR
+        return f"under phe only a scale-invariant statistic keeps its law; {detector} is not"
+    if spec.law == "distributed":
+        if N < 2:
+            return "a distributed law needs N > 1"
+        # gamf's loss factor is central only without mismatch
+        return Law(detector, spec.law, spec.canonical,
+                   ("mixture", K, L - N + 1, L + K - N + 1 if spec.mismatch else L - N + 2, N - 1),
+                   None if spec.mismatch else f"{detector}'s PD law needs cos2phi = 1",
+                   matched=not spec.mismatch)
+    if K != 1:
+        return "point and interference laws need K = 1"
+    no_pd = None
+    if spec.rank_one and p != 1:  # cos2phi is measured against the subspace, not s
+        p, no_pd = 1, f"{detector} is rank-one: its law is the one at p = 1, with no PD at p = {p}"
+    if spec.law == "interference":  # the point law at dimension N - q
+        N -= q
+    if not spec.loss_factor:
+        params = ("cchi2", p, 0, 0, 0) if spec.clairvoyant else ("cf", N, L - N + 1, 0, 0)
+    elif p < N:
+        params = ("mixture", p, L - N + 1, L - N + p + 1, N - p)
+    else:
+        return "a loss factor needs p < N (p + q < N with interference rejected)"
+    return Law(detector, spec.law, spec.canonical, params, no_pd)
+
+
+def _pd_laws(laws, etas, c, delta, rho, tol):
+    """Detection probability of cell ``i`` under ``laws[i]`` at ``etas[i]``,
+    ``c[i]``, ``delta[i]`` and SNR ``rho[i]`` (see :class:`Law`): one
+    evaluation per distinct law parameters, whose cells go in lockstep."""
+    out = np.empty(len(laws))
+    groups = {}
+    for i, law in enumerate(laws):
+        groups.setdefault(law.params, []).append(i)
+    for (form, f_m, f_n, beta_a, beta_b), at in groups.items():
+        if form == "cchi2":
+            out[at] = cchi2_sf_nodes(f_m, c[at], etas[at])
+        elif form == "cf":
+            out[at] = cf_sf_nodes(f_m, f_n, rho[at], etas[at])
+        else:
+            out[at] = _pd_beta_mixture([laws[i].canonical for i in at], etas[at], f_m, f_n,
+                                       c[at], beta_a, beta_b, delta[at], tol)
+    return out
+
+
+def pd_cells(law: Law, eta: float, x, y, tol: float = QUAD_TOL) -> np.ndarray:
+    """Detection probabilities of ``law`` at threshold ``eta`` over cells
+    ``(x, y)`` (see :class:`Law`), from one lockstep evaluation; NaN marks a
+    cell whose detection probability the law does not give."""
+    x, y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y)))
+    if not (np.all((x >= 0.0) & (y >= 0.0) & ((y <= 1.0) | (law.kind == "interference")))
+            and eta >= 0.0):
+        raise ValueError("cells and threshold must be nonnegative, and cos2phi at most 1")
+    out = np.full(x.shape, np.nan)
+    at = (y == 1.0) if law.matched else np.full(x.shape, law.no_pd is None)
+    x, y = x[at], y[at]
+    c, delta = (x, y) if law.kind == "interference" else (x * y, x * (1.0 - y))
+    out[at] = _pd_laws([law] * x.size, np.full(x.size, eta), c, delta, x, tol)
+    return out
+
+
+def _pd_grid(kind, detector, N, p, L, x, y, eta, tol, **dims):
+    """:func:`pd_cells` of the ``kind`` law of ``detector``, with ValueError
+    where that law gives no detection probability."""
+    law = resolve_law(detector, N, p, L, **dims)
+    if isinstance(law, str) or law.kind != kind:
+        raise ValueError(law if isinstance(law, str) else f"no {kind} law for {detector!r}")
+    pds = pd_cells(law, eta, x, y, tol)
+    if np.isnan(pds).any():
+        raise ValueError(law.no_pd)
+    return pds
 
 
 def pd_point_grid(detector: str, N: int, p: int, L: int, rho, cos2phi, eta: float,
@@ -167,24 +258,7 @@ def pd_point_grid(detector: str, N: int, p: int, L: int, rho, cos2phi, eta: floa
     cosine-squared mismatch angle between the whitened actual signal and the
     whitened nominal subspace; one lockstep quadrature serves every cell.
     """
-    rho, cos2phi = _cells(rho, cos2phi)
-    spec = _check_point_args(detector, N, p, L, rho, cos2phi, eta)
-    if not spec.loss_factor:  # the known-covariance chi-square, or the F law of the AED
-        if spec.clairvoyant:  # the SMF sees only the matched energy
-            return cchi2_sf_nodes(p, rho * cos2phi, eta)
-        return cf_sf_nodes(N, L - N + 1, rho, eta)
-    return _subspace_law(detector, N, p, 0, L, rho * cos2phi, rho * (1.0 - cos2phi), eta, tol)
-
-
-def _subspace_law(detector, N, p, q, L, rho_eff, delta2, eta, tol):
-    """The loss-factor mixture of a subspace GLRT-family law with ``q``
-    interference dimensions rejected (q = 0 for the point bank)."""
-    return _pd_beta_mixture(
-        detector, eta,
-        f_m=p, f_n=L - N + q + 1, f_noncentrality=rho_eff,
-        beta_a=L - N + p + q + 1, beta_b=N - p - q, beta_delta=delta2,
-        tol=tol,
-    )
+    return _pd_grid("point", detector, N, p, L, rho, cos2phi, eta, tol)
 
 
 def pd_point(detector: str, N: int, p: int, L: int, rho: float, cos2phi: float,
@@ -203,21 +277,7 @@ def pd_distributed_grid(detector: str, N: int, K: int, L: int, rho, cos2phi_rk1,
                         eta: float, tol: float = QUAD_TOL) -> np.ndarray:
     """Detection probabilities of the rank-one distributed-target GLRT/2S-GLRT
     over cells of ``(rho, cos2phi_rk1)``."""
-    spec = _law(detector, "distributed")
-    if L < N or K < 1:
-        raise ValueError("need L >= N and K >= 1")
-    rho, cos2phi_rk1 = _cells(rho, cos2phi_rk1)
-    _check_common(rho, cos2phi_rk1, eta)
-    if spec.mismatch:  # the GLRT's loss factor carries the mismatched energy
-        beta_a, beta_b, beta_delta = L + K - N + 1, N - 1, rho * (1.0 - cos2phi_rk1)
-    else:  # the 2S-GLRT's loss factor is central under both hypotheses
-        beta_a, beta_b, beta_delta = L - N + 2, N - 1, 0.0
-    return _pd_beta_mixture(
-        detector, eta,
-        f_m=K, f_n=L - N + 1, f_noncentrality=rho * cos2phi_rk1,
-        beta_a=beta_a, beta_b=beta_b, beta_delta=beta_delta,
-        tol=tol,
-    )
+    return _pd_grid("distributed", detector, N, 1, L, rho, cos2phi_rk1, eta, tol, K=K)
 
 
 def pd_distributed(detector: str, N: int, K: int, L: int, rho: float,
@@ -229,20 +289,9 @@ def pd_distributed(detector: str, N: int, K: int, L: int, rho: float,
 def pd_interference_grid(detector: str, N: int, p: int, q: int, L: int, rho_eff,
                          delta2_i, eta: float, tol: float = QUAD_TOL) -> np.ndarray:
     """Detection probabilities of the interference-rejection GLRT family over
-    cells of ``(rho_eff, delta2_i)``.
-
-    ``rho_eff`` is the effective SNR surviving interference rejection and
-    ``delta2_i`` the rejected/mismatched energy driving the loss factor.
-    """
-    _law(detector, "interference")
-    if p + q >= N:
-        raise ValueError("need p + q < N for a proper loss-factor law")
-    if L < N:
-        raise ValueError("need L >= N")
-    rho_eff, delta2_i = _cells(rho_eff, delta2_i)
-    if np.any(rho_eff < 0) or np.any(delta2_i < 0) or eta < 0:
-        raise ValueError("rho_eff, delta2_i, and eta must be nonnegative")
-    return _subspace_law(detector, N, p, q, L, rho_eff, delta2_i, eta, tol)
+    cells of ``(rho_eff, delta2_i)``: the effective SNR surviving interference
+    rejection and the rejected/mismatched energy driving the loss factor."""
+    return _pd_grid("interference", detector, N, p, L, rho_eff, delta2_i, eta, tol, q=q)
 
 
 def pd_interference(detector: str, N: int, p: int, q: int, L: int,
@@ -255,18 +304,20 @@ def pd_interference(detector: str, N: int, p: int, q: int, L: int,
 
 def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3, names=("eta",)) -> np.ndarray:
     """Thresholds ``eta`` with ``|pfa_of(eta) - pfa| <= rtol * pfa``, one per
-    element of ``names``; ``pfa_of`` maps an array of them elementwise.
+    element of ``names``; ``pfa_of(etas, at)`` maps the thresholds of the
+    elements ``at`` (indices into ``names``) elementwise.
 
     One :func:`find_root` call solves ``log(pfa_of / pfa) = 0`` in ``log eta``
     over ``LOG_ETA_BRACKET`` (tails are near-linear there), with the tolerance
     band flattened into an exact zero so that each element stops at its first
-    threshold inside the band.  A failure names its elements and the target.
+    threshold inside the band; a converged element is not evaluated again.  A
+    failure names its elements and the target.
     """
     if not 0.0 < pfa < 1.0:
         raise InfeasibleError("target false-alarm probability must lie in (0, 1)")
 
-    def excess(log_eta):
-        ratio = np.asarray(pfa_of(np.exp(log_eta)), dtype=float) / pfa
+    def excess(log_eta, at):
+        ratio = np.asarray(pfa_of(np.exp(log_eta), at), dtype=float) / pfa
         return np.where(np.abs(ratio - 1.0) <= rtol, 0.0, np.log(np.maximum(ratio, 1e-300)))
 
     try:
@@ -281,57 +332,24 @@ def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3, names=("eta",)) -> np.nda
     return np.exp(root)
 
 
-def thresholds_for_pfa(detectors, N: int, p: int, L: int, pfa: float,
-                       rtol: float = 1e-3, tol: float = QUAD_TOL) -> np.ndarray:
-    """Thresholds inverting :func:`pfa_point` of each of ``detectors`` at
-    (N, p, L) to relative accuracy ``rtol``, in one :func:`invert_pfa` solve
-    whose closed forms (``smf``, ``aed``) and quadrature cells go in lockstep."""
-    specs = [_check_point_args(d, N, p, L, 0.0, 1.0, 0.0) for d in detectors]
-    mix = np.array([s.loss_factor for s in specs], dtype=bool)
-    mixtures = [d for d, s in zip(detectors, specs) if s.loss_factor]
+def thresholds_for_pfa(laws, pfa: float, rtol: float = 1e-3,
+                       tol: float = QUAD_TOL) -> np.ndarray:
+    """Thresholds at false-alarm probability ``pfa`` of ``laws`` (any mix of
+    :class:`Law`) to relative accuracy ``rtol``, in one :func:`invert_pfa`
+    solve whose rounds evaluate the active laws at zero SNR together; each
+    threshold has the bits of its law solved alone."""
+    zeros = np.zeros(len(laws))
 
-    def pfa_of(etas):
-        out = np.array([0.0 if s.loss_factor else pd_point_grid(d, N, p, L, 0.0, 1.0, e)[0]
-                        for d, s, e in zip(detectors, specs, etas)])
-        if mixtures:
-            out[mix] = _subspace_law(mixtures, N, p, 0, L, 0.0, 0.0, etas[mix], tol)
-        return out
+    def pfa_of(etas, at):
+        return _pd_laws([laws[i] for i in at], etas, zeros[at], zeros[at], zeros[at], tol)
 
-    return invert_pfa(pfa_of, pfa, rtol, names=detectors)
+    return invert_pfa(pfa_of, pfa, rtol, names=[law.name for law in laws])
 
 
 def threshold_for_pfa(detector: str, N: int, p: int, L: int, pfa: float,
                       rtol: float = 1e-3, tol: float = QUAD_TOL) -> float:
-    """The threshold of one detector by :func:`thresholds_for_pfa`."""
-    return float(thresholds_for_pfa([detector], N, p, L, pfa, rtol, tol)[0])
-
-
-def _law(detector, kind):
-    """The registry row of ``detector``, which must have a ``kind`` law."""
-    spec = registry.lookup(detector)
-    if spec.law != kind:
-        raise ValueError(f"no {kind} law for detector {detector!r}")
-    return spec
-
-
-def _check_point_args(detector, N, p, L, rho, cos2phi, eta):
-    spec = _law(detector, "point")
-    if L < N:
-        raise ValueError("need L >= N training vectors")
-    if not 1 <= p <= N:
-        raise ValueError("need 1 <= p <= N")
-    if spec.rank_one and p != 1:
-        raise ValueError(f"{detector!r} is a rank-one detector: its law needs p = 1")
-    if p == N and spec.loss_factor:
-        raise ValueError("loss-factor mixture needs p < N")
-    _check_common(rho, cos2phi, eta)
-    return spec
-
-
-def _check_common(rho, cos2phi, eta):
-    if np.any(rho < 0):
-        raise ValueError("SNR must be nonnegative")
-    if not np.all((0.0 <= cos2phi) & (cos2phi <= 1.0)):
-        raise ValueError("cos2phi must lie in [0, 1]")
-    if eta < 0:
-        raise ValueError("threshold must be nonnegative")
+    """The threshold of one detector's law at (N, p, L) by :func:`thresholds_for_pfa`."""
+    law = resolve_law(detector, N, p, L)
+    if isinstance(law, str):
+        raise ValueError(law)
+    return float(thresholds_for_pfa([law], pfa, rtol, tol)[0])

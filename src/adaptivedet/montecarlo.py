@@ -14,7 +14,7 @@ and only the test-data half of the statistics runs per mean
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("need at least one trial")
+        if self.batch_size < 1:
+            raise ValueError("need a batch size of at least 1")
         if self.hypothesis not in ("h0", "h1"):
             raise ValueError("hypothesis must be 'h0' or 'h1'")
         if self.geometry is None:
@@ -100,9 +102,6 @@ class TrialPlan:
         short = [d for d in self.detectors if registry.DETECTORS[d].orthocomplement]
         if short and H.shape[1] + J.shape[1] >= H.shape[0]:
             raise GeometryError(f"{short[0]} needs p + q < N: [H J] leaves no orthocomplement")
-
-    def under(self, hypothesis: str) -> "TrialPlan":
-        return replace(self, hypothesis=hypothesis)
 
 
 @dataclass(frozen=True)
@@ -272,14 +271,6 @@ def pd_estimate(successes: int, n: int) -> PdEstimate:
     """Exceedance fraction ``successes / n`` with its Wilson interval."""
     lo, hi = wilson_interval(successes, n)
     return PdEstimate(pd=successes / n, ci_low=lo, ci_high=hi, n=n)
-
-
-def estimate_pd(plan: TrialPlan, detector: str, threshold: float,
-                stats=None) -> PdEstimate:
-    """Exceedance fraction of the detector over the plan's trials."""
-    if stats is None:
-        stats = run_trials(plan)[detector]
-    return pd_estimate(int(np.sum(stats > threshold)), len(stats))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ noncentral F variable compared against a threshold on the SGLRT scale.  The
 map from a detector's threshold to that conditional threshold is the one of
 its canonical point statistic: ``kglrt`` is ``sglrt`` at p = 1, the
 interference GLRTs are the point bank at dimension N - q, and ``gkglrt``/
-``gamf`` share the maps of ``sglrt``/``samf``.
+``gamf`` share the maps of ``sglrt``/``samf``.  A row states only the facts
+of its law; :func:`adaptivedet.distributions.resolve_law` decides from them
+where the law applies and with what parameters.
 """
 
 from dataclasses import dataclass

@@ -1,7 +1,7 @@
 """Simulation scenarios: covariance models, steering subspaces, mismatch
 geometry, and Gaussian test/training data synthesis."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,26 +148,6 @@ class SignalSpec:
         return 10.0 ** (self.snr_db / 10.0)
 
 
-@dataclass(frozen=True)
-class DataSet:
-    """One realization of test and training data with its sample covariance."""
-
-    test: np.ndarray        # N x K
-    training: np.ndarray    # N x L
-    scm: np.ndarray = field(default=None)  # training @ training^H
-
-    def __post_init__(self):
-        if self.scm is None:
-            object.__setattr__(self, "scm", self.training @ self.training.conj().T)
-
-    @property
-    def test_vector(self) -> np.ndarray:
-        """The single test column, for point-target (K = 1) banks."""
-        if self.test.shape[1] != 1:
-            raise ValueError("test data has more than one range bin")
-        return self.test[:, 0]
-
-
 def steering_vector(N: int, freq: float) -> np.ndarray:
     """Temporal steering vector [1, e^{j2 pi f}, ..., e^{j2 pi f (N-1)}]^T."""
     return np.exp(2j * np.pi * freq * np.arange(N))
@@ -245,8 +225,7 @@ def assemble_noise(flat, N: int, L: int, K: int):
 
     Each block holds the ``2 N (L + K)`` draws of one trial, laid out as
     training-real, training-imag, test-real, test-imag; this layout is the
-    reproducibility contract shared by :func:`synthesize` and the batched
-    trial engine.
+    batched trial engine's reproducibility contract.
     """
     nt = N * L
     ns = N * K
@@ -255,33 +234,3 @@ def assemble_noise(flat, N: int, L: int, K: int):
     w_test = (flat[..., 2 * nt:2 * nt + ns] + 1j * flat[..., 2 * nt + ns:]) / np.sqrt(2.0)
     return (w_train.reshape(shape + (N, L)), w_test.reshape(shape + (N, K)))
 
-
-def synthesize(config: ScenarioConfig, model: CovarianceModel, signal=None,
-               interference=None, hypothesis: str = "h0", seed=0) -> DataSet:
-    """Draw one DataSet realization.
-
-    ``signal`` and ``interference`` are N x K mean contributions (an N-vector
-    is accepted when K = 1); both are added to the test data under H1 only.
-    Training columns are CN(0, R); test noise is CN(0, sigma2 R) in the
-    partially homogeneous environment and CN(0, R) otherwise.
-    """
-    if hypothesis not in ("h0", "h1"):
-        raise ValueError("hypothesis must be 'h0' or 'h1'")
-    rng = as_rng(seed)
-    R = build_covariance(model, config.N)
-    A = linalg.herm_sqrt(R)
-    w_train, w_test = assemble_noise(rng.standard_normal(2 * config.N * (config.L + config.K)),
-                                     config.N, config.L, config.K)
-    training = A @ w_train
-    test = config.test_scale * (A @ w_test)
-    if hypothesis == "h1":
-        for mean in (signal, interference):
-            if mean is None:
-                continue
-            mean = np.asarray(mean, dtype=np.complex128)
-            if mean.ndim == 1:
-                mean = mean[:, None]
-            if mean.shape != test.shape:
-                raise ValueError("mean contribution must be N x K")
-            test = test + mean
-    return DataSet(test=test, training=training)

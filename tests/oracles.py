@@ -7,12 +7,17 @@ with its own whitening and its own noise-power root solve, and returns a dict
 of floats.  This module must import neither ``adaptivedet.batcheval`` nor
 ``adaptivedet.detectors`` (``test_registry`` checks it), or the cross-check
 would compare the kernels with themselves.
+
+It also holds the tests' one-realization data draw (:func:`synthesize`) and
+their exceedance count over a whole plan (:func:`estimate_pd`).
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
-from adaptivedet import linalg
+from adaptivedet import linalg, montecarlo as mc, scenario as sc
 from adaptivedet.errors import InfeasibleError, RankError
 
 
@@ -330,3 +335,63 @@ def distributed_family(X, S, s, H, L: int) -> dict:
     out.update(direction_bank(X, S, H))
     out.update(dos_bank(X, S, H))
     return out
+
+
+@dataclass(frozen=True)
+class DataSet:
+    """One realization of test and training data with its sample covariance."""
+
+    test: np.ndarray        # N x K
+    training: np.ndarray    # N x L
+    scm: np.ndarray = field(default=None)  # training @ training^H
+
+    def __post_init__(self):
+        if self.scm is None:
+            object.__setattr__(self, "scm", self.training @ self.training.conj().T)
+
+    @property
+    def test_vector(self) -> np.ndarray:
+        """The single test column, for point-target (K = 1) banks."""
+        if self.test.shape[1] != 1:
+            raise ValueError("test data has more than one range bin")
+        return self.test[:, 0]
+
+
+def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None,
+               interference=None, hypothesis: str = "h0", seed=0) -> DataSet:
+    """Draw one DataSet realization, on the flat noise layout of
+    :func:`adaptivedet.scenario.assemble_noise`.
+
+    ``signal`` and ``interference`` are N x K mean contributions (an N-vector
+    is accepted when K = 1); both are added to the test data under H1 only.
+    Training columns are CN(0, R); test noise is CN(0, sigma2 R) in the
+    partially homogeneous environment and CN(0, R) otherwise.
+    """
+    if hypothesis not in ("h0", "h1"):
+        raise ValueError("hypothesis must be 'h0' or 'h1'")
+    rng = sc.as_rng(seed)
+    R = sc.build_covariance(model, config.N)
+    A = linalg.herm_sqrt(R)
+    w_train, w_test = sc.assemble_noise(rng.standard_normal(2 * config.N * (config.L + config.K)),
+                                        config.N, config.L, config.K)
+    training = A @ w_train
+    test = config.test_scale * (A @ w_test)
+    if hypothesis == "h1":
+        for mean in (signal, interference):
+            if mean is None:
+                continue
+            mean = np.asarray(mean, dtype=np.complex128)
+            if mean.ndim == 1:
+                mean = mean[:, None]
+            if mean.shape != test.shape:
+                raise ValueError("mean contribution must be N x K")
+            test = test + mean
+    return DataSet(test=test, training=training)
+
+
+def estimate_pd(plan: mc.TrialPlan, detector: str, threshold: float,
+                stats=None) -> mc.PdEstimate:
+    """Exceedance fraction of the detector over the plan's trials."""
+    if stats is None:
+        stats = mc.run_trials(plan)[detector]
+    return mc.pd_estimate(int(np.sum(stats > threshold)), len(stats))

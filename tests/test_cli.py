@@ -132,6 +132,32 @@ class TestDetectorList:
         assert not out.exists()
 
 
+class TestArguments:
+    def test_negative_batch_size_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert cli.main(["cfar-check", "--N", "4", "--p", "1", "--L", "8", "--trials", "200",
+                         "--detectors", "gkglrt,glrdd", "--batch-size", "-3", "--seed", "1",
+                         "--out", str(out)]) == 1
+        assert "batch size" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env,environment,sigma2", [
+        ("he", sc.HOMOGENEOUS, 1.0), ("phe", sc.PARTIALLY_HOMOGENEOUS, 1.0),
+        (" PHE:4 ", sc.PARTIALLY_HOMOGENEOUS, 4.0)])
+    def test_environments(self, env, environment, sigma2):
+        args = cli.build_parser()[0].parse_args(["pd-vs-snr", "--env", env])
+        cfg = cli._scenario_from_args(args)
+        assert (cfg.environment, cfg.sigma2) == (environment, sigma2)
+
+    @pytest.mark.parametrize("env", ["phenomenal", "phe2", "he:4", "hex", "phe:", ""])
+    def test_unknown_environment_exits_1(self, env, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert cli.main(["pd-vs-snr", "--env", env, "--snr", "0", "--detectors", "asd",
+                         "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidationCommands:
     def test_identities_pass(self, tmp_path):
         out = tmp_path / "ids.csv"

@@ -23,20 +23,20 @@ from adaptivedet.distributions import (
     threshold_for_pfa,
 )
 from adaptivedet.distributions import core
-from adaptivedet.distributions.detection import QUAD_TOL, _check_point_args, _pd_beta_mixture
+from adaptivedet.distributions.detection import QUAD_TOL, Law, _pd_beta_mixture, resolve_law
 from adaptivedet.errors import InfeasibleError
 
 
 def pd_point_generic_aed(N, p, L, rho, cos2phi, eta, tol=QUAD_TOL) -> float:
     """AED detection probability through the loss-factor mixture (cross-check
     path for the closed form used by :func:`pd_point`)."""
-    _check_point_args("aed", N, p, L, rho, cos2phi, eta)
+    assert isinstance(resolve_law("aed", N, p, L), Law)
     return _pd_beta_mixture(
-        "aed", eta,
-        f_m=p, f_n=L - N + 1, f_noncentrality=rho * cos2phi,
-        beta_a=L - N + p + 1, beta_b=N - p, beta_delta=rho * (1.0 - cos2phi),
+        ["aed"], np.array([eta]),
+        f_m=p, f_n=L - N + 1, f_nc=np.array([rho * cos2phi]),
+        beta_a=L - N + p + 1, beta_b=N - p, beta_delta=np.array([rho * (1.0 - cos2phi)]),
         tol=tol,
-    )
+    )[0]
 
 
 class TestComplexChi2:
@@ -594,6 +594,53 @@ class TestDistributedCurves:
         val = pd_distributed("gkglrt", 8, 4, 16, 0.0, 1.0, 1.0)
         ref = pd_distributed("gkglrt", 8, 4, 16, 0.0, 0.2, 1.0)
         assert abs(val - ref) < 1e-12
+
+    def test_one_channel_has_no_law(self):
+        with pytest.raises(ValueError, match=r"N > 1"):
+            pd_distributed("gkglrt", 1, 2, 4, 1.0, 1.0, 0.5)
+
+    def test_gamf_pd_needs_a_matched_signal(self):
+        # its loss factor is central only without mismatch
+        assert 0.0 < pd_distributed("gamf", 8, 4, 16, 10.0, 1.0, 1.0) < 1.0
+        with pytest.raises(ValueError, match=r"cos2phi = 1"):
+            pd_distributed("gamf", 8, 4, 16, 10.0, 0.5, 1.0)
+
+
+class TestResolveLaw:
+    @pytest.mark.parametrize("detector,dims,reason", [
+        ("beta", dict(N=8, p=2, L=16), "no finite-sample law"),
+        ("sglrt", dict(N=8, p=2, L=16, environment="phe"), "scale-invariant"),
+        ("sglrt", dict(N=8, p=2, L=16, K=2), "K = 1"),
+        ("glrt_he_i", dict(N=8, p=2, L=16, K=2), "K = 1"),
+        ("sglrt", dict(N=4, p=4, L=8), "p < N"),
+        ("kglrt", dict(N=1, p=1, L=4), "p < N"),
+        ("glrt_he_i", dict(N=8, p=3, q=5, L=16), "p + q < N"),
+        ("gkglrt", dict(N=1, p=1, L=4, K=3), "N > 1"),
+        ("sglrt", dict(N=8, p=2, L=7), "L >= N"),
+    ])
+    def test_reasons(self, detector, dims, reason):
+        assert reason in resolve_law(detector, **dims)
+
+    def test_phe_keeps_scale_invariant_laws(self):
+        for det in ("asd", "ace", "glrt_phe_i"):
+            assert isinstance(resolve_law(det, 8, 1, 16, q=1, environment="phe"), Law)
+
+    def test_interference_law_is_the_point_law_at_n_minus_q(self):
+        for det in ("glrt_he_i", "ts_glrt_he_i", "glrt_phe_i"):
+            law = resolve_law(det, 12, 2, 24, q=3)
+            point = resolve_law(law.canonical, 9, 2, 24)
+            assert (law.kind, law.params) == ("interference", point.params)
+
+    def test_rank_one_law_is_at_p_one_without_pd_elsewhere(self):
+        law = resolve_law("kglrt", 8, 2, 16)
+        assert law.params == resolve_law("sglrt", 8, 1, 16).params and "p = 1" in law.no_pd
+        assert threshold_for_pfa("kglrt", 8, 2, 16, 1e-3) == threshold_for_pfa("kglrt", 8, 1, 16, 1e-3)
+        with pytest.raises(ValueError, match=r"rank-one"):
+            pd_point("kglrt", 8, 2, 16, 10.0, 1.0, 1.0)
+
+    def test_closed_forms_need_no_loss_factor(self):
+        assert resolve_law("smf", 4, 4, 8).params[0] == "cchi2"
+        assert resolve_law("aed", 4, 4, 8).params[:3] == ("cf", 4, 5)
 
 
 class TestInterferenceCurves:

