@@ -281,7 +281,7 @@ def solve_sigma_batch(eigs, target: float):
         raise InfeasibleError("root target outside the feasible range for some trial")
 
     def f(s2, at):
-        rows = eigs if at.size == len(eigs) else eigs[at]  # every row while all are active
+        rows = eigs[at]
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(rows > 0, rows / (rows + s2[:, None]), 0.0)
         return frac.sum(axis=1) - target

@@ -213,25 +213,26 @@ def _jammer_mean(cfg, geometry, R, jnr_db):
 
 
 def _laws(detectors, cfg):
-    """Each detector's finite-sample law under ``cfg``, or why it has none."""
-    return {det: resolve_law(det, cfg.N, cfg.p, cfg.L, cfg.q, cfg.K, cfg.environment)
-            for det in detectors}
+    """The detectors' finite-sample laws under ``cfg`` as ``{det: Law}``, and
+    ``{det: reason}`` for those that have none."""
+    resolved = {det: resolve_law(det, cfg.N, cfg.p, cfg.L, cfg.q, cfg.K, cfg.environment)
+                for det in detectors}
+    return ({det: law for det, law in resolved.items() if not isinstance(law, str)},
+            {det: law for det, law in resolved.items() if isinstance(law, str)})
 
 
 def analytic_threshold(detector, cfg):
     """Threshold from the detector's finite-sample H0 law, or None."""
-    law = _laws([detector], cfg)[detector]
-    return None if isinstance(law, str) else float(thresholds_for_pfa([law], cfg.pfa)[0])
+    law = _laws([detector], cfg)[0].get(detector)
+    return None if law is None else float(thresholds_for_pfa([law], cfg.pfa)[0])
 
 
-def _thresholds(laws, cfg, args):
-    """Thresholds of the detectors with a finite-sample law in one solve; one
-    shared MC calibration run for the rest, on the Philox key ``args.seed ^
-    CALIBRATION_KEY_BIT`` so that no threshold is scored on the (key, trial)
-    streams that set it."""
-    analytic = {det: law for det, law in laws.items() if not isinstance(law, str)}
-    out = dict(zip(analytic, thresholds_for_pfa(list(analytic.values()), cfg.pfa).tolist()))
-    needs_mc = [det for det in laws if det not in out]
+def _thresholds(laws, needs_mc, cfg, args):
+    """Thresholds of the detectors with a law in ``laws`` in one solve; one
+    shared MC calibration run for the detectors ``needs_mc``, on the Philox
+    key ``args.seed ^ CALIBRATION_KEY_BIT`` so that no threshold is scored on
+    the (key, trial) streams that set it."""
+    out = dict(zip(laws, thresholds_for_pfa(list(laws.values()), cfg.pfa).tolist()))
     if needs_mc:
         plan = mc.TrialPlan(
             n_trials=args.trials, master_seed=args.seed ^ CALIBRATION_KEY_BIT,
@@ -257,19 +258,18 @@ def _detectors(args):
 
 def run_grid(args, snrs, cos2s):
     cfg = _scenario_from_args(args)
-    laws = _laws(_detectors(args), cfg)
-    detectors = tuple(laws)
+    detectors = _detectors(args)
+    laws, no_law = _laws(detectors, cfg)
     geometry = mc.Geometry.default(cfg)
     cov = sc.CovarianceModel.parse(args.covariance)
     R = cov.build(cfg.N)
-    thresholds = _thresholds(laws, cfg, args)
+    thresholds = _thresholds(laws, list(no_law), cfg, args)
     want_mc = args.mode in ("montecarlo", "both")
     want_analytic = args.mode in ("analytic", "both")
     points = [(s, c) for c in cos2s for s in snrs]
     rho = np.array([10.0 ** (snr_db / 10.0) for snr_db, _ in points])
     cos2phi = np.array([c for _, c in points])
-    interference = want_analytic and any(law.kind == "interference" for law in laws.values()
-                                         if not isinstance(law, str))
+    interference = want_analytic and any(law.kind == "interference" for law in laws.values())
     # signal means feed Monte Carlo and interference laws only; each cell's
     # mean comes from its own generator, so skipping them changes nothing else
     means = None
@@ -296,8 +296,7 @@ def run_grid(args, snrs, cos2s):
             geo = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]), R,
                                               geometry.H, geometry.J)
             cells["interference"] = (geo.rho_eff / scale, geo.delta2_i / scale)
-        pds = {det: pd_cells(law, thresholds[det], *cells[law.kind])
-               for det, law in laws.items() if not isinstance(law, str)}
+        pds = {det: pd_cells(law, thresholds[det], *cells[law.kind]) for det, law in laws.items()}
     rows = []
     for gi, (snr_db, cos2) in enumerate(points):
         for di, det in enumerate(detectors):
@@ -328,12 +327,21 @@ def run_cfar_check(args):
     thresholds = {det: mc.calibrate_threshold(plan, det, stats=stats[0][det])
                   for det in detectors}
     reports = mc.cfar_sweep(covariances, thresholds, stats)
-    rows = [{"detector": det, "covariance": row.covariance, "threshold": report.threshold,
-             "pfa_hat": row.pfa_hat, "ci_low": row.ci_low, "ci_high": row.ci_high,
-             "n_trials": row.n, "seed": args.seed, "status": "pass" if report.passed else "fail"}
-            for det, report in reports.items() for row in report.rows]
-    return rows, [det for det, report in reports.items()
-                  if not report.passed and registry.DETECTORS[det].cfar]
+    rows = []
+    failed = []
+    for det in detectors:
+        report = reports[det]
+        for cov_row in report.rows:
+            rows.append({
+                "detector": det, "covariance": cov_row.covariance,
+                "threshold": report.threshold, "pfa_hat": cov_row.pfa_hat,
+                "ci_low": cov_row.ci_low, "ci_high": cov_row.ci_high,
+                "n_trials": cov_row.n, "seed": args.seed,
+                "status": "pass" if report.passed else "fail",
+            })
+        if not report.passed and registry.DETECTORS[det].cfar:
+            failed.append(det)
+    return rows, failed
 
 
 def run_validate_dist(args):

@@ -239,12 +239,19 @@ def pd_cells(law: Law, eta: float, x, y, tol: float = QUAD_TOL) -> np.ndarray:
     return out
 
 
-def _pd_grid(kind, detector, N, p, L, x, y, eta, tol, **dims):
-    """:func:`pd_cells` of the ``kind`` law of ``detector``, with ValueError
-    where that law gives no detection probability."""
+def _require_law(kind, detector, N, p, L, **dims):
+    """The ``kind`` law of ``detector`` (see :func:`resolve_law`), or
+    ValueError with the reason it has none."""
     law = resolve_law(detector, N, p, L, **dims)
     if isinstance(law, str) or law.kind != kind:
         raise ValueError(law if isinstance(law, str) else f"no {kind} law for {detector!r}")
+    return law
+
+
+def _pd_grid(kind, detector, N, p, L, x, y, eta, tol, **dims):
+    """:func:`pd_cells` of the ``kind`` law of ``detector``, with ValueError
+    where that law gives no detection probability."""
+    law = _require_law(kind, detector, N, p, L, **dims)
     pds = pd_cells(law, eta, x, y, tol)
     if np.isnan(pds).any():
         raise ValueError(law.no_pd)
@@ -348,8 +355,7 @@ def thresholds_for_pfa(laws, pfa: float, rtol: float = 1e-3,
 
 def threshold_for_pfa(detector: str, N: int, p: int, L: int, pfa: float,
                       rtol: float = 1e-3, tol: float = QUAD_TOL) -> float:
-    """The threshold of one detector's law at (N, p, L) by :func:`thresholds_for_pfa`."""
-    law = resolve_law(detector, N, p, L)
-    if isinstance(law, str):
-        raise ValueError(law)
+    """The threshold of one detector's point law at (N, p, L) by
+    :func:`thresholds_for_pfa`."""
+    law = _require_law("point", detector, N, p, L)
     return float(thresholds_for_pfa([law], pfa, rtol, tol)[0])

@@ -71,11 +71,8 @@ def find_root(f, lo, hi, xtol: float = 0.0):
         # x3 is never read again
         t = np.where(active, np.minimum(np.maximum(t, tl), 1.0 - tl), 0.0)
         xt = x1 + t * (x2 - x1)
-        if active.all():
-            ft = values(xt, every)
-        else:
-            ft = f1.copy()
-            ft[active] = values(xt[active], every[active])
+        ft = f1.copy()
+        ft[active] = values(xt[active], every[active])
         same = np.sign(ft) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         cross = active & ~same

@@ -634,9 +634,16 @@ class TestResolveLaw:
     def test_rank_one_law_is_at_p_one_without_pd_elsewhere(self):
         law = resolve_law("kglrt", 8, 2, 16)
         assert law.params == resolve_law("sglrt", 8, 1, 16).params and "p = 1" in law.no_pd
-        assert threshold_for_pfa("kglrt", 8, 2, 16, 1e-3) == threshold_for_pfa("kglrt", 8, 1, 16, 1e-3)
+        assert (threshold_for_pfa("kglrt", 8, 2, 16, 1e-3)
+                == threshold_for_pfa("kglrt", 8, 1, 16, 1e-3))
         with pytest.raises(ValueError, match=r"rank-one"):
             pd_point("kglrt", 8, 2, 16, 10.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("detector", ["gkglrt", "gamf", "glrt_he_i", "glrt_phe_i"])
+    def test_threshold_for_pfa_takes_point_laws_only(self, detector):
+        # it has no K or q to solve an other law at
+        with pytest.raises(ValueError, match=r"no point law"):
+            threshold_for_pfa(detector, 8, 1, 16, 1e-3)
 
     def test_closed_forms_need_no_loss_factor(self):
         assert resolve_law("smf", 4, 4, 8).params[0] == "cchi2"

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from adaptivedet import batcheval, cli, registry, scenario as sc
 from adaptivedet.distributions import (
-    Law,
     detection,
     invert_pfa,
     pd_distributed,
@@ -131,7 +130,7 @@ class TestLockstepThresholds:
         gkglrt/gamf, in one solve."""
         N, p, q, L = dims
         cfg = sc.ScenarioConfig(N=N, p=p, q=q, L=L, pfa=pfa)
-        laws = [law for law in cli._laws(order[:k], cfg).values() if isinstance(law, Law)]
+        laws = list(cli._laws(order[:k], cfg)[0].values())
         assert [law.name for law in laws] == list(order[:k])  # each has a law here
         etas = thresholds_for_pfa(laws, pfa)
         for law, eta in zip(laws, etas):
@@ -153,14 +152,12 @@ class TestLockstepThresholds:
              "--pfa", "1e-2", "--detectors", "sglrt,kglrt,smf,aed,glrt_he_i,glrt_phe_i,gkglrt,"
              "gamf,smi,rao_he_i"])
         cfg = cli._scenario_from_args(args)
-        laws = cli._laws(cli._detectors(args), cfg)
-        assert {law.kind for law in laws.values() if isinstance(law, Law)} == {
-            "point", "interference", "distributed"}
-        thresholds = cli._thresholds(laws, cfg, args)
+        laws, no_law = cli._laws(cli._detectors(args), cfg)
+        assert {law.kind for law in laws.values()} == {"point", "interference", "distributed"}
+        thresholds = cli._thresholds(laws, list(no_law), cfg, args)
         assert len(solves) == 1 and len(thresholds) == 10
-        for det, law in laws.items():
-            if isinstance(law, Law):
-                assert cli.analytic_threshold(det, cfg) == thresholds[det]
+        for det in laws:
+            assert cli.analytic_threshold(det, cfg) == thresholds[det]
 
     def test_pfa_of_never_sees_a_converged_element(self, monkeypatch):
         """On the benchmark's mc_point_grid plan each element is evaluated
@@ -195,7 +192,8 @@ class TestIntegrandCalls:
         args = cli.build_parser()[0].parse_args(MC_POINT_GRID_ARGV)
         calls = _counting_integrations(monkeypatch)
         cfg = cli._scenario_from_args(args)
-        thresholds = cli._thresholds(cli._laws(cli._detectors(args), cfg), cfg, args)
+        laws, no_law = cli._laws(cli._detectors(args), cfg)
+        thresholds = cli._thresholds(laws, list(no_law), cfg, args)
         assert len(thresholds) == 9
         assert 1 <= len(calls) <= 16
 
