@@ -11,18 +11,19 @@ of test means; both hold only the banks whose inputs ``prepare_*`` is given
 it computes anyway: the Cholesky factor of the sample covariance
 (:func:`_whitener`) raises :class:`~adaptivedet.errors.DefinitenessError`, the
 QR of a whitened subspace :class:`~adaptivedet.errors.RankError`
-(:func:`_qr`), and an all-zero steering vector ``ValueError``.  The normative
-per-instance forms (projectors, ``M = S + X X^H`` and the ``R0``/``R1``
-covariance MLEs, generalized eigenpairs) live in ``tests/oracles.py``, and
-the test suite holds these kernels to them.
+(:func:`~adaptivedet.linalg.full_rank_qr`), and an all-zero steering vector
+``ValueError``.  The normative per-instance forms (projectors,
+``M = S + X X^H`` and the ``R0``/``R1`` covariance MLEs, generalized
+eigenpairs) live in ``tests/oracles.py``, and the test suite holds these
+kernels to them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, InfeasibleError, RankError
-from .linalg import RCOND_LIMIT
+from .errors import DefinitenessError, InfeasibleError
+from .linalg import full_rank_qr
 from .roots import find_root
 
 
@@ -44,17 +45,6 @@ def _whitener(S):
     except np.linalg.LinAlgError:
         raise DefinitenessError("matrix is not positive definite") from None
     return np.linalg.inv(factor)
-
-
-def _qr(A):
-    """Reduced QR ``(Q, R)`` of the stacked ``A`` (..., N, m), after checking
-    that every ``A`` has full column rank: ``m <= N`` and the smallest
-    ``|diag R|`` above ``RCOND_LIMIT`` times the largest (:class:`RankError`)."""
-    Q, R = np.linalg.qr(A)
-    d = np.abs(R.diagonal(0, -2, -1))
-    if A.shape[-1] > A.shape[-2] or (d.min(-1) <= RCOND_LIMIT * d.max(-1)).any():
-        raise RankError("subspace is numerically rank deficient")
-    return Q, R
 
 
 def _steering(T, s):
@@ -120,19 +110,19 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     block, the oblique projection of ``xt`` onto ``Ht`` along ``Jt`` is
     ``Ht a`` with ``a = R22^-1 QHp^H xt``, so its error grows with
     cond(R22) = cond(Hp), not with the square of it.  Both QRs check that
-    their whitened matrix has full column rank (:func:`_qr`).
+    their whitened matrix has full column rank (:func:`full_rank_qr`).
     """
     H = np.asarray(H, dtype=np.complex128)
     T = _whitener(S)
     Ht = T @ H
-    QH, RH = _qr(Ht)
+    QH, RH = full_rank_qr(Ht)
     prep = dict(T=T, QH=QH)
     if s is not None:
         prep["st"], prep["ss"] = _steering(T, s)
     if J is not None:
         J = np.asarray(J, dtype=np.complex128)
         q = J.shape[-1]
-        Q, Rb = _qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
+        Q, Rb = full_rank_qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
         QHp = Q[..., q:]
         prep.update(QJ=Q[..., :q] if q else None, QHp=QHp,
                     QB=Q if H.shape[-1] + q < S.shape[-1] else None,
@@ -231,33 +221,20 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
     return evaluate_point(prepare_point(S, H, J, s, R), x)
 
 
-@dataclass(frozen=True)
-class InterferenceGeometry:
-    """Noncentrality split of a signal against the (H, J) pair: the effective
-    SNR surviving interference rejection, and the rejected/mismatched rest
-    (floats for one signal, arrays for a stack)."""
-
-    rho_eff: float
-    delta2_i: float
-
-
-def mismatch_geometry(s0, R, H, J) -> InterferenceGeometry:
-    """Effective SNR and loss-factor noncentrality of an actual signal ``s0``
-    (N,), or arrays of them for a stack of signals (G, N).
+def mismatch_geometry(s0, R, H, J):
+    """Effective SNR and loss-factor noncentrality ``(rho_eff, delta2_i)`` of
+    a stack of actual signals ``s0`` (G, N), two arrays of G.
 
     They are the interference kernel's energies at S = R: ``rho_eff`` is
     ``ts_glrt_he_i``, the part of the J-orthogonalized signal matched by the
     J-orthogonalized nominal subspace, and ``delta2_i = 1/beta_i - 1`` the
-    remainder.  ``J`` None is q = 0.
+    remainder.  ``J`` None is q = 0.  R is prepared once, as a batch of one
+    that every signal's evaluation broadcasts against.
     """
     R = np.asarray(R, dtype=np.complex128)
-    x = np.reshape(s0, (-1, R.shape[0]))
     J = np.zeros((R.shape[0], 0)) if J is None else J
-    stats = point_family_stats(x, np.broadcast_to(R, (len(x),) + R.shape), H, J)
-    rho_eff, delta2_i = stats["ts_glrt_he_i"], np.maximum(1.0 / stats["beta_i"] - 1.0, 0.0)
-    if np.ndim(s0) == 1:
-        return InterferenceGeometry(rho_eff=float(rho_eff[0]), delta2_i=float(delta2_i[0]))
-    return InterferenceGeometry(rho_eff=rho_eff, delta2_i=delta2_i)
+    stats = evaluate_point(prepare_point(R[None], H, J), s0)
+    return stats["ts_glrt_he_i"], np.maximum(1.0 / stats["beta_i"] - 1.0, 0.0)
 
 
 def solve_sigma_batch(eigs, target: float):
@@ -325,7 +302,7 @@ def prepare_distributed(S, s, H, L) -> DistributedPrepared:
     if H is not None:
         Ht = T @ np.asarray(H, dtype=np.complex128)
         Bp = _ct(Ht) @ Ht
-        QH, Cb = _qr(Ht)[0], _whitener(Bp)
+        QH, Cb = full_rank_qr(Ht)[0], _whitener(Bp)
     return DistributedPrepared(L=L, T=T, st=st, ss=ss, Ht=Ht, QH=QH, Bp=Bp, Cb=Cb)
 
 

@@ -136,6 +136,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=10000)
         p.add_argument("--batch-size", type=int, default=mc.DEFAULT_BATCH)
+
+    def add_scenario(p):
         p.add_argument("--N", type=int, default=12)
         p.add_argument("--p", type=int, default=2)
         p.add_argument("--q", type=int, default=0)
@@ -145,33 +147,37 @@ def build_parser():
         p.add_argument("--pfa", type=float, default=None)
         p.add_argument("--env", type=str, default="he",
                        help="'he', 'phe' or 'phe:SIGMA2'")
+        p.add_argument("--detectors", type=str, default=",".join(registry.names(default=True)))
+
+    def add_grid(p):
+        add_scenario(p)
         p.add_argument("--covariance", type=str, default="ar1:0.9",
                        help="identity | ar1:RHO | ar1w:RHO:CNR_DB")
-        p.add_argument("--detectors", type=str, default=",".join(registry.names(default=True)))
         p.add_argument("--mode", choices=("analytic", "montecarlo", "both"),
                        default="analytic")
         p.add_argument("--jnr-db", type=float, default=None,
-                       help="add a coherent jammer at this JNR under H1")
+                       help="add a coherent jammer at this JNR under H1 (needs q > 0)")
 
-    def command(name, help_text):
+    def command(name, help_text, *adds):
         sub_map[name] = sub.add_parser(name, help=help_text)
-        add_common(sub_map[name])
+        for add in (add_common,) + adds:
+            add(sub_map[name])
         return sub_map[name]
 
-    p_snr = command("pd-vs-snr", "PD against SNR at fixed mismatch")
+    p_snr = command("pd-vs-snr", "PD against SNR at fixed mismatch", add_grid)
     p_snr.add_argument("--snr", type=str, default=None, help="dB list (default 0..24)")
     p_snr.add_argument("--cos2phi", type=str, default="1.0")
 
-    p_mis = command("pd-vs-mismatch", "PD against cos^2(phi) at fixed SNR")
+    p_mis = command("pd-vs-mismatch", "PD against cos^2(phi) at fixed SNR", add_grid)
     p_mis.add_argument("--snr", type=str, default="18.0")
     p_mis.add_argument("--cos2phi", type=str, default=None,
                        help="list (default 21 points on [0, 1])")
 
-    p_mesa = command("mesa", "PD over the (SNR, cos^2 phi) grid")
+    p_mesa = command("mesa", "PD over the (SNR, cos^2 phi) grid", add_grid)
     p_mesa.add_argument("--snr", type=str, default=None, help="default 0..40, 41 points")
     p_mesa.add_argument("--cos2phi", type=str, default=None, help="default 21 points")
 
-    p_cfar = command("cfar-check", "false-alarm invariance sweep")
+    p_cfar = command("cfar-check", "false-alarm invariance sweep", add_scenario)
     p_cfar.add_argument("--covariances", type=str,
                         default="identity,ar1:0.9,ar1w:0.99:30")
     command("validate-dist", "KS validation of distributions")
@@ -203,7 +209,7 @@ def _build_signal(cfg, build, snr_db, cos2phi, seed, grid_index):
 
 
 def _jammer_mean(cfg, geometry, R, jnr_db):
-    if jnr_db is None or not geometry.J.shape[1]:
+    if jnr_db is None:
         return None
     phi = np.ones(geometry.J.shape[1], dtype=np.complex128)
     j = geometry.J @ phi
@@ -212,11 +218,12 @@ def _jammer_mean(cfg, geometry, R, jnr_db):
     return np.repeat(j[:, None], cfg.K, axis=1)
 
 
-def _laws(detectors, cfg):
-    """The detectors' finite-sample laws under ``cfg`` as ``{det: Law}``, and
-    ``{det: reason}`` for those that have none."""
-    resolved = {det: resolve_law(det, cfg.N, cfg.p, cfg.L, cfg.q, cfg.K, cfg.environment)
-                for det in detectors}
+def _laws(detectors, cfg, jammer=False):
+    """The detectors' finite-sample laws under ``cfg`` (with a jammer under H1
+    when ``jammer`` is set) as ``{det: Law}``, and ``{det: reason}`` for those
+    that have none."""
+    resolved = {det: resolve_law(det, cfg.N, cfg.p, cfg.L, cfg.q, cfg.K, cfg.environment,
+                                 jammer) for det in detectors}
     return ({det: law for det, law in resolved.items() if not isinstance(law, str)},
             {det: law for det, law in resolved.items() if isinstance(law, str)})
 
@@ -259,7 +266,9 @@ def _detectors(args):
 def run_grid(args, snrs, cos2s):
     cfg = _scenario_from_args(args)
     detectors = _detectors(args)
-    laws, no_law = _laws(detectors, cfg)
+    if args.jnr_db is not None and not cfg.q:
+        raise ValueError("--jnr-db needs q > 0: the jammer lies in span(J)")
+    laws, no_law = _laws(detectors, cfg, jammer=args.jnr_db is not None)
     geometry = mc.Geometry.default(cfg)
     cov = sc.CovarianceModel.parse(args.covariance)
     R = cov.build(cfg.N)
@@ -293,9 +302,9 @@ def run_grid(args, snrs, cos2s):
         scale = cfg.test_scale ** 2
         cells = dict.fromkeys(("point", "distributed"), (rho / scale, cos2phi))
         if interference:
-            geo = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]), R,
-                                              geometry.H, geometry.J)
-            cells["interference"] = (geo.rho_eff / scale, geo.delta2_i / scale)
+            rho_eff, delta2_i = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]),
+                                                            R, geometry.H, geometry.J)
+            cells["interference"] = (rho_eff / scale, delta2_i / scale)
         pds = {det: pd_cells(law, thresholds[det], *cells[law.kind]) for det, law in laws.items()}
     rows = []
     for gi, (snr_db, cos2) in enumerate(points):

@@ -13,12 +13,7 @@ from .detection import (
     integrate_adaptive,
     invert_pfa,
     pd_cells,
-    pd_distributed,
-    pd_distributed_grid,
-    pd_interference,
-    pd_interference_grid,
     pd_point,
-    pd_point_grid,
     pfa_point,
     resolve_law,
     threshold_for_pfa,
@@ -36,12 +31,7 @@ __all__ = [
     "integrate_adaptive",
     "invert_pfa",
     "pd_point",
-    "pd_point_grid",
     "pfa_point",
-    "pd_distributed",
-    "pd_distributed_grid",
-    "pd_interference",
-    "pd_interference_grid",
     "pd_cells",
     "resolve_law",
     "threshold_for_pfa",

@@ -11,8 +11,9 @@ survival, by adaptive Gauss-Legendre quadrature with panel splits at the
 event's kinks.  :func:`integrate_adaptive` refines the panels of every cell
 of a call in one integrand call per round, and every per-node operation is
 elementwise, so a cell's value does not depend on which other cells share
-the call: :func:`pd_cells` serves a whole grid, and :func:`pd_point` and its
-siblings are one-cell calls of it.  Thresholds are solved alike:
+the call.  A detection probability is :func:`pd_cells` of a resolved law,
+over a whole grid or one cell (:func:`pd_point` is the one-cell call of a
+point law).  Thresholds are solved alike:
 :func:`thresholds_for_pfa` inverts any mix of laws in one elementwise root
 solve, with one evaluation per distinct law parameters each round, and each
 threshold has the bits of its law solved alone.
@@ -40,47 +41,42 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 logger = logging.getLogger(__name__)
 
 
-def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_TOL,
-                       max_depth: int = 48, n=None):
-    """Adaptive 15-point Gauss-Legendre quadrature over ``[a, b]``, of one
-    integral or of ``n`` integrals in lockstep.
+def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float = QUAD_TOL,
+                       max_depth: int = 48) -> np.ndarray:
+    """Adaptive 15-point Gauss-Legendre quadrature of ``n`` integrals over
+    ``[a, b]`` in lockstep; ``f((cell, x))`` evaluates integrand ``cell[i]``
+    at node ``x[i]``.
 
-    Panels are pre-split at ``breakpoints`` and then bisected until the
+    Panels are pre-split at ``breakpoints``, one sequence shared by every
+    integral or one sequence per integral, and then bisected until the
     two-half refinement of a panel changes its value by at most the panel's
     share of the absolute tolerance ``tol``; a panel still unresolved at
     ``max_depth`` is accepted as it stands, and one warning is logged per call
     that had any.  Each refinement round makes one call of ``f`` over every
     active panel of every integral, so there are at most ``max_depth + 1``.
-
-    With ``n`` None, ``f(x)`` is one vectorized integrand on a 1-D array of
-    nodes and a float is returned.  With an integer ``n``, ``f((cell, x))``
-    evaluates integrand ``cell[i]`` at node ``x[i]``, and an array of the
-    ``n`` integrals is returned; ``breakpoints`` may then also be one
-    sequence per integral.  An integral's value does not depend on the
-    others: panel sums run node by node and each integral adds its accepted
-    panels in its own order.
+    An integral's value does not depend on the others: panel sums run node by
+    node and each integral adds its accepted panels in its own order.
     """
-    count = 1 if n is None else int(n)
     width = len(_GL_NODES)
-    shared = n is None or not any(np.ndim(bp) for bp in breakpoints)
+    shared = not any(np.ndim(bp) for bp in breakpoints)
     pts = [np.array([a] + sorted(p for p in set(bp) if a < p < b) + [b], dtype=float)
            for bp in ([breakpoints] if shared else breakpoints)]
-    pts = pts * count if shared else pts
+    pts = pts * n if shared else pts
 
     def panel_sums(cell, lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         x = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-        values = f(x) if n is None else f((np.repeat(cell, width), x))
+        values = f((np.repeat(cell, width), x))
         # a row-wise reduction, not a BLAS product: its result for a panel
         # must not depend on how many panels share the call
         return half * (np.asarray(values, dtype=float).reshape(-1, width) * _GL_WEIGHTS).sum(axis=1)
 
-    cell = np.repeat(np.arange(count), [e.size - 1 for e in pts])
+    cell = np.repeat(np.arange(n), [e.size - 1 for e in pts])
     lo = np.concatenate([e[:-1] for e in pts])
     hi = np.concatenate([e[1:] for e in pts])
     coarse = None
-    total = np.zeros(count)
+    total = np.zeros(n)
     for depth in range(max_depth + 1):
         mid = 0.5 * (lo + hi)
         # both halves of every active panel, and the first round's whole panels
@@ -95,10 +91,9 @@ def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_
         if depth == max_depth and not done.all():
             logger.warning("quadrature reached max_depth=%d with %d unresolved panels in "
                            "%d of %d integrals; their values are accepted unrefined",
-                           max_depth, np.count_nonzero(~done), np.unique(cell[~done]).size,
-                           count)
+                           max_depth, np.count_nonzero(~done), np.unique(cell[~done]).size, n)
             done[:] = True
-        total += np.bincount(cell[done], weights=fine[done], minlength=count)
+        total += np.bincount(cell[done], weights=fine[done], minlength=n)
         if done.all():
             break
         # each split panel becomes its two halves in place, so every
@@ -108,7 +103,7 @@ def integrate_adaptive(f, a: float, b: float, breakpoints=(), tol: float = QUAD_
         lo, hi = (np.column_stack((lo[keep], mid[keep])).ravel(),
                   np.column_stack((mid[keep], hi[keep])).ravel())
         coarse = np.column_stack((left[keep], right[keep])).ravel()
-    return float(total[0]) if n is None else total
+    return total
 
 
 def _pd_beta_mixture(detectors, etas, f_m, f_n, f_nc, beta_a, beta_b, beta_delta, tol):
@@ -168,9 +163,10 @@ class Law:
 
 
 def resolve_law(detector: str, N: int, p: int, L: int, q: int = 0, K: int = 1,
-                environment: str = HOMOGENEOUS):
+                environment: str = HOMOGENEOUS, jammer: bool = False):
     """The :class:`Law` of ``detector`` at (N, p, q, K, L) in ``environment``
-    (``he`` or ``phe``), or a short reason why it has none.  Every condition
+    (``he`` or ``phe``), with a coherent jammer in span(J) under H1 when
+    ``jammer`` is set, or a short reason why it has none.  Every condition
     under which an analytic law applies is decided here."""
     spec = registry.lookup(detector)
     if spec.law is None:
@@ -180,17 +176,20 @@ def resolve_law(detector: str, N: int, p: int, L: int, q: int = 0, K: int = 1,
     if environment == PARTIALLY_HOMOGENEOUS and not spec.scale_invariant:
         # the test noise power then only rescales the SNR
         return f"under phe only a scale-invariant statistic keeps its law; {detector} is not"
+    # H0 carries no jammer, so the threshold keeps its law; only a detector
+    # that rejects span(J) keeps its PD
+    no_pd = (f"{detector} does not reject the jammer: no PD law under one"
+             if jammer and spec.law != "interference" else None)
     if spec.law == "distributed":
         if N < 2:
             return "a distributed law needs N > 1"
         # gamf's loss factor is central only without mismatch
         return Law(detector, spec.law, spec.canonical,
                    ("mixture", K, L - N + 1, L + K - N + 1 if spec.mismatch else L - N + 2, N - 1),
-                   None if spec.mismatch else f"{detector}'s PD law needs cos2phi = 1",
-                   matched=not spec.mismatch)
+                   no_pd or (None if spec.mismatch else f"{detector}'s PD law needs cos2phi = 1"),
+                   matched=not (spec.mismatch or no_pd))
     if K != 1:
         return "point and interference laws need K = 1"
-    no_pd = None
     if spec.rank_one and p != 1:  # cos2phi is measured against the subspace, not s
         p, no_pd = 1, f"{detector} is rank-one: its law is the one at p = 1, with no PD at p = {p}"
     if spec.law == "interference":  # the point law at dimension N - q
@@ -239,74 +238,33 @@ def pd_cells(law: Law, eta: float, x, y, tol: float = QUAD_TOL) -> np.ndarray:
     return out
 
 
-def _require_law(kind, detector, N, p, L, **dims):
-    """The ``kind`` law of ``detector`` (see :func:`resolve_law`), or
-    ValueError with the reason it has none."""
-    law = resolve_law(detector, N, p, L, **dims)
+def _require_law(kind, detector, N, p, L):
+    """The ``kind`` law of ``detector`` at (N, p, L) (see :func:`resolve_law`),
+    or ValueError with the reason it has none."""
+    law = resolve_law(detector, N, p, L)
     if isinstance(law, str) or law.kind != kind:
         raise ValueError(law if isinstance(law, str) else f"no {kind} law for {detector!r}")
     return law
 
 
-def _pd_grid(kind, detector, N, p, L, x, y, eta, tol, **dims):
-    """:func:`pd_cells` of the ``kind`` law of ``detector``, with ValueError
-    where that law gives no detection probability."""
-    law = _require_law(kind, detector, N, p, L, **dims)
-    pds = pd_cells(law, eta, x, y, tol)
-    if np.isnan(pds).any():
-        raise ValueError(law.no_pd)
-    return pds
-
-
-def pd_point_grid(detector: str, N: int, p: int, L: int, rho, cos2phi, eta: float,
-                  tol: float = QUAD_TOL) -> np.ndarray:
-    """Detection probabilities of a point-target detector at threshold ``eta``
-    over cells of output SNR ``rho`` (linear) and ``cos2phi``, the
-    cosine-squared mismatch angle between the whitened actual signal and the
-    whitened nominal subspace; one lockstep quadrature serves every cell.
-    """
-    return _pd_grid("point", detector, N, p, L, rho, cos2phi, eta, tol)
-
-
 def pd_point(detector: str, N: int, p: int, L: int, rho: float, cos2phi: float,
              eta: float, tol: float = QUAD_TOL) -> float:
-    """Detection probability of one cell of :func:`pd_point_grid`."""
-    return float(pd_point_grid(detector, N, p, L, rho, cos2phi, eta, tol=tol)[0])
+    """Detection probability of a point-target detector at threshold ``eta``,
+    output SNR ``rho`` (linear) and ``cos2phi``, the cosine-squared mismatch
+    angle between the whitened actual signal and the whitened nominal
+    subspace: one cell of :func:`pd_cells`, with ValueError where the law
+    gives no detection probability."""
+    law = _require_law("point", detector, N, p, L)
+    pd = pd_cells(law, eta, rho, cos2phi, tol)[0]
+    if np.isnan(pd):
+        raise ValueError(law.no_pd)
+    return float(pd)
 
 
 def pfa_point(detector: str, N: int, p: int, L: int, eta: float,
               tol: float = QUAD_TOL) -> float:
     """False-alarm probability: the zero-SNR case of :func:`pd_point`."""
     return pd_point(detector, N, p, L, 0.0, 1.0, eta, tol=tol)
-
-
-def pd_distributed_grid(detector: str, N: int, K: int, L: int, rho, cos2phi_rk1,
-                        eta: float, tol: float = QUAD_TOL) -> np.ndarray:
-    """Detection probabilities of the rank-one distributed-target GLRT/2S-GLRT
-    over cells of ``(rho, cos2phi_rk1)``."""
-    return _pd_grid("distributed", detector, N, 1, L, rho, cos2phi_rk1, eta, tol, K=K)
-
-
-def pd_distributed(detector: str, N: int, K: int, L: int, rho: float,
-                   cos2phi_rk1: float, eta: float, tol: float = QUAD_TOL) -> float:
-    """Detection probability of one cell of :func:`pd_distributed_grid`."""
-    return float(pd_distributed_grid(detector, N, K, L, rho, cos2phi_rk1, eta, tol=tol)[0])
-
-
-def pd_interference_grid(detector: str, N: int, p: int, q: int, L: int, rho_eff,
-                         delta2_i, eta: float, tol: float = QUAD_TOL) -> np.ndarray:
-    """Detection probabilities of the interference-rejection GLRT family over
-    cells of ``(rho_eff, delta2_i)``: the effective SNR surviving interference
-    rejection and the rejected/mismatched energy driving the loss factor."""
-    return _pd_grid("interference", detector, N, p, L, rho_eff, delta2_i, eta, tol, q=q)
-
-
-def pd_interference(detector: str, N: int, p: int, q: int, L: int,
-                    rho_eff: float, delta2_i: float, eta: float,
-                    tol: float = QUAD_TOL) -> float:
-    """Detection probability of one cell of :func:`pd_interference_grid`."""
-    return float(pd_interference_grid(detector, N, p, q, L, rho_eff, delta2_i, eta,
-                                      tol=tol)[0])
 
 
 def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3, names=("eta",)) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Complex Hermitian linear-algebra kernel.
 
-Checked whitening, square-root and basis primitives for per-instance work:
-signal geometry, and the input checks of the detector banks.  All functions
-accept stacked inputs (leading batch axes) wherever the underlying LAPACK
-drivers do.
+Checked whitening, square-root and basis primitives: signal geometry, the
+input checks of the detector banks, and the rank-checked QR of the batched
+kernels.  All functions accept stacked inputs (leading batch axes) wherever
+the underlying LAPACK routines do.
 """
 
 import numpy as np
@@ -56,20 +56,25 @@ def herm_sqrt(S) -> np.ndarray:
     return 0.5 * (A + np.conj(np.swapaxes(A, -2, -1)))
 
 
-# perfbench's tracer resolves this name (tracer.WRAPS)
-def orthonormal_basis(A) -> np.ndarray:
-    """Orthonormal basis ``Q`` for the column span of a full-column-rank ``A``.
-
-    Raises :class:`RankError` when the columns are numerically dependent
-    (reciprocal condition number below ``RCOND_LIMIT``).
-    """
-    A = _as_complex(A)
-    if A.shape[-1] == 0:
-        return A
+def full_rank_qr(A):
+    """Reduced QR ``(Q, R)`` of the stacked ``A`` (..., N, m), m >= 1, after
+    checking that every ``A`` has full column rank: ``m <= N`` and the
+    smallest ``|diag R|`` above ``RCOND_LIMIT`` times the largest (a
+    reciprocal condition number); raises :class:`RankError` otherwise."""
     if A.shape[-1] > A.shape[-2]:
         raise RankError("more columns than rows: cannot have full column rank")
     Q, R = np.linalg.qr(A)
     d = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     if np.any(d.min(axis=-1) <= RCOND_LIMIT * d.max(axis=-1)):
         raise RankError("matrix is numerically rank deficient")
-    return Q
+    return Q, R
+
+
+# perfbench's tracer resolves this name (tracer.WRAPS)
+def orthonormal_basis(A) -> np.ndarray:
+    """Orthonormal basis ``Q`` for the column span of a full-column-rank ``A``
+    (:func:`full_rank_qr`); an ``A`` with no columns is its own basis."""
+    A = _as_complex(A)
+    if A.shape[-1] == 0:
+        return A
+    return full_rank_qr(A)[0]

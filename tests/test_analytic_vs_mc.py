@@ -8,7 +8,7 @@ import oracles
 from adaptivedet import montecarlo as mc, scenario as sc
 from adaptivedet.cli import analytic_threshold
 from adaptivedet.batcheval import mismatch_geometry
-from adaptivedet.distributions import pd_distributed, pd_interference
+from adaptivedet.distributions import pd_cells, resolve_law
 
 
 class TestDistributedAgreement:
@@ -27,8 +27,8 @@ class TestDistributedAgreement:
                             covariance=cov, detectors=(detector,), hypothesis="h1",
                             geometry=geom, signal_mean=np.outer(s0, coords.conj()))
         est = oracles.estimate_pd(plan, detector, eta)
-        analytic = pd_distributed(detector, self.N, self.K, self.L,
-                                  spec.rho, cos2phi, eta)
+        law = resolve_law(detector, self.N, 1, self.L, K=self.K)
+        analytic = pd_cells(law, eta, spec.rho, cos2phi)[0]
         assert est.ci_low <= analytic <= est.ci_high, (detector, est, analytic)
 
     def test_gkglrt_matched(self):
@@ -59,9 +59,9 @@ class TestInterferenceAgreement:
                             geometry=geom, signal_mean=s0[:, None],
                             interference_mean=jam[:, None])
         est = oracles.estimate_pd(plan, detector, eta)
-        geo = mismatch_geometry(s0, R, geom.H, geom.J)
-        analytic = pd_interference(detector, self.N, self.p, self.q, self.L,
-                                   geo.rho_eff, geo.delta2_i, eta)
+        rho_eff, delta2_i = mismatch_geometry(s0[None], R, geom.H, geom.J)
+        law = resolve_law(detector, self.N, self.p, self.L, q=self.q, jammer=True)
+        analytic = pd_cells(law, eta, rho_eff, delta2_i)[0]
         assert est.ci_low <= analytic <= est.ci_high, (detector, est, analytic)
 
     def test_jammer_presence_does_not_shift_pd(self):

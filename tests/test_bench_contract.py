@@ -1,6 +1,8 @@
 """The benchmark's tracer contract: every function ``perfbench/tracer.py``
 wraps exists where it looks, and a traced run of each benchmark workload ends
-normally and yields every per-layer metric ``BENCHMARK.json`` declares.
+normally and yields every per-layer metric ``BENCHMARK.json`` declares.  The
+reference generator ``perfbench/make_reference.py`` imports, and the
+``pd_point`` it calls takes the generator's call form.
 
 ``perfbench/`` is only read: its modules are imported without writing
 bytecode next to them.
@@ -14,11 +16,13 @@ from pathlib import Path
 import pytest
 
 from adaptivedet import cli
+from adaptivedet.distributions import threshold_for_pfa
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
+    import make_reference
     import tracer
     import workloads
 finally:
@@ -43,3 +47,13 @@ def test_traced_workload_yields_every_metric(name, tmp_path):
     # a CFAR detector fails cfar-check by chance on some seeds (exit code 1)
     assert rc in ((0, 1) if name == "mc_dist_cfar" else (0,))
     assert PER_LAYER <= set(traced.metrics())
+
+
+def test_reference_generator_call_form():
+    argv = workloads.WORKLOADS["analytic_mesa"].command
+    N, p, L = (int(argv[argv.index(flag) + 1]) for flag in ("--N", "--p", "--L"))
+    for det in ("samf", "sabort"):
+        eta = threshold_for_pfa(det, N, p, L, 1e-3)
+        # make_reference.analytic_mesa: pd_point(det, N, p, L, rho, cos2, eta, tol=...)
+        pd = make_reference.pd_point(det, N, p, L, 10.0, 0.5, eta, tol=make_reference.TIGHT_TOL)
+        assert 0.0 < pd < 1.0

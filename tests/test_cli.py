@@ -6,11 +6,12 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import adaptivedet
 from adaptivedet import batcheval, cli, linalg, montecarlo as mc, scenario as sc
-from adaptivedet.distributions import pd_distributed
+from adaptivedet.distributions import pd_cells, resolve_law
 
 
 def _read(path):
@@ -241,6 +242,62 @@ class TestSmfMismatch:
             assert float(r["ci_low"]) <= float(r["pd_analytic"]) <= float(r["ci_high"]), r
 
 
+class TestJammer:
+    def test_no_jammer_at_q0(self, tmp_path, capsys):
+        # q = 0 leaves no span(J) for the jammer to lie in: it is refused, not dropped
+        out = tmp_path / "j.csv"
+        assert cli.main(["pd-vs-snr", "--jnr-db", "30", "--detectors", "glrt_he_i",
+                         "--snr", "10", "--out", str(out)]) == 1
+        assert "--jnr-db" in capsys.readouterr().err and not out.exists()
+
+    def test_only_interference_laws_give_pd(self, tmp_path):
+        # H0 carries no jammer, so every threshold keeps its law; under H1
+        # only the laws that reject span(J) keep their PD
+        common = ["pd-vs-snr", "--mode", "both", "--q", "2", "--snr", "10,20",
+                  "--trials", "2000", "--detectors", "sglrt,glrt_he_i,smf,gkglrt"]
+        jammed, clean = tmp_path / "j.csv", tmp_path / "c.csv"
+        assert cli.main(common + ["--jnr-db", "30", "--out", str(jammed)]) == 0
+        assert cli.main(common + ["--out", str(clean)]) == 0
+        for j, c in zip(_read(str(jammed)), _read(str(clean))):
+            assert j["threshold"] == c["threshold"] != ""
+            if j["detector"] == "glrt_he_i":
+                assert j["pd_analytic"] == c["pd_analytic"] != ""
+                assert float(j["ci_low"]) <= float(j["pd_analytic"]) <= float(j["ci_high"]), j
+            else:
+                assert j["pd_analytic"] == "", j
+
+    @pytest.mark.parametrize("detector,kind", [("sglrt", "point"), ("smf", "point"),
+                                               ("gamf", "distributed"), ("gkglrt", "distributed")])
+    def test_resolver_drops_the_pd_of_other_laws(self, detector, kind):
+        K = 4 if kind == "distributed" else 1
+        law = resolve_law(detector, 8, 1, 16, q=2, K=K, jammer=True)
+        assert law.params == resolve_law(detector, 8, 1, 16, q=2, K=K).params
+        assert "jammer" in law.no_pd
+        assert np.isnan(pd_cells(law, 1.0, [0.0, 10.0], [1.0, 1.0])).all()
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["identities", "--N", "3"],
+        ["identities", "--detectors", "nope"],
+        ["validate-dist", "--mode", "both"],
+        ["validate-dist", "--pfa", "1e-2"],
+        ["cfar-check", "--mode", "both"],
+        ["cfar-check", "--jnr-db", "10"],
+    ])
+    def test_unread_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unread_config_key_is_refused(self, tmp_path, capsys):
+        cfgfile = tmp_path / "ids.cfg"
+        cfgfile.write_text("N = 3\n")
+        assert cli.main(["identities", "--config", str(cfgfile)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+
 class TestIdentitySuite:
     def test_one_perturbed_instance_fails_its_row(self, tmp_path, monkeypatch):
         real = batcheval.point_family_stats
@@ -327,7 +384,8 @@ class TestAnalyticLaws:
     def test_distributed_threshold_round_trip(self, det):
         cfg = sc.ScenarioConfig(N=8, p=1, K=4, L=16, pfa=1e-3)
         eta = cli.analytic_threshold(det, cfg)
-        assert abs(pd_distributed(det, 8, 4, 16, 0.0, 1.0, eta) - 1e-3) <= 1e-3 * 1e-3
+        pfa = pd_cells(resolve_law(det, 8, 1, 16, K=4), eta, 0.0, 1.0)[0]
+        assert abs(pfa - 1e-3) <= 1e-3 * 1e-3
 
     def test_calibration_streams_disjoint_from_scoring(self, monkeypatch, tmp_path,
                                                        stream_draws):

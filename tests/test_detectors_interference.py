@@ -110,8 +110,8 @@ class TestMismatchGeometry:
         H = crandn(rng, 6, 2)
         # signal aligned with span(J) after whitening
         s0 = np.linalg.inv(T) @ (T @ J)[:, 0]
-        geom = mismatch_geometry(s0, R, H, J)
-        assert geom.rho_eff == pytest.approx(0.0, abs=1e-9)
+        rho_eff, _ = mismatch_geometry(s0[None], R, H, J)
+        assert rho_eff[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matched_orthogonal_case(self):
         N = 6
@@ -120,18 +120,18 @@ class TestMismatchGeometry:
         J = np.zeros((N, 1), dtype=complex)
         J[3, 0] = 1.0
         s0 = H @ np.array([2.0, 1.0 - 1.0j])
-        geom = mismatch_geometry(s0, np.eye(N), H, J)
-        assert geom.rho_eff == pytest.approx(float(np.real(s0.conj() @ s0)), rel=1e-12)
-        assert geom.delta2_i == pytest.approx(0.0, abs=1e-9)
+        (rho_eff,), (delta2_i,) = mismatch_geometry(s0[None], np.eye(N), H, J)
+        assert rho_eff == pytest.approx(float(np.real(s0.conj() @ s0)), rel=1e-12)
+        assert delta2_i == pytest.approx(0.0, abs=1e-9)
 
     def test_q0_matches_point_quantities(self, rng):
         R = random_hpd(rng, 6)
         H = crandn(rng, 6, 2)
         spec = SignalSpec(snr_db=13.0, cos2phi=0.35, seed=4)
         s0 = actual_signal(H, R, spec)
-        geom = mismatch_geometry(s0, R, H, None)
-        assert geom.rho_eff == pytest.approx(spec.rho * spec.cos2phi, rel=1e-9)
-        assert geom.delta2_i == pytest.approx(spec.rho * (1 - spec.cos2phi), rel=1e-9)
+        (rho_eff,), (delta2_i,) = mismatch_geometry(s0[None], R, H, None)
+        assert rho_eff == pytest.approx(spec.rho * spec.cos2phi, rel=1e-9)
+        assert delta2_i == pytest.approx(spec.rho * (1 - spec.cos2phi), rel=1e-9)
 
     def test_energy_split_bound(self, rng):
         for _ in range(25):
@@ -139,9 +139,9 @@ class TestMismatchGeometry:
             H = crandn(rng, 6, 2)
             J = crandn(rng, 6, 2)
             s0 = crandn(rng, 6)
-            geom = mismatch_geometry(s0, R, H, J)
+            (rho_eff,), (delta2_i,) = mismatch_geometry(s0[None], R, H, J)
             total = float(np.real(s0.conj() @ np.linalg.solve(R, s0)))
-            assert geom.rho_eff + geom.delta2_i <= total + 1e-9
+            assert rho_eff + delta2_i <= total + 1e-9
 
 
 @st.composite
@@ -166,13 +166,12 @@ class TestMismatchGeometryKernel:
         difference of energies on both sides (it is 0 up to rounding when
         p + q = N), so the tolerances are relative to that energy."""
         s0, R, H, J = case
-        stacked = mismatch_geometry(s0, R, H, J)
+        stacked = dict(zip(("rho_eff", "delta2_i"), mismatch_geometry(s0, R, H, J)))
         for g, s in enumerate(s0):
-            one = mismatch_geometry(s, R, H, J)
+            one = dict(zip(("rho_eff", "delta2_i"), mismatch_geometry(s[None], R, H, J)))
             ref = oracles.mismatch_geometry(s, R, H, J)
             energy = ref["rho_eff"] + ref["delta2_i"]
             for name, value in ref.items():
-                assert getattr(one, name) == pytest.approx(
-                    value, rel=1e-10, abs=1e-10 * energy), name
-                assert getattr(stacked, name)[g] == pytest.approx(
-                    getattr(one, name), rel=1e-14, abs=1e-14 * energy), name
+                assert one[name][0] == pytest.approx(value, rel=1e-10, abs=1e-10 * energy), name
+                assert stacked[name][g] == pytest.approx(
+                    one[name][0], rel=1e-14, abs=1e-14 * energy), name

@@ -16,8 +16,7 @@ from adaptivedet.distributions import (
     cbeta_pdf_nodes,
     cf_sf_nodes,
     integrate_adaptive,
-    pd_distributed,
-    pd_interference,
+    pd_cells,
     pd_point,
     pfa_point,
     threshold_for_pfa,
@@ -37,6 +36,21 @@ def pd_point_generic_aed(N, p, L, rho, cos2phi, eta, tol=QUAD_TOL) -> float:
         beta_a=L - N + p + 1, beta_b=N - p, beta_delta=np.array([rho * (1.0 - cos2phi)]),
         tol=tol,
     )[0]
+
+
+def distributed_cell(detector, N, K, L, rho, cos2phi_rk1, eta):
+    """One cell of a distributed-target law: ``pd_cells`` of its resolved law."""
+    return pd_cells(resolve_law(detector, N, 1, L, K=K), eta, rho, cos2phi_rk1)[0]
+
+
+def interference_cell(detector, N, p, q, L, rho_eff, delta2_i, eta):
+    """One cell of an interference law: ``pd_cells`` of its resolved law."""
+    return pd_cells(resolve_law(detector, N, p, L, q=q), eta, rho_eff, delta2_i)[0]
+
+
+def integrate_one(f, **kw):
+    """One integral over [0, 1] of the vectorized ``f(x)``, an n = 1 lockstep call."""
+    return integrate_adaptive(lambda cell_x: f(cell_x[1]), 0.0, 1.0, 1, **kw)[0]
 
 
 class TestComplexChi2:
@@ -582,28 +596,27 @@ class TestDistributedCurves:
         N, L = 8, 16
         for rho, c2 in ((10.0, 1.0), (30.0, 0.6)):
             eta = threshold_for_pfa("sglrt", N, 1, L, 1e-2)
-            a = pd_distributed("gkglrt", N, 1, L, rho, c2, eta)
+            a = distributed_cell("gkglrt", N, 1, L, rho, c2, eta)
             b = pd_point("sglrt", N, 1, L, rho, c2, eta)
             assert abs(a - b) < 1e-6
         eta = threshold_for_pfa("samf", N, 1, L, 1e-2)
-        a = pd_distributed("gamf", N, 1, L, 20.0, 1.0, eta)
+        a = distributed_cell("gamf", N, 1, L, 20.0, 1.0, eta)
         b = pd_point("samf", N, 1, L, 20.0, 1.0, eta)
         assert abs(a - b) < 1e-6
 
     def test_zero_snr_is_central(self):
-        val = pd_distributed("gkglrt", 8, 4, 16, 0.0, 1.0, 1.0)
-        ref = pd_distributed("gkglrt", 8, 4, 16, 0.0, 0.2, 1.0)
+        val = distributed_cell("gkglrt", 8, 4, 16, 0.0, 1.0, 1.0)
+        ref = distributed_cell("gkglrt", 8, 4, 16, 0.0, 0.2, 1.0)
         assert abs(val - ref) < 1e-12
 
     def test_one_channel_has_no_law(self):
-        with pytest.raises(ValueError, match=r"N > 1"):
-            pd_distributed("gkglrt", 1, 2, 4, 1.0, 1.0, 0.5)
+        assert "N > 1" in resolve_law("gkglrt", 1, 1, 4, K=2)
 
     def test_gamf_pd_needs_a_matched_signal(self):
         # its loss factor is central only without mismatch
-        assert 0.0 < pd_distributed("gamf", 8, 4, 16, 10.0, 1.0, 1.0) < 1.0
-        with pytest.raises(ValueError, match=r"cos2phi = 1"):
-            pd_distributed("gamf", 8, 4, 16, 10.0, 0.5, 1.0)
+        assert 0.0 < distributed_cell("gamf", 8, 4, 16, 10.0, 1.0, 1.0) < 1.0
+        assert np.isnan(distributed_cell("gamf", 8, 4, 16, 10.0, 0.5, 1.0))
+        assert "cos2phi = 1" in resolve_law("gamf", 8, 1, 16, K=4).no_pd
 
 
 class TestResolveLaw:
@@ -657,7 +670,7 @@ class TestInterferenceCurves:
         pairs = (("glrt_he_i", "sglrt"), ("ts_glrt_he_i", "samf"), ("glrt_phe_i", "asd"))
         for det_i, det_p in pairs:
             eta = threshold_for_pfa(det_p, N, p, L, 1e-3)
-            a = pd_interference(det_i, N, p, 0, L, rho * c2, rho * (1 - c2), eta)
+            a = interference_cell(det_i, N, p, 0, L, rho * c2, rho * (1 - c2), eta)
             b = pd_point(det_p, N, p, L, rho, c2, eta)
             assert abs(a - b) < 1e-9
 
@@ -665,38 +678,37 @@ class TestInterferenceCurves:
         # the GLRT's conditional threshold map is constant in the loss factor,
         # so at zero effective SNR its PD equals the central false-alarm rate
         # regardless of the rejected-energy noncentrality
-        a = pd_interference("glrt_he_i", 12, 2, 3, 24, 0.0, 0.0, 0.8)
-        b = pd_interference("glrt_he_i", 12, 2, 3, 24, 0.0, 5.0, 0.8)
+        a = interference_cell("glrt_he_i", 12, 2, 3, 24, 0.0, 0.0, 0.8)
+        b = interference_cell("glrt_he_i", 12, 2, 3, 24, 0.0, 5.0, 0.8)
         assert 0.0 < a < 1.0
         assert abs(a - b) < 1e-9
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            pd_interference("glrt_he_i", 6, 3, 3, 12, 1.0, 1.0, 0.5)
+        assert "p + q < N" in resolve_law("glrt_he_i", 6, 3, 12, q=3)
 
 
 class TestIntegrator:
     def test_polynomial_exact(self):
-        val = integrate_adaptive(lambda x: 3 * x ** 2, 0.0, 1.0)
+        val = integrate_one(lambda x: 3 * x ** 2)
         assert abs(val - 1.0) < 1e-12
 
     def test_kink_with_breakpoint(self):
         f = lambda x: np.where(x < 0.3, 0.0, x - 0.3)
-        val = integrate_adaptive(f, 0.0, 1.0, breakpoints=(0.3,))
+        val = integrate_one(f, breakpoints=(0.3,))
         assert abs(val - 0.5 * 0.7 ** 2) < 1e-9
 
     def test_unresolved_step_warns(self, caplog):
         # no dyadic split ever lands on 1/3, so its panel reaches max_depth
         f = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
         with caplog.at_level(logging.WARNING, logger="adaptivedet.distributions"):
-            val = integrate_adaptive(f, 0.0, 1.0)
+            val = integrate_one(f)
         assert abs(val - 2.0 / 3.0) <= 1e-12
         assert len(caplog.records) == 1
         assert "max_depth=48" in caplog.text and "1 of 1 integrals" in caplog.text
 
     def test_resolved_integrals_do_not_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="adaptivedet.distributions"):
-            integrate_adaptive(lambda x: 3 * x ** 2, 0.0, 1.0)
+            integrate_one(lambda x: 3 * x ** 2)
             pd_point("samf", 12, 2, 24, 1e4, 0.0, 1.8)
         assert not caplog.records
 
@@ -707,9 +719,9 @@ class TestIntegrator:
             cell, x = cell_x
             return scale[cell] * np.sin(20.0 * x) + np.where(x < 0.4, 0.0, 1.0)
 
-        vals = integrate_adaptive(many, 0.0, 1.0, breakpoints=(0.4,), n=scale.size)
+        vals = integrate_adaptive(many, 0.0, 1.0, scale.size, breakpoints=(0.4,))
         for i, c in enumerate(scale):
-            one = integrate_adaptive(lambda x: c * np.sin(20.0 * x) + np.where(x < 0.4, 0.0, 1.0),
-                                     0.0, 1.0, breakpoints=(0.4,))
+            one = integrate_one(lambda x: c * np.sin(20.0 * x) + np.where(x < 0.4, 0.0, 1.0),
+                                breakpoints=(0.4,))
             assert one == vals[i]
             assert abs(one - (c * (1.0 - np.cos(20.0)) / 20.0 + 0.6)) < 1e-9

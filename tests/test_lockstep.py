@@ -11,12 +11,8 @@ from adaptivedet import batcheval, cli, registry, scenario as sc
 from adaptivedet.distributions import (
     detection,
     invert_pfa,
-    pd_distributed,
-    pd_distributed_grid,
-    pd_interference,
-    pd_interference_grid,
+    pd_cells,
     pd_point,
-    pd_point_grid,
     pfa_point,
     resolve_law,
     threshold_for_pfa,
@@ -58,7 +54,7 @@ class TestGridEqualsOneCell:
         p = data.draw(st.integers(1, N - 1))
         L = data.draw(st.integers(N, 3 * N))
         rho, cos2 = _split(cells)
-        grid = pd_point_grid(det, N, p, L, rho, cos2, eta)
+        grid = pd_cells(resolve_law(det, N, p, L), eta, rho, cos2)
         for i, (r, c) in enumerate(cells):
             assert grid[i] == pd_point(det, N, p, L, r, c, eta)
 
@@ -71,9 +67,10 @@ class TestGridEqualsOneCell:
         L = data.draw(st.integers(N, 3 * N))
         rho_eff, delta2 = _split(cells)
         delta2 = delta2 * rho_eff  # a rejected energy on the SNR's scale
-        grid = pd_interference_grid(det, N, p, q, L, rho_eff, delta2, eta)
+        law = resolve_law(det, N, p, L, q=q)
+        grid = pd_cells(law, eta, rho_eff, delta2)
         for i in range(len(cells)):
-            assert grid[i] == pd_interference(det, N, p, q, L, rho_eff[i], delta2[i], eta)
+            assert grid[i] == pd_cells(law, eta, rho_eff[i], delta2[i])[0]
 
     @SETTINGS
     @given(st.sampled_from(DISTRIBUTED_LAWS), st.integers(2, 10),
@@ -83,9 +80,10 @@ class TestGridEqualsOneCell:
         rho, cos2 = _split(cells)
         if not registry.lookup(det).mismatch:  # gamf's PD law holds at cos2phi = 1 only
             cos2 = np.ones_like(cos2)
-        grid = pd_distributed_grid(det, N, K, L, rho, cos2, eta)
+        law = resolve_law(det, N, 1, L, K=K)
+        grid = pd_cells(law, eta, rho, cos2)
         for i in range(len(cells)):
-            assert grid[i] == pd_distributed(det, N, K, L, rho[i], cos2[i], eta)
+            assert grid[i] == pd_cells(law, eta, rho[i], cos2[i])[0]
 
 
 def _counting_integrations(monkeypatch):
@@ -206,7 +204,7 @@ class TestIntegrandCalls:
         rho = 10.0 ** (snr_db.ravel() / 10.0)
         max_depth = detection.integrate_adaptive.__defaults__[2]
         calls = _counting_integrations(monkeypatch)
-        pds = pd_point_grid(det, 12, 2, 24, rho, cos2.ravel(), eta)
+        pds = pd_cells(resolve_law(det, 12, 2, 24), eta, rho, cos2.ravel())
         assert pds.shape == (66,) and len(calls) == 1
         assert 1 <= calls[0] <= max_depth + 2
 

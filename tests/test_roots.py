@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptivedet.batcheval import solve_sigma_batch
-from adaptivedet.distributions import invert_pfa, pd_distributed, resolve_law, thresholds_for_pfa
+from adaptivedet.distributions import invert_pfa, pd_cells, resolve_law, thresholds_for_pfa
 from adaptivedet.errors import InfeasibleError
 from adaptivedet.roots import find_root
 
@@ -107,8 +107,9 @@ class TestInvertPfa:
     @pytest.mark.parametrize("pfa", [1e-2, 1e-6])
     def test_distributed_round_trip(self, det, pfa):
         N, K, L = 8, 4, 16
-        eta = invert_pfa(lambda e, at: pd_distributed(det, N, K, L, 0.0, 1.0, e), pfa)
-        assert abs(pd_distributed(det, N, K, L, 0.0, 1.0, eta) - pfa) <= 1e-3 * pfa
+        law = resolve_law(det, N, 1, L, K=K)
+        eta = invert_pfa(lambda e, at: pd_cells(law, float(e[0]), 0.0, 1.0), pfa)
+        assert abs(pd_cells(law, float(eta[0]), 0.0, 1.0)[0] - pfa) <= 1e-3 * pfa
 
     def test_unreachable_target_raises(self):
         with pytest.raises(InfeasibleError):
