@@ -159,7 +159,8 @@ def build_parser():
                        help="add a coherent jammer at this JNR under H1 (needs q > 0)")
 
     def command(name, help_text, *adds):
-        sub_map[name] = sub.add_parser(name, help=help_text)
+        # no prefix matching: a misspelt flag must not pass for another one
+        sub_map[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for add in (add_common,) + adds:
             add(sub_map[name])
         return sub_map[name]
@@ -208,11 +209,11 @@ def _build_signal(cfg, build, snr_db, cos2phi, seed, grid_index):
     return np.outer(s0, coords.conj())
 
 
-def _jammer_mean(cfg, geometry, R, jnr_db):
+def _jammer_mean(cfg, J, R, jnr_db):
+    """The (N, K) coherent jammer mean in span(J) at ``jnr_db``, 0 without one."""
     if jnr_db is None:
-        return None
-    phi = np.ones(geometry.J.shape[1], dtype=np.complex128)
-    j = geometry.J @ phi
+        return 0.0
+    j = J @ np.ones(J.shape[1], dtype=np.complex128)
     energy = float(np.real(j.conj() @ np.linalg.solve(R, j)))
     j = j * np.sqrt(10.0 ** (jnr_db / 10.0) / energy)
     return np.repeat(j[:, None], cfg.K, axis=1)
@@ -244,10 +245,10 @@ def _thresholds(laws, needs_mc, cfg, args):
         plan = mc.TrialPlan(
             n_trials=args.trials, master_seed=args.seed ^ CALIBRATION_KEY_BIT,
             scenario=cfg, covariance=sc.CovarianceModel.parse(args.covariance),
-            detectors=tuple(needs_mc), hypothesis="h0", batch_size=args.batch_size)
+            detectors=tuple(needs_mc), batch_size=args.batch_size)
         stats = mc.run_trials(plan)
         for det in needs_mc:
-            out[det] = mc.calibrate_threshold(plan, det, stats=stats[det])
+            out[det] = mc.calibrate_threshold(plan, det, stats[det])
     return out
 
 
@@ -266,10 +267,13 @@ def _detectors(args):
 def run_grid(args, snrs, cos2s):
     cfg = _scenario_from_args(args)
     detectors = _detectors(args)
-    if args.jnr_db is not None and not cfg.q:
+    jnr = () if args.jnr_db is None else (args.jnr_db,)
+    if not np.isfinite([*snrs, *cos2s, *jnr]).all():
+        raise ValueError("--snr, --cos2phi and --jnr-db take finite values only")
+    if jnr and not cfg.q:
         raise ValueError("--jnr-db needs q > 0: the jammer lies in span(J)")
-    laws, no_law = _laws(detectors, cfg, jammer=args.jnr_db is not None)
-    geometry = mc.Geometry.default(cfg)
+    laws, no_law = _laws(detectors, cfg, jammer=bool(jnr))
+    H, J = sc.default_geometry(cfg.N, cfg.p, cfg.q)
     cov = sc.CovarianceModel.parse(args.covariance)
     R = cov.build(cfg.N)
     thresholds = _thresholds(laws, list(no_law), cfg, args)
@@ -284,18 +288,15 @@ def run_grid(args, snrs, cos2s):
     means = None
     if want_mc or interference:
         # the mismatch angle is measured against H for a point target, s otherwise
-        build = sc.signal_builder(geometry.H if cfg.K == 1 else geometry.s[:, None], R)
+        build = sc.signal_builder(H if cfg.K == 1 else H[:, :1], R)
         means = [_build_signal(cfg, build, snr_db, cos2, args.seed, gi)
                  for gi, (snr_db, cos2) in enumerate(points)]
     if want_mc:
         # every grid point shares the trial streams: one noise pass serves all
-        plan = mc.TrialPlan(
-            n_trials=args.trials, master_seed=args.seed, scenario=cfg,
-            covariance=cov, detectors=detectors, hypothesis="h1",
-            geometry=geometry,
-            interference_mean=_jammer_mean(cfg, geometry, R, args.jnr_db),
-            batch_size=args.batch_size)
-        counts = mc.exceedance_counts(plan, means, thresholds)
+        plan = mc.TrialPlan(n_trials=args.trials, master_seed=args.seed, scenario=cfg,
+                            covariance=cov, detectors=detectors, batch_size=args.batch_size)
+        jammer = _jammer_mean(cfg, J, R, args.jnr_db)
+        counts = mc.exceedance_counts(plan, [s + jammer for s in means], thresholds)
     if want_analytic:
         # every cell's law inputs, once per grid, on the test noise's scale
         # (sigma2 under phe, where only scale-invariant laws apply)
@@ -303,7 +304,7 @@ def run_grid(args, snrs, cos2s):
         cells = dict.fromkeys(("point", "distributed"), (rho / scale, cos2phi))
         if interference:
             rho_eff, delta2_i = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]),
-                                                            R, geometry.H, geometry.J)
+                                                            R, H, J)
             cells["interference"] = (rho_eff / scale, delta2_i / scale)
         pds = {det: pd_cells(law, thresholds[det], *cells[law.kind]) for det, law in laws.items()}
     rows = []
@@ -315,8 +316,9 @@ def run_grid(args, snrs, cos2s):
             if want_analytic and det in pds and not np.isnan(pds[det][gi]):
                 row["pd_analytic"] = pds[det][gi]  # NaN: no law for this cell
             if want_mc:
-                est = mc.pd_estimate(int(counts[gi, di]), args.trials)
-                row.update({"pd_mc": est.pd, "ci_low": est.ci_low, "ci_high": est.ci_high})
+                k = int(counts[gi, di])
+                row["pd_mc"] = k / args.trials
+                row["ci_low"], row["ci_high"] = mc.wilson_interval(k, args.trials)
             rows.append(row)
     return rows
 
@@ -325,30 +327,28 @@ def run_cfar_check(args):
     cfg = _scenario_from_args(args)
     detectors = _detectors(args)
     covariances = [sc.CovarianceModel.parse(c) for c in _str_list(args.covariances)]
-    plan = mc.TrialPlan(
-        n_trials=args.trials, master_seed=args.seed, scenario=cfg,
-        covariance=covariances[0], detectors=detectors, hypothesis="h0",
-        batch_size=args.batch_size)
+    plan = mc.TrialPlan(n_trials=args.trials, master_seed=args.seed, scenario=cfg,
+                        covariance=covariances[0], detectors=detectors,
+                        batch_size=args.batch_size)
     # one pass: every covariance colours the same trial streams (common random
-    # numbers), which makes the cross-covariance comparison sharp; the
-    # thresholds are calibrated on the first covariance's statistics
+    # numbers), so a CFAR detector's rates co-move and the comparison is sharp
     stats = mc.sweep_trials(plan, covariances)
-    thresholds = {det: mc.calibrate_threshold(plan, det, stats=stats[0][det])
-                  for det in detectors}
-    reports = mc.cfar_sweep(covariances, thresholds, stats)
+    n = args.trials
     rows = []
     failed = []
     for det in detectors:
-        report = reports[det]
-        for cov_row in report.rows:
-            rows.append({
-                "detector": det, "covariance": cov_row.covariance,
-                "threshold": report.threshold, "pfa_hat": cov_row.pfa_hat,
-                "ci_low": cov_row.ci_low, "ci_high": cov_row.ci_high,
-                "n_trials": cov_row.n, "seed": args.seed,
-                "status": "pass" if report.passed else "fail",
-            })
-        if not report.passed and registry.DETECTORS[det].cfar:
+        # calibrated on the first covariance; a detector passes when every
+        # covariance's rate lies in the Wilson 99% interval of the first's
+        threshold = mc.calibrate_threshold(plan, det, stats[0][det])
+        counts = [int(np.count_nonzero(s[det] > threshold)) for s in stats]
+        intervals = [mc.wilson_interval(k, n) for k in counts]
+        passed = all(intervals[0][0] <= k / n <= intervals[0][1] for k in counts[1:])
+        for cov, k, (ci_low, ci_high) in zip(covariances, counts, intervals):
+            rows.append({"detector": det, "covariance": cov.label(), "threshold": threshold,
+                         "pfa_hat": k / n, "ci_low": ci_low, "ci_high": ci_high,
+                         "n_trials": n, "seed": args.seed,
+                         "status": "pass" if passed else "fail"})
+        if not passed and registry.DETECTORS[det].cfar:
             failed.append(det)
     return rows, failed
 
@@ -374,16 +374,13 @@ def run_validate_dist(args):
     )]
     N, L, rho = 12, 24, 10.0
     cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-3)
-    geometry = mc.Geometry.default(cfg)
     cov = sc.CovarianceModel.ar1(0.9)
-    R = cov.build(N)
-    s0 = sc.actual_signal(geometry.H, R,
+    H, _ = sc.default_geometry(N, cfg.p)
+    s0 = sc.actual_signal(H, cov.build(N),
                           sc.SignalSpec(snr_db=10.0 * np.log10(rho), cos2phi=1.0, seed=args.seed))
     plan = mc.TrialPlan(n_trials=n, master_seed=args.seed, scenario=cfg,
-                        covariance=cov, detectors=("aed",), hypothesis="h1",
-                        geometry=geometry, signal_mean=s0[:, None],
-                        batch_size=args.batch_size)
-    suites.append(("aed-law", f"N={N},L={L},rho={rho:g}", mc.run_trials(plan)["aed"],
+                        covariance=cov, detectors=("aed",), batch_size=args.batch_size)
+    suites.append(("aed-law", f"N={N},L={L},rho={rho:g}", mc.run_trials(plan, s0[:, None])["aed"],
                    ComplexF(N, L - N + 1, rho).cdf))
     rows = []
     for name, params, samples, cdf in suites:

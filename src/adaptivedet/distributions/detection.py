@@ -52,7 +52,8 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
     two-half refinement of a panel changes its value by at most the panel's
     share of the absolute tolerance ``tol``; a panel still unresolved at
     ``max_depth`` is accepted as it stands, and one warning is logged per call
-    that had any.  Each refinement round makes one call of ``f`` over every
+    that had any.  A non-finite panel sum, which no refinement resolves, is a
+    ValueError in the round that meets it.  Each refinement round makes one call of ``f`` over every
     active panel of every integral, so there are at most ``max_depth + 1``.
     An integral's value does not depend on the others: panel sums run node by
     node and each integral adds its accepted panels in its own order.
@@ -83,6 +84,8 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
         parts = ((lo, mid), (mid, hi)) + (((lo, hi),) if coarse is None else ())
         sums = panel_sums(np.tile(cell, len(parts)), np.concatenate([p[0] for p in parts]),
                           np.concatenate([p[1] for p in parts]))
+        if not np.isfinite(sums).all():
+            raise ValueError("non-finite panel sum: no refinement can resolve it")
         k = cell.size
         left, right = sums[:k], sums[k:2 * k]
         coarse = sums[2 * k:] if coarse is None else coarse
@@ -227,9 +230,10 @@ def pd_cells(law: Law, eta: float, x, y, tol: float = QUAD_TOL) -> np.ndarray:
     ``(x, y)`` (see :class:`Law`), from one lockstep evaluation; NaN marks a
     cell whose detection probability the law does not give."""
     x, y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y)))
-    if not (np.all((x >= 0.0) & (y >= 0.0) & ((y <= 1.0) | (law.kind == "interference")))
-            and eta >= 0.0):
-        raise ValueError("cells and threshold must be nonnegative, and cos2phi at most 1")
+    if not (np.all(np.isfinite(x) & np.isfinite(y) & (x >= 0.0) & (y >= 0.0)
+                   & ((y <= 1.0) | (law.kind == "interference"))) and 0.0 <= eta < np.inf):
+        raise ValueError("cells and threshold must be finite and nonnegative, "
+                         "and cos2phi at most 1")
     out = np.full(x.shape, np.nan)
     at = (y == 1.0) if law.matched else np.full(x.shape, law.no_pd is None)
     x, y = x[at], y[at]

@@ -58,32 +58,16 @@ class TrialStreams:
 
 
 @dataclass(frozen=True)
-class Geometry:
-    """Steering geometry shared by all trials of a plan."""
-
-    H: np.ndarray
-    J: np.ndarray
-    s: np.ndarray
-
-    @classmethod
-    def default(cls, config: ScenarioConfig) -> "Geometry":
-        H, J = scenario.default_geometry(config.N, config.p, config.q)
-        return cls(H=H, J=J, s=H[:, 0])
-
-
-@dataclass(frozen=True)
 class TrialPlan:
-    """Everything needed to reproduce a batch of trials."""
+    """What a pass draws: its trials and their streams, the scenario's noise
+    under one covariance model, and the detectors evaluated on it.  The test
+    mean is an argument of each pass, so one plan serves H0 and every H1 mean."""
 
     n_trials: int
     master_seed: int
     scenario: ScenarioConfig
     covariance: CovarianceModel
     detectors: tuple
-    hypothesis: str = "h0"
-    geometry: Geometry = None
-    signal_mean: np.ndarray = None
-    interference_mean: np.ndarray = None
     batch_size: int = DEFAULT_BATCH
 
     def __post_init__(self):
@@ -91,27 +75,13 @@ class TrialPlan:
             raise ValueError("need at least one trial")
         if self.batch_size < 1:
             raise ValueError("need a batch size of at least 1")
-        if self.hypothesis not in ("h0", "h1"):
-            raise ValueError("hypothesis must be 'h0' or 'h1'")
-        if self.geometry is None:
-            object.__setattr__(self, "geometry", Geometry.default(self.scenario))
         unknown = set(self.detectors) - set(registry.DETECTORS)
         if unknown:
             raise ValueError(f"unknown detectors: {sorted(unknown)}")
-        H, J = self.geometry.H, self.geometry.J
+        cfg = self.scenario
         short = [d for d in self.detectors if registry.DETECTORS[d].orthocomplement]
-        if short and H.shape[1] + J.shape[1] >= H.shape[0]:
+        if short and cfg.p + cfg.q >= cfg.N:
             raise GeometryError(f"{short[0]} needs p + q < N: [H J] leaves no orthocomplement")
-
-
-@dataclass(frozen=True)
-class PdEstimate:
-    """Binomial proportion with its Wilson 99% confidence interval."""
-
-    pd: float
-    ci_low: float
-    ci_high: float
-    n: int
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
@@ -123,19 +93,6 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
     center = (phat + z * z / (2 * n)) / denom
     half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _test_mean(plan: TrialPlan, signal_mean) -> np.ndarray:
-    """The (N, K) test-data mean: signal plus interference under H1, else 0."""
-    cfg = plan.scenario
-    mean = np.zeros((cfg.N, cfg.K), dtype=np.complex128)
-    if plan.hypothesis == "h1":
-        for contrib in (signal_mean, plan.interference_mean):
-            if contrib is None:
-                continue
-            contrib = np.asarray(contrib, dtype=np.complex128)
-            mean = mean + (contrib[:, None] if contrib.ndim == 1 else contrib)
-    return mean
 
 
 def _noise_pass(plan: TrialPlan, covariances):
@@ -164,8 +121,8 @@ def _noise_pass(plan: TrialPlan, covariances):
     for cov in covariances:
         R = scenario.build_covariance(cov, cfg.N)
         colours.append((herm_sqrt(R), R if clairvoyant else None))
-    geom = plan.geometry
-    given = dict(s=geom.s, H=geom.H, J=geom.J, L=cfg.L)
+    H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
+    given = dict(s=H[:, 0], H=H, J=J, L=cfg.L)
     # each family's prepare_* gets the arguments its rows read, None for the rest
     kw = {family: {arg: given[arg] if arg in reads[family] else None for arg in args}
           for family, args in (("point", ("J", "s")), ("distributed", ("s", "H", "L")))
@@ -182,7 +139,7 @@ def _noise_pass(plan: TrialPlan, covariances):
             training = A @ w_train
             S = training @ np.conj(np.swapaxes(training, -2, -1))
             prepared = (
-                batcheval.prepare_point(S, geom.H, R=R, **kw["point"]) if "point" in kw else None,
+                batcheval.prepare_point(S, H, R=R, **kw["point"]) if "point" in kw else None,
                 batcheval.prepare_distributed(S, **kw["distributed"])
                 if "distributed" in kw else None)
             yield c, trials, cfg.test_scale * (A @ w_test), prepared
@@ -199,15 +156,15 @@ def _statistics(prepared, test) -> dict:
     return stats
 
 
-def sweep_trials(plan: TrialPlan, covariances) -> list:
-    """The plan's detector statistics under each covariance model, from one
-    draw of the plan's trial streams (common random numbers).
+def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
+    """The plan's detector statistics at test mean ``mean`` (0 or the full
+    (N, K) mean) under each covariance model, from one draw of the plan's
+    trial streams (common random numbers).
 
     Returns one dict per covariance, in order; entry ``c`` maps detector name
     to an ``(n_trials,)`` array ordered by trial index and equals
-    ``run_trials(replace(plan, covariance=covariances[c]))``.
+    ``run_trials(replace(plan, covariance=covariances[c]), mean)``.
     """
-    mean = _test_mean(plan, plan.signal_mean)
     out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
     for c, trials, noise, prepared in _noise_pass(plan, covariances):
         stats = _statistics(prepared, noise + mean)
@@ -216,26 +173,25 @@ def sweep_trials(plan: TrialPlan, covariances) -> list:
     return out
 
 
-def run_trials(plan: TrialPlan) -> dict:
-    """Evaluate the plan's detector statistics for every trial.
+def run_trials(plan: TrialPlan, mean=0.0) -> dict:
+    """Evaluate the plan's detector statistics for every trial at test mean
+    ``mean`` (0 or the full (N, K) mean).
 
     Returns a dict mapping detector name to an ``(n_trials,)`` array ordered
     by trial index.
     """
-    return sweep_trials(plan, (plan.covariance,))[0]
+    return sweep_trials(plan, (plan.covariance,), mean)[0]
 
 
-def exceedance_counts(plan: TrialPlan, signal_means, thresholds) -> np.ndarray:
-    """Threshold exceedances of every detector at every signal mean, from one
-    noise pass.
+def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
+    """Threshold exceedances of every detector at every (N, K) test mean, from
+    one noise pass.
 
     Entry ``[g, d]`` counts the trials where detector ``plan.detectors[d]``
-    exceeds ``thresholds[plan.detectors[d]]`` under the plan with its signal
-    mean replaced by ``signal_means[g]``; it equals the count over
-    ``run_trials(replace(plan, signal_mean=signal_means[g]))``.  Memory stays
-    one batch plus the (G, D) counts, whatever the grid size.
+    exceeds ``thresholds[plan.detectors[d]]`` at test mean ``means[g]``; it
+    equals the count over ``run_trials(plan, means[g])``.  Memory stays one
+    batch plus the (G, D) counts, whatever the grid size.
     """
-    means = [_test_mean(plan, s) for s in signal_means]
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
     for _, _, noise, prepared in _noise_pass(plan, (plan.covariance,)):
         for g, mean in enumerate(means):
@@ -245,9 +201,10 @@ def exceedance_counts(plan: TrialPlan, signal_means, thresholds) -> np.ndarray:
     return counts
 
 
-def calibrate_threshold(plan: TrialPlan, detector: str, stats=None) -> float:
+def calibrate_threshold(plan: TrialPlan, detector: str, stats) -> float:
     """Threshold at the plan's nominal false-alarm rate: the ``ceil(n * pfa)``-th
-    largest H0 statistic (decisions downstream use strict ``>``).
+    largest of the detector's H0 statistics ``stats`` over the plan's trials
+    (decisions downstream use strict ``>``).
 
     Below ``100 / pfa`` trials the order statistic is unstable and a warning
     is logged; fewer than ``1 / pfa`` trials is an error.
@@ -257,59 +214,7 @@ def calibrate_threshold(plan: TrialPlan, detector: str, stats=None) -> float:
     if plan.n_trials * pfa < 1.0:
         raise InfeasibleError(
             "too few trials to place the false-alarm order statistic")
-    if plan.hypothesis != "h0":
-        raise ValueError("calibration plans must run under h0")
     if plan.n_trials * pfa < 100.0:
         log.warning("calibrating %s on n=%d trials at pfa=%g: order statistic m=%d "
                     "is unstable below n*pfa = 100", detector, plan.n_trials, pfa, m)
-    if stats is None:
-        stats = run_trials(plan)[detector]
     return float(np.partition(stats, len(stats) - m)[len(stats) - m])
-
-
-def pd_estimate(successes: int, n: int) -> PdEstimate:
-    """Exceedance fraction ``successes / n`` with its Wilson interval."""
-    lo, hi = wilson_interval(successes, n)
-    return PdEstimate(pd=successes / n, ci_low=lo, ci_high=hi, n=n)
-
-
-@dataclass(frozen=True)
-class CfarRow:
-    covariance: str
-    pfa_hat: float
-    ci_low: float
-    ci_high: float
-    n: int
-
-
-@dataclass(frozen=True)
-class CfarReport:
-    detector: str
-    threshold: float
-    rows: tuple
-    passed: bool
-
-
-def cfar_sweep(covariances, thresholds, stats) -> dict:
-    """Empirical false-alarm rates of several detectors across covariance models.
-
-    ``stats[c]`` maps each detector of ``thresholds`` to its H0 statistics
-    under ``covariances[c]``, as :func:`sweep_trials` returns them.  Returns a
-    :class:`CfarReport` per detector, keyed by name.  A detector passes when
-    every covariance's empirical rate lies inside the Wilson 99% interval of
-    the first covariance's rate.  The statistics share per-trial streams
-    (common random numbers), so a CFAR detector's rates co-move and the
-    comparison is sharp.
-    """
-    reports = {}
-    for det, threshold in thresholds.items():
-        rows = []
-        for cov, cov_stats in zip(covariances, stats):
-            est = pd_estimate(int(np.sum(cov_stats[det] > threshold)), len(cov_stats[det]))
-            rows.append(CfarRow(covariance=cov.label(), pfa_hat=est.pd,
-                                ci_low=est.ci_low, ci_high=est.ci_high, n=est.n))
-        first = rows[0]
-        passed = all(first.ci_low <= row.pfa_hat <= first.ci_high for row in rows[1:])
-        reports[det] = CfarReport(detector=det, threshold=threshold,
-                                  rows=tuple(rows), passed=passed)
-    return reports

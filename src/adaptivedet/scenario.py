@@ -44,6 +44,8 @@ class CovarianceModel:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
         if self.kind != "identity" and not 0.0 <= self.rho < 1.0:
             raise ValueError("one-lag correlation must lie in [0, 1)")
+        if not np.isfinite(self.cnr_db):
+            raise ValueError("clutter-to-noise ratio must be finite")
 
     @classmethod
     def identity(cls) -> "CovarianceModel":
@@ -118,8 +120,8 @@ class ScenarioConfig:
             raise ValueError("need L >= N so the sample covariance is invertible")
         if self.environment not in (HOMOGENEOUS, PARTIALLY_HOMOGENEOUS):
             raise ValueError("environment must be 'he' or 'phe'")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
         if not 0.0 < self.pfa < 1.0:
             raise ValueError("pfa must lie in (0, 1)")
 

@@ -389,9 +389,21 @@ def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None
     return DataSet(test=test, training=training)
 
 
-def estimate_pd(plan: mc.TrialPlan, detector: str, threshold: float,
-                stats=None) -> mc.PdEstimate:
-    """Exceedance fraction of the detector over the plan's trials."""
+@dataclass(frozen=True)
+class PdEstimate:
+    """Exceedance fraction ``pd`` of ``n`` trials with its Wilson 99% interval."""
+
+    pd: float
+    ci_low: float
+    ci_high: float
+    n: int
+
+
+def estimate_pd(plan: mc.TrialPlan, detector: str, threshold: float, mean=0.0,
+                stats=None) -> PdEstimate:
+    """Exceedance fraction of the detector over the plan's trials at test
+    mean ``mean`` (its statistics ``stats`` when given)."""
     if stats is None:
-        stats = mc.run_trials(plan)[detector]
-    return mc.pd_estimate(int(np.sum(stats > threshold)), len(stats))
+        stats = mc.run_trials(plan, mean)[detector]
+    k = int(np.sum(stats > threshold))
+    return PdEstimate(k / len(stats), *mc.wilson_interval(k, len(stats)), len(stats))

@@ -109,15 +109,14 @@ def test_criterion_03_distribution_ks():
         # AED histogram through the full synthesis/whitening path
         N, L, rho = 12, 24, 10.0
         cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-3)
-        geometry = mc.Geometry.default(cfg)
+        H, _ = sc.default_geometry(N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.9)
-        s0 = sc.actual_signal(geometry.H, cov.build(N),
+        s0 = sc.actual_signal(H, cov.build(N),
                               sc.SignalSpec(snr_db=10 * np.log10(rho), cos2phi=1.0,
                                             seed=MASTER_SEED))
         plan = mc.TrialPlan(n_trials=n, master_seed=MASTER_SEED + 3, scenario=cfg,
-                            covariance=cov, detectors=("aed",), hypothesis="h1",
-                            geometry=geometry, signal_mean=s0[:, None])
-        samples = mc.run_trials(plan)["aed"]
+                            covariance=cov, detectors=("aed",))
+        samples = mc.run_trials(plan, s0[:, None])["aed"]
         pvalue = sstats.kstest(samples, ComplexF(N, L - N + 1, rho).cdf).pvalue
         assert pvalue > 0.01, pvalue
 
@@ -174,18 +173,14 @@ def test_criterion_04_pd_vs_snr(fig_thresholds):
 
         # MC spot checks at three SNRs, 1e4 trials, 99% Wilson agreement
         cfg = sc.ScenarioConfig(N=FIG_N, p=FIG_P, L=FIG_L, pfa=FIG_PFA)
-        geometry = mc.Geometry.default(cfg)
+        H, _ = sc.default_geometry(FIG_N, FIG_P)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(FIG_N)
+        plan = mc.TrialPlan(n_trials=10_000, master_seed=43, scenario=cfg,
+                            covariance=cov, detectors=ADAPTIVE_BANK + ("smf",))
         for snr_db in (12.0, 15.0, 18.0):
-            s0 = sc.actual_signal(geometry.H, R,
-                                  sc.SignalSpec(snr_db=snr_db, cos2phi=1.0, seed=11))
-            plan = mc.TrialPlan(n_trials=10_000, master_seed=43, scenario=cfg,
-                                covariance=cov,
-                                detectors=ADAPTIVE_BANK + ("smf",),
-                                hypothesis="h1", geometry=geometry,
-                                signal_mean=s0[:, None])
-            stats = mc.run_trials(plan)
+            s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=snr_db, cos2phi=1.0, seed=11))
+            stats = mc.run_trials(plan, s0[:, None])
             rho = 10 ** (snr_db / 10)
             for d in ADAPTIVE_BANK + ("smf",):
                 est = oracles.estimate_pd(plan, d, fig_thresholds[d], stats=stats[d])
@@ -237,12 +232,11 @@ CFAR_DIST = ("gkglrt", "gamf", "rao_he", "glrdd", "amdd", "snrdd", "gadd",
              "glrt_dos", "rao_dos", "wald_dos", "gasd")
 
 
-def _h0_stats(cfg, detectors, covariances, n, geometry):
+def _h0_stats(cfg, detectors, covariances, n):
     """The plan under the first covariance and the H0 statistics under each
     covariance, from one sweep over common trial streams."""
     plan = mc.TrialPlan(n_trials=n, master_seed=MASTER_SEED, scenario=cfg,
-                        covariance=covariances[0], detectors=detectors,
-                        hypothesis="h0", geometry=geometry)
+                        covariance=covariances[0], detectors=detectors)
     return plan, mc.sweep_trials(plan, covariances)
 
 
@@ -251,8 +245,7 @@ def test_criterion_07_cfar_sweep():
         n = 100_000
         for cfg, dets in ((POINT_CFG, CFAR_POINT + GEOMETRY_DEPENDENT_I + ("smi",)),
                           (DIST_CFG, CFAR_DIST)):
-            geometry = mc.Geometry.default(cfg)
-            plan, stats = _h0_stats(cfg, dets, SWEEP_COVS, n, geometry)
+            plan, stats = _h0_stats(cfg, dets, SWEEP_COVS, n)
             cfar_set = CFAR_POINT if cfg is POINT_CFG else CFAR_DIST
             rates = {}
             intervals = {}
@@ -278,8 +271,7 @@ def test_criterion_07_cfar_sweep():
         # partially homogeneous environment at sigma^2 in {0.5, 2}
         for cfg, det in ((POINT_CFG, "asd"), (POINT_CFG, "glrt_phe_i"),
                          (DIST_CFG, "gasd")):
-            geometry = mc.Geometry.default(cfg)
-            plan, (stats,) = _h0_stats(cfg, (det,), SWEEP_COVS[:1], n, geometry)
+            plan, (stats,) = _h0_stats(cfg, (det,), SWEEP_COVS[:1], n)
             thr = mc.calibrate_threshold(plan, det, stats=stats[det])
             lo, hi = mc.wilson_interval(
                 int(round(float(np.mean(stats[det] > thr)) * n)), n)
@@ -288,7 +280,7 @@ def test_criterion_07_cfar_sweep():
                     N=cfg.N, p=cfg.p, q=cfg.q, K=cfg.K, L=cfg.L,
                     environment=sc.PARTIALLY_HOMOGENEOUS, sigma2=sigma2,
                     pfa=cfg.pfa)
-                _, (phe_stats,) = _h0_stats(phe_cfg, (det,), SWEEP_COVS[:1], n, geometry)
+                _, (phe_stats,) = _h0_stats(phe_cfg, (det,), SWEEP_COVS[:1], n)
                 rate = float(np.mean(phe_stats[det] > thr))
                 assert lo <= rate <= hi, (det, sigma2, rate, (lo, hi))
 
@@ -319,11 +311,9 @@ def test_criterion_09_decision_set_equality():
     with _Criterion(9, "zero decision mismatches under monotone maps (1e5 trials)", 60):
         n = 100_000
         cfg = sc.ScenarioConfig(N=12, p=1, L=24, pfa=1e-2)
-        geometry = mc.Geometry.default(cfg)
         plan = mc.TrialPlan(n_trials=n, master_seed=MASTER_SEED + 5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.9),
-                            detectors=("kglrt", "glrdd"), hypothesis="h0",
-                            geometry=geometry)
+                            detectors=("kglrt", "glrdd"))
         stats = mc.run_trials(plan)
         eta = mc.calibrate_threshold(plan, "kglrt", stats=stats["kglrt"])
         g = lambda t: t / (1.0 + t)

@@ -16,17 +16,16 @@ class TestDistributedAgreement:
 
     def _run(self, detector, cos2phi, master_seed):
         cfg = sc.ScenarioConfig(N=self.N, p=1, L=self.L, K=self.K, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
+        H, _ = sc.default_geometry(self.N, 1)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(self.N)
         eta = analytic_threshold(detector, cfg)
         spec = sc.SignalSpec(snr_db=15.0, cos2phi=cos2phi, seed=5)
-        s0 = sc.actual_signal(geom.s[:, None], R, spec)
+        s0 = sc.actual_signal(H, R, spec)
         coords = np.ones(self.K, dtype=complex) / np.sqrt(self.K)
         plan = mc.TrialPlan(n_trials=10_000, master_seed=master_seed, scenario=cfg,
-                            covariance=cov, detectors=(detector,), hypothesis="h1",
-                            geometry=geom, signal_mean=np.outer(s0, coords.conj()))
-        est = oracles.estimate_pd(plan, detector, eta)
+                            covariance=cov, detectors=(detector,))
+        est = oracles.estimate_pd(plan, detector, eta, np.outer(s0, coords.conj()))
         law = resolve_law(detector, self.N, 1, self.L, K=self.K)
         analytic = pd_cells(law, eta, spec.rho, cos2phi)[0]
         assert est.ci_low <= analytic <= est.ci_high, (detector, est, analytic)
@@ -47,35 +46,31 @@ class TestInterferenceAgreement:
     @pytest.mark.parametrize("detector", ["glrt_he_i", "ts_glrt_he_i", "glrt_phe_i"])
     def test_matches_monte_carlo_with_jammer(self, detector):
         cfg = sc.ScenarioConfig(N=self.N, p=self.p, q=self.q, L=self.L, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
+        H, J = sc.default_geometry(self.N, self.p, self.q)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(self.N)
         eta = analytic_threshold(detector, cfg)
-        s0 = sc.actual_signal(geom.H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
+        s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
         # a strong coherent jammer must be rejected without changing PD
-        jam = geom.J @ (3.0 * np.ones(self.q))
+        jam = J @ (3.0 * np.ones(self.q))
         plan = mc.TrialPlan(n_trials=10_000, master_seed=2024, scenario=cfg,
-                            covariance=cov, detectors=(detector,), hypothesis="h1",
-                            geometry=geom, signal_mean=s0[:, None],
-                            interference_mean=jam[:, None])
-        est = oracles.estimate_pd(plan, detector, eta)
-        rho_eff, delta2_i = mismatch_geometry(s0[None], R, geom.H, geom.J)
+                            covariance=cov, detectors=(detector,))
+        est = oracles.estimate_pd(plan, detector, eta, (s0 + jam)[:, None])
+        rho_eff, delta2_i = mismatch_geometry(s0[None], R, H, J)
         law = resolve_law(detector, self.N, self.p, self.L, q=self.q, jammer=True)
         analytic = pd_cells(law, eta, rho_eff, delta2_i)[0]
         assert est.ci_low <= analytic <= est.ci_high, (detector, est, analytic)
 
     def test_jammer_presence_does_not_shift_pd(self):
         cfg = sc.ScenarioConfig(N=self.N, p=self.p, q=self.q, L=self.L, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
+        H, J = sc.default_geometry(self.N, self.p, self.q)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(self.N)
         eta = analytic_threshold("glrt_he_i", cfg)
-        s0 = sc.actual_signal(geom.H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
-        jam = geom.J @ (5.0 * np.ones(self.q))
-        kw = dict(n_trials=10_000, master_seed=31415, scenario=cfg, covariance=cov,
-                  detectors=("glrt_he_i",), hypothesis="h1", geometry=geom,
-                  signal_mean=s0[:, None])
-        with_jam = oracles.estimate_pd(
-            mc.TrialPlan(interference_mean=jam[:, None], **kw), "glrt_he_i", eta)
-        without = oracles.estimate_pd(mc.TrialPlan(**kw), "glrt_he_i", eta)
+        s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
+        jam = J @ (5.0 * np.ones(self.q))
+        plan = mc.TrialPlan(n_trials=10_000, master_seed=31415, scenario=cfg, covariance=cov,
+                            detectors=("glrt_he_i",))
+        with_jam = oracles.estimate_pd(plan, "glrt_he_i", eta, (s0 + jam)[:, None])
+        without = oracles.estimate_pd(plan, "glrt_he_i", eta, s0[:, None])
         assert with_jam.ci_low <= without.pd <= with_jam.ci_high

@@ -159,6 +159,27 @@ class TestArguments:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        ["pd-vs-snr", "--mode", "analytic", "--snr", "inf,10"],
+        ["pd-vs-snr", "--mode", "montecarlo", "--snr", "nan"],
+        ["pd-vs-snr", "--mode", "montecarlo", "--snr", "inf"],
+        ["pd-vs-mismatch", "--mode", "analytic", "--cos2phi", "0.5,nan"],
+        ["mesa", "--mode", "both", "--q", "1", "--snr", "0", "--cos2phi", "1",
+         "--jnr-db", "inf"],
+        ["pd-vs-snr", "--mode", "montecarlo", "--snr", "0", "--env", "phe:inf"],
+        ["pd-vs-snr", "--mode", "both", "--snr", "0", "--env", "phe:nan"],
+        ["pd-vs-snr", "--mode", "both", "--snr", "0", "--covariance", "ar1w:0.9:nan"],
+        ["cfar-check", "--covariances", "identity,ar1w:0.9:inf"],
+    ])
+    def test_non_finite_input_exits_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        assert cli.main(argv + ["--N", "4", "--p", "1", "--L", "8", "--trials", "200",
+                                "--pfa", "1e-2", "--detectors", "asd",
+                                "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidationCommands:
     def test_identities_pass(self, tmp_path):
         out = tmp_path / "ids.csv"
@@ -284,6 +305,7 @@ class TestSubcommandFlags:
         ["validate-dist", "--pfa", "1e-2"],
         ["cfar-check", "--mode", "both"],
         ["cfar-check", "--jnr-db", "10"],
+        ["cfar-check", "--covariance", "identity"],
     ])
     def test_unread_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -590,6 +590,14 @@ class TestPointCurves:
         with pytest.raises(InfeasibleError):
             threshold_for_pfa("sglrt", 12, 2, 24, 1.5)
 
+    @pytest.mark.parametrize("eta, rho, cos2phi", [
+        (1.0, np.inf, 1.0), (1.0, np.nan, 1.0), (1.0, 10.0, np.nan),
+        (np.inf, 10.0, 1.0), (np.nan, 10.0, 1.0)])
+    def test_non_finite_cell_or_threshold_rejected(self, eta, rho, cos2phi):
+        law = resolve_law("samf", 12, 2, 24)
+        with pytest.raises(ValueError, match="finite"):
+            pd_cells(law, eta, [10.0, rho], [1.0, cos2phi])
+
 
 class TestDistributedCurves:
     def test_k1_reduces_to_point(self):
@@ -711,6 +719,18 @@ class TestIntegrator:
             integrate_one(lambda x: 3 * x ** 2)
             pd_point("samf", 12, 2, 24, 1e4, 0.0, 1.8)
         assert not caplog.records
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_panel_raises_in_the_first_round(self, bad):
+        calls = []
+
+        def f(cell_x):
+            calls.append(cell_x[1].size)
+            return np.where(cell_x[0] == 1, bad, 1.0)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_adaptive(f, 0.0, 1.0, 2)
+        assert len(calls) == 1
 
     def test_lockstep_integrals_equal_single(self):
         scale = np.array([1.0, -2.0, 30.0, 0.0])

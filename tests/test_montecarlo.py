@@ -9,13 +9,17 @@ from adaptivedet.distributions import ComplexChi2, threshold_for_pfa
 from adaptivedet.errors import GeometryError, InfeasibleError
 
 
-def _point_plan(n=2000, seed=11, hypothesis="h0", **kw):
+def _point_plan(n=2000, seed=11, **kw):
     cfg = sc.ScenarioConfig(N=6, p=2, q=2, L=12, pfa=1e-2)
     return mc.TrialPlan(
         n_trials=n, master_seed=seed, scenario=cfg,
         covariance=sc.CovarianceModel.ar1(0.9),
-        detectors=tuple(sorted(registry.names(family="point"))),
-        hypothesis=hypothesis, **kw)
+        detectors=tuple(sorted(registry.names(family="point"))), **kw)
+
+
+def _calibrate(plan, detector):
+    """The detector's threshold calibrated on the plan's own H0 statistics."""
+    return mc.calibrate_threshold(plan, detector, mc.run_trials(plan)[detector])
 
 
 class TestReproducibility:
@@ -59,44 +63,40 @@ class TestExceedanceCounts:
     @staticmethod
     def _assert_counts_match(plan, means, batch_size):
         plan = replace(plan, batch_size=batch_size)
-        base = mc.run_trials(replace(plan, signal_mean=means[0]))
+        base = mc.run_trials(plan, means[0])
         thresholds = {d: float(np.median(base[d])) for d in plan.detectors}
         counts = mc.exceedance_counts(plan, means, thresholds)
         assert counts.shape == (len(means), len(plan.detectors))
         for g, mean in enumerate(means):
-            plan_g = replace(plan, signal_mean=mean)
-            stats = mc.run_trials(plan_g)
+            stats = mc.run_trials(plan, mean)
             for d, det in enumerate(plan.detectors):
-                ref = oracles.estimate_pd(plan_g, det, thresholds[det], stats=stats[det])
-                assert mc.pd_estimate(int(counts[g, d]), plan.n_trials) == ref, (g, det)
+                ref = oracles.estimate_pd(plan, det, thresholds[det], stats=stats[det])
+                assert counts[g, d] / plan.n_trials == ref.pd, (g, det)
 
     @pytest.mark.parametrize("batch_size", [64, 577])
     def test_point_family_with_jammer(self, batch_size):
         cfg = sc.ScenarioConfig(N=8, p=2, q=2, L=16, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
+        H, J = sc.default_geometry(cfg.N, cfg.p, cfg.q)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(cfg.N)
-        jammer = cli._jammer_mean(cfg, geom, R, 20.0)
-        means = [sc.actual_signal(geom.H, R, sc.SignalSpec(snr_db=snr, cos2phi=0.8, seed=g))
-                 for g, snr in enumerate((0.0, 6.0, 12.0))]
+        jammer = cli._jammer_mean(cfg, J, R, 20.0)
+        means = [sc.actual_signal(H, R, sc.SignalSpec(snr_db=snr, cos2phi=0.8, seed=g))[:, None]
+                 + jammer for g, snr in enumerate((0.0, 6.0, 12.0))]
         plan = mc.TrialPlan(n_trials=700, master_seed=3, scenario=cfg, covariance=cov,
-                            detectors=tuple(sorted(registry.names(family="point"))),
-                            hypothesis="h1", geometry=geom, interference_mean=jammer)
+                            detectors=tuple(sorted(registry.names(family="point"))))
         self._assert_counts_match(plan, means, batch_size)
 
     @pytest.mark.parametrize("batch_size", [64, 577])
     def test_distributed_family(self, batch_size):
         cfg = sc.ScenarioConfig(N=6, p=2, L=12, K=4, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
+        H, _ = sc.default_geometry(cfg.N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.5)
         R = cov.build(cfg.N)
-        means = [np.outer(sc.actual_signal(geom.s[:, None], R,
-                                           sc.SignalSpec(snr_db=snr, seed=g)),
+        means = [np.outer(sc.actual_signal(H[:, :1], R, sc.SignalSpec(snr_db=snr, seed=g)),
                           np.ones(cfg.K) / 2.0)
                  for g, snr in enumerate((0.0, 8.0))]
         plan = mc.TrialPlan(n_trials=300, master_seed=8, scenario=cfg, covariance=cov,
-                            detectors=tuple(sorted(registry.names(family="distributed"))),
-                            hypothesis="h1", geometry=geom)
+                            detectors=tuple(sorted(registry.names(family="distributed"))))
         self._assert_counts_match(plan, means, batch_size)
 
     def test_grid_draws_each_trial_once(self, tmp_path, stream_draws):
@@ -215,12 +215,11 @@ class TestFullSpaceGeometry:
     CFG = sc.ScenarioConfig(N=4, p=2, q=2, L=8, pfa=1e-2)
 
     def test_wald_phe_i_is_nan_in_both_paths(self):
-        geom = mc.Geometry.default(self.CFG)
+        H, J = sc.default_geometry(self.CFG.N, self.CFG.p, self.CFG.q)
         for seed in range(5):
             d = oracles.synthesize(self.CFG, sc.CovarianceModel.ar1(0.9), seed=seed)
-            ints = oracles.interference_bank(d.test_vector, d.scm, geom.H, geom.J)
-            batched = batcheval.point_family_stats(
-                d.test_vector[None], d.scm[None], geom.H, geom.J)
+            ints = oracles.interference_bank(d.test_vector, d.scm, H, J)
+            batched = batcheval.point_family_stats(d.test_vector[None], d.scm[None], H, J)
             assert np.isnan(ints["wald_phe_i"])
             assert np.isnan(batched["wald_phe_i"][0])
             assert batched["wald_he_i"][0] == pytest.approx(ints["wald_he_i"], rel=1e-10)
@@ -237,16 +236,16 @@ class TestFullSpaceGeometry:
 class TestBatchedMatchesPlain:
     def test_point_family(self):
         plan = _point_plan(n=16)
-        cfg, geom = plan.scenario, plan.geometry
-        R = plan.covariance.build(cfg.N)
+        cfg = plan.scenario
+        H, J = sc.default_geometry(cfg.N, cfg.p, cfg.q)
         stats = mc.run_trials(plan)
         for i in range(plan.n_trials):
             d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
                               seed=mc.trial_rng(plan.master_seed, i))
             x = d.test_vector
-            ps = oracles.subspace_bank(x, d.scm, geom.H)
-            rs = oracles.rank_one_bank(x, d.scm, geom.s)
-            ints = oracles.interference_bank(x, d.scm, geom.H, geom.J)
+            ps = oracles.subspace_bank(x, d.scm, H)
+            rs = oracles.rank_one_bank(x, d.scm, H[:, 0])
+            ints = oracles.interference_bank(x, d.scm, H, J)
             for name, ref in (*ps.items(), *rs.items(), *ints.items()):
                 assert stats[name][i] == pytest.approx(ref, rel=1e-10), name
 
@@ -255,14 +254,13 @@ class TestBatchedMatchesPlain:
         plan = mc.TrialPlan(
             n_trials=12, master_seed=5, scenario=cfg,
             covariance=sc.CovarianceModel.ar1(0.5),
-            detectors=tuple(sorted(registry.names(family="distributed"))),
-            hypothesis="h0")
+            detectors=tuple(sorted(registry.names(family="distributed"))))
         stats = mc.run_trials(plan)
-        geom = plan.geometry
+        H, _ = sc.default_geometry(cfg.N, cfg.p)
         for i in range(plan.n_trials):
             d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
                               seed=mc.trial_rng(plan.master_seed, i))
-            ref = oracles.distributed_family(d.test, d.scm, geom.s, geom.H, cfg.L)
+            ref = oracles.distributed_family(d.test, d.scm, H[:, 0], H, cfg.L)
             for name in plan.detectors:
                 assert stats[name][i] == pytest.approx(ref[name], rel=1e-9), name
 
@@ -277,17 +275,12 @@ class TestCalibration:
 
     def test_determinism(self):
         plan = _point_plan(n=5000)
-        assert mc.calibrate_threshold(plan, "kglrt") == mc.calibrate_threshold(plan, "kglrt")
+        assert _calibrate(plan, "kglrt") == _calibrate(plan, "kglrt")
 
     def test_insufficient_trials(self):
         plan = _point_plan(n=50)
         with pytest.raises(InfeasibleError):
-            mc.calibrate_threshold(plan, "kglrt")
-
-    def test_h1_plan_rejected(self):
-        plan = _point_plan(n=2000, hypothesis="h1")
-        with pytest.raises(ValueError):
-            mc.calibrate_threshold(plan, "kglrt")
+            _calibrate(plan, "kglrt")
 
     def test_warns_below_stable_trial_count(self, rng, caplog):
         stats = rng.uniform(size=5000)
@@ -305,7 +298,7 @@ class TestCalibration:
 
     def test_held_out_pfa(self):
         plan = _point_plan(n=40_000, seed=21)
-        thr = mc.calibrate_threshold(plan, "kglrt")
+        thr = _calibrate(plan, "kglrt")
         fresh = _point_plan(n=40_000, seed=22)
         est = oracles.estimate_pd(fresh, "kglrt", thr)
         assert est.ci_low <= plan.scenario.pfa <= est.ci_high
@@ -319,16 +312,15 @@ class TestEstimatePd:
 
     def test_smf_analytic_oracle(self):
         cfg = sc.ScenarioConfig(N=6, p=1, L=12, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
+        H, _ = sc.default_geometry(cfg.N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(cfg.N)
         spec = sc.SignalSpec(snr_db=8.0, cos2phi=1.0, seed=2)
-        s0 = sc.actual_signal(geom.H, R, spec)
+        s0 = sc.actual_signal(H, R, spec)
         eta = threshold_for_pfa("smf", cfg.N, 1, cfg.L, cfg.pfa)
         plan = mc.TrialPlan(n_trials=10_000, master_seed=31, scenario=cfg,
-                            covariance=cov, detectors=("smf",), hypothesis="h1",
-                            geometry=geom, signal_mean=s0[:, None])
-        est = oracles.estimate_pd(plan, "smf", eta)
+                            covariance=cov, detectors=("smf",))
+        est = oracles.estimate_pd(plan, "smf", eta, s0[:, None])
         pd_true = float(ComplexChi2(1, spec.rho).sf(eta))
         assert est.ci_low <= pd_true <= est.ci_high
 
@@ -347,26 +339,23 @@ class TestCfarSweep:
     COVS = (sc.CovarianceModel.identity(), sc.CovarianceModel.ar1(0.9),
             sc.CovarianceModel.ar1_plus_white(0.99, 30.0))
 
+    def _check(self, detector):
+        """``cfar-check`` rows and failed CFAR detectors over ``COVS``."""
+        args = cli.build_parser()[0].parse_args(
+            ["cfar-check", "--N", "6", "--p", "2", "--q", "0", "--L", "12", "--pfa", "1e-2",
+             "--trials", "20000", "--seed", "17", "--detectors", detector,
+             "--covariances", ",".join(cov.label() for cov in self.COVS)])
+        return cli.run_cfar_check(args)
+
     def test_kglrt_passes(self):
-        cfg = sc.ScenarioConfig(N=6, p=2, q=0, L=12, pfa=1e-2)
-        plan = mc.TrialPlan(n_trials=20_000, master_seed=17, scenario=cfg,
-                            covariance=self.COVS[0], detectors=("kglrt",),
-                            hypothesis="h0")
-        thr = mc.calibrate_threshold(plan, "kglrt")
-        report = mc.cfar_sweep(self.COVS, {"kglrt": thr},
-                               mc.sweep_trials(plan, self.COVS))["kglrt"]
-        assert report.passed
+        rows, failed = self._check("kglrt")
+        assert failed == []
+        assert [row["status"] for row in rows] == ["pass"] * len(self.COVS)
 
     def test_smi_fails_with_large_ratio(self):
-        cfg = sc.ScenarioConfig(N=6, p=2, q=0, L=12, pfa=1e-2)
-        plan = mc.TrialPlan(n_trials=20_000, master_seed=17, scenario=cfg,
-                            covariance=self.COVS[0], detectors=("smi",),
-                            hypothesis="h0")
-        thr = mc.calibrate_threshold(plan, "smi")
-        report = mc.cfar_sweep(self.COVS, {"smi": thr},
-                               mc.sweep_trials(plan, self.COVS))["smi"]
-        assert not report.passed
-        rates = [row.pfa_hat for row in report.rows]
+        rows, _ = self._check("smi")
+        assert [row["status"] for row in rows] == ["fail"] * len(self.COVS)
+        rates = [row["pfa_hat"] for row in rows]
         assert max(rates) > 2 * max(min(rates), 1e-12)
 
 
@@ -396,38 +385,34 @@ class TestOrientationAndScale:
         # sign test for the PHE GLRT: the detection probability at an
         # H0-calibrated threshold must far exceed the false-alarm rate
         cfg = sc.ScenarioConfig(N=6, p=1, L=12, K=3, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
+        H, _ = sc.default_geometry(cfg.N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(cfg.N)
         plan0 = mc.TrialPlan(n_trials=20_000, master_seed=77, scenario=cfg,
-                             covariance=cov, detectors=("glrt_phe",),
-                             hypothesis="h0", geometry=geom)
-        thr = mc.calibrate_threshold(plan0, "glrt_phe")
-        s0 = sc.actual_signal(geom.H, R, sc.SignalSpec(snr_db=15.0, seed=1))
+                             covariance=cov, detectors=("glrt_phe",))
+        thr = _calibrate(plan0, "glrt_phe")
+        s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=15.0, seed=1))
         mean = np.outer(s0, np.ones(cfg.K) / np.sqrt(cfg.K))
         plan1 = mc.TrialPlan(n_trials=5_000, master_seed=78, scenario=cfg,
-                             covariance=cov, detectors=("glrt_phe",),
-                             hypothesis="h1", geometry=geom, signal_mean=mean)
-        est = oracles.estimate_pd(plan1, "glrt_phe", thr)
+                             covariance=cov, detectors=("glrt_phe",))
+        est = oracles.estimate_pd(plan1, "glrt_phe", thr, mean)
         assert est.pd > 0.5
 
     def test_wald_phe_i_scale_invariance(self):
         # the concatenated-subspace normalization makes the statistic exactly
         # scale invariant, hence false-alarm invariant to the PHE power level
         cfg = sc.ScenarioConfig(N=6, p=1, q=2, L=12, pfa=1e-2)
-        geom = mc.Geometry.default(cfg)
         cov = sc.CovarianceModel.ar1(0.9)
         base = mc.TrialPlan(n_trials=20_000, master_seed=55, scenario=cfg,
-                            covariance=cov, detectors=("wald_phe_i",),
-                            hypothesis="h0", geometry=geom)
-        thr = mc.calibrate_threshold(base, "wald_phe_i")
-        est0 = oracles.estimate_pd(base, "wald_phe_i", thr)
+                            covariance=cov, detectors=("wald_phe_i",))
+        stats = mc.run_trials(base)["wald_phe_i"]
+        thr = mc.calibrate_threshold(base, "wald_phe_i", stats)
+        est0 = oracles.estimate_pd(base, "wald_phe_i", thr, stats=stats)
         for sigma2 in (0.5, 2.0):
             phe = sc.ScenarioConfig(N=6, p=1, q=2, L=12, environment="phe",
                                     sigma2=sigma2, pfa=1e-2)
             plan = mc.TrialPlan(n_trials=20_000, master_seed=55, scenario=phe,
-                                covariance=cov, detectors=("wald_phe_i",),
-                                hypothesis="h0", geometry=geom)
+                                covariance=cov, detectors=("wald_phe_i",))
             est = oracles.estimate_pd(plan, "wald_phe_i", thr)
             assert est0.ci_low <= est.pd <= est0.ci_high
 
@@ -442,7 +427,7 @@ def roc_invariance_check(detector: str, g, plan: mc.TrialPlan,
     """
     stats = mc.run_trials(plan)[detector]
     if threshold is None:
-        threshold = mc.calibrate_threshold(replace(plan, hypothesis="h0"), detector, stats=stats)
+        threshold = mc.calibrate_threshold(plan, detector, stats)
     probe = np.unique(np.concatenate([stats, [threshold]]))
     gp = np.asarray([g(t) for t in probe], dtype=float)
     if np.any(np.diff(gp) <= 0):
