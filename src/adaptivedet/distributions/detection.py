@@ -53,8 +53,9 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
     share of the absolute tolerance ``tol``; a panel still unresolved at
     ``max_depth`` is accepted as it stands, and one warning is logged per call
     that had any.  A non-finite panel sum, which no refinement resolves, is a
-    ValueError in the round that meets it.  Each refinement round makes one call of ``f`` over every
-    active panel of every integral, so there are at most ``max_depth + 1``.
+    ValueError in the round that meets it.  Each refinement round makes one
+    call of ``f`` over every active panel of every integral, so there are at
+    most ``max_depth + 1``.
     An integral's value does not depend on the others: panel sums run node by
     node and each integral adds its accepted panels in its own order.
     """
