@@ -8,14 +8,15 @@ of floats.  This module must import neither ``adaptivedet.batcheval`` nor
 ``adaptivedet.detectors`` (``test_registry`` checks it), or the cross-check
 would compare the kernels with themselves.
 
-It also holds the tests' one-realization data draw (:func:`synthesize`) and
-their exceedance count over a whole plan (:func:`estimate_pd`).
+It also holds the tests' one-realization data draw (:func:`synthesize`),
+their exceedance count over a whole plan (:func:`estimate_pd`) and their one
+test of Monte Carlo counts against known rates (:func:`assert_counts`).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, stats
 
 from adaptivedet import linalg, montecarlo as mc, scenario as sc
 from adaptivedet.errors import InfeasibleError, RankError
@@ -407,3 +408,44 @@ def estimate_pd(plan: mc.TrialPlan, detector: str, threshold: float, mean=0.0,
         stats = mc.run_trials(plan, mean)[detector]
     k = int(np.sum(stats > threshold))
     return PdEstimate(k / len(stats), *mc.wilson_interval(k, len(stats)), len(stats))
+
+
+# perfbench's MC_TAIL rule: a count fails when either exact tail probability
+# of it is below the one-sided normal tail at z = 5 (scipy.stats.norm.sf(5))
+MC_TAIL = 2.866515718791933e-07
+
+
+def tail_probability(k, law) -> float:
+    """The smaller of ``P(X <= k)`` and ``P(X >= k)`` under the frozen scipy
+    discrete law ``law``."""
+    return float(min(law.cdf(k), law.sf(k - 1)))
+
+
+def assert_counts(rows, alpha=MC_TAIL):
+    """Exact binomial test of Monte Carlo counts against known rates, with
+    Holm's step-down procedure across the rows of one test.
+
+    ``rows`` holds ``(label, k, n, p)``: ``k`` exceedances in ``n`` trials
+    against the rate ``p``.  Ordered by their tail probability, the j-th
+    smallest (j = 0, 1, ...) is rejected while it stays below
+    ``alpha / (m - j)``; any rejection fails.  With both tails at ``alpha``
+    the chance that a test of correct counts fails is below ``2 alpha``
+    (6e-7 at the default), whatever the number of rows.
+    """
+    tails = sorted((tail_probability(k, stats.binom(n, p)), label, k, n, p)
+                   for label, k, n, p in rows)
+    m = len(tails)
+    rejected = []
+    for j, (tail, label, k, n, p) in enumerate(tails):
+        if tail >= alpha / (m - j):
+            break
+        rejected.append(f"{label}: {k}/{n} against p = {p:.6g} (tail {tail:.3g})")
+    assert not rejected, rejected
+
+
+def trials_to_detect(delta, rows=1, power=0.99, alpha=MC_TAIL) -> int:
+    """Trials at which :func:`assert_counts` over ``rows`` rows catches one
+    row whose true rate is ``delta`` off the tested one with probability
+    ``power``, at the worst rate 1/2 (normal approximation)."""
+    z = stats.norm.isf(alpha / rows) + stats.norm.isf(1.0 - power)
+    return int(np.ceil((0.5 * z / delta) ** 2))

@@ -1,5 +1,11 @@
 """Monte Carlo agreement checks for the analytic detection-probability laws
-beyond the point-target bank (which the acceptance suite covers)."""
+beyond the point-target bank (which the acceptance suite covers).
+
+Each check is the exact binomial test of :func:`oracles.assert_counts`: it
+fails correct counts with chance below 6e-7, and its trial count
+(:func:`oracles.trials_to_detect`) catches a PD off by 0.03 on any of its rows
+with probability 0.99.
+"""
 
 import numpy as np
 import pytest
@@ -23,12 +29,13 @@ class TestDistributedAgreement:
         spec = sc.SignalSpec(snr_db=15.0, cos2phi=cos2phi, seed=5)
         s0 = sc.actual_signal(H, R, spec)
         coords = np.ones(self.K, dtype=complex) / np.sqrt(self.K)
-        plan = mc.TrialPlan(n_trials=10_000, master_seed=master_seed, scenario=cfg,
+        n = oracles.trials_to_detect(0.03)
+        plan = mc.TrialPlan(n_trials=n, master_seed=master_seed, scenario=cfg,
                             covariance=cov, detectors=(detector,))
         est = oracles.estimate_pd(plan, detector, eta, np.outer(s0, coords.conj()))
         law = resolve_law(detector, self.N, 1, self.L, K=self.K)
         analytic = pd_cells(law, eta, spec.rho, cos2phi)[0]
-        assert est.ci_low <= analytic <= est.ci_high, (detector, est, analytic)
+        oracles.assert_counts([(detector, round(est.pd * n), n, analytic)])
 
     def test_gkglrt_matched(self):
         self._run("gkglrt", 1.0, 1001)
@@ -53,15 +60,18 @@ class TestInterferenceAgreement:
         s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
         # a strong coherent jammer must be rejected without changing PD
         jam = J @ (3.0 * np.ones(self.q))
-        plan = mc.TrialPlan(n_trials=10_000, master_seed=2024, scenario=cfg,
+        n = oracles.trials_to_detect(0.03)
+        plan = mc.TrialPlan(n_trials=n, master_seed=2024, scenario=cfg,
                             covariance=cov, detectors=(detector,))
         est = oracles.estimate_pd(plan, detector, eta, (s0 + jam)[:, None])
         rho_eff, delta2_i = mismatch_geometry(s0[None], R, H, J)
         law = resolve_law(detector, self.N, self.p, self.L, q=self.q, jammer=True)
         analytic = pd_cells(law, eta, rho_eff, delta2_i)[0]
-        assert est.ci_low <= analytic <= est.ci_high, (detector, est, analytic)
+        oracles.assert_counts([(detector, round(est.pd * n), n, analytic)])
 
     def test_jammer_presence_does_not_shift_pd(self):
+        """With and without a strong jammer, the count matches the analytic
+        PD (two rows): a jammer leaking into the statistic fails it."""
         cfg = sc.ScenarioConfig(N=self.N, p=self.p, q=self.q, L=self.L, pfa=1e-2)
         H, J = sc.default_geometry(self.N, self.p, self.q)
         cov = sc.CovarianceModel.ar1(0.9)
@@ -69,8 +79,12 @@ class TestInterferenceAgreement:
         eta = analytic_threshold("glrt_he_i", cfg)
         s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
         jam = J @ (5.0 * np.ones(self.q))
-        plan = mc.TrialPlan(n_trials=10_000, master_seed=31415, scenario=cfg, covariance=cov,
+        n = oracles.trials_to_detect(0.03, rows=2)
+        plan = mc.TrialPlan(n_trials=n, master_seed=31415, scenario=cfg, covariance=cov,
                             detectors=("glrt_he_i",))
-        with_jam = oracles.estimate_pd(plan, "glrt_he_i", eta, (s0 + jam)[:, None])
-        without = oracles.estimate_pd(plan, "glrt_he_i", eta, s0[:, None])
-        assert with_jam.ci_low <= without.pd <= with_jam.ci_high
+        counts = mc.exceedance_counts(plan, [(s0 + jam)[:, None], s0[:, None]],
+                                      {"glrt_he_i": eta})
+        law = resolve_law("glrt_he_i", self.N, self.p, self.L, q=self.q, jammer=True)
+        analytic = pd_cells(law, eta, *mismatch_geometry(s0[None], R, H, J))[0]
+        oracles.assert_counts([("with jammer", counts[0, 0], n, analytic),
+                               ("without", counts[1, 0], n, analytic)])

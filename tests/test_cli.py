@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import adaptivedet
+import oracles
 from adaptivedet import batcheval, cli, linalg, montecarlo as mc, scenario as sc
 from adaptivedet.distributions import pd_cells, resolve_law
 
@@ -250,17 +251,27 @@ class TestDistributedBanks:
         assert _read(str(out))
 
 
+def _assert_rows_match_analytic(rows):
+    """The exact binomial test of every row's ``pd_mc`` count against its
+    ``pd_analytic`` (:func:`oracles.assert_counts`, size below 6e-7)."""
+    oracles.assert_counts([((r["detector"], r["snr_db"], r["cos2phi"]),
+                            round(float(r["pd_mc"]) * int(r["n_trials"])),
+                            int(r["n_trials"]), float(r["pd_analytic"])) for r in rows])
+
+
 class TestSmfMismatch:
-    def test_analytic_pd_inside_every_interval(self, tmp_path):
-        # the known-covariance SMF sees only the matched energy rho cos2phi
+    def test_analytic_pd_matches_every_row(self, tmp_path):
+        """The known-covariance SMF sees only the matched energy rho cos2phi.
+        The trial count catches a row whose PD is off by 0.03 with
+        probability 0.99; a law that ignores cos2phi is off by 0.4 to 0.95."""
         out = tmp_path / "smf.csv"
+        n = oracles.trials_to_detect(0.03, rows=3)
         rc = cli.main(["pd-vs-mismatch", "--snr", "12", "--cos2phi", "0,0.5,1",
-                       "--detectors", "smf", "--mode", "both", "--trials", "4000",
+                       "--detectors", "smf", "--mode", "both", "--trials", str(n),
                        "--seed", "3", "--out", str(out)])
         rows = _read(str(out))
         assert rc == 0 and len(rows) == 3
-        for r in rows:
-            assert float(r["ci_low"]) <= float(r["pd_analytic"]) <= float(r["ci_high"]), r
+        _assert_rows_match_analytic(rows)
 
 
 class TestJammer:
@@ -272,10 +283,14 @@ class TestJammer:
         assert "--jnr-db" in capsys.readouterr().err and not out.exists()
 
     def test_only_interference_laws_give_pd(self, tmp_path):
-        # H0 carries no jammer, so every threshold keeps its law; under H1
-        # only the laws that reject span(J) keep their PD
+        """H0 carries no jammer, so every threshold keeps its law; under H1
+        only the laws that reject span(J) keep their PD.  The jammed
+        ``glrt_he_i`` counts pass the exact binomial test against that PD
+        (size below 6e-7); the trial count catches a jammer leak that moves a
+        row's PD by 0.05 with probability 0.99."""
+        n = oracles.trials_to_detect(0.05, rows=2)
         common = ["pd-vs-snr", "--mode", "both", "--q", "2", "--snr", "10,20",
-                  "--trials", "2000", "--detectors", "sglrt,glrt_he_i,smf,gkglrt"]
+                  "--trials", str(n), "--detectors", "sglrt,glrt_he_i,smf,gkglrt"]
         jammed, clean = tmp_path / "j.csv", tmp_path / "c.csv"
         assert cli.main(common + ["--jnr-db", "30", "--out", str(jammed)]) == 0
         assert cli.main(common + ["--out", str(clean)]) == 0
@@ -283,9 +298,10 @@ class TestJammer:
             assert j["threshold"] == c["threshold"] != ""
             if j["detector"] == "glrt_he_i":
                 assert j["pd_analytic"] == c["pd_analytic"] != ""
-                assert float(j["ci_low"]) <= float(j["pd_analytic"]) <= float(j["ci_high"]), j
             else:
                 assert j["pd_analytic"] == "", j
+        _assert_rows_match_analytic([j for j in _read(str(jammed))
+                                     if j["detector"] == "glrt_he_i"])
 
     @pytest.mark.parametrize("detector,kind", [("sglrt", "point"), ("smf", "point"),
                                                ("gamf", "distributed"), ("gkglrt", "distributed")])
@@ -388,19 +404,22 @@ class TestAnalyticLaws:
             assert (row["pd_analytic"] == "") == (row["detector"] == "sglrt")
 
     def test_phe_keeps_only_scale_invariant_laws(self, tmp_path):
+        """Only ``asd`` keeps its law under phe, and its counts pass the exact
+        binomial test against it (size below 6e-7); the trial count catches
+        a row whose PD is off by 0.05 (a law read at the wrong noise power)
+        with probability 0.99."""
         out = tmp_path / "phe.csv"
+        n = oracles.trials_to_detect(0.05, rows=2)
         rc = cli.main(["pd-vs-snr", "--env", "phe:4", "--mode", "both",
                        "--detectors", "sglrt,asd,aed", "--snr", "0,10",
-                       "--trials", "4000", "--seed", "3", "--out", str(out)])
+                       "--trials", str(n), "--seed", "3", "--out", str(out)])
         assert rc == 0
         rows = _read(str(out))
         assert len(rows) == 6
         for row in rows:
-            if row["detector"] == "asd":
-                pd = float(row["pd_analytic"])
-                assert float(row["ci_low"]) <= pd <= float(row["ci_high"]), row
-            else:
+            if row["detector"] != "asd":
                 assert row["pd_analytic"] == "", row
+        _assert_rows_match_analytic([row for row in rows if row["detector"] == "asd"])
 
     @pytest.mark.parametrize("det", ["gkglrt", "gamf"])
     def test_distributed_threshold_round_trip(self, det):

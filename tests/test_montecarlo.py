@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from adaptivedet import batcheval, cli, montecarlo as mc, registry, scenario as sc
@@ -297,11 +298,18 @@ class TestCalibration:
         assert caplog.records == []
 
     def test_held_out_pfa(self):
-        plan = _point_plan(n=40_000, seed=21)
+        """The threshold is the m-th largest of n H0 statistics, so the count
+        of n fresh H0 trials above it follows BetaBinomial(n, m, n - m + 1)
+        whatever the statistic's law.  Both exact tails must stay above
+        ``MC_TAIL`` (size below 6e-7); a threshold placed at half or twice
+        the nominal pfa is caught with probability above 0.99."""
+        n = 40_000
+        plan = _point_plan(n=n, seed=21)
         thr = _calibrate(plan, "kglrt")
-        fresh = _point_plan(n=40_000, seed=22)
-        est = oracles.estimate_pd(fresh, "kglrt", thr)
-        assert est.ci_low <= plan.scenario.pfa <= est.ci_high
+        m = int(np.ceil(n * plan.scenario.pfa))
+        k = round(oracles.estimate_pd(_point_plan(n=n, seed=22), "kglrt", thr).pd * n)
+        law = stats.betabinom(n, m, n - m + 1)
+        assert oracles.tail_probability(k, law) >= oracles.MC_TAIL, (k, m)
 
 
 class TestEstimatePd:
@@ -311,6 +319,8 @@ class TestEstimatePd:
         assert est.pd == 1.0
 
     def test_smf_analytic_oracle(self):
+        """The exact binomial test against the CChi2 law (size below 6e-7);
+        the trial count catches a PD off by 0.03 with probability 0.99."""
         cfg = sc.ScenarioConfig(N=6, p=1, L=12, pfa=1e-2)
         H, _ = sc.default_geometry(cfg.N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.9)
@@ -318,11 +328,12 @@ class TestEstimatePd:
         spec = sc.SignalSpec(snr_db=8.0, cos2phi=1.0, seed=2)
         s0 = sc.actual_signal(H, R, spec)
         eta = threshold_for_pfa("smf", cfg.N, 1, cfg.L, cfg.pfa)
-        plan = mc.TrialPlan(n_trials=10_000, master_seed=31, scenario=cfg,
+        n = oracles.trials_to_detect(0.03)
+        plan = mc.TrialPlan(n_trials=n, master_seed=31, scenario=cfg,
                             covariance=cov, detectors=("smf",))
         est = oracles.estimate_pd(plan, "smf", eta, s0[:, None])
         pd_true = float(ComplexChi2(1, spec.rho).sf(eta))
-        assert est.ci_low <= pd_true <= est.ci_high
+        oracles.assert_counts([("smf", round(est.pd * n), n, pd_true)])
 
     def test_ci_width_scaling(self):
         a = oracles.estimate_pd(_point_plan(n=4000), "kglrt", 0.2)
@@ -399,22 +410,29 @@ class TestOrientationAndScale:
         assert est.pd > 0.5
 
     def test_wald_phe_i_scale_invariance(self):
-        # the concatenated-subspace normalization makes the statistic exactly
-        # scale invariant, hence false-alarm invariant to the PHE power level
+        """The concatenated-subspace normalization makes the statistic exactly
+        scale invariant, hence false-alarm invariant to the PHE power level.
+        The counts at sigma2 0.5 and 2 pass the exact binomial test against
+        the HE rate (two rows, size below 6e-7); a statistic whose false-alarm
+        rate doubles or halves with the power level fails it with
+        probability above 0.99."""
+        n = 20_000
         cfg = sc.ScenarioConfig(N=6, p=1, q=2, L=12, pfa=1e-2)
         cov = sc.CovarianceModel.ar1(0.9)
-        base = mc.TrialPlan(n_trials=20_000, master_seed=55, scenario=cfg,
+        base = mc.TrialPlan(n_trials=n, master_seed=55, scenario=cfg,
                             covariance=cov, detectors=("wald_phe_i",))
-        stats = mc.run_trials(base)["wald_phe_i"]
-        thr = mc.calibrate_threshold(base, "wald_phe_i", stats)
-        est0 = oracles.estimate_pd(base, "wald_phe_i", thr, stats=stats)
+        h0 = mc.run_trials(base)["wald_phe_i"]
+        thr = mc.calibrate_threshold(base, "wald_phe_i", h0)
+        rate = oracles.estimate_pd(base, "wald_phe_i", thr, stats=h0).pd
+        rows = []
         for sigma2 in (0.5, 2.0):
             phe = sc.ScenarioConfig(N=6, p=1, q=2, L=12, environment="phe",
                                     sigma2=sigma2, pfa=1e-2)
-            plan = mc.TrialPlan(n_trials=20_000, master_seed=55, scenario=phe,
+            plan = mc.TrialPlan(n_trials=n, master_seed=55, scenario=phe,
                                 covariance=cov, detectors=("wald_phe_i",))
-            est = oracles.estimate_pd(plan, "wald_phe_i", thr)
-            assert est0.ci_low <= est.pd <= est0.ci_high
+            rows.append((sigma2, round(oracles.estimate_pd(plan, "wald_phe_i", thr).pd * n),
+                         n, rate))
+        oracles.assert_counts(rows)
 
 
 def roc_invariance_check(detector: str, g, plan: mc.TrialPlan,
