@@ -7,10 +7,13 @@ geometry shared or stacked per trial.  Each family splits into ``prepare_*``
 (everything that depends only on the training SCM and the geometry) and
 ``evaluate_*`` (the test-data part), so one prepared batch serves any number
 of test means; both hold only the banks whose inputs ``prepare_*`` is given
-(registry column ``reads``).  ``prepare_*`` checks its input from the factors
-it computes anyway: the Cholesky factor of the sample covariance
-(:func:`_whitener`) raises :class:`~adaptivedet.errors.DefinitenessError`, the
-QR of a whitened subspace :class:`~adaptivedet.errors.RankError`
+(registry column ``reads``).  ``prepare_*`` takes the whitener of the sample
+covariance, not the covariance: the Monte Carlo engine has it from the drawn
+Cholesky factor without forming S, and a caller that holds S gets it from
+:func:`whitener`, which raises :class:`~adaptivedet.errors.DefinitenessError`.
+``prepare_*`` checks the rest of its input from the factors it computes
+anyway: the QR of a whitened subspace raises
+:class:`~adaptivedet.errors.RankError`
 (:func:`~adaptivedet.linalg.full_rank_qr`), and an all-zero steering vector
 ``ValueError``.  The normative per-instance forms (projectors,
 ``M = S + X X^H`` and the ``R0``/``R1`` covariance MLEs, generalized
@@ -31,7 +34,7 @@ def _ct(a):
     return np.conj(np.swapaxes(a, -2, -1))
 
 
-def _whitener(S):
+def whitener(S):
     """Inverse Cholesky factor ``T`` of the stacked Hermitian positive
     definite ``S``: ``T S T^H = I``, so ``T^H T = S^-1`` and every ``S^-1``
     quadratic form is an inner product of whitened vectors.  Any square root
@@ -74,18 +77,19 @@ class PointPrepared:
     """Point-family state that depends only on the training SCM and geometry.
 
     ``T`` whitens (``T S T^H = I``); ``QH`` is an orthonormal basis of the
-    whitened H, and ``st``/``ss`` the whitened steering vector and its energy.
+    whitened H, and ``st``/``ss`` the whitened steering vector and its energy;
+    both are None for a plan of clairvoyant statistics only.
     ``QJ``/``QHp``/``QB`` are bases of J, of H with J projected out, and of
     [J H] (whitened), with ``QJ`` None at q = 0 and ``QB`` None when [J H]
     fills the space (p + q = N); ``E`` maps a whitened vector to the
     coordinates, in the [J H] basis, of its oblique projection onto H along J.
-    ``W`` is the clairvoyant map: its first p rows are the R-whitened basis
-    of H and its last the MVDR weight ``(R^-1 s / s^H R^-1 s)^H``.  The parts
-    of a bank left out are None.
+    The clairvoyant maps are ``W``, the R-whitened basis of H as p rows, for
+    ``smf``, and ``mvdr``, the MVDR weight ``(R^-1 s / s^H R^-1 s)^H``, for
+    ``mf``.  The parts of a bank left out are None.
     """
 
-    T: np.ndarray
-    QH: np.ndarray
+    T: np.ndarray = None
+    QH: np.ndarray = None
     st: np.ndarray = None
     ss: np.ndarray = None
     QJ: np.ndarray = None
@@ -93,17 +97,21 @@ class PointPrepared:
     QB: np.ndarray = None
     E: np.ndarray = None
     W: np.ndarray = None
+    mvdr: np.ndarray = None
 
 
-def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
+def prepare_point(T, H, J=None, s=None, R=None) -> PointPrepared:
     """The test-independent half of :func:`point_family_stats`.
 
-    ``S`` is (B, N, N); ``H`` (N, p) or (B, N, p), ``J`` (N, q) or (B, N, q)
+    ``T`` (B, N, N) whitens the sample covariance (``T S T^H = I``, see
+    :func:`whitener`); ``H`` (N, p) or (B, N, p), ``J`` (N, q) or (B, N, q)
     and ``s`` (N,) or (B, N) are shared or stacked per trial.  ``s`` None
     leaves out the rank-one bank and ``mf``, ``J`` None the interference bank
     (an (N, 0) ``J`` keeps it at q = 0).  The true covariance ``R`` needs
     shared geometry: the clairvoyant pair is ``smf`` and ``mf`` whitened by R
-    instead of S, one ``(p + 1, N)`` map ``W`` of the test vector.
+    instead of S, the maps ``W`` and (with ``s``) ``mvdr`` of the test
+    vector.  ``T`` None leaves out every adaptive bank, for a plan whose
+    point statistics are all clairvoyant.
 
     One QR ``[Jt Ht] = Q R`` gives ``QJ`` (its first q columns), ``QHp``
     (its last p) and ``QB`` (all of Q).  With ``R22`` the trailing p x p
@@ -113,25 +121,27 @@ def prepare_point(S, H, J=None, s=None, R=None) -> PointPrepared:
     their whitened matrix has full column rank (:func:`full_rank_qr`).
     """
     H = np.asarray(H, dtype=np.complex128)
-    T = _whitener(S)
-    Ht = T @ H
-    QH, RH = full_rank_qr(Ht)
-    prep = dict(T=T, QH=QH)
-    if s is not None:
-        prep["st"], prep["ss"] = _steering(T, s)
-    if J is not None:
-        J = np.asarray(J, dtype=np.complex128)
-        q = J.shape[-1]
-        Q, Rb = full_rank_qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
-        QHp = Q[..., q:]
-        prep.update(QJ=Q[..., :q] if q else None, QHp=QHp,
-                    QB=Q if H.shape[-1] + q < S.shape[-1] else None,
-                    E=Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp)))
+    prep = {}
+    if T is not None:
+        Ht = T @ H
+        QH, RH = full_rank_qr(Ht)
+        prep.update(T=T, QH=QH)
+        if s is not None:
+            prep["st"], prep["ss"] = _steering(T, s)
+        if J is not None:
+            J = np.asarray(J, dtype=np.complex128)
+            q = J.shape[-1]
+            Q, Rb = full_rank_qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
+            QHp = Q[..., q:]
+            prep.update(QJ=Q[..., :q] if q else None, QHp=QHp,
+                        QB=Q if H.shape[-1] + q < T.shape[-1] else None,
+                        E=Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp)))
     if R is not None:
-        TR = _whitener(np.asarray(R, dtype=np.complex128))
-        sR = TR @ (H[..., 0] if s is None else s)
-        mvdr = (sR.conj() / np.real(sR.conj() @ sR)) @ TR
-        prep["W"] = np.vstack([_ct(np.linalg.qr(TR @ H)[0]) @ TR, mvdr])
+        TR = whitener(np.asarray(R, dtype=np.complex128))
+        prep["W"] = _ct(np.linalg.qr(TR @ H)[0]) @ TR
+        if s is not None:
+            sR = TR @ s
+            prep["mvdr"] = (sR.conj() / np.real(sR.conj() @ sR)) @ TR
     return PointPrepared(**prep)
 
 
@@ -143,6 +153,19 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
     is 0 for null data and +inf otherwise (:func:`_ratio`).
     """
     x = np.asarray(x)
+    out = {}
+    if prep.T is not None:
+        out.update(_subspace_bank(prep, x))
+    if prep.W is not None:
+        out["smf"] = (np.abs(x @ prep.W.T) ** 2).sum(axis=1)
+    if prep.mvdr is not None:
+        out["mf"] = np.abs(x @ prep.mvdr) ** 2
+    return out
+
+
+def _subspace_bank(prep, x):
+    """The subspace bank, with the rank-one and interference banks ``prep``
+    holds, of the test vectors ``x`` whitened by ``prep.T``."""
     xt = np.einsum("bij,bj->bi", prep.T, x)
     u = _energy(prep.QH, xt)
     v = np.einsum("bn,bn->b", xt.conj(), xt).real
@@ -162,11 +185,6 @@ def evaluate_point(prep: PointPrepared, x) -> dict:
         out.update(_point_rank_one_bank(prep, xt, v))
     if prep.QHp is not None:
         out.update(_interference_bank(prep, xt))
-    if prep.W is not None:
-        y = np.abs(x @ prep.W.T) ** 2
-        out["smf"] = y[:, :-1].sum(axis=1)
-        if prep.st is not None:
-            out["mf"] = y[:, -1]
     return out
 
 
@@ -218,7 +236,7 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
     ``x`` is (B, N), ``S`` is (B, N, N); the geometry (H, J, s) is shared
     or stacked per trial as in :func:`prepare_point`.
     """
-    return evaluate_point(prepare_point(S, H, J, s, R), x)
+    return evaluate_point(prepare_point(whitener(S), H, J, s, R), x)
 
 
 def mismatch_geometry(s0, R, H, J):
@@ -233,7 +251,7 @@ def mismatch_geometry(s0, R, H, J):
     """
     R = np.asarray(R, dtype=np.complex128)
     J = np.zeros((R.shape[0], 0)) if J is None else J
-    stats = evaluate_point(prepare_point(R[None], H, J), s0)
+    stats = evaluate_point(prepare_point(whitener(R[None]), H, J), s0)
     return stats["ts_glrt_he_i"], np.maximum(1.0 / stats["beta_i"] - 1.0, 0.0)
 
 
@@ -287,22 +305,22 @@ class DistributedPrepared:
     Cb: np.ndarray
 
 
-def prepare_distributed(S, s, H, L) -> DistributedPrepared:
+def prepare_distributed(T, s, H, L) -> DistributedPrepared:
     """The test-independent half of :func:`distributed_family_stats`.
 
-    ``s`` (N,) or (B, N) and ``H`` (N, p) or (B, N, p) are shared or stacked
-    per trial.  ``s`` None leaves out the rank-one bank, ``L`` None its
-    partially homogeneous half, and ``H`` None the direction and DOS banks.
-    The input checks are those of :func:`prepare_point`.
+    ``T`` (B, N, N) whitens the sample covariance (:func:`whitener`); ``s``
+    (N,) or (B, N) and ``H`` (N, p) or (B, N, p) are shared or stacked per
+    trial.  ``s`` None leaves out the rank-one bank, ``L`` None its partially
+    homogeneous half, and ``H`` None the direction and DOS banks.  The input
+    checks are those of :func:`prepare_point`.
     """
-    T = _whitener(S)
     st = ss = Ht = QH = Bp = Cb = None
     if s is not None:
         st, ss = _steering(T, s)
     if H is not None:
         Ht = T @ np.asarray(H, dtype=np.complex128)
         Bp = _ct(Ht) @ Ht
-        QH, Cb = full_rank_qr(Ht)[0], _whitener(Bp)
+        QH, Cb = full_rank_qr(Ht)[0], whitener(Bp)
     return DistributedPrepared(L=L, T=T, st=st, ss=ss, Ht=Ht, QH=QH, Bp=Bp, Cb=Cb)
 
 
@@ -382,7 +400,7 @@ def _subspace_banks(prep, Xt, G0, M0, trG0):
     W = _ct(QH) @ Xt                     # (B, p, K)
     A = _ct(W) @ W
     out["amdd"] = np.linalg.eigvalsh(A).real[:, -1]
-    C0 = _whitener(M0)
+    C0 = whitener(M0)
     out["glrdd"] = np.linalg.eigvalsh(C0 @ A @ _ct(C0)).real[:, -1]
     out["gadd"] = _ratio(out["amdd"], trG0)
     HX = _ct(Ht) @ Xt                    # (B, p, K)
@@ -418,4 +436,4 @@ def distributed_family_stats(X, S, s, H, L: int):
     training count ``L`` is shared, and each may be None to leave out the
     banks that need it (see :func:`prepare_distributed`).
     """
-    return evaluate_distributed(prepare_distributed(S, s, H, L), X)
+    return evaluate_distributed(prepare_distributed(whitener(S), s, H, L), X)

@@ -215,7 +215,7 @@ def _jammer_mean(cfg, J, R, jnr_db):
         return 0.0
     j = J @ np.ones(J.shape[1], dtype=np.complex128)
     energy = float(np.real(j.conj() @ np.linalg.solve(R, j)))
-    j = j * np.sqrt(10.0 ** (jnr_db / 10.0) / energy)
+    j = j * np.sqrt(sc.db_to_power(jnr_db) / energy)
     return np.repeat(j[:, None], cfg.K, axis=1)
 
 
@@ -268,8 +268,10 @@ def run_grid(args, snrs, cos2s):
     cfg = _scenario_from_args(args)
     detectors = _detectors(args)
     jnr = () if args.jnr_db is None else (args.jnr_db,)
-    if not np.isfinite([*snrs, *cos2s, *jnr]).all():
-        raise ValueError("--snr, --cos2phi and --jnr-db take finite values only")
+    if not (np.isfinite([*snrs, *cos2s, *jnr]).all()
+            and np.isfinite([sc.db_to_power(db) for db in (*snrs, *jnr)]).all()):
+        raise ValueError("--snr, --cos2phi and --jnr-db take finite values only, "
+                         "in dB and as power ratios")
     if jnr and not cfg.q:
         raise ValueError("--jnr-db needs q > 0: the jammer lies in span(J)")
     laws, no_law = _laws(detectors, cfg, jammer=bool(jnr))
@@ -280,7 +282,7 @@ def run_grid(args, snrs, cos2s):
     want_mc = args.mode in ("montecarlo", "both")
     want_analytic = args.mode in ("analytic", "both")
     points = [(s, c) for c in cos2s for s in snrs]
-    rho = np.array([10.0 ** (snr_db / 10.0) for snr_db, _ in points])
+    rho = np.array([sc.db_to_power(snr_db) for snr_db, _ in points])
     cos2phi = np.array([c for _, c in points])
     interference = want_analytic and any(law.kind == "interference" for law in laws.values())
     # signal means feed Monte Carlo and interference laws only; each cell's

@@ -1,15 +1,29 @@
 """Seeded, reproducible Monte Carlo trial engine.
 
-Per-trial randomness derives from ``(master_seed, trial_index)`` through a
-counter-based stream split (one Philox counter block range per trial), so
-results are a pure function of the plan and are independent of batch size,
-worker count, and execution order.  Aggregation is count-based.
+Trials come in fixed blocks of ``BLOCK`` = 64.  Block b is one Philox stream
+keyed by the master seed with counter ``b << 64`` (:func:`trial_rng`), and
+trial i is row ``i mod 64`` of block ``i // 64``.  A block draws, one call
+per array and in this order (the reproducibility contract):
+
+1. the N(N-1) standard normals of the strict lower triangle of the Bartlett
+   factor T (real parts, then imaginary parts);
+2. N gamma variates, the squared diagonal ``T_ii^2 ~ Gamma(L - i + 1)``;
+3. the 2NK standard normals of the test noise (real, then imaginary).
+
+``T T^H`` is then a white sample covariance of L snapshots and T its
+Cholesky factor (:func:`~adaptivedet.scenario.assemble_noise`), drawn without
+the snapshots themselves.  A batch covers whole blocks (the batch size rounds
+up to a multiple of 64), so no block is drawn twice in a pass, every trial
+reads the same row of the same block whatever the batch size or trial count,
+and results are a pure function of the plan.  Aggregation is count-based.
 
 Every trial of a plan uses the same white noise whatever its test mean or
-covariance, so one draw per seed serves every grid point, detector and
-covariance: each batch is drawn once, then coloured, turned into a sample
-covariance and prepared (whitened) once per covariance (:func:`sweep_trials`),
-and only the test-data half of the statistics runs per mean
+covariance, so one draw per batch serves every grid point, detector and
+covariance: T is inverted once per batch, and covariance R, with Cholesky
+factor A, colours the draw.  The whitener of its sample covariance
+``S = A T T^H A^H`` is ``T^-1 A^-1``, exactly the inverse Cholesky factor of
+S, so no sample covariance is formed or factored (:func:`sweep_trials`).
+Only the test-data half of the statistics runs per mean
 (:func:`exceedance_counts`).
 """
 
@@ -20,41 +34,37 @@ import numpy as np
 
 from . import batcheval, registry, scenario
 from .errors import GeometryError, InfeasibleError
-from .linalg import herm_sqrt
 from .scenario import CovarianceModel, ScenarioConfig
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_BATCH = 4096
+# trials per Philox stream: a fixed constant of the stream contract, like the
+# identity suite's IDENTITY_BLOCK, so that no option moves a trial's draws
+BLOCK = 64
 log = logging.getLogger(__name__)
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The stream of one trial: Philox keyed by the master seed, with the
-    counter advanced ``2**64`` blocks per trial index."""
+def trial_rng(master_seed: int, block: int) -> np.random.Generator:
+    """The stream of trial block ``block``: Philox keyed by the master seed,
+    with the counter advanced ``2**64`` blocks per block index."""
     return np.random.Generator(
-        np.random.Philox(key=master_seed, counter=int(trial_index) << 64))
+        np.random.Philox(key=master_seed, counter=int(block) << 64))
 
 
-class TrialStreams:
-    """The streams of :func:`trial_rng` through one reused Philox generator.
-
-    Each draw sets the counter to ``trial_index << 64`` and empties the output
-    buffer, which is exactly the state a fresh ``trial_rng`` starts from, so
-    the draws are bit-identical without building a generator per trial.
-    """
-
-    def __init__(self, master_seed: int):
-        self._bitgen = np.random.Philox(key=master_seed)
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-
-    def standard_normal(self, trial_index: int, out: np.ndarray) -> np.ndarray:
-        counter = int(trial_index) << 64
-        self._state["state"]["counter"][:] = [
-            (counter >> shift) & 0xFFFFFFFFFFFFFFFF for shift in (0, 64, 128, 192)]
-        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-        self._bitgen.state = self._state
-        return self._gen.standard_normal(out=out)
+def _draw_blocks(master_seed: int, blocks: range, cfg: ScenarioConfig):
+    """The flat white draws of trial blocks ``blocks``, one row per trial:
+    the Bartlett normals (B, N(N-1)), gamma variates (B, N) and test normals
+    (B, 2NK), each block's three arrays in the contract's order."""
+    N, B = cfg.N, BLOCK * len(blocks)
+    normals, gammas, test = (np.empty((B, n)) for n in (N * (N - 1), N, 2 * N * cfg.K))
+    shape = cfg.L - np.arange(N, dtype=float)  # L - i + 1 for i = 1..N
+    for j, block in enumerate(blocks):
+        rows = slice(j * BLOCK, (j + 1) * BLOCK)
+        rng = trial_rng(master_seed, block)
+        rng.standard_normal(out=normals[rows])
+        rng.standard_gamma(shape, out=gammas[rows])
+        rng.standard_normal(out=test[rows])
+    return normals, gammas, test
 
 
 @dataclass(frozen=True)
@@ -95,18 +105,32 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _lower_inverse(T):
+    """Inverse of the stacked lower-triangular ``T`` (B, N, N) with real
+    positive diagonal, by forward substitution one row at a time: exactly
+    lower triangular, and each trial's bits independent of the stack."""
+    N = T.shape[-1]
+    diag = T[:, np.arange(N), np.arange(N)].real
+    X = np.zeros_like(T)
+    for i in range(N):
+        X[:, i, i] = 1.0 / diag[:, i]
+        X[:, i:i + 1, :i] = -(T[:, i:i + 1, :i] @ X[:, :i, :i]) / diag[:, i, None, None]
+    return X
+
+
 def _noise_pass(plan: TrialPlan, covariances):
     """Yield ``(c, trials, noise, prepared)`` per batch of the plan and per
     covariance ``covariances[c]``, one covariance's state alive at a time.
 
     Each batch is drawn once, and every covariance colours that same white
-    draw with its own square root (common random numbers), so its trials are
-    bit-identical to a pass over it alone.  ``noise`` is the batch's coloured,
-    scaled test noise (B, N, K) and ``prepared`` the point and distributed
-    family state (None where the plan has no detector of that family) that
-    :func:`_statistics` needs.  Only the banks the plan's detectors read
-    (registry column ``reads``) are prepared, and the clairvoyant map only for
-    a plan with a clairvoyant detector, from each covariance's own R.
+    draw with its own Cholesky factor (common random numbers), so its trials
+    are bit-identical to a pass over it alone.  ``noise`` is the batch's
+    coloured, scaled test noise (B, N, K) and ``prepared`` the point and
+    distributed family state (None where the plan has no detector of that
+    family) that :func:`_statistics` needs.  Only the banks the plan's
+    detectors read (registry column ``reads``) are prepared, the clairvoyant
+    map only for a plan with a clairvoyant detector, from each covariance's
+    own R, and the whitener only for a plan with an adaptive one.
     """
     cfg = plan.scenario
     rows = [registry.DETECTORS[name] for name in plan.detectors]
@@ -117,30 +141,31 @@ def _noise_pass(plan: TrialPlan, covariances):
         raise ValueError("point-target detectors need K = 1")
 
     clairvoyant = any(row.clairvoyant for row in rows)
+    adaptive = not all(row.clairvoyant for row in rows)
     colours = []
     for cov in covariances:
         R = scenario.build_covariance(cov, cfg.N)
-        colours.append((herm_sqrt(R), R if clairvoyant else None))
+        A = np.linalg.cholesky(R)
+        colours.append((A, np.linalg.inv(A) if adaptive else None, R if clairvoyant else None))
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
     given = dict(s=H[:, 0], H=H, J=J, L=cfg.L)
     # each family's prepare_* gets the arguments its rows read, None for the rest
     kw = {family: {arg: given[arg] if arg in reads[family] else None for arg in args}
           for family, args in (("point", ("J", "s")), ("distributed", ("s", "H", "L")))
           if family in reads}
-    streams = TrialStreams(plan.master_seed)
-    n_flat = 2 * cfg.N * (cfg.L + cfg.K)
-    for start in range(0, plan.n_trials, plan.batch_size):
-        trials = range(start, min(start + plan.batch_size, plan.n_trials))
-        flat = np.empty((len(trials), n_flat))
-        for row, i in enumerate(trials):
-            streams.standard_normal(i, flat[row])
-        w_train, w_test = scenario.assemble_noise(flat, cfg.N, cfg.L, cfg.K)
-        for c, (A, R) in enumerate(colours):
-            training = A @ w_train
-            S = training @ np.conj(np.swapaxes(training, -2, -1))
+    per_batch = -(-plan.batch_size // BLOCK)
+    n_blocks = -(-plan.n_trials // BLOCK)
+    for first in range(0, n_blocks, per_batch):
+        blocks = range(first, min(first + per_batch, n_blocks))
+        trials = range(first * BLOCK, min(blocks.stop * BLOCK, plan.n_trials))
+        draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
+        T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
+        T_inv = _lower_inverse(T) if adaptive else None
+        for c, (A, A_inv, R) in enumerate(colours):
+            W = T_inv @ A_inv if adaptive else None
             prepared = (
-                batcheval.prepare_point(S, H, R=R, **kw["point"]) if "point" in kw else None,
-                batcheval.prepare_distributed(S, **kw["distributed"])
+                batcheval.prepare_point(W, H, R=R, **kw["point"]) if "point" in kw else None,
+                batcheval.prepare_distributed(W, **kw["distributed"])
                 if "distributed" in kw else None)
             yield c, trials, cfg.test_scale * (A @ w_test), prepared
 

@@ -1,6 +1,7 @@
 """Simulation scenarios: covariance models, steering subspaces, mismatch
 geometry, and Gaussian test/training data synthesis."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,15 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def db_to_power(db: float) -> float:
+    """The power ratio ``10^(db/10)``: inf where it overflows, which a finite
+    ``db`` above about 3082.5 does."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def complex_normal(rng, shape) -> np.ndarray:
@@ -44,8 +54,8 @@ class CovarianceModel:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
         if self.kind != "identity" and not 0.0 <= self.rho < 1.0:
             raise ValueError("one-lag correlation must lie in [0, 1)")
-        if not np.isfinite(self.cnr_db):
-            raise ValueError("clutter-to-noise ratio must be finite")
+        if not (np.isfinite(self.cnr_db) and np.isfinite(db_to_power(self.cnr_db))):
+            raise ValueError("clutter-to-noise ratio must be finite, in dB and as a power ratio")
 
     @classmethod
     def identity(cls) -> "CovarianceModel":
@@ -92,7 +102,7 @@ def build_covariance(model: CovarianceModel, N: int) -> np.ndarray:
     ar1 = model.rho ** np.abs(idx[:, None] - idx[None, :])
     if model.kind == "ar1":
         return ar1.astype(np.complex128)
-    cnr = 10.0 ** (model.cnr_db / 10.0)
+    cnr = db_to_power(model.cnr_db)
     return (cnr * ar1 + np.eye(N)).astype(np.complex128)
 
 
@@ -144,10 +154,12 @@ class SignalSpec:
     def __post_init__(self):
         if not 0.0 <= self.cos2phi <= 1.0:
             raise ValueError("cos2phi must lie in [0, 1]")
+        if not np.isfinite(self.rho):
+            raise ValueError("SNR must be a finite power ratio")
 
     @property
     def rho(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
+        return db_to_power(self.snr_db)
 
 
 def steering_vector(N: int, freq: float) -> np.ndarray:
@@ -222,17 +234,25 @@ def signal_builder(H: np.ndarray, R: np.ndarray):
     return build
 
 
-def assemble_noise(flat, N: int, L: int, K: int):
-    """Turn flat standard-normal blocks (last axis) into complex noise pairs.
+def assemble_noise(normals, gammas, test, N: int, K: int):
+    """Turn flat white draws, one trial per row, into the Bartlett factor
+    ``T`` (B, N, N) and the complex test noise (B, N, K).
 
-    Each block holds the ``2 N (L + K)`` draws of one trial, laid out as
-    training-real, training-imag, test-real, test-imag; this layout is the
-    batched trial engine's reproducibility contract.
+    ``normals`` (B, N(N-1)) holds the real, then the imaginary parts of T's
+    strict lower triangle in row-major order, ``gammas`` (B, N) the squared
+    diagonal, and ``test`` (B, 2NK) the real, then the imaginary test noise.
+    With ``T_ii^2 ~ Gamma(L - i + 1)`` (i = 1..N), ``T T^H`` is a white
+    sample covariance of L snapshots, CW(L, I) (the Bartlett decomposition of
+    the complex Wishart law, Goodman 1963), and T its Cholesky factor.  This
+    layout is the trial engine's reproducibility contract.
     """
-    nt = N * L
+    B = normals.shape[0]
+    m = N * (N - 1) // 2
+    rows, cols = np.tril_indices(N, -1)
+    half = normals / np.sqrt(2.0)
+    T = np.zeros((B, N * N), dtype=np.complex128)  # row-major, flat-indexed
+    T[:, rows * N + cols] = half[:, :m] + 1j * half[:, m:]
+    T[:, ::N + 1] = np.sqrt(gammas)
     ns = N * K
-    shape = flat.shape[:-1]
-    w_train = (flat[..., :nt] + 1j * flat[..., nt:2 * nt]) / np.sqrt(2.0)
-    w_test = (flat[..., 2 * nt:2 * nt + ns] + 1j * flat[..., 2 * nt + ns:]) / np.sqrt(2.0)
-    return (w_train.reshape(shape + (N, L)), w_test.reshape(shape + (N, K)))
-
+    half = test / np.sqrt(2.0)
+    return T.reshape(B, N, N), (half[:, :ns] + 1j * half[:, ns:]).reshape(B, N, K)

@@ -34,14 +34,14 @@ def rng():
 
 @pytest.fixture
 def stream_draws(monkeypatch):
-    """Every ``(Philox key, trial index)`` drawn through ``TrialStreams``, in
-    draw order (a list, so a stream drawn twice shows twice)."""
+    """Every ``(Philox key, block index)`` drawn through ``montecarlo.trial_rng``,
+    in draw order (a list, so a block drawn twice shows twice)."""
     draws = []
-    original = mc.TrialStreams.standard_normal
+    original = mc.trial_rng
 
-    def recording(self, trial_index, out):
-        draws.append((tuple(int(k) for k in self._bitgen.state["state"]["key"]), trial_index))
-        return original(self, trial_index, out)
+    def recording(master_seed, block):
+        draws.append((int(master_seed), int(block)))
+        return original(master_seed, block)
 
-    monkeypatch.setattr(mc.TrialStreams, "standard_normal", recording)
+    monkeypatch.setattr(mc, "trial_rng", recording)
     return draws

@@ -13,7 +13,7 @@ their exceedance count over a whole plan (:func:`estimate_pd`) and their one
 test of Monte Carlo counts against known rates (:func:`assert_counts`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, stats
@@ -87,15 +87,35 @@ def max_eig_pair(A, B=None):
     return float(w[-1]), v / np.linalg.norm(v)
 
 
-def draw_noise(rng, N: int, L: int, K: int):
-    """White training (N, L) and test (N, K) draws of one trial: one flat block
-    of ``2 N (L + K)`` standard normals, laid out as training-real,
-    training-imag, test-real, test-imag."""
-    flat = rng.standard_normal(2 * N * (L + K))
-    re_train, im_train, re_test, im_test = np.split(
-        flat, [N * L, 2 * N * L, 2 * N * L + N * K])
-    return ((re_train + 1j * im_train).reshape(N, L) / np.sqrt(2.0),
-            (re_test + 1j * im_test).reshape(N, K) / np.sqrt(2.0))
+# trials per Philox stream in the engine's reproducibility contract
+BLOCK = 64
+
+
+def draw_trial(master_seed: int, trial: int, N: int, L: int, K: int):
+    """The white Bartlett factor T (N, N) and test noise (N, K) of one trial
+    of the engine's block layout, assembled from its own row of the block.
+
+    Trial i is row i mod 64 of the Philox stream of block i // 64, which
+    draws the N(N-1) normals of T's strict lower triangle (real parts, then
+    imaginary, row by row), the N gamma variates ``T_ii^2 ~ Gamma(L - i +
+    1)`` and the 2NK test normals (real, then imaginary), each for the whole
+    block in one call.
+    """
+    rng = mc.trial_rng(master_seed, trial // BLOCK)
+    row = trial % BLOCK
+    normals = rng.standard_normal((BLOCK, N * (N - 1)))[row]
+    gammas = rng.standard_gamma(L - np.arange(N, dtype=float), size=(BLOCK, N))[row]
+    test = rng.standard_normal((BLOCK, 2 * N * K))[row]
+    m = N * (N - 1) // 2
+    T = np.zeros((N, N), dtype=np.complex128)
+    k = 0
+    for i in range(N):
+        for j in range(i):
+            T[i, j] = complex(normals[k] / np.sqrt(2.0), normals[m + k] / np.sqrt(2.0))
+            k += 1
+        T[i, i] = np.sqrt(gammas[i])
+    w = [complex(test[k] / np.sqrt(2.0), test[N * K + k] / np.sqrt(2.0)) for k in range(N * K)]
+    return T, np.array(w).reshape(N, K)
 
 
 def subspace_bank(x, S, H) -> dict:
@@ -340,15 +360,15 @@ def distributed_family(X, S, s, H, L: int) -> dict:
 
 @dataclass(frozen=True)
 class DataSet:
-    """One realization of test and training data with its sample covariance."""
+    """One realization of test data and of the sample covariance's Cholesky
+    factor ``factor`` (N x N)."""
 
     test: np.ndarray        # N x K
-    training: np.ndarray    # N x L
-    scm: np.ndarray = field(default=None)  # training @ training^H
+    factor: np.ndarray      # lower triangular, factor @ factor^H = scm
 
-    def __post_init__(self):
-        if self.scm is None:
-            object.__setattr__(self, "scm", self.training @ self.training.conj().T)
+    @property
+    def scm(self) -> np.ndarray:
+        return self.factor @ self.factor.conj().T
 
     @property
     def test_vector(self) -> np.ndarray:
@@ -359,23 +379,21 @@ class DataSet:
 
 
 def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None,
-               interference=None, hypothesis: str = "h0", seed=0) -> DataSet:
-    """Draw one DataSet realization, on the flat noise layout of
-    :func:`adaptivedet.scenario.assemble_noise`.
+               interference=None, hypothesis: str = "h0", seed=0, trial=0) -> DataSet:
+    """Trial ``trial`` of master seed ``seed`` as a DataSet, on the engine's
+    block layout (:func:`draw_trial`).
 
     ``signal`` and ``interference`` are N x K mean contributions (an N-vector
     is accepted when K = 1); both are added to the test data under H1 only.
-    Training columns are CN(0, R); test noise is CN(0, sigma2 R) in the
-    partially homogeneous environment and CN(0, R) otherwise.
+    The covariance's Cholesky factor A colours the white draw: the sample
+    covariance is ``A T T^H A^H`` with Cholesky factor ``A T``, and the test
+    noise is CN(0, sigma2 R) in the partially homogeneous environment and
+    CN(0, R) otherwise.
     """
     if hypothesis not in ("h0", "h1"):
         raise ValueError("hypothesis must be 'h0' or 'h1'")
-    rng = sc.as_rng(seed)
-    R = sc.build_covariance(model, config.N)
-    A = linalg.herm_sqrt(R)
-    w_train, w_test = sc.assemble_noise(rng.standard_normal(2 * config.N * (config.L + config.K)),
-                                        config.N, config.L, config.K)
-    training = A @ w_train
+    A = np.linalg.cholesky(sc.build_covariance(model, config.N))
+    T, w_test = draw_trial(seed, trial, config.N, config.L, config.K)
     test = config.test_scale * (A @ w_test)
     if hypothesis == "h1":
         for mean in (signal, interference):
@@ -387,7 +405,7 @@ def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None
             if mean.shape != test.shape:
                 raise ValueError("mean contribution must be N x K")
             test = test + mean
-    return DataSet(test=test, training=training)
+    return DataSet(test=test, factor=A @ T)
 
 
 @dataclass(frozen=True)

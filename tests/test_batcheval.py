@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from adaptivedet import batcheval, registry
+from adaptivedet import batcheval, montecarlo as mc, registry, scenario as sc
 from adaptivedet.errors import DefinitenessError, InfeasibleError
-from conftest import crandn
+from conftest import crandn, random_hpd
 
 # derandomized and without an example database: the same cases on every run
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -59,7 +59,8 @@ def _or_infeasible(f, *args):
 
 def _point_rows_equal_oracle(x, S, H, J):
     N, p, q = H.shape[1], H.shape[2], J.shape[2]
-    batched = batcheval.evaluate_point(batcheval.prepare_point(S, H, J, H[..., 0]), x)
+    batched = batcheval.evaluate_point(
+        batcheval.prepare_point(batcheval.whitener(S), H, J, H[..., 0]), x)
     for b in range(x.shape[0]):
         ref = oracles.point_family(x[b], S[b], H[b], J[b])
         for name, value in ref.items():
@@ -109,6 +110,59 @@ class TestDistributedFamily:
     @given(blocks(square=True))
     def test_rows_equal_oracle_at_square_training(self, case):
         _distributed_rows_equal_oracle(*case)
+
+
+@st.composite
+def bartlett_draws(draw):
+    """B trials of the Monte Carlo engine's draw: its Bartlett factors T,
+    coloured by the Cholesky factor A of a random covariance, with L in
+    {N, N + 1, 2N} (L = N is the worst conditioned), random geometry and
+    test data."""
+    N = draw(st.integers(1, 10))
+    p = draw(st.integers(1, N))
+    q = draw(st.integers(0, N - p))
+    L = draw(st.sampled_from((N, N + 1, 2 * N)))
+    K = draw(st.integers(1, 4))
+    B = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cfg = sc.ScenarioConfig(N=N, p=p, q=q, L=L, K=K)
+    T = sc.assemble_noise(*mc._draw_blocks(seed, range(1), cfg), N, K)[0][:B]
+    rng = np.random.default_rng(seed)
+    A = np.linalg.cholesky(random_hpd(rng, N))
+    return (A, T, crandn(rng, B, N, K), crandn(rng, N, p), crandn(rng, N, q), L)
+
+
+class TestWhitenerFromFactor:
+    """The engine whitens by ``T^-1 A^-1`` without forming S; every statistic
+    equals the one the kernels give on ``S = (A T)(A T)^H`` itself."""
+
+    @SETTINGS
+    @given(bartlett_draws())
+    def test_equals_the_sample_covariance_path(self, case):
+        A, T, X, H, J, L = case
+        W = mc._lower_inverse(T) @ np.linalg.inv(A)
+        F = A @ T
+        S = F @ F.conj().transpose(0, 2, 1)
+        s = H[:, 0]
+        # a draw whose PHE noise-power root does not exist fails on both paths
+        pairs = [(_or_infeasible(batcheval.evaluate_distributed,
+                                 batcheval.prepare_distributed(W, s, H, L), X),
+                  _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L))]
+        if pairs[0][0] is None or pairs[0][1] is None:
+            assert pairs[0] == (None, None)
+            pairs = []
+        if X.shape[-1] == 1:
+            pairs.append((batcheval.evaluate_point(batcheval.prepare_point(W, H, J, s), X[..., 0]),
+                          batcheval.point_family_stats(X[..., 0], S, H, J, s)))
+        for ours, ref in pairs:
+            assert set(ours) == set(ref)
+            for name in set(ours) - {"theta_max"}:
+                np.testing.assert_allclose(ours[name], ref[name], rtol=1e-10, atol=0,
+                                           err_msg=name)
+            if "theta_max" in ours:  # a unit direction, up to phase
+                overlap = np.abs(np.einsum("bp,bp->b", ours["theta_max"].conj(),
+                                           ref["theta_max"]))
+                np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
 
 
 def _unitary(rng, n):
@@ -224,6 +278,6 @@ class TestInvariances:
         H = crandn(rng, N, 2)
         with pytest.raises(DefinitenessError):
             if family == "point":
-                batcheval.prepare_point(S, H)
+                batcheval.prepare_point(batcheval.whitener(S), H)
             else:
-                batcheval.prepare_distributed(S, H[:, 0], H, 2 * N)
+                batcheval.prepare_distributed(batcheval.whitener(S), H[:, 0], H, 2 * N)

@@ -171,6 +171,12 @@ class TestArguments:
         ["pd-vs-snr", "--mode", "both", "--snr", "0", "--env", "phe:nan"],
         ["pd-vs-snr", "--mode", "both", "--snr", "0", "--covariance", "ar1w:0.9:nan"],
         ["cfar-check", "--covariances", "identity,ar1w:0.9:inf"],
+        # finite in dB, but 10^(dB/10) overflows a float
+        ["pd-vs-snr", "--mode", "analytic", "--snr", "4000"],
+        ["pd-vs-snr", "--mode", "montecarlo", "--snr", "0,3090"],
+        ["mesa", "--mode", "both", "--q", "1", "--snr", "0", "--cos2phi", "1",
+         "--jnr-db", "4000"],
+        ["cfar-check", "--covariances", "identity,ar1w:0.9:4000"],
     ])
     def test_non_finite_input_exits_1(self, argv, tmp_path, capsys):
         out = tmp_path / "n.csv"
@@ -225,14 +231,35 @@ class TestValidationCommands:
         assert len(_read(str(tmp_path / "cfar0.csv"))) == 9
         assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
+    @pytest.mark.parametrize("argv", [
+        ["pd-vs-snr", "--mode", "both", "--snr", "0,10", "--q", "1",
+         "--detectors", "sglrt,kglrt,glrt_he_i,smf,mf,smi", "--trials", "700"],
+        ["cfar-check", "--detectors", "kglrt,asd,smi", "--trials", "700"],
+        ["pd-vs-snr", "--mode", "montecarlo", "--K", "3", "--snr", "5",
+         "--detectors", "gkglrt,glrt_phe,snrdd", "--trials", "700"],
+    ])
+    def test_csv_ignores_batch_size_across_block_edges(self, argv, tmp_path):
+        """Batch sizes below, at, just above and far from the 64-trial block
+        give the same bytes."""
+        blobs = []
+        for size in (1, 63, 64, 65, 311, 4096):
+            out = tmp_path / f"b{size}.csv"
+            assert cli.main(argv + ["--N", "6", "--p", "1", "--L", "12", "--pfa", "1e-2",
+                                    "--seed", "4", "--batch-size", str(size),
+                                    "--out", str(out)]) in (0, 1)
+            blobs.append(out.read_bytes())
+        assert blobs[0].count(b"\n") > 3
+        assert all(blob == blobs[0] for blob in blobs)
+
     def test_cfar_check_draws_each_stream_once(self, tmp_path, stream_draws):
-        """All three covariances colour one draw of each (key, trial) stream."""
+        """All three covariances colour one draw of each (key, block) stream:
+        500 trials are 8 blocks of 64."""
         cli.main(["cfar-check", "--detectors", "kglrt,asd,smi", "--trials", "500",
                   "--N", "6", "--p", "1", "--L", "12", "--seed", "4", "--batch-size", "97",
                   "--out", str(tmp_path / "cfar.csv")])
         assert len(_read(str(tmp_path / "cfar.csv"))) == 9
         counts = Counter(stream_draws)
-        assert len(counts) == 500
+        assert sorted(counts) == [(4, b) for b in range(8)]
         assert set(counts.values()) == {1}
 
 
@@ -448,8 +475,9 @@ class TestAnalyticLaws:
                        "--detectors", "glrt_phe,rao_dos,snrdd", "--trials", "500",
                        "--pfa", "1e-2", "--seed", "2", "--out", str(tmp_path / "c.csv")])
         assert rc == 0
-        assert len(draws["calibration"]) == len(draws["scoring"]) == 500
-        assert not draws["calibration"] & draws["scoring"]
+        # 500 trials are 8 blocks, each drawn once per pass on its own key
+        assert draws["calibration"] == {(2 ^ cli.CALIBRATION_KEY_BIT, b) for b in range(8)}
+        assert draws["scoring"] == {(2, b) for b in range(8)}
 
 
 class TestAnalyticGrid:

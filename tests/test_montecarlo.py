@@ -50,14 +50,66 @@ class TestReproducibility:
             assert np.array_equal(a[name], b[name][:100])
 
 
-class TestTrialStreams:
-    def test_reused_generator_matches_fresh_streams(self):
-        streams = mc.TrialStreams(20240817)
-        n = 2 * 6 * (12 + 1)
-        out = np.empty(n)
-        for i in (0, 1, 4095, 4096, 2**40 + 3, 1, 0):
-            streams.standard_normal(i, out)
-            assert np.array_equal(out, mc.trial_rng(20240817, i).standard_normal(n)), i
+class TestBlockStreams:
+    """Trials come in 64-trial Philox blocks: each block is drawn once per
+    pass whatever the batch size, and its Bartlett factor has the complex
+    Wishart factor's exact laws."""
+
+    BATCHES = (1, 63, 64, 65, 311, 4096)
+
+    @pytest.mark.parametrize("batch_size", BATCHES)
+    def test_each_block_drawn_once_per_pass(self, batch_size, stream_draws):
+        mc.run_trials(_point_plan(n=300, seed=11, batch_size=batch_size))
+        assert stream_draws == [(11, b) for b in range(5)]  # 300 trials, 5 blocks
+
+    def test_statistics_ignore_batch_size(self):
+        point = [mc.run_trials(_point_plan(n=300, batch_size=b)) for b in self.BATCHES]
+        cfg = sc.ScenarioConfig(N=6, p=2, L=12, K=3, pfa=1e-2)
+        dist = [mc.run_trials(mc.TrialPlan(
+            n_trials=300, master_seed=4, scenario=cfg, covariance=sc.CovarianceModel.ar1(0.5),
+            detectors=registry.names(family="distributed"), batch_size=b))
+            for b in self.BATCHES]
+        for runs in (point, dist):
+            for run in runs[1:]:
+                for name in run:
+                    assert np.array_equal(run[name], runs[0][name]), name
+
+    @staticmethod
+    def _factors(N, L, n_blocks, seed=99):
+        cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-2)
+        draws = mc._draw_blocks(seed, range(n_blocks), cfg)
+        return sc.assemble_noise(*draws, N, 1)
+
+    def test_bartlett_factor_laws(self):
+        """KS tests of every diagonal ``T_ii^2`` against Gamma(L - i + 1) and
+        of the pooled real and imaginary parts of the strict lower triangle
+        against N(0, 1/2), each at alpha = 1e-7 (size below 1e-6 in all).  At
+        n = 6400 the L - N DOF law, one shape unit less, gives p below 1e-20
+        on every diagonal, and off-diagonals of variance 1/4 or 1 fail too."""
+        N, L = 5, 9
+        T, w = self._factors(N, L, 100)
+        assert np.all(np.triu(T, 1) == 0)
+        for i in range(N):
+            t2 = T[:, i, i]
+            assert np.all(t2.imag == 0) and np.all(t2.real > 0)
+            pvalue = stats.kstest(t2.real ** 2, stats.gamma(L - i).cdf).pvalue
+            assert pvalue > 1e-7, (i, pvalue)
+        below = T[:, *np.tril_indices(N, -1)]
+        parts = np.concatenate([below.real.ravel(), below.imag.ravel()])
+        assert stats.kstest(parts, stats.norm(scale=np.sqrt(0.5)).cdf).pvalue > 1e-7
+        test = np.concatenate([w.real.ravel(), w.imag.ravel()])
+        assert stats.kstest(test, stats.norm(scale=np.sqrt(0.5)).cdf).pvalue > 1e-7
+
+    @pytest.mark.parametrize("N, p, L", [(6, 2, 12), (6, 1, 6)])
+    def test_loss_factor_law(self, N, p, L):
+        """The engine's loss factor under H0 against its exact law
+        Beta(L - N + p + 1, N - p), KS at alpha = 1e-6; at n = 20000 the
+        L - N DOF law Beta(L - N + p, N - p) gives p below 1e-20."""
+        cfg = sc.ScenarioConfig(N=N, p=p, L=L, pfa=1e-2)
+        plan = mc.TrialPlan(n_trials=20_000, master_seed=8, scenario=cfg,
+                            covariance=sc.CovarianceModel.ar1(0.9), detectors=("beta",))
+        beta = mc.run_trials(plan)["beta"]
+        assert stats.kstest(beta, stats.beta(L - N + p + 1, N - p).cdf).pvalue > 1e-6
 
 
 class TestExceedanceCounts:
@@ -100,13 +152,13 @@ class TestExceedanceCounts:
                             detectors=tuple(sorted(registry.names(family="distributed"))))
         self._assert_counts_match(plan, means, batch_size)
 
-    def test_grid_draws_each_trial_once(self, tmp_path, stream_draws):
+    def test_grid_draws_each_block_once(self, tmp_path, stream_draws):
         rc = cli.main(["pd-vs-snr", "--mode", "montecarlo", "--snr",
                        ",".join(str(s) for s in range(0, 25, 2)),
                        "--detectors", "sglrt,samf", "--trials", "300",
                        "--batch-size", "128", "--out", str(tmp_path / "grid.csv")])
         assert rc == 0
-        assert sorted(i for _, i in stream_draws) == list(range(300))
+        assert stream_draws == [(0, b) for b in range(5)]  # 300 trials, 5 blocks
 
 
 class TestBankPreparation:
@@ -193,22 +245,44 @@ class TestPointBankPreparation:
             assert np.array_equal(part[name], full[name]), name
 
     @pytest.mark.parametrize("detectors, held", [
-        (("sglrt", "aed", "beta"), ()),
-        (("sglrt", "kglrt"), ("st", "ss")),
-        (("glrt_he_i", "wald_phe_i"), ("QJ", "QHp", "QB", "E")),
+        (("sglrt", "aed", "beta"), ("T", "QH")),
+        (("sglrt", "kglrt"), ("T", "QH", "st", "ss")),
+        (("glrt_he_i", "wald_phe_i"), ("T", "QH", "QJ", "QHp", "QB", "E")),
+        (("sglrt", "smf"), ("T", "QH", "W")),
         (("smf",), ("W",)),
-        (("mf",), ("st", "ss", "W")),
+        (("mf",), ("W", "mvdr")),
+        (("smf", "mf"), ("W", "mvdr")),
     ])
     def test_only_the_read_banks_are_prepared(self, detectors, held):
         """A subspace-only plan with q > 0 holds no rank-one or interference
-        state; every other plan holds exactly its banks' state."""
+        state, and a plan of clairvoyant detectors no whitener and no
+        adaptive bank; every other plan holds exactly its banks' state."""
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
         (_, _, _, (point, dist)), = mc._noise_pass(plan, (plan.covariance,))
-        optional = ("st", "ss", "QJ", "QHp", "QB", "E", "W")
-        assert {f for f in optional if getattr(point, f) is not None} == set(held)
+        fields = ("T", "QH", "st", "ss", "QJ", "QHp", "QB", "E", "W", "mvdr")
+        assert {f for f in fields if getattr(point, f) is not None} == set(held)
         assert dist is None
+
+    @pytest.mark.parametrize("detectors, returned", [
+        (("smf",), {"smf"}),
+        (("smf", "mf"), {"smf", "mf"}),
+        (("mf",), {"smf", "mf"}),
+    ])
+    def test_clairvoyant_plan_skips_whitening(self, detectors, returned, monkeypatch):
+        """A plan of clairvoyant detectors never inverts the training factor
+        and returns only the clairvoyant statistics; ``smf`` alone builds no
+        MVDR weight, so it returns no ``mf``."""
+        def refuse(T):
+            raise AssertionError("inverted the training factor")
+
+        monkeypatch.setattr(mc, "_lower_inverse", refuse)
+        cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
+        plan = mc.TrialPlan(n_trials=100, master_seed=5, scenario=cfg,
+                            covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
+        (_, _, noise, prepared), = mc._noise_pass(plan, (plan.covariance,))
+        assert set(mc._statistics(prepared, noise)) == returned
 
 
 class TestFullSpaceGeometry:
@@ -235,14 +309,17 @@ class TestFullSpaceGeometry:
 
 
 class TestBatchedMatchesPlain:
+    """The engine's trials equal the per-instance oracles on the oracle's own
+    draw of each trial, across the first block boundary."""
+
     def test_point_family(self):
-        plan = _point_plan(n=16)
+        plan = _point_plan(n=66)
         cfg = plan.scenario
         H, J = sc.default_geometry(cfg.N, cfg.p, cfg.q)
         stats = mc.run_trials(plan)
         for i in range(plan.n_trials):
             d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
-                              seed=mc.trial_rng(plan.master_seed, i))
+                                   seed=plan.master_seed, trial=i)
             x = d.test_vector
             ps = oracles.subspace_bank(x, d.scm, H)
             rs = oracles.rank_one_bank(x, d.scm, H[:, 0])
@@ -253,14 +330,14 @@ class TestBatchedMatchesPlain:
     def test_distributed_family(self):
         cfg = sc.ScenarioConfig(N=6, p=2, L=12, K=3, pfa=1e-2)
         plan = mc.TrialPlan(
-            n_trials=12, master_seed=5, scenario=cfg,
+            n_trials=66, master_seed=5, scenario=cfg,
             covariance=sc.CovarianceModel.ar1(0.5),
             detectors=tuple(sorted(registry.names(family="distributed"))))
         stats = mc.run_trials(plan)
         H, _ = sc.default_geometry(cfg.N, cfg.p)
-        for i in range(plan.n_trials):
+        for i in (*range(4), *range(60, 66)):
             d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
-                              seed=mc.trial_rng(plan.master_seed, i))
+                                   seed=plan.master_seed, trial=i)
             ref = oracles.distributed_family(d.test, d.scm, H[:, 0], H, cfg.L)
             for name in plan.detectors:
                 assert stats[name][i] == pytest.approx(ref[name], rel=1e-9), name

@@ -91,12 +91,24 @@ class TestReads:
         N = 6
         train = crandn(rng, 2, N, 2 * N)
         args = dict(J=crandn(rng, N, 2), s=crandn(rng, N), R=random_hpd(rng, N))
-        prep = batcheval.prepare_point(train @ train.conj().transpose(0, 2, 1), crandn(rng, N, 2),
+        prep = batcheval.prepare_point(batcheval.whitener(train @ train.conj().transpose(0, 2, 1)),
+                                       crandn(rng, N, 2),
                                        **{k: v for k, v in args.items() if k in given})
         out = batcheval.evaluate_point(prep, crandn(rng, 2, N))
         assert set(out) == {d.name for d in registry.DETECTORS.values()
                             if d.family == "point" and set(d.reads) <= given
                             and ("R" in given or not d.clairvoyant)}
+
+    @pytest.mark.parametrize("given", _subsets("sJ"))
+    def test_point_kernel_without_whitener(self, given, rng):
+        """Without a whitener the point kernel gives only the clairvoyant
+        statistics: ``smf`` always, ``mf`` when it has s."""
+        N = 6
+        args = dict(J=crandn(rng, N, 2), s=crandn(rng, N))
+        prep = batcheval.prepare_point(None, crandn(rng, N, 2), R=random_hpd(rng, N),
+                                       **{k: v for k, v in args.items() if k in given})
+        out = batcheval.evaluate_point(prep, crandn(rng, 2, N))
+        assert set(out) == {"smf", "mf"} if "s" in given else {"smf"}
 
     @pytest.mark.parametrize("given", _subsets("sHL"))
     def test_distributed_column_matches_the_kernel(self, given, rng):
@@ -104,8 +116,9 @@ class TestReads:
         N, K = 6, 3
         train = crandn(rng, 2, N, 2 * N)
         args = dict(s=crandn(rng, N), H=crandn(rng, N, 2), L=2 * N)
-        prep = batcheval.prepare_distributed(train @ train.conj().transpose(0, 2, 1),
-                                             **{k: args[k] if k in given else None for k in args})
+        T = batcheval.whitener(train @ train.conj().transpose(0, 2, 1))
+        prep = batcheval.prepare_distributed(
+            T, **{k: args[k] if k in given else None for k in args})
         out = batcheval.evaluate_distributed(prep, crandn(rng, 2, N, K))
         assert set(out) - {"sigma0_hat", "sigma1_hat", "theta_max"} == {
             d.name for d in registry.DETECTORS.values()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from adaptivedet import linalg, scenario as sc
+from adaptivedet import linalg, montecarlo as mc, scenario as sc
 from adaptivedet.errors import GeometryError, RankError
 
 
@@ -19,6 +19,11 @@ class TestCovariance:
     def test_clutter_plus_white_floor(self):
         R = sc.build_covariance(sc.CovarianceModel.ar1_plus_white(0.99, 30.0), 8)
         assert np.linalg.eigvalsh(R).min() >= 1.0
+
+    def test_overflowing_cnr_rejected(self):
+        # finite in dB, but 10^(dB/10) overflows a float
+        with pytest.raises(ValueError, match="finite"):
+            sc.CovarianceModel.ar1_plus_white(0.9, 4000.0)
 
     def test_bad_correlation(self):
         with pytest.raises(ValueError):
@@ -91,6 +96,11 @@ class TestActualSignal:
                                                            cos2phi=0.5, seed=3))
         np.testing.assert_allclose(b, np.sqrt(2.0) * a, rtol=1e-9)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, np.nan])
+    def test_snr_must_be_a_finite_power(self, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            sc.SignalSpec(snr_db=snr_db)
+
     def test_no_orthocomplement(self):
         H_full = sc.nominal_subspace(3, 3, [0.1, 0.4, 0.7])
         with pytest.raises(GeometryError):
@@ -117,22 +127,25 @@ class TestSynthesize:
         a = oracles.synthesize(self.cfg, self.model, hypothesis="h0", seed=44)
         b = oracles.synthesize(self.cfg, self.model, hypothesis="h0", seed=44)
         assert np.array_equal(a.test, b.test)
-        assert np.array_equal(a.training, b.training)
+        assert np.array_equal(a.factor, b.factor)
         assert np.array_equal(a.scm, b.scm)
 
-    def test_noise_follows_the_flat_layout(self):
-        # training-real, training-imag, test-real, test-imag: the layout the
-        # batched trial engine shares with synthesize
-        cfg = sc.ScenarioConfig(N=4, p=1, L=8, K=3, pfa=1e-2)
-        d = oracles.synthesize(cfg, self.model, hypothesis="h0", seed=12)
-        w_train, w_test = oracles.draw_noise(np.random.default_rng(12), 4, 8, 3)
-        A = linalg.herm_sqrt(sc.build_covariance(self.model, 4))
-        assert np.array_equal(d.training, A @ w_train)
-        assert np.array_equal(d.test, A @ w_test)
+    @pytest.mark.parametrize("trial", [0, 63, 64, 70, 200])
+    def test_noise_follows_the_block_layout(self, trial):
+        """The oracle's per-trial assembly of its row of the block is the
+        engine's: the same draws in the same places."""
+        N, L, K = 4, 8, 3
+        first = trial // 64 * 64
+        draws = mc._draw_blocks(12, range(trial // 64, trial // 64 + 1),
+                                sc.ScenarioConfig(N=N, p=1, L=L, K=K))
+        T, w = sc.assemble_noise(*draws, N, K)
+        T0, w0 = oracles.draw_trial(12, trial, N, L, K)
+        assert np.array_equal(T0, T[trial - first])
+        assert np.array_equal(w0, w[trial - first])
 
-    def test_scm_matches_training(self):
+    def test_factor_is_the_cholesky_factor(self):
         d = oracles.synthesize(self.cfg, self.model, hypothesis="h0", seed=1)
-        np.testing.assert_allclose(d.scm, d.training @ d.training.conj().T, rtol=1e-12)
+        np.testing.assert_allclose(np.linalg.cholesky(d.scm), d.factor, rtol=1e-12)
 
     def test_insufficient_training(self):
         with pytest.raises(ValueError):
@@ -176,7 +189,8 @@ class TestSynthesize:
         cfg = sc.ScenarioConfig(N=4, p=1, L=8, environment="phe", sigma2=2.0, pfa=1e-2)
         d = [oracles.synthesize(cfg, self.model, hypothesis="h0", seed=s) for s in range(2000)]
         test_p = np.mean([np.mean(np.abs(x.test) ** 2) for x in d])
-        train_p = np.mean([np.mean(np.abs(x.training) ** 2) for x in d])
+        # tr(S) / (N L) estimates the mean training power per entry
+        train_p = np.mean([np.trace(x.scm).real / (cfg.N * cfg.L) for x in d])
         assert abs(test_p / train_p - 2.0) < 0.05 * 2.0
 
     def test_h1_means_added_only_under_h1(self):
