@@ -76,9 +76,9 @@ def _energy(Q, x):
 class PointPrepared:
     """Point-family state that depends only on the training SCM and geometry.
 
-    ``T`` whitens (``T S T^H = I``); ``QH`` is an orthonormal basis of the
-    whitened H, and ``st``/``ss`` the whitened steering vector and its energy;
-    both are None for a plan of clairvoyant statistics only.
+    ``T`` whitens (``T S T^H = I``) and ``QH`` is an orthonormal basis of the
+    whitened H, both None for a plan of clairvoyant statistics only;
+    ``st``/``ss`` are the whitened steering vector and its energy.
     ``QJ``/``QHp``/``QB`` are bases of J, of H with J projected out, and of
     [J H] (whitened), with ``QJ`` None at q = 0 and ``QB`` None when [J H]
     fills the space (p + q = N); ``E`` maps a whitened vector to the

@@ -94,7 +94,8 @@ class TestBlockStreams:
             assert np.all(t2.imag == 0) and np.all(t2.real > 0)
             pvalue = stats.kstest(t2.real ** 2, stats.gamma(L - i).cdf).pvalue
             assert pvalue > 1e-7, (i, pvalue)
-        below = T[:, *np.tril_indices(N, -1)]
+        rows, cols = np.tril_indices(N, -1)
+        below = T[:, rows, cols]
         parts = np.concatenate([below.real.ravel(), below.imag.ravel()])
         assert stats.kstest(parts, stats.norm(scale=np.sqrt(0.5)).cdf).pvalue > 1e-7
         test = np.concatenate([w.real.ravel(), w.imag.ravel()])
