@@ -74,12 +74,6 @@ class TestBlockStreams:
                 for name in run:
                     assert np.array_equal(run[name], runs[0][name]), name
 
-    @staticmethod
-    def _factors(N, L, n_blocks, seed=99):
-        cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-2)
-        draws = mc._draw_blocks(seed, range(n_blocks), cfg)
-        return sc.assemble_noise(*draws, N, 1)
-
     def test_bartlett_factor_laws(self):
         """KS tests of every diagonal ``T_ii^2`` against Gamma(L - i + 1) and
         of the pooled real and imaginary parts of the strict lower triangle
@@ -87,7 +81,8 @@ class TestBlockStreams:
         n = 6400 the L - N DOF law, one shape unit less, gives p below 1e-20
         on every diagonal, and off-diagonals of variance 1/4 or 1 fail too."""
         N, L = 5, 9
-        T, w = self._factors(N, L, 100)
+        cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-2)
+        T, w = sc.assemble_noise(*mc._draw_blocks(99, range(100), cfg), N, 1)
         assert np.all(np.triu(T, 1) == 0)
         for i in range(N):
             t2 = T[:, i, i]
