@@ -7,13 +7,13 @@ geometry shared or stacked per trial.  Each family splits into ``prepare_*``
 (everything that depends only on the training SCM and the geometry) and
 ``evaluate_*`` (the test-data part), so one prepared batch serves any number
 of test means; both hold only the banks whose inputs ``prepare_*`` is given
-(registry column ``reads``).  ``prepare_*`` takes the whitener of the sample
-covariance, not the covariance: the Monte Carlo engine has it from the drawn
-Cholesky factor without forming S, and a caller that holds S gets it from
-:func:`whitener`, which raises :class:`~adaptivedet.errors.DefinitenessError`.
-``prepare_*`` checks the rest of its input from the factors it computes
-anyway: the QR of a whitened subspace raises
-:class:`~adaptivedet.errors.RankError`
+(registry column ``reads``), and a ``want`` of names narrows them further.
+``prepare_*`` takes the whitener of the sample covariance, not the
+covariance: the Monte Carlo engine has it from the drawn Cholesky factor
+without forming S, and a caller that holds S gets it from :func:`whitener`,
+which raises :class:`~adaptivedet.errors.DefinitenessError`.  ``prepare_*``
+checks the rest of its input from the factors it computes anyway: the QR of
+a whitened subspace raises :class:`~adaptivedet.errors.RankError`
 (:func:`~adaptivedet.linalg.full_rank_qr`), and an all-zero steering vector
 ``ValueError``.  The normative per-instance forms (projectors,
 ``M = S + X X^H`` and the ``R0``/``R1`` covariance MLEs, generalized
@@ -25,9 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import registry
 from .errors import DefinitenessError, InfeasibleError
 from .linalg import full_rank_qr
 from .roots import find_root
+
+# the PHE half's outputs, and every output of evaluate_distributed
+_PHE = ("glrt_phe", "rao_phe", "wald_phe", "sigma0_hat", "sigma1_hat")
+_OUTPUTS = {*registry.names(family="distributed"), *_PHE, "theta_max"}
 
 
 def _ct(a):
@@ -100,7 +105,7 @@ class PointPrepared:
     mvdr: np.ndarray = None
 
 
-def prepare_point(T, H, J=None, s=None, R=None) -> PointPrepared:
+def prepare_point(T, H, J=None, s=None, R=None, want=None) -> PointPrepared:
     """The test-independent half of :func:`point_family_stats`.
 
     ``T`` (B, N, N) whitens the sample covariance (``T S T^H = I``, see
@@ -109,9 +114,10 @@ def prepare_point(T, H, J=None, s=None, R=None) -> PointPrepared:
     leaves out the rank-one bank and ``mf``, ``J`` None the interference bank
     (an (N, 0) ``J`` keeps it at q = 0).  The true covariance ``R`` needs
     shared geometry: the clairvoyant pair is ``smf`` and ``mf`` whitened by R
-    instead of S, the maps ``W`` and (with ``s``) ``mvdr`` of the test
-    vector.  ``T`` None leaves out every adaptive bank, for a plan whose
-    point statistics are all clairvoyant.
+    instead of S, the maps ``W`` and (with ``s``) ``mvdr`` of the test vector,
+    each built only if ``want`` (names; None for all) has its statistic.
+    ``T`` None leaves out every adaptive bank, for a plan whose point
+    statistics are all clairvoyant.
 
     One QR ``[Jt Ht] = Q R`` gives ``QJ`` (its first q columns), ``QHp``
     (its last p) and ``QB`` (all of Q).  With ``R22`` the trailing p x p
@@ -138,8 +144,9 @@ def prepare_point(T, H, J=None, s=None, R=None) -> PointPrepared:
                         E=Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp)))
     if R is not None:
         TR = whitener(np.asarray(R, dtype=np.complex128))
-        prep["W"] = _ct(np.linalg.qr(TR @ H)[0]) @ TR
-        if s is not None:
+        if want is None or "smf" in want:
+            prep["W"] = _ct(np.linalg.qr(TR @ H)[0]) @ TR
+        if s is not None and (want is None or "mf" in want):
             sR = TR @ s
             prep["mvdr"] = (sR.conj() / np.real(sR.conj() @ sR)) @ TR
     return PointPrepared(**prep)
@@ -291,18 +298,15 @@ def solve_sigma_batch(eigs, target: float):
 class DistributedPrepared:
     """Distributed-family state that depends only on the training SCM and
     geometry: the whitener, the whitened steering vector of the rank-one bank,
-    and the whitened subspace of the direction and DOS banks with the
-    whitener ``Cb`` of its Gram ``Bp`` (``Cb Bp Cb^H = I``).  The parts of a
-    bank left out are None."""
+    and the reduced QR ``Ht = QH RH`` of the whitened subspace of the
+    direction and DOS banks.  The parts of a bank left out are None."""
 
     L: int
     T: np.ndarray
     st: np.ndarray
     ss: np.ndarray
-    Ht: np.ndarray
     QH: np.ndarray
-    Bp: np.ndarray
-    Cb: np.ndarray
+    RH: np.ndarray
 
 
 def prepare_distributed(T, s, H, L) -> DistributedPrepared:
@@ -311,58 +315,57 @@ def prepare_distributed(T, s, H, L) -> DistributedPrepared:
     ``T`` (B, N, N) whitens the sample covariance (:func:`whitener`); ``s``
     (N,) or (B, N) and ``H`` (N, p) or (B, N, p) are shared or stacked per
     trial.  ``s`` None leaves out the rank-one bank, ``L`` None its partially
-    homogeneous half, and ``H`` None the direction and DOS banks.  The input
-    checks are those of :func:`prepare_point`.
+    homogeneous half, and ``H`` None the direction and DOS banks (the QR of
+    ``Ht = T H``).  The input checks are those of :func:`prepare_point`.
     """
-    st = ss = Ht = QH = Bp = Cb = None
+    st = ss = QH = RH = None
     if s is not None:
         st, ss = _steering(T, s)
     if H is not None:
-        Ht = T @ np.asarray(H, dtype=np.complex128)
-        Bp = _ct(Ht) @ Ht
-        QH, Cb = full_rank_qr(Ht)[0], whitener(Bp)
-    return DistributedPrepared(L=L, T=T, st=st, ss=ss, Ht=Ht, QH=QH, Bp=Bp, Cb=Cb)
+        QH, RH = full_rank_qr(T @ np.asarray(H, dtype=np.complex128))
+    return DistributedPrepared(L=L, T=T, st=st, ss=ss, QH=QH, RH=RH)
 
 
-def evaluate_distributed(prep: DistributedPrepared, X) -> dict:
+def evaluate_distributed(prep: DistributedPrepared, X, want=None) -> dict:
     """The distributed-family statistics of the stacked test blocks ``X``
-    (B, N, K) for the banks ``prep`` holds.
-
-    Besides the statistics, the PHE half gives the noise-power MLEs
-    ``sigma0_hat``/``sigma1_hat`` and the direction bank the unit-norm
-    maximizing direction ``theta_max`` (B, p) of ``snrdd``.
+    (B, N, K) for the banks ``prep`` holds, with the PHE noise-power MLEs
+    ``sigma0_hat``/``sigma1_hat`` and the unit-norm maximizing direction
+    ``theta_max`` (B, p) of ``snrdd``.  ``want`` (names; None for all) keeps
+    only those, bit for bit as in the full evaluation, and skips the rest.
     """
-    X = np.asarray(X)
-    K = X.shape[-1]
-    Xt = prep.T @ X
+    want = _OUTPUTS if want is None else set(want)
+    Xt = prep.T @ np.asarray(X)
     G0 = _ct(Xt) @ Xt
-    M0 = np.eye(K) + G0
+    M0 = np.eye(Xt.shape[-1]) + G0
     trG0 = np.trace(G0, axis1=-2, axis2=-1).real
     out = {}
     if prep.st is not None:
-        out.update(_rank_one_bank(prep, Xt, G0, M0, trG0))
+        out.update(_rank_one_bank(prep, Xt, G0, M0, trG0, want))
     if prep.QH is not None:
-        out.update(_subspace_banks(prep, Xt, G0, M0, trG0))
-    return out
+        out.update(_subspace_banks(prep, Xt, M0, trG0, want))
+    return {name: value for name, value in out.items() if name in want}
 
 
-def _rank_one_bank(prep, Xt, G0, M0, trG0):
+def _rank_one_bank(prep, Xt, G0, M0, trG0, want):
     B, N, K = Xt.shape
     L, st, ss = prep.L, prep.st, prep.ss
     IK = np.eye(K)
     c = np.einsum("bnk,bn->bk", Xt.conj(), st)
-    num = np.einsum("bk,bk->b", c.conj(), np.linalg.solve(M0, c[..., None])[..., 0]).real
+    Mc = np.linalg.solve(M0, c[..., None])
+    num = np.einsum("bk,bk->b", c.conj(), Mc[..., 0]).real
     gamf_num = np.einsum("bk,bk->b", c.conj(), c).real
     out = {
         "gkglrt": num / (ss - num),
         "gamf": gamf_num / ss,
         "gasd": _ratio(gamf_num, ss * trG0),
     }
-    # Rao (HE), matrix-inversion-lemma form
-    G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
-    inner = np.linalg.solve(IK + G1, np.linalg.solve(M0, c[..., None]))
-    out["rao_he"] = np.einsum("bk,bk->b", c.conj(), inner[..., 0]).real / ss
-    if L is None:
+    phe = L is not None and not want.isdisjoint(_PHE)
+    if phe or "rao_he" in want:
+        G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
+    if "rao_he" in want:  # matrix-inversion-lemma form
+        inner = np.linalg.solve(IK + G1, Mc)
+        out["rao_he"] = np.einsum("bk,bk->b", c.conj(), inner[..., 0]).real / ss
+    if not phe:
         return out
 
     # PHE bank
@@ -376,9 +379,8 @@ def _rank_one_bank(prep, Xt, G0, M0, trG0):
     sigma1 = solve_sigma_batch(eig1, target)
     det0 = np.linalg.det(IK + G0 / sigma0[:, None, None]).real
     det1 = np.linalg.det(IK + G1 / sigma1[:, None, None]).real
-    out["glrt_phe"] = sigma0 ** target * det0 / (sigma1 ** target * det1)
-    out["sigma0_hat"] = sigma0
-    out["sigma1_hat"] = sigma1
+    out.update(glrt_phe=sigma0 ** target * det0 / (sigma1 ** target * det1),
+               sigma0_hat=sigma0, sigma1_hat=sigma1)
 
     # Rao (PHE): X^H R0^-1 s through the Woodbury identity in whitened space
     e0 = np.linalg.solve(sigma0[:, None, None] * IK + G0, c[..., None])[..., 0]
@@ -393,38 +395,34 @@ def _rank_one_bank(prep, Xt, G0, M0, trG0):
     return out
 
 
-def _subspace_banks(prep, Xt, G0, M0, trG0):
-    """The direction detectors and the double-subspace trio."""
-    Ht, QH = prep.Ht, prep.QH
-    out = {}
-    W = _ct(QH) @ Xt                     # (B, p, K)
-    A = _ct(W) @ W
-    out["amdd"] = np.linalg.eigvalsh(A).real[:, -1]
-    C0 = whitener(M0)
-    out["glrdd"] = np.linalg.eigvalsh(C0 @ A @ _ct(C0)).real[:, -1]
-    out["gadd"] = _ratio(out["amdd"], trG0)
-    HX = _ct(Ht) @ Xt                    # (B, p, K)
-    Ap = HX @ np.linalg.solve(M0, _ct(HX))
-    Bp, Cb = prep.Bp, prep.Cb
-    # theta^H Ap theta / theta^H Bp theta is largest at theta = Cb^H v, with v
-    # the top eigenvector of Cb Ap Cb^H
-    Vb = np.linalg.eigh(Cb @ Ap @ _ct(Cb))[1]
-    theta = np.einsum("bqp,bq->bp", Cb.conj(), Vb[..., -1])
-    y = np.einsum("bpk,bp->bk", HX.conj(), theta)          # Xt^H Ht theta
-    denom_t = np.einsum("bp,bpq,bq->b", theta.conj(), Bp, theta).real
-    out["snrdd"] = np.einsum("bk,bk->b", y.conj(), y).real / denom_t
-    out["theta_max"] = theta / np.linalg.norm(theta, axis=-1, keepdims=True)
-
-    # Double-subspace trio
-    out["wald_dos"] = np.einsum("bpk,bpk->b", W.conj(), W).real
-    out["glrt_dos"] = np.linalg.det(M0).real / np.linalg.det(M0 - _ct(W) @ W).real
-    XH = np.linalg.solve(M0, _ct(Xt) @ Ht)
-    DH = Ht - Xt @ XH                    # (I + Xt Xt^H)^-1 Ht via Woodbury
-    G = _ct(Ht) @ DH
-    A2 = _ct(Xt) @ DH
-    out["rao_dos"] = np.einsum(
-        "bkp,bpk->b", A2, np.linalg.solve(G, _ct(A2))
-    ).real
+def _subspace_banks(prep, Xt, M0, trG0, want):
+    """The direction detectors and the double-subspace trio from ``W = QH^H
+    Xt`` (B, p, K) and the residual ``U = Xt - QH W``: with ``Y = (I + U^H
+    U)^-1 W^H`` and the p x p Gram ``Q = W Y``, ``Ht = QH RH`` turns ``(Ap,
+    Bp)`` into ``RH^H (Q (I + Q)^-1, I) RH``.  So Q's top eigenpair ``(mu,
+    phi)`` gives ``glrdd = mu / (1 + mu)``, ``theta_max = RH^-1 phi`` and
+    ``snrdd = |W^H phi|^2``; by Woodbury ``rao_dos = tr(Y (I + Q)^-1 Y^H)``.
+    No term cancels near span(Ht), as ``M0 - W^H W`` in ``glrt_dos`` does.
+    """
+    W = _ct(prep.QH) @ Xt
+    out = {"wald_dos": np.einsum("bpk,bpk->b", W.conj(), W).real}
+    if not want.isdisjoint(("amdd", "gadd")):
+        out["amdd"] = np.linalg.eigvalsh(W @ _ct(W)).real[:, -1]
+        out["gadd"] = _ratio(out["amdd"], trG0)
+    if "glrt_dos" in want:
+        out["glrt_dos"] = np.linalg.det(M0).real / np.linalg.det(M0 - _ct(W) @ W).real
+    if want.isdisjoint(("glrdd", "snrdd", "theta_max", "rao_dos")):
+        return out
+    U = Xt - prep.QH @ W
+    Y = np.linalg.solve(np.eye(Xt.shape[-1]) + _ct(U) @ U, _ct(W))  # (B, K, p)
+    mu, Phi = np.linalg.eigh(W @ Y)
+    out.update(glrdd=mu[:, -1] / (1.0 + mu[:, -1]), snrdd=_energy(W, Phi[..., -1]))
+    if "theta_max" in want:
+        theta = np.linalg.solve(prep.RH, Phi[..., -1:])[..., 0]
+        out["theta_max"] = theta / np.linalg.norm(theta, axis=-1, keepdims=True)
+    if "rao_dos" in want:
+        YPhi = Y @ Phi
+        out["rao_dos"] = np.einsum("bkj,bkj,bj->b", YPhi.conj(), YPhi, 1.0 / (1.0 + mu)).real
     return out
 
 

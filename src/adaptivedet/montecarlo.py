@@ -128,9 +128,9 @@ def _noise_pass(plan: TrialPlan, covariances):
     coloured, scaled test noise (B, N, K) and ``prepared`` the point and
     distributed family state (None where the plan has no detector of that
     family) that :func:`_statistics` needs.  Only the banks the plan's
-    detectors read (registry column ``reads``) are prepared, the clairvoyant
-    map only for a plan with a clairvoyant detector, from each covariance's
-    own R, and the whitener only for a plan with an adaptive one.
+    detectors read (registry column ``reads``) are prepared, each clairvoyant
+    map only for a plan with its detector, from each covariance's own R, and
+    the whitener only for a plan with an adaptive one.
     """
     cfg = plan.scenario
     rows = [registry.DETECTORS[name] for name in plan.detectors]
@@ -164,20 +164,21 @@ def _noise_pass(plan: TrialPlan, covariances):
         for c, (A, A_inv, R) in enumerate(colours):
             W = T_inv @ A_inv if adaptive else None
             prepared = (
-                batcheval.prepare_point(W, H, R=R, **kw["point"]) if "point" in kw else None,
+                batcheval.prepare_point(W, H, R=R, want=plan.detectors, **kw["point"])
+                if "point" in kw else None,
                 batcheval.prepare_distributed(W, **kw["distributed"])
                 if "distributed" in kw else None)
             yield c, trials, cfg.test_scale * (A @ w_test), prepared
 
 
-def _statistics(prepared, test) -> dict:
-    """Every statistic of the prepared families for test data (B, N, K)."""
+def _statistics(prepared, test, want=None) -> dict:
+    """Statistics of test data (B, N, K); distributed ones only if in ``want``."""
     point, dist = prepared
     stats = {}
     if point is not None:
         stats.update(batcheval.evaluate_point(point, test[:, :, 0]))
     if dist is not None:
-        stats.update(batcheval.evaluate_distributed(dist, test))
+        stats.update(batcheval.evaluate_distributed(dist, test, want))
     return stats
 
 
@@ -192,7 +193,7 @@ def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
     """
     out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
     for c, trials, noise, prepared in _noise_pass(plan, covariances):
-        stats = _statistics(prepared, noise + mean)
+        stats = _statistics(prepared, noise + mean, plan.detectors)
         for name in out[c]:
             out[c][name][trials.start:trials.stop] = stats[name]
     return out
@@ -220,7 +221,7 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
     for _, _, noise, prepared in _noise_pass(plan, (plan.covariance,)):
         for g, mean in enumerate(means):
-            stats = _statistics(prepared, noise + mean)
+            stats = _statistics(prepared, noise + mean, plan.detectors)
             for d, name in enumerate(plan.detectors):
                 counts[g, d] += np.count_nonzero(stats[name] > thresholds[name])
     return counts

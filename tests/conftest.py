@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from adaptivedet import batcheval, montecarlo as mc
+
+# every property test is derandomized and keeps no example database, so it
+# draws the same cases on every run; a test module sets only max_examples
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 
 def crandn(rng, *shape):

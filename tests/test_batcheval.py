@@ -2,15 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from adaptivedet import batcheval, montecarlo as mc, registry, scenario as sc
 from adaptivedet.errors import DefinitenessError, InfeasibleError
 from conftest import crandn, random_hpd
 
-# derandomized and without an example database: the same cases on every run
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 
 def _training(draw, N, square):
@@ -110,6 +109,25 @@ class TestDistributedFamily:
     @given(blocks(square=True))
     def test_rows_equal_oracle_at_square_training(self, case):
         _distributed_rows_equal_oracle(*case)
+
+
+class TestDistributedSubsets:
+    @SETTINGS
+    @given(blocks(), st.sets(st.sampled_from("sHL"), min_size=1), st.data())
+    def test_wanted_names_are_the_full_evaluation(self, case, given_args, data):
+        """``want`` returns exactly its names, each bit-identical to the same
+        key of the full evaluation, whichever banks the preparation holds."""
+        X, S, s, H, L = case
+        args = dict(s=s, H=H, L=L)
+        prep = batcheval.prepare_distributed(
+            batcheval.whitener(S), **{k: args[k] if k in given_args else None for k in args})
+        full = _or_infeasible(batcheval.evaluate_distributed, prep, X)
+        assume(full)
+        want = data.draw(st.sets(st.sampled_from(sorted(full)), min_size=1))
+        part = batcheval.evaluate_distributed(prep, X, want)
+        assert set(part) == want
+        for name in want:
+            assert part[name].tobytes() == full[name].tobytes(), name
 
 
 @st.composite

@@ -277,6 +277,18 @@ class TestDistributedBanks:
         assert cli.main(argv + ["--out", str(out)]) == 0
         assert _read(str(out))
 
+    def test_rank_one_plan_never_enters_the_subspace_banks(self, monkeypatch, tmp_path):
+        """``gkglrt`` and ``gasd`` read no subspace, so the noise pass
+        prepares and evaluates no direction or DOS statistic."""
+        def refuse(*args):
+            raise AssertionError("entered the subspace banks")
+
+        monkeypatch.setattr(batcheval, "_subspace_banks", refuse)
+        out = tmp_path / "x.csv"
+        cli.main(["cfar-check", "--N", "8", "--p", "2", "--K", "4", "--L", "16",
+                  "--detectors", "gkglrt,gasd", "--trials", "1000", "--out", str(out)])
+        assert {row["detector"] for row in _read(str(out))} == {"gkglrt", "gasd"}
+
 
 def _assert_rows_match_analytic(rows):
     """The exact binomial test of every row's ``pd_mc`` count against its

@@ -1,6 +1,7 @@
 """The distributed family through its batched kernel at B = 1, against the
 point kernel, closed forms and ``tests/oracles.py``."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -197,3 +198,58 @@ class TestRecoordinatizationInvariance:
         for name in ("gkglrt", "gamf", "rao_he", "glrdd", "amdd", "glrt_dos", "rao_dos",
                      "wald_dos"):
             assert a[name] == pytest.approx(b[name], rel=1e-9), name
+
+
+def _mp_subspace_oracles(X, S, H):
+    """``glrdd``, ``snrdd`` and ``rao_dos`` of one instance at 40 digits, by
+    the formulas of ``oracles.direction_bank`` and ``oracles.dos_bank``: the
+    generalized eigenpairs of ``(W^H W, I + G0)`` and ``(Ap, Bp)``, reduced
+    by Cholesky factors, and Rao's ``M = S + X X^H`` form.  Every S^-1
+    quadratic form is whitener-free (``Ht^H Xt = H^H S^-1 X``)."""
+    with mp.workdps(40):
+        Xm, Hm = mp.matrix(X.tolist()), mp.matrix(H.tolist())
+        Si = mp.inverse(mp.matrix(S.tolist()))
+        K = X.shape[1]
+        G0 = Xm.H * Si * Xm
+        Bp = Hm.H * Si * Hm
+        HX = Hm.H * Si * Xm
+        M0 = mp.eye(K) + G0
+
+        def top(A, B):
+            """Largest eigenpair of ``A v = lam B v``, ``v`` in B's metric;
+            both are Hermitian only to the working precision."""
+            Ci = mp.inverse(mp.cholesky((B + B.H) / 2))
+            C = Ci * A * Ci.H
+            lam, V = mp.eighe((C + C.H) / 2)
+            return lam[len(lam) - 1], Ci.H * V[:, V.cols - 1]
+
+        glrdd = top(HX.H * mp.inverse(Bp) * HX, M0)[0]
+        theta = top(HX * mp.inverse(M0) * HX.H, Bp)[1]
+        y = HX.H * theta
+        snrdd = (y.H * y)[0].real / (theta.H * Bp * theta)[0].real
+        MiH = mp.inverse(mp.matrix(S.tolist()) + Xm * Xm.H) * Hm
+        Bm = Xm.H * MiH
+        rao_dos = sum((Bm * mp.inverse(Hm.H * MiH) * Bm.H)[k, k] for k in range(K)).real
+        return {"glrdd": glrdd.real, "snrdd": snrdd, "rao_dos": rao_dos}
+
+
+class TestGramFormsAtHighSnr:
+    """The direction and DOS kernels read ``glrdd``, ``snrdd`` and ``rao_dos``
+    off one p x p Gram of the whitened test block, and must match a 40-digit
+    evaluation of the oracle formulas to 1e-10 relative.  The Gram takes no
+    difference of nearly equal terms, so the error stays near 1e-13 at 60 dB
+    (L = N, 20 draws); a form through ``I - M0^-1 W^H W`` loses about 5e-11
+    at 40 dB and 7e-9 at 60 dB."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("snr_db", [0.0, 40.0, 60.0])
+    @pytest.mark.parametrize("L", [8, 16])
+    def test_against_mpmath(self, L, snr_db, seed):
+        N, K, p = 8, 4, 2
+        rng = np.random.default_rng(seed)
+        X, S, _, H = _instance(rng, N, K, L, p)
+        signal = H @ crandn(rng, p, K)
+        X = X + signal * np.sqrt(10.0 ** (snr_db / 10.0) * K) / np.linalg.norm(signal)
+        got = distributed_b1(X, S, H=H)
+        for name, ref in _mp_subspace_oracles(X, S, H).items():
+            assert abs(got[name] - float(ref)) <= 1e-10 * float(ref), name

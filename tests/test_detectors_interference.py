@@ -157,6 +157,8 @@ def signals(draw):
 
 
 class TestMismatchGeometryKernel:
+    # the full text stays: hypothesis seeds a derandomized method from its
+    # source, decorators included, so trimming it would draw other cases
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(signals())
     def test_matches_oracle_and_stacks(self, case):

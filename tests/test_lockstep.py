@@ -25,8 +25,7 @@ INTERFERENCE_LAWS = registry.names(law="interference")
 DISTRIBUTED_LAWS = registry.names(law="distributed")
 ANALYTIC_LAWS = ANY_POINT_LAW + INTERFERENCE_LAWS + DISTRIBUTED_LAWS
 
-# derandomized and without an example database: the same cases on every run
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=100)
 
 RHO = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
 COS2 = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
@@ -119,6 +118,8 @@ class TestLockstepThresholds:
             alone = invert_pfa(lambda e, at: pfa_point(det, *dims, float(e[0])), pfa, rtol)
             assert alone[0] == eta
 
+    # the full text stays: hypothesis seeds a derandomized method from its
+    # source, decorators included, so trimming it would draw other cases
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.permutations(ANALYTIC_LAWS), st.integers(1, len(ANALYTIC_LAWS)),
            st.sampled_from([(8, 1, 2, 16), (10, 2, 3, 20), (8, 2, 0, 12)]), PFA)

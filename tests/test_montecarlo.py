@@ -200,16 +200,18 @@ class TestBankPreparation:
 
 
 class TestClairvoyantPreparation:
-    @pytest.mark.parametrize("detectors, has_map", [
-        (("sglrt", "glrt_he_i"), False), (("sglrt", "smf"), True), (("mf",), True)])
-    def test_map_only_for_clairvoyant_detectors(self, detectors, has_map):
-        """The noise pass builds the clairvoyant map W only for a plan that
-        has a clairvoyant detector."""
+    @pytest.mark.parametrize("detectors, has_W, has_mvdr", [
+        (("sglrt", "glrt_he_i"), False, False), (("sglrt", "smf"), True, False),
+        (("mf",), False, True), (("smf", "kglrt"), True, False)])
+    def test_map_only_for_clairvoyant_detectors(self, detectors, has_W, has_mvdr):
+        """The noise pass builds the clairvoyant map W only for a plan with
+        ``smf`` and the MVDR weight only for one with ``mf``, even when an
+        adaptive detector of the plan reads s."""
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
         (_, _, _, (point, _)), = mc._noise_pass(plan, (plan.covariance,))
-        assert (point.W is not None) == has_map
+        assert (point.W is not None, point.mvdr is not None) == (has_W, has_mvdr)
 
 
 class TestPointBankPreparation:
@@ -246,7 +248,7 @@ class TestPointBankPreparation:
         (("glrt_he_i", "wald_phe_i"), ("T", "QH", "QJ", "QHp", "QB", "E")),
         (("sglrt", "smf"), ("T", "QH", "W")),
         (("smf",), ("W",)),
-        (("mf",), ("W", "mvdr")),
+        (("mf",), ("mvdr",)),
         (("smf", "mf"), ("W", "mvdr")),
     ])
     def test_only_the_read_banks_are_prepared(self, detectors, held):
@@ -264,12 +266,12 @@ class TestPointBankPreparation:
     @pytest.mark.parametrize("detectors, returned", [
         (("smf",), {"smf"}),
         (("smf", "mf"), {"smf", "mf"}),
-        (("mf",), {"smf", "mf"}),
+        (("mf",), {"mf"}),
     ])
     def test_clairvoyant_plan_skips_whitening(self, detectors, returned, monkeypatch):
         """A plan of clairvoyant detectors never inverts the training factor
-        and returns only the clairvoyant statistics; ``smf`` alone builds no
-        MVDR weight, so it returns no ``mf``."""
+        and returns only the clairvoyant statistics it names: each builds
+        only its own map, the MVDR weight for ``mf`` and ``W`` for ``smf``."""
         def refuse(T):
             raise AssertionError("inverted the training factor")
 

@@ -13,8 +13,7 @@ import oracles
 from adaptivedet import batcheval, registry
 from conftest import crandn, random_hpd
 
-# derandomized and without an example database: the same cases on every run
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=100)
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -7,8 +7,7 @@ from adaptivedet.distributions import invert_pfa, pd_cells, resolve_law, thresho
 from adaptivedet.errors import InfeasibleError
 from adaptivedet.roots import find_root
 
-# derandomized and without an example database: the same cases on every run
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=200)
 
 
 def _laws(detectors, N, p, L):
