@@ -207,8 +207,8 @@ def _mp_subspace_oracles(X, S, H):
     by Cholesky factors, and Rao's ``M = S + X X^H`` form.  Every S^-1
     quadratic form is whitener-free (``Ht^H Xt = H^H S^-1 X``)."""
     with mp.workdps(40):
-        Xm, Hm = mp.matrix(X.tolist()), mp.matrix(H.tolist())
-        Si = mp.inverse(mp.matrix(S.tolist()))
+        Xm, Hm, Sm = (mp.matrix(a.tolist()) for a in (X, H, S))
+        Si = mp.inverse(Sm)
         K = X.shape[1]
         G0 = Xm.H * Si * Xm
         Bp = Hm.H * Si * Hm
@@ -227,7 +227,7 @@ def _mp_subspace_oracles(X, S, H):
         theta = top(HX * mp.inverse(M0) * HX.H, Bp)[1]
         y = HX.H * theta
         snrdd = (y.H * y)[0].real / (theta.H * Bp * theta)[0].real
-        MiH = mp.inverse(mp.matrix(S.tolist()) + Xm * Xm.H) * Hm
+        MiH = mp.inverse(Sm + Xm * Xm.H) * Hm
         Bm = Xm.H * MiH
         rao_dos = sum((Bm * mp.inverse(Hm.H * MiH) * Bm.H)[k, k] for k in range(K)).real
         return {"glrdd": glrdd.real, "snrdd": snrdd, "rao_dos": rao_dos}
