@@ -71,10 +71,15 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.where(num > 0, np.inf, 0.0), where=den > 0)
 
 
+def _sqnorm(z):
+    """Squared norms of the columns of the stacked ``z`` (..., N, G) -> (..., G)."""
+    return (np.einsum("...ng,...ng->...g", z.real, z.real)
+            + np.einsum("...ng,...ng->...g", z.imag, z.imag))
+
+
 def _energy(Q, x):
-    """|Q^H x|^2 summed over basis columns; Q (B,N,p), x (B,N) -> (B,)."""
-    proj = np.einsum("bnp,bn->bp", Q.conj(), x)
-    return np.einsum("bp,bp->b", proj.conj(), proj).real
+    """|Q^H x|^2 of each column of ``x``; Q (B, N, p), x (B, N, G) -> (B, G)."""
+    return _sqnorm(_ct(Q) @ x)
 
 
 @dataclass(frozen=True)
@@ -152,30 +157,38 @@ def prepare_point(T, H, J=None, s=None, R=None, want=None) -> PointPrepared:
     return PointPrepared(**prep)
 
 
-def evaluate_point(prep: PointPrepared, x) -> dict:
+def evaluate_point(prep: PointPrepared, x, means=None) -> dict:
     """The statistics of the banks ``prep`` holds for test vectors ``x`` (B, N).
 
+    With ``means`` (N, G), shared by every trial, each trial has the G test
+    vectors ``x + means[:, g]``, and each statistic is (B, G).  The maps are
+    linear, so ``x`` and the means are mapped apart, the whitened means in one
+    (B N, N) x (N, G) product whose rows keep their bits whatever B.
     ``wald_phe_i`` is nan when [H J] fills the space (p + q = N): its
     normalizing orthocomplement is empty there.  A ratio over a zero energy
     is 0 for null data and +inf otherwise (:func:`_ratio`).
     """
     x = np.asarray(x)
+    M = np.asarray(np.zeros((x.shape[-1], 1)) if means is None else means, dtype=np.complex128)
     out = {}
     if prep.T is not None:
-        out.update(_subspace_bank(prep, x))
+        B, N = x.shape
+        xt = prep.T.reshape(B * N, N) @ M
+        # T x added in place along the transposed view: B N long rows, not G short ones
+        np.add(xt.T, np.einsum("bij,bj->bi", prep.T, x).ravel(), out=xt.T)
+        out.update(_subspace_bank(prep, xt.reshape(B, N, M.shape[1])))
     if prep.W is not None:
-        out["smf"] = (np.abs(x @ prep.W.T) ** 2).sum(axis=1)
+        out["smf"] = _sqnorm((x @ prep.W.T)[..., None] + prep.W @ M)
     if prep.mvdr is not None:
-        out["mf"] = np.abs(x @ prep.mvdr) ** 2
-    return out
+        out["mf"] = np.abs((x @ prep.mvdr)[..., None] + prep.mvdr @ M) ** 2
+    return out if means is not None else {name: value[..., 0] for name, value in out.items()}
 
 
-def _subspace_bank(prep, x):
+def _subspace_bank(prep, xt):
     """The subspace bank, with the rank-one and interference banks ``prep``
-    holds, of the test vectors ``x`` whitened by ``prep.T``."""
-    xt = np.einsum("bij,bj->bi", prep.T, x)
+    holds, of the whitened test vectors ``xt`` (B, N, G)."""
     u = _energy(prep.QH, xt)
-    v = np.einsum("bn,bn->b", xt.conj(), xt).real
+    v = _sqnorm(xt)
     denom = 1.0 + v - u
     out = {
         "sglrt": u / denom,
@@ -196,32 +209,30 @@ def _subspace_bank(prep, x):
 
 
 def _point_rank_one_bank(prep, xt, v):
-    u1 = np.abs(np.einsum("bn,bn->b", prep.st.conj(), xt)) ** 2 / prep.ss
+    ss = prep.ss[:, None]
+    u1 = _sqnorm(prep.st.conj()[:, None] @ xt) / ss
     denom1 = 1.0 + v - u1
     return {
         "kglrt": u1 / denom1,
         "amf": u1,
         "dmrao": u1 / ((1.0 + v) * denom1),
         "ace": _ratio(u1, v),
-        "smi": u1 / prep.ss,
+        "smi": u1 / ss,
     }
 
 
 def _interference_bank(prep, xt):
     QJ = prep.QJ
-    xp = xt if QJ is None else xt - np.einsum(
-        "bnq,bq->bn", QJ, np.einsum("bnq,bn->bq", QJ.conj(), xt))
+    xp = xt if QJ is None else xt - QJ @ (_ct(QJ) @ xt)
     ui = _energy(prep.QHp, xp)
-    vi = np.einsum("bn,bn->b", xp.conj(), xp).real
+    vi = _sqnorm(xp)
     denom_i = 1.0 + vi - ui
     a = _energy(prep.QH, xp)
-    y = np.einsum("bin,bn->bi", prep.E, xt)
-    wald_he = np.einsum("bi,bi->b", y.conj(), y).real
+    wald_he = _sqnorm(prep.E @ xt)
     if prep.QB is not None:
         # the residual itself, not v less the energy in [J H], which cancels
         # when the data lies close to that span
-        res = xt - np.einsum("bni,bi->bn", prep.QB, np.einsum("bni,bn->bi", prep.QB.conj(), xt))
-        wald_phe = _ratio(wald_he, np.einsum("bn,bn->b", res.conj(), res).real)
+        wald_phe = _ratio(wald_he, _sqnorm(xt - prep.QB @ (_ct(prep.QB) @ xt)))
     else:
         wald_phe = np.full_like(wald_he, np.nan)
     return {
@@ -253,13 +264,13 @@ def mismatch_geometry(s0, R, H, J):
     They are the interference kernel's energies at S = R: ``rho_eff`` is
     ``ts_glrt_he_i``, the part of the J-orthogonalized signal matched by the
     J-orthogonalized nominal subspace, and ``delta2_i = 1/beta_i - 1`` the
-    remainder.  ``J`` None is q = 0.  R is prepared once, as a batch of one
-    that every signal's evaluation broadcasts against.
+    remainder.  ``J`` None is q = 0.  R is prepared once, as one trial of
+    null data whose stacked means are the signals.
     """
     R = np.asarray(R, dtype=np.complex128)
-    J = np.zeros((R.shape[0], 0)) if J is None else J
-    stats = evaluate_point(prepare_point(whitener(R[None]), H, J), s0)
-    return stats["ts_glrt_he_i"], np.maximum(1.0 / stats["beta_i"] - 1.0, 0.0)
+    J = np.zeros((len(R), 0)) if J is None else J
+    stats = evaluate_point(prepare_point(whitener(R[None]), H, J), np.zeros((1, len(R))), s0.T)
+    return stats["ts_glrt_he_i"][0], np.maximum(1.0 / stats["beta_i"][0] - 1.0, 0.0)
 
 
 def solve_sigma_batch(eigs, target: float):
@@ -336,22 +347,21 @@ def evaluate_distributed(prep: DistributedPrepared, X, want=None) -> dict:
     want = _OUTPUTS if want is None else set(want)
     Xt = prep.T @ np.asarray(X)
     G0 = _ct(Xt) @ Xt
-    M0 = np.eye(Xt.shape[-1]) + G0
     trG0 = np.trace(G0, axis1=-2, axis2=-1).real
     out = {}
     if prep.st is not None:
-        out.update(_rank_one_bank(prep, Xt, G0, M0, trG0, want))
+        out.update(_rank_one_bank(prep, Xt, G0, trG0, want))
     if prep.QH is not None:
-        out.update(_subspace_banks(prep, Xt, M0, trG0, want))
+        out.update(_subspace_banks(prep, Xt, trG0, want))
     return {name: value for name, value in out.items() if name in want}
 
 
-def _rank_one_bank(prep, Xt, G0, M0, trG0, want):
+def _rank_one_bank(prep, Xt, G0, trG0, want):
     B, N, K = Xt.shape
     L, st, ss = prep.L, prep.st, prep.ss
     IK = np.eye(K)
     c = np.einsum("bnk,bn->bk", Xt.conj(), st)
-    Mc = np.linalg.solve(M0, c[..., None])
+    Mc = np.linalg.solve(IK + G0, c[..., None])
     num = np.einsum("bk,bk->b", c.conj(), Mc[..., 0]).real
     gamf_num = np.einsum("bk,bk->b", c.conj(), c).real
     out = {
@@ -395,28 +405,28 @@ def _rank_one_bank(prep, Xt, G0, M0, trG0, want):
     return out
 
 
-def _subspace_banks(prep, Xt, M0, trG0, want):
+def _subspace_banks(prep, Xt, trG0, want):
     """The direction detectors and the double-subspace trio from ``W = QH^H
     Xt`` (B, p, K) and the residual ``U = Xt - QH W``: with ``Y = (I + U^H
     U)^-1 W^H`` and the p x p Gram ``Q = W Y``, ``Ht = QH RH`` turns ``(Ap,
     Bp)`` into ``RH^H (Q (I + Q)^-1, I) RH``.  So Q's top eigenpair ``(mu,
     phi)`` gives ``glrdd = mu / (1 + mu)``, ``theta_max = RH^-1 phi`` and
-    ``snrdd = |W^H phi|^2``; by Woodbury ``rao_dos = tr(Y (I + Q)^-1 Y^H)``.
-    No term cancels near span(Ht), as ``M0 - W^H W`` in ``glrt_dos`` does.
+    ``snrdd = |W^H phi|^2``; by Woodbury ``rao_dos = tr(Y (I + Q)^-1 Y^H)``,
+    and as ``M0 - W^H W = I + U^H U``, ``glrt_dos = det(I + Q) = prod(1 + mu)``.
+    No term cancels near span(Ht), as ``M0 - W^H W`` itself would.
     """
     W = _ct(prep.QH) @ Xt
     out = {"wald_dos": np.einsum("bpk,bpk->b", W.conj(), W).real}
     if not want.isdisjoint(("amdd", "gadd")):
         out["amdd"] = np.linalg.eigvalsh(W @ _ct(W)).real[:, -1]
         out["gadd"] = _ratio(out["amdd"], trG0)
-    if "glrt_dos" in want:
-        out["glrt_dos"] = np.linalg.det(M0).real / np.linalg.det(M0 - _ct(W) @ W).real
-    if want.isdisjoint(("glrdd", "snrdd", "theta_max", "rao_dos")):
+    if want.isdisjoint(("glrdd", "snrdd", "theta_max", "rao_dos", "glrt_dos")):
         return out
     U = Xt - prep.QH @ W
     Y = np.linalg.solve(np.eye(Xt.shape[-1]) + _ct(U) @ U, _ct(W))  # (B, K, p)
     mu, Phi = np.linalg.eigh(W @ Y)
-    out.update(glrdd=mu[:, -1] / (1.0 + mu[:, -1]), snrdd=_energy(W, Phi[..., -1]))
+    out.update(glrdd=mu[:, -1] / (1.0 + mu[:, -1]), snrdd=_energy(W, Phi[..., -1:])[:, 0],
+               glrt_dos=np.prod(1.0 + mu, axis=-1))
     if "theta_max" in want:
         theta = np.linalg.solve(prep.RH, Phi[..., -1:])[..., 0]
         out["theta_max"] = theta / np.linalg.norm(theta, axis=-1, keepdims=True)

@@ -19,12 +19,15 @@ and results are a pure function of the plan.  Aggregation is count-based.
 
 Every trial of a plan uses the same white noise whatever its test mean or
 covariance, so one draw per batch serves every grid point, detector and
-covariance: T is inverted once per batch, and covariance R, with Cholesky
-factor A, colours the draw.  The whitener of its sample covariance
-``S = A T T^H A^H`` is ``T^-1 A^-1``, exactly the inverse Cholesky factor of
-S, so no sample covariance is formed or factored (:func:`sweep_trials`).
-Only the test-data half of the statistics runs per mean
-(:func:`exceedance_counts`).
+covariance.  The detectors read the data only whitened, so a pass runs in
+the white coordinates of each covariance R = A A^H (A its Cholesky factor):
+``S = A T T^H A^H`` becomes ``T T^H``, the test noise stays white, and only
+the geometry (H, J, s) and the test means are multiplied by ``A^-1``.  T is
+inverted once per batch, and ``T^-1``, the inverse Cholesky factor of ``T
+T^H``, whitens for every covariance; no sample covariance is formed or
+factored (:func:`sweep_trials`).  Only the test-data half of the statistics
+runs per mean, the point family's for ``GRID_CHUNK`` means in one stacked
+call (:func:`exceedance_counts`).
 """
 
 import logging
@@ -41,6 +44,9 @@ DEFAULT_BATCH = 4096
 # trials per Philox stream: a fixed constant of the stream contract, like the
 # identity suite's IDENTITY_BLOCK, so that no option moves a trial's draws
 BLOCK = 64
+# test means per stacked point evaluation: fixed, so that the chunks (and the bits of
+# their whitened product) depend on the grid alone, and memory not on it at all
+GRID_CHUNK = 16
 log = logging.getLogger(__name__)
 
 
@@ -118,19 +124,21 @@ def _lower_inverse(T):
     return X
 
 
-def _noise_pass(plan: TrialPlan, covariances):
-    """Yield ``(c, trials, noise, prepared)`` per batch of the plan and per
-    covariance ``covariances[c]``, one covariance's state alive at a time.
+def _noise_pass(plan: TrialPlan, covariances, means=0.0):
+    """Yield ``(c, trials, noise, prepared, white)`` per batch of the plan and
+    per covariance ``covariances[c]``, one covariance's state alive at a time.
 
-    Each batch is drawn once, and every covariance colours that same white
-    draw with its own Cholesky factor (common random numbers), so its trials
-    are bit-identical to a pass over it alone.  ``noise`` is the batch's
-    coloured, scaled test noise (B, N, K) and ``prepared`` the point and
-    distributed family state (None where the plan has no detector of that
-    family) that :func:`_statistics` needs.  Only the banks the plan's
-    detectors read (registry column ``reads``) are prepared, each clairvoyant
-    map only for a plan with its detector, from each covariance's own R, and
-    the whitener only for a plan with an adaptive one.
+    Each batch is drawn once and every covariance reads that same draw (common
+    random numbers), so its trials are bit-identical to a pass over it alone.
+    The pass runs in the white coordinates of each R = A A^H, so ``noise`` is
+    the batch's scaled white test noise (B, N, K) under every covariance,
+    ``white`` is ``A^-1 means`` (G, N, K; one (N, K) mean or 0 is G = 1), and
+    ``prepared`` the point and distributed family state (None for a family the
+    plan lacks) that :func:`_statistics` needs: ``T^-1`` whitens the geometry
+    ``A^-1 (H, J, s)``, and the clairvoyant maps take R = I.  Only the banks
+    the plan's detectors read (registry column ``reads``) are prepared, each
+    clairvoyant map only for a plan with its detector, and ``T^-1`` only for a
+    plan with an adaptive one.
     """
     cfg = plan.scenario
     rows = [registry.DETECTORS[name] for name in plan.detectors]
@@ -140,19 +148,20 @@ def _noise_pass(plan: TrialPlan, covariances):
     if "point" in reads and cfg.K != 1:
         raise ValueError("point-target detectors need K = 1")
 
-    clairvoyant = any(row.clairvoyant for row in rows)
+    R = np.eye(cfg.N) if any(row.clairvoyant for row in rows) else None
     adaptive = not all(row.clairvoyant for row in rows)
+    means = np.broadcast_to(means, (1, cfg.N, cfg.K)) if np.ndim(means) < 3 else means
+    H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
     colours = []
     for cov in covariances:
-        R = scenario.build_covariance(cov, cfg.N)
-        A = np.linalg.cholesky(R)
-        colours.append((A, np.linalg.inv(A) if adaptive else None, R if clairvoyant else None))
-    H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
-    given = dict(s=H[:, 0], H=H, J=J, L=cfg.L)
-    # each family's prepare_* gets the arguments its rows read, None for the rest
-    kw = {family: {arg: given[arg] if arg in reads[family] else None for arg in args}
-          for family, args in (("point", ("J", "s")), ("distributed", ("s", "H", "L")))
-          if family in reads}
+        A_inv = batcheval.whitener(scenario.build_covariance(cov, cfg.N))
+        Hw = A_inv @ H
+        given = dict(s=Hw[:, 0], H=Hw, J=A_inv @ J, L=cfg.L)
+        # each family's prepare_* gets the arguments its rows read, None for the rest
+        kw = {family: {arg: given[arg] if arg in reads[family] else None for arg in args}
+              for family, args in (("point", ("J", "s")), ("distributed", ("s", "H", "L")))
+              if family in reads}
+        colours.append((Hw, kw, A_inv @ means))
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
     for first in range(0, n_blocks, per_batch):
@@ -161,24 +170,25 @@ def _noise_pass(plan: TrialPlan, covariances):
         draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
         T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
         T_inv = _lower_inverse(T) if adaptive else None
-        for c, (A, A_inv, R) in enumerate(colours):
-            W = T_inv @ A_inv if adaptive else None
+        for c, (Hw, kw, white) in enumerate(colours):
             prepared = (
-                batcheval.prepare_point(W, H, R=R, want=plan.detectors, **kw["point"])
+                batcheval.prepare_point(T_inv, Hw, R=R, want=plan.detectors, **kw["point"])
                 if "point" in kw else None,
-                batcheval.prepare_distributed(W, **kw["distributed"])
+                batcheval.prepare_distributed(T_inv, **kw["distributed"])
                 if "distributed" in kw else None)
-            yield c, trials, cfg.test_scale * (A @ w_test), prepared
+            yield c, trials, cfg.test_scale * w_test, prepared, white
 
 
-def _statistics(prepared, test, want=None) -> dict:
-    """Statistics of test data (B, N, K); distributed ones only if in ``want``."""
+def _statistics(prepared, noise, means, want=None) -> dict:
+    """Statistics (B, G) of the test data ``noise + means[g]``, noise (B, N,
+    K) and means (G, N, K); distributed ones only if in ``want``."""
     point, dist = prepared
     stats = {}
     if point is not None:
-        stats.update(batcheval.evaluate_point(point, test[:, :, 0]))
+        stats.update(batcheval.evaluate_point(point, noise[:, :, 0], means[:, :, 0].T))
     if dist is not None:
-        stats.update(batcheval.evaluate_distributed(dist, test, want))
+        per_mean = [batcheval.evaluate_distributed(dist, noise + mean, want) for mean in means]
+        stats.update({k: np.stack([s[k] for s in per_mean], axis=-1) for k in per_mean[0]})
     return stats
 
 
@@ -192,10 +202,10 @@ def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
     ``run_trials(replace(plan, covariance=covariances[c]), mean)``.
     """
     out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
-    for c, trials, noise, prepared in _noise_pass(plan, covariances):
-        stats = _statistics(prepared, noise + mean, plan.detectors)
+    for c, trials, noise, prepared, white in _noise_pass(plan, covariances, mean):
+        stats = _statistics(prepared, noise, white, plan.detectors)
         for name in out[c]:
-            out[c][name][trials.start:trials.stop] = stats[name]
+            out[c][name][trials.start:trials.stop] = stats[name][:, 0]
     return out
 
 
@@ -215,15 +225,20 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
 
     Entry ``[g, d]`` counts the trials where detector ``plan.detectors[d]``
     exceeds ``thresholds[plan.detectors[d]]`` at test mean ``means[g]``; it
-    equals the count over ``run_trials(plan, means[g])``.  Memory stays one
-    batch plus the (G, D) counts, whatever the grid size.
+    equals the count over ``run_trials(plan, means[g])`` but for statistics
+    within rounding of the threshold, as a chunk's whitened means round
+    apart from one mean's.  The means are evaluated ``GRID_CHUNK`` at a time,
+    in chunks fixed by the grid alone, so the counts ignore the batch size,
+    and memory stays one batch of a chunk plus the (G, D) counts.
     """
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
-    for _, _, noise, prepared in _noise_pass(plan, (plan.covariance,)):
-        for g, mean in enumerate(means):
-            stats = _statistics(prepared, noise + mean, plan.detectors)
+    for _, _, noise, prepared, white in _noise_pass(plan, (plan.covariance,),
+                                                    np.asarray(means)):
+        for first in range(0, len(means), GRID_CHUNK):
+            chunk = slice(first, first + GRID_CHUNK)
+            stats = _statistics(prepared, noise, white[chunk], plan.detectors)
             for d, name in enumerate(plan.detectors):
-                counts[g, d] += np.count_nonzero(stats[name] > thresholds[name])
+                counts[chunk, d] += np.count_nonzero(stats[name] > thresholds[name], axis=0)
     return counts
 
 

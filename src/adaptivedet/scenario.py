@@ -249,10 +249,10 @@ def assemble_noise(normals, gammas, test, N: int, K: int):
     B = normals.shape[0]
     m = N * (N - 1) // 2
     rows, cols = np.tril_indices(N, -1)
-    half = normals / np.sqrt(2.0)
-    T = np.zeros((B, N * N), dtype=np.complex128)  # row-major, flat-indexed
-    T[:, rows * N + cols] = half[:, :m] + 1j * half[:, m:]
-    T[:, ::N + 1] = np.sqrt(gammas)
+    # (real, imaginary) pairs, row-major and flat-indexed, viewed as complex
+    T = np.zeros((B, N * N, 2))
+    T[:, rows * N + cols] = (normals / np.sqrt(2.0)).reshape(B, 2, m).transpose(0, 2, 1)
+    T[:, ::N + 1, 0] = np.sqrt(gammas)
     ns = N * K
-    half = test / np.sqrt(2.0)
-    return T.reshape(B, N, N), (half[:, :ns] + 1j * half[:, ns:]).reshape(B, N, K)
+    w = (test / np.sqrt(2.0)).reshape(B, 2, ns).transpose(0, 2, 1).copy()
+    return T.view(np.complex128).reshape(B, N, N), w.view(np.complex128).reshape(B, N, K)

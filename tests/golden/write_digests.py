@@ -38,9 +38,11 @@ finally:
 
 def _argvs():
     """Name -> CLI argv without ``--seed``/``--out``: the benchmark's four
-    workloads, one of them at a small batch size, a cfar-check of every
-    distributed detector, a point mismatch grid run both ways and a Monte
-    Carlo mesa of more grid points than one stacked evaluation takes."""
+    workloads, a cfar-check of every distributed detector, each of these two
+    Monte Carlo runs also at another batch size, a point mismatch grid run
+    both ways, a Monte Carlo mesa of more grid points than one stacked
+    evaluation takes, an analytic mesa of the interference laws on the
+    default 861-cell grid, and validate-dist at small n."""
     argvs = {name: list(w.command) for name, w in sorted(workloads.WORKLOADS.items())}
     argvs["mc_point_grid_batch64"] = argvs["mc_point_grid"] + ["--batch-size", "64"]
     argvs["cfar_check_distributed"] = [
@@ -48,6 +50,8 @@ def _argvs():
         "--detectors", ",".join(registry.names(family="distributed")),
         "--covariances", "identity,ar1:0.9,ar1w:0.99:30", "--pfa", "1e-2",
         "--trials", "3000"]
+    argvs["cfar_check_distributed_batch577"] = argvs["cfar_check_distributed"] + [
+        "--batch-size", "577"]
     argvs["pd_vs_mismatch_both"] = [
         "pd-vs-mismatch", "--mode", "both", "--N", "8", "--p", "2", "--q", "2",
         "--L", "16", "--pfa", "1e-2", "--snr", "12", "--cos2phi", "0,0.25,0.5,0.75,1",
@@ -58,6 +62,10 @@ def _argvs():
         "--covariance", "ar1w:0.9:20", "--snr", "0,4,8,12,16,20,24",
         "--cos2phi", "0,0.2,0.4,0.6,0.8,1", "--detectors", "sglrt,kglrt,smf,mf",
         "--trials", "1000"]
+    argvs["mesa_interference"] = [
+        "mesa", "--mode", "analytic", "--N", "12", "--p", "2", "--q", "2", "--L", "24",
+        "--detectors", "glrt_he_i,ts_glrt_he_i,glrt_phe_i"]
+    argvs["validate_dist"] = ["validate-dist", "--trials", "500"]
     return argvs
 
 
@@ -73,8 +81,9 @@ def _blas_core():
         for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
                        "openblas_get_corename64_", "openblas_get_corename"):
             if hasattr(lib, symbol):
-                getattr(lib, symbol).restype = ctypes.c_char_p
-                return getattr(lib, symbol)().decode()
+                corename = getattr(lib, symbol)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
     return "unknown"
 
 

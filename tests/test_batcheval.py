@@ -151,36 +151,42 @@ def bartlett_draws(draw):
 
 
 class TestWhitenerFromFactor:
-    """The engine whitens by ``T^-1 A^-1`` without forming S; every statistic
-    equals the one the kernels give on ``S = (A T)(A T)^H`` itself."""
+    """The engine never forms S: every statistic equals the one the kernels
+    give on ``S = (A T)(A T)^H`` itself, whitened either by ``T^-1 A^-1`` or,
+    in the white coordinates of ``R = A A^H``, by ``T^-1`` alone on ``A^-1``
+    times the geometry and the data, with the clairvoyant maps at R = I."""
 
     @SETTINGS
     @given(bartlett_draws())
     def test_equals_the_sample_covariance_path(self, case):
         A, T, X, H, J, L = case
-        W = mc._lower_inverse(T) @ np.linalg.inv(A)
+        T_inv, A_inv = mc._lower_inverse(T), np.linalg.inv(A)
         F = A @ T
         S = F @ F.conj().transpose(0, 2, 1)
-        s = H[:, 0]
-        # a draw whose PHE noise-power root does not exist fails on both paths
-        pairs = [(_or_infeasible(batcheval.evaluate_distributed,
-                                 batcheval.prepare_distributed(W, s, H, L), X),
-                  _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L))]
-        if pairs[0][0] is None or pairs[0][1] is None:
-            assert pairs[0] == (None, None)
-            pairs = []
-        if X.shape[-1] == 1:
-            pairs.append((batcheval.evaluate_point(batcheval.prepare_point(W, H, J, s), X[..., 0]),
-                          batcheval.point_family_stats(X[..., 0], S, H, J, s)))
-        for ours, ref in pairs:
-            assert set(ours) == set(ref)
-            for name in set(ours) - {"theta_max"}:
-                np.testing.assert_allclose(ours[name], ref[name], rtol=1e-10, atol=0,
-                                           err_msg=name)
-            if "theta_max" in ours:  # a unit direction, up to phase
-                overlap = np.abs(np.einsum("bp,bp->b", ours["theta_max"].conj(),
-                                           ref["theta_max"]))
-                np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
+        R, s = A @ A.conj().T, H[:, 0]
+        forms = {"coloured": (T_inv @ A_inv, X, H, J, s, R),
+                 "white": (T_inv, A_inv @ X, A_inv @ H, A_inv @ J, A_inv @ s, np.eye(len(A)))}
+        for form, (W, Xw, Hw, Jw, sw, Rw) in forms.items():
+            # a draw whose PHE noise-power root does not exist fails on both paths
+            pairs = [(_or_infeasible(batcheval.evaluate_distributed,
+                                     batcheval.prepare_distributed(W, sw, Hw, L), Xw),
+                      _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L))]
+            if pairs[0][0] is None or pairs[0][1] is None:
+                assert pairs[0] == (None, None)
+                pairs = []
+            if X.shape[-1] == 1:
+                pairs.append((batcheval.evaluate_point(
+                                  batcheval.prepare_point(W, Hw, Jw, sw, Rw), Xw[..., 0]),
+                              batcheval.point_family_stats(X[..., 0], S, H, J, s, R)))
+            for ours, ref in pairs:
+                assert set(ours) == set(ref)
+                for name in set(ours) - {"theta_max"}:
+                    np.testing.assert_allclose(ours[name], ref[name], rtol=1e-10, atol=0,
+                                               err_msg=f"{form} {name}")
+                if "theta_max" in ours:  # a unit direction, up to phase
+                    overlap = np.abs(np.einsum("bp,bp->b", ours["theta_max"].conj(),
+                                               ref["theta_max"]))
+                    np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
 
 
 def _unitary(rng, n):

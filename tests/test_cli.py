@@ -407,14 +407,10 @@ class TestIdentitySuite:
 
         monkeypatch.setattr(batcheval, "point_family_stats", recording)
         cli.identity_suite(n, 0)
-        per_class = {}
-        for N, p, B in blocks:
-            per_class[N, p] = per_class.get((N, p), 0) + B
+        # one stacked call per size class, holding every instance of the class
         sizes = cli.IDENTITY_SIZES
-        assert per_class == {size: len(range(c, n, len(sizes)))
-                             for c, size in enumerate(sizes)}
+        assert blocks == [(N, p, len(range(c, n, len(sizes)))) for c, (N, p) in enumerate(sizes)]
         assert sum(B for _, _, B in blocks) == n
-        assert max(B for _, _, B in blocks) <= 32
 
     def test_csv_ignores_batch_size(self, tmp_path):
         blobs = []

@@ -201,11 +201,12 @@ class TestRecoordinatizationInvariance:
 
 
 def _mp_subspace_oracles(X, S, H):
-    """``glrdd``, ``snrdd`` and ``rao_dos`` of one instance at 40 digits, by
-    the formulas of ``oracles.direction_bank`` and ``oracles.dos_bank``: the
-    generalized eigenpairs of ``(W^H W, I + G0)`` and ``(Ap, Bp)``, reduced
-    by Cholesky factors, and Rao's ``M = S + X X^H`` form.  Every S^-1
-    quadratic form is whitener-free (``Ht^H Xt = H^H S^-1 X``)."""
+    """``glrdd``, ``snrdd``, ``glrt_dos`` and ``rao_dos`` of one instance at
+    40 digits, by the formulas of ``oracles.direction_bank`` and
+    ``oracles.dos_bank``: the generalized eigenpairs of ``(W^H W, I + G0)``
+    and ``(Ap, Bp)``, reduced by Cholesky factors, the determinant ratio
+    ``det M0 / det(M0 - W^H W)`` and Rao's ``M = S + X X^H`` form.  Every
+    S^-1 quadratic form is whitener-free (``Ht^H Xt = H^H S^-1 X``)."""
     with mp.workdps(40):
         Xm, Hm, Sm = (mp.matrix(a.tolist()) for a in (X, H, S))
         Si = mp.inverse(Sm)
@@ -230,16 +231,18 @@ def _mp_subspace_oracles(X, S, H):
         MiH = mp.inverse(Sm + Xm * Xm.H) * Hm
         Bm = Xm.H * MiH
         rao_dos = sum((Bm * mp.inverse(Hm.H * MiH) * Bm.H)[k, k] for k in range(K)).real
-        return {"glrdd": glrdd.real, "snrdd": snrdd, "rao_dos": rao_dos}
+        glrt_dos = (mp.det(M0) / mp.det(M0 - HX.H * mp.inverse(Bp) * HX)).real
+        return {"glrdd": glrdd.real, "snrdd": snrdd, "glrt_dos": glrt_dos, "rao_dos": rao_dos}
 
 
 class TestGramFormsAtHighSnr:
-    """The direction and DOS kernels read ``glrdd``, ``snrdd`` and ``rao_dos``
-    off one p x p Gram of the whitened test block, and must match a 40-digit
-    evaluation of the oracle formulas to 1e-10 relative.  The Gram takes no
-    difference of nearly equal terms, so the error stays near 1e-13 at 60 dB
-    (L = N, 20 draws); a form through ``I - M0^-1 W^H W`` loses about 5e-11
-    at 40 dB and 7e-9 at 60 dB."""
+    """The direction and DOS kernels read ``glrdd``, ``snrdd``, ``glrt_dos``
+    and ``rao_dos`` off one p x p Gram of the whitened test block, and must
+    match a 40-digit evaluation of the oracle formulas to 1e-10 relative.
+    The Gram takes no difference of nearly equal terms, so the error stays
+    near 1e-13 at 60 dB (L = N, 20 draws); a form through ``I - M0^-1 W^H W``
+    loses about 5e-11 at 40 dB and 7e-9 at 60 dB, and so does ``glrt_dos``
+    as ``det M0 / det(M0 - W^H W)``."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("snr_db", [0.0, 40.0, 60.0])

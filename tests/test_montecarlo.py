@@ -157,6 +157,42 @@ class TestExceedanceCounts:
         assert stream_draws == [(0, b) for b in range(5)]  # 300 trials, 5 blocks
 
 
+class TestStackedGrid:
+    """``exceedance_counts`` evaluates a grid's point means together, in
+    chunks of ``GRID_CHUNK`` fixed by the grid alone."""
+
+    def test_grid_csv_ignores_batch_size(self, tmp_path):
+        blobs = []
+        for size in (64, 577, 4096):
+            out = tmp_path / f"b{size}.csv"
+            assert cli.main(["pd-vs-snr", "--mode", "montecarlo", "--N", "8", "--p", "2",
+                             "--q", "2", "--L", "16", "--pfa", "1e-2",
+                             "--snr", ",".join(str(s) for s in range(0, 25, 2)),
+                             "--detectors", "sglrt,kglrt,glrt_he_i,smf,mf", "--trials", "1200",
+                             "--seed", "5", "--batch-size", str(size), "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0].count(b"\n") == 1 + 13 * 5
+        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+    def test_large_grid_stays_within_the_chunk_bound(self, tmp_path, monkeypatch):
+        """The 861 means of the default mesa grid pass ``evaluate_point`` at
+        most ``GRID_CHUNK`` at a time, each once per batch."""
+        real = batcheval.evaluate_point
+        widths = []
+
+        def recording(prep, x, means=None):
+            widths.append(np.shape(means)[1])
+            return real(prep, x, means)
+
+        monkeypatch.setattr(batcheval, "evaluate_point", recording)
+        assert cli.main(["mesa", "--mode", "montecarlo", "--N", "6", "--p", "2", "--L", "12",
+                         "--pfa", "1e-2", "--detectors", "sglrt,smf", "--trials", "100",
+                         "--batch-size", "64", "--out", str(tmp_path / "mesa.csv")]) == 0
+        chunks = [min(mc.GRID_CHUNK, 861 - first) for first in range(0, 861, mc.GRID_CHUNK)]
+        assert widths == chunks * 2  # 100 trials: two batches of whole 64-trial blocks
+        assert max(widths) <= mc.GRID_CHUNK
+
+
 class TestBankPreparation:
     """The noise pass prepares only the distributed banks the plan reads."""
 
@@ -210,7 +246,7 @@ class TestClairvoyantPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, _, (point, _)), = mc._noise_pass(plan, (plan.covariance,))
+        (_, _, _, (point, _), _), = mc._noise_pass(plan, (plan.covariance,))
         assert (point.W is not None, point.mvdr is not None) == (has_W, has_mvdr)
 
 
@@ -258,7 +294,7 @@ class TestPointBankPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, _, (point, dist)), = mc._noise_pass(plan, (plan.covariance,))
+        (_, _, _, (point, dist), _), = mc._noise_pass(plan, (plan.covariance,))
         fields = ("T", "QH", "st", "ss", "QJ", "QHp", "QB", "E", "W", "mvdr")
         assert {f for f in fields if getattr(point, f) is not None} == set(held)
         assert dist is None
@@ -279,8 +315,8 @@ class TestPointBankPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=100, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, noise, prepared), = mc._noise_pass(plan, (plan.covariance,))
-        assert set(mc._statistics(prepared, noise)) == returned
+        (_, _, noise, prepared, white), = mc._noise_pass(plan, (plan.covariance,))
+        assert set(mc._statistics(prepared, noise, white)) == returned
 
 
 class TestFullSpaceGeometry:
