@@ -232,8 +232,7 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     and memory stays one batch of a chunk plus the (G, D) counts.
     """
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
-    for _, _, noise, prepared, white in _noise_pass(plan, (plan.covariance,),
-                                                    np.asarray(means)):
+    for _, _, noise, prepared, white in _noise_pass(plan, (plan.covariance,), means):
         for first in range(0, len(means), GRID_CHUNK):
             chunk = slice(first, first + GRID_CHUNK)
             stats = _statistics(prepared, noise, white[chunk], plan.detectors)
