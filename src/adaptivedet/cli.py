@@ -332,7 +332,7 @@ def run_cfar_check(args):
     plan = mc.TrialPlan(n_trials=args.trials, master_seed=args.seed, scenario=cfg,
                         covariance=covariances[0], detectors=detectors,
                         batch_size=args.batch_size)
-    # one pass: every covariance colours the same trial streams (common random
+    # one pass: every covariance reads the same trial streams (common random
     # numbers), so a CFAR detector's rates co-move and the comparison is sharp
     stats = mc.sweep_trials(plan, covariances)
     n = args.trials

@@ -152,7 +152,7 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
     adaptive = not all(row.clairvoyant for row in rows)
     means = np.broadcast_to(means, (1, cfg.N, cfg.K)) if np.ndim(means) < 3 else means
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
-    colours = []
+    frames = []
     for cov in covariances:
         A_inv = batcheval.whitener(scenario.build_covariance(cov, cfg.N))
         Hw = A_inv @ H
@@ -161,7 +161,7 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         kw = {family: {arg: given[arg] if arg in reads[family] else None for arg in args}
               for family, args in (("point", ("J", "s")), ("distributed", ("s", "H", "L")))
               if family in reads}
-        colours.append((Hw, kw, A_inv @ means))
+        frames.append((Hw, kw, A_inv @ means))
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
     for first in range(0, n_blocks, per_batch):
@@ -170,7 +170,7 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
         T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
         T_inv = _lower_inverse(T) if adaptive else None
-        for c, (Hw, kw, white) in enumerate(colours):
+        for c, (Hw, kw, white) in enumerate(frames):
             prepared = (
                 batcheval.prepare_point(T_inv, Hw, R=R, want=plan.detectors, **kw["point"])
                 if "point" in kw else None,

@@ -252,7 +252,7 @@ class TestValidationCommands:
         assert all(blob == blobs[0] for blob in blobs)
 
     def test_cfar_check_draws_each_stream_once(self, tmp_path, stream_draws):
-        """All three covariances colour one draw of each (key, block) stream:
+        """All three covariances read one draw of each (key, block) stream:
         500 trials are 8 blocks of 64."""
         cli.main(["cfar-check", "--detectors", "kglrt,asd,smi", "--trials", "500",
                   "--N", "6", "--p", "1", "--L", "12", "--seed", "4", "--batch-size", "97",
