@@ -401,7 +401,8 @@ def identity_suite(n_instances: int, seed: int):
         L = 2 * N
         q = 1 if p + 1 < N else 0
         count = len(range(c, n_instances, len(IDENTITY_SIZES)))
-        H, J, x, S = (np.empty((count, *shape), complex) for shape in ((N, p), (N, q), (N,), (N, N)))
+        H, J, x, S = (np.empty((count, *shape), complex)
+                      for shape in ((N, p), (N, q), (N,), (N, N)))
         for start in range(0, count, IDENTITY_BLOCK):
             B, rows = min(IDENTITY_BLOCK, count - start), slice(start, start + IDENTITY_BLOCK)
             H[rows], J[rows], x[rows], train = (sc.complex_normal(rng, (B, *shape))

@@ -150,7 +150,8 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
 
     R = np.eye(cfg.N) if any(row.clairvoyant for row in rows) else None
     adaptive = not all(row.clairvoyant for row in rows)
-    means = np.broadcast_to(means, (1, cfg.N, cfg.K)) if np.ndim(means) < 3 else means
+    means = (np.reshape(means, (-1, cfg.N, cfg.K)) if np.ndim(means)
+             else np.full((1, cfg.N, cfg.K), means))
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
     frames = []
     for cov in covariances:
@@ -233,8 +234,7 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     """
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
     for _, _, noise, prepared, white in _noise_pass(plan, (plan.covariance,), means):
-        for first in range(0, len(means), GRID_CHUNK):
-            chunk = slice(first, first + GRID_CHUNK)
+        for chunk in (slice(g, g + GRID_CHUNK) for g in range(0, len(means), GRID_CHUNK)):
             stats = _statistics(prepared, noise, white[chunk], plan.detectors)
             for d, name in enumerate(plan.detectors):
                 counts[chunk, d] += np.count_nonzero(stats[name] > thresholds[name], axis=0)

@@ -192,6 +192,12 @@ class TestStackedGrid:
         assert widths == chunks * 2  # 100 trials: two batches of whole 64-trial blocks
         assert max(widths) <= mc.GRID_CHUNK
 
+    def test_empty_grid_counts_nothing(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        assert cli.main(["pd-vs-snr", "--mode", "montecarlo", "--snr", "", "--trials", "100",
+                         "--pfa", "1e-2", "--detectors", "sglrt,smf", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 1
+
 
 class TestBankPreparation:
     """The noise pass prepares only the distributed banks the plan reads."""
