@@ -53,9 +53,9 @@ IDENTITIES = (
     ("ts_glrt_he_i=glrt_he_i/beta_i", "ts_glrt_he_i", lambda f: f["glrt_he_i"] / f["beta_i"]),
 )
 IDENTITY_SIZES = ((4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3), (12, 1), (12, 2), (12, 3))
-# instance i has size class i % 9; a class draws its instances in blocks of this many,
-# fixed so that the draws ignore --batch-size, and evaluates them in one stacked call
-IDENTITY_BLOCK = 32
+# instance i has size class i % 9; a class draws and evaluates its instances in
+# chunks of this many, fixed so that the draws ignore --batch-size and memory --trials
+IDENTITY_CHUNK = 256
 # flipping the top bit of the 128-bit Philox key gives calibration its own streams
 CALIBRATION_KEY_BIT = 1 << 127
 # each grid command's SNR (dB) and cos^2(phi) lists for a flag left unset
@@ -393,26 +393,35 @@ def run_validate_dist(args):
     return rows, any(row["p_value"] <= 0.01 for row in rows)
 
 
+def identity_instances(rng, B: int, N: int, p: int):
+    """``B`` random instances of size class (N, p) drawn from ``rng``: H (B, N, p)
+    and J (B, N, q) complex normal, the Bartlett factor T (B, N, N) of a white
+    sample covariance of 2N snapshots (``T T^H ~ CW(2N, I)``) and test vectors x
+    (B, N), in the trial engine's layout (:func:`scenario.assemble_noise`)."""
+    q = 1 if p + 1 < N else 0
+    H, J = (sc.complex_normal(rng, (B, N, k)) for k in (p, q))
+    draws = (rng.standard_normal((B, N * (N - 1))),
+             rng.standard_gamma(2 * N - np.arange(N, dtype=float), size=(B, N)),
+             rng.standard_normal((B, 2 * N)))
+    T, x = sc.assemble_noise(*draws, N, 1)
+    return T, H, J, x[:, :, 0]
+
+
 def identity_suite(n_instances: int, seed: int):
-    """Max relative error of each exact statistic identity over random draws."""
+    """Max relative error of each exact statistic identity over random draws:
+    each size class's instances (:func:`identity_instances`) in chunks of
+    ``IDENTITY_CHUNK``, whitened by the inverse of their drawn Cholesky factor."""
     rng = np.random.default_rng(seed)
     errs = dict.fromkeys((name for name, _, _ in IDENTITIES), 0.0)
     for c, (N, p) in enumerate(IDENTITY_SIZES):
-        L = 2 * N
-        q = 1 if p + 1 < N else 0
         count = len(range(c, n_instances, len(IDENTITY_SIZES)))
-        H, J, x, S = (np.empty((count, *shape), complex)
-                      for shape in ((N, p), (N, q), (N,), (N, N)))
-        for start in range(0, count, IDENTITY_BLOCK):
-            B, rows = min(IDENTITY_BLOCK, count - start), slice(start, start + IDENTITY_BLOCK)
-            H[rows], J[rows], x[rows], train = (sc.complex_normal(rng, (B, *shape))
-                                                for shape in ((N, p), (N, q), (N,), (N, L)))
-            S[rows] = train @ train.conj().transpose(0, 2, 1)
-        f = batcheval.point_family_stats(x, S, H, J)
-        for name, lhs, rhs in IDENTITIES:
-            a, b = f[lhs], rhs(f)
-            rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-            errs[name] = max(errs[name], float(rel.max(initial=0.0)))
+        for start in range(0, count, IDENTITY_CHUNK):
+            T, H, J, x = identity_instances(rng, min(IDENTITY_CHUNK, count - start), N, p)
+            f = batcheval.evaluate_point(batcheval.prepare_point(mc._lower_inverse(T), H, J), x)
+            for name, lhs, rhs in IDENTITIES:
+                a, b = f[lhs], rhs(f)
+                rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+                errs[name] = max(errs[name], float(rel.max(initial=0.0)))
     return errs
 
 

@@ -42,7 +42,7 @@ from .scenario import CovarianceModel, ScenarioConfig
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_BATCH = 4096
 # trials per Philox stream: a fixed constant of the stream contract, like the
-# identity suite's IDENTITY_BLOCK, so that no option moves a trial's draws
+# identity suite's IDENTITY_CHUNK, so that no option moves a trial's draws
 BLOCK = 64
 # test means per stacked point evaluation: fixed, so that the chunks (and the bits of
 # their whitened product) depend on the grid alone, and memory not on it at all

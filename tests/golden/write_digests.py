@@ -42,7 +42,8 @@ def _argvs():
     Monte Carlo runs also at another batch size, a point mismatch grid run
     both ways, a Monte Carlo mesa of more grid points than one stacked
     evaluation takes, an analytic mesa of the interference laws on the
-    default 861-cell grid, and validate-dist at small n."""
+    default 861-cell grid, validate-dist at small n, and identities at more
+    instances than one evaluation of a size class takes."""
     argvs = {name: list(w.command) for name, w in sorted(workloads.WORKLOADS.items())}
     argvs["mc_point_grid_batch64"] = argvs["mc_point_grid"] + ["--batch-size", "64"]
     argvs["cfar_check_distributed"] = [
@@ -66,6 +67,7 @@ def _argvs():
         "mesa", "--mode", "analytic", "--N", "12", "--p", "2", "--q", "2", "--L", "24",
         "--detectors", "glrt_he_i,ts_glrt_he_i,glrt_phe_i"]
     argvs["validate_dist"] = ["validate-dist", "--trials", "500"]
+    argvs["identities_chunked"] = ["identities", "--trials", "5000"]
     return argvs
 
 

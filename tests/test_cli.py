@@ -377,40 +377,71 @@ class TestSubcommandFlags:
 
 class TestIdentitySuite:
     def test_one_perturbed_instance_fails_its_row(self, tmp_path, monkeypatch):
-        real = batcheval.point_family_stats
+        real = batcheval.evaluate_point
         calls = []
 
-        def perturbed(x, S, H, J=None, s=None, R=None):
-            out = real(x, S, H, J, s, R)
+        def perturbed(prep, x, means=None):
+            out = real(prep, x, means)
             if not calls:
                 out["samf"] = out["samf"].copy()
                 out["samf"][0] *= 1 + 1e-8
             calls.append(1)
             return out
 
-        monkeypatch.setattr(batcheval, "point_family_stats", perturbed)
+        monkeypatch.setattr(batcheval, "evaluate_point", perturbed)
         out = tmp_path / "ids.csv"
         assert cli.main(["identities", "--trials", "1000", "--out", str(out)]) == 1
         rows = _read(str(out))
         assert [r["identity"] for r in rows] == [name for name, _, _ in cli.IDENTITIES]
         assert {r["identity"] for r in rows if r["status"] == "fail"} == {"samf=sglrt/beta"}
 
-    @pytest.mark.parametrize("n", [1000, 1008, 2000])
-    def test_blocks_cover_every_size_class(self, n, monkeypatch):
-        real = batcheval.point_family_stats
-        blocks = []
+    @staticmethod
+    def _record(monkeypatch):
+        """Lists of the chunks the suite draws, (T, H, J, x) each, and of the
+        (test vectors, statistics) of each evaluation, filled as it runs."""
+        drawn, evaluated = [], []
+        draw, evaluate = cli.identity_instances, batcheval.evaluate_point
 
-        def recording(x, S, H, J=None, s=None, R=None):
-            B, N, p = H.shape
-            blocks.append((N, p, B))
-            return real(x, S, H, J, s, R)
+        def drawing(rng, B, N, p):
+            drawn.append(draw(rng, B, N, p))
+            return drawn[-1]
 
-        monkeypatch.setattr(batcheval, "point_family_stats", recording)
+        def evaluating(prep, x, means=None):
+            evaluated.append((x, evaluate(prep, x, means)))
+            return evaluated[-1][1]
+
+        monkeypatch.setattr(cli, "identity_instances", drawing)
+        monkeypatch.setattr(batcheval, "evaluate_point", evaluating)
+        return drawn, evaluated
+
+    @pytest.mark.parametrize("n", [1000, 2000, 5000])
+    def test_chunks_cover_every_size_class(self, n, monkeypatch):
+        drawn, evaluated = self._record(monkeypatch)
         cli.identity_suite(n, 0)
-        # one stacked call per size class, holding every instance of the class
-        sizes = cli.IDENTITY_SIZES
-        assert blocks == [(N, p, len(range(c, n, len(sizes)))) for c, (N, p) in enumerate(sizes)]
-        assert sum(B for _, _, B in blocks) == n
+        # each class in turn, its instances in order, at most IDENTITY_CHUNK a call
+        sizes, chunk = cli.IDENTITY_SIZES, cli.IDENTITY_CHUNK
+        counts = [len(range(c, n, len(sizes))) for c in range(len(sizes))]
+        expected = [(N, p, min(chunk, count - start)) for (N, p), count in zip(sizes, counts)
+                    for start in range(0, count, chunk)]
+        assert [(H.shape[1], H.shape[2], len(H)) for _, H, _, _ in drawn] == expected
+        assert max(B for _, _, B in expected) <= chunk
+        assert sum(B for _, _, B in expected) == n
+        # every drawn chunk is evaluated once, in draw order
+        assert len(evaluated) == len(drawn)
+        assert all(x_eval is x for (x_eval, _), (_, _, _, x) in zip(evaluated, drawn))
+
+    def test_stacked_statistics_match_the_per_instance_forms(self, monkeypatch):
+        drawn, evaluated = self._record(monkeypatch)
+        cli.identity_suite(1000, 3)
+        assert {H.shape[1:] for _, H, _, _ in drawn} == set(cli.IDENTITY_SIZES)
+        for (T, H, J, x), (_, stats) in zip(drawn, evaluated):
+            for b in (0, 1, len(x) - 1):
+                S = T[b] @ T[b].conj().T
+                want = {**oracles.subspace_bank(x[b], S, H[b]),
+                        **oracles.interference_bank(x[b], S, H[b], J[b])}
+                assert set(stats) == set(want)
+                for name, value in want.items():
+                    np.testing.assert_allclose(stats[name][b], value, rtol=1e-10, err_msg=name)
 
     def test_csv_ignores_batch_size(self, tmp_path):
         blobs = []
