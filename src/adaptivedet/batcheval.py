@@ -3,15 +3,17 @@
 This is the one implementation of every statistic: the Monte Carlo engine,
 the identity suite and the analytic mismatch geometry (:func:`mismatch_geometry`,
 the interference kernel at S = R) call it on batches of trials, with the point
-geometry shared or stacked per trial.  Each family splits into ``prepare_*``
-(everything that depends only on the training SCM and the geometry) and
-``evaluate_*`` (the test-data part), so one prepared batch serves any number
-of test means; both hold only the banks whose inputs ``prepare_*`` is given
-(registry column ``reads``), and a ``want`` of names narrows them further.
-``prepare_*`` takes the whitener of the sample covariance, not the
+geometry shared or stacked per trial.  Every statistic of both families is a
+function of the same whitened quantities (the whitened steering vector or
+subspace basis and the whitened test data), so one :func:`prepare` computes
+everything that depends only on the training SCM and the geometry, and
+``evaluate_point``/``evaluate_distributed`` the test-data part: one prepared
+batch serves both families and any number of test means.  It holds only the
+banks whose inputs it is given, and a ``want`` of names narrows them to the
+banks those names read (registry column ``reads``).  :func:`prepare` takes the whitener of the sample covariance, not the
 covariance: the Monte Carlo engine has it from the drawn Cholesky factor
 without forming S, and a caller that holds S gets it from :func:`whitener`,
-which raises :class:`~adaptivedet.errors.DefinitenessError`.  ``prepare_*``
+which raises :class:`~adaptivedet.errors.DefinitenessError`.  :func:`prepare`
 checks the rest of its input from the factors it computes anyway: the QR of
 a whitened subspace raises :class:`~adaptivedet.errors.RankError`
 (:func:`~adaptivedet.linalg.full_rank_qr`), and an all-zero steering vector
@@ -83,23 +85,26 @@ def _energy(Q, x):
 
 
 @dataclass(frozen=True)
-class PointPrepared:
-    """Point-family state that depends only on the training SCM and geometry.
+class Prepared:
+    """The state of both families that depends only on the training SCM and
+    the geometry.
 
-    ``T`` whitens (``T S T^H = I``) and ``QH`` is an orthonormal basis of the
-    whitened H, both None for a plan of clairvoyant statistics only;
-    ``st``/``ss`` are the whitened steering vector and its energy.
-    ``QJ``/``QHp``/``QB`` are bases of J, of H with J projected out, and of
-    [J H] (whitened), with ``QJ`` None at q = 0 and ``QB`` None when [J H]
-    fills the space (p + q = N); ``E`` maps a whitened vector to the
-    coordinates, in the [J H] basis, of its oblique projection onto H along J.
-    The clairvoyant maps are ``W``, the R-whitened basis of H as p rows, for
-    ``smf``, and ``mvdr``, the MVDR weight ``(R^-1 s / s^H R^-1 s)^H``, for
-    ``mf``.  The parts of a bank left out are None.
+    ``T`` whitens (``T S T^H = I``), None for a plan of clairvoyant
+    statistics only; ``Ht = T H = QH RH`` is the reduced QR of the whitened
+    subspace and ``st``/``ss`` are the whitened steering vector and its
+    energy.  ``QJ``/``QHp``/``QB`` are bases of J, of H with J projected
+    out, and of [J H] (whitened), with ``QJ`` None at q = 0 and ``QB`` None
+    when [J H] fills the space (p + q = N); ``E`` maps a whitened vector to
+    the coordinates, in the [J H] basis, of its oblique projection onto H
+    along J.  The clairvoyant maps are ``W``, the R-whitened basis of H as p
+    rows, for ``smf``, and ``mvdr``, the MVDR weight ``(R^-1 s / s^H R^-1
+    s)^H``, for ``mf``.  ``L`` is the training count of the distributed
+    PHE half.  The parts of a bank left out are None.
     """
 
     T: np.ndarray = None
     QH: np.ndarray = None
+    RH: np.ndarray = None
     st: np.ndarray = None
     ss: np.ndarray = None
     QJ: np.ndarray = None
@@ -108,21 +113,25 @@ class PointPrepared:
     E: np.ndarray = None
     W: np.ndarray = None
     mvdr: np.ndarray = None
+    L: int = None
 
 
-def prepare_point(T, H, J=None, s=None, R=None, want=None) -> PointPrepared:
-    """The test-independent half of :func:`point_family_stats`.
+def prepare(T, H, J=None, s=None, R=None, L=None, want=None) -> Prepared:
+    """The test-independent half of both families' statistics.
 
     ``T`` (B, N, N) whitens the sample covariance (``T S T^H = I``, see
     :func:`whitener`); ``H`` (N, p) or (B, N, p), ``J`` (N, q) or (B, N, q)
-    and ``s`` (N,) or (B, N) are shared or stacked per trial.  ``s`` None
-    leaves out the rank-one bank and ``mf``, ``J`` None the interference bank
-    (an (N, 0) ``J`` keeps it at q = 0).  The true covariance ``R`` needs
-    shared geometry: the clairvoyant pair is ``smf`` and ``mf`` whitened by R
-    instead of S, the maps ``W`` and (with ``s``) ``mvdr`` of the test vector,
-    each built only if ``want`` (names; None for all) has its statistic.
-    ``T`` None leaves out every adaptive bank, for a plan whose point
-    statistics are all clairvoyant.
+    and ``s`` (N,) or (B, N) are shared or stacked per trial.  ``want``
+    (detector names) keeps only the banks its adaptive names read (registry
+    column ``reads``) and the clairvoyant maps it names; None keeps every
+    bank whose inputs are given.  ``H`` gives the QR of ``Ht = T H``, which
+    every adaptive point statistic and the direction and DOS banks read;
+    ``s`` the rank-one banks, ``J`` the interference bank (an (N, 0) ``J``
+    keeps it at q = 0) and ``L`` the distributed PHE half.  The true
+    covariance ``R`` needs shared geometry: the clairvoyant pair is ``smf``
+    and ``mf`` whitened by R instead of S, the maps ``W`` and (with ``s``)
+    ``mvdr`` of the test vector.  ``T`` None leaves out every adaptive
+    bank, for a plan whose statistics are all clairvoyant.
 
     One QR ``[Jt Ht] = Q R`` gives ``QJ`` (its first q columns), ``QHp``
     (its last p) and ``QB`` (all of Q).  With ``R22`` the trailing p x p
@@ -131,15 +140,20 @@ def prepare_point(T, H, J=None, s=None, R=None, want=None) -> PointPrepared:
     cond(R22) = cond(Hp), not with the square of it.  Both QRs check that
     their whitened matrix has full column rank (:func:`full_rank_qr`).
     """
-    H = np.asarray(H, dtype=np.complex128)
-    prep = {}
-    if T is not None:
+    rows = registry.DETECTORS.values() if want is None else [registry.lookup(n) for n in want]
+    named = {row.name for row in rows}
+    given = dict(H=H, J=J, s=s, L=L)
+    reads = {arg for row in rows if not row.clairvoyant for arg in row.reads
+             if given[arg] is not None}
+    prep = dict(T=T, L=L if "L" in reads else None)
+    if T is not None and "s" in reads:
+        prep["st"], prep["ss"] = _steering(T, s)
+    if T is not None and "H" in reads:
+        H = np.asarray(H, dtype=np.complex128)
         Ht = T @ H
         QH, RH = full_rank_qr(Ht)
-        prep.update(T=T, QH=QH)
-        if s is not None:
-            prep["st"], prep["ss"] = _steering(T, s)
-        if J is not None:
+        prep.update(QH=QH, RH=RH)
+        if "J" in reads:
             J = np.asarray(J, dtype=np.complex128)
             q = J.shape[-1]
             Q, Rb = full_rank_qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
@@ -147,17 +161,17 @@ def prepare_point(T, H, J=None, s=None, R=None, want=None) -> PointPrepared:
             prep.update(QJ=Q[..., :q] if q else None, QHp=QHp,
                         QB=Q if H.shape[-1] + q < T.shape[-1] else None,
                         E=Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp)))
-    if R is not None:
+    if R is not None and not named.isdisjoint(("smf", "mf")):
         TR = whitener(np.asarray(R, dtype=np.complex128))
-        if want is None or "smf" in want:
+        if "smf" in named:
             prep["W"] = _ct(np.linalg.qr(TR @ H)[0]) @ TR
-        if s is not None and (want is None or "mf" in want):
+        if s is not None and "mf" in named:
             sR = TR @ s
             prep["mvdr"] = (sR.conj() / np.real(sR.conj() @ sR)) @ TR
-    return PointPrepared(**prep)
+    return Prepared(**prep)
 
 
-def evaluate_point(prep: PointPrepared, x, means=None) -> dict:
+def evaluate_point(prep: Prepared, x, means=None) -> dict:
     """The statistics of the banks ``prep`` holds for test vectors ``x`` (B, N).
 
     With ``means`` (N, G), shared by every trial, each trial has the G test
@@ -171,7 +185,7 @@ def evaluate_point(prep: PointPrepared, x, means=None) -> dict:
     x = np.asarray(x)
     M = np.asarray(np.zeros((x.shape[-1], 1)) if means is None else means, dtype=np.complex128)
     out = {}
-    if prep.T is not None:
+    if prep.QH is not None:
         B, N = x.shape
         xt = prep.T.reshape(B * N, N) @ M
         # T x added in place along the transposed view: B N long rows, not G short ones
@@ -252,9 +266,9 @@ def point_family_stats(x, S, H, J=None, s=None, R=None):
     """All point-family statistics for stacked trials.
 
     ``x`` is (B, N), ``S`` is (B, N, N); the geometry (H, J, s) is shared
-    or stacked per trial as in :func:`prepare_point`.
+    or stacked per trial as in :func:`prepare`.
     """
-    return evaluate_point(prepare_point(whitener(S), H, J, s, R), x)
+    return evaluate_point(prepare(whitener(S), H, J, s, R), x)
 
 
 def mismatch_geometry(s0, R, H, J):
@@ -269,7 +283,7 @@ def mismatch_geometry(s0, R, H, J):
     """
     R = np.asarray(R, dtype=np.complex128)
     J = np.zeros((len(R), 0)) if J is None else J
-    stats = evaluate_point(prepare_point(whitener(R[None]), H, J), np.zeros((1, len(R))), s0.T)
+    stats = evaluate_point(prepare(whitener(R[None]), H, J), np.zeros((1, len(R))), s0.T)
     return stats["ts_glrt_he_i"][0], np.maximum(1.0 / stats["beta_i"][0] - 1.0, 0.0)
 
 
@@ -305,39 +319,7 @@ def solve_sigma_batch(eigs, target: float):
     return find_root(f, lo, hi)[0]
 
 
-@dataclass(frozen=True)
-class DistributedPrepared:
-    """Distributed-family state that depends only on the training SCM and
-    geometry: the whitener, the whitened steering vector of the rank-one bank,
-    and the reduced QR ``Ht = QH RH`` of the whitened subspace of the
-    direction and DOS banks.  The parts of a bank left out are None."""
-
-    L: int
-    T: np.ndarray
-    st: np.ndarray
-    ss: np.ndarray
-    QH: np.ndarray
-    RH: np.ndarray
-
-
-def prepare_distributed(T, s, H, L) -> DistributedPrepared:
-    """The test-independent half of :func:`distributed_family_stats`.
-
-    ``T`` (B, N, N) whitens the sample covariance (:func:`whitener`); ``s``
-    (N,) or (B, N) and ``H`` (N, p) or (B, N, p) are shared or stacked per
-    trial.  ``s`` None leaves out the rank-one bank, ``L`` None its partially
-    homogeneous half, and ``H`` None the direction and DOS banks (the QR of
-    ``Ht = T H``).  The input checks are those of :func:`prepare_point`.
-    """
-    st = ss = QH = RH = None
-    if s is not None:
-        st, ss = _steering(T, s)
-    if H is not None:
-        QH, RH = full_rank_qr(T @ np.asarray(H, dtype=np.complex128))
-    return DistributedPrepared(L=L, T=T, st=st, ss=ss, QH=QH, RH=RH)
-
-
-def evaluate_distributed(prep: DistributedPrepared, X, want=None) -> dict:
+def evaluate_distributed(prep: Prepared, X, want=None) -> dict:
     """The distributed-family statistics of the stacked test blocks ``X``
     (B, N, K) for the banks ``prep`` holds, with the PHE noise-power MLEs
     ``sigma0_hat``/``sigma1_hat`` and the unit-norm maximizing direction
@@ -442,6 +424,6 @@ def distributed_family_stats(X, S, s, H, L: int):
     ``X`` is (B, N, K), ``S`` is (B, N, N); ``s`` (rank-one steering) and
     ``H`` (direction/DOS subspace) are shared or stacked per trial, the
     training count ``L`` is shared, and each may be None to leave out the
-    banks that need it (see :func:`prepare_distributed`).
+    banks that need it (see :func:`prepare`).
     """
-    return evaluate_distributed(prepare_distributed(whitener(S), s, H, L), X)
+    return evaluate_distributed(prepare(whitener(S), H, s=s, L=L), X)

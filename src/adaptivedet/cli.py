@@ -417,7 +417,7 @@ def identity_suite(n_instances: int, seed: int):
         count = len(range(c, n_instances, len(IDENTITY_SIZES)))
         for start in range(0, count, IDENTITY_CHUNK):
             T, H, J, x = identity_instances(rng, min(IDENTITY_CHUNK, count - start), N, p)
-            f = batcheval.evaluate_point(batcheval.prepare_point(mc._lower_inverse(T), H, J), x)
+            f = batcheval.evaluate_point(batcheval.prepare(mc._lower_inverse(T), H, J), x)
             for name, lhs, rhs in IDENTITIES:
                 a, b = f[lhs], rhs(f)
                 rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)

@@ -12,24 +12,26 @@ from .errors import DefinitenessError, RankError
 
 # Reciprocal condition numbers below this are treated as rank deficiency.
 RCOND_LIMIT = 1e-12
+# Relative departures from Hermitian symmetry above this are rejected.
+HERMITIAN_RTOL = 1e-12
 
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def hermitian_pd_eigh(S, rtol: float = 1e-12):
+def hermitian_pd_eigh(S):
     """Eigendecomposition ``(w, V)`` of a Hermitian positive definite ``S``.
 
     ``S`` is symmetrized to ``(S + S^H)/2`` first so the eigensolver sees an
     exactly Hermitian matrix.  Raises :class:`DefinitenessError` if ``S``
-    deviates from Hermitian symmetry by more than ``rtol`` (relative) or has
-    a non-positive eigenvalue.
+    deviates from Hermitian symmetry by more than ``HERMITIAN_RTOL``
+    (relative) or has a non-positive eigenvalue.
     """
     S = _as_complex(S)
     scale = np.linalg.norm(S, axis=(-2, -1), keepdims=True)
     asym = np.linalg.norm(S - np.conj(np.swapaxes(S, -2, -1)), axis=(-2, -1), keepdims=True)
-    if np.any(asym > rtol * np.maximum(scale, np.finfo(float).tiny)):
+    if np.any(asym > HERMITIAN_RTOL * np.maximum(scale, np.finfo(float).tiny)):
         raise DefinitenessError("matrix is not Hermitian to the required tolerance")
     w, V = np.linalg.eigh(0.5 * (S + np.conj(np.swapaxes(S, -2, -1))))
     if np.any(w[..., 0] <= 0):

@@ -98,6 +98,8 @@ class TrialPlan:
         short = [d for d in self.detectors if registry.DETECTORS[d].orthocomplement]
         if short and cfg.p + cfg.q >= cfg.N:
             raise GeometryError(f"{short[0]} needs p + q < N: [H J] leaves no orthocomplement")
+        if cfg.K != 1 and any(registry.DETECTORS[d].family == "point" for d in self.detectors):
+            raise ValueError("point-target detectors need K = 1")
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
@@ -133,36 +135,22 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
     The pass runs in the white coordinates of each R = A A^H, so ``noise`` is
     the batch's scaled white test noise (B, N, K) under every covariance,
     ``white`` is ``A^-1 means`` (G, N, K; one (N, K) mean or 0 is G = 1), and
-    ``prepared`` the point and distributed family state (None for a family the
-    plan lacks) that :func:`_statistics` needs: ``T^-1`` whitens the geometry
-    ``A^-1 (H, J, s)``, and the clairvoyant maps take R = I.  Only the banks
-    the plan's detectors read (registry column ``reads``) are prepared, each
-    clairvoyant map only for a plan with its detector, and ``T^-1`` only for a
-    plan with an adaptive one.
+    ``prepared`` the :func:`~adaptivedet.batcheval.prepare` state of both
+    families: ``T^-1`` whitens the geometry ``A^-1 (H, J, s)``, and the
+    clairvoyant maps take R = I.  ``prepare`` is given the whole geometry and
+    the plan's detectors, and builds only the banks they read; ``T^-1`` is
+    formed only for a plan with an adaptive detector.
     """
     cfg = plan.scenario
-    rows = [registry.DETECTORS[name] for name in plan.detectors]
-    reads = {}  # family -> the prepare_* arguments its rows read
-    for row in rows:
-        reads.setdefault(row.family, set()).update(row.reads)
-    if "point" in reads and cfg.K != 1:
-        raise ValueError("point-target detectors need K = 1")
-
-    R = np.eye(cfg.N) if any(row.clairvoyant for row in rows) else None
-    adaptive = not all(row.clairvoyant for row in rows)
+    adaptive = not all(registry.DETECTORS[name].clairvoyant for name in plan.detectors)
     means = (np.reshape(means, (-1, cfg.N, cfg.K)) if np.ndim(means)
              else np.full((1, cfg.N, cfg.K), means))
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
+    R = np.eye(cfg.N)
     frames = []
     for cov in covariances:
-        A_inv = batcheval.whitener(scenario.build_covariance(cov, cfg.N))
-        Hw = A_inv @ H
-        given = dict(s=Hw[:, 0], H=Hw, J=A_inv @ J, L=cfg.L)
-        # each family's prepare_* gets the arguments its rows read, None for the rest
-        kw = {family: {arg: given[arg] if arg in reads[family] else None for arg in args}
-              for family, args in (("point", ("J", "s")), ("distributed", ("s", "H", "L")))
-              if family in reads}
-        frames.append((Hw, kw, A_inv @ means))
+        A_inv = batcheval.whitener(cov.build(cfg.N))
+        frames.append((A_inv @ H, A_inv @ J, A_inv @ means))
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
     for first in range(0, n_blocks, per_batch):
@@ -171,24 +159,22 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
         T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
         T_inv = _lower_inverse(T) if adaptive else None
-        for c, (Hw, kw, white) in enumerate(frames):
-            prepared = (
-                batcheval.prepare_point(T_inv, Hw, R=R, want=plan.detectors, **kw["point"])
-                if "point" in kw else None,
-                batcheval.prepare_distributed(T_inv, **kw["distributed"])
-                if "distributed" in kw else None)
+        for c, (Hw, Jw, white) in enumerate(frames):
+            prepared = batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
             yield c, trials, cfg.test_scale * w_test, prepared, white
 
 
-def _statistics(prepared, noise, means, want=None) -> dict:
+def _statistics(prepared, noise, means, want) -> dict:
     """Statistics (B, G) of the test data ``noise + means[g]``, noise (B, N,
-    K) and means (G, N, K); distributed ones only if in ``want``."""
-    point, dist = prepared
+    K) and means (G, N, K): each family of the names in ``want`` is evaluated
+    on ``prepared``, the point one for every bank it holds, the distributed
+    one for the names in ``want`` only."""
+    families = {registry.DETECTORS[name].family for name in want}
     stats = {}
-    if point is not None:
-        stats.update(batcheval.evaluate_point(point, noise[:, :, 0], means[:, :, 0].T))
-    if dist is not None:
-        per_mean = [batcheval.evaluate_distributed(dist, noise + mean, want) for mean in means]
+    if "point" in families:
+        stats.update(batcheval.evaluate_point(prepared, noise[:, :, 0], means[:, :, 0].T))
+    if "distributed" in families:
+        per_mean = [batcheval.evaluate_distributed(prepared, noise + mean, want) for mean in means]
         stats.update({k: np.stack([s[k] for s in per_mean], axis=-1) for k in per_mean[0]})
     return stats
 

@@ -67,12 +67,15 @@ class Detector:
     ones need p + q < N to normalize by the complement of [H J].  ``cfar`` and
     ``scale_invariant`` (unchanged when the test data is scaled) are
     properties of the statistic; ``default`` marks the CLI's default bank.
-    ``reads`` names the optional arguments of the family's ``prepare_*`` in
-    :mod:`adaptivedet.batcheval` the statistic needs.  Point: ``s`` for the
-    rank-one bank and ``mf``, ``J`` for the interference bank, none for the
-    subspace bank (``clairvoyant`` ones also need ``R``).  Distributed:
-    ``s`` for the rank-one bank, ``L`` for its partially homogeneous half,
-    ``H`` for the direction and double-subspace banks.
+    ``reads`` names the geometry arguments of
+    :func:`adaptivedet.batcheval.prepare` the statistic needs, and an
+    adaptive row's ``reads`` alone decide what ``prepare`` builds for it:
+    ``H`` for the QR of the whitened subspace, which every adaptive point
+    statistic and the direction and double-subspace banks read; ``s`` for
+    the rank-one banks; ``J`` for the interference bank; ``L`` for the
+    distributed rank-one bank's partially homogeneous half.  A
+    ``clairvoyant`` one also needs ``R``, and ``prepare`` builds its map by
+    name: ``smf`` reads ``H``, ``mf`` reads ``s``.
     """
 
     name: str
@@ -98,20 +101,22 @@ class Detector:
         return _THRESHOLD_MAPS[self.canonical][1](eta)
 
 
-def _point(name, law="point", **kw):
+_RANK_ONE, _PHE, _SUBSPACE = ("s",), ("s", "L"), ("H",)
+# the point rank-one bank runs inside the subspace bank's pass
+_POINT_RANK_ONE = ("H", "s")
+
+
+def _point(name, law="point", reads=_SUBSPACE, **kw):
     canonical = kw.pop("canonical", name if name in _THRESHOLD_MAPS else None)
-    return Detector(name, "point", law=law, canonical=canonical, **kw)
+    return Detector(name, "point", law=law, canonical=canonical, reads=reads, **kw)
 
 
 def _interference(name, law=None, **kw):
-    return _point(name, law, reads=("J",), **kw)
+    return _point(name, law, reads=("H", "J"), **kw)
 
 
 def _dist(name, reads, **kw):
     return Detector(name, "distributed", reads=reads, **kw)
-
-
-_RANK_ONE, _PHE, _SUBSPACE = ("s",), ("s", "L"), ("H",)
 
 
 # table order is the order of the default bank and of the README table
@@ -127,11 +132,11 @@ DETECTORS = {d.name: d for d in (
     _point("aed", loss_factor=False, default=True),
     _point("beta", law=None),
     # rank-one bank: the p = 1 twins of the subspace bank, and the SMI
-    _point("kglrt", canonical="sglrt", rank_one=True, reads=_RANK_ONE),
-    _point("amf", canonical="samf", rank_one=True, reads=_RANK_ONE),
-    _point("dmrao", canonical="srao", rank_one=True, reads=_RANK_ONE),
-    _point("ace", canonical="asd", rank_one=True, reads=_RANK_ONE, scale_invariant=True),
-    _point("smi", law=None, cfar=False, reads=_RANK_ONE),
+    _point("kglrt", canonical="sglrt", rank_one=True, reads=_POINT_RANK_ONE),
+    _point("amf", canonical="samf", rank_one=True, reads=_POINT_RANK_ONE),
+    _point("dmrao", canonical="srao", rank_one=True, reads=_POINT_RANK_ONE),
+    _point("ace", canonical="asd", rank_one=True, reads=_POINT_RANK_ONE, scale_invariant=True),
+    _point("smi", law=None, cfar=False, reads=_POINT_RANK_ONE),
     # clairvoyant (known-covariance) references
     _point("smf", loss_factor=False, clairvoyant=True, default=True),
     _point("mf", law=None, clairvoyant=True, reads=_RANK_ONE),

@@ -89,21 +89,17 @@ class CovarianceModel:
         return f"ar1w:{self.rho:g}:{self.cnr_db:g}"
 
     def build(self, N: int) -> np.ndarray:
-        return build_covariance(self, N)
-
-
-def build_covariance(model: CovarianceModel, N: int) -> np.ndarray:
-    """Hermitian positive definite covariance matrix of the model family."""
-    if N < 1:
-        raise ValueError("dimension must be at least 1")
-    if model.kind == "identity":
-        return np.eye(N, dtype=np.complex128)
-    idx = np.arange(N)
-    ar1 = model.rho ** np.abs(idx[:, None] - idx[None, :])
-    if model.kind == "ar1":
-        return ar1.astype(np.complex128)
-    cnr = db_to_power(model.cnr_db)
-    return (cnr * ar1 + np.eye(N)).astype(np.complex128)
+        """The model's N x N Hermitian positive definite covariance matrix."""
+        if N < 1:
+            raise ValueError("dimension must be at least 1")
+        if self.kind == "identity":
+            return np.eye(N, dtype=np.complex128)
+        idx = np.arange(N)
+        ar1 = self.rho ** np.abs(idx[:, None] - idx[None, :])
+        if self.kind == "ar1":
+            return ar1.astype(np.complex128)
+        cnr = db_to_power(self.cnr_db)
+        return (cnr * ar1 + np.eye(N)).astype(np.complex128)
 
 
 @dataclass(frozen=True)

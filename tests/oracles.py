@@ -392,7 +392,7 @@ def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None
     """
     if hypothesis not in ("h0", "h1"):
         raise ValueError("hypothesis must be 'h0' or 'h1'")
-    A = np.linalg.cholesky(sc.build_covariance(model, config.N))
+    A = np.linalg.cholesky(model.build(config.N))
     T, w_test = draw_trial(seed, trial, config.N, config.L, config.K)
     test = config.test_scale * (A @ w_test)
     if hypothesis == "h1":

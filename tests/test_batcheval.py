@@ -59,7 +59,7 @@ def _or_infeasible(f, *args):
 def _point_rows_equal_oracle(x, S, H, J):
     N, p, q = H.shape[1], H.shape[2], J.shape[2]
     batched = batcheval.evaluate_point(
-        batcheval.prepare_point(batcheval.whitener(S), H, J, H[..., 0]), x)
+        batcheval.prepare(batcheval.whitener(S), H, J, H[..., 0]), x)
     for b in range(x.shape[0]):
         ref = oracles.point_family(x[b], S[b], H[b], J[b])
         for name, value in ref.items():
@@ -119,7 +119,7 @@ class TestDistributedSubsets:
         key of the full evaluation, whichever banks the preparation holds."""
         X, S, s, H, L = case
         args = dict(s=s, H=H, L=L)
-        prep = batcheval.prepare_distributed(
+        prep = batcheval.prepare(
             batcheval.whitener(S), **{k: args[k] if k in given_args else None for k in args})
         full = _or_infeasible(batcheval.evaluate_distributed, prep, X)
         assume(full)
@@ -169,14 +169,14 @@ class TestWhitenerFromFactor:
         for form, (W, Xw, Hw, Jw, sw, Rw) in forms.items():
             # a draw whose PHE noise-power root does not exist fails on both paths
             pairs = [(_or_infeasible(batcheval.evaluate_distributed,
-                                     batcheval.prepare_distributed(W, sw, Hw, L), Xw),
+                                     batcheval.prepare(W, Hw, s=sw, L=L), Xw),
                       _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L))]
             if pairs[0][0] is None or pairs[0][1] is None:
                 assert pairs[0] == (None, None)
                 pairs = []
             if X.shape[-1] == 1:
                 pairs.append((batcheval.evaluate_point(
-                                  batcheval.prepare_point(W, Hw, Jw, sw, Rw), Xw[..., 0]),
+                                  batcheval.prepare(W, Hw, Jw, sw, Rw), Xw[..., 0]),
                               batcheval.point_family_stats(X[..., 0], S, H, J, s, R)))
             for ours, ref in pairs:
                 assert set(ours) == set(ref)
@@ -302,6 +302,6 @@ class TestInvariances:
         H = crandn(rng, N, 2)
         with pytest.raises(DefinitenessError):
             if family == "point":
-                batcheval.prepare_point(batcheval.whitener(S), H)
+                batcheval.prepare(batcheval.whitener(S), H)
             else:
-                batcheval.prepare_distributed(batcheval.whitener(S), H[:, 0], H, 2 * N)
+                batcheval.prepare(batcheval.whitener(S), H, s=H[:, 0], L=2 * N)

@@ -91,8 +91,8 @@ class TestInputChecks:
     @staticmethod
     def _prepare(family, S, H, J, s):
         if family == "point":
-            return batcheval.prepare_point(batcheval.whitener(S), H, J, s)
-        return batcheval.prepare_distributed(batcheval.whitener(S), s, H, 10)
+            return batcheval.prepare(batcheval.whitener(S), H, J, s)
+        return batcheval.prepare(batcheval.whitener(S), H, s=s, L=10)
 
     @staticmethod
     def _spoil(A, stacked, row):
@@ -203,7 +203,7 @@ class TestClairvoyantBank:
 
     def test_white_noise_mvdr(self, rng):
         s = crandn(rng, 5)
-        w_mvdr = batcheval.prepare_point(np.eye(5)[None], s[:, None], s=s, R=np.eye(5)).mvdr.conj()
+        w_mvdr = batcheval.prepare(np.eye(5)[None], s[:, None], s=s, R=np.eye(5)).mvdr.conj()
         np.testing.assert_allclose(w_mvdr, s / float(np.real(s.conj() @ s)), rtol=1e-12)
 
     def test_formula_substitution_oracle(self, rng):

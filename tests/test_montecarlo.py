@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -41,6 +41,17 @@ class TestReproducibility:
         # no batch would run, and the statistics would be uninitialized memory
         with pytest.raises(ValueError, match="batch size"):
             _point_plan(batch_size=batch_size)
+
+    @pytest.mark.parametrize("detectors", [("sglrt",), ("gkglrt", "smf")])
+    def test_point_detectors_need_one_snapshot(self, detectors, stream_draws):
+        # refused by the constructor, before any pass draws a block
+        cfg = sc.ScenarioConfig(N=6, p=2, L=12, K=2, pfa=1e-2)
+        with pytest.raises(ValueError, match="K = 1"):
+            mc.TrialPlan(n_trials=100, master_seed=1, scenario=cfg,
+                         covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
+        assert stream_draws == []
+        mc.TrialPlan(n_trials=100, master_seed=1, scenario=cfg,
+                     covariance=sc.CovarianceModel.ar1(0.5), detectors=("gkglrt",))
 
     def test_trial_streams_are_prefix_stable(self):
         # trial i's statistics do not depend on how many trials run
@@ -148,6 +159,31 @@ class TestExceedanceCounts:
                             detectors=tuple(sorted(registry.names(family="distributed"))))
         self._assert_counts_match(plan, means, batch_size)
 
+    def test_threshold_on_a_single_mean_statistic(self):
+        """Each threshold sits exactly on one trial's statistic at one mean, so
+        the grid count there may round that trial across it: every count
+        differs from the single-mean count by at most the trials within 1e-12
+        relative of the threshold (the ``exceedance_counts`` contract)."""
+        cfg = sc.ScenarioConfig(N=8, p=2, q=2, L=16, pfa=1e-2)
+        H, _ = sc.default_geometry(cfg.N, cfg.p, cfg.q)
+        cov = sc.CovarianceModel.ar1(0.9)
+        R = cov.build(cfg.N)
+        means = [sc.actual_signal(H, R, sc.SignalSpec(snr_db=snr, cos2phi=0.8, seed=g))[:, None]
+                 for g, snr in enumerate((0.0, 3.0, 6.0, 9.0, 12.0))]
+        plan = mc.TrialPlan(n_trials=700, master_seed=3, scenario=cfg, covariance=cov,
+                            detectors=tuple(sorted(registry.names(family="point"))))
+        singles = [mc.run_trials(plan, mean) for mean in means]
+        # the middle order statistic of each detector at the middle mean
+        thresholds = {d: float(np.sort(singles[2][d])[plan.n_trials // 2])
+                      for d in plan.detectors}
+        counts = mc.exceedance_counts(plan, means, thresholds)
+        for g, stats in enumerate(singles):
+            for d, det in enumerate(plan.detectors):
+                eta = thresholds[det]
+                near = np.count_nonzero(np.abs(stats[det] - eta) <= 1e-12 * abs(eta))
+                assert near >= (g == 2), (g, det)
+                assert abs(counts[g, d] - np.count_nonzero(stats[det] > eta)) <= near, (g, det)
+
     def test_grid_draws_each_block_once(self, tmp_path, stream_draws):
         rc = cli.main(["pd-vs-snr", "--mode", "montecarlo", "--snr",
                        ",".join(str(s) for s in range(0, 25, 2)),
@@ -252,8 +288,8 @@ class TestClairvoyantPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, _, (point, _), _), = mc._noise_pass(plan, (plan.covariance,))
-        assert (point.W is not None, point.mvdr is not None) == (has_W, has_mvdr)
+        (_, _, _, prepared, _), = mc._noise_pass(plan, (plan.covariance,))
+        assert (prepared.W is not None, prepared.mvdr is not None) == (has_W, has_mvdr)
 
 
 class TestPointBankPreparation:
@@ -270,10 +306,10 @@ class TestPointBankPreparation:
 
     @pytest.mark.parametrize("batch_size", [128, 300])
     @pytest.mark.parametrize("detectors, p, q", [
-        (registry.names(family="point", reads=(), clairvoyant=False), 2, 3),
-        (registry.names(family="point", reads=("s",), clairvoyant=False), 1, 3),
-        (registry.names(family="point", reads=("J",)), 2, 3),
-        (registry.names(family="point", reads=("J",)), 2, 0),
+        (registry.names(family="point", reads=("H",), clairvoyant=False), 2, 3),
+        (registry.names(family="point", reads=("H", "s"), clairvoyant=False), 1, 3),
+        (registry.names(family="point", reads=("H", "J")), 2, 3),
+        (registry.names(family="point", reads=("H", "J")), 2, 0),
         (("smf", "mf"), 2, 3),
         (registry.names(family="point"), 2, 3),
     ])
@@ -285,10 +321,10 @@ class TestPointBankPreparation:
             assert np.array_equal(part[name], full[name]), name
 
     @pytest.mark.parametrize("detectors, held", [
-        (("sglrt", "aed", "beta"), ("T", "QH")),
-        (("sglrt", "kglrt"), ("T", "QH", "st", "ss")),
-        (("glrt_he_i", "wald_phe_i"), ("T", "QH", "QJ", "QHp", "QB", "E")),
-        (("sglrt", "smf"), ("T", "QH", "W")),
+        (("sglrt", "aed", "beta"), ("T", "QH", "RH")),
+        (("sglrt", "kglrt"), ("T", "QH", "RH", "st", "ss")),
+        (("glrt_he_i", "wald_phe_i"), ("T", "QH", "RH", "QJ", "QHp", "QB", "E")),
+        (("sglrt", "smf"), ("T", "QH", "RH", "W")),
         (("smf",), ("W",)),
         (("mf",), ("mvdr",)),
         (("smf", "mf"), ("W", "mvdr")),
@@ -300,10 +336,9 @@ class TestPointBankPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, _, (point, dist), _), = mc._noise_pass(plan, (plan.covariance,))
-        fields = ("T", "QH", "st", "ss", "QJ", "QHp", "QB", "E", "W", "mvdr")
-        assert {f for f in fields if getattr(point, f) is not None} == set(held)
-        assert dist is None
+        (_, _, _, prepared, _), = mc._noise_pass(plan, (plan.covariance,))
+        assert {f.name for f in fields(prepared) if getattr(prepared, f.name) is not None
+                } == set(held)
 
     @pytest.mark.parametrize("detectors, returned", [
         (("smf",), {"smf"}),
@@ -322,7 +357,44 @@ class TestPointBankPreparation:
         plan = mc.TrialPlan(n_trials=100, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
         (_, _, noise, prepared, white), = mc._noise_pass(plan, (plan.covariance,))
-        assert set(mc._statistics(prepared, noise, white)) == returned
+        assert set(mc._statistics(prepared, noise, white, detectors)) == returned
+
+
+class TestMixedFamilyPlan:
+    """One preparation serves both families: at K = 1 a plan that mixes them
+    gives each name the bits of a plan of its own family alone, and the
+    distributed rank-one pair reduces to its point twins, ``gkglrt`` to
+    ``kglrt`` and ``gamf`` to ``amf``."""
+
+    DETECTORS = ("sglrt", "kglrt", "glrt_he_i", "smf", "gkglrt", "gamf", "glrdd")
+    CFG = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
+    COVARIANCES = (sc.CovarianceModel.ar1(0.5), sc.CovarianceModel.identity())
+
+    def _sweep(self, detectors, mean):
+        plan = mc.TrialPlan(n_trials=300, master_seed=11, scenario=self.CFG,
+                            covariance=self.COVARIANCES[0], detectors=detectors,
+                            batch_size=128)
+        return mc.sweep_trials(plan, self.COVARIANCES, mean)
+
+    @pytest.mark.parametrize("snr_db", [None, 8.0])
+    def test_each_family_keeps_its_bits(self, snr_db):
+        H, _ = sc.default_geometry(self.CFG.N, self.CFG.p, self.CFG.q)
+        mean = 0.0 if snr_db is None else sc.actual_signal(
+            H, self.COVARIANCES[0].build(self.CFG.N), sc.SignalSpec(snr_db=snr_db, seed=1))[:, None]
+        mixed = self._sweep(self.DETECTORS, mean)
+        alone = [{} for _ in self.COVARIANCES]
+        for family in ("point", "distributed"):
+            names = tuple(d for d in self.DETECTORS if registry.DETECTORS[d].family == family)
+            for ours, theirs in zip(alone, self._sweep(names, mean)):
+                ours.update(theirs)
+        twins = self._sweep(("kglrt", "amf"), mean)
+        for c, (ours, theirs) in enumerate(zip(mixed, alone)):
+            assert set(ours) == set(self.DETECTORS)
+            for name in self.DETECTORS:
+                assert np.array_equal(ours[name], theirs[name]), (c, name)
+            for dist, point in (("gkglrt", "kglrt"), ("gamf", "amf")):
+                np.testing.assert_allclose(ours[dist], twins[c][point], rtol=1e-12, atol=0,
+                                           err_msg=f"{c} {dist}")
 
 
 class TestFullSpaceGeometry:

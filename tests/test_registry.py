@@ -85,17 +85,16 @@ def _subsets(args):
 class TestReads:
     @pytest.mark.parametrize("given", _subsets("sJR"))
     def test_point_column_matches_the_kernel(self, given, rng):
-        """Given any of s, J and R, the point kernel returns exactly the
-        statistics whose ``reads`` (and, for a clairvoyant one, R) it has."""
+        """Given H and any of s, J and R, the point kernel returns exactly
+        the statistics whose ``reads`` (and, for a clairvoyant one, R) it has."""
         N = 6
         train = crandn(rng, 2, N, 2 * N)
         args = dict(J=crandn(rng, N, 2), s=crandn(rng, N), R=random_hpd(rng, N))
-        prep = batcheval.prepare_point(batcheval.whitener(train @ train.conj().transpose(0, 2, 1)),
-                                       crandn(rng, N, 2),
-                                       **{k: v for k, v in args.items() if k in given})
+        prep = batcheval.prepare(batcheval.whitener(train @ train.conj().transpose(0, 2, 1)),
+                                 crandn(rng, N, 2), **{k: v for k, v in args.items() if k in given})
         out = batcheval.evaluate_point(prep, crandn(rng, 2, N))
         assert set(out) == {d.name for d in registry.DETECTORS.values()
-                            if d.family == "point" and set(d.reads) <= given
+                            if d.family == "point" and set(d.reads) <= given | {"H"}
                             and ("R" in given or not d.clairvoyant)}
 
     @pytest.mark.parametrize("given", _subsets("sJ"))
@@ -104,8 +103,8 @@ class TestReads:
         statistics: ``smf`` always, ``mf`` when it has s."""
         N = 6
         args = dict(J=crandn(rng, N, 2), s=crandn(rng, N))
-        prep = batcheval.prepare_point(None, crandn(rng, N, 2), R=random_hpd(rng, N),
-                                       **{k: v for k, v in args.items() if k in given})
+        prep = batcheval.prepare(None, crandn(rng, N, 2), R=random_hpd(rng, N),
+                                 **{k: v for k, v in args.items() if k in given})
         out = batcheval.evaluate_point(prep, crandn(rng, 2, N))
         assert set(out) == {"smf", "mf"} if "s" in given else {"smf"}
 
@@ -116,8 +115,7 @@ class TestReads:
         train = crandn(rng, 2, N, 2 * N)
         args = dict(s=crandn(rng, N), H=crandn(rng, N, 2), L=2 * N)
         T = batcheval.whitener(train @ train.conj().transpose(0, 2, 1))
-        prep = batcheval.prepare_distributed(
-            T, **{k: args[k] if k in given else None for k in args})
+        prep = batcheval.prepare(T, **{k: args[k] if k in given else None for k in args})
         out = batcheval.evaluate_distributed(prep, crandn(rng, 2, N, K))
         assert set(out) - {"sigma0_hat", "sigma1_hat", "theta_max"} == {
             d.name for d in registry.DETECTORS.values()

@@ -8,16 +8,16 @@ from adaptivedet.errors import GeometryError, RankError
 
 class TestCovariance:
     def test_ar1_zero_is_identity(self):
-        np.testing.assert_allclose(sc.build_covariance(sc.CovarianceModel.ar1(0.0), 4),
+        np.testing.assert_allclose(sc.CovarianceModel.ar1(0.0).build(4),
                                    np.eye(4))
 
     def test_ar1_entries(self):
-        R = sc.build_covariance(sc.CovarianceModel.ar1(0.9), 3)
+        R = sc.CovarianceModel.ar1(0.9).build(3)
         expected = np.array([[1, 0.9, 0.81], [0.9, 1, 0.9], [0.81, 0.9, 1]])
         np.testing.assert_allclose(R, expected)
 
     def test_clutter_plus_white_floor(self):
-        R = sc.build_covariance(sc.CovarianceModel.ar1_plus_white(0.99, 30.0), 8)
+        R = sc.CovarianceModel.ar1_plus_white(0.99, 30.0).build(8)
         assert np.linalg.eigvalsh(R).min() >= 1.0
 
     def test_overflowing_cnr_rejected(self):
@@ -152,7 +152,7 @@ class TestSynthesize:
             sc.ScenarioConfig(N=4, p=1, L=3, pfa=1e-2)
 
     def test_h0_moments(self):
-        R = sc.build_covariance(self.model, 4)
+        R = self.model.build(4)
         A = linalg.herm_sqrt(R)
         rng = np.random.default_rng(10)
         n = 100_000
@@ -168,7 +168,7 @@ class TestSynthesize:
         s0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         n = 100_000
         # vectorized re-draw of the synthesize noise model for H1 means
-        R = sc.build_covariance(self.model, 4)
+        R = self.model.build(4)
         A = linalg.herm_sqrt(R)
         w = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) / np.sqrt(2)
         acc = (w @ A.T + s0).mean(axis=0)
@@ -176,7 +176,7 @@ class TestSynthesize:
         assert np.all(np.abs(acc - s0) < 4 * sigma * np.sqrt(2))
 
     def test_he_empirical_covariance(self):
-        R = sc.build_covariance(self.model, 4)
+        R = self.model.build(4)
         A = linalg.herm_sqrt(R)
         rng = np.random.default_rng(8)
         n = 100_000
