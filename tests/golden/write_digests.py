@@ -42,8 +42,9 @@ def _argvs():
     Monte Carlo runs also at another batch size, a point mismatch grid run
     both ways, a Monte Carlo mesa of more grid points than one stacked
     evaluation takes, an analytic mesa of the interference laws on the
-    default 861-cell grid, validate-dist at small n, and identities at more
-    instances than one evaluation of a size class takes."""
+    default 861-cell grid, a cfar-check and a Monte Carlo SNR grid of plans
+    that mix both families at K = 1, validate-dist at small n, and
+    identities at more instances than one evaluation of a size class takes."""
     argvs = {name: list(w.command) for name, w in sorted(workloads.WORKLOADS.items())}
     argvs["mc_point_grid_batch64"] = argvs["mc_point_grid"] + ["--batch-size", "64"]
     argvs["cfar_check_distributed"] = [
@@ -66,6 +67,14 @@ def _argvs():
     argvs["mesa_interference"] = [
         "mesa", "--mode", "analytic", "--N", "12", "--p", "2", "--q", "2", "--L", "24",
         "--detectors", "glrt_he_i,ts_glrt_he_i,glrt_phe_i"]
+    mixed = ["--N", "6", "--p", "2", "--q", "1", "--K", "1", "--L", "12"]
+    argvs["cfar_check_mixed"] = [
+        "cfar-check", *mixed, "--detectors",
+        "sglrt,kglrt,glrt_he_i,wald_phe_i,smf,mf,gkglrt,gamf,rao_he,glrt_phe,glrdd,rao_dos",
+        "--trials", "3000"]
+    argvs["pd_vs_snr_mixed"] = [
+        "pd-vs-snr", "--mode", "montecarlo", *mixed, "--snr", "0,6,12,18", "--detectors",
+        "sglrt,kglrt,gkglrt,gamf,smf,mf,glrdd,glrt_he_i,rao_dos", "--trials", "1000"]
     argvs["validate_dist"] = ["validate-dist", "--trials", "500"]
     argvs["identities_chunked"] = ["identities", "--trials", "5000"]
     return argvs
