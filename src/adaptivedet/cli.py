@@ -52,6 +52,8 @@ IDENTITIES = (
     ("dnsamf=beta*asd", "dnsamf", lambda f: f["beta"] * f["asd"]),
     ("ts_glrt_he_i=glrt_he_i/beta_i", "ts_glrt_he_i", lambda f: f["glrt_he_i"] / f["beta_i"]),
 )
+# the statistics the identities read: the right sides' inputs and every left side
+IDENTITY_STATS = ("sglrt", "beta", "glrt_he_i", "beta_i", *(lhs for _, lhs, _ in IDENTITIES))
 IDENTITY_SIZES = ((4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3), (12, 1), (12, 2), (12, 3))
 # instance i has size class i % 9; a class draws and evaluates its instances in
 # chunks of this many, fixed so that the draws ignore --batch-size and memory --trials
@@ -329,6 +331,8 @@ def run_cfar_check(args):
     cfg = _scenario_from_args(args)
     detectors = _detectors(args)
     covariances = [sc.CovarianceModel.parse(c) for c in _str_list(args.covariances)]
+    if not covariances:
+        raise ValueError("--covariances needs at least one covariance model")
     plan = mc.TrialPlan(n_trials=args.trials, master_seed=args.seed, scenario=cfg,
                         covariance=covariances[0], detectors=detectors,
                         batch_size=args.batch_size)
@@ -397,14 +401,14 @@ def identity_instances(rng, B: int, N: int, p: int):
     """``B`` random instances of size class (N, p) drawn from ``rng``: H (B, N, p)
     and J (B, N, q) complex normal, the Bartlett factor T (B, N, N) of a white
     sample covariance of 2N snapshots (``T T^H ~ CW(2N, I)``) and test vectors x
-    (B, N), in the trial engine's layout (:func:`scenario.assemble_noise`)."""
+    (B, N, 1), in the trial engine's layout (:func:`scenario.assemble_noise`)."""
     q = 1 if p + 1 < N else 0
     H, J = (sc.complex_normal(rng, (B, N, k)) for k in (p, q))
     draws = (rng.standard_normal((B, N * (N - 1))),
              rng.standard_gamma(2 * N - np.arange(N, dtype=float), size=(B, N)),
              rng.standard_normal((B, 2 * N)))
     T, x = sc.assemble_noise(*draws, N, 1)
-    return T, H, J, x[:, :, 0]
+    return T, H, J, x
 
 
 def identity_suite(n_instances: int, seed: int):
@@ -417,7 +421,8 @@ def identity_suite(n_instances: int, seed: int):
         count = len(range(c, n_instances, len(IDENTITY_SIZES)))
         for start in range(0, count, IDENTITY_CHUNK):
             T, H, J, x = identity_instances(rng, min(IDENTITY_CHUNK, count - start), N, p)
-            f = batcheval.evaluate_point(batcheval.prepare(mc._lower_inverse(T), H, J), x)
+            f = batcheval.evaluate(batcheval.prepare(
+                batcheval.lower_inverse(T), H, J, want=IDENTITY_STATS), x)
             for name, lhs, rhs in IDENTITIES:
                 a, b = f[lhs], rhs(f)
                 rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)

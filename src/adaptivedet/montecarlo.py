@@ -25,13 +25,15 @@ the white coordinates of each covariance R = A A^H (A its Cholesky factor):
 the geometry (H, J, s) and the test means are multiplied by ``A^-1``.  T is
 inverted once per batch, and ``T^-1``, the inverse Cholesky factor of ``T
 T^H``, whitens for every covariance; no sample covariance is formed or
-factored (:func:`sweep_trials`).  Only the test-data half of the statistics
-runs per mean, the point family's for ``GRID_CHUNK`` means in one stacked
-call (:func:`exceedance_counts`).
+factored (:func:`sweep_trials`).  Only the test-data half of the statistics,
+and only the banks the plan's detectors read, runs per mean, ``GRID_CHUNK``
+means a call (:func:`~adaptivedet.batcheval.evaluate`, :func:`exceedance_counts`).
 """
 
 import logging
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -113,33 +115,18 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _lower_inverse(T):
-    """Inverse of the stacked lower-triangular ``T`` (B, N, N) with real
-    positive diagonal, by forward substitution one row at a time: exactly
-    lower triangular, and each trial's bits independent of the stack."""
-    N = T.shape[-1]
-    diag = T[:, np.arange(N), np.arange(N)].real
-    X = np.zeros_like(T)
-    for i in range(N):
-        X[:, i, i] = 1.0 / diag[:, i]
-        X[:, i:i + 1, :i] = -(T[:, i:i + 1, :i] @ X[:, :i, :i]) / diag[:, i, None, None]
-    return X
-
-
 def _noise_pass(plan: TrialPlan, covariances, means=0.0):
     """Yield ``(c, trials, noise, prepared, white)`` per batch of the plan and
     per covariance ``covariances[c]``, one covariance's state alive at a time.
 
     Each batch is drawn once and every covariance reads that same draw (common
     random numbers), so its trials are bit-identical to a pass over it alone.
-    The pass runs in the white coordinates of each R = A A^H, so ``noise`` is
-    the batch's scaled white test noise (B, N, K) under every covariance,
-    ``white`` is ``A^-1 means`` (G, N, K; one (N, K) mean or 0 is G = 1), and
-    ``prepared`` the :func:`~adaptivedet.batcheval.prepare` state of both
-    families: ``T^-1`` whitens the geometry ``A^-1 (H, J, s)``, and the
-    clairvoyant maps take R = I.  ``prepare`` is given the whole geometry and
-    the plan's detectors, and builds only the banks they read; ``T^-1`` is
-    formed only for a plan with an adaptive detector.
+    In the white coordinates of each R = A A^H, ``noise`` is the batch's
+    scaled white test noise (B, N, K), ``white`` is ``A^-1 means`` (G, N, K;
+    one (N, K) mean or 0 is G = 1), and ``prepared`` is
+    :func:`~adaptivedet.batcheval.prepare` of the plan's detectors on the
+    geometry ``A^-1 (H, J, s)``, whitened by ``T^-1`` (formed only for a plan
+    with an adaptive detector), with R = I for the clairvoyant maps.
     """
     cfg = plan.scenario
     adaptive = not all(registry.DETECTORS[name].clairvoyant for name in plan.detectors)
@@ -158,25 +145,10 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         trials = range(first * BLOCK, min(blocks.stop * BLOCK, plan.n_trials))
         draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
         T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
-        T_inv = _lower_inverse(T) if adaptive else None
+        T_inv = batcheval.lower_inverse(T) if adaptive else None
         for c, (Hw, Jw, white) in enumerate(frames):
             prepared = batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
             yield c, trials, cfg.test_scale * w_test, prepared, white
-
-
-def _statistics(prepared, noise, means, want) -> dict:
-    """Statistics (B, G) of the test data ``noise + means[g]``, noise (B, N,
-    K) and means (G, N, K): each family of the names in ``want`` is evaluated
-    on ``prepared``, the point one for every bank it holds, the distributed
-    one for the names in ``want`` only."""
-    families = {registry.DETECTORS[name].family for name in want}
-    stats = {}
-    if "point" in families:
-        stats.update(batcheval.evaluate_point(prepared, noise[:, :, 0], means[:, :, 0].T))
-    if "distributed" in families:
-        per_mean = [batcheval.evaluate_distributed(prepared, noise + mean, want) for mean in means]
-        stats.update({k: np.stack([s[k] for s in per_mean], axis=-1) for k in per_mean[0]})
-    return stats
 
 
 def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
@@ -190,9 +162,8 @@ def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
     """
     out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
     for c, trials, noise, prepared, white in _noise_pass(plan, covariances, mean):
-        stats = _statistics(prepared, noise, white, plan.detectors)
-        for name in out[c]:
-            out[c][name][trials.start:trials.stop] = stats[name][:, 0]
+        for name, value in batcheval.evaluate(prepared, noise, white).items():
+            out[c][name][trials.start:trials.stop] = value[:, 0]
     return out
 
 
@@ -221,7 +192,7 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
     for _, _, noise, prepared, white in _noise_pass(plan, (plan.covariance,), means):
         for chunk in (slice(g, g + GRID_CHUNK) for g in range(0, len(means), GRID_CHUNK)):
-            stats = _statistics(prepared, noise, white[chunk], plan.detectors)
+            stats = batcheval.evaluate(prepared, noise, white[chunk])
             for d, name in enumerate(plan.detectors):
                 counts[chunk, d] += np.count_nonzero(stats[name] > thresholds[name], axis=0)
     return counts
@@ -230,17 +201,20 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
 def calibrate_threshold(plan: TrialPlan, detector: str, stats) -> float:
     """Threshold at the plan's nominal false-alarm rate: the ``ceil(n * pfa)``-th
     largest of the detector's H0 statistics ``stats`` over the plan's trials
-    (decisions downstream use strict ``>``).
+    (decisions downstream use strict ``>``).  ``n * pfa`` is taken exactly
+    from the decimal ``pfa``: in floats 300000 * 1e-5 exceeds 3 and would
+    round m up to 4.
 
     Below ``100 / pfa`` trials the order statistic is unstable and a warning
     is logged; fewer than ``1 / pfa`` trials is an error.
     """
     pfa = plan.scenario.pfa
-    m = int(np.ceil(plan.n_trials * pfa))
-    if plan.n_trials * pfa < 1.0:
+    expected = plan.n_trials * Fraction(repr(float(pfa)))
+    m = math.ceil(expected)
+    if expected < 1:
         raise InfeasibleError(
             "too few trials to place the false-alarm order statistic")
-    if plan.n_trials * pfa < 100.0:
+    if expected < 100:
         log.warning("calibrating %s on n=%d trials at pfa=%g: order statistic m=%d "
                     "is unstable below n*pfa = 100", detector, plan.n_trials, pfa, m)
     return float(np.partition(stats, len(stats) - m)[len(stats) - m])

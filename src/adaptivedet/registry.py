@@ -68,14 +68,13 @@ class Detector:
     ``scale_invariant`` (unchanged when the test data is scaled) are
     properties of the statistic; ``default`` marks the CLI's default bank.
     ``reads`` names the geometry arguments of
-    :func:`adaptivedet.batcheval.prepare` the statistic needs, and an
-    adaptive row's ``reads`` alone decide what ``prepare`` builds for it:
-    ``H`` for the QR of the whitened subspace, which every adaptive point
-    statistic and the direction and double-subspace banks read; ``s`` for
-    the rank-one banks; ``J`` for the interference bank; ``L`` for the
-    distributed rank-one bank's partially homogeneous half.  A
-    ``clairvoyant`` one also needs ``R``, and ``prepare`` builds its map by
-    name: ``smf`` reads ``H``, ``mf`` reads ``s``.
+    :func:`adaptivedet.batcheval.prepare` the statistic needs; an adaptive
+    row's ``reads`` alone decide the banks built and run for it: ``H`` the
+    QR of the whitened subspace, for the point subspace and interference
+    banks and the direction and double-subspace banks; ``s`` the rank-one
+    banks; ``J`` the interference bank; ``L`` the distributed PHE half.  A
+    ``clairvoyant`` row also needs ``R``, and its map is built by name:
+    ``smf`` reads ``H``, ``mf`` reads ``s``.
     """
 
     name: str
@@ -102,8 +101,6 @@ class Detector:
 
 
 _RANK_ONE, _PHE, _SUBSPACE = ("s",), ("s", "L"), ("H",)
-# the point rank-one bank runs inside the subspace bank's pass
-_POINT_RANK_ONE = ("H", "s")
 
 
 def _point(name, law="point", reads=_SUBSPACE, **kw):
@@ -132,11 +129,11 @@ DETECTORS = {d.name: d for d in (
     _point("aed", loss_factor=False, default=True),
     _point("beta", law=None),
     # rank-one bank: the p = 1 twins of the subspace bank, and the SMI
-    _point("kglrt", canonical="sglrt", rank_one=True, reads=_POINT_RANK_ONE),
-    _point("amf", canonical="samf", rank_one=True, reads=_POINT_RANK_ONE),
-    _point("dmrao", canonical="srao", rank_one=True, reads=_POINT_RANK_ONE),
-    _point("ace", canonical="asd", rank_one=True, reads=_POINT_RANK_ONE, scale_invariant=True),
-    _point("smi", law=None, cfar=False, reads=_POINT_RANK_ONE),
+    _point("kglrt", canonical="sglrt", rank_one=True, reads=_RANK_ONE),
+    _point("amf", canonical="samf", rank_one=True, reads=_RANK_ONE),
+    _point("dmrao", canonical="srao", rank_one=True, reads=_RANK_ONE),
+    _point("ace", canonical="asd", rank_one=True, reads=_RANK_ONE, scale_invariant=True),
+    _point("smi", law=None, cfar=False, reads=_RANK_ONE),
     # clairvoyant (known-covariance) references
     _point("smf", loss_factor=False, clairvoyant=True, default=True),
     _point("mf", law=None, clairvoyant=True, reads=_RANK_ONE),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from adaptivedet import batcheval, montecarlo as mc, registry, scenario as sc
@@ -10,6 +10,8 @@ from adaptivedet.errors import DefinitenessError, InfeasibleError
 from conftest import crandn, random_hpd
 
 SETTINGS = settings(max_examples=150)
+# what distributed_family_stats returns: the family and its by-products
+DISTRIBUTED = (*registry.names(family="distributed"), "theta_max", "sigma0_hat", "sigma1_hat")
 
 
 def _training(draw, N, square):
@@ -58,8 +60,7 @@ def _or_infeasible(f, *args):
 
 def _point_rows_equal_oracle(x, S, H, J):
     N, p, q = H.shape[1], H.shape[2], J.shape[2]
-    batched = batcheval.evaluate_point(
-        batcheval.prepare(batcheval.whitener(S), H, J, H[..., 0]), x)
+    batched = batcheval.point_family_stats(x, S, H, J, H[..., 0])
     for b in range(x.shape[0]):
         ref = oracles.point_family(x[b], S[b], H[b], J[b])
         for name, value in ref.items():
@@ -111,25 +112,6 @@ class TestDistributedFamily:
         _distributed_rows_equal_oracle(*case)
 
 
-class TestDistributedSubsets:
-    @SETTINGS
-    @given(blocks(), st.sets(st.sampled_from("sHL"), min_size=1), st.data())
-    def test_wanted_names_are_the_full_evaluation(self, case, given_args, data):
-        """``want`` returns exactly its names, each bit-identical to the same
-        key of the full evaluation, whichever banks the preparation holds."""
-        X, S, s, H, L = case
-        args = dict(s=s, H=H, L=L)
-        prep = batcheval.prepare(
-            batcheval.whitener(S), **{k: args[k] if k in given_args else None for k in args})
-        full = _or_infeasible(batcheval.evaluate_distributed, prep, X)
-        assume(full)
-        want = data.draw(st.sets(st.sampled_from(sorted(full)), min_size=1))
-        part = batcheval.evaluate_distributed(prep, X, want)
-        assert set(part) == want
-        for name in want:
-            assert part[name].tobytes() == full[name].tobytes(), name
-
-
 @st.composite
 def bartlett_draws(draw):
     """B trials of the Monte Carlo engine's draw: its Bartlett factors T,
@@ -160,7 +142,7 @@ class TestWhitenerFromFactor:
     @given(bartlett_draws())
     def test_equals_the_sample_covariance_path(self, case):
         A, T, X, H, J, L = case
-        T_inv, A_inv = mc._lower_inverse(T), np.linalg.inv(A)
+        T_inv, A_inv = batcheval.lower_inverse(T), np.linalg.inv(A)
         F = A @ T
         S = F @ F.conj().transpose(0, 2, 1)
         R, s = A @ A.conj().T, H[:, 0]
@@ -168,15 +150,15 @@ class TestWhitenerFromFactor:
                  "white": (T_inv, A_inv @ X, A_inv @ H, A_inv @ J, A_inv @ s, np.eye(len(A)))}
         for form, (W, Xw, Hw, Jw, sw, Rw) in forms.items():
             # a draw whose PHE noise-power root does not exist fails on both paths
-            pairs = [(_or_infeasible(batcheval.evaluate_distributed,
-                                     batcheval.prepare(W, Hw, s=sw, L=L), Xw),
+            pairs = [(_or_infeasible(batcheval.evaluate,
+                                     batcheval.prepare(W, Hw, s=sw, L=L, want=DISTRIBUTED), Xw),
                       _or_infeasible(batcheval.distributed_family_stats, X, S, s, H, L))]
             if pairs[0][0] is None or pairs[0][1] is None:
                 assert pairs[0] == (None, None)
                 pairs = []
             if X.shape[-1] == 1:
-                pairs.append((batcheval.evaluate_point(
-                                  batcheval.prepare(W, Hw, Jw, sw, Rw), Xw[..., 0]),
+                pairs.append((batcheval.evaluate(batcheval.prepare(
+                                  W, Hw, Jw, sw, Rw, want=registry.names(family="point")), Xw),
                               batcheval.point_family_stats(X[..., 0], S, H, J, s, R)))
             for ours, ref in pairs:
                 assert set(ours) == set(ref)

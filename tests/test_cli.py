@@ -159,6 +159,13 @@ class TestArguments:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("covariances", [",", "", " , "])
+    def test_empty_covariance_list_exits_1(self, covariances, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert cli.main(["cfar-check", "--covariances", covariances, "--trials", "200",
+                         "--out", str(out)]) == 1
+        assert "error: --covariances needs at least one" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["pd-vs-snr", "--mode", "analytic", "--snr", "inf,10"],
@@ -377,7 +384,7 @@ class TestSubcommandFlags:
 
 class TestIdentitySuite:
     def test_one_perturbed_instance_fails_its_row(self, tmp_path, monkeypatch):
-        real = batcheval.evaluate_point
+        real = batcheval.evaluate
         calls = []
 
         def perturbed(prep, x, means=None):
@@ -388,7 +395,7 @@ class TestIdentitySuite:
             calls.append(1)
             return out
 
-        monkeypatch.setattr(batcheval, "evaluate_point", perturbed)
+        monkeypatch.setattr(batcheval, "evaluate", perturbed)
         out = tmp_path / "ids.csv"
         assert cli.main(["identities", "--trials", "1000", "--out", str(out)]) == 1
         rows = _read(str(out))
@@ -400,7 +407,7 @@ class TestIdentitySuite:
         """Lists of the chunks the suite draws, (T, H, J, x) each, and of the
         (test vectors, statistics) of each evaluation, filled as it runs."""
         drawn, evaluated = [], []
-        draw, evaluate = cli.identity_instances, batcheval.evaluate_point
+        draw, evaluate = cli.identity_instances, batcheval.evaluate
 
         def drawing(rng, B, N, p):
             drawn.append(draw(rng, B, N, p))
@@ -411,7 +418,7 @@ class TestIdentitySuite:
             return evaluated[-1][1]
 
         monkeypatch.setattr(cli, "identity_instances", drawing)
-        monkeypatch.setattr(batcheval, "evaluate_point", evaluating)
+        monkeypatch.setattr(batcheval, "evaluate", evaluating)
         return drawn, evaluated
 
     @pytest.mark.parametrize("n", [1000, 2000, 5000])
@@ -437,11 +444,12 @@ class TestIdentitySuite:
         for (T, H, J, x), (_, stats) in zip(drawn, evaluated):
             for b in (0, 1, len(x) - 1):
                 S = T[b] @ T[b].conj().T
-                want = {**oracles.subspace_bank(x[b], S, H[b]),
-                        **oracles.interference_bank(x[b], S, H[b], J[b])}
-                assert set(stats) == set(want)
-                for name, value in want.items():
-                    np.testing.assert_allclose(stats[name][b], value, rtol=1e-10, err_msg=name)
+                want = {**oracles.subspace_bank(x[b, :, 0], S, H[b]),
+                        **oracles.interference_bank(x[b, :, 0], S, H[b], J[b])}
+                assert set(stats) == set(cli.IDENTITY_STATS)
+                for name in cli.IDENTITY_STATS:
+                    np.testing.assert_allclose(stats[name][b], want[name], rtol=1e-10,
+                                               err_msg=name)
 
     def test_csv_ignores_batch_size(self, tmp_path):
         blobs = []

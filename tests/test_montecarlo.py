@@ -211,16 +211,16 @@ class TestStackedGrid:
         assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
 
     def test_large_grid_stays_within_the_chunk_bound(self, tmp_path, monkeypatch):
-        """The 861 means of the default mesa grid pass ``evaluate_point`` at
-        most ``GRID_CHUNK`` at a time, each once per batch."""
-        real = batcheval.evaluate_point
+        """The 861 means of the default mesa grid pass ``evaluate`` at most
+        ``GRID_CHUNK`` at a time, each once per batch."""
+        real = batcheval.evaluate
         widths = []
 
-        def recording(prep, x, means=None):
-            widths.append(np.shape(means)[1])
-            return real(prep, x, means)
+        def recording(prep, X, means=None):
+            widths.append(len(means))
+            return real(prep, X, means)
 
-        monkeypatch.setattr(batcheval, "evaluate_point", recording)
+        monkeypatch.setattr(batcheval, "evaluate", recording)
         assert cli.main(["mesa", "--mode", "montecarlo", "--N", "6", "--p", "2", "--L", "12",
                          "--pfa", "1e-2", "--detectors", "sglrt,smf", "--trials", "100",
                          "--batch-size", "64", "--out", str(tmp_path / "mesa.csv")]) == 0
@@ -307,7 +307,7 @@ class TestPointBankPreparation:
     @pytest.mark.parametrize("batch_size", [128, 300])
     @pytest.mark.parametrize("detectors, p, q", [
         (registry.names(family="point", reads=("H",), clairvoyant=False), 2, 3),
-        (registry.names(family="point", reads=("H", "s"), clairvoyant=False), 1, 3),
+        (registry.names(family="point", reads=("s",), clairvoyant=False), 1, 3),
         (registry.names(family="point", reads=("H", "J")), 2, 3),
         (registry.names(family="point", reads=("H", "J")), 2, 0),
         (("smf", "mf"), 2, 3),
@@ -337,8 +337,10 @@ class TestPointBankPreparation:
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
         (_, _, _, prepared, _), = mc._noise_pass(plan, (plan.covariance,))
-        assert {f.name for f in fields(prepared) if getattr(prepared, f.name) is not None
-                } == set(held)
+        assert prepared.names == detectors
+        assert {f.name for f in fields(prepared)
+                if f.name not in ("names", "banks")
+                and getattr(prepared, f.name) is not None} == set(held)
 
     @pytest.mark.parametrize("detectors, returned", [
         (("smf",), {"smf"}),
@@ -352,12 +354,12 @@ class TestPointBankPreparation:
         def refuse(T):
             raise AssertionError("inverted the training factor")
 
-        monkeypatch.setattr(mc, "_lower_inverse", refuse)
+        monkeypatch.setattr(batcheval, "lower_inverse", refuse)
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=100, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
         (_, _, noise, prepared, white), = mc._noise_pass(plan, (plan.covariance,))
-        assert set(mc._statistics(prepared, noise, white, detectors)) == returned
+        assert set(batcheval.evaluate(prepared, noise, white)) == returned
 
 
 class TestMixedFamilyPlan:
@@ -395,6 +397,19 @@ class TestMixedFamilyPlan:
             for dist, point in (("gkglrt", "kglrt"), ("gamf", "amf")):
                 np.testing.assert_allclose(ours[dist], twins[c][point], rtol=1e-12, atol=0,
                                            err_msg=f"{c} {dist}")
+
+    def test_runs_only_the_banks_its_names_read(self, monkeypatch):
+        """``sglrt`` reads the subspace QR and ``gkglrt`` the whitened
+        steering vector, so the plan holds both, yet neither the point
+        rank-one bank (which reads s) nor the direction and DOS banks (which
+        read H) run for it, nor the interference bank."""
+        def refuse(*args):
+            raise AssertionError("ran a bank that no name of the plan reads")
+
+        for bank in ("_point_rank_one_bank", "_interference_bank", "_subspace_banks"):
+            monkeypatch.setattr(batcheval, bank, refuse)
+        for stats in self._sweep(("sglrt", "gkglrt"), 0.0):
+            assert set(stats) == {"sglrt", "gkglrt"}
 
 
 class TestFullSpaceGeometry:
@@ -485,6 +500,19 @@ class TestCalibration:
             mc.calibrate_threshold(_point_plan(n=10_000), "kglrt",
                                    stats=rng.uniform(size=10_000))
         assert caplog.records == []
+
+    @pytest.mark.parametrize("n, pfa, m", [(100, 0.07, 7), (300_000, 1e-5, 3)])
+    def test_order_statistic_is_exact_in_decimal(self, n, pfa, m, caplog):
+        """In floats 100 * 0.07 = 7.000000000000001 and 300000 * 1e-5 =
+        3.0000000000000004, whose ceilings are one too many; the threshold is
+        still the m-th largest statistic, with m = n * pfa exactly."""
+        cfg = sc.ScenarioConfig(N=6, p=2, q=2, L=12, pfa=pfa)
+        plan = mc.TrialPlan(n_trials=n, master_seed=0, scenario=cfg,
+                            covariance=sc.CovarianceModel.identity(), detectors=("kglrt",))
+        stats = np.arange(float(n))
+        with caplog.at_level("WARNING", logger="adaptivedet.montecarlo"):
+            assert mc.calibrate_threshold(plan, "kglrt", stats) == n - m
+        assert f"m={m} " in caplog.records[0].getMessage()
 
     def test_held_out_pfa(self):
         """The threshold is the m-th largest of n H0 statistics, so the count

@@ -82,20 +82,47 @@ def _subsets(args):
     return [set(c) for n in range(len(args) + 1) for c in itertools.combinations(args, n)]
 
 
+# the by-products of a full evaluation, each with the geometry it reads
+BY_PRODUCTS = {"theta_max": ("H",), "sigma0_hat": ("s", "L"), "sigma1_hat": ("s", "L")}
+NAMES = sorted((*registry.DETECTORS, *BY_PRODUCTS))
+
+
+def _inputs(name):
+    """What ``name`` needs given to be evaluated: its geometry, and R for a
+    clairvoyant statistic."""
+    if name in BY_PRODUCTS:
+        return set(BY_PRODUCTS[name])
+    d = registry.DETECTORS[name]
+    return set(d.reads) | ({"R"} if d.clairvoyant else set())
+
+
 class TestReads:
-    @pytest.mark.parametrize("given", _subsets("sJR"))
-    def test_point_column_matches_the_kernel(self, given, rng):
-        """Given H and any of s, J and R, the point kernel returns exactly
-        the statistics whose ``reads`` (and, for a clairvoyant one, R) it has."""
+    @pytest.mark.parametrize("inputs", _subsets("HsJRL"))
+    def test_evaluate_returns_exactly_the_named_statistics(self, inputs):
+        """Any nonempty set of names, by-products included, evaluates at K = 1
+        to exactly those whose inputs ``prepare`` is given (the geometry of
+        the row's ``reads``, and R for a clairvoyant one), each bit-identical
+        to the same key of the evaluation of every name with every input."""
         N = 6
-        train = crandn(rng, 2, N, 2 * N)
-        args = dict(J=crandn(rng, N, 2), s=crandn(rng, N), R=random_hpd(rng, N))
-        prep = batcheval.prepare(batcheval.whitener(train @ train.conj().transpose(0, 2, 1)),
-                                 crandn(rng, N, 2), **{k: v for k, v in args.items() if k in given})
-        out = batcheval.evaluate_point(prep, crandn(rng, 2, N))
-        assert set(out) == {d.name for d in registry.DETECTORS.values()
-                            if d.family == "point" and set(d.reads) <= given | {"H"}
-                            and ("R" in given or not d.clairvoyant)}
+
+        @settings(max_examples=20)
+        @given(st.integers(0, 2**32 - 1), st.sets(st.sampled_from(NAMES), min_size=1))
+        def check(seed, want):
+            rng = np.random.default_rng(seed)
+            train = crandn(rng, 2, N, 2 * N)
+            T = batcheval.whitener(train @ train.conj().transpose(0, 2, 1))
+            args = dict(H=crandn(rng, N, 2), J=crandn(rng, N, 1), s=crandn(rng, N),
+                        R=random_hpd(rng, N), L=2 * N)
+            X = crandn(rng, 2, N, 1)
+            full = batcheval.evaluate(batcheval.prepare(T, **args), X)
+            assert set(full) == set(NAMES)
+            part = batcheval.evaluate(batcheval.prepare(
+                T, **{k: v if k in inputs else None for k, v in args.items()}, want=want), X)
+            assert set(part) == {name for name in want if _inputs(name) <= inputs}
+            for name, value in part.items():
+                assert value.tobytes() == full[name].tobytes(), name
+
+        check()
 
     @pytest.mark.parametrize("given", _subsets("sJ"))
     def test_point_kernel_without_whitener(self, given, rng):
@@ -105,21 +132,8 @@ class TestReads:
         args = dict(J=crandn(rng, N, 2), s=crandn(rng, N))
         prep = batcheval.prepare(None, crandn(rng, N, 2), R=random_hpd(rng, N),
                                  **{k: v for k, v in args.items() if k in given})
-        out = batcheval.evaluate_point(prep, crandn(rng, 2, N))
-        assert set(out) == {"smf", "mf"} if "s" in given else {"smf"}
-
-    @pytest.mark.parametrize("given", _subsets("sHL"))
-    def test_distributed_column_matches_the_kernel(self, given, rng):
-        """Likewise the distributed kernel, whose PHE half (L) also needs s."""
-        N, K = 6, 3
-        train = crandn(rng, 2, N, 2 * N)
-        args = dict(s=crandn(rng, N), H=crandn(rng, N, 2), L=2 * N)
-        T = batcheval.whitener(train @ train.conj().transpose(0, 2, 1))
-        prep = batcheval.prepare(T, **{k: args[k] if k in given else None for k in args})
-        out = batcheval.evaluate_distributed(prep, crandn(rng, 2, N, K))
-        assert set(out) - {"sigma0_hat", "sigma1_hat", "theta_max"} == {
-            d.name for d in registry.DETECTORS.values()
-            if d.family == "distributed" and set(d.reads) <= given}
+        out = batcheval.evaluate(prep, crandn(rng, 2, N, 1))
+        assert set(out) == ({"smf", "mf"} if "s" in given else {"smf"})
 
 
 class TestTable:
