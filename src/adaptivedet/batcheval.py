@@ -179,9 +179,10 @@ def prepare(T, H, J=None, s=None, R=None, L=None, want=None) -> Prepared:
             q = J.shape[-1]
             Q, Rb = full_rank_qr(np.concatenate([T @ J, Ht], axis=-1)) if q else (QH, RH)
             QHp = Q[..., q:]
-            prep.update(QJ=Q[..., :q] if q else None, QHp=QHp,
-                        QB=Q if H.shape[-1] + q < T.shape[-1] else None,
-                        E=Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp)))
+            prep.update(QJ=Q[..., :q] if q else None, QHp=QHp)
+            if not {"wald_he_i", "wald_phe_i"}.isdisjoint(names):
+                prep.update(QB=Q if H.shape[-1] + q < T.shape[-1] else None,
+                            E=Rb[..., q:] @ np.linalg.solve(Rb[..., q:, q:], _ct(QHp)))
     if "smf" in names or "mf" in names:
         TR = whitener(np.asarray(R, dtype=np.complex128))
         if "smf" in names:
@@ -202,33 +203,50 @@ def evaluate(prep: Prepared, X, means=None) -> dict:
     per mean.  ``wald_phe_i`` is nan when [H J] fills the space (p + q = N):
     its normalizing orthocomplement is empty.  A ratio over a zero energy is
     0 for null data and +inf otherwise (:func:`_ratio`)."""
+    return evaluate_sweep((prep,), X, means)[0]
+
+
+def evaluate_sweep(preps, X, means=None) -> list:
+    """:func:`evaluate` of each of ``preps`` on the same test blocks ``X +
+    means[g]``: one batch's states under several covariances, which share
+    ``T`` and the names, at means all of them whiten alike (zero ones).  The
+    covariance-independent half runs once: the point ``T x`` and distributed
+    ``Xt = T X``, their energies and Grams, and the solves against ``G0``
+    (:func:`_rank_one_bank`).  Each state keeps its own call's bits."""
     X = np.asarray(X)
     stacked = means is not None
     means = np.asarray(means if stacked else np.zeros((1, *X.shape[1:])), dtype=np.complex128)
-    banks = prep.banks
+    banks, names = preps[0].banks, preps[0].names
     x, M = X[:, :, 0], means[:, :, 0].T
-    out = {}
+    outs = [{} for _ in preps]
     if any(family == "point" for family, _ in banks):
-        B, N = x.shape
-        xt = prep.T.reshape(B * N, N) @ M
-        # T x added in place along the transposed view: B N long rows, not G short ones
-        np.add(xt.T, np.einsum("bij,bj->bi", prep.T, x).ravel(), out=xt.T)
-        xt = xt.reshape(B, N, M.shape[1])
-        v = _sqnorm(xt)
+        xt, v = _point_whitened(preps[0].T, x, M)
+    for prep, out in zip(preps, outs):
         if ("point", "H") in banks:
             out.update(_subspace_bank(prep, xt, v))
         if ("point", "s") in banks:
             out.update(_point_rank_one_bank(prep, xt, v))
         if ("point", "J") in banks:
             out.update(_interference_bank(prep, xt))
-    if "smf" in prep.names:
-        out["smf"] = _sqnorm((x @ prep.W.T)[..., None] + prep.W @ M)
-    if "mf" in prep.names:
-        out["mf"] = np.abs((x @ prep.mvdr)[..., None] + prep.mvdr @ M) ** 2
+        if "smf" in names:
+            out["smf"] = _sqnorm((x @ prep.W.T)[..., None] + prep.W @ M)
+        if "mf" in names:
+            out["mf"] = np.abs((x @ prep.mvdr)[..., None] + prep.mvdr @ M) ** 2
     if any(family == "distributed" for family, _ in banks):
-        per_mean = [_distributed_banks(prep, X + mean) for mean in means]
-        out.update({k: np.stack([s[k] for s in per_mean], axis=-1) for k in per_mean[0]})
-    return {name: out[name] if stacked else out[name][..., 0] for name in prep.names}
+        per_mean = [_distributed_banks(preps, X + mean) for mean in means]
+        for c, out in enumerate(outs):
+            out.update({k: np.stack([s[c][k] for s in per_mean], axis=-1) for k in per_mean[0][c]})
+    return [{name: out[name] if stacked else out[name][..., 0] for name in names} for out in outs]
+
+
+def _point_whitened(T, x, M):
+    """``T (x + M[:, g])`` (B, N, G) of ``x`` (B, N), ``M`` (N, G), and its energies."""
+    B, N = x.shape
+    xt = T.reshape(B * N, N) @ M
+    # T x added in place along the transposed view: B N long rows, not G short ones
+    np.add(xt.T, np.einsum("bij,bj->bi", T, x).ravel(), out=xt.T)
+    xt = xt.reshape(B, N, M.shape[1])
+    return xt, _sqnorm(xt)
 
 
 def _subspace_bank(prep, xt, v):
@@ -268,25 +286,19 @@ def _interference_bank(prep, xt):
     ui = _energy(prep.QHp, xp)
     vi = _sqnorm(xp)
     denom_i = 1.0 + vi - ui
-    a = _energy(prep.QH, xp)
-    wald_he = _sqnorm(prep.E @ xt)
-    if prep.QB is not None:
+    out = {"glrt_he_i": ui / denom_i, "ts_glrt_he_i": ui, "glrt_phe_i": _ratio(ui, vi),
+           "beta_i": 1.0 / denom_i}
+    if not {"rao_he_i", "ts_rao_he_i", "rao_phe_i"}.isdisjoint(prep.names):
+        a = _energy(prep.QH, xp)
+        out.update(rao_he_i=a / ((1.0 + vi) * (1.0 + vi - a)), ts_rao_he_i=a,
+                   rao_phe_i=_ratio(a, vi))
+    if prep.E is not None:
+        wald_he = _sqnorm(prep.E @ xt)
         # the residual itself, not v less the energy in [J H], which cancels
         # when the data lies close to that span
-        wald_phe = _ratio(wald_he, _sqnorm(xt - prep.QB @ (_ct(prep.QB) @ xt)))
-    else:
-        wald_phe = np.full_like(wald_he, np.nan)
-    return {
-        "glrt_he_i": ui / denom_i,
-        "ts_glrt_he_i": ui,
-        "glrt_phe_i": _ratio(ui, vi),
-        "rao_he_i": a / ((1.0 + vi) * (1.0 + vi - a)),
-        "ts_rao_he_i": a,
-        "rao_phe_i": _ratio(a, vi),
-        "wald_he_i": wald_he,
-        "wald_phe_i": wald_phe,
-        "beta_i": 1.0 / denom_i,
-    }
+        out.update(wald_he_i=wald_he, wald_phe_i=np.full_like(wald_he, np.nan) if prep.QB is None
+                   else _ratio(wald_he, _sqnorm(xt - prep.QB @ (_ct(prep.QB) @ xt))))
+    return out
 
 
 def point_family_stats(x, S, H, J=None, s=None, R=None):
@@ -346,67 +358,77 @@ def solve_sigma_batch(eigs, target: float):
     return find_root(f, lo, hi)[0]
 
 
-def _distributed_banks(prep, X):
-    """The distributed banks of ``prep.banks`` on the test blocks ``X`` (B, N,
-    K), with the PHE noise-power MLEs and ``snrdd``'s unit direction (B, p)."""
-    Xt = prep.T @ X
+def _distributed_banks(preps, X):
+    """The distributed banks of ``preps[0].banks`` on the test blocks ``X``
+    (B, N, K) for each state of ``preps``, which share ``T`` and so ``Xt``,
+    with the PHE noise-power MLEs and ``snrdd``'s unit direction (B, p)."""
+    Xt = preps[0].T @ X
     G0 = _ct(Xt) @ Xt
     trG0 = np.trace(G0, axis1=-2, axis2=-1).real
-    out = {}
-    if ("distributed", "s") in prep.banks:
-        out.update(_rank_one_bank(prep, Xt, G0, trG0))
-    if ("distributed", "H") in prep.banks:
-        out.update(_subspace_banks(prep, Xt, trG0))
-    return out
+    outs = (_rank_one_bank(preps, Xt, G0, trG0) if ("distributed", "s") in preps[0].banks
+            else [{} for _ in preps])
+    if ("distributed", "H") in preps[0].banks:
+        for out, prep in zip(outs, preps):
+            out.update(_subspace_banks(prep, Xt, trG0))
+    return outs
 
 
-def _rank_one_bank(prep, Xt, G0, trG0):
+def _rank_one_bank(preps, Xt, G0, trG0):
+    """The distributed rank-one bank of each of ``preps``, ``c = Xt^H st`` each.
+    Each solve against the shared ``G0`` takes every ``c`` as a column (each
+    keeps its one-column bits), and ``eig(G0)``, ``sigma0_hat`` and ``det(I +
+    G0 / sigma0_hat)`` run once."""
     B, N, K = Xt.shape
-    L, st, ss = prep.L, prep.st, prep.ss
+    L, names, phe = preps[0].L, preps[0].names, ("distributed", "L") in preps[0].banks
     IK = np.eye(K)
-    c = np.einsum("bnk,bn->bk", Xt.conj(), st)
-    Mc = np.linalg.solve(IK + G0, c[..., None])
-    num = np.einsum("bk,bk->b", c.conj(), Mc[..., 0]).real
-    gamf_num = np.einsum("bk,bk->b", c.conj(), c).real
-    out = {
-        "gkglrt": num / (ss - num),
-        "gamf": gamf_num / ss,
-        "gasd": _ratio(gamf_num, ss * trG0),
-    }
-    phe = ("distributed", "L") in prep.banks
-    if phe or "rao_he" in prep.names:
-        G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
-    if "rao_he" in prep.names:  # matrix-inversion-lemma form
-        inner = np.linalg.solve(IK + G1, Mc)
-        out["rao_he"] = np.einsum("bk,bk->b", c.conj(), inner[..., 0]).real / ss
-    if not phe:
-        return out
+    cs = np.stack([np.einsum("bnk,bn->bk", Xt.conj(), prep.st) for prep in preps])
 
-    # PHE bank
-    target = N * K / (L + K)
-    eig0 = np.linalg.eigvalsh(G0).real
-    eig1 = np.linalg.eigvalsh(0.5 * (G1 + _ct(G1))).real
-    # G1 is G0 less a rank-one part, so its rounding noise is on G0's scale
-    # (with N = 1 it is all noise): it counts as zero against G0's top eigenvalue
-    eig1 = np.where(eig1 > 1e-12 * eig0[:, -1:], eig1, 0.0)
-    sigma0 = solve_sigma_batch(eig0, target)
-    sigma1 = solve_sigma_batch(eig1, target)
-    det0 = np.linalg.det(IK + G0 / sigma0[:, None, None]).real
-    det1 = np.linalg.det(IK + G1 / sigma1[:, None, None]).real
-    out.update(glrt_phe=sigma0 ** target * det0 / (sigma1 ** target * det1),
-               sigma0_hat=sigma0, sigma1_hat=sigma1)
+    def solve(A):  # each state's solution, contiguous like a one-column solve's
+        return np.moveaxis(np.linalg.solve(A, np.moveaxis(cs, 0, -1)), -1, 0).copy()
 
-    # Rao (PHE): X^H R0^-1 s through the Woodbury identity in whitened space
-    e0 = np.linalg.solve(sigma0[:, None, None] * IK + G0, c[..., None])[..., 0]
-    E0s = st - np.einsum("bnk,bk->bn", Xt, e0)
-    num_vec = np.einsum("bnk,bn->bk", Xt.conj(), E0s)
-    den = np.einsum("bn,bn->b", st.conj(), E0s).real
-    out["rao_phe"] = (L + K) / sigma0 * np.einsum(
-        "bk,bk->b", num_vec.conj(), num_vec).real / den
-    # Wald (PHE): the projected-data Gram kills the steering component, so the
-    # statistic collapses onto the generalized AMF rescaled by the H1 MLE.
-    out["wald_phe"] = (L + K) / sigma1 * out["gamf"]
-    return out
+    Mcs, e0s = solve(IK + G0), [None] * len(preps)
+    if phe:
+        target = N * K / (L + K)
+        eig0 = np.linalg.eigvalsh(G0).real
+        sigma0 = solve_sigma_batch(eig0, target)
+        det0 = np.linalg.det(IK + G0 / sigma0[:, None, None]).real
+        e0s = solve(sigma0[:, None, None] * IK + G0)
+    outs = []
+    for prep, c, Mc, e0 in zip(preps, cs, Mcs, e0s):
+        st, ss = prep.st, prep.ss
+        num = np.einsum("bk,bk->b", c.conj(), Mc).real
+        gamf_num = np.einsum("bk,bk->b", c.conj(), c).real
+        out = {"gkglrt": num / (ss - num), "gamf": gamf_num / ss,
+               "gasd": _ratio(gamf_num, ss * trG0)}
+        outs.append(out)
+        if phe or "rao_he" in names:
+            G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
+        if "rao_he" in names:  # matrix-inversion-lemma form
+            inner = np.linalg.solve(IK + G1, Mc[..., None])
+            out["rao_he"] = np.einsum("bk,bk->b", c.conj(), inner[..., 0]).real / ss
+        if not phe:
+            continue
+
+        # PHE bank
+        eig1 = np.linalg.eigvalsh(0.5 * (G1 + _ct(G1))).real
+        # G1 is G0 less a rank-one part, so its rounding noise is on G0's scale
+        # (with N = 1 it is all noise): it counts as zero against G0's top eigenvalue
+        eig1 = np.where(eig1 > 1e-12 * eig0[:, -1:], eig1, 0.0)
+        sigma1 = solve_sigma_batch(eig1, target)
+        det1 = np.linalg.det(IK + G1 / sigma1[:, None, None]).real
+        out.update(glrt_phe=sigma0 ** target * det0 / (sigma1 ** target * det1),
+                   sigma0_hat=sigma0, sigma1_hat=sigma1)
+
+        # Rao (PHE): X^H R0^-1 s through the Woodbury identity in whitened space
+        E0s = st - np.einsum("bnk,bk->bn", Xt, e0)
+        num_vec = np.einsum("bnk,bn->bk", Xt.conj(), E0s)
+        den = np.einsum("bn,bn->b", st.conj(), E0s).real
+        out["rao_phe"] = (L + K) / sigma0 * np.einsum(
+            "bk,bk->b", num_vec.conj(), num_vec).real / den
+        # Wald (PHE): the projected-data Gram kills the steering component, so the
+        # statistic collapses onto the generalized AMF rescaled by the H1 MLE.
+        out["wald_phe"] = (L + K) / sigma1 * out["gamf"]
+    return outs
 
 
 def _subspace_banks(prep, Xt, trG0):

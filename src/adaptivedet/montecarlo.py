@@ -25,7 +25,9 @@ the white coordinates of each covariance R = A A^H (A its Cholesky factor):
 the geometry (H, J, s) and the test means are multiplied by ``A^-1``.  T is
 inverted once per batch, and ``T^-1``, the inverse Cholesky factor of ``T
 T^H``, whitens for every covariance; no sample covariance is formed or
-factored (:func:`sweep_trials`).  Only the test-data half of the statistics,
+factored.  A batch's covariances share its noise and ``T^-1``, and at a zero
+mean its whitened test block, so the statistics' covariance-independent half
+runs once per batch (:func:`sweep_trials`).  Only the test-data half of the statistics,
 and only the banks the plan's detectors read, runs per mean, ``GRID_CHUNK``
 means a call (:func:`~adaptivedet.batcheval.evaluate`, :func:`exceedance_counts`).
 """
@@ -116,17 +118,19 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
 
 
 def _noise_pass(plan: TrialPlan, covariances, means=0.0):
-    """Yield ``(c, trials, noise, prepared, white)`` per batch of the plan and
-    per covariance ``covariances[c]``, one covariance's state alive at a time.
+    """Yield ``(trials, noise, preps, whites)`` per batch of the plan, with
+    entry c of ``preps`` and ``whites`` for covariance ``covariances[c]``: a
+    batch's C prepared states are alive together.
 
     Each batch is drawn once and every covariance reads that same draw (common
     random numbers), so its trials are bit-identical to a pass over it alone.
-    In the white coordinates of each R = A A^H, ``noise`` is the batch's
-    scaled white test noise (B, N, K), ``white`` is ``A^-1 means`` (G, N, K;
-    one (N, K) mean or 0 is G = 1), and ``prepared`` is
-    :func:`~adaptivedet.batcheval.prepare` of the plan's detectors on the
-    geometry ``A^-1 (H, J, s)``, whitened by ``T^-1`` (formed only for a plan
-    with an adaptive detector), with R = I for the clairvoyant maps.
+    ``noise`` is the batch's scaled white test noise (B, N, K), shared by
+    every covariance, as is the whitener ``T^-1`` (formed only for a plan with
+    an adaptive detector).  In the white coordinates of each R = A A^H, a
+    white mean is ``A^-1 means`` (G, N, K; one (N, K) mean or 0 is G = 1), and
+    a state is :func:`~adaptivedet.batcheval.prepare` of the plan's
+    detectors on the geometry ``A^-1 (H, J, s)``, whitened by ``T^-1``, with
+    R = I for the clairvoyant maps.
     """
     cfg = plan.scenario
     adaptive = not all(registry.DETECTORS[name].clairvoyant for name in plan.detectors)
@@ -134,10 +138,8 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
              else np.full((1, cfg.N, cfg.K), means))
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
     R = np.eye(cfg.N)
-    frames = []
-    for cov in covariances:
-        A_inv = batcheval.whitener(cov.build(cfg.N))
-        frames.append((A_inv @ H, A_inv @ J, A_inv @ means))
+    whiteners = [batcheval.whitener(cov.build(cfg.N)) for cov in covariances]
+    frames = [(A_inv @ H, A_inv @ J, A_inv @ means) for A_inv in whiteners]
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
     for first in range(0, n_blocks, per_batch):
@@ -146,9 +148,9 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
         T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
         T_inv = batcheval.lower_inverse(T) if adaptive else None
-        for c, (Hw, Jw, white) in enumerate(frames):
-            prepared = batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
-            yield c, trials, cfg.test_scale * w_test, prepared, white
+        yield trials, cfg.test_scale * w_test, [
+            batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
+            for Hw, Jw, _ in frames], [white for _, _, white in frames]
 
 
 def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
@@ -156,14 +158,20 @@ def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
     (N, K) mean) under each covariance model, from one draw of the plan's
     trial streams (common random numbers).
 
-    Returns one dict per covariance, in order; entry ``c`` maps detector name
-    to an ``(n_trials,)`` array ordered by trial index and equals
-    ``run_trials(replace(plan, covariance=covariances[c]), mean)``.
+    At a zero mean a batch's covariances share its whitened test block, and
+    the covariance-independent half runs once per batch
+    (:func:`~adaptivedet.batcheval.evaluate_sweep`).  Returns one dict per
+    covariance, in order; entry ``c`` maps detector name to an ``(n_trials,)``
+    array ordered by trial index, bit for bit ``run_trials(replace(plan,
+    covariance=covariances[c]), mean)``.
     """
     out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
-    for c, trials, noise, prepared, white in _noise_pass(plan, covariances, mean):
-        for name, value in batcheval.evaluate(prepared, noise, white).items():
-            out[c][name][trials.start:trials.stop] = value[:, 0]
+    for trials, noise, preps, whites in _noise_pass(plan, covariances, mean):
+        stats = (batcheval.evaluate_sweep(preps, noise, whites[0]) if not np.any(mean) else
+                 [batcheval.evaluate(prep, noise, white) for prep, white in zip(preps, whites)])
+        for ours, values in zip(out, stats):
+            for name, value in values.items():
+                ours[name][trials.start:trials.stop] = value[:, 0]
     return out
 
 
@@ -190,7 +198,7 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     and memory stays one batch of a chunk plus the (G, D) counts.
     """
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
-    for _, _, noise, prepared, white in _noise_pass(plan, (plan.covariance,), means):
+    for _, noise, (prepared,), (white,) in _noise_pass(plan, (plan.covariance,), means):
         for chunk in (slice(g, g + GRID_CHUNK) for g in range(0, len(means), GRID_CHUNK)):
             stats = batcheval.evaluate(prepared, noise, white[chunk])
             for d, name in enumerate(plan.detectors):

@@ -136,7 +136,7 @@ DETECTORS = {d.name: d for d in (
     _point("smi", law=None, cfar=False, reads=_RANK_ONE),
     # clairvoyant (known-covariance) references
     _point("smf", loss_factor=False, clairvoyant=True, default=True),
-    _point("mf", law=None, clairvoyant=True, reads=_RANK_ONE),
+    _point("mf", law=None, cfar=False, clairvoyant=True, reads=_RANK_ONE),
     # interference rejection; the GLRT trio has the point laws at dimension N - q
     _interference("glrt_he_i", "interference", canonical="sglrt"),
     _interference("ts_glrt_he_i", "interference", canonical="samf"),

@@ -7,9 +7,13 @@ this script from the repository root,
 
     PYTHONPATH=src python3 tests/golden/write_digests.py
 
-and names each moved argv, and why it moved, in CHANGES.md.
+and names each moved argv, and why it moved, in CHANGES.md.  With
+``--check`` it writes nothing: it reruns every argv, prints each one whose
+exit code or digest differs from the ledger as ``name: old -> new``, and
+exits 1 if any does, 0 if none does.
 """
 
+import argparse
 import ctypes
 import glob
 import hashlib
@@ -114,11 +118,38 @@ def run(argv) -> dict:
             return {"exit": code, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
-def main():
+def _brief(entry) -> str:
+    return "absent" if entry is None else f"exit {entry['exit']} sha256 {entry['sha256'][:12]}"
+
+
+def moved() -> list:
+    """``(name, old, new)`` of each argv, of the ledger or of ``ARGVS``, whose
+    exit code and digest on a rerun differ from the ledger's (None: absent)."""
+    ledger = json.loads(LEDGER.read_text(encoding="utf-8"))["argvs"]
+    out = []
+    for name in sorted(set(ledger) | set(ARGVS)):
+        old = {key: ledger[name][key] for key in ("exit", "sha256")} if name in ledger else None
+        new = run(ARGVS[name]) if name in ARGVS else None
+        if old != new:
+            out.append((name, old, new))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print the argvs whose output moved and exit 1 if any did; "
+                             "write nothing")
+    if parser.parse_args(argv).check:
+        changes = moved()
+        for name, old, new in changes:
+            print(f"{name}: {_brief(old)} -> {_brief(new)}")
+        return 1 if changes else 0
     ledger = {"environment": environment(), "seed": SEED,
               "argvs": {name: {"argv": argv, **run(argv)} for name, argv in ARGVS.items()}}
     LEDGER.write_text(json.dumps(ledger, indent=2) + "\n", encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

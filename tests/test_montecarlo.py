@@ -2,12 +2,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import oracles
 from adaptivedet import batcheval, cli, montecarlo as mc, registry, scenario as sc
 from adaptivedet.distributions import ComplexChi2, threshold_for_pfa
 from adaptivedet.errors import GeometryError, InfeasibleError
+from conftest import crandn
 
 
 def _point_plan(n=2000, seed=11, **kw):
@@ -288,7 +290,7 @@ class TestClairvoyantPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, _, prepared, _), = mc._noise_pass(plan, (plan.covariance,))
+        (_, _, (prepared,), _), = mc._noise_pass(plan, (plan.covariance,))
         assert (prepared.W is not None, prepared.mvdr is not None) == (has_W, has_mvdr)
 
 
@@ -312,6 +314,10 @@ class TestPointBankPreparation:
         (registry.names(family="point", reads=("H", "J")), 2, 0),
         (("smf", "mf"), 2, 3),
         (registry.names(family="point"), 2, 3),
+        (("glrt_he_i", "ts_glrt_he_i", "beta_i"), 2, 3),
+        (("rao_he_i", "ts_rao_he_i", "rao_phe_i"), 2, 3),
+        (("wald_he_i", "glrt_phe_i"), 2, 3),
+        (("wald_phe_i",), 2, 0),
     ])
     def test_partial_banks_give_the_full_pass_bits(self, detectors, p, q, batch_size):
         full = self._run(registry.names(family="point"), p, q, 97)
@@ -328,15 +334,19 @@ class TestPointBankPreparation:
         (("smf",), ("W",)),
         (("mf",), ("mvdr",)),
         (("smf", "mf"), ("W", "mvdr")),
+        (("wald_he_i",), ("T", "QH", "RH", "QJ", "QHp", "QB", "E")),
+        (("glrt_he_i", "ts_glrt_he_i", "beta_i"), ("T", "QH", "RH", "QJ", "QHp")),
+        (("rao_he_i", "rao_phe_i"), ("T", "QH", "RH", "QJ", "QHp")),
     ])
     def test_only_the_read_banks_are_prepared(self, detectors, held):
         """A subspace-only plan with q > 0 holds no rank-one or interference
-        state, and a plan of clairvoyant detectors no whitener and no
-        adaptive bank; every other plan holds exactly its banks' state."""
+        state, a plan of clairvoyant detectors no whitener and no adaptive
+        bank, and an interference plan the Wald map and the [J H] basis only
+        for a Wald name; every other plan holds exactly its banks' state."""
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, _, prepared, _), = mc._noise_pass(plan, (plan.covariance,))
+        (_, _, (prepared,), _), = mc._noise_pass(plan, (plan.covariance,))
         assert prepared.names == detectors
         assert {f.name for f in fields(prepared)
                 if f.name not in ("names", "banks")
@@ -358,7 +368,7 @@ class TestPointBankPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=100, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, noise, prepared, white), = mc._noise_pass(plan, (plan.covariance,))
+        (_, noise, (prepared,), (white,)), = mc._noise_pass(plan, (plan.covariance,))
         assert set(batcheval.evaluate(prepared, noise, white)) == returned
 
 
@@ -593,8 +603,10 @@ class TestSweepTrials:
     @pytest.mark.parametrize("batch_size", [97, 4096])
     @pytest.mark.parametrize("cfg, detectors", [
         # smf: the clairvoyant map must come from each covariance's own R
-        (sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2), ("sglrt", "samf", "smf", "glrt_he_i")),
-        (sc.ScenarioConfig(N=6, p=2, L=12, K=4, pfa=1e-2), ("gkglrt", "gasd", "glrt_phe")),
+        (sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2),
+         ("sglrt", "samf", "smf", "glrt_he_i", "kglrt", "mf")),
+        (sc.ScenarioConfig(N=6, p=2, L=12, K=4, pfa=1e-2),
+         ("gkglrt", "gasd", "glrt_phe", "rao_phe", "rao_he", "glrdd")),
     ])
     def test_each_covariance_equals_its_own_run(self, cfg, detectors, batch_size):
         plan = mc.TrialPlan(n_trials=300, master_seed=21, scenario=cfg,
@@ -606,6 +618,67 @@ class TestSweepTrials:
             alone = mc.run_trials(replace(plan, covariance=cov))
             for name in detectors:
                 assert np.array_equal(stats[name], alone[name]), (cov.label(), name)
+
+    POOL = COVS + (sc.CovarianceModel.ar1(0.5),)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_each_covariance_equals_its_own_run_on_draws(self, data):
+        """On draws of 1-3 covariance models (repeats allowed), plans of both
+        families with their PHE and direction/DOS names, K in {1, 4}, zero
+        and nonzero test means and two batch sizes, each covariance of the
+        sweep equals its own ``run_trials`` bit for bit."""
+        K = data.draw(st.sampled_from((1, 4)))
+        cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, K=K, pfa=1e-2)
+        names = [name for name in sorted(registry.DETECTORS)
+                 if K == 1 or registry.DETECTORS[name].family == "distributed"]
+        covariances = data.draw(st.lists(st.sampled_from(self.POOL), min_size=1, max_size=3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        # names chosen by the drawn seed, so that no family shrinks away
+        detectors = tuple(rng.permutation(names)[:rng.integers(1, 9)].tolist())
+        mean = data.draw(st.sampled_from((0.0, 2.0))) * crandn(rng, 6, K)
+        plan = mc.TrialPlan(n_trials=150, master_seed=seed, scenario=cfg,
+                            covariance=covariances[0], detectors=detectors,
+                            batch_size=data.draw(st.sampled_from((64, 4096))))
+        for cov, stats in zip(covariances, mc.sweep_trials(plan, covariances, mean)):
+            alone = mc.run_trials(replace(plan, covariance=cov), mean)
+            assert set(stats) == set(detectors)
+            for name in detectors:
+                assert np.array_equal(stats[name], alone[name], equal_nan=True), (
+                    cov.label(), name)
+
+    @pytest.mark.parametrize("snr_db, per_batch", [(None, 1), (8.0, 3)])
+    def test_zero_mean_whitens_the_test_block_once_per_batch(self, snr_db, per_batch,
+                                                             monkeypatch):
+        """At a zero mean the three covariances of a batch share one whitened
+        test block for each family, and with it one distributed rank-one
+        bank (one ``(I + G0)`` solve of three columns); a nonzero mean is
+        whitened per covariance."""
+        calls = {"point": [], "distributed": []}
+        point, distributed = batcheval._point_whitened, batcheval._distributed_banks
+
+        def counting_point(T, x, M):
+            calls["point"].append(len(T))
+            return point(T, x, M)
+
+        def counting_distributed(preps, X):
+            calls["distributed"].append(len(preps))
+            return distributed(preps, X)
+
+        monkeypatch.setattr(batcheval, "_point_whitened", counting_point)
+        monkeypatch.setattr(batcheval, "_distributed_banks", counting_distributed)
+        cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
+        H, _ = sc.default_geometry(cfg.N, cfg.p, cfg.q)
+        mean = 0.0 if snr_db is None else sc.actual_signal(
+            H, np.eye(cfg.N), sc.SignalSpec(snr_db=snr_db, seed=1))[:, None]
+        plan = mc.TrialPlan(n_trials=300, master_seed=21, scenario=cfg,
+                            covariance=self.COVS[0], detectors=("sglrt", "smf", "gkglrt"),
+                            batch_size=128)
+        mc.sweep_trials(plan, self.COVS, mean)
+        batches = [128, 128, 44]
+        assert calls["point"] == [b for b in batches for _ in range(per_batch)]
+        assert calls["distributed"] == [len(self.COVS) // per_batch] * per_batch * len(batches)
 
 
 class TestOrientationAndScale:

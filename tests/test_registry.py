@@ -138,7 +138,7 @@ class TestReads:
 
 class TestTable:
     def test_cfar_defaults_and_phe_laws(self):
-        assert registry.names(cfar=False) == ("smi",)
+        assert registry.names(cfar=False) == ("smi", "mf")
         # under phe only a scale-invariant statistic with a law keeps it
         assert {d.name for d in registry.DETECTORS.values()
                 if d.scale_invariant and d.law} == {"asd", "ace", "glrt_phe_i"}
