@@ -47,7 +47,8 @@ def _argvs():
     both ways, a Monte Carlo mesa of more grid points than one stacked
     evaluation takes, an analytic mesa of the interference laws on the
     default 861-cell grid, a cfar-check and a Monte Carlo SNR grid of plans
-    that mix both families at K = 1, validate-dist at small n, and
+    that mix both families at K = 1, a jammed and a distributed (K = 4)
+    SNR grid run both ways, validate-dist at small n, and
     identities at more instances than one evaluation of a size class takes."""
     argvs = {name: list(w.command) for name, w in sorted(workloads.WORKLOADS.items())}
     argvs["mc_point_grid_batch64"] = argvs["mc_point_grid"] + ["--batch-size", "64"]
@@ -79,6 +80,14 @@ def _argvs():
     argvs["pd_vs_snr_mixed"] = [
         "pd-vs-snr", "--mode", "montecarlo", *mixed, "--snr", "0,6,12,18", "--detectors",
         "sglrt,kglrt,gkglrt,gamf,smf,mf,glrdd,glrt_he_i,rao_dos", "--trials", "1000"]
+    argvs["pd_vs_snr_jammer"] = [
+        "pd-vs-snr", "--mode", "both", "--N", "8", "--p", "2", "--q", "2", "--L", "16",
+        "--pfa", "1e-2", "--snr", "0,6,12", "--jnr-db", "10",
+        "--detectors", "glrt_he_i,ts_glrt_he_i,sglrt,kglrt", "--trials", "1000"]
+    argvs["pd_vs_snr_distributed"] = [
+        "pd-vs-snr", "--mode", "both", "--N", "8", "--p", "2", "--K", "4", "--L", "16",
+        "--pfa", "1e-2", "--snr", "0,6,12", "--cos2phi", "0.8",
+        "--detectors", "gkglrt,gamf,glrdd", "--trials", "1000"]
     argvs["validate_dist"] = ["validate-dist", "--trials", "500"]
     argvs["identities_chunked"] = ["identities", "--trials", "5000"]
     return argvs
