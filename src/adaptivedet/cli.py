@@ -1,17 +1,10 @@
-"""Command-line front end: experiment grids and validation suites as CSV.
-
-Subcommands
------------
-pd-vs-snr       detection probability against SNR at fixed mismatch
-pd-vs-mismatch  detection probability against cos^2(phi) at fixed SNR
-mesa            full (SNR, cos^2 phi) detection-probability grid
-cfar-check      empirical false-alarm invariance across covariance models
-validate-dist   sampling (KS) validation of the distribution machinery
-identities      exact algebraic identity suite over random instances
+"""Command-line front end: experiment grids and validation suites as CSV,
+one subcommand per entry of :data:`COMMANDS`.
 
 Configuration may come from ``key = value`` files (# comments, commas for
-lists); command-line flags override file values.  Identical configuration and
-seed produce byte-identical CSV regardless of batch size.
+lists), each key a flag name; command-line flags override file values.
+Identical configuration and seed produce byte-identical CSV regardless of
+batch size.
 """
 
 import argparse
@@ -60,13 +53,6 @@ IDENTITY_SIZES = ((4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3), (12, 1), (12, 
 IDENTITY_CHUNK = 256
 # flipping the top bit of the 128-bit Philox key gives calibration its own streams
 CALIBRATION_KEY_BIT = 1 << 127
-# each grid command's SNR (dB) and cos^2(phi) lists for a flag left unset
-# (None where the flag has a default of its own)
-GRID_DEFAULTS = {
-    "pd-vs-snr": (np.arange(0.0, 25.0), None),
-    "pd-vs-mismatch": (None, np.linspace(0.0, 1.0, 21)),
-    "mesa": (np.linspace(0.0, 40.0, 41), np.linspace(0.0, 1.0, 21)),
-}
 
 
 def _fmt(value) -> str:
@@ -100,8 +86,11 @@ def emit_csv(rows, path, columns):
         raise
 
 
-def parse_config_file(path) -> dict:
-    values = {}
+def config_tokens(path) -> list:
+    """The ``key = value`` lines of a configuration file as ``--key=value``
+    flags, ``_`` in a key read as ``-``.  The ``=`` form keeps a value that
+    starts with ``-`` (``snr = -6,0``) a value."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -110,8 +99,8 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 def _float_list(text):
@@ -122,6 +111,62 @@ def _str_list(text):
     return [v.strip() for v in str(text).split(",") if v.strip() != ""]
 
 
+def _common_flags(p):
+    p.add_argument("--config", type=str, default=None, help="key = value configuration file")
+    p.add_argument("--out", type=str, default=None, help="output CSV path (stdout when omitted)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--batch-size", type=int, default=mc.DEFAULT_BATCH)
+
+
+def _scenario_flags(p):
+    p.add_argument("--N", type=int, default=12)
+    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--K", type=int, default=1)
+    p.add_argument("--L", type=int, default=None, help="training count (default 2N)")
+    p.add_argument("--pfa", type=float)
+    p.add_argument("--env", type=str, default="he", help="'he', 'phe' or 'phe:SIGMA2'")
+    p.add_argument("--detectors", type=str, default=",".join(registry.names(default=True)))
+
+
+def _grid_flags(p):
+    p.add_argument("--covariance", type=str, default="ar1:0.9",
+                   help="identity | ar1:RHO | ar1w:RHO:CNR_DB")
+    p.add_argument("--mode", choices=("analytic", "montecarlo", "both"), default="analytic")
+    p.add_argument("--jnr-db", type=float, default=None,
+                   help="add a coherent jammer at this JNR under H1 (needs q > 0)")
+    p.add_argument("--snr", type=_float_list, help="SNR list in dB")
+    p.add_argument("--cos2phi", type=_float_list, help="cos^2(phi) list")
+
+
+def _sweep_flags(p):
+    p.add_argument("--covariances", type=str, default="identity,ar1:0.9,ar1w:0.99:30")
+
+
+# each subcommand: its help, the flag groups it reads besides the common ones,
+# its own defaults, and the name of its runner, which returns (rows, failed), with
+# the columns it writes.  The runner is looked up in this module when the
+# command runs, so that whatever the module attribute holds then is what runs.
+COMMANDS = {
+    "pd-vs-snr": ("PD against SNR at fixed mismatch", (_scenario_flags, _grid_flags),
+                  dict(snr=np.arange(0.0, 25.0), cos2phi=[1.0], pfa=1e-3),
+                  "run_grid", GRID_COLUMNS),
+    "pd-vs-mismatch": ("PD against cos^2(phi) at fixed SNR", (_scenario_flags, _grid_flags),
+                       dict(snr=[18.0], cos2phi=np.linspace(0.0, 1.0, 21), pfa=1e-3),
+                       "run_grid", GRID_COLUMNS),
+    "mesa": ("PD over the (SNR, cos^2 phi) grid", (_scenario_flags, _grid_flags),
+             dict(snr=np.linspace(0.0, 40.0, 41), cos2phi=np.linspace(0.0, 1.0, 21), pfa=1e-3),
+             "run_grid", GRID_COLUMNS),
+    "cfar-check": ("false-alarm invariance sweep", (_scenario_flags, _sweep_flags),
+                   dict(pfa=1e-2), "run_cfar_check", CFAR_COLUMNS),
+    "validate-dist": ("KS validation of distributions", (), {},
+                      "run_validate_dist", DIST_COLUMNS),
+    "identities": ("exact algebraic identity suite", (), {},
+                   "run_identities", IDENTITY_COLUMNS),
+}
+
+
 def build_parser():
     """Return the argument parser and its per-subcommand parser map."""
     parser = argparse.ArgumentParser(
@@ -129,63 +174,13 @@ def build_parser():
         description="Adaptive detector bank experiments and validation suites.")
     sub = parser.add_subparsers(dest="command", required=True)
     sub_map = {}
-
-    def add_common(p):
-        p.add_argument("--config", type=str, default=None,
-                       help="key = value configuration file")
-        p.add_argument("--out", type=str, default=None,
-                       help="output CSV path (stdout when omitted)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=10000)
-        p.add_argument("--batch-size", type=int, default=mc.DEFAULT_BATCH)
-
-    def add_scenario(p):
-        p.add_argument("--N", type=int, default=12)
-        p.add_argument("--p", type=int, default=2)
-        p.add_argument("--q", type=int, default=0)
-        p.add_argument("--K", type=int, default=1)
-        p.add_argument("--L", type=int, default=None,
-                       help="training count (default 2N)")
-        p.add_argument("--pfa", type=float, default=None)
-        p.add_argument("--env", type=str, default="he",
-                       help="'he', 'phe' or 'phe:SIGMA2'")
-        p.add_argument("--detectors", type=str, default=",".join(registry.names(default=True)))
-
-    def add_grid(p):
-        add_scenario(p)
-        p.add_argument("--covariance", type=str, default="ar1:0.9",
-                       help="identity | ar1:RHO | ar1w:RHO:CNR_DB")
-        p.add_argument("--mode", choices=("analytic", "montecarlo", "both"),
-                       default="analytic")
-        p.add_argument("--jnr-db", type=float, default=None,
-                       help="add a coherent jammer at this JNR under H1 (needs q > 0)")
-
-    def command(name, help_text, *adds):
+    for name, (help_text, flags, defaults, _, _) in COMMANDS.items():
         # no prefix matching: a misspelt flag must not pass for another one
-        sub_map[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for add in (add_common,) + adds:
-            add(sub_map[name])
-        return sub_map[name]
-
-    p_snr = command("pd-vs-snr", "PD against SNR at fixed mismatch", add_grid)
-    p_snr.add_argument("--snr", type=str, default=None, help="dB list (default 0..24)")
-    p_snr.add_argument("--cos2phi", type=str, default="1.0")
-
-    p_mis = command("pd-vs-mismatch", "PD against cos^2(phi) at fixed SNR", add_grid)
-    p_mis.add_argument("--snr", type=str, default="18.0")
-    p_mis.add_argument("--cos2phi", type=str, default=None,
-                       help="list (default 21 points on [0, 1])")
-
-    p_mesa = command("mesa", "PD over the (SNR, cos^2 phi) grid", add_grid)
-    p_mesa.add_argument("--snr", type=str, default=None, help="default 0..40, 41 points")
-    p_mesa.add_argument("--cos2phi", type=str, default=None, help="default 21 points")
-
-    p_cfar = command("cfar-check", "false-alarm invariance sweep", add_scenario)
-    p_cfar.add_argument("--covariances", type=str,
-                        default="identity,ar1:0.9,ar1w:0.99:30")
-    command("validate-dist", "KS validation of distributions")
-    command("identities", "exact algebraic identity suite")
-
+        p = sub_map[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for add in (_common_flags, *flags):
+            add(p)
+        # argparse passes no non-string default through ``type``: the axes keep their bits
+        p.set_defaults(**defaults)
     return parser, sub_map
 
 
@@ -196,10 +191,9 @@ def _scenario_from_args(args) -> sc.ScenarioConfig:
             colon and environment != sc.PARTIALLY_HOMOGENEOUS):
         raise ValueError(f"unknown environment {args.env!r}")
     L = args.L if args.L is not None else 2 * args.N
-    pfa = args.pfa if args.pfa is not None else (1e-2 if args.command == "cfar-check" else 1e-3)
     return sc.ScenarioConfig(N=args.N, p=args.p, q=args.q, K=args.K, L=L,
                              environment=environment,
-                             sigma2=float(sigma2) if colon else 1.0, pfa=pfa)
+                             sigma2=float(sigma2) if colon else 1.0, pfa=args.pfa)
 
 
 def _build_signal(cfg, build, snr_db, cos2phi, seed, grid_index):
@@ -266,7 +260,8 @@ def _detectors(args):
     return tuple(names)
 
 
-def run_grid(args, snrs, cos2s):
+def run_grid(args):
+    snrs, cos2s = args.snr, args.cos2phi
     cfg = _scenario_from_args(args)
     detectors = _detectors(args)
     jnr = () if args.jnr_db is None else (args.jnr_db,)
@@ -324,7 +319,7 @@ def run_grid(args, snrs, cos2s):
                 row["pd_mc"] = k / args.trials
                 row["ci_low"], row["ci_high"] = mc.wilson_interval(k, args.trials)
             rows.append(row)
-    return rows
+    return rows, False
 
 
 def run_cfar_check(args):
@@ -382,8 +377,8 @@ def run_validate_dist(args):
     cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-3)
     cov = sc.CovarianceModel.ar1(0.9)
     H, _ = sc.default_geometry(N, cfg.p)
-    s0 = sc.actual_signal(H, cov.build(N),
-                          sc.SignalSpec(snr_db=10.0 * np.log10(rho), cos2phi=1.0, seed=args.seed))
+    s0 = sc.signal_builder(H, cov.build(N))(sc.SignalSpec(snr_db=10.0 * np.log10(rho)),
+                                            np.random.default_rng(args.seed))
     plan = mc.TrialPlan(n_trials=n, master_seed=args.seed, scenario=cfg,
                         covariance=cov, detectors=("aed",), batch_size=args.batch_size)
     suites.append(("aed-law", f"N={N},L={L},rho={rho:g}", mc.run_trials(plan, s0[:, None])["aed"],
@@ -438,48 +433,27 @@ def run_identities(args):
     return rows, any(row["status"] == "fail" for row in rows)
 
 
-def _apply_config_defaults(subparser, file_values) -> None:
-    """Install config-file values as typed defaults on the subparser."""
-    actions = {a.dest: a for a in subparser._actions}
-    unknown = set(file_values) - set(actions)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    typed = {}
-    for dest, raw in file_values.items():
-        action = actions[dest]
-        value = action.type(raw) if action.type is not None else raw
-        if action.choices and value not in action.choices:
-            raise ValueError(f"config key {dest!r}: {value!r} not in {action.choices}")
-        typed[dest] = value
-    subparser.set_defaults(**typed)
-
-
 def main(argv=None) -> int:
     parser, sub_map = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # apply config-file values as defaults before the real parse
-    probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
+    args = parser.parse_args(argv)
+    if args.config:
         try:
-            _apply_config_defaults(sub_map[probe.command],
-                                   parse_config_file(probe.config))
+            tokens = config_tokens(args.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    args = parser.parse_args(argv)
-
+        # the file's flags go first, so that the command line's override them
+        args, unknown = sub_map[args.command].parse_known_args(
+            tokens + argv[argv.index(args.command) + 1:], args)
+        if unknown:
+            keys = sorted(token[2:].split("=", 1)[0] for token in unknown)
+            print(f"error: unknown config keys: {keys}", file=sys.stderr)
+            return 2
+    _, _, _, run, columns = COMMANDS[args.command]
     try:
-        if args.command in GRID_DEFAULTS:
-            axes = [_float_list(text) if text is not None else list(default)
-                    for text, default in zip((args.snr, args.cos2phi),
-                                             GRID_DEFAULTS[args.command])]
-            emit_csv(run_grid(args, *axes), args.out, GRID_COLUMNS)
-            return 0
         # the validation commands exit 1 when a validated property fails
-        run, columns = {"cfar-check": (run_cfar_check, CFAR_COLUMNS),
-                        "validate-dist": (run_validate_dist, DIST_COLUMNS),
-                        "identities": (run_identities, IDENTITY_COLUMNS)}[args.command]
-        rows, failed = run(args)
+        rows, failed = globals()[run](args)
         emit_csv(rows, args.out, columns)
         return 1 if failed else 0
     except (ValueError, OSError) as exc:

@@ -13,13 +13,6 @@ HOMOGENEOUS = "he"
 PARTIALLY_HOMOGENEOUS = "phe"
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Pass through a Generator, or build one from integer entropy."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def db_to_power(db: float) -> float:
     """The power ratio ``10^(db/10)``: inf where it overflows, which a finite
     ``db`` above about 3082.5 does."""
@@ -145,7 +138,6 @@ class SignalSpec:
 
     snr_db: float
     cos2phi: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.cos2phi <= 1.0:
@@ -163,14 +155,11 @@ def steering_vector(N: int, freq: float) -> np.ndarray:
     return np.exp(2j * np.pi * freq * np.arange(N))
 
 
-def nominal_subspace(N: int, p: int, freqs=None) -> np.ndarray:
-    """N x p full-rank subspace matrix of steering vectors.
+def nominal_subspace(N: int, p: int, freqs) -> np.ndarray:
+    """N x p full-rank subspace matrix of steering vectors at ``freqs``.
 
-    Frequencies default to ``(i+1)/(p+1)``, evenly spread over (0, 1).
     Duplicate frequencies make the matrix rank deficient and are rejected.
     """
-    if freqs is None:
-        freqs = [(i + 1.0) / (p + 1.0) for i in range(p)]
     freqs = [float(f) for f in freqs]
     if len(freqs) != p:
         raise ValueError("need exactly p frequencies")
@@ -189,27 +178,21 @@ def default_geometry(N: int, p: int, q: int = 0):
     return H, J
 
 
-def actual_signal(H: np.ndarray, R: np.ndarray, spec: SignalSpec, rng=None) -> np.ndarray:
-    """Signal vector with exact output SNR and mismatch angle.
+def signal_builder(H: np.ndarray, R: np.ndarray):
+    """Signal vectors of exact output SNR and mismatch angle for one (H, R),
+    whitened once, as ``build(spec, rng)``.
 
     In the R-whitened space the signal is ``sqrt(rho) (cos(phi) u +
     sin(phi) w)`` with ``u`` a unit vector in the whitened span of ``H`` and
     ``w`` a unit vector in its orthocomplement; both directions are drawn
-    from ``rng`` (or the seed carried by ``spec``), so results are
-    reproducible and the
-    statistics depend only on (rho, cos2phi).
+    from ``rng``, so results are reproducible and the statistics depend only
+    on (rho, cos2phi).
     """
-    return signal_builder(H, R)(spec, rng)
-
-
-def signal_builder(H: np.ndarray, R: np.ndarray):
-    """:func:`actual_signal` of one (H, R), whitened once, as ``build(spec, rng)``."""
     N, p = H.shape
     Q = linalg.orthonormal_basis(linalg.inv_sqrt(R) @ H)
     A = linalg.herm_sqrt(R)
 
-    def build(spec: SignalSpec, rng=None) -> np.ndarray:
-        rng = as_rng(spec.seed if rng is None else rng)
+    def build(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
         u = Q @ complex_normal(rng, p)
         u = u / np.linalg.norm(u)
         cos2 = spec.cos2phi

@@ -9,8 +9,9 @@ of floats.  This module must import neither ``adaptivedet.batcheval`` nor
 would compare the kernels with themselves.
 
 It also holds the tests' one-realization data draw (:func:`synthesize`),
-their exceedance count over a whole plan (:func:`estimate_pd`) and their one
-test of Monte Carlo counts against known rates (:func:`assert_counts`).
+their signal vector of one seed (:func:`signal`), their exceedance count
+over a whole plan (:func:`estimate_pd`) and their one test of Monte Carlo
+counts against known rates (:func:`assert_counts`).
 """
 
 from dataclasses import dataclass
@@ -376,6 +377,13 @@ class DataSet:
         if self.test.shape[1] != 1:
             raise ValueError("test data has more than one range bin")
         return self.test[:, 0]
+
+
+def signal(H, R, snr_db, cos2phi=1.0, seed=0) -> np.ndarray:
+    """``scenario.signal_builder(H, R)``'s signal at (snr_db, cos2phi), its
+    directions drawn from ``default_rng(seed)``."""
+    return sc.signal_builder(H, R)(sc.SignalSpec(snr_db=snr_db, cos2phi=cos2phi),
+                                   np.random.default_rng(seed))
 
 
 def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None,

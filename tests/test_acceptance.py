@@ -111,9 +111,7 @@ def test_criterion_03_distribution_ks():
         cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-3)
         H, _ = sc.default_geometry(N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.9)
-        s0 = sc.actual_signal(H, cov.build(N),
-                              sc.SignalSpec(snr_db=10 * np.log10(rho), cos2phi=1.0,
-                                            seed=MASTER_SEED))
+        s0 = oracles.signal(H, cov.build(N), 10 * np.log10(rho), seed=MASTER_SEED)
         plan = mc.TrialPlan(n_trials=n, master_seed=MASTER_SEED + 3, scenario=cfg,
                             covariance=cov, detectors=("aed",))
         samples = mc.run_trials(plan, s0[:, None])["aed"]
@@ -186,8 +184,7 @@ def test_criterion_04_pd_vs_snr(fig_thresholds):
         n = oracles.trials_to_detect(0.03, rows=len(snrs) * len(bank))
         plan = mc.TrialPlan(n_trials=n, master_seed=43, scenario=cfg,
                             covariance=cov, detectors=bank)
-        means = [sc.actual_signal(H, R, sc.SignalSpec(snr_db=snr_db, cos2phi=1.0,
-                                                      seed=11))[:, None] for snr_db in snrs]
+        means = [oracles.signal(H, R, snr_db, seed=11)[:, None] for snr_db in snrs]
         counts = mc.exceedance_counts(plan, means, fig_thresholds)
         oracles.assert_counts(
             [((d, snr_db), counts[g, i], n, _pd(d, 10 ** (snr_db / 10), 1.0, fig_thresholds))

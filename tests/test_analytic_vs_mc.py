@@ -26,15 +26,14 @@ class TestDistributedAgreement:
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(self.N)
         eta = analytic_threshold(detector, cfg)
-        spec = sc.SignalSpec(snr_db=15.0, cos2phi=cos2phi, seed=5)
-        s0 = sc.actual_signal(H, R, spec)
+        s0 = oracles.signal(H, R, 15.0, cos2phi, seed=5)
         coords = np.ones(self.K, dtype=complex) / np.sqrt(self.K)
         n = oracles.trials_to_detect(0.03)
         plan = mc.TrialPlan(n_trials=n, master_seed=master_seed, scenario=cfg,
                             covariance=cov, detectors=(detector,))
         est = oracles.estimate_pd(plan, detector, eta, np.outer(s0, coords.conj()))
         law = resolve_law(detector, self.N, 1, self.L, K=self.K)
-        analytic = pd_cells(law, eta, spec.rho, cos2phi)[0]
+        analytic = pd_cells(law, eta, sc.db_to_power(15.0), cos2phi)[0]
         oracles.assert_counts([(detector, round(est.pd * n), n, analytic)])
 
     def test_gkglrt_matched(self):
@@ -57,7 +56,7 @@ class TestInterferenceAgreement:
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(self.N)
         eta = analytic_threshold(detector, cfg)
-        s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
+        s0 = oracles.signal(H, R, 18.0, 0.9, seed=6)
         # a strong coherent jammer must be rejected without changing PD
         jam = J @ (3.0 * np.ones(self.q))
         n = oracles.trials_to_detect(0.03)
@@ -77,7 +76,7 @@ class TestInterferenceAgreement:
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(self.N)
         eta = analytic_threshold("glrt_he_i", cfg)
-        s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=18.0, cos2phi=0.9, seed=6))
+        s0 = oracles.signal(H, R, 18.0, 0.9, seed=6)
         jam = J @ (5.0 * np.ones(self.q))
         n = oracles.trials_to_detect(0.03, rows=2)
         plan = mc.TrialPlan(n_trials=n, master_seed=31415, scenario=cfg, covariance=cov,

@@ -1,8 +1,9 @@
 """The benchmark's tracer contract: every function ``perfbench/tracer.py``
 wraps exists where it looks, and a traced run of each benchmark workload ends
-normally and yields every per-layer metric ``BENCHMARK.json`` declares.  The
-reference generator ``perfbench/make_reference.py`` imports, and the
-``pd_point`` it calls takes the generator's call form.
+normally, records the span of its CLI entry point and yields every per-layer
+metric ``BENCHMARK.json`` declares.  The reference generator
+``perfbench/make_reference.py`` imports, and the ``pd_point`` it calls takes
+the generator's call form.
 
 ``perfbench/`` is only read: its modules are imported without writing
 bytecode next to them.
@@ -31,6 +32,11 @@ finally:
 # the metrics of one traced process; the overhead needs an untraced twin
 PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
              } - {"trace.overhead_frac"}
+# the wrapped CLI function each workload runs through; the tracer sees it only
+# when the CLI looks it up in its module at call time
+ENTRY_SPAN = {"mc_point_grid": "cli.run_grid", "analytic_mesa": "cli.run_grid",
+              "mc_dist_cfar": "cli.run_cfar_check",
+              "per_instance_identities": "cli.identity_suite"}
 
 
 def test_every_wrapped_name_resolves():
@@ -46,6 +52,7 @@ def test_traced_workload_yields_every_metric(name, tmp_path):
         rc = cli.main(workload.argv(7, tmp_path / f"{name}.csv"))
     # a CFAR detector fails cfar-check by chance on some seeds (exit code 1)
     assert rc in ((0, 1) if name == "mc_dist_cfar" else (0,))
+    assert ENTRY_SPAN[name] in {span.name for span in traced.spans}
     assert PER_LAYER <= set(traced.metrics())
 
 

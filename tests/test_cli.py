@@ -20,6 +20,14 @@ def _read(path):
         return list(csv.DictReader(fh))
 
 
+def _exit_status(argv):
+    """``cli.main``'s exit status, whether returned or raised by argparse."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestEmitCsv:
     def test_header_only_for_zero_rows(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -113,11 +121,59 @@ class TestGridCommands:
         assert rc != 0
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,named", [("N = abc", "--N"), ("mode = bogus", "--mode")])
+    def test_config_value_error_names_its_flag(self, line, named, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(line + "\n")
+        assert _exit_status(["pd-vs-snr", "--config", str(cfgfile)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_config_list_may_start_negative(self, tmp_path):
+        """A config value is the flag's value even when it starts with '-'."""
+        cfgfile = tmp_path / "neg.cfg"
+        cfgfile.write_text("snr = -6,0\nbatch_size = 64\n")
+        out = tmp_path / "neg.csv"
+        assert cli.main(["pd-vs-snr", "--config", str(cfgfile), "--detectors", "asd",
+                         "--out", str(out)]) == 0
+        assert [r["snr_db"] for r in _read(str(out))] == ["-6", "0"]
+
     def test_unknown_detector_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = cli.main(["pd-vs-snr", "--detectors", "bogus", "--out", str(out)])
         assert rc != 0
         assert not out.exists()  # no partial output
+
+
+class TestDefaults:
+    """The axes and pfa a run gets for flags it leaves unset, read from its CSV."""
+
+    SMALL = ["--N", "4", "--p", "1", "--L", "8"]
+
+    @staticmethod
+    def _csv(tmp_path, argv):
+        out = tmp_path / f"{len(list(tmp_path.iterdir()))}.csv"
+        assert cli.main(argv + ["--out", str(out)]) in (0, 1)
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("command,snrs,cos2s", [
+        ("pd-vs-snr", range(25), [1.0]),
+        ("pd-vs-mismatch", [18.0], np.linspace(0.0, 1.0, 21)),
+        ("mesa", range(41), np.linspace(0.0, 1.0, 21)),
+    ])
+    def test_grid_axes_and_pfa(self, command, snrs, cos2s, tmp_path):
+        argv = [command, "--detectors", "samf", "--mode", "analytic", *self.SMALL]
+        bare = self._csv(tmp_path, argv)
+        rows = list(csv.DictReader(bare.decode().splitlines()))
+        assert [(r["snr_db"], r["cos2phi"]) for r in rows] == [
+            (cli._fmt(float(s)), cli._fmt(float(c))) for c in cos2s for s in snrs]
+        assert bare == self._csv(tmp_path, argv + ["--pfa", "1e-3"])
+        assert bare != self._csv(tmp_path, argv + ["--pfa", "1e-2"])
+
+    def test_cfar_check_pfa(self, tmp_path):
+        argv = ["cfar-check", "--detectors", "kglrt", "--trials", "1000", *self.SMALL]
+        bare = self._csv(tmp_path, argv)
+        assert bare == self._csv(tmp_path, argv + ["--pfa", "1e-2"])
+        assert bare != self._csv(tmp_path, argv + ["--pfa", "1e-3"])
 
 
 class TestDetectorList:

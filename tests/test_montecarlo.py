@@ -142,8 +142,8 @@ class TestExceedanceCounts:
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(cfg.N)
         jammer = cli._jammer_mean(cfg, J, R, 20.0)
-        means = [sc.actual_signal(H, R, sc.SignalSpec(snr_db=snr, cos2phi=0.8, seed=g))[:, None]
-                 + jammer for g, snr in enumerate((0.0, 6.0, 12.0))]
+        means = [oracles.signal(H, R, snr, 0.8, g)[:, None] + jammer
+                 for g, snr in enumerate((0.0, 6.0, 12.0))]
         plan = mc.TrialPlan(n_trials=700, master_seed=3, scenario=cfg, covariance=cov,
                             detectors=tuple(sorted(registry.names(family="point"))))
         self._assert_counts_match(plan, means, batch_size)
@@ -154,8 +154,7 @@ class TestExceedanceCounts:
         H, _ = sc.default_geometry(cfg.N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.5)
         R = cov.build(cfg.N)
-        means = [np.outer(sc.actual_signal(H[:, :1], R, sc.SignalSpec(snr_db=snr, seed=g)),
-                          np.ones(cfg.K) / 2.0)
+        means = [np.outer(oracles.signal(H[:, :1], R, snr, seed=g), np.ones(cfg.K) / 2.0)
                  for g, snr in enumerate((0.0, 8.0))]
         plan = mc.TrialPlan(n_trials=300, master_seed=8, scenario=cfg, covariance=cov,
                             detectors=tuple(sorted(registry.names(family="distributed"))))
@@ -170,7 +169,7 @@ class TestExceedanceCounts:
         H, _ = sc.default_geometry(cfg.N, cfg.p, cfg.q)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(cfg.N)
-        means = [sc.actual_signal(H, R, sc.SignalSpec(snr_db=snr, cos2phi=0.8, seed=g))[:, None]
+        means = [oracles.signal(H, R, snr, 0.8, g)[:, None]
                  for g, snr in enumerate((0.0, 3.0, 6.0, 9.0, 12.0))]
         plan = mc.TrialPlan(n_trials=700, master_seed=3, scenario=cfg, covariance=cov,
                             detectors=tuple(sorted(registry.names(family="point"))))
@@ -391,8 +390,8 @@ class TestMixedFamilyPlan:
     @pytest.mark.parametrize("snr_db", [None, 8.0])
     def test_each_family_keeps_its_bits(self, snr_db):
         H, _ = sc.default_geometry(self.CFG.N, self.CFG.p, self.CFG.q)
-        mean = 0.0 if snr_db is None else sc.actual_signal(
-            H, self.COVARIANCES[0].build(self.CFG.N), sc.SignalSpec(snr_db=snr_db, seed=1))[:, None]
+        mean = 0.0 if snr_db is None else oracles.signal(
+            H, self.COVARIANCES[0].build(self.CFG.N), snr_db, seed=1)[:, None]
         mixed = self._sweep(self.DETECTORS, mean)
         alone = [{} for _ in self.COVARIANCES]
         for family in ("point", "distributed"):
@@ -552,14 +551,13 @@ class TestEstimatePd:
         H, _ = sc.default_geometry(cfg.N, cfg.p)
         cov = sc.CovarianceModel.ar1(0.9)
         R = cov.build(cfg.N)
-        spec = sc.SignalSpec(snr_db=8.0, cos2phi=1.0, seed=2)
-        s0 = sc.actual_signal(H, R, spec)
+        s0 = oracles.signal(H, R, 8.0, seed=2)
         eta = threshold_for_pfa("smf", cfg.N, 1, cfg.L, cfg.pfa)
         n = oracles.trials_to_detect(0.03)
         plan = mc.TrialPlan(n_trials=n, master_seed=31, scenario=cfg,
                             covariance=cov, detectors=("smf",))
         est = oracles.estimate_pd(plan, "smf", eta, s0[:, None])
-        pd_true = float(ComplexChi2(1, spec.rho).sf(eta))
+        pd_true = float(ComplexChi2(1, sc.db_to_power(8.0)).sf(eta))
         oracles.assert_counts([("smf", round(est.pd * n), n, pd_true)])
 
     def test_ci_width_scaling(self):
@@ -670,8 +668,8 @@ class TestSweepTrials:
         monkeypatch.setattr(batcheval, "_distributed_banks", counting_distributed)
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         H, _ = sc.default_geometry(cfg.N, cfg.p, cfg.q)
-        mean = 0.0 if snr_db is None else sc.actual_signal(
-            H, np.eye(cfg.N), sc.SignalSpec(snr_db=snr_db, seed=1))[:, None]
+        mean = 0.0 if snr_db is None else oracles.signal(H, np.eye(cfg.N), snr_db,
+                                                          seed=1)[:, None]
         plan = mc.TrialPlan(n_trials=300, master_seed=21, scenario=cfg,
                             covariance=self.COVS[0], detectors=("sglrt", "smf", "gkglrt"),
                             batch_size=128)
@@ -692,7 +690,7 @@ class TestOrientationAndScale:
         plan0 = mc.TrialPlan(n_trials=20_000, master_seed=77, scenario=cfg,
                              covariance=cov, detectors=("glrt_phe",))
         thr = _calibrate(plan0, "glrt_phe")
-        s0 = sc.actual_signal(H, R, sc.SignalSpec(snr_db=15.0, seed=1))
+        s0 = oracles.signal(H, R, 15.0, seed=1)
         mean = np.outer(s0, np.ones(cfg.K) / np.sqrt(cfg.K))
         plan1 = mc.TrialPlan(n_trials=5_000, master_seed=78, scenario=cfg,
                              covariance=cov, detectors=("glrt_phe",))

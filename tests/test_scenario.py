@@ -57,15 +57,15 @@ class TestSubspace:
         linalg.orthonormal_basis(np.concatenate([H, J], axis=1))
 
 
-class TestActualSignal:
+class TestSignalBuilder:
     def setup_method(self):
         g = np.random.default_rng(7)
         A = (g.standard_normal((6, 9)) + 1j * g.standard_normal((6, 9))) / np.sqrt(2)
         self.R = A @ A.conj().T
         self.H = sc.nominal_subspace(6, 2, [0.1, 0.4])
 
-    def _check(self, spec):
-        s0 = sc.actual_signal(self.H, self.R, spec)
+    def _check(self, spec, seed):
+        s0 = sc.signal_builder(self.H, self.R)(spec, np.random.default_rng(seed))
         Ri = np.linalg.inv(self.R)
         rho_hat = float(np.real(s0.conj() @ Ri @ s0))
         num = s0.conj() @ Ri @ self.H @ np.linalg.solve(
@@ -76,24 +76,23 @@ class TestActualSignal:
         return s0
 
     def test_matched_in_subspace(self):
-        s0 = self._check(sc.SignalSpec(snr_db=12.0, cos2phi=1.0, seed=5))
+        s0 = self._check(sc.SignalSpec(snr_db=12.0, cos2phi=1.0), 5)
         T = linalg.inv_sqrt(self.R)
         P = oracles.ortho_projector(T @ self.H)
         resid = (np.eye(6) - P) @ (T @ s0)
         assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(T @ s0)
 
     def test_orthogonal_case(self):
-        s0 = self._check(sc.SignalSpec(snr_db=12.0, cos2phi=0.0, seed=5))
+        s0 = self._check(sc.SignalSpec(snr_db=12.0, cos2phi=0.0), 5)
         proj = self.H.conj().T @ np.linalg.solve(self.R, s0)
         assert np.linalg.norm(proj) < 1e-9 * np.linalg.norm(s0)
 
     def test_direct_formula_oracle(self):
-        self._check(sc.SignalSpec(snr_db=7.0, cos2phi=0.37, seed=9))
+        self._check(sc.SignalSpec(snr_db=7.0, cos2phi=0.37), 9)
 
     def test_positive_homogeneity(self):
-        a = sc.actual_signal(self.H, self.R, sc.SignalSpec(snr_db=10.0, cos2phi=0.5, seed=3))
-        b = sc.actual_signal(self.H, self.R, sc.SignalSpec(snr_db=10.0 + 10 * np.log10(2),
-                                                           cos2phi=0.5, seed=3))
+        a, b = (oracles.signal(self.H, self.R, snr_db, 0.5, seed=3)
+                for snr_db in (10.0, 10.0 + 10 * np.log10(2)))
         np.testing.assert_allclose(b, np.sqrt(2.0) * a, rtol=1e-9)
 
     @pytest.mark.parametrize("snr_db", [4000.0, np.nan])
@@ -104,18 +103,17 @@ class TestActualSignal:
     def test_no_orthocomplement(self):
         H_full = sc.nominal_subspace(3, 3, [0.1, 0.4, 0.7])
         with pytest.raises(GeometryError):
-            sc.actual_signal(H_full, np.eye(3), sc.SignalSpec(snr_db=0.0, cos2phi=0.5))
+            oracles.signal(H_full, np.eye(3), 0.0, 0.5)
 
-    def test_builder_gives_actual_signal_bits(self):
+    def test_reused_builder_gives_fresh_builder_bits(self):
         """One builder, whitened once, serves many cells with the bits of a
-        fresh actual_signal per cell."""
+        fresh builder per cell."""
         build = sc.signal_builder(self.H, self.R)
         for i, cos2 in enumerate((1.0, 0.6, 0.0)):
-            spec = sc.SignalSpec(snr_db=3.0 * i, cos2phi=cos2, seed=i)
-            assert np.array_equal(build(spec), sc.actual_signal(self.H, self.R, spec))
+            spec = sc.SignalSpec(snr_db=3.0 * i, cos2phi=cos2)
             assert np.array_equal(build(spec, np.random.default_rng((1, i))),
-                                  sc.actual_signal(self.H, self.R, spec,
-                                                   rng=np.random.default_rng((1, i))))
+                                  sc.signal_builder(self.H, self.R)(
+                                      spec, np.random.default_rng((1, i))))
 
 
 class TestSynthesize:
