@@ -11,10 +11,11 @@ everything that depends only on the training SCM and the geometry, and
 test means.  The names :func:`prepare` keeps, and their registry column
 ``reads``, alone decide which banks it builds and which :func:`evaluate`
 runs.  :func:`prepare` takes the whitener of the sample covariance, from the
-drawn Cholesky factor (:func:`lower_inverse`) or from S (:func:`whitener`,
-which raises :class:`~adaptivedet.errors.DefinitenessError`), and checks the
-rest of its input from the factors it computes anyway: the QR of a whitened
-subspace raises :class:`~adaptivedet.errors.RankError`
+drawn Cholesky factor (:func:`~adaptivedet.linalg.lower_inverse`) or from S
+(:func:`~adaptivedet.linalg.whitener`, which raises
+:class:`~adaptivedet.errors.DefinitenessError`), and checks the rest of its
+input from the factors it computes anyway: the QR of a whitened subspace
+raises :class:`~adaptivedet.errors.RankError`
 (:func:`~adaptivedet.linalg.full_rank_qr`), and an all-zero steering vector
 ``ValueError``.  The normative per-instance forms (projectors,
 ``M = S + X X^H`` and the ``R0``/``R1`` covariance MLEs, generalized
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import registry
-from .errors import DefinitenessError, InfeasibleError
-from .linalg import full_rank_qr
+from .errors import InfeasibleError
+from .linalg import full_rank_qr, whitener
 from .roots import find_root
 
 # every name prepare takes: the registry's, and the by-products of the
@@ -39,38 +40,6 @@ _ROWS = {**registry.DETECTORS, **{n: registry.Detector(n, "distributed", reads=r
 
 def _ct(a):
     return np.conj(np.swapaxes(a, -2, -1))
-
-
-def whitener(S):
-    """Inverse Cholesky factor ``T`` of the stacked Hermitian positive
-    definite ``S``: ``T S T^H = I``, so ``T^H T = S^-1`` and every ``S^-1``
-    quadratic form is an inner product of whitened vectors.  Any square root
-    of ``S`` whitens equally well; the triangular one is the cheapest.
-
-    The Cholesky factorization reads only the lower triangle of ``S``, so a
-    non-Hermitian ``S`` is taken as the Hermitian matrix of that triangle,
-    not rejected; no symmetry pass runs here."""
-    try:
-        factor = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise DefinitenessError("matrix is not positive definite") from None
-    return np.linalg.inv(factor)
-
-
-def lower_inverse(T):
-    """Inverse of the stacked lower-triangular ``T`` (B, N, N) with real
-    positive diagonal, by forward substitution one row at a time: exactly
-    lower triangular, and each trial's bits independent of the stack, so the
-    batched callers' output ignores the batch size.  It beats the LU ``inv``
-    of :func:`whitener` on a stack (3.0 against 8.6 ms for 1000 of 12 x 12)
-    and loses at B = 1 (34 against 5 us at N = 4), where that one serves."""
-    N = T.shape[-1]
-    diag = T[:, np.arange(N), np.arange(N)].real
-    X = np.zeros_like(T)
-    for i in range(N):
-        X[:, i, i] = 1.0 / diag[:, i]
-        X[:, i:i + 1, :i] = -(T[:, i:i + 1, :i] @ X[:, :i, :i]) / diag[:, i, None, None]
-    return X
 
 
 def _steering(T, s):

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import batcheval, montecarlo as mc, registry, scenario as sc
+from . import batcheval, linalg, montecarlo as mc, registry, scenario as sc
 from .distributions import (
     ComplexBeta,
     ComplexChi2,
@@ -417,7 +417,7 @@ def identity_suite(n_instances: int, seed: int):
         for start in range(0, count, IDENTITY_CHUNK):
             T, H, J, x = identity_instances(rng, min(IDENTITY_CHUNK, count - start), N, p)
             f = batcheval.evaluate(batcheval.prepare(
-                batcheval.lower_inverse(T), H, J, want=IDENTITY_STATS), x)
+                linalg.lower_inverse(T), H, J, want=IDENTITY_STATS), x)
             for name, lhs, rhs in IDENTITIES:
                 a, b = f[lhs], rhs(f)
                 rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)

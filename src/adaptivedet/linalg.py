@@ -1,9 +1,11 @@
 """Complex Hermitian linear-algebra kernel.
 
-Checked whitening, square-root and basis primitives: signal geometry, the
-input checks of the detector banks, and the rank-checked QR of the batched
-kernels.  All functions accept stacked inputs (leading batch axes) wherever
-the underlying LAPACK routines do.
+Checked whitening and basis primitives: the one whitening of every
+covariance, by the inverse of its Cholesky factor (:func:`whitener`,
+:func:`lower_inverse`), the rank-checked QR of the batched kernels, and the
+eigendecomposition checks of the per-instance banks.  All functions accept
+stacked inputs (leading batch axes) wherever the underlying LAPACK routines
+do.
 """
 
 import numpy as np
@@ -56,6 +58,42 @@ def herm_sqrt(S) -> np.ndarray:
     w, V = hermitian_pd_eigh(S)
     A = (V * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(V, -2, -1))
     return 0.5 * (A + np.conj(np.swapaxes(A, -2, -1)))
+
+
+def cholesky(S) -> np.ndarray:
+    """Lower Cholesky factor ``A`` (``A A^H = S``) of the stacked Hermitian
+    positive definite ``S``; raises :class:`DefinitenessError` otherwise.
+
+    The factorization reads only the lower triangle of ``S``, so a
+    non-Hermitian ``S`` is taken as the Hermitian matrix of that triangle,
+    not rejected; no symmetry pass runs here."""
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise DefinitenessError("matrix is not positive definite") from None
+
+
+def lower_inverse(T) -> np.ndarray:
+    """Inverse of the lower-triangular ``T`` (..., N, N) with real positive
+    diagonal, by forward substitution one row at a time: exactly lower
+    triangular, and each matrix's bits independent of the stack, so the
+    batched callers' output ignores the batch size."""
+    N = T.shape[-1]
+    diag = np.diagonal(T, axis1=-2, axis2=-1).real
+    X = np.zeros_like(T)
+    for i in range(N):
+        X[..., i, i] = 1.0 / diag[..., i]
+        X[..., i:i + 1, :i] = -(T[..., i:i + 1, :i] @ X[..., :i, :i]) / diag[..., i, None, None]
+    return X
+
+
+def whitener(S) -> np.ndarray:
+    """Inverse Cholesky factor ``T`` of the stacked Hermitian positive
+    definite ``S`` (:func:`cholesky`): ``T S T^H = I``, so ``T^H T = S^-1``
+    and every ``S^-1`` quadratic form is an inner product of whitened
+    vectors.  Any square root of ``S`` whitens equally well; the triangular
+    one is the cheapest."""
+    return lower_inverse(cholesky(S))
 
 
 def full_rank_qr(A):

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import batcheval, registry, scenario
+from . import batcheval, linalg, registry, scenario
 from .errors import GeometryError, InfeasibleError
 from .scenario import CovarianceModel, ScenarioConfig
 
@@ -138,7 +138,7 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
              else np.full((1, cfg.N, cfg.K), means))
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
     R = np.eye(cfg.N)
-    whiteners = [batcheval.whitener(cov.build(cfg.N)) for cov in covariances]
+    whiteners = [linalg.whitener(cov.build(cfg.N)) for cov in covariances]
     frames = [(A_inv @ H, A_inv @ J, A_inv @ means) for A_inv in whiteners]
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
@@ -147,7 +147,7 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         trials = range(first * BLOCK, min(blocks.stop * BLOCK, plan.n_trials))
         draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
         T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
-        T_inv = batcheval.lower_inverse(T) if adaptive else None
+        T_inv = linalg.lower_inverse(T) if adaptive else None
         yield trials, cfg.test_scale * w_test, [
             batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
             for Hw, Jw, _ in frames], [white for _, _, white in frames]

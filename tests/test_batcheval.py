@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from adaptivedet import batcheval, montecarlo as mc, registry, scenario as sc
+from adaptivedet import batcheval, linalg, montecarlo as mc, registry, scenario as sc
 from adaptivedet.errors import DefinitenessError, InfeasibleError
 from conftest import crandn, random_hpd
 
@@ -142,7 +142,7 @@ class TestWhitenerFromFactor:
     @given(bartlett_draws())
     def test_equals_the_sample_covariance_path(self, case):
         A, T, X, H, J, L = case
-        T_inv, A_inv = batcheval.lower_inverse(T), np.linalg.inv(A)
+        T_inv, A_inv = linalg.lower_inverse(T), np.linalg.inv(A)
         F = A @ T
         S = F @ F.conj().transpose(0, 2, 1)
         R, s = A @ A.conj().T, H[:, 0]
@@ -284,6 +284,6 @@ class TestInvariances:
         H = crandn(rng, N, 2)
         with pytest.raises(DefinitenessError):
             if family == "point":
-                batcheval.prepare(batcheval.whitener(S), H)
+                batcheval.prepare(linalg.whitener(S), H)
             else:
-                batcheval.prepare(batcheval.whitener(S), H, s=H[:, 0], L=2 * N)
+                batcheval.prepare(linalg.whitener(S), H, s=H[:, 0], L=2 * N)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptivedet import batcheval, detectors
+from adaptivedet import batcheval, detectors, linalg
 from adaptivedet.detectors import subspace_bank
 from adaptivedet.errors import DefinitenessError, RankError
 from conftest import crandn, point_b1, random_hpd
@@ -91,8 +91,8 @@ class TestInputChecks:
     @staticmethod
     def _prepare(family, S, H, J, s):
         if family == "point":
-            return batcheval.prepare(batcheval.whitener(S), H, J, s)
-        return batcheval.prepare(batcheval.whitener(S), H, s=s, L=10)
+            return batcheval.prepare(linalg.whitener(S), H, J, s)
+        return batcheval.prepare(linalg.whitener(S), H, s=s, L=10)
 
     @staticmethod
     def _spoil(A, stacked, row):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import oracles
-from adaptivedet import batcheval, cli, montecarlo as mc, registry, scenario as sc
+from adaptivedet import batcheval, cli, linalg, montecarlo as mc, registry, scenario as sc
 from adaptivedet.distributions import ComplexChi2, threshold_for_pfa
 from adaptivedet.errors import GeometryError, InfeasibleError
 from conftest import crandn
@@ -360,13 +360,17 @@ class TestPointBankPreparation:
         """A plan of clairvoyant detectors never inverts the training factor
         and returns only the clairvoyant statistics it names: each builds
         only its own map, the MVDR weight for ``mf`` and ``W`` for ``smf``."""
-        def refuse(T):
-            raise AssertionError("inverted the training factor")
-
-        monkeypatch.setattr(batcheval, "lower_inverse", refuse)
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=100, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
+        real = linalg.lower_inverse
+
+        def refuse(T):  # the covariance's own whitening is one (N, N) factor
+            if T.shape[:-2] == (plan.n_trials,):
+                raise AssertionError("inverted the training factor")
+            return real(T)
+
+        monkeypatch.setattr(linalg, "lower_inverse", refuse)
         (_, noise, (prepared,), (white,)), = mc._noise_pass(plan, (plan.covariance,))
         assert set(batcheval.evaluate(prepared, noise, white)) == returned
 

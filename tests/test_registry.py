@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from adaptivedet import batcheval, registry
+from adaptivedet import batcheval, linalg, registry
 from conftest import crandn, random_hpd
 
 SETTINGS = settings(max_examples=100)
@@ -110,7 +110,7 @@ class TestReads:
         def check(seed, want):
             rng = np.random.default_rng(seed)
             train = crandn(rng, 2, N, 2 * N)
-            T = batcheval.whitener(train @ train.conj().transpose(0, 2, 1))
+            T = linalg.whitener(train @ train.conj().transpose(0, 2, 1))
             args = dict(H=crandn(rng, N, 2), J=crandn(rng, N, 1), s=crandn(rng, N),
                         R=random_hpd(rng, N), L=2 * N)
             X = crandn(rng, 2, N, 1)
