@@ -196,13 +196,11 @@ def _scenario_from_args(args) -> sc.ScenarioConfig:
                              sigma2=float(sigma2) if colon else 1.0, pfa=args.pfa)
 
 
-def _build_signal(cfg, build, snr_db, cos2phi, seed, grid_index):
-    spec = sc.SignalSpec(snr_db=snr_db, cos2phi=cos2phi)
-    s0 = build(spec, np.random.default_rng((seed, 0x51, grid_index)))
-    if cfg.K == 1:
-        return s0[:, None]
-    coords = np.ones(cfg.K, dtype=np.complex128) / np.sqrt(cfg.K)
-    return np.outer(s0, coords.conj())
+def _build_signal(cfg, build, rho, cos2phi, seed, grid_index):
+    """Grid cell ``grid_index``'s (N, K) signal mean: one drawn signal in every
+    range bin at a 1/K share of its energy."""
+    s0 = build(rho, cos2phi, np.random.default_rng((seed, 0x51, grid_index)))
+    return np.outer(s0, np.full(cfg.K, 1.0 / np.sqrt(cfg.K)))
 
 
 def _jammer_mean(cfg, J, R, jnr_db):
@@ -210,7 +208,8 @@ def _jammer_mean(cfg, J, R, jnr_db):
     if jnr_db is None:
         return 0.0
     j = J @ np.ones(J.shape[1], dtype=np.complex128)
-    energy = float(np.real(j.conj() @ np.linalg.solve(R, j)))
+    jw = linalg.whitener(R) @ j
+    energy = float(np.real(jw.conj() @ jw))
     j = j * np.sqrt(sc.db_to_power(jnr_db) / energy)
     return np.repeat(j[:, None], cfg.K, axis=1)
 
@@ -288,8 +287,8 @@ def run_grid(args):
     if want_mc or interference:
         # the mismatch angle is measured against H for a point target, s otherwise
         build = sc.signal_builder(H if cfg.K == 1 else H[:, :1], R)
-        means = [_build_signal(cfg, build, snr_db, cos2, args.seed, gi)
-                 for gi, (snr_db, cos2) in enumerate(points)]
+        means = [_build_signal(cfg, build, rho[gi], cos2, args.seed, gi)
+                 for gi, (_, cos2) in enumerate(points)]
     if want_mc:
         # every grid point shares the trial streams: one noise pass serves all
         plan = mc.TrialPlan(n_trials=args.trials, master_seed=args.seed, scenario=cfg,
@@ -377,8 +376,7 @@ def run_validate_dist(args):
     cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-3)
     cov = sc.CovarianceModel.ar1(0.9)
     H, _ = sc.default_geometry(N, cfg.p)
-    s0 = sc.signal_builder(H, cov.build(N))(sc.SignalSpec(snr_db=10.0 * np.log10(rho)),
-                                            np.random.default_rng(args.seed))
+    s0 = sc.signal_builder(H, cov.build(N))(rho, 1.0, np.random.default_rng(args.seed))
     plan = mc.TrialPlan(n_trials=n, master_seed=args.seed, scenario=cfg,
                         covariance=cov, detectors=("aed",), batch_size=args.batch_size)
     suites.append(("aed-law", f"N={N},L={L},rho={rho:g}", mc.run_trials(plan, s0[:, None])["aed"],

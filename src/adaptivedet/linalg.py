@@ -53,13 +53,6 @@ def inv_sqrt(S) -> np.ndarray:
     return 0.5 * (T + np.conj(np.swapaxes(T, -2, -1)))
 
 
-def herm_sqrt(S) -> np.ndarray:
-    """Hermitian square root ``A`` with ``A A = S`` (eigendecomposition based)."""
-    w, V = hermitian_pd_eigh(S)
-    A = (V * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(V, -2, -1))
-    return 0.5 * (A + np.conj(np.swapaxes(A, -2, -1)))
-
-
 def cholesky(S) -> np.ndarray:
     """Lower Cholesky factor ``A`` (``A A^H = S``) of the stacked Hermitian
     positive definite ``S``; raises :class:`DefinitenessError` otherwise.

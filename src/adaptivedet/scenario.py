@@ -132,24 +132,6 @@ class ScenarioConfig:
         return 1.0
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """Target SNR and mismatch for building an actual signal vector."""
-
-    snr_db: float
-    cos2phi: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.cos2phi <= 1.0:
-            raise ValueError("cos2phi must lie in [0, 1]")
-        if not np.isfinite(self.rho):
-            raise ValueError("SNR must be a finite power ratio")
-
-    @property
-    def rho(self) -> float:
-        return db_to_power(self.snr_db)
-
-
 def steering_vector(N: int, freq: float) -> np.ndarray:
     """Temporal steering vector [1, e^{j2 pi f}, ..., e^{j2 pi f (N-1)}]^T."""
     return np.exp(2j * np.pi * freq * np.arange(N))
@@ -180,23 +162,29 @@ def default_geometry(N: int, p: int, q: int = 0):
 
 def signal_builder(H: np.ndarray, R: np.ndarray):
     """Signal vectors of exact output SNR and mismatch angle for one (H, R),
-    whitened once, as ``build(spec, rng)``.
+    whitened once, as ``build(rho, cos2phi, rng)``.
 
-    In the R-whitened space the signal is ``sqrt(rho) (cos(phi) u +
-    sin(phi) w)`` with ``u`` a unit vector in the whitened span of ``H`` and
-    ``w`` a unit vector in its orthocomplement; both directions are drawn
-    from ``rng``, so results are reproducible and the statistics depend only
-    on (rho, cos2phi).
+    In the white frame of ``R = A A^H``, A its Cholesky factor (the frame
+    the trial engine whitens by, :func:`~adaptivedet.linalg.whitener`), the
+    signal is ``s_bar = sqrt(rho) (cos(phi) u + sin(phi) w)`` with ``u`` a
+    unit vector in the whitened span of ``H`` and ``w`` a unit vector in its
+    orthocomplement, and ``build`` returns ``A s_bar``.  Both directions are
+    drawn from ``rng``, so results are reproducible and the statistics depend
+    only on (rho, cos2phi): ``ValueError`` unless ``0 <= rho < inf`` and
+    ``0 <= cos2phi <= 1``.
     """
     N, p = H.shape
-    Q = linalg.orthonormal_basis(linalg.inv_sqrt(R) @ H)
-    A = linalg.herm_sqrt(R)
+    A = linalg.cholesky(R)
+    Q = linalg.orthonormal_basis(linalg.lower_inverse(A) @ H)
 
-    def build(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
+    def build(rho: float, cos2phi: float, rng: np.random.Generator) -> np.ndarray:
+        if not 0.0 <= cos2phi <= 1.0:
+            raise ValueError("cos2phi must lie in [0, 1]")
+        if not 0.0 <= rho < math.inf:
+            raise ValueError("SNR must be a finite, nonnegative power ratio")
         u = Q @ complex_normal(rng, p)
         u = u / np.linalg.norm(u)
-        cos2 = spec.cos2phi
-        if cos2 < 1.0:
+        if cos2phi < 1.0:
             if p == N:
                 raise GeometryError("cannot mismatch a signal when the subspace fills the space")
             raw = complex_normal(rng, N)
@@ -207,7 +195,7 @@ def signal_builder(H: np.ndarray, R: np.ndarray):
             w = w / norm
         else:
             w = np.zeros(N, dtype=np.complex128)
-        s_bar = np.sqrt(spec.rho) * (np.sqrt(cos2) * u + np.sqrt(1.0 - cos2) * w)
+        s_bar = np.sqrt(rho) * (np.sqrt(cos2phi) * u + np.sqrt(1.0 - cos2phi) * w)
         return A @ s_bar
 
     return build

@@ -27,6 +27,13 @@ def _c(a):
     return np.asarray(a, dtype=np.complex128)
 
 
+def herm_sqrt(S) -> np.ndarray:
+    """Hermitian square root ``A`` with ``A A = S`` (eigendecomposition based)."""
+    w, V = linalg.hermitian_pd_eigh(S)
+    A = (V * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(V, -2, -1))
+    return 0.5 * (A + np.conj(np.swapaxes(A, -2, -1)))
+
+
 def _ratio(num: float, den: float) -> float:
     """``num / den``, and at ``den = 0`` the kernels' edge values: 0 over a
     zero ``num`` (null data) and +inf over a positive one."""
@@ -298,7 +305,7 @@ def distributed_rank1_phe(X, S, s, L: int) -> dict:
             np.real(s.conj() @ Ri_s)) / sigma
 
     R0 = (S + X @ X.conj().T / sigma0) / (L + K)
-    A = linalg.herm_sqrt(S)
+    A = herm_sqrt(S)
     Z = (np.eye(N) - np.outer(st, st.conj()) / ss) @ Xt
     R1 = A @ (np.eye(N) + Z @ Z.conj().T / sigma1) @ A / (L + K)
     return {
@@ -382,7 +389,7 @@ class DataSet:
 def signal(H, R, snr_db, cos2phi=1.0, seed=0) -> np.ndarray:
     """``scenario.signal_builder(H, R)``'s signal at (snr_db, cos2phi), its
     directions drawn from ``default_rng(seed)``."""
-    return sc.signal_builder(H, R)(sc.SignalSpec(snr_db=snr_db, cos2phi=cos2phi),
+    return sc.signal_builder(H, R)(sc.db_to_power(snr_db), cos2phi,
                                    np.random.default_rng(seed))
 
 

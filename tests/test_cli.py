@@ -5,6 +5,7 @@ import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,20 +83,23 @@ class TestGridCommands:
 
     @pytest.mark.parametrize("K", [1, 3])
     def test_grid_whitens_the_covariance_once(self, K, tmp_path, monkeypatch):
-        """Every cell's signal mean comes from one whitening of R."""
-        real, calls = linalg.inv_sqrt, []
+        """Every cell's signal mean comes from one whitening of R: one inverse
+        Cholesky factor in the signal builder per grid, not one per cell."""
+        calls = []
 
-        def counting(S):
-            calls.append(1)
-            return real(S)
+        def counting(A):
+            calls.append(A.shape)
+            return linalg.lower_inverse(A)
 
-        monkeypatch.setattr(linalg, "inv_sqrt", counting)
+        # the builder's own view of linalg, so that only its whitening counts
+        monkeypatch.setattr(sc, "linalg", SimpleNamespace(
+            **{**vars(linalg), "lower_inverse": counting}))
         detectors = "kglrt" if K == 1 else "gkglrt"
         assert cli.main(["pd-vs-snr", "--snr", "0,5,10", "--cos2phi", "0.5", "--K", str(K),
                          "--detectors", detectors, "--mode", "montecarlo", "--trials", "200",
                          "--N", "6", "--p", "1", "--L", "12",
                          "--out", str(tmp_path / "g.csv")]) == 0
-        assert len(calls) == 1
+        assert calls == [(6, 6)]
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

@@ -6,7 +6,7 @@ import oracles
 from adaptivedet import linalg
 from adaptivedet.batcheval import mismatch_geometry
 from adaptivedet.detectors import interference_bank, subspace_bank
-from adaptivedet.scenario import SignalSpec, signal_builder
+from adaptivedet.scenario import db_to_power, signal_builder
 from conftest import crandn, random_hpd
 
 
@@ -127,11 +127,11 @@ class TestMismatchGeometry:
     def test_q0_matches_point_quantities(self, rng):
         R = random_hpd(rng, 6)
         H = crandn(rng, 6, 2)
-        spec = SignalSpec(snr_db=13.0, cos2phi=0.35)
-        s0 = signal_builder(H, R)(spec, np.random.default_rng(4))
+        rho, cos2phi = db_to_power(13.0), 0.35
+        s0 = signal_builder(H, R)(rho, cos2phi, np.random.default_rng(4))
         (rho_eff,), (delta2_i,) = mismatch_geometry(s0[None], R, H, None)
-        assert rho_eff == pytest.approx(spec.rho * spec.cos2phi, rel=1e-9)
-        assert delta2_i == pytest.approx(spec.rho * (1 - spec.cos2phi), rel=1e-9)
+        assert rho_eff == pytest.approx(rho * cos2phi, rel=1e-9)
+        assert delta2_i == pytest.approx(rho * (1 - cos2phi), rel=1e-9)
 
     def test_energy_split_bound(self, rng):
         for _ in range(25):

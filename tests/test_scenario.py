@@ -64,31 +64,32 @@ class TestSignalBuilder:
         self.R = A @ A.conj().T
         self.H = sc.nominal_subspace(6, 2, [0.1, 0.4])
 
-    def _check(self, spec, seed):
-        s0 = sc.signal_builder(self.H, self.R)(spec, np.random.default_rng(seed))
+    def _check(self, snr_db, cos2phi, seed):
+        rho = sc.db_to_power(snr_db)
+        s0 = sc.signal_builder(self.H, self.R)(rho, cos2phi, np.random.default_rng(seed))
         Ri = np.linalg.inv(self.R)
         rho_hat = float(np.real(s0.conj() @ Ri @ s0))
         num = s0.conj() @ Ri @ self.H @ np.linalg.solve(
             self.H.conj().T @ Ri @ self.H, self.H.conj().T @ Ri @ s0)
         cos2_hat = float(np.real(num)) / rho_hat
-        assert abs(rho_hat - spec.rho) <= 1e-9 * spec.rho
-        assert abs(cos2_hat - spec.cos2phi) <= 1e-9
+        assert abs(rho_hat - rho) <= 1e-9 * rho
+        assert abs(cos2_hat - cos2phi) <= 1e-9
         return s0
 
     def test_matched_in_subspace(self):
-        s0 = self._check(sc.SignalSpec(snr_db=12.0, cos2phi=1.0), 5)
+        s0 = self._check(12.0, 1.0, 5)
         T = linalg.inv_sqrt(self.R)
         P = oracles.ortho_projector(T @ self.H)
         resid = (np.eye(6) - P) @ (T @ s0)
         assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(T @ s0)
 
     def test_orthogonal_case(self):
-        s0 = self._check(sc.SignalSpec(snr_db=12.0, cos2phi=0.0), 5)
+        s0 = self._check(12.0, 0.0, 5)
         proj = self.H.conj().T @ np.linalg.solve(self.R, s0)
         assert np.linalg.norm(proj) < 1e-9 * np.linalg.norm(s0)
 
     def test_direct_formula_oracle(self):
-        self._check(sc.SignalSpec(snr_db=7.0, cos2phi=0.37), 9)
+        self._check(7.0, 0.37, 9)
 
     def test_positive_homogeneity(self):
         a, b = (oracles.signal(self.H, self.R, snr_db, 0.5, seed=3)
@@ -98,7 +99,8 @@ class TestSignalBuilder:
     @pytest.mark.parametrize("snr_db", [4000.0, np.nan])
     def test_snr_must_be_a_finite_power(self, snr_db):
         with pytest.raises(ValueError, match="finite"):
-            sc.SignalSpec(snr_db=snr_db)
+            sc.signal_builder(self.H, self.R)(sc.db_to_power(snr_db), 1.0,
+                                              np.random.default_rng(0))
 
     def test_no_orthocomplement(self):
         H_full = sc.nominal_subspace(3, 3, [0.1, 0.4, 0.7])
@@ -110,10 +112,10 @@ class TestSignalBuilder:
         fresh builder per cell."""
         build = sc.signal_builder(self.H, self.R)
         for i, cos2 in enumerate((1.0, 0.6, 0.0)):
-            spec = sc.SignalSpec(snr_db=3.0 * i, cos2phi=cos2)
-            assert np.array_equal(build(spec, np.random.default_rng((1, i))),
+            rho = sc.db_to_power(3.0 * i)
+            assert np.array_equal(build(rho, cos2, np.random.default_rng((1, i))),
                                   sc.signal_builder(self.H, self.R)(
-                                      spec, np.random.default_rng((1, i))))
+                                      rho, cos2, np.random.default_rng((1, i))))
 
 
 class TestSynthesize:
@@ -151,7 +153,7 @@ class TestSynthesize:
 
     def test_h0_moments(self):
         R = self.model.build(4)
-        A = linalg.herm_sqrt(R)
+        A = oracles.herm_sqrt(R)
         rng = np.random.default_rng(10)
         n = 100_000
         w = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) / np.sqrt(2)
@@ -167,7 +169,7 @@ class TestSynthesize:
         n = 100_000
         # vectorized re-draw of the synthesize noise model for H1 means
         R = self.model.build(4)
-        A = linalg.herm_sqrt(R)
+        A = oracles.herm_sqrt(R)
         w = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) / np.sqrt(2)
         acc = (w @ A.T + s0).mean(axis=0)
         sigma = np.sqrt(np.diag(R).real / n)
@@ -175,7 +177,7 @@ class TestSynthesize:
 
     def test_he_empirical_covariance(self):
         R = self.model.build(4)
-        A = linalg.herm_sqrt(R)
+        A = oracles.herm_sqrt(R)
         rng = np.random.default_rng(8)
         n = 100_000
         w = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))) / np.sqrt(2)
