@@ -89,7 +89,7 @@ def emit_csv(rows, path, columns):
 def config_tokens(path) -> list:
     """The ``key = value`` lines of a configuration file as ``--key=value``
     flags, ``_`` in a key read as ``-``.  The ``=`` form keeps a value that
-    starts with ``-`` (``snr = -6,0``) a value."""
+    starts with ``-`` (``snr = -6,0``) a value.  Files do not nest."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -99,7 +99,10 @@ def config_tokens(path) -> list:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+            key = key.strip().replace("_", "-")
+            if key == "config":
+                raise ValueError("config files do not nest")
+            tokens.append(f"--{key}={value.strip()}")
     return tokens
 
 
@@ -197,8 +200,7 @@ def _scenario_from_args(args) -> sc.ScenarioConfig:
 
 
 def _build_signal(cfg, build, rho, cos2phi, seed, grid_index):
-    """Grid cell ``grid_index``'s (N, K) signal mean: one drawn signal in every
-    range bin at a 1/K share of its energy."""
+    """Grid cell ``grid_index``'s (N, K) mean: its signal over K range bins."""
     s0 = build(rho, cos2phi, np.random.default_rng((seed, 0x51, grid_index)))
     return np.outer(s0, np.full(cfg.K, 1.0 / np.sqrt(cfg.K)))
 
@@ -209,8 +211,7 @@ def _jammer_mean(cfg, J, R, jnr_db):
         return 0.0
     j = J @ np.ones(J.shape[1], dtype=np.complex128)
     jw = linalg.whitener(R) @ j
-    energy = float(np.real(jw.conj() @ jw))
-    j = j * np.sqrt(sc.db_to_power(jnr_db) / energy)
+    j = j * np.sqrt(sc.db_to_power(jnr_db) / np.real(jw.conj() @ jw))
     return np.repeat(j[:, None], cfg.K, axis=1)
 
 

@@ -1,11 +1,10 @@
 """Complex Hermitian linear-algebra kernel.
 
 Checked whitening and basis primitives: the one whitening of every
-covariance, by the inverse of its Cholesky factor (:func:`whitener`,
-:func:`lower_inverse`), the rank-checked QR of the batched kernels, and the
-eigendecomposition checks of the per-instance banks.  All functions accept
-stacked inputs (leading batch axes) wherever the underlying LAPACK routines
-do.
+covariance, the inverse of its Cholesky factor (:func:`whitener`), the
+rank-checked QR of the batched kernels, and the eigendecomposition checks of
+the per-instance banks.  All functions accept stacked inputs (leading batch
+axes) wherever the underlying LAPACK routines do.
 """
 
 import numpy as np
@@ -18,10 +17,6 @@ RCOND_LIMIT = 1e-12
 HERMITIAN_RTOL = 1e-12
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128)
-
-
 def hermitian_pd_eigh(S):
     """Eigendecomposition ``(w, V)`` of a Hermitian positive definite ``S``.
 
@@ -30,7 +25,7 @@ def hermitian_pd_eigh(S):
     deviates from Hermitian symmetry by more than ``HERMITIAN_RTOL``
     (relative) or has a non-positive eigenvalue.
     """
-    S = _as_complex(S)
+    S = np.asarray(S, dtype=np.complex128)
     scale = np.linalg.norm(S, axis=(-2, -1), keepdims=True)
     asym = np.linalg.norm(S - np.conj(np.swapaxes(S, -2, -1)), axis=(-2, -1), keepdims=True)
     if np.any(asym > HERMITIAN_RTOL * np.maximum(scale, np.finfo(float).tiny)):
@@ -55,11 +50,8 @@ def inv_sqrt(S) -> np.ndarray:
 
 def cholesky(S) -> np.ndarray:
     """Lower Cholesky factor ``A`` (``A A^H = S``) of the stacked Hermitian
-    positive definite ``S``; raises :class:`DefinitenessError` otherwise.
-
-    The factorization reads only the lower triangle of ``S``, so a
-    non-Hermitian ``S`` is taken as the Hermitian matrix of that triangle,
-    not rejected; no symmetry pass runs here."""
+    positive definite ``S``, else :class:`DefinitenessError`.  Only the lower
+    triangle of ``S`` is read: no symmetry check runs here."""
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -107,7 +99,7 @@ def full_rank_qr(A):
 def orthonormal_basis(A) -> np.ndarray:
     """Orthonormal basis ``Q`` for the column span of a full-column-rank ``A``
     (:func:`full_rank_qr`); an ``A`` with no columns is its own basis."""
-    A = _as_complex(A)
+    A = np.asarray(A, dtype=np.complex128)
     if A.shape[-1] == 0:
         return A
     return full_rank_qr(A)[0]

@@ -141,11 +141,13 @@ DETECTORS = {d.name: d for d in (
     _interference("glrt_he_i", "interference", canonical="sglrt"),
     _interference("ts_glrt_he_i", "interference", canonical="samf"),
     _interference("glrt_phe_i", "interference", canonical="asd", scale_invariant=True),
-    _interference("rao_he_i"),
-    _interference("ts_rao_he_i"),
-    _interference("rao_phe_i", scale_invariant=True),
-    _interference("wald_he_i"),
-    _interference("wald_phe_i", scale_invariant=True, orthocomplement=True),
+    # the Rao trio and Wald pair measure the J-cleaned data in span(H), not in
+    # span(P_J^perp H), so their null laws move with the whitened H-J angles
+    _interference("rao_he_i", cfar=False),
+    _interference("ts_rao_he_i", cfar=False),
+    _interference("rao_phe_i", cfar=False, scale_invariant=True),
+    _interference("wald_he_i", cfar=False),
+    _interference("wald_phe_i", cfar=False, scale_invariant=True, orthocomplement=True),
     _interference("beta_i"),
     # distributed rank-one bank; gamf's loss factor is central only without mismatch
     _dist("gkglrt", _RANK_ONE, law="distributed", canonical="sglrt"),

@@ -162,16 +162,14 @@ def default_geometry(N: int, p: int, q: int = 0):
 
 def signal_builder(H: np.ndarray, R: np.ndarray):
     """Signal vectors of exact output SNR and mismatch angle for one (H, R),
-    whitened once, as ``build(rho, cos2phi, rng)``.
+    whitened once, as ``build(rho, cos2phi, rng)``: ``ValueError`` unless
+    ``0 <= rho < inf`` and ``0 <= cos2phi <= 1``.
 
-    In the white frame of ``R = A A^H``, A its Cholesky factor (the frame
-    the trial engine whitens by, :func:`~adaptivedet.linalg.whitener`), the
-    signal is ``s_bar = sqrt(rho) (cos(phi) u + sin(phi) w)`` with ``u`` a
-    unit vector in the whitened span of ``H`` and ``w`` a unit vector in its
-    orthocomplement, and ``build`` returns ``A s_bar``.  Both directions are
-    drawn from ``rng``, so results are reproducible and the statistics depend
-    only on (rho, cos2phi): ``ValueError`` unless ``0 <= rho < inf`` and
-    ``0 <= cos2phi <= 1``.
+    In the white frame of ``R = A A^H``, A its Cholesky factor (the trial
+    engine's frame, :func:`~adaptivedet.linalg.whitener`), the signal is
+    ``s_bar = sqrt(rho) (cos(phi) u + sin(phi) w)``, ``u`` and ``w`` unit
+    vectors drawn from ``rng`` in the whitened span of ``H`` and in its
+    orthocomplement; ``build`` returns ``A s_bar``.
     """
     N, p = H.shape
     A = linalg.cholesky(R)
@@ -183,7 +181,7 @@ def signal_builder(H: np.ndarray, R: np.ndarray):
         if not 0.0 <= rho < math.inf:
             raise ValueError("SNR must be a finite, nonnegative power ratio")
         u = Q @ complex_normal(rng, p)
-        u = u / np.linalg.norm(u)
+        u, w = u / np.linalg.norm(u), 0.0
         if cos2phi < 1.0:
             if p == N:
                 raise GeometryError("cannot mismatch a signal when the subspace fills the space")
@@ -193,8 +191,6 @@ def signal_builder(H: np.ndarray, R: np.ndarray):
             if norm < 1e-12:
                 raise GeometryError("degenerate orthocomplement draw")
             w = w / norm
-        else:
-            w = np.zeros(N, dtype=np.complex128)
         s_bar = np.sqrt(rho) * (np.sqrt(cos2phi) * u + np.sqrt(1.0 - cos2phi) * w)
         return A @ s_bar
 

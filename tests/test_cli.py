@@ -132,6 +132,22 @@ class TestGridCommands:
         assert _exit_status(["pd-vs-snr", "--config", str(cfgfile)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_config_files_do_not_nest(self, nested, tmp_path, capsys):
+        """A ``config`` key in a file exits 2 rather than naming a file that
+        is never read; without it, the file's other keys (``out`` too) apply."""
+        out = tmp_path / "nest.csv"
+        cfgfile = tmp_path / "outer.cfg"
+        cfgfile.write_text(f"out = {out}\ndetectors = asd\nsnr = 6\n"
+                           + (f"config = {tmp_path / 'nonexistent.cfg'}\n" if nested else ""))
+        if nested:
+            assert cli.main(["pd-vs-snr", "--config", str(cfgfile)]) == 2
+            assert "error: config files do not nest" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert cli.main(["pd-vs-snr", "--config", str(cfgfile)]) == 0
+            assert [r["detector"] for r in _read(str(out))] == ["asd"]
+
     def test_config_list_may_start_negative(self, tmp_path):
         """A config value is the flag's value even when it starts with '-'."""
         cfgfile = tmp_path / "neg.cfg"

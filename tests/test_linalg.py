@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,53 @@ class TestInvSqrt:
         S = random_hpd(rng, 5)
         A = oracles.herm_sqrt(S)
         np.testing.assert_allclose(A @ A, S, rtol=1e-10)
+
+
+class TestWhitener:
+    """The one whitening of ``src/``: the inverse Cholesky factor by forward
+    substitution, for a stacked or a single Hermitian positive definite S."""
+
+    @pytest.mark.parametrize("N", [1, 4, 12])
+    def test_whitens_lower_triangular_and_stack_free(self, N, rng):
+        S = np.stack([random_hpd(rng, N) for _ in range(5)])
+        T = linalg.whitener(S)
+        single = [linalg.whitener(S_b) for S_b in S]
+        for T_b in (T, *single):
+            assert np.array_equal(T_b, np.tril(T_b))
+        white = T @ S @ T.conj().transpose(0, 2, 1)
+        assert np.abs(white - np.eye(N)).max() <= 1e-13
+        for T_b, single_b in zip(T, single):
+            assert T_b.tobytes() == single_b.tobytes()
+
+    @pytest.mark.parametrize("N", [1, 4, 12])
+    def test_lower_inverse_takes_a_single_factor(self, N, rng):
+        A = np.linalg.cholesky(random_hpd(rng, N))
+        X = linalg.lower_inverse(A)
+        assert X.shape == (N, N)
+        assert X.tobytes() == linalg.lower_inverse(A[None])[0].tobytes()
+        np.testing.assert_allclose(X @ A, np.eye(N), atol=1e-13)
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(DefinitenessError):
+            linalg.whitener(np.diag([1.0, -2.0]))
+        with pytest.raises(DefinitenessError):
+            linalg.whitener(np.stack([np.eye(2), np.diag([1.0, 0.0])]))
+
+
+# eigen square roots and a general inverse: only linalg itself and the single-
+# instance banks of detectors.py may use them; every other covariance is
+# whitened by linalg.whitener or linalg.lower_inverse
+FORBIDDEN = re.compile(r"np\.linalg\.inv\(|inv_sqrt\(|herm_sqrt\(|hermitian_pd_eigh\(")
+EXEMPT = {"linalg.py", "detectors.py"}
+
+
+def test_src_whitens_only_through_the_cholesky_factor():
+    src = Path(linalg.__file__).resolve().parent
+    found = [f"{path.relative_to(src)}:{n}: {line.strip()}"
+             for path in sorted(src.rglob("*.py")) if path.name not in EXEMPT
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if FORBIDDEN.search(line)]
+    assert not found, found
 
 
 class TestOrthoProjector:

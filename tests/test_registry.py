@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from adaptivedet import batcheval, linalg, registry
+from adaptivedet import batcheval, linalg, montecarlo as mc, registry, scenario as sc
 from conftest import crandn, random_hpd
 
 SETTINGS = settings(max_examples=100)
@@ -78,6 +78,48 @@ class TestOrthocomplement:
             registry.names(orthocomplement=True))
 
 
+class TestCfar:
+    """In white coordinates a covariance changes only the whitened geometry.
+    A statistic that does not change when that geometry's basis changes
+    within what its row reads has a covariance-free null law, so it is CFAR.
+    On one Bartlett draw, the moves are s -> a s, H -> H U and J -> J M for
+    every row, and H -> H U + J N for the rows that read J (which project J
+    out); the clairvoyant maps take R = I, as in the trial engine."""
+
+    N, p, q, L = 8, 2, 2, 16
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_flag_matches_the_basis_invariance(self, K):
+        N, p, q = self.N, self.p, self.q
+        cfg = sc.ScenarioConfig(N=N, p=p, q=q, K=K, L=self.L)
+        T, X = sc.assemble_noise(*mc._draw_blocks(21, range(1), cfg), N, K)
+        T_inv = linalg.lower_inverse(T)
+        rng = np.random.default_rng(21)
+        H, J, s = crandn(rng, N, p), crandn(rng, N, q), crandn(rng, N)
+        U = np.triu(crandn(rng, p, p)) + 2.0 * np.eye(p)
+        M, Nq = crandn(rng, q, q) + 2.0 * np.eye(q), crandn(rng, q, p)
+        names = registry.names() if K == 1 else registry.names(family="distributed")
+        moves = (((H, J, (0.7 - 1.3j) * s), set()), ((H @ U, J, s), set()),
+                 ((H, J @ M, s), set()), ((H @ U + J @ Nq, J, s), {"J"}))
+
+        def stats(H, J, s):
+            prep = batcheval.prepare(T_inv, H, J, s, np.eye(N), self.L, want=names)
+            return batcheval.evaluate(prep, X)
+
+        base, changed = stats(H, J, s), set()
+        for geometry, needs in moves:
+            moved = stats(*geometry)
+            for name in names:
+                d = registry.DETECTORS[name]
+                if not needs <= set(d.reads):
+                    continue
+                same = np.allclose(moved[name], base[name], rtol=1e-9, atol=0)
+                assert same or not d.cfar, (name, needs)
+                if not same:
+                    changed.add(name)
+        assert changed == {name for name in names if not registry.DETECTORS[name].cfar}
+
+
 def _subsets(args):
     return [set(c) for n in range(len(args) + 1) for c in itertools.combinations(args, n)]
 
@@ -138,7 +180,8 @@ class TestReads:
 
 class TestTable:
     def test_cfar_defaults_and_phe_laws(self):
-        assert registry.names(cfar=False) == ("smi", "mf")
+        assert registry.names(cfar=False) == (
+            "smi", "mf", "rao_he_i", "ts_rao_he_i", "rao_phe_i", "wald_he_i", "wald_phe_i")
         # under phe only a scale-invariant statistic with a law keeps it
         assert {d.name for d in registry.DETECTORS.values()
                 if d.scale_invariant and d.law} == {"asd", "ace", "glrt_phe_i"}
