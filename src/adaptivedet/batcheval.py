@@ -69,6 +69,26 @@ def _energy(Q, x):
     return _sqnorm(_ct(Q) @ x)
 
 
+# the nine subspace-bank statistics as forms in the energy u of a whitened test
+# vector in a detection subspace and its whole energy v, with d = 1 + v - u
+_FORMS = {
+    "sglrt": lambda u, v, d: u / d,
+    "srao": lambda u, v, d: u / ((1.0 + v) * d),
+    "samf": lambda u, v, d: u,
+    "asd": lambda u, v, d: _ratio(u, v),
+    "sabort": lambda u, v, d: (1.0 + u) / d,
+    "wsabort": lambda u, v, d: (1.0 + v) / d ** 2,
+    "dnsamf": lambda u, v, d: _ratio(u, v * d),
+    "aed": lambda u, v, d: v,
+    "beta": lambda u, v, d: 1.0 / d,
+}
+# a point row with a ``canonical`` is that form at its bank's energies (H, s or J), and
+# the interference Rao trio at the J-cleaned data's in span(H), not in span(QHp)
+_RAO_I = frozenset(("rao_he_i", "ts_rao_he_i", "rao_phe_i"))
+_ENERGIES = {row.name: "rao" if row.name in _RAO_I else row.reads[-1]
+             for row in registry.DETECTORS.values() if row.family == "point" and row.canonical}
+
+
 @dataclass(frozen=True)
 class Prepared:
     """What the statistics (and by-products) ``names`` need of the training
@@ -192,7 +212,7 @@ def evaluate_sweep(preps, X, means=None) -> list:
         xt, v = _point_whitened(preps[0].T, x, M)
     for prep, out in zip(preps, outs):
         if ("point", "H") in banks:
-            out.update(_subspace_bank(prep, xt, v))
+            out.update(_forms(prep, "H", _energy(prep.QH, xt), v))
         if ("point", "s") in banks:
             out.update(_point_rank_one_bank(prep, xt, v))
         if ("point", "J") in banks:
@@ -218,49 +238,25 @@ def _point_whitened(T, x, M):
     return xt, _sqnorm(xt)
 
 
-def _subspace_bank(prep, xt, v):
-    """The subspace bank, with its loss factor ``beta``, of the whitened test
-    vectors ``xt`` (B, N, G) of energies ``v``."""
-    u = _energy(prep.QH, xt)
-    denom = 1.0 + v - u
-    return {
-        "sglrt": u / denom,
-        "srao": u / ((1.0 + v) * denom),
-        "samf": u,
-        "asd": _ratio(u, v),
-        "sabort": (1.0 + u) / denom,
-        "wsabort": (1.0 + v) / denom ** 2,
-        "dnsamf": _ratio(u, v * denom),
-        "aed": v,
-        "beta": 1.0 / denom,
-    }
+def _forms(prep, energies, u, v):
+    """Each name of ``prep`` read at ``energies``, as its :data:`_FORMS` at ``u``, ``v``."""
+    d = 1.0 + v - u
+    return {name: _FORMS[_ROWS[name].canonical](u, v, d) for name in prep.names
+            if _ENERGIES.get(name) == energies}
 
 
 def _point_rank_one_bank(prep, xt, v):
     ss = prep.ss[:, None]
-    u1 = _sqnorm(prep.st.conj()[:, None] @ xt) / ss
-    denom1 = 1.0 + v - u1
-    return {
-        "kglrt": u1 / denom1,
-        "amf": u1,
-        "dmrao": u1 / ((1.0 + v) * denom1),
-        "ace": _ratio(u1, v),
-        "smi": u1 / ss,
-    }
+    u = _sqnorm(prep.st.conj()[:, None] @ xt) / ss
+    return {**_forms(prep, "s", u, v), "smi": u / ss}
 
 
 def _interference_bank(prep, xt):
-    QJ = prep.QJ
-    xp = xt if QJ is None else xt - QJ @ (_ct(QJ) @ xt)
-    ui = _energy(prep.QHp, xp)
+    xp = xt if prep.QJ is None else xt - prep.QJ @ (_ct(prep.QJ) @ xt)
     vi = _sqnorm(xp)
-    denom_i = 1.0 + vi - ui
-    out = {"glrt_he_i": ui / denom_i, "ts_glrt_he_i": ui, "glrt_phe_i": _ratio(ui, vi),
-           "beta_i": 1.0 / denom_i}
-    if not {"rao_he_i", "ts_rao_he_i", "rao_phe_i"}.isdisjoint(prep.names):
-        a = _energy(prep.QH, xp)
-        out.update(rao_he_i=a / ((1.0 + vi) * (1.0 + vi - a)), ts_rao_he_i=a,
-                   rao_phe_i=_ratio(a, vi))
+    out = _forms(prep, "J", _energy(prep.QHp, xp), vi)
+    if not _RAO_I.isdisjoint(prep.names):
+        out.update(_forms(prep, "rao", _energy(prep.QH, xp), vi))
     if prep.E is not None:
         wald_he = _sqnorm(prep.E @ xt)
         # the residual itself, not v less the energy in [J H], which cancels

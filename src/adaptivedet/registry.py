@@ -4,11 +4,11 @@ family and the capabilities of its finite-sample law.
 A law reduces, conditionally on the loss factor ``beta``, to a complex
 noncentral F variable compared against a threshold on the SGLRT scale.  The
 map from a detector's threshold to that conditional threshold is the one of
-its canonical point statistic: ``kglrt`` is ``sglrt`` at p = 1, the
-interference GLRTs are the point bank at dimension N - q, and ``gkglrt``/
-``gamf`` share the maps of ``sglrt``/``samf``.  A row states only the facts
-of its law; :func:`adaptivedet.distributions.resolve_law` decides from them
-where the law applies and with what parameters.
+its ``canonical`` subspace-bank statistic: ``kglrt`` is ``sglrt`` at p = 1,
+the interference GLRTs are the subspace bank at dimension N - q, and
+``gkglrt``/``gamf`` reduce to ``kglrt``/``amf`` at K = 1.  A row states only
+the facts of its law; :func:`adaptivedet.distributions.resolve_law` decides
+from them where the law applies and with what parameters.
 """
 
 from dataclasses import dataclass
@@ -58,11 +58,13 @@ class Detector:
     """One detector's facts.
 
     ``family`` names the batched kernel that computes it (``point`` or
-    ``distributed``).  ``law`` is its finite-sample law (``point``,
-    ``interference``, ``distributed``) or None for Monte Carlo only; a law's
-    threshold map is the one of ``canonical``.  ``rank_one`` laws live at p =
-    1, ``loss_factor`` laws average over a loss factor (so need p < N), and
-    ``mismatch`` says whether the law still holds for a mismatched signal.
+    ``distributed``).  ``canonical`` is the subspace-bank statistic the row
+    computes at its bank's energies (``gkglrt``/``gamf``: at K = 1), whose
+    threshold map its law takes.  ``law`` is that finite-sample law (``point``,
+    ``interference``, ``distributed``) or None for Monte Carlo only.
+    ``rank_one`` laws live at p = 1, ``loss_factor`` laws average over a
+    loss factor (so need p < N), and ``mismatch`` says whether the law still
+    holds for a mismatched signal.
     ``clairvoyant`` statistics use the true covariance, and ``orthocomplement``
     ones need p + q < N to normalize by the complement of [H J].  ``cfar`` and
     ``scale_invariant`` (unchanged when the test data is scaled) are
@@ -127,7 +129,7 @@ DETECTORS = {d.name: d for d in (
     _point("wsabort", default=True),
     _point("dnsamf", default=True),
     _point("aed", loss_factor=False, default=True),
-    _point("beta", law=None),
+    _point("beta", law=None, canonical="beta"),
     # rank-one bank: the p = 1 twins of the subspace bank, and the SMI
     _point("kglrt", canonical="sglrt", rank_one=True, reads=_RANK_ONE),
     _point("amf", canonical="samf", rank_one=True, reads=_RANK_ONE),
@@ -143,12 +145,12 @@ DETECTORS = {d.name: d for d in (
     _interference("glrt_phe_i", "interference", canonical="asd", scale_invariant=True),
     # the Rao trio and Wald pair measure the J-cleaned data in span(H), not in
     # span(P_J^perp H), so their null laws move with the whitened H-J angles
-    _interference("rao_he_i", cfar=False),
-    _interference("ts_rao_he_i", cfar=False),
-    _interference("rao_phe_i", cfar=False, scale_invariant=True),
+    _interference("rao_he_i", canonical="srao", cfar=False),
+    _interference("ts_rao_he_i", canonical="samf", cfar=False),
+    _interference("rao_phe_i", canonical="asd", cfar=False, scale_invariant=True),
     _interference("wald_he_i", cfar=False),
     _interference("wald_phe_i", cfar=False, scale_invariant=True, orthocomplement=True),
-    _interference("beta_i"),
+    _interference("beta_i", canonical="beta"),
     # distributed rank-one bank; gamf's loss factor is central only without mismatch
     _dist("gkglrt", _RANK_ONE, law="distributed", canonical="sglrt"),
     _dist("gamf", _RANK_ONE, law="distributed", canonical="samf", mismatch=False),
