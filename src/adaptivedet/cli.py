@@ -53,6 +53,9 @@ IDENTITY_SIZES = ((4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3), (12, 1), (12, 
 IDENTITY_CHUNK = 256
 # flipping the top bit of the 128-bit Philox key gives calibration its own streams
 CALIBRATION_KEY_BIT = 1 << 127
+# the point banks' d = 1 + v - u errs by about eps * rho, 2e-6 at this SNR; far
+# past it (160 dB) d rounds to zero and the Monte Carlo PDs are wrong
+MAX_SNR_DB = 100.0
 
 
 def _fmt(value) -> str:
@@ -269,6 +272,9 @@ def run_grid(args):
             and np.isfinite([sc.db_to_power(db) for db in (*snrs, *jnr)]).all()):
         raise ValueError("--snr, --cos2phi and --jnr-db take finite values only, "
                          "in dB and as power ratios")
+    if any(db > MAX_SNR_DB for db in snrs):
+        raise ValueError(f"--snr is at most {MAX_SNR_DB:g} dB, past which float64 "
+                         "cannot resolve the statistics' energies")
     if jnr and not cfg.q:
         raise ValueError("--jnr-db needs q > 0: the jammer lies in span(J)")
     laws, no_law = _laws(detectors, cfg, jammer=bool(jnr))

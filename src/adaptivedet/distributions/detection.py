@@ -32,6 +32,9 @@ from .core import cbeta_pdf_nodes, cchi2_sf_nodes, cf_sf_nodes
 from .core import cbeta_pdf_grid  # noqa: F401 -- perfbench's tracer wraps this name here
 
 QUAD_TOL = 1e-6
+# unresolved panels an integral may carry into a refinement round: past it the
+# integrand's own rounding, not the quadrature, limits the accuracy
+MAX_PANELS = 256
 # log-threshold range searched for a false-alarm target: every supported
 # false-alarm curve is near 1 at exp(-40) and negligible at exp(40)
 LOG_ETA_BRACKET = (-40.0, 40.0)
@@ -50,12 +53,14 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
     Panels are pre-split at ``breakpoints``, one sequence shared by every
     integral or one sequence per integral, and then bisected until the
     two-half refinement of a panel changes its value by at most the panel's
-    share of the absolute tolerance ``tol``; a panel still unresolved at
-    ``max_depth`` is accepted as it stands, and one warning is logged per call
-    that had any.  A non-finite panel sum, which no refinement resolves, is a
-    ValueError in the round that meets it.  Each refinement round makes one
-    call of ``f`` over every active panel of every integral, so there are at
-    most ``max_depth + 1``.
+    share of the absolute tolerance ``tol``.  A panel still unresolved at
+    ``max_depth``, and every panel of an integral with more than
+    ``MAX_PANELS`` unresolved (a ``tol`` below the integrand's rounding), is
+    accepted as it stands, and one warning is logged per call that had any.
+    A non-finite panel sum, which no refinement resolves, is a ValueError in
+    the round that meets it.  Each refinement round makes one call of ``f``
+    over every active panel of every integral, so there are at most
+    ``max_depth + 1``, each of at most ``4 MAX_PANELS`` panels per integral.
     An integral's value does not depend on the others: panel sums run node by
     node and each integral adds its accepted panels in its own order.
     """
@@ -79,6 +84,7 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
     hi = np.concatenate([e[1:] for e in pts])
     coarse = None
     total = np.zeros(n)
+    unrefined = np.zeros(n, dtype=int)
     for depth in range(max_depth + 1):
         mid = 0.5 * (lo + hi)
         # both halves of every active panel, and the first round's whole panels
@@ -92,11 +98,10 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
         coarse = sums[2 * k:] if coarse is None else coarse
         fine = left + right
         done = np.abs(fine - coarse) <= tol * (hi - lo) / (b - a)
-        if depth == max_depth and not done.all():
-            logger.warning("quadrature reached max_depth=%d with %d unresolved panels in "
-                           "%d of %d integrals; their values are accepted unrefined",
-                           max_depth, np.count_nonzero(~done), np.unique(cell[~done]).size, n)
-            done[:] = True
+        left_over = np.bincount(cell[~done], minlength=n)
+        accept = (left_over > MAX_PANELS) | (depth == max_depth)
+        unrefined += np.where(accept, left_over, 0)
+        done |= accept[cell]
         total += np.bincount(cell[done], weights=fine[done], minlength=n)
         if done.all():
             break
@@ -107,6 +112,10 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
         lo, hi = (np.column_stack((lo[keep], mid[keep])).ravel(),
                   np.column_stack((mid[keep], hi[keep])).ravel())
         coarse = np.column_stack((left[keep], right[keep])).ravel()
+    if unrefined.any():
+        logger.warning("quadrature accepted %d unresolved panels unrefined in %d of %d integrals "
+                       "(max_depth=%d, at most %d unresolved panels an integral)",
+                       unrefined.sum(), np.count_nonzero(unrefined), n, max_depth, MAX_PANELS)
     return total
 
 
@@ -302,13 +311,20 @@ def invert_pfa(pfa_of, pfa: float, rtol: float = 1e-3, names=("eta",)) -> np.nda
     return np.exp(root)
 
 
-def thresholds_for_pfa(laws, pfa: float, rtol: float = 1e-3,
-                       tol: float = QUAD_TOL) -> np.ndarray:
+def _inversion_tol(pfa, rtol):
+    """The quadrature tolerance of a false-alarm inversion: ``QUAD_TOL`` while
+    that is within the band ``rtol * pfa`` (pfa >= 1e-3 at the default
+    ``rtol``, where it set every threshold so far), and a tenth of the band
+    below, so that a small pfa is not lost in the quadrature error."""
+    return QUAD_TOL if rtol * pfa >= QUAD_TOL else 0.1 * rtol * pfa
+
+
+def thresholds_for_pfa(laws, pfa: float, rtol: float = 1e-3) -> np.ndarray:
     """Thresholds at false-alarm probability ``pfa`` of ``laws`` (any mix of
     :class:`Law`) to relative accuracy ``rtol``, in one :func:`invert_pfa`
     solve whose rounds evaluate the active laws at zero SNR together; each
     threshold has the bits of its law solved alone."""
-    zeros = np.zeros(len(laws))
+    zeros, tol = np.zeros(len(laws)), _inversion_tol(pfa, rtol)
 
     def pfa_of(etas, at):
         return _pd_laws([laws[i] for i in at], etas, zeros[at], zeros[at], zeros[at], tol)
@@ -317,8 +333,8 @@ def thresholds_for_pfa(laws, pfa: float, rtol: float = 1e-3,
 
 
 def threshold_for_pfa(detector: str, N: int, p: int, L: int, pfa: float,
-                      rtol: float = 1e-3, tol: float = QUAD_TOL) -> float:
+                      rtol: float = 1e-3) -> float:
     """The threshold of one detector's point law at (N, p, L) by
     :func:`thresholds_for_pfa`."""
     law = _require_law("point", detector, N, p, L)
-    return float(thresholds_for_pfa([law], pfa, rtol, tol)[0])
+    return float(thresholds_for_pfa([law], pfa, rtol)[0])

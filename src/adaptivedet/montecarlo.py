@@ -165,6 +165,8 @@ def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
     array ordered by trial index, bit for bit ``run_trials(replace(plan,
     covariance=covariances[c]), mean)``.
     """
+    if not covariances:
+        raise ValueError("need at least one covariance model")
     out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
     for trials, noise, preps, whites in _noise_pass(plan, covariances, mean):
         stats = (batcheval.evaluate_sweep(preps, noise, whites[0]) if not np.any(mean) else

@@ -12,7 +12,7 @@ import pytest
 
 import adaptivedet
 import oracles
-from adaptivedet import batcheval, cli, linalg, montecarlo as mc, scenario as sc
+from adaptivedet import batcheval, cli, linalg, montecarlo as mc, registry, scenario as sc
 from adaptivedet.distributions import pd_cells, resolve_law
 
 
@@ -268,6 +268,30 @@ class TestArguments:
                                 "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_snr_past_100_db_exits_1(self, mode, tmp_path, capsys):
+        # d = 1 + v - u errs by about eps * rho: at 160 dB it rounds to zero
+        out = tmp_path / "s.csv"
+        assert cli.main(["pd-vs-snr", "--mode", mode, "--snr", "0,160", "--N", "4", "--p", "1",
+                         "--trials", "200", "--pfa", "1e-2", "--out", str(out)]) == 1
+        assert "at most 100 dB" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_monte_carlo_at_100_db_resolves_every_point_bank(self, tmp_path):
+        """At the SNR limit every point, rank-one and interference statistic
+        is finite (tier-1 turns a RuntimeWarning into an error), and each
+        analytic PD of 1 is met by the Monte Carlo count."""
+        out = tmp_path / "h.csv"
+        names = [n for n in registry.names(family="point") if n != "wald_phe_i"]
+        assert cli.main(["pd-vs-snr", "--mode", "both", "--snr", "100", "--N", "6", "--p", "2",
+                         "--q", "1", "--trials", "200", "--pfa", "1e-2",
+                         "--detectors", ",".join(names), "--out", str(out)]) == 0
+        rows = _read(out)
+        assert [row["detector"] for row in rows] == names
+        for row in rows:
+            if row["pd_analytic"] == "1":
+                assert row["pd_mc"] == "1", row["detector"]
 
 
 class TestValidationCommands:

@@ -20,8 +20,9 @@ from adaptivedet.distributions import (
     pd_point,
     pfa_point,
     threshold_for_pfa,
+    thresholds_for_pfa,
 )
-from adaptivedet.distributions import core
+from adaptivedet.distributions import core, detection
 from adaptivedet.distributions.detection import QUAD_TOL, Law, _pd_beta_mixture, resolve_law
 from adaptivedet.errors import InfeasibleError
 
@@ -572,6 +573,20 @@ class TestPointCurves:
                 eta = threshold_for_pfa(det, self.N, self.p, self.L, pfa)
                 assert abs(pfa_point(det, self.N, self.p, self.L, eta) - pfa) <= 1e-3 * pfa
 
+    @pytest.mark.parametrize("N, p, L", [(12, 2, 48), (12, 2, 120), (12, 2, 240), (30, 2, 300)])
+    def test_small_pfa_thresholds_keep_their_band(self, N, p, L, caplog):
+        """Below pfa = 1e-3 the quadrature's tolerance follows the band rtol *
+        pfa, so each threshold's true pfa (at tol 1e-13) lies within 2 rtol
+        of the target, with no quadrature warning."""
+        with caplog.at_level(logging.WARNING, logger="adaptivedet.distributions"):
+            for det in ("samf", "sabort", "asd", "srao"):
+                law = resolve_law(det, N, p, L)
+                for pfa in (1e-5, 1e-6, 1e-7):
+                    eta = thresholds_for_pfa([law], pfa)[0]
+                    ratio = pd_cells(law, eta, 0.0, 1.0, tol=1e-13)[0] / pfa
+                    assert abs(ratio - 1.0) <= 2e-3, (det, pfa, ratio)
+        assert not caplog.records
+
     def test_degenerate_threshold(self):
         for det in ("samf", "aed"):
             assert pfa_point(det, self.N, self.p, self.L, 0.0) == 1.0
@@ -713,6 +728,26 @@ class TestIntegrator:
         assert abs(val - 2.0 / 3.0) <= 1e-12
         assert len(caplog.records) == 1
         assert "max_depth=48" in caplog.text and "1 of 1 integrals" in caplog.text
+
+    def test_tolerance_below_the_integrand_rounding_stays_bounded(self, caplog, monkeypatch):
+        """A tol the integrand cannot resolve stops at MAX_PANELS unresolved
+        panels: at most a million integrand nodes, one warning, and the value
+        of a tol it resolves."""
+        law = resolve_law("asd", 30, 2, 300)
+        resolved = pd_cells(law, 1e-3, 0.0, 1.0, tol=1e-13)[0]
+        nodes = []
+        original = detection.integrate_adaptive
+
+        def counting(f, *args, **kwargs):
+            return original(lambda cell_x: nodes.append(cell_x[1].size) or f(cell_x),
+                            *args, **kwargs)
+
+        monkeypatch.setattr(detection, "integrate_adaptive", counting)
+        with caplog.at_level(logging.WARNING, logger="adaptivedet.distributions"):
+            value = pd_cells(law, 1e-3, 0.0, 1.0, tol=1e-14)[0]
+        assert sum(nodes) <= 1_000_000
+        assert len(caplog.records) == 1 and "1 of 1 integrals" in caplog.text
+        assert abs(value - resolved) <= 1e-12
 
     def test_resolved_integrals_do_not_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="adaptivedet.distributions"):

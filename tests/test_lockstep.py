@@ -114,8 +114,9 @@ class TestLockstepThresholds:
         etas = thresholds_for_pfa([resolve_law(d, *dims) for d in dets], pfa, rtol)
         for det, eta in zip(dets, etas):
             assert threshold_for_pfa(det, *dims, pfa, rtol) == eta
-            # the scalar per-detector solve through pfa_point
-            alone = invert_pfa(lambda e, at: pfa_point(det, *dims, float(e[0])), pfa, rtol)
+            # the scalar per-detector solve through pfa_point, at the solve's tolerance
+            tol = detection._inversion_tol(pfa, rtol)
+            alone = invert_pfa(lambda e, at: pfa_point(det, *dims, float(e[0]), tol), pfa, rtol)
             assert alone[0] == eta
 
     # the full text stays: hypothesis seeds a derandomized method from its

@@ -621,6 +621,14 @@ class TestSweepTrials:
             for name in detectors:
                 assert np.array_equal(stats[name], alone[name]), (cov.label(), name)
 
+    @pytest.mark.parametrize("covariances", [[], ()])
+    def test_no_covariance_is_a_value_error(self, covariances):
+        plan = mc.TrialPlan(n_trials=64, master_seed=21, covariance=self.COVS[0],
+                            scenario=sc.ScenarioConfig(N=4, p=1, L=8, pfa=1e-2),
+                            detectors=("sglrt",))
+        with pytest.raises(ValueError, match="need at least one covariance model"):
+            mc.sweep_trials(plan, covariances)
+
     POOL = COVS + (sc.CovarianceModel.ar1(0.5),)
 
     @settings(max_examples=60)

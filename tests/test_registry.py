@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from adaptivedet import batcheval, linalg, montecarlo as mc, registry, scenario as sc
+from adaptivedet.distributions import resolve_law
 from conftest import crandn, random_hpd
 
 SETTINGS = settings(max_examples=100)
@@ -118,6 +119,68 @@ class TestCfar:
                 if not same:
                     changed.add(name)
         assert changed == {name for name in names if not registry.DETECTORS[name].cfar}
+
+
+@st.composite
+def point_instances(draw):
+    """One K = 1 instance at N <= 8 and L in {N, N + 1, 2N}, with p + q < N so
+    that every point law is a loss-factor mixture."""
+    N = draw(st.integers(2, 8))
+    L = draw(st.sampled_from((N, N + 1, 2 * N)))
+    p = draw(st.integers(1, N - 1))
+    q = draw(st.integers(0, N - p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = crandn(rng, N, L)
+    return dict(N=N, p=p, q=q, L=L, x=crandn(rng, N), S=train @ train.conj().T,
+                H=crandn(rng, N, p), J=crandn(rng, N, q))
+
+
+class TestCanonical:
+    # every row whose law averages over a loss factor
+    MIXTURES = {name for name, d in registry.DETECTORS.items() if d.law and d.loss_factor}
+
+    def test_names_the_forms(self):
+        """``canonical`` takes exactly the nine subspace-bank forms, and every
+        mixture row names one that has a threshold map."""
+        assert {d.canonical for d in registry.DETECTORS.values()} - {None} == set(batcheval._FORMS)
+        for name in self.MIXTURES:
+            registry.DETECTORS[name].threshold_map(1.0, np.array([0.5]))
+
+    def test_decisions_equal_at_the_mapped_threshold(self):
+        """Each mixture row's decision ``stat > eta`` is the decision ``F >
+        threshold_map(canonical)(eta, beta)`` of the sglrt and beta forms of
+        its bank (of the rank-one bank for gkglrt/gamf, their K = 1 twins),
+        all from the per-instance oracles, at thresholds on both sides of the
+        statistic; ties within 1e-12 relative are skipped."""
+        checked = set()
+
+        def tie(a, b):
+            return np.isfinite(b) and abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+        @settings(max_examples=60)
+        @given(point_instances(), st.floats(-3.0, 3.0))
+        def check(case, log_eta):
+            x, S, H, J = case["x"], case["S"], case["H"], case["J"]
+            stats = oracles.point_family(x, S, H, J)
+            stats.update(oracles.distributed_rank1_he(x[:, None], S, H[:, 0]))
+            rank_one = oracles.subspace_bank(x, S, H[:, :1])
+            banks = {("H",): (stats["sglrt"], stats["beta"]),
+                     ("s",): (rank_one["sglrt"], rank_one["beta"]),
+                     ("H", "J"): (stats["glrt_he_i"], stats["beta_i"])}
+            for name in self.MIXTURES:
+                d = registry.DETECTORS[name]
+                law = resolve_law(name, case["N"], case["p"], case["L"], case["q"])
+                assert law.params[0] == "mixture", name
+                F, beta = banks[d.reads]
+                stat = float(stats[name])
+                for eta in (0.5 * stat, 0.99 * stat, 1.01 * stat, 2.0 * stat, np.exp(log_eta)):
+                    g = float(d.threshold_map(eta, np.array([beta]))[0])
+                    if eta > 0 and not (tie(stat, eta) or tie(F, g)):
+                        assert (stat > eta) == (F > g), (name, eta, stat, F, g)
+                        checked.add(name)
+
+        check()
+        assert checked == self.MIXTURES
 
 
 def _subsets(args):
