@@ -105,7 +105,8 @@ class Prepared:
     to the [J H]-basis coordinates of its oblique projection onto H along J.
     ``W``, the R-whitened basis of H as p rows, is the map of ``smf``, the
     MVDR weight ``mvdr = (R^-1 s / s^H R^-1 s)^H`` that of ``mf``, and ``L``
-    the training count of the PHE half.  The parts of a bank left out are None.
+    the training count of the PHE half and ``N`` the ambient dimension of its
+    target ``N K / (L + K)``.  The parts of a bank left out are None.
     """
 
     names: tuple = ()
@@ -122,6 +123,7 @@ class Prepared:
     W: np.ndarray = None
     mvdr: np.ndarray = None
     L: int = None
+    N: int = None
 
 
 def prepare(T, H, J=None, s=None, R=None, L=None, want=None) -> Prepared:
@@ -155,7 +157,8 @@ def prepare(T, H, J=None, s=None, R=None, L=None, want=None) -> Prepared:
     adaptive = [row for row in rows if not row.clairvoyant]
     reads = {arg for row in adaptive for arg in row.reads}
     banks = {(row.family, arg) for row in adaptive for arg in (set(row.reads) - {"H"} or {"H"})}
-    prep = dict(names=names, banks=frozenset(banks), T=T, L=L if "L" in reads else None)
+    prep = dict(names=names, banks=frozenset(banks), T=T, L=L if "L" in reads else None,
+                N=T.shape[-1] if "L" in reads else None)
     if "s" in reads:
         prep["st"], prep["ss"] = _steering(T, s)
     if "H" in reads:
@@ -343,8 +346,8 @@ def _rank_one_bank(preps, Xt, G0, trG0):
     Each solve against the shared ``G0`` takes every ``c`` as a column (each
     keeps its one-column bits), and ``eig(G0)``, ``sigma0_hat`` and ``det(I +
     G0 / sigma0_hat)`` run once."""
-    B, N, K = Xt.shape
-    L, names, phe = preps[0].L, preps[0].names, ("distributed", "L") in preps[0].banks
+    first, K = preps[0], Xt.shape[-1]
+    N, L, names, phe = first.N, first.L, first.names, ("distributed", "L") in first.banks
     IK = np.eye(K)
     cs = np.stack([np.einsum("bnk,bn->bk", Xt.conj(), prep.st) for prep in preps])
 

@@ -53,9 +53,6 @@ IDENTITY_SIZES = ((4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3), (12, 1), (12, 
 IDENTITY_CHUNK = 256
 # flipping the top bit of the 128-bit Philox key gives calibration its own streams
 CALIBRATION_KEY_BIT = 1 << 127
-# the point banks' d = 1 + v - u errs by about eps * rho, 2e-6 at this SNR; far
-# past it (160 dB) d rounds to zero and the Monte Carlo PDs are wrong
-MAX_SNR_DB = 100.0
 
 
 def _fmt(value) -> str:
@@ -272,11 +269,17 @@ def run_grid(args):
             and np.isfinite([sc.db_to_power(db) for db in (*snrs, *jnr)]).all()):
         raise ValueError("--snr, --cos2phi and --jnr-db take finite values only, "
                          "in dB and as power ratios")
-    if any(db > MAX_SNR_DB for db in snrs):
-        raise ValueError(f"--snr is at most {MAX_SNR_DB:g} dB, past which float64 "
+    if any(db > mc.MAX_SNR_DB for db in snrs):
+        raise ValueError(f"--snr is at most {mc.MAX_SNR_DB:g} dB, past which float64 "
                          "cannot resolve the statistics' energies")
     if jnr and not cfg.q:
         raise ValueError("--jnr-db needs q > 0: the jammer lies in span(J)")
+    # the engine bounds the white energy of signal plus jammer (K columns of it)
+    if jnr and (np.sqrt(sc.db_to_power(max(snrs, default=-np.inf))) + np.sqrt(
+            cfg.K * sc.db_to_power(args.jnr_db))) ** 2 > mc.MAX_WHITE_ENERGY:
+        raise ValueError(f"--snr and --jnr-db together are at most {mc.MAX_SNR_DB:g} dB of "
+                         "white energy, past which float64 cannot resolve the statistics' "
+                         "energies")
     laws, no_law = _laws(detectors, cfg, jammer=bool(jnr))
     H, J = sc.default_geometry(cfg.N, cfg.p, cfg.q)
     cov = sc.CovarianceModel.parse(args.covariance)

@@ -2,23 +2,33 @@
 
 Trials come in fixed blocks of ``BLOCK`` = 64.  Block b is one Philox stream
 keyed by the master seed with counter ``b << 64`` (:func:`trial_rng`), and
-trial i is row ``i mod 64`` of block ``i // 64``.  A block draws, one call
-per array and in this order (the reproducibility contract):
+trial i is row ``i mod 64`` of block ``i // 64``.  A pass has a flag
+dimension m (:func:`_canonical`), with n1 = N - m, and a block draws, one
+call per array and in this order (the reproducibility contract):
 
-1. the N(N-1) standard normals of the strict lower triangle of the Bartlett
-   factor T (real parts, then imaginary parts);
-2. N gamma variates, the squared diagonal ``T_ii^2 ~ Gamma(L - i + 1)``;
-3. the 2NK standard normals of the test noise (real, then imaginary).
+1. the m(m-1) standard normals of the strict lower triangle of the Bartlett
+   factor T22 (real parts, then imaginary parts);
+2. m gamma variates, its squared diagonal ``Gamma(L - n1 - i + 1)``;
+3. the 2mK standard normals of the test noise (real, then imaginary);
+4. only when n1 > 0: the gammas ``Gamma(n1)`` and ``Gamma(L - n1 + 1)``,
+   whose ratio is C, and the 2m normals of ``t ~ CN(0, I_m)``.
 
-``T T^H`` is then a white sample covariance of L snapshots and T its
-Cholesky factor (:func:`~adaptivedet.scenario.assemble_noise`), drawn without
-the snapshots themselves.  A batch covers whole blocks (the batch size rounds
-up to a multiple of 64), so no block is drawn twice in a pass, every trial
-reads the same row of the same block whatever the batch size or trial count,
-and results are a pure function of the plan.  Aggregation is count-based.
+At m = N, ``T T^H`` with T = T22 is a white sample covariance of L
+snapshots and T its Cholesky factor
+(:func:`~adaptivedet.scenario.assemble_noise`), drawn without the snapshots
+themselves.  A pass takes m = p + q < N exactly when K = 1, a test mean is
+nonzero, every white mean lies in the flag s in H in [H J] and 1 + m < N;
+its trials then run in the canonical frame of Kelly and Forsythe (1989), in
+1 + m coordinates with the factor ``[[1/sqrt(C), 0], [t, T22]]`` and test
+noise ``[1; w2]``, which have the laws of the flag's part of a full draw.
+Null, mismatched and K > 1 passes keep m = N.  A batch covers whole blocks
+(the batch size rounds up to a multiple of 64), so no block is drawn twice
+in a pass, every trial reads the same row of the same block whatever the
+batch size or trial count, and results are a pure function of the plan and
+its means.  Aggregation is count-based.
 
-Every trial of a plan uses the same white noise whatever its test mean or
-covariance, so one draw per batch serves every grid point, detector and
+Within a pass every trial uses the same white noise whatever its test mean
+or covariance, so one draw per batch serves every grid point, detector and
 covariance.  The detectors read the data only whitened, so a pass runs in
 the white coordinates of each covariance R = A A^H (A its Cholesky factor):
 ``S = A T T^H A^H`` becomes ``T T^H``, the test noise stays white, and only
@@ -34,7 +44,7 @@ means a call (:func:`~adaptivedet.batcheval.evaluate`, :func:`exceedance_counts`
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +61,11 @@ BLOCK = 64
 # test means per stacked point evaluation: fixed, so that the chunks (and the bits of
 # their whitened product) depend on the grid alone, and memory not on it at all
 GRID_CHUNK = 16
+# the point banks' d = 1 + v - u errs by about eps * rho, 2e-6 at this SNR; far
+# past it (160 dB) d rounds to zero and the Monte Carlo PDs are wrong
+MAX_SNR_DB = 100.0
+# the largest white mean energy a pass takes; the slack lets 10^10 through its own rounding
+MAX_WHITE_ENERGY = 10 ** (MAX_SNR_DB / 10) * (1 + 1e-9)
 log = logging.getLogger(__name__)
 
 
@@ -61,20 +76,23 @@ def trial_rng(master_seed: int, block: int) -> np.random.Generator:
         np.random.Philox(key=master_seed, counter=int(block) << 64))
 
 
-def _draw_blocks(master_seed: int, blocks: range, cfg: ScenarioConfig):
-    """The flat white draws of trial blocks ``blocks``, one row per trial:
-    the Bartlett normals (B, N(N-1)), gamma variates (B, N) and test normals
-    (B, 2NK), each block's three arrays in the contract's order."""
-    N, B = cfg.N, BLOCK * len(blocks)
-    normals, gammas, test = (np.empty((B, n)) for n in (N * (N - 1), N, 2 * N * cfg.K))
-    shape = cfg.L - np.arange(N, dtype=float)  # L - i + 1 for i = 1..N
+def _draw_blocks(master_seed: int, blocks: range, cfg: ScenarioConfig, m: int):
+    """The flat white draws of trial blocks ``blocks`` at flag dimension ``m``
+    (N: the full draw), one row per trial: the Bartlett normals (B, m(m-1)),
+    gamma variates (B, m) and test normals (B, 2mK), and below N the gammas
+    behind C (B, 2) and the normals of t (B, 2m), each block's arrays in the
+    contract's order."""
+    n1, B = cfg.N - m, BLOCK * len(blocks)
+    # each array's gamma shapes, or its count of normals
+    layout = [m * (m - 1), cfg.L - n1 - np.arange(m, dtype=float), 2 * m * cfg.K]
+    layout += [np.array([n1, cfg.L - n1 + 1.0]), 2 * m] if n1 else []
+    draws = [np.empty((B, np.size(a) if np.ndim(a) else a)) for a in layout]
     for j, block in enumerate(blocks):
-        rows = slice(j * BLOCK, (j + 1) * BLOCK)
         rng = trial_rng(master_seed, block)
-        rng.standard_normal(out=normals[rows])
-        rng.standard_gamma(shape, out=gammas[rows])
-        rng.standard_normal(out=test[rows])
-    return normals, gammas, test
+        for a, out in zip(layout, draws):
+            rows = out[j * BLOCK:(j + 1) * BLOCK]
+            rng.standard_gamma(a, out=rows) if np.ndim(a) else rng.standard_normal(out=rows)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -117,6 +135,26 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _canonical(plan: TrialPlan, frames, energy):
+    """The flag dimension m of a pass and its white frames ``(H, J, means)``
+    of mean energies ``energy`` (C, G).  When K = 1, 1 + m < N, a mean is
+    nonzero and every white mean lies in the flag s in H in [H J] (to 1e-12
+    of its norm), m = p + q and each frame is rotated by a unitary built from
+    its geometry alone, flag last, and cut to its last 1 + m coordinates."""
+    N, m = plan.scenario.N, plan.scenario.p + plan.scenario.q
+    if plan.scenario.K > 1 or 1 + m >= N or not energy.any():
+        return N, frames
+    out = []
+    for (Hw, Jw, white), e in zip(frames, energy):
+        V = linalg.orthonormal_basis(np.concatenate([Hw, Jw], axis=1))
+        residual = white - V @ (V.conj().T @ white)
+        if np.any(np.sum(np.abs(residual) ** 2, axis=(1, 2)) > 1e-24 * e):
+            return N, frames
+        P = np.concatenate([np.zeros((1, N)), V.conj().T])
+        out.append((P @ Hw, P @ Jw, P @ white))
+    return m, out
+
+
 def _noise_pass(plan: TrialPlan, covariances, means=0.0):
     """Yield ``(trials, noise, preps, whites)`` per batch of the plan, with
     entry c of ``preps`` and ``whites`` for covariance ``covariances[c]``: a
@@ -124,33 +162,49 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
 
     Each batch is drawn once and every covariance reads that same draw (common
     random numbers), so its trials are bit-identical to a pass over it alone.
-    ``noise`` is the batch's scaled white test noise (B, N, K), shared by
+    ``noise`` is the batch's scaled white test noise (B, d, K), shared by
     every covariance, as is the whitener ``T^-1`` (formed only for a plan with
     an adaptive detector).  In the white coordinates of each R = A A^H, a
     white mean is ``A^-1 means`` (G, N, K; one (N, K) mean or 0 is G = 1), and
     a state is :func:`~adaptivedet.batcheval.prepare` of the plan's
     detectors on the geometry ``A^-1 (H, J, s)``, whitened by ``T^-1``, with
-    R = I for the clairvoyant maps.
+    R = I for the clairvoyant maps; at a flag dimension m < N
+    (:func:`_canonical`) in d = 1 + m rotated coordinates, of factor
+    ``[[1/sqrt(C), 0], [t, T22]]`` and test noise ``[1; w2]``, the PHE target
+    still at N.  A white mean above ``MAX_SNR_DB`` is a ``ValueError``.
     """
     cfg = plan.scenario
     adaptive = not all(registry.DETECTORS[name].clairvoyant for name in plan.detectors)
     means = (np.reshape(means, (-1, cfg.N, cfg.K)) if np.ndim(means)
              else np.full((1, cfg.N, cfg.K), means))
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
-    R = np.eye(cfg.N)
     whiteners = [linalg.whitener(cov.build(cfg.N)) for cov in covariances]
     frames = [(A_inv @ H, A_inv @ J, A_inv @ means) for A_inv in whiteners]
+    energy = np.array([np.sum(np.abs(white) ** 2, axis=(1, 2)) for _, _, white in frames])
+    if energy.max(initial=0.0) > MAX_WHITE_ENERGY:
+        raise ValueError(f"a white test mean exceeds {MAX_SNR_DB:g} dB, past which "
+                         "float64 cannot resolve the statistics' energies")
+    m, frames = _canonical(plan, frames, energy)
+    R = np.eye(frames[0][0].shape[0])  # d = N, or 1 + m
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
     for first in range(0, n_blocks, per_batch):
         blocks = range(first, min(first + per_batch, n_blocks))
         trials = range(first * BLOCK, min(blocks.stop * BLOCK, plan.n_trials))
-        draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg)]
-        T, w_test = scenario.assemble_noise(*draws, cfg.N, cfg.K)
+        draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg, m)]
+        T, w_test = scenario.assemble_noise(*draws[:3], m, cfg.K)
+        if m < cfg.N:  # T's first column: 1/sqrt(C), C = Gamma(n1) / Gamma(L - n1 + 1), and t
+            g, t = draws[3:]
+            lead = np.concatenate([np.sqrt(g[:, 1:] / g[:, :1]),
+                                   (t[:, :m] + 1j * t[:, m:]) / np.sqrt(2.0)], axis=1)
+            T = np.concatenate([lead[..., None], np.pad(T, ((0, 0), (1, 0), (0, 0)))], axis=2)
+            w_test = np.pad(w_test, ((0, 0), (1, 0), (0, 0)), constant_values=1.0)
         T_inv = linalg.lower_inverse(T) if adaptive else None
+        # a PHE half's target N K / (L + K) is at the scenario's N, not the frame's d
         yield trials, cfg.test_scale * w_test, [
-            batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
-            for Hw, Jw, _ in frames], [white for _, _, white in frames]
+            prep if prep.N is None else replace(prep, N=cfg.N) for prep in (
+                batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
+                for Hw, Jw, _ in frames)], [white for _, _, white in frames]
 
 
 def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
@@ -195,9 +249,11 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     exceeds ``thresholds[plan.detectors[d]]`` at test mean ``means[g]``; it
     equals the count over ``run_trials(plan, means[g])`` but for statistics
     within rounding of the threshold, as a chunk's whitened means round
-    apart from one mean's.  The means are evaluated ``GRID_CHUNK`` at a time,
-    in chunks fixed by the grid alone, so the counts ignore the batch size,
-    and memory stays one batch of a chunk plus the (G, D) counts.
+    apart from one mean's, when both passes take the same flag dimension
+    (a zero ``means[g]`` alone is a null, full pass).  The means are
+    evaluated ``GRID_CHUNK`` at a time, in chunks fixed by the grid alone, so
+    the counts ignore the batch size, and memory stays one batch of a chunk
+    plus the (G, D) counts.
     """
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
     for _, noise, (prepared,), (white,) in _noise_pass(plan, (plan.covariance,), means):

@@ -99,31 +99,50 @@ def max_eig_pair(A, B=None):
 BLOCK = 64
 
 
-def draw_trial(master_seed: int, trial: int, N: int, L: int, K: int):
+def draw_trial(master_seed: int, trial: int, N: int, L: int, K: int, m: int = None):
     """The white Bartlett factor T (N, N) and test noise (N, K) of one trial
-    of the engine's block layout, assembled from its own row of the block.
+    of the engine's block layout at flag dimension ``m`` (N by default),
+    assembled from its own row of the block.
 
     Trial i is row i mod 64 of the Philox stream of block i // 64, which
-    draws the N(N-1) normals of T's strict lower triangle (real parts, then
-    imaginary, row by row), the N gamma variates ``T_ii^2 ~ Gamma(L - i +
-    1)`` and the 2NK test normals (real, then imaginary), each for the whole
-    block in one call.
+    draws the m(m-1) normals of the trailing factor T22's strict lower
+    triangle (real parts, then imaginary, row by row), its m gamma variates
+    ``T22_ii^2 ~ Gamma(L - n1 - i + 1)`` with n1 = N - m, and the 2mK test
+    normals (real, then imaginary), each for the whole block in one call;
+    below m = N then the gammas ``g1 ~ Gamma(n1)``, ``g2 ~ Gamma(L - n1 + 1)``
+    and the 2m normals of ``t ~ CN(0, I_m)``.  Such a reduced trial (K = 1)
+    is returned embedded in N dimensions: test noise ``[e1; w2]`` and factor
+    ``[[T11, 0], [T21, T22]]`` with ``T11 = diag(1/sqrt(C), I)``, C = g1/g2,
+    and ``T21 = [t 0]``, so that the whitened leading block has energy C and
+    ``T21 T11^-1 x1 = sqrt(C) t``, the laws of the full N-dimensional draw
+    in a frame whose trailing m coordinates hold the geometry.
     """
+    m = N if m is None else m
+    n1 = N - m
     rng = mc.trial_rng(master_seed, trial // BLOCK)
     row = trial % BLOCK
-    normals = rng.standard_normal((BLOCK, N * (N - 1)))[row]
-    gammas = rng.standard_gamma(L - np.arange(N, dtype=float), size=(BLOCK, N))[row]
-    test = rng.standard_normal((BLOCK, 2 * N * K))[row]
-    m = N * (N - 1) // 2
-    T = np.zeros((N, N), dtype=np.complex128)
+    normals = rng.standard_normal((BLOCK, m * (m - 1)))[row]
+    gammas = rng.standard_gamma(L - n1 - np.arange(m, dtype=float), size=(BLOCK, m))[row]
+    test = rng.standard_normal((BLOCK, 2 * m * K))[row]
+    half = m * (m - 1) // 2
+    T = np.zeros((m, m), dtype=np.complex128)
     k = 0
-    for i in range(N):
+    for i in range(m):
         for j in range(i):
-            T[i, j] = complex(normals[k] / np.sqrt(2.0), normals[m + k] / np.sqrt(2.0))
+            T[i, j] = complex(normals[k] / np.sqrt(2.0), normals[half + k] / np.sqrt(2.0))
             k += 1
         T[i, i] = np.sqrt(gammas[i])
-    w = [complex(test[k] / np.sqrt(2.0), test[N * K + k] / np.sqrt(2.0)) for k in range(N * K)]
-    return T, np.array(w).reshape(N, K)
+    w = [complex(test[k] / np.sqrt(2.0), test[m * K + k] / np.sqrt(2.0)) for k in range(m * K)]
+    w = np.array(w).reshape(m, K)
+    if not n1:
+        return T, w
+    g1, g2 = rng.standard_gamma([n1, L - n1 + 1.0], size=(BLOCK, 2))[row]
+    t = rng.standard_normal((BLOCK, 2 * m))[row]
+    full = np.eye(N, dtype=np.complex128)
+    full[0, 0] = 1.0 / np.sqrt(g1 / g2)
+    full[n1:, 0] = [complex(t[i] / np.sqrt(2.0), t[m + i] / np.sqrt(2.0)) for i in range(m)]
+    full[n1:, n1:] = T
+    return full, np.concatenate([np.eye(n1, K), w])
 
 
 def subspace_bank(x, S, H) -> dict:
@@ -372,7 +391,7 @@ class DataSet:
     factor ``factor`` (N x N)."""
 
     test: np.ndarray        # N x K
-    factor: np.ndarray      # lower triangular, factor @ factor^H = scm
+    factor: np.ndarray      # factor @ factor^H = scm; lower triangular unless canonical
 
     @property
     def scm(self) -> np.ndarray:
@@ -394,9 +413,16 @@ def signal(H, R, snr_db, cos2phi=1.0, seed=0) -> np.ndarray:
 
 
 def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None,
-               interference=None, hypothesis: str = "h0", seed=0, trial=0) -> DataSet:
+               interference=None, hypothesis: str = "h0", seed=0, trial=0,
+               flag=None) -> DataSet:
     """Trial ``trial`` of master seed ``seed`` as a DataSet, on the engine's
     block layout (:func:`draw_trial`).
+
+    With ``flag`` (N, m), m < N, the trial is the engine's reduced one of
+    that flag (the scenario's [H J]): drawn at flag dimension m and
+    embedded in N dimensions, then rotated back by the unitary ``U = [Q V]``,
+    V the orthonormal basis of the whitened flag ``A^-1 flag`` (the engine's)
+    and Q one of its orthocomplement, before A colours it.
 
     ``signal`` and ``interference`` are N x K mean contributions (an N-vector
     is accepted when K = 1); both are added to the test data under H1 only.
@@ -408,7 +434,11 @@ def synthesize(config: sc.ScenarioConfig, model: sc.CovarianceModel, signal=None
     if hypothesis not in ("h0", "h1"):
         raise ValueError("hypothesis must be 'h0' or 'h1'")
     A = np.linalg.cholesky(model.build(config.N))
-    T, w_test = draw_trial(seed, trial, config.N, config.L, config.K)
+    m = config.N if flag is None else flag.shape[1]
+    T, w_test = draw_trial(seed, trial, config.N, config.L, config.K, m)
+    if m < config.N:
+        V = linalg.orthonormal_basis(linalg.lower_inverse(A) @ _c(flag))
+        A = A @ np.concatenate([np.linalg.qr(V, mode="complete")[0][:, m:], V], axis=1)
     test = config.test_scale * (A @ w_test)
     if hypothesis == "h1":
         for mean in (signal, interference):

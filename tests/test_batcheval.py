@@ -126,7 +126,7 @@ def bartlett_draws(draw):
     B = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     cfg = sc.ScenarioConfig(N=N, p=p, q=q, L=L, K=K)
-    T = sc.assemble_noise(*mc._draw_blocks(seed, range(1), cfg), N, K)[0][:B]
+    T = sc.assemble_noise(*mc._draw_blocks(seed, range(1), cfg, N), N, K)[0][:B]
     rng = np.random.default_rng(seed)
     A = np.linalg.cholesky(random_hpd(rng, N))
     return (A, T, crandn(rng, B, N, K), crandn(rng, N, p), crandn(rng, N, q), L)

@@ -278,6 +278,21 @@ class TestArguments:
         assert "at most 100 dB" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    @pytest.mark.parametrize("snr, jnr, rc", [("100", "10", 1), ("0", "100", 1),
+                                              ("90", "10", 0), ("0", "99", 0)])
+    def test_signal_plus_jammer_past_100_db_exits_1_in_both_modes(self, mode, snr, jnr, rc,
+                                                                  tmp_path, capsys):
+        # the engine bounds the white energy of the whole mean, jammer included
+        out = tmp_path / "j.csv"
+        assert cli.main(["pd-vs-snr", "--mode", mode, "--snr", snr, "--jnr-db", jnr,
+                         "--N", "6", "--p", "2", "--q", "1", "--L", "12", "--trials", "200",
+                         "--pfa", "1e-2", "--detectors", "asd,glrt_he_i",
+                         "--out", str(out)]) == rc
+        assert ("--snr and --jnr-db together are at most 100 dB"
+                in capsys.readouterr().err) == bool(rc)
+        assert out.exists() == (not rc)
+
     def test_monte_carlo_at_100_db_resolves_every_point_bank(self, tmp_path):
         """At the SNR limit every point, rank-one and interference statistic
         is finite (tier-1 turns a RuntimeWarning into an error), and each

@@ -95,7 +95,7 @@ class TestBlockStreams:
         on every diagonal, and off-diagonals of variance 1/4 or 1 fail too."""
         N, L = 5, 9
         cfg = sc.ScenarioConfig(N=N, p=1, L=L, pfa=1e-2)
-        T, w = sc.assemble_noise(*mc._draw_blocks(99, range(100), cfg), N, 1)
+        T, w = sc.assemble_noise(*mc._draw_blocks(99, range(100), cfg, N), N, 1)
         assert np.all(np.triu(T, 1) == 0)
         for i in range(N):
             t2 = T[:, i, i]

@@ -93,7 +93,7 @@ class TestCfar:
     def test_flag_matches_the_basis_invariance(self, K):
         N, p, q = self.N, self.p, self.q
         cfg = sc.ScenarioConfig(N=N, p=p, q=q, K=K, L=self.L)
-        T, X = sc.assemble_noise(*mc._draw_blocks(21, range(1), cfg), N, K)
+        T, X = sc.assemble_noise(*mc._draw_blocks(21, range(1), cfg, N), N, K)
         T_inv = linalg.lower_inverse(T)
         rng = np.random.default_rng(21)
         H, J, s = crandn(rng, N, p), crandn(rng, N, q), crandn(rng, N)

@@ -137,7 +137,7 @@ class TestSynthesize:
         N, L, K = 4, 8, 3
         first = trial // 64 * 64
         draws = mc._draw_blocks(12, range(trial // 64, trial // 64 + 1),
-                                sc.ScenarioConfig(N=N, p=1, L=L, K=K))
+                                sc.ScenarioConfig(N=N, p=1, L=L, K=K), N)
         T, w = sc.assemble_noise(*draws, N, K)
         T0, w0 = oracles.draw_trial(12, trial, N, L, K)
         assert np.array_equal(T0, T[trial - first])
