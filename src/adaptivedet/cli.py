@@ -20,7 +20,7 @@ from .distributions import (
     ComplexBeta,
     ComplexChi2,
     ComplexF,
-    pd_cells,
+    pd_grid,
     pd_point,  # noqa: F401 -- perfbench's tracer wraps this name here
     resolve_law,
     threshold_for_pfa,  # noqa: F401 -- perfbench's tracer wraps this name here
@@ -314,7 +314,8 @@ def run_grid(args):
             rho_eff, delta2_i = batcheval.mismatch_geometry(np.array([s[:, 0] for s in means]),
                                                             R, H, J)
             cells["interference"] = (rho_eff / scale, delta2_i / scale)
-        pds = {det: pd_cells(law, thresholds[det], *cells[law.kind]) for det, law in laws.items()}
+        pds = dict(zip(laws, pd_grid([(law, thresholds[det], cells[law.kind])
+                                      for det, law in laws.items()])))
     rows = []
     for gi, (snr_db, cos2) in enumerate(points):
         for di, det in enumerate(detectors):

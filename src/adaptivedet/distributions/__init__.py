@@ -13,6 +13,7 @@ from .detection import (
     integrate_adaptive,
     invert_pfa,
     pd_cells,
+    pd_grid,
     pd_point,
     pfa_point,
     resolve_law,
@@ -33,6 +34,7 @@ __all__ = [
     "pd_point",
     "pfa_point",
     "pd_cells",
+    "pd_grid",
     "resolve_law",
     "threshold_for_pfa",
     "thresholds_for_pfa",

@@ -235,21 +235,36 @@ def _pd_laws(laws, etas, c, delta, rho, tol):
     return out
 
 
+def pd_grid(triples, tol: float = QUAD_TOL) -> list:
+    """Detection probabilities of each ``(law, eta, (x, y))`` triple: ``law``
+    at threshold ``eta`` over cells ``(x, y)`` (see :class:`Law`), one array
+    per triple, NaN where the law gives none.  Every cell of every triple goes
+    into one :func:`_pd_laws` call, so laws that share parameters share each
+    quadrature round, and each array has the bits of its triple alone."""
+    outs, laws, cells = [], [], [np.empty((4, 0))]
+    for law, eta, (x, y) in triples:
+        x, y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y)))
+        if not (np.all(np.isfinite(x) & np.isfinite(y) & (x >= 0.0) & (y >= 0.0)
+                       & ((y <= 1.0) | (law.kind == "interference"))) and 0.0 <= eta < np.inf):
+            raise ValueError("cells and threshold must be finite and nonnegative, "
+                             "and cos2phi at most 1")
+        out = np.full(x.shape, np.nan)
+        at = (y == 1.0) if law.matched else np.full(x.shape, law.no_pd is None)
+        x, y = x[at], y[at]
+        c, delta = (x, y) if law.kind == "interference" else (x * y, x * (1.0 - y))
+        outs.append((out, at))
+        laws += [law] * x.size
+        cells.append(np.stack((np.full(x.size, eta), c, delta, x)))
+    pds = _pd_laws(laws, *np.concatenate(cells, axis=1), tol)
+    for (out, at), pd in zip(outs, np.split(pds, np.cumsum([at.sum() for _, at in outs]))):
+        out[at] = pd
+    return [out for out, _ in outs]
+
+
 def pd_cells(law: Law, eta: float, x, y, tol: float = QUAD_TOL) -> np.ndarray:
     """Detection probabilities of ``law`` at threshold ``eta`` over cells
-    ``(x, y)`` (see :class:`Law`), from one lockstep evaluation; NaN marks a
-    cell whose detection probability the law does not give."""
-    x, y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y)))
-    if not (np.all(np.isfinite(x) & np.isfinite(y) & (x >= 0.0) & (y >= 0.0)
-                   & ((y <= 1.0) | (law.kind == "interference"))) and 0.0 <= eta < np.inf):
-        raise ValueError("cells and threshold must be finite and nonnegative, "
-                         "and cos2phi at most 1")
-    out = np.full(x.shape, np.nan)
-    at = (y == 1.0) if law.matched else np.full(x.shape, law.no_pd is None)
-    x, y = x[at], y[at]
-    c, delta = (x, y) if law.kind == "interference" else (x * y, x * (1.0 - y))
-    out[at] = _pd_laws([law] * x.size, np.full(x.size, eta), c, delta, x, tol)
-    return out
+    ``(x, y)``: the one-law call of :func:`pd_grid`."""
+    return pd_grid([(law, eta, (x, y))], tol)[0]
 
 
 def _require_law(kind, detector, N, p, L):

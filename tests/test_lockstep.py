@@ -85,6 +85,33 @@ class TestGridEqualsOneCell:
             assert grid[i] == pd_cells(law, eta, rho[i], cos2[i])[0]
 
 
+class TestGridOfLaws:
+    @settings(max_examples=40)
+    @given(st.permutations(ANALYTIC_LAWS), st.integers(1, len(ANALYTIC_LAWS)),
+           st.sampled_from([(8, 1, 2, 16), (10, 2, 3, 20), (8, 2, 0, 12)]), st.booleans(),
+           st.data())
+    def test_each_law_has_the_bits_of_its_own_call(self, order, k, dims, jammer, data):
+        """A grid that mixes point, interference and distributed laws, some
+        sharing parameters (every mixture at q = 0, the rank-one rows with
+        gkglrt), with no-PD rows (rank-one at p > 1, a jammer) and gamf's
+        matched-only cells, is one ``pd_grid`` call; each law's PDs equal its
+        own ``pd_cells`` call bit for bit."""
+        N, p, q, L = dims
+        cfg = sc.ScenarioConfig(N=N, p=p, q=q, L=L, pfa=1e-3)
+        laws = list(cli._laws(order[:k], cfg, jammer=jammer and q > 0)[0].values())
+        triples = []
+        for law in laws:
+            x, y = _split(data.draw(CELLS))
+            triples.append((law, data.draw(ETA), (x, y * x if law.kind == "interference" else y)))
+        grid = detection.pd_grid(triples)
+        assert len(grid) == len(laws)
+        for pds, (law, eta, cells) in zip(grid, triples):
+            assert np.array_equal(pds, pd_cells(law, eta, *cells), equal_nan=True)
+            x, y = cells
+            no_pd = (y != 1.0) if law.matched else np.full(x.shape, law.no_pd is not None)
+            assert np.array_equal(np.isnan(pds), no_pd)
+
+
 def _counting_integrations(monkeypatch):
     """Patch the engine's quadrature to record, per integration, its integrand calls."""
     calls = []
@@ -209,6 +236,31 @@ class TestIntegrandCalls:
         pds = pd_cells(resolve_law(det, 12, 2, 24), eta, rho, cos2.ravel())
         assert pds.shape == (66,) and len(calls) == 1
         assert 1 <= calls[0] <= max_depth + 2
+
+    def test_laws_sharing_params_share_one_integration(self, monkeypatch, tmp_path):
+        """The seven point mixtures of an analytic mesa share their
+        parameters, so the grid is one integration, not one per detector;
+        a law of other parameters adds none (aed is a closed form)."""
+        sizes = []  # the number of integrals of each integration
+        original = detection.integrate_adaptive
+
+        def recording(f, *args, **kwargs):
+            sizes.append(kwargs["n"])
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(detection, "integrate_adaptive", recording)
+        dets = "sglrt,samf,srao,asd,sabort,wsabort,dnsamf,aed"
+        assert cli.main(["mesa", "--mode", "analytic", "--N", "8", "--p", "2", "--L", "16",
+                         "--snr", "0,10,20", "--cos2phi", "0.5,1", "--detectors", dets,
+                         "--out", str(tmp_path / "m.csv")]) == 0
+        # the threshold solve's rounds integrate at most seven laws each
+        assert sizes[-1] == 7 * 6 and max(sizes[:-1]) <= 7
+        # a second parameter set is a second integration
+        sizes.clear()
+        detection.pd_grid([(resolve_law("samf", 8, 2, 16), 1.0, ([1.0], [0.5])),
+                           (resolve_law("sabort", 8, 2, 16), 1.0, ([1.0], [0.5])),
+                           (resolve_law("samf", 8, 2, 24), 1.0, ([1.0], [0.5]))])
+        assert sizes == [2, 1]
 
     def test_interference_grid_has_one_geometry(self, monkeypatch, tmp_path):
         """The interference laws of an analytic grid share one call of
