@@ -43,7 +43,10 @@ function the whole series sums to ``x^{-m} e^{delta (1 - x)}``, the
 prefactor's inverse, so the terms ``j >= n`` sum to the survival function
 itself.  They are log-concave in ``j`` (a Poisson mixture over the
 log-concave ``A / t``), so each node stops once a geometric series at its
-last term ratio bounds what is left.
+last term ratio bounds what is left.  A detection probability needs only
+absolute accuracy, so the PD integrand takes ``1 - cdf`` of this series at
+its noncentral nodes and never continues the tail; false-alarm
+probabilities, at central nodes, keep the tails' relative accuracy.
 
 The noncentral F costs ``n - 1`` whole-array steps, and a continued tail
 about ``37 / x`` more where it decays slowly (small ``delta x``, whose terms

@@ -11,12 +11,18 @@ survival, by adaptive Gauss-Legendre quadrature with panel splits at the
 event's kinks.  :func:`integrate_adaptive` refines the panels of every cell
 of a call in one integrand call per round, and every per-node operation is
 elementwise, so a cell's value does not depend on which other cells share
-the call.  A detection probability is :func:`pd_cells` of a resolved law,
-over a whole grid or one cell (:func:`pd_point` is the one-cell call of a
-point law).  Thresholds are solved alike:
-:func:`thresholds_for_pfa` inverts any mix of laws in one elementwise root
-solve, with one evaluation per distinct law parameters each round, and each
-threshold has the bits of its law solved alone.
+the call.  :func:`pd_grid` evaluates several laws, each at its own
+threshold and cells, in one lockstep evaluation: laws that share parameters
+share every quadrature round, and each law keeps the bits of its own call
+(:func:`pd_cells` is the one-law call, :func:`pd_point` its one-cell call of
+a point law).  A detection probability is needed to the absolute tolerance
+``QUAD_TOL`` only, so the integrand's noncentral survivals are ``1 - cdf``
+(:func:`_pd_sf`); false-alarm probabilities, which must keep relative
+accuracy down to small targets, are central and keep the tail sums.
+Thresholds are solved alike: :func:`thresholds_for_pfa` inverts any mix of
+laws in one elementwise root solve, with one evaluation per distinct law
+parameters each round, and each threshold has the bits of its law solved
+alone.
 """
 
 import logging
@@ -28,7 +34,7 @@ from .. import registry
 from ..errors import InfeasibleError
 from ..roots import find_root
 from ..scenario import HOMOGENEOUS, PARTIALLY_HOMOGENEOUS
-from .core import cbeta_pdf_nodes, cchi2_sf_nodes, cf_sf_nodes
+from .core import _cf_series, cbeta_pdf_nodes, cchi2_sf_nodes, cf_sf_nodes
 from .core import cbeta_pdf_grid  # noqa: F401 -- perfbench's tracer wraps this name here
 
 QUAD_TOL = 1e-6
@@ -119,6 +125,21 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
     return total
 
 
+def _pd_sf(m, n, deltas, ts):
+    """Survival of ``CF(m, n, delta_i)`` at interior ``t_i`` to the absolute
+    accuracy a detection probability needs.  Central nodes, which carry every
+    false-alarm probability, keep :func:`cf_sf_nodes` and its relative
+    accuracy; noncentral ones take ``1 - cdf`` of the same Laguerre series,
+    without the tail that only buys relative accuracy below ``1 - cdf``."""
+    out = np.empty_like(ts)
+    nc = deltas > 0.0
+    if not nc.all():
+        out[~nc] = cf_sf_nodes(m, n, deltas[~nc], ts[~nc])
+    if nc.any():
+        out[nc] = 1.0 - _cf_series(m, n, deltas[nc], ts[nc])
+    return out
+
+
 def _pd_beta_mixture(detectors, etas, f_m, f_n, f_nc, beta_a, beta_b, beta_delta, tol):
     """Average the conditional F survival over the loss-factor law, for every
     cell at once: cell ``i`` has the threshold map of ``detectors[i]``,
@@ -140,7 +161,7 @@ def _pd_beta_mixture(detectors, etas, f_m, f_n, f_nc, beta_a, beta_b, beta_delta
         sf[g <= 0.0] = 1.0
         todo = (g > 0.0) & np.isfinite(g)
         if todo.any():
-            sf[todo] = cf_sf_nodes(f_m, f_n, f_nc[cell[todo]] * beta[todo], g[todo])
+            sf[todo] = _pd_sf(f_m, f_n, f_nc[cell[todo]] * beta[todo], g[todo])
         return dens * sf
 
     breaks = [registry.lookup(d).breakpoints(e) for d, e in laws]

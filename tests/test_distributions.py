@@ -400,6 +400,74 @@ class TestFiniteSumLaws:
             assert ComplexChi2(3).sf(ts[i]) == erlang[i], i
 
 
+class TestPdSurvival:
+    """The PD integrand's survival: ``1 - cdf`` at noncentral nodes, the
+    tail-continued ``cf_sf_nodes`` at central ones."""
+
+    @staticmethod
+    def nodes(m, n, seed, size=200):
+        rng = np.random.default_rng(seed)
+        deltas = 10.0 ** rng.uniform(-3.0, 4.0, size)
+        # half about the law's bulk (both tails), half anywhere
+        bulk = (m + deltas[:size // 2]) / n * 10.0 ** rng.uniform(-1.5, 1.5, size // 2)
+        return deltas, np.concatenate((bulk, 10.0 ** rng.uniform(-3.0, 3.0, size - size // 2)))
+
+    @pytest.mark.parametrize("n", [1, 4, 13, 30, 109, 240, 500, 1000, 2000])
+    def test_noncentral_nodes_within_absolute_accuracy(self, n):
+        # up to n = 240 (L = 20N at N = 12) the two agree to 1e-12.  Further
+        # on, at small delta x, both carry the recurrence's own error (about
+        # 1.5e-11 against mpmath at n = 2000), and they differ by up to 6e-11
+        bound = 1e-12 if n <= 240 else 1e-10
+        for m in (1, 2, 3, 5, 12):
+            deltas, ts = self.nodes(m, n, seed=n * 100 + m)
+            got = detection._pd_sf(m, n, deltas, ts)
+            assert np.all(np.abs(got - cf_sf_nodes(m, n, deltas, ts)) <= bound), (m, n)
+
+    @pytest.mark.parametrize("m,n,delta,t", [
+        (2, 2000, 0.0011049517465879738, 0.0014659705855730465),
+        (1, 1000, 0.0026301614285141645, 0.0018820895014357922),
+        (2, 13, 8.0, 12.0),  # sf about 1e-8, below every tail switch
+    ])
+    def test_against_mpmath_where_the_kernels_differ_most(self, m, n, delta, t):
+        assert abs(detection._pd_sf(m, n, np.array([delta]), np.array([t]))[0]
+                   - mp_cf(m, n, delta, t)[1]) <= 2e-11
+
+    def test_central_nodes_keep_cf_sf_nodes_bits(self):
+        deltas, ts = self.nodes(2, 13, seed=3)
+        deltas[::3] = 0.0
+        got = detection._pd_sf(2, 13, deltas, ts)
+        central = deltas == 0.0
+        assert np.array_equal(got[central], cf_sf_nodes(2, 13, 0.0, ts[central]))
+
+    @pytest.mark.parametrize("det,N,p,q", [("samf", 12, 2, 0), ("sabort", 12, 2, 0),
+                                           ("sglrt", 8, 1, 0), ("glrt_he_i", 12, 2, 2)])
+    def test_mixture_cells_at_large_l_match_the_tail(self, det, N, p, q, monkeypatch):
+        """At L = 10N, mixture PD cells from 1e-8 up to 1 stay within 1e-11 of
+        the same quadrature through the tail-continued survival."""
+        law = resolve_law(det, N, p, 10 * N, q=q)
+        eta = thresholds_for_pfa([law], 1e-6)[0]
+        rho, cos2 = (v.ravel() for v in np.meshgrid(10.0 ** np.arange(-1.0, 4.1, 0.5),
+                                                    [0.0, 0.3, 0.7, 1.0]))
+        y = rho * (1.0 - cos2) if law.kind == "interference" else cos2
+        fast = pd_cells(law, eta, rho, y)
+        monkeypatch.setattr(detection, "_pd_sf", cf_sf_nodes)
+        slow = pd_cells(law, eta, rho, y)
+        assert fast.min() < 1e-5 and fast.max() > 1.0 - 1e-6
+        np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-11)
+
+    def test_thresholds_use_central_nodes_only(self, monkeypatch):
+        """Down to pfa 1e-7, a threshold solve never reaches the noncentral series."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("noncentral node in a threshold solve")
+
+        monkeypatch.setattr(detection, "_cf_series", refuse)
+        laws = [resolve_law(d, 12, 2, 24) for d in ("sglrt", "samf", "srao", "asd", "sabort",
+                                                     "wsabort", "dnsamf", "aed")]
+        laws.append(resolve_law("glrt_he_i", 12, 2, 24, q=2))
+        for pfa in (1e-2, 1e-4, 1e-7):
+            assert np.all(thresholds_for_pfa(laws, pfa) > 0.0)
+
+
 def exact_cbeta_pdf(a, b, delta, x):
     """The finite Kummer sum of the CBeta(a, b, delta) density at ``x`` in
     40-digit decimal arithmetic: an oracle independent of both kernels."""
