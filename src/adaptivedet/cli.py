@@ -63,14 +63,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column(values):
+    """One CSV column's text.  Its ``np.float64`` values become Python floats
+    in one ``tolist()`` call: a Python float formats in about half the time."""
+    at = [i for i, v in enumerate(values) if isinstance(v, np.float64)]
+    for i, v in zip(at, np.array([values[i] for i in at], dtype=float).tolist()):
+        values[i] = v
+    return [_fmt(v) for v in values]
+
+
 def emit_csv(rows, path, columns):
     """Write rows (dicts) as UTF-8 CSV with LF endings and 10 significant
-    digits; on failure any partial file is removed."""
+    digits, a column at a time; on failure any partial file is removed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
+    writer.writerows(zip(*(_column([row.get(c) for row in rows]) for c in columns)))
     text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
@@ -284,6 +292,8 @@ def run_grid(args):
     H, J = sc.default_geometry(cfg.N, cfg.p, cfg.q)
     cov = sc.CovarianceModel.parse(args.covariance)
     R = cov.build(cfg.N)
+    if not (len(snrs) and len(cos2s)):  # an empty axis: no cells, in every mode
+        return [], False
     thresholds = _thresholds(laws, list(no_law), cfg, args)
     want_mc = args.mode in ("montecarlo", "both")
     want_analytic = args.mode in ("analytic", "both")

@@ -217,6 +217,8 @@ def resolve_law(detector: str, N: int, p: int, L: int, q: int = 0, K: int = 1,
     if spec.law == "distributed":
         if N < 2:
             return "a distributed law needs N > 1"
+        if K == 1 and p != 1:  # a K = 1 signal's cos2phi is measured against H, not s
+            no_pd = no_pd or f"{detector} reads s alone: no PD law at K = 1 and p = {p}"
         # gamf's loss factor is central only without mismatch
         return Law(detector, spec.law, spec.canonical,
                    ("mixture", K, L - N + 1, L + K - N + 1 if spec.mismatch else L - N + 2, N - 1),

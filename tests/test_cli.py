@@ -45,6 +45,19 @@ class TestEmitCsv:
         assert float(row["pd_analytic"]) == pytest.approx(value, rel=1e-9)
         assert row["pd_mc"] == ""
 
+    def test_numpy_and_python_values_format_alike(self, tmp_path):
+        """A column mixing numpy floats, Python floats, ints, strings, None
+        and "" writes each value as its one-by-one ``_fmt`` does."""
+        values = [np.float64(0.1) / 3, 1 / 3, np.float64("nan"), np.float32(0.1), None, "",
+                  7, np.int64(12), "x", 1e-300, np.float64(-2.5e17), np.float64(np.inf)]
+        rows = [{"detector": str(i), "pd_mc": v, "threshold": values[-1 - i]}
+                for i, v in enumerate(values)]
+        out = tmp_path / "mix.csv"
+        cli.emit_csv(rows, str(out), cli.GRID_COLUMNS)
+        got = _read(str(out))
+        assert [r["pd_mc"] for r in got] == [cli._fmt(v) for v in values]
+        assert [r["threshold"] for r in got] == [cli._fmt(v) for v in values[::-1]]
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"
         cli.emit_csv([{"detector": "a"}], str(out), cli.GRID_COLUMNS)
@@ -292,6 +305,41 @@ class TestArguments:
         assert ("--snr and --jnr-db together are at most 100 dB"
                 in capsys.readouterr().err) == bool(rc)
         assert out.exists() == (not rc)
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
+    @pytest.mark.parametrize("flag", ["--snr=", "--cos2phi="])
+    def test_empty_grid_axis_writes_the_header_in_every_mode(self, mode, flag, tmp_path,
+                                                              monkeypatch):
+        # an interference law once reached the geometry with no signal at all;
+        # an empty grid now solves no threshold and draws no trial
+        monkeypatch.setattr(cli, "_thresholds", None)
+        out = tmp_path / "e.csv"
+        assert cli.main(["pd-vs-snr", "--mode", mode, flag, "--N", "6", "--p", "2", "--q", "1",
+                         "--L", "12", "--pfa", "1e-2", "--trials", "200",
+                         "--detectors", "glrt_he_i,sglrt,smi", "--out", str(out)]) == 0
+        assert out.read_text() == ",".join(cli.GRID_COLUMNS) + "\n"
+        # the other flags are still checked
+        assert cli.main(["pd-vs-snr", "--mode", mode, flag, "--covariance", "ar2:1",
+                         "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_gkglrt_and_gamf_give_no_pd_at_k1_off_p_one(self, mode, tmp_path):
+        """At K = 1 the grid's signal lies in span(H), off s, so these two
+        have no PD law at p = 2; their thresholds are those of p = 1."""
+        out = tmp_path / "g.csv"
+        argv = ["pd-vs-snr", "--mode", mode, "--N", "10", "--q", "2", "--L", "20",
+                "--pfa", "1e-2", "--snr", "0,6", "--detectors", "gkglrt,gamf",
+                "--trials", "200", "--out", str(out)]
+        assert cli.main(argv + ["--p", "2"]) == 0
+        rows = _read(out)
+        assert len(rows) == 4 and all(row["pd_analytic"] == "" for row in rows)
+        assert all(row["pd_mc"] != "" for row in rows) == (mode == "both")
+        assert cli.main(argv + ["--p", "1"]) == 0
+        assert [r["threshold"] for r in rows] == [r["threshold"] for r in _read(out)]
+        # at p = 1 gkglrt has a PD at every mismatch, gamf at cos2phi = 1 only
+        assert cli.main(argv + ["--p", "1", "--cos2phi", "0.5,1"]) == 0
+        filled = {(r["detector"], r["cos2phi"]) for r in _read(out) if r["pd_analytic"] != ""}
+        assert filled == {("gkglrt", "0.5"), ("gkglrt", "1"), ("gamf", "1")}
 
     def test_monte_carlo_at_100_db_resolves_every_point_bank(self, tmp_path):
         """At the SNR limit every point, rank-one and interference statistic
@@ -661,8 +709,9 @@ class TestAnalyticGrid:
         assert self._columns(tmp_path, "both", mc_cols) == self._columns(tmp_path, "montecarlo",
                                                                          mc_cols)
         filled = {(r[0], r[2]) for r in both_a if r[4] != ""}
-        assert {d for d, _ in filled} == {"samf", "sabort", "ts_glrt_he_i", "gamf"}
-        assert {c for d, c in filled if d == "gamf"} == {"1"}  # gamf's law needs cos2phi = 1
+        # gamf reads s alone: at K = 1 and p = 2 it has no PD law (its
+        # matched-only PD at p = 1: test_gkglrt_and_gamf_give_no_pd_at_k1_off_p_one)
+        assert {d for d, _ in filled} == {"samf", "sabort", "ts_glrt_he_i"}
 
     @pytest.mark.parametrize("detectors,built", [("samf,sabort", 0), ("samf,ts_glrt_he_i", 9)])
     def test_analytic_means_only_for_interference_laws(self, detectors, built, tmp_path,

@@ -743,6 +743,17 @@ class TestResolveLaw:
         with pytest.raises(ValueError, match=r"rank-one"):
             pd_point("kglrt", 8, 2, 16, 10.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("detector", ["gkglrt", "gamf"])
+    def test_distributed_law_at_k1_gives_no_pd_off_p_one(self, detector):
+        # a K = 1 signal's cos2phi is measured against H; these read s alone
+        law = resolve_law(detector, 10, 2, 20, q=2)
+        assert "K = 1 and p = 2" in law.no_pd and not law.matched
+        assert law.params == resolve_law(detector, 10, 1, 20).params
+        assert np.isnan(pd_cells(law, 1.0, [0.0, 10.0], [1.0, 1.0])).all()
+        # at p = 1, or with K > 1, the law keeps its PD
+        assert resolve_law("gkglrt", 10, 1, 20).no_pd is None
+        assert resolve_law("gkglrt", 10, 2, 20, K=2).no_pd is None
+
     @pytest.mark.parametrize("detector", ["gkglrt", "gamf", "glrt_he_i", "glrt_phe_i"])
     def test_threshold_for_pfa_takes_point_laws_only(self, detector):
         # it has no K or q to solve an other law at
