@@ -11,14 +11,12 @@ survival, by adaptive Gauss-Legendre quadrature with panel splits at the
 event's kinks.  :func:`integrate_adaptive` refines the panels of every cell
 of a call in one integrand call per round, and every per-node operation is
 elementwise, so a cell's value does not depend on which other cells share
-the call.  :func:`pd_grid` evaluates several laws, each at its own
-threshold and cells, in one lockstep evaluation: laws that share parameters
-share every quadrature round, and each law keeps the bits of its own call
-(:func:`pd_cells` is the one-law call, :func:`pd_point` its one-cell call of
-a point law).  A detection probability is needed to the absolute tolerance
-``QUAD_TOL`` only, so the integrand's noncentral survivals are ``1 - cdf``
-(:func:`_pd_sf`); false-alarm probabilities, which must keep relative
-accuracy down to small targets, are central and keep the tail sums.
+the call.  :func:`pd_grid` evaluates several laws, each at its threshold
+and cells, in one such call, so laws that share parameters share each round,
+and each keeps the bits of its own call (:func:`pd_cells`; :func:`pd_point`
+is one cell of a point law).  A PD needs only the absolute ``QUAD_TOL``, so
+the integrand's noncentral survivals are ``1 - cdf`` (:func:`_pd_sf`); the
+false-alarm probabilities, all central, keep their relative accuracy.
 Thresholds are solved alike: :func:`thresholds_for_pfa` inverts any mix of
 laws in one elementwise root solve, with one evaluation per distinct law
 parameters each round, and each threshold has the bits of its law solved
@@ -126,11 +124,9 @@ def integrate_adaptive(f, a: float, b: float, n: int, breakpoints=(), tol: float
 
 
 def _pd_sf(m, n, deltas, ts):
-    """Survival of ``CF(m, n, delta_i)`` at interior ``t_i`` to the absolute
-    accuracy a detection probability needs.  Central nodes, which carry every
-    false-alarm probability, keep :func:`cf_sf_nodes` and its relative
-    accuracy; noncentral ones take ``1 - cdf`` of the same Laguerre series,
-    without the tail that only buys relative accuracy below ``1 - cdf``."""
+    """Survival of ``CF(m, n, delta_i)`` at interior ``t_i`` to a PD's absolute
+    accuracy: :func:`cf_sf_nodes` at central nodes (every false alarm), and
+    ``1 - cdf`` of the same series, with no tail sum, at noncentral ones."""
     out = np.empty_like(ts)
     nc = deltas > 0.0
     if not nc.all():
@@ -259,11 +255,10 @@ def _pd_laws(laws, etas, c, delta, rho, tol):
 
 
 def pd_grid(triples, tol: float = QUAD_TOL) -> list:
-    """Detection probabilities of each ``(law, eta, (x, y))`` triple: ``law``
-    at threshold ``eta`` over cells ``(x, y)`` (see :class:`Law`), one array
-    per triple, NaN where the law gives none.  Every cell of every triple goes
-    into one :func:`_pd_laws` call, so laws that share parameters share each
-    quadrature round, and each array has the bits of its triple alone."""
+    """Detection probabilities of each ``(law, eta, (x, y))`` triple over its
+    cells (see :class:`Law`), NaN where the law gives none, from one
+    :func:`_pd_laws` call: laws that share parameters share each quadrature
+    round, and each triple's array has the bits of its call alone."""
     outs, laws, cells = [], [], [np.empty((4, 0))]
     for law, eta, (x, y) in triples:
         x, y = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y)))
