@@ -14,24 +14,47 @@ is its own ``perfbench/`` against its own ``src/``.  The file holds, per
 workload, the median over seeds of each end-to-end metric of
 ``BENCHMARK.json`` for both sides with the per-seed values, the environment
 block of ``run.py``'s run record, and the ``src/`` hash and line count of
-both sides.  ``tests/test_bench_files.py`` checks the schema of every
-committed file.
+both sides.  Before the benchmark, each side also runs the tier-1 suite once
+and ``test_criterion_07_cfar_sweep`` alone once, alternating, timed from
+outside pytest, with the passed and failed counts of their summary lines.
+``tests/test_bench_files.py`` checks the schema of every committed file.
 """
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 1
+SCHEMA = 2
 ENVIRONMENT = ("nproc", "python", "numpy", "scipy", "blas_name", "blas_version",
                "blas_threads", "blas_env")
 SOURCE = ("src_sha256", "src_lines")
 SEEDS = tuple(range(9701, 9711))
+# the tier-1 suite, and its slowest test alone: (name, pytest arguments)
+TESTS = (("tier1", ("--continue-on-collection-errors",)),
+         ("criterion_07", ("tests/test_acceptance.py::test_criterion_07_cfar_sweep",)))
+
+
+def time_tests(root: Path, args):
+    """One ``pytest -q`` run in ``root`` on its own ``src/``: wall seconds and
+    the passed and failed (or erroring) counts of its summary line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ("src", os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *args], cwd=root, env=env,
+                          capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    counts = dict.fromkeys(("passed", "failed"), 0)
+    for n, outcome in re.findall(r"(\d+) (passed|failed|error)", proc.stdout.splitlines()[-1]):
+        counts["passed" if outcome == "passed" else "failed"] += int(n)
+    return {"seconds": seconds, **counts}
 
 
 def run_all(root: Path, seed: int, seconds: float):
@@ -67,8 +90,13 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", base_commit], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        roots = (("base", Path(tmp)), ("change", ROOT))
+        tests = {side: {} for side, _ in roots}
+        for name, args in TESTS:
+            for side, root in roots:
+                tests[side][name] = time_tests(root, args)
         for seed in SEEDS:
-            for side, root in (("base", Path(tmp)), ("change", ROOT)):
+            for side, root in roots:
                 sides[side][seed] = run_all(root, seed, seconds)
     records = {side: runs[SEEDS[0]][0][workloads[0]] for side, runs in sides.items()}
     out = {
@@ -81,6 +109,7 @@ def main(argv=None) -> int:
                    "change": {key: records["change"][key] for key in SOURCE}},
         "correct": {side: all(runs[seed][1]["correct"] for seed in SEEDS)
                     for side, runs in sides.items()},
+        "tests": tests,
         "workloads": {},
     }
     for name in workloads:
@@ -97,6 +126,9 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     for name, rows in out["workloads"].items():
         print(name, " ".join(f"{m}={r['base']:.4g}->{r['change']:.4g}" for m, r in rows.items()))
+    for name, _ in TESTS:
+        base, change = tests["base"][name], tests["change"][name]
+        print(name, " ".join(f"{key}={base[key]:.4g}->{change[key]:.4g}" for key in base))
     return 0
 
 

@@ -5,21 +5,24 @@ Configuration may come from ``key = value`` files (# comments, commas for
 lists), each key a flag name; command-line flags override file values.
 Identical configuration and seed produce byte-identical CSV regardless of
 batch size.
+
+:func:`build_parser` builds the subparser of the command it is given, or of
+every command without one; :func:`main` gives it the first word of its argv,
+so a run builds only its own command's flags.
 """
 
 import argparse
 import csv
+import functools
 import io
 import os
+import shutil
 import sys
 
 import numpy as np
 
 from . import batcheval, linalg, montecarlo as mc, registry, scenario as sc
 from .distributions import (
-    ComplexBeta,
-    ComplexChi2,
-    ComplexF,
     pd_grid,
     pd_point,  # noqa: F401 -- perfbench's tracer wraps this name here
     resolve_law,
@@ -167,16 +170,24 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """Return the argument parser and its per-subcommand parser map."""
+def build_parser(command=None):
+    """Return the argument parser and its per-subcommand parser map: with
+    ``command`` a name in :data:`COMMANDS` only its subparser, otherwise
+    every command's."""
+    # argparse's default width, read once rather than at every add_argument
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="adaptivedet",
+        prog="adaptivedet", formatter_class=formatter,
         description="Adaptive detector bank experiments and validation suites.")
     sub = parser.add_subparsers(dest="command", required=True)
     sub_map = {}
     for name, (help_text, flags, defaults, _, _) in COMMANDS.items():
+        if command in COMMANDS and name != command:
+            continue
         # no prefix matching: a misspelt flag must not pass for another one
-        p = sub_map[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p = sub_map[name] = sub.add_parser(name, help=help_text, allow_abbrev=False,
+                                           formatter_class=formatter)
         for add in (_common_flags, *flags):
             add(p)
         # argparse passes no non-string default through ``type``: the axes keep their bits
@@ -367,8 +378,10 @@ def run_validate_dist(args):
     # imported here, the one command that needs scipy.stats (for its KS test),
     # which would double every command's start-up; the benchmark commands load
     # no scipy module (analytic smf at nonzero SNR and wide Beta laws load
-    # scipy.special only)
+    # scipy.special only), nor the law classes
     from scipy import stats as sstats
+
+    from .distributions.laws import ComplexBeta, ComplexChi2, ComplexF
 
     rng = np.random.default_rng(args.seed)
     n = args.trials
@@ -442,8 +455,8 @@ def run_identities(args):
 
 
 def main(argv=None) -> int:
-    parser, sub_map = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser, sub_map = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.config:
         try:

@@ -1,13 +1,10 @@
-"""Complex noncentral distribution machinery and analytic PD/PFA curves."""
+"""Complex noncentral distribution machinery and analytic PD/PFA curves.
 
-from .core import (
-    ComplexBeta,
-    ComplexChi2,
-    ComplexF,
-    cbeta_pdf_grid,
-    cbeta_pdf_nodes,
-    cf_sf_nodes,
-)
+The law classes ``ComplexChi2``, ``ComplexF`` and ``ComplexBeta`` are built
+in :mod:`.laws`, imported the first time one of them is read from here.
+"""
+
+from .core import cbeta_pdf_grid, cbeta_pdf_nodes, cf_sf_nodes
 from .detection import (
     Law,
     integrate_adaptive,
@@ -21,10 +18,19 @@ from .detection import (
     thresholds_for_pfa,
 )
 
+_LAWS = ("ComplexBeta", "ComplexChi2", "ComplexF")
+
+
+def __getattr__(name):
+    if name in _LAWS:
+        from . import laws
+
+        return getattr(laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
-    "ComplexBeta",
-    "ComplexChi2",
-    "ComplexF",
+    *_LAWS,
     "cbeta_pdf_grid",
     "cbeta_pdf_nodes",
     "cf_sf_nodes",

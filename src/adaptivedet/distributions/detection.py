@@ -43,7 +43,14 @@ MAX_PANELS = 256
 # false-alarm curve is near 1 at exp(-40) and negligible at exp(40)
 LOG_ETA_BRACKET = (-40.0, 40.0)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# leggauss(15) as a literal table (bit-equal, tested), so that no run imports
+# numpy.polynomial: the nonnegative nodes and their weights, mirrored below
+_GL_X = (0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+         0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854)
+_GL_W = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+         0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203)
+_GL_NODES = np.array([-x for x in _GL_X[:0:-1]] + list(_GL_X))
+_GL_WEIGHTS = np.array(_GL_W[:0:-1] + _GL_W)
 
 logger = logging.getLogger(__name__)
 

@@ -43,9 +43,7 @@ means a call (:func:`~adaptivedet.batcheval.evaluate`, :func:`exceedance_counts`
 """
 
 import logging
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -267,20 +265,24 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
 def calibrate_threshold(plan: TrialPlan, detector: str, stats) -> float:
     """Threshold at the plan's nominal false-alarm rate: the ``ceil(n * pfa)``-th
     largest of the detector's H0 statistics ``stats`` over the plan's trials
-    (decisions downstream use strict ``>``).  ``n * pfa`` is taken exactly
-    from the decimal ``pfa``: in floats 300000 * 1e-5 exceeds 3 and would
-    round m up to 4.
+    (decisions downstream use strict ``>``).  ``n * pfa`` is taken exactly,
+    as ``num / den`` from the decimal digits of ``repr(pfa)``: in floats
+    300000 * 1e-5 exceeds 3 and would round m up to 4.
 
     Below ``100 / pfa`` trials the order statistic is unstable and a warning
     is logged; fewer than ``1 / pfa`` trials is an error.
     """
     pfa = plan.scenario.pfa
-    expected = plan.n_trials * Fraction(repr(float(pfa)))
-    m = math.ceil(expected)
-    if expected < 1:
+    mantissa, _, exponent = repr(float(pfa)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    shift = int(exponent or 0) - len(fraction)
+    num = plan.n_trials * int(whole + fraction) * 10 ** max(shift, 0)
+    den = 10 ** max(-shift, 0)
+    m = -(-num // den)
+    if num < den:
         raise InfeasibleError(
             "too few trials to place the false-alarm order statistic")
-    if expected < 100:
+    if num < 100 * den:
         log.warning("calibrating %s on n=%d trials at pfa=%g: order statistic m=%d "
                     "is unstable below n*pfa = 100", detector, plan.n_trials, pfa, m)
     return float(np.partition(stats, len(stats) - m)[len(stats) - m])

@@ -26,14 +26,15 @@ def find_root(f, lo, hi, xtol: float = 0.0):
 
     ``f(x, at)`` maps the abscissae ``x`` of the elements ``at`` (flat indices
     into the broadcast brackets, a 1-D array each) to their function values.
-    Both ends are evaluated for every element; after that each round passes
-    only the elements still active, so a converged element is never evaluated
-    again.  An element has converged when its value is exactly zero or its
-    bracket is narrower than ``xtol + RTOL * |x|``.  Returns ``(x, f(x))`` in
-    the brackets' shape: for each element the bracket end with the smaller
-    ``|f|``.  Raises :class:`InfeasibleError`, its ``failed`` marking the
-    elements at fault, when an element's ends do not bracket a sign change or
-    it does not converge.
+    The first call takes both ends of every element (every ``lo``, then every
+    ``hi``); after that each round passes only the elements still active, so
+    a converged element is never evaluated again.  An element has converged
+    when its value is exactly zero or its bracket is narrower than ``xtol +
+    RTOL * |x|``.  Returns ``(x, f(x))`` in the brackets' shape: for each
+    element the bracket end with the smaller ``|f|``.  Raises
+    :class:`InfeasibleError`, its ``failed`` marking the elements at fault,
+    when an element's ends do not bracket a sign change or it does not
+    converge.
     """
     x1, x2 = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape = x1.shape
@@ -43,7 +44,7 @@ def find_root(f, lo, hi, xtol: float = 0.0):
     def values(x, at):
         return np.broadcast_to(np.asarray(f(x, at), dtype=float), x.shape)
 
-    f1, f2 = values(x1, every), values(x2, every)
+    f1, f2 = np.split(values(np.concatenate((x1, x2)), np.concatenate((every, every))), 2)
     bracketed = np.sign(f1) * np.sign(f2) <= 0.0
     if not np.all(bracketed):
         raise InfeasibleError("the root is not bracketed", failed=~bracketed.reshape(shape))

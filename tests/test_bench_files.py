@@ -3,7 +3,9 @@
 each end-to-end metric's base and change medians over at least three seeds,
 run at the benchmark's ``run_seconds``,
 with the per-seed values they are the medians of; the environment block of
-``perfbench/run.py``; and the ``src/`` hash and line count of both sides."""
+``perfbench/run.py``; and the ``src/`` hash and line count of both sides.
+From schema 2 on, each side also has one timed tier-1 run and one timed
+criterion-7 run, with their passed and failed counts."""
 
 import json
 import math
@@ -26,7 +28,7 @@ def test_a_bench_file_is_committed():
 @pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
 def test_schema(path):
     bench = json.loads(path.read_text(encoding="utf-8"))
-    assert bench["schema"] == 1
+    assert bench["schema"] in (1, 2)
     assert bench["command"] == ("perfbench/run.py --workload all --trace 0 "
                                 f"--seconds {SPEC['run_seconds']:g}")
     seeds = bench["seeds"]
@@ -38,6 +40,14 @@ def test_schema(path):
     for side in (base, change):
         assert len(side["src_sha256"]) == 64 and side["src_lines"] > 0
     assert set(bench["correct"]) == {"base", "change"}
+    if bench["schema"] >= 2:
+        assert set(bench["tests"]) == {"base", "change"}
+        for side in bench["tests"].values():
+            assert set(side) == {"tier1", "criterion_07"}
+            for run in side.values():
+                assert set(run) == {"seconds", "passed", "failed"}
+                assert run["seconds"] > 0 and run["passed"] >= 1 and run["failed"] >= 0
+        assert bench["tests"]["change"]["criterion_07"]["passed"] == 1
     assert set(bench["workloads"]) == {w["name"] for w in SPEC["workloads"]}
     for name, rows in bench["workloads"].items():
         assert set(rows) == {m["name"] for m in SPEC["end_to_end"]}, name

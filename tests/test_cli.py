@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import subprocess
@@ -14,6 +15,7 @@ import adaptivedet
 import oracles
 from adaptivedet import batcheval, cli, linalg, montecarlo as mc, registry, scenario as sc
 from adaptivedet.distributions import pd_cells, resolve_law
+from golden import write_digests
 
 
 def _read(path):
@@ -545,6 +547,33 @@ class TestSubcommandFlags:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+class TestPerCommandParser:
+    """``build_parser(command)`` builds only that command's subparser, which
+    changes neither a parse nor a help text."""
+
+    @pytest.mark.parametrize("name", sorted(write_digests.ARGVS))
+    def test_parses_each_ledger_argv_as_the_full_parser(self, name):
+        argv = write_digests.ARGVS[name]
+        full, own = (cli.build_parser(command)[0].parse_args(argv) for command in (None, argv[0]))
+        assert vars(own) == vars(full)
+
+    def test_only_the_named_command_is_built(self):
+        assert list(cli.build_parser("mesa")[1]) == ["mesa"]
+        assert list(cli.build_parser("no-such-command")[1]) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_matches_the_default_formatter(self, command, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        parser, sub_map = cli.build_parser()
+        shown = sub_map[command] if command else parser
+        shown.formatter_class = argparse.HelpFormatter
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == shown.format_help()
+
+
 class TestIdentitySuite:
     def test_one_perturbed_instance_fails_its_row(self, tmp_path, monkeypatch):
         real = batcheval.evaluate
@@ -731,35 +760,31 @@ class TestAnalyticGrid:
 
 
 class TestImportPath:
-    def test_cli_start_leaves_heavy_scipy_modules_out(self, tmp_path):
+    # modules no benchmark command runs: each is imported only where it is used
+    UNUSED = ("adaptivedet.detectors", "adaptivedet.distributions.laws", "numpy.polynomial",
+              "fractions", "decimal")
+
+    def test_cli_start_leaves_unused_modules_out(self, tmp_path):
         # scipy.special alone is half of the package's start-up: the integer-DOF
         # laws are finite numpy sums, and scipy is imported only inside the
         # functions without one (the noncentral chi-square, validate-dist)
         out = tmp_path / "dist.csv"
         run_out = tmp_path / "run.csv"
+        argvs = [list(w.command) for _, w in sorted(write_digests.workloads.WORKLOADS.items())]
+        argvs.append(["cfar-check", "--K", "4", "--trials", "1000", "--detectors",
+                      "gkglrt,glrt_phe,snrdd,rao_dos"])
         code = textwrap.dedent(f"""
             import sys
             import adaptivedet, adaptivedet.cli as cli
 
-            def scipy_modules():
-                return [m for m in sys.modules if m.startswith("scipy")]
+            def unused():
+                return [m for m in sys.modules if m.startswith("scipy") or m in {self.UNUSED!r}]
 
             cli.build_parser()
-            assert not scipy_modules(), scipy_modules()
-            common = ["--N", "12", "--p", "2", "--L", "24", "--pfa", "1e-3"]
-            for argv in (["pd-vs-snr", "--mode", "montecarlo", *common, "--q", "3",
-                          "--detectors", "sglrt,samf,srao,asd,sabort,wsabort,dnsamf,aed,smf",
-                          "--snr", "0,12,24", "--trials", "500"],
-                         ["mesa", "--mode", "analytic", *common, "--detectors", "samf,sabort",
-                          "--snr", "0,16,40", "--cos2phi", "0,0.5,1"],
-                         ["cfar-check", "--N", "8", "--p", "2", "--K", "4", "--L", "16",
-                          "--detectors", "gkglrt,gasd,glrdd,snrdd,rao_dos", "--pfa", "1e-2",
-                          "--trials", "1000"],
-                         ["cfar-check", "--K", "4", "--trials", "1000", "--detectors",
-                          "gkglrt,glrt_phe,snrdd,rao_dos"],
-                         ["identities", "--trials", "1000"]):
+            assert not unused(), unused()
+            for argv in {argvs!r}:
                 assert cli.main(argv + ["--out", {str(run_out)!r}]) == 0, argv
-                assert not scipy_modules(), (argv, scipy_modules())
+                assert not unused(), (argv, unused())
             sys.exit(cli.main(["validate-dist", "--trials", "20000", "--seed", "3",
                                "--out", {str(out)!r}]))
         """)

@@ -790,6 +790,11 @@ class TestInterferenceCurves:
 
 
 class TestIntegrator:
+    def test_gauss_legendre_table_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert detection._GL_NODES.tobytes() == nodes.tobytes()
+        assert detection._GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_polynomial_exact(self):
         val = integrate_one(lambda x: 3 * x ** 2)
         assert abs(val - 1.0) < 1e-12

@@ -143,7 +143,8 @@ class TestLockstepThresholds:
             assert threshold_for_pfa(det, *dims, pfa, rtol) == eta
             # the scalar per-detector solve through pfa_point, at the solve's tolerance
             tol = detection._inversion_tol(pfa, rtol)
-            alone = invert_pfa(lambda e, at: pfa_point(det, *dims, float(e[0]), tol), pfa, rtol)
+            alone = invert_pfa(lambda e, at: [pfa_point(det, *dims, v, tol) for v in e], pfa,
+                               rtol)
             assert alone[0] == eta
 
     # the full text stays: hypothesis seeds a derandomized method from its
@@ -253,8 +254,9 @@ class TestIntegrandCalls:
         assert cli.main(["mesa", "--mode", "analytic", "--N", "8", "--p", "2", "--L", "16",
                          "--snr", "0,10,20", "--cos2phi", "0.5,1", "--detectors", dets,
                          "--out", str(tmp_path / "m.csv")]) == 0
-        # the threshold solve's rounds integrate at most seven laws each
-        assert sizes[-1] == 7 * 6 and max(sizes[:-1]) <= 7
+        # the threshold solve's first round integrates both bracket ends of the
+        # seven laws, and every later round at most seven laws
+        assert sizes[0] == 2 * 7 and max(sizes[1:-1]) <= 7 and sizes[-1] == 7 * 6
         # a second parameter set is a second integration
         sizes.clear()
         detection.pd_grid([(resolve_law("samf", 8, 2, 16), 1.0, ([1.0], [0.5])),

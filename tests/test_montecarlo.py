@@ -1,8 +1,10 @@
+import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import oracles
@@ -526,6 +528,43 @@ class TestCalibration:
         with caplog.at_level("WARNING", logger="adaptivedet.montecarlo"):
             assert mc.calibrate_threshold(plan, "kglrt", stats) == n - m
         assert f"m={m} " in caplog.records[0].getMessage()
+
+    @staticmethod
+    def _order_statistic(n, pfa):
+        """The m that ``calibrate_threshold`` takes: the threshold is the m-th
+        largest of ``0, 1, ..., n - 1``, which is ``n - m``."""
+        cfg = sc.ScenarioConfig(N=6, p=2, q=2, L=12, pfa=pfa)
+        plan = mc.TrialPlan(n_trials=n, master_seed=0, scenario=cfg,
+                            covariance=sc.CovarianceModel.identity(), detectors=("kglrt",))
+        return n - int(mc.calibrate_threshold(plan, "kglrt", np.arange(float(n))))
+
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 200_000), digits=st.integers(1, 999), exponent=st.integers(1, 9))
+    def test_order_statistic_is_the_decimal_ceiling(self, n, digits, exponent):
+        """m is ``ceil(n * pfa)`` of the decimal ``pfa``, and n * pfa below 1 is
+        an error, over decimal pfa of up to three significant digits."""
+        pfa = float(f"{digits}e-{exponent}")
+        assume(pfa < 1.0)
+        expected = n * Fraction(repr(pfa))
+        if expected < 1:
+            with pytest.raises(InfeasibleError):
+                self._order_statistic(n, pfa)
+        else:
+            assert self._order_statistic(n, pfa) == math.ceil(expected)
+
+    @pytest.mark.parametrize("n, pfa, m, warns", [
+        (99_999, 1e-5, None, False), (100_000, 1e-5, 1, True),
+        (78_124, 0.00128, 100, True), (78_125, 0.00128, 100, False)])
+    def test_order_statistic_edges(self, n, pfa, m, warns, caplog):
+        """n * pfa below 1 is an error and below 100 a warning, compared
+        exactly: in floats 78125 * 0.00128 = 100.00000000000001."""
+        with caplog.at_level("WARNING", logger="adaptivedet.montecarlo"):
+            if m is None:
+                with pytest.raises(InfeasibleError):
+                    self._order_statistic(n, pfa)
+            else:
+                assert self._order_statistic(n, pfa) == m
+        assert len(caplog.records) == warns
 
     def test_held_out_pfa(self):
         """The threshold is the m-th largest of n H0 statistics, so the count

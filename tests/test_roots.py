@@ -50,6 +50,26 @@ class TestFindRoot:
     def test_exact_zero_at_bracket_end(self):
         assert find_root(lambda x, at: x - 2.0, 2.0, 5.0) == (2.0, 0.0)
 
+    def test_both_ends_in_one_call(self):
+        """The first call takes every element's lower end, then every upper
+        end; here it finds both roots at an end, and nothing else runs."""
+        calls = []
+
+        def f(x, at):
+            calls.append((x.copy(), at.copy()))
+            return x - np.array([0.0, 3.0])[at]
+
+        assert np.array_equal(find_root(f, np.zeros(2), np.array([1.0, 3.0]))[0], [0.0, 3.0])
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], [0.0, 0.0, 1.0, 3.0])
+        assert np.array_equal(calls[0][1], [0, 1, 0, 1])
+
+    def test_one_call_per_round_after_the_ends(self):
+        # the first step bisects [0, 1] onto the root: the ends, then one round
+        calls = []
+        assert find_root(lambda x, at: calls.append(x.size) or x - 0.5, 0.0, 1.0) == (0.5, 0.0)
+        assert calls == [2, 1]
+
     def test_unbracketed_raises(self):
         with pytest.raises(InfeasibleError):
             find_root(lambda x, at: x * x + 1.0, -1.0, 1.0)
@@ -107,7 +127,7 @@ class TestInvertPfa:
     def test_distributed_round_trip(self, det, pfa):
         N, K, L = 8, 4, 16
         law = resolve_law(det, N, 1, L, K=K)
-        eta = invert_pfa(lambda e, at: pd_cells(law, float(e[0]), 0.0, 1.0), pfa)
+        eta = invert_pfa(lambda e, at: [pd_cells(law, v, 0.0, 1.0)[0] for v in e], pfa)
         assert abs(pd_cells(law, float(eta[0]), 0.0, 1.0)[0] - pfa) <= 1e-3 * pfa
 
     def test_unreachable_target_raises(self):
@@ -116,7 +136,7 @@ class TestInvertPfa:
 
     def test_jump_over_the_band_raises(self):
         with pytest.raises(InfeasibleError):
-            invert_pfa(lambda eta, at: 1.0 if eta < 2.0 else 1e-9, 1e-3)
+            invert_pfa(lambda eta, at: np.where(eta < 2.0, 1.0, 1e-9), 1e-3)
 
     def test_infeasible_element_is_named(self):
         # at L = N the F law's tail decays like 1/eta: sglrt's false-alarm rate
