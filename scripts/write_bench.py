@@ -92,9 +92,9 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         roots = (("base", Path(tmp)), ("change", ROOT))
         tests = {side: {} for side, _ in roots}
-        for name, args in TESTS:
+        for name, pytest_args in TESTS:
             for side, root in roots:
-                tests[side][name] = time_tests(root, args)
+                tests[side][name] = time_tests(root, pytest_args)
         for seed in SEEDS:
             for side, root in roots:
                 sides[side][seed] = run_all(root, seed, seconds)
