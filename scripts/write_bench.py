@@ -15,9 +15,11 @@ workload, the median over seeds of each end-to-end metric of
 ``BENCHMARK.json`` for both sides with the per-seed values, the environment
 block of ``run.py``'s run record, and the ``src/`` hash and line count of
 both sides.  Before the benchmark, each side also runs the tier-1 suite once
-and ``test_criterion_07_cfar_sweep`` alone once, alternating, timed from
-outside pytest, with the passed and failed counts of their summary lines.
-``tests/test_bench_files.py`` checks the schema of every committed file.
+and ``test_criterion_07_cfar_sweep`` alone three times, alternating, timed
+from outside pytest.  Each test entry holds the median of its runs' wall
+seconds, the runs themselves, and the fewest passed and most failed tests
+of any run's summary line.  ``tests/test_bench_files.py`` checks the schema
+of every committed file.
 """
 
 import argparse
@@ -32,14 +34,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 2
+SCHEMA = 3
 ENVIRONMENT = ("nproc", "python", "numpy", "scipy", "blas_name", "blas_version",
                "blas_threads", "blas_env")
 SOURCE = ("src_sha256", "src_lines")
 SEEDS = tuple(range(9701, 9711))
-# the tier-1 suite, and its slowest test alone: (name, pytest arguments)
-TESTS = (("tier1", ("--continue-on-collection-errors",)),
-         ("criterion_07", ("tests/test_acceptance.py::test_criterion_07_cfar_sweep",)))
+# the tier-1 suite, and its slowest test alone: (name, pytest arguments, runs per
+# side); one run of criterion 7 has read 22-34 s on an unchanged tree
+TESTS = (("tier1", ("--continue-on-collection-errors",), 1),
+         ("criterion_07", ("tests/test_acceptance.py::test_criterion_07_cfar_sweep",), 3))
 
 
 def time_tests(root: Path, args):
@@ -55,6 +58,15 @@ def time_tests(root: Path, args):
     for n, outcome in re.findall(r"(\d+) (passed|failed|error)", proc.stdout.splitlines()[-1]):
         counts["passed" if outcome == "passed" else "failed"] += int(n)
     return {"seconds": seconds, **counts}
+
+
+def summarize(runs):
+    """One test entry from its timed runs: the median seconds, the runs'
+    seconds, and the fewest passed and most failed of any run."""
+    return {"seconds": statistics.median(run["seconds"] for run in runs),
+            "runs": [run["seconds"] for run in runs],
+            "passed": min(run["passed"] for run in runs),
+            "failed": max(run["failed"] for run in runs)}
 
 
 def run_all(root: Path, seed: int, seconds: float):
@@ -91,10 +103,13 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         roots = (("base", Path(tmp)), ("change", ROOT))
-        tests = {side: {} for side, _ in roots}
-        for name, pytest_args in TESTS:
-            for side, root in roots:
-                tests[side][name] = time_tests(root, pytest_args)
+        runs = {side: {name: [] for name, _, _ in TESTS} for side, _ in roots}
+        for name, pytest_args, repeats in TESTS:
+            for _ in range(repeats):
+                for side, root in roots:
+                    runs[side][name].append(time_tests(root, pytest_args))
+        tests = {side: {name: summarize(timed) for name, timed in by_name.items()}
+                 for side, by_name in runs.items()}
         for seed in SEEDS:
             for side, root in roots:
                 sides[side][seed] = run_all(root, seed, seconds)
@@ -126,9 +141,10 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     for name, rows in out["workloads"].items():
         print(name, " ".join(f"{m}={r['base']:.4g}->{r['change']:.4g}" for m, r in rows.items()))
-    for name, _ in TESTS:
+    for name, _, _ in TESTS:
         base, change = tests["base"][name], tests["change"][name]
-        print(name, " ".join(f"{key}={base[key]:.4g}->{change[key]:.4g}" for key in base))
+        print(name, " ".join(f"{key}={base[key]:.4g}->{change[key]:.4g}"
+                             for key in ("seconds", "passed", "failed")))
     return 0
 
 

@@ -10,22 +10,36 @@ call per array and in this order (the reproducibility contract):
    factor T22 (real parts, then imaginary parts);
 2. m gamma variates, its squared diagonal ``Gamma(L - n1 - i + 1)``;
 3. the 2mK standard normals of the test noise (real, then imaginary);
-4. only when n1 > 0: the gammas ``Gamma(n1)`` and ``Gamma(L - n1 + 1)``,
-   whose ratio is C, and the 2m normals of ``t ~ CN(0, I_m)``.
+4. only when n1 > 0: the 2K gammas, squared diagonals of the Bartlett
+   factors G of CW_K(n1, I), ``Gamma(n1 - i + 1)``, then E of CW_K(L - n1 +
+   K, I), ``Gamma(L - n1 + K - i + 1)``; the 2mK normals of the m x K
+   ``t ~ CN(0, I)``; the 2K(K-1) normals of the strict lower triangles of
+   G, then E (none at K = 1).
 
 At m = N, ``T T^H`` with T = T22 is a white sample covariance of L
 snapshots and T its Cholesky factor
 (:func:`~adaptivedet.scenario.assemble_noise`), drawn without the snapshots
-themselves.  A pass takes m = p + q < N exactly when K = 1, a test mean is
-nonzero, every white mean lies in the flag s in H in [H J] and 1 + m < N;
+themselves.  A pass takes m = p + q < N exactly when K + m < N (so n1 > K)
+and every white mean, zero ones included, lies in the flag s in H in [H J];
 its trials then run in the canonical frame of Kelly and Forsythe (1989), in
-1 + m coordinates with the factor ``[[1/sqrt(C), 0], [t, T22]]`` and test
-noise ``[1; w2]``, which have the laws of the flag's part of a full draw.
-Null, mismatched and K > 1 passes keep m = N.  A batch covers whole blocks
-(the batch size rounds up to a multiple of 64), so no block is drawn twice
-in a pass, every trial reads the same row of the same block whatever the
-batch size or trial count, and results are a pure function of the plan and
-its means.  Aggregation is count-based.
+d = K + m coordinates.  The statistics read the n1 coordinates outside the
+flag only through the K x K Gram ``C = X1^H S11^-1 X1``, and ``C^-1 ~
+CW_K(L - n1 + K, (X1^H X1)^-1)`` (the complex form of Muirhead 1982, Thm
+3.2.11), so ``X = E^-1 G^H`` has ``X^H X`` distributed as C: the whitener
+``[[X, 0], [-T22^-1 t X, T22^-1]]`` and test noise ``[I_K; W2]`` have the
+laws of the flag's part of a full draw.  Mismatched means, K + m >= N and
+K > N keep m = N.  A batch covers whole blocks (the batch size rounds up to
+a multiple of 64), so no block is drawn twice in a pass, every trial reads
+the same row of the same block whatever the batch size or trial count, and
+results are a pure function of the plan and its means.  Aggregation is
+count-based.
+
+In the canonical frame the subspace, rank-one and distributed statistics
+see the same flag coordinates under every covariance, so a null pass gives
+them the same realization under each: ``cfar-check`` passes such a row by
+construction, at (r-1)/n on the calibrating covariance (r = ceil(n pfa), the
+order statistic's rank) and at (r-1)/n or r/n elsewhere, as the calibrating
+trial's statistic rounds there.
 
 Within a pass every trial uses the same white noise whatever its test mean
 or covariance, so one draw per batch serves every grid point, detector and
@@ -33,7 +47,7 @@ covariance.  The detectors read the data only whitened, so a pass runs in
 the white coordinates of each covariance R = A A^H (A its Cholesky factor):
 ``S = A T T^H A^H`` becomes ``T T^H``, the test noise stays white, and only
 the geometry (H, J, s) and the test means are multiplied by ``A^-1``.  T is
-inverted once per batch, and ``T^-1``, the inverse Cholesky factor of ``T
+inverted once per batch, and ``T^-1``, an inverse square root of ``T
 T^H``, whitens for every covariance; no sample covariance is formed or
 factored.  A batch's covariances share its noise and ``T^-1``, and at a zero
 mean its whitened test block, so the statistics' covariance-independent half
@@ -78,12 +92,15 @@ def _draw_blocks(master_seed: int, blocks: range, cfg: ScenarioConfig, m: int):
     """The flat white draws of trial blocks ``blocks`` at flag dimension ``m``
     (N: the full draw), one row per trial: the Bartlett normals (B, m(m-1)),
     gamma variates (B, m) and test normals (B, 2mK), and below N the gammas
-    behind C (B, 2) and the normals of t (B, 2m), each block's arrays in the
-    contract's order."""
-    n1, B = cfg.N - m, BLOCK * len(blocks)
+    of G and E (B, 2K), the normals of t (B, 2mK) and those of G's and E's
+    lower triangles (B, 2K(K-1)), each block's arrays in the contract's
+    order."""
+    n1, K, B = cfg.N - m, cfg.K, BLOCK * len(blocks)
     # each array's gamma shapes, or its count of normals
-    layout = [m * (m - 1), cfg.L - n1 - np.arange(m, dtype=float), 2 * m * cfg.K]
-    layout += [np.array([n1, cfg.L - n1 + 1.0]), 2 * m] if n1 else []
+    layout = [m * (m - 1), cfg.L - n1 - np.arange(m, dtype=float), 2 * m * K]
+    if n1:
+        i = np.arange(K, dtype=float)
+        layout += [np.concatenate([n1 - i, cfg.L - n1 + K - i]), 2 * m * K, 2 * K * (K - 1)]
     draws = [np.empty((B, np.size(a) if np.ndim(a) else a)) for a in layout]
     for j, block in enumerate(blocks):
         rng = trial_rng(master_seed, block)
@@ -135,12 +152,12 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z99):
 
 def _canonical(plan: TrialPlan, frames, energy):
     """The flag dimension m of a pass and its white frames ``(H, J, means)``
-    of mean energies ``energy`` (C, G).  When K = 1, 1 + m < N, a mean is
-    nonzero and every white mean lies in the flag s in H in [H J] (to 1e-12
-    of its norm), m = p + q and each frame is rotated by a unitary built from
-    its geometry alone, flag last, and cut to its last 1 + m coordinates."""
-    N, m = plan.scenario.N, plan.scenario.p + plan.scenario.q
-    if plan.scenario.K > 1 or 1 + m >= N or not energy.any():
+    of mean energies ``energy`` (C, G).  When K + m < N and every white mean
+    lies in the flag s in H in [H J] (to 1e-12 of its norm; a zero mean
+    does), m = p + q and each frame is rotated by a unitary built from its
+    geometry alone, flag last, and cut to its last K + m coordinates."""
+    N, K, m = plan.scenario.N, plan.scenario.K, plan.scenario.p + plan.scenario.q
+    if K + m >= N:
         return N, frames
     out = []
     for (Hw, Jw, white), e in zip(frames, energy):
@@ -148,7 +165,7 @@ def _canonical(plan: TrialPlan, frames, energy):
         residual = white - V @ (V.conj().T @ white)
         if np.any(np.sum(np.abs(residual) ** 2, axis=(1, 2)) > 1e-24 * e):
             return N, frames
-        P = np.concatenate([np.zeros((1, N)), V.conj().T])
+        P = np.concatenate([np.zeros((K, N)), V.conj().T])
         out.append((P @ Hw, P @ Jw, P @ white))
     return m, out
 
@@ -167,14 +184,15 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
     a state is :func:`~adaptivedet.batcheval.prepare` of the plan's
     detectors on the geometry ``A^-1 (H, J, s)``, whitened by ``T^-1``, with
     R = I for the clairvoyant maps; at a flag dimension m < N
-    (:func:`_canonical`) in d = 1 + m rotated coordinates, of factor
-    ``[[1/sqrt(C), 0], [t, T22]]`` and test noise ``[1; w2]``, the PHE target
-    still at N.  A white mean above ``MAX_SNR_DB`` is a ``ValueError``.
+    (:func:`_canonical`) in d = K + m rotated coordinates, of whitener
+    ``[[X, 0], [-T22^-1 t X, T22^-1]]`` with ``X = E^-1 G^H`` and test noise
+    ``[I_K; W2]``, no d x d inverse formed, the PHE target still at N.  A
+    white mean above ``MAX_SNR_DB`` is a ``ValueError``.
     """
-    cfg = plan.scenario
+    cfg, K = plan.scenario, plan.scenario.K
     adaptive = not all(registry.DETECTORS[name].clairvoyant for name in plan.detectors)
-    means = (np.reshape(means, (-1, cfg.N, cfg.K)) if np.ndim(means)
-             else np.full((1, cfg.N, cfg.K), means))
+    means = (np.reshape(means, (-1, cfg.N, K)) if np.ndim(means)
+             else np.full((1, cfg.N, K), means))
     H, J = scenario.default_geometry(cfg.N, cfg.p, cfg.q)
     whiteners = [linalg.whitener(cov.build(cfg.N)) for cov in covariances]
     frames = [(A_inv @ H, A_inv @ J, A_inv @ means) for A_inv in whiteners]
@@ -183,21 +201,29 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         raise ValueError(f"a white test mean exceeds {MAX_SNR_DB:g} dB, past which "
                          "float64 cannot resolve the statistics' energies")
     m, frames = _canonical(plan, frames, energy)
-    R = np.eye(frames[0][0].shape[0])  # d = N, or 1 + m
+    R = np.eye(frames[0][0].shape[0])  # d = N, or K + m
+    rows, cols = np.tril_indices(K, -1)
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
     for first in range(0, n_blocks, per_batch):
         blocks = range(first, min(first + per_batch, n_blocks))
         trials = range(first * BLOCK, min(blocks.stop * BLOCK, plan.n_trials))
         draws = [a[:len(trials)] for a in _draw_blocks(plan.master_seed, blocks, cfg, m)]
-        T, w_test = scenario.assemble_noise(*draws[:3], m, cfg.K)
-        if m < cfg.N:  # T's first column: 1/sqrt(C), C = Gamma(n1) / Gamma(L - n1 + 1), and t
-            g, t = draws[3:]
-            lead = np.concatenate([np.sqrt(g[:, 1:] / g[:, :1]),
-                                   (t[:, :m] + 1j * t[:, m:]) / np.sqrt(2.0)], axis=1)
-            T = np.concatenate([lead[..., None], np.pad(T, ((0, 0), (1, 0), (0, 0)))], axis=2)
-            w_test = np.pad(w_test, ((0, 0), (1, 0), (0, 0)), constant_values=1.0)
+        T, w_test = scenario.assemble_noise(*draws[:3], m, K)
         T_inv = linalg.lower_inverse(T) if adaptive else None
+        if m < cfg.N:
+            (g, t, z), B = draws[3:], len(trials)
+            if adaptive:  # G and E stacked, each laid out like T22
+                GE = np.zeros((B, 2, K, K), dtype=np.complex128)
+                z = z.reshape(B, 2, 2, len(rows)) / np.sqrt(2.0)
+                GE[:, :, rows, cols] = z[:, :, 0] + 1j * z[:, :, 1]
+                GE[:, :, range(K), range(K)] = np.sqrt(g.reshape(B, 2, K))
+                X = linalg.lower_inverse(GE[:, 1]) @ np.conj(np.swapaxes(GE[:, 0], 1, 2))
+                t = (t[:, :m * K] + 1j * t[:, m * K:]).reshape(B, m, K) / np.sqrt(2.0)
+                T22_inv, T_inv = T_inv, np.zeros((B, K + m, K + m), dtype=np.complex128)
+                T_inv[:, :K, :K], T_inv[:, K:, K:] = X, T22_inv
+                T_inv[:, K:, :K] = -(T22_inv @ t) @ X
+            w_test = np.concatenate([np.broadcast_to(np.eye(K), (B, K, K)), w_test], axis=1)
         # a PHE half's target N K / (L + K) is at the scenario's N, not the frame's d
         yield trials, cfg.test_scale * w_test, [
             prep if prep.N is None else replace(prep, N=cfg.N) for prep in (
@@ -248,7 +274,8 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     equals the count over ``run_trials(plan, means[g])`` but for statistics
     within rounding of the threshold, as a chunk's whitened means round
     apart from one mean's, when both passes take the same flag dimension
-    (a zero ``means[g]`` alone is a null, full pass).  The means are
+    (a grid with a mean off the flag draws at N even where ``means[g]``
+    alone would reduce).  The means are
     evaluated ``GRID_CHUNK`` at a time, in chunks fixed by the grid alone, so
     the counts ignore the batch size, and memory stays one batch of a chunk
     plus the (G, D) counts.

@@ -99,6 +99,21 @@ def max_eig_pair(A, B=None):
 BLOCK = 64
 
 
+def _lower(normals, gammas, n):
+    """The n x n lower-triangular factor of one trial: the real, then the
+    imaginary parts of its strict lower triangle, row by row, over sqrt(2),
+    and the square roots of its squared diagonal."""
+    half = n * (n - 1) // 2
+    T = np.zeros((n, n), dtype=np.complex128)
+    k = 0
+    for i in range(n):
+        for j in range(i):
+            T[i, j] = complex(normals[k] / np.sqrt(2.0), normals[half + k] / np.sqrt(2.0))
+            k += 1
+        T[i, i] = np.sqrt(gammas[i])
+    return T
+
+
 def draw_trial(master_seed: int, trial: int, N: int, L: int, K: int, m: int = None):
     """The white Bartlett factor T (N, N) and test noise (N, K) of one trial
     of the engine's block layout at flag dimension ``m`` (N by default),
@@ -109,13 +124,18 @@ def draw_trial(master_seed: int, trial: int, N: int, L: int, K: int, m: int = No
     triangle (real parts, then imaginary, row by row), its m gamma variates
     ``T22_ii^2 ~ Gamma(L - n1 - i + 1)`` with n1 = N - m, and the 2mK test
     normals (real, then imaginary), each for the whole block in one call;
-    below m = N then the gammas ``g1 ~ Gamma(n1)``, ``g2 ~ Gamma(L - n1 + 1)``
-    and the 2m normals of ``t ~ CN(0, I_m)``.  Such a reduced trial (K = 1)
-    is returned embedded in N dimensions: test noise ``[e1; w2]`` and factor
-    ``[[T11, 0], [T21, T22]]`` with ``T11 = diag(1/sqrt(C), I)``, C = g1/g2,
-    and ``T21 = [t 0]``, so that the whitened leading block has energy C and
-    ``T21 T11^-1 x1 = sqrt(C) t``, the laws of the full N-dimensional draw
-    in a frame whose trailing m coordinates hold the geometry.
+    below m = N then the K gammas ``G_ii^2 ~ Gamma(n1 - i + 1)`` and the K
+    ``E_ii^2 ~ Gamma(L - n1 + K - i + 1)`` in one call, the 2mK normals of
+    the m x K ``t ~ CN(0, I)`` (real, then imaginary, row by row) and the
+    2K(K-1) normals of the strict lower triangles of G, then E, each laid
+    out like T22's.  G and E are Bartlett factors of CW_K(n1, I) and
+    CW_K(L - n1 + K, I), and ``X = E^-1 G^H``.  Such a reduced trial is
+    returned embedded in N dimensions: test noise ``[I_K; 0; w2]`` and
+    factor ``[[T11, 0], [T21, T22]]`` with ``T11 = diag(X^-1, I)`` and
+    ``T21 = [t 0]``, so that the whitened leading block is X, whose Gram
+    ``X^H X`` has the law of ``C = X1^H S11^-1 X1``, and ``T21 T11^-1 x1 =
+    t X``: the laws of the full N-dimensional draw in a frame whose trailing
+    m coordinates hold the geometry.
     """
     m = N if m is None else m
     n1 = N - m
@@ -124,23 +144,22 @@ def draw_trial(master_seed: int, trial: int, N: int, L: int, K: int, m: int = No
     normals = rng.standard_normal((BLOCK, m * (m - 1)))[row]
     gammas = rng.standard_gamma(L - n1 - np.arange(m, dtype=float), size=(BLOCK, m))[row]
     test = rng.standard_normal((BLOCK, 2 * m * K))[row]
-    half = m * (m - 1) // 2
-    T = np.zeros((m, m), dtype=np.complex128)
-    k = 0
-    for i in range(m):
-        for j in range(i):
-            T[i, j] = complex(normals[k] / np.sqrt(2.0), normals[half + k] / np.sqrt(2.0))
-            k += 1
-        T[i, i] = np.sqrt(gammas[i])
+    T = _lower(normals, gammas, m)
     w = [complex(test[k] / np.sqrt(2.0), test[m * K + k] / np.sqrt(2.0)) for k in range(m * K)]
     w = np.array(w).reshape(m, K)
     if not n1:
         return T, w
-    g1, g2 = rng.standard_gamma([n1, L - n1 + 1.0], size=(BLOCK, 2))[row]
-    t = rng.standard_normal((BLOCK, 2 * m))[row]
+    shapes = [n1 - i for i in range(K)] + [L - n1 + K - i for i in range(K)]
+    g = rng.standard_gamma(np.array(shapes, dtype=float), size=(BLOCK, 2 * K))[row]
+    t = rng.standard_normal((BLOCK, 2 * m * K))[row]
+    z = rng.standard_normal((BLOCK, 2 * K * (K - 1)))[row]
+    G = _lower(z[:K * (K - 1)], g[:K], K)
+    E = _lower(z[K * (K - 1):], g[K:], K)
+    X = np.linalg.solve(E, G.conj().T)
     full = np.eye(N, dtype=np.complex128)
-    full[0, 0] = 1.0 / np.sqrt(g1 / g2)
-    full[n1:, 0] = [complex(t[i] / np.sqrt(2.0), t[m + i] / np.sqrt(2.0)) for i in range(m)]
+    full[:K, :K] = np.linalg.inv(X)
+    full[n1:, :K] = [[complex(t[i * K + k] / np.sqrt(2.0), t[m * K + i * K + k] / np.sqrt(2.0))
+                      for k in range(K)] for i in range(m)]
     full[n1:, n1:] = T
     return full, np.concatenate([np.eye(n1, K), w])
 

@@ -5,7 +5,9 @@ run at the benchmark's ``run_seconds``,
 with the per-seed values they are the medians of; the environment block of
 ``perfbench/run.py``; and the ``src/`` hash and line count of both sides.
 From schema 2 on, each side also has one timed tier-1 run and one timed
-criterion-7 run, with their passed and failed counts."""
+criterion-7 run, with their passed and failed counts.  From schema 3 on, each
+test entry also lists its runs' seconds (criterion 7: three a side), and its
+``seconds`` is their median."""
 
 import json
 import math
@@ -28,7 +30,7 @@ def test_a_bench_file_is_committed():
 @pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
 def test_schema(path):
     bench = json.loads(path.read_text(encoding="utf-8"))
-    assert bench["schema"] in (1, 2)
+    assert bench["schema"] in (1, 2, 3)
     assert bench["command"] == ("perfbench/run.py --workload all --trace 0 "
                                 f"--seconds {SPEC['run_seconds']:g}")
     seeds = bench["seeds"]
@@ -44,9 +46,13 @@ def test_schema(path):
         assert set(bench["tests"]) == {"base", "change"}
         for side in bench["tests"].values():
             assert set(side) == {"tier1", "criterion_07"}
-            for run in side.values():
-                assert set(run) == {"seconds", "passed", "failed"}
+            for name, run in side.items():
+                keys = {"seconds", "passed", "failed"}
+                assert set(run) == (keys | {"runs"} if bench["schema"] >= 3 else keys)
                 assert run["seconds"] > 0 and run["passed"] >= 1 and run["failed"] >= 0
+                if bench["schema"] >= 3:
+                    assert len(run["runs"]) == (3 if name == "criterion_07" else 1)
+                    assert run["seconds"] == statistics.median(run["runs"]), name
         assert bench["tests"]["change"]["criterion_07"]["passed"] == 1
     assert set(bench["workloads"]) == {w["name"] for w in SPEC["workloads"]}
     for name, rows in bench["workloads"].items():

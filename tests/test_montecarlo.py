@@ -452,7 +452,9 @@ class TestFullSpaceGeometry:
 
 class TestBatchedMatchesPlain:
     """The engine's trials equal the per-instance oracles on the oracle's own
-    draw of each trial, across the first block boundary."""
+    draw of each trial, across the first block boundary.  Both null passes
+    have K + p + q < N, so they run in the canonical frame, and the oracle
+    draws the reduced trial embedded in N dimensions (``flag``)."""
 
     def test_point_family(self):
         plan = _point_plan(n=66)
@@ -461,7 +463,8 @@ class TestBatchedMatchesPlain:
         stats = mc.run_trials(plan)
         for i in range(plan.n_trials):
             d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
-                                   seed=plan.master_seed, trial=i)
+                                   seed=plan.master_seed, trial=i,
+                                   flag=np.concatenate([H, J], axis=1))
             x = d.test_vector
             ps = oracles.subspace_bank(x, d.scm, H)
             rs = oracles.rank_one_bank(x, d.scm, H[:, 0])
@@ -479,7 +482,7 @@ class TestBatchedMatchesPlain:
         H, _ = sc.default_geometry(cfg.N, cfg.p)
         for i in (*range(4), *range(60, 66)):
             d = oracles.synthesize(cfg, plan.covariance, hypothesis="h0",
-                                   seed=plan.master_seed, trial=i)
+                                   seed=plan.master_seed, trial=i, flag=H)
             ref = oracles.distributed_family(d.test, d.scm, H[:, 0], H, cfg.L)
             for name in plan.detectors:
                 assert stats[name][i] == pytest.approx(ref[name], rel=1e-9), name
