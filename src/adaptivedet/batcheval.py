@@ -195,40 +195,28 @@ def evaluate(prep: Prepared, X, means=None) -> dict:
     per mean.  ``wald_phe_i`` is nan when [H J] fills the space (p + q = N):
     its normalizing orthocomplement is empty.  A ratio over a zero energy is
     0 for null data and +inf otherwise (:func:`_ratio`)."""
-    return evaluate_sweep((prep,), X, means)[0]
-
-
-def evaluate_sweep(preps, X, means=None) -> list:
-    """:func:`evaluate` of each of ``preps`` on the same test blocks ``X +
-    means[g]``: one batch's states under several covariances, which share
-    ``T`` and the names, at means all of them whiten alike (zero ones).  The
-    covariance-independent half runs once: the point ``T x`` and distributed
-    ``Xt = T X``, their energies and Grams, and the solves against ``G0``
-    (:func:`_rank_one_bank`).  Each state keeps its own call's bits."""
     X = np.asarray(X)
     stacked = means is not None
     means = np.asarray(means if stacked else np.zeros((1, *X.shape[1:])), dtype=np.complex128)
-    banks, names = preps[0].banks, preps[0].names
+    banks, names = prep.banks, prep.names
     x, M = X[:, :, 0], means[:, :, 0].T
-    outs = [{} for _ in preps]
+    out = {}
     if any(family == "point" for family, _ in banks):
-        xt, v = _point_whitened(preps[0].T, x, M)
-    for prep, out in zip(preps, outs):
-        if ("point", "H") in banks:
-            out.update(_forms(prep, "H", _energy(prep.QH, xt), v))
-        if ("point", "s") in banks:
-            out.update(_point_rank_one_bank(prep, xt, v))
-        if ("point", "J") in banks:
-            out.update(_interference_bank(prep, xt))
-        if "smf" in names:
-            out["smf"] = _sqnorm((x @ prep.W.T)[..., None] + prep.W @ M)
-        if "mf" in names:
-            out["mf"] = np.abs((x @ prep.mvdr)[..., None] + prep.mvdr @ M) ** 2
+        xt, v = _point_whitened(prep.T, x, M)
+    if ("point", "H") in banks:
+        out.update(_forms(prep, "H", _energy(prep.QH, xt), v))
+    if ("point", "s") in banks:
+        out.update(_point_rank_one_bank(prep, xt, v))
+    if ("point", "J") in banks:
+        out.update(_interference_bank(prep, xt))
+    if "smf" in names:
+        out["smf"] = _sqnorm((x @ prep.W.T)[..., None] + prep.W @ M)
+    if "mf" in names:
+        out["mf"] = np.abs((x @ prep.mvdr)[..., None] + prep.mvdr @ M) ** 2
     if any(family == "distributed" for family, _ in banks):
-        per_mean = [_distributed_banks(preps, X + mean) for mean in means]
-        for c, out in enumerate(outs):
-            out.update({k: np.stack([s[c][k] for s in per_mean], axis=-1) for k in per_mean[0][c]})
-    return [{name: out[name] if stacked else out[name][..., 0] for name in names} for out in outs]
+        per_mean = [_distributed_banks(prep, X + mean) for mean in means]
+        out.update({k: np.stack([s[k] for s in per_mean], axis=-1) for k in per_mean[0]})
+    return {name: out[name] if stacked else out[name][..., 0] for name in names}
 
 
 def _point_whitened(T, x, M):
@@ -326,77 +314,63 @@ def solve_sigma_batch(eigs, target: float):
     return find_root(f, lo, hi)[0]
 
 
-def _distributed_banks(preps, X):
-    """The distributed banks of ``preps[0].banks`` on the test blocks ``X``
-    (B, N, K) for each state of ``preps``, which share ``T`` and so ``Xt``,
-    with the PHE noise-power MLEs and ``snrdd``'s unit direction (B, p)."""
-    Xt = preps[0].T @ X
+def _distributed_banks(prep, X):
+    """The distributed banks of ``prep.banks`` on the test blocks ``X``
+    (B, N, K), with the PHE noise-power MLEs and ``snrdd``'s unit direction
+    (B, p)."""
+    Xt = prep.T @ X
     G0 = _ct(Xt) @ Xt
     trG0 = np.trace(G0, axis1=-2, axis2=-1).real
-    outs = (_rank_one_bank(preps, Xt, G0, trG0) if ("distributed", "s") in preps[0].banks
-            else [{} for _ in preps])
-    if ("distributed", "H") in preps[0].banks:
-        for out, prep in zip(outs, preps):
-            out.update(_subspace_banks(prep, Xt, trG0))
-    return outs
+    out = _rank_one_bank(prep, Xt, G0, trG0) if ("distributed", "s") in prep.banks else {}
+    if ("distributed", "H") in prep.banks:
+        out.update(_subspace_banks(prep, Xt, trG0))
+    return out
 
 
-def _rank_one_bank(preps, Xt, G0, trG0):
-    """The distributed rank-one bank of each of ``preps``, ``c = Xt^H st`` each.
-    Each solve against the shared ``G0`` takes every ``c`` as a column (each
-    keeps its one-column bits), and ``eig(G0)``, ``sigma0_hat`` and ``det(I +
-    G0 / sigma0_hat)`` run once."""
-    first, K = preps[0], Xt.shape[-1]
-    N, L, names, phe = first.N, first.L, first.names, ("distributed", "L") in first.banks
+def _rank_one_bank(prep, Xt, G0, trG0):
+    """The distributed rank-one bank, from ``c = Xt^H st``."""
+    K, N, L, names, st, ss = Xt.shape[-1], prep.N, prep.L, prep.names, prep.st, prep.ss
+    phe = ("distributed", "L") in prep.banks
     IK = np.eye(K)
-    cs = np.stack([np.einsum("bnk,bn->bk", Xt.conj(), prep.st) for prep in preps])
+    c = np.einsum("bnk,bn->bk", Xt.conj(), st)
+    Mc = np.linalg.solve(IK + G0, c[..., None])[..., 0]
+    num = np.einsum("bk,bk->b", c.conj(), Mc).real
+    gamf_num = np.einsum("bk,bk->b", c.conj(), c).real
+    out = {"gkglrt": num / (ss - num), "gamf": gamf_num / ss,
+           "gasd": _ratio(gamf_num, ss * trG0)}
+    if phe or "rao_he" in names:
+        G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
+    if "rao_he" in names:  # matrix-inversion-lemma form
+        inner = np.linalg.solve(IK + G1, Mc[..., None])
+        out["rao_he"] = np.einsum("bk,bk->b", c.conj(), inner[..., 0]).real / ss
+    if not phe:
+        return out
 
-    def solve(A):  # each state's solution, contiguous like a one-column solve's
-        return np.moveaxis(np.linalg.solve(A, np.moveaxis(cs, 0, -1)), -1, 0).copy()
+    # PHE bank
+    target = N * K / (L + K)
+    eig0 = np.linalg.eigvalsh(G0).real
+    sigma0 = solve_sigma_batch(eig0, target)
+    det0 = np.linalg.det(IK + G0 / sigma0[:, None, None]).real
+    eig1 = np.linalg.eigvalsh(0.5 * (G1 + _ct(G1))).real
+    # G1 is G0 less a rank-one part, so its rounding noise is on G0's scale
+    # (with N = 1 it is all noise): it counts as zero against G0's top eigenvalue
+    eig1 = np.where(eig1 > 1e-12 * eig0[:, -1:], eig1, 0.0)
+    sigma1 = solve_sigma_batch(eig1, target)
+    det1 = np.linalg.det(IK + G1 / sigma1[:, None, None]).real
+    out.update(glrt_phe=sigma0 ** target * det0 / (sigma1 ** target * det1),
+               sigma0_hat=sigma0, sigma1_hat=sigma1)
 
-    Mcs, e0s = solve(IK + G0), [None] * len(preps)
-    if phe:
-        target = N * K / (L + K)
-        eig0 = np.linalg.eigvalsh(G0).real
-        sigma0 = solve_sigma_batch(eig0, target)
-        det0 = np.linalg.det(IK + G0 / sigma0[:, None, None]).real
-        e0s = solve(sigma0[:, None, None] * IK + G0)
-    outs = []
-    for prep, c, Mc, e0 in zip(preps, cs, Mcs, e0s):
-        st, ss = prep.st, prep.ss
-        num = np.einsum("bk,bk->b", c.conj(), Mc).real
-        gamf_num = np.einsum("bk,bk->b", c.conj(), c).real
-        out = {"gkglrt": num / (ss - num), "gamf": gamf_num / ss,
-               "gasd": _ratio(gamf_num, ss * trG0)}
-        outs.append(out)
-        if phe or "rao_he" in names:
-            G1 = G0 - c[..., None] @ _ct(c[..., None]) / ss[:, None, None]
-        if "rao_he" in names:  # matrix-inversion-lemma form
-            inner = np.linalg.solve(IK + G1, Mc[..., None])
-            out["rao_he"] = np.einsum("bk,bk->b", c.conj(), inner[..., 0]).real / ss
-        if not phe:
-            continue
-
-        # PHE bank
-        eig1 = np.linalg.eigvalsh(0.5 * (G1 + _ct(G1))).real
-        # G1 is G0 less a rank-one part, so its rounding noise is on G0's scale
-        # (with N = 1 it is all noise): it counts as zero against G0's top eigenvalue
-        eig1 = np.where(eig1 > 1e-12 * eig0[:, -1:], eig1, 0.0)
-        sigma1 = solve_sigma_batch(eig1, target)
-        det1 = np.linalg.det(IK + G1 / sigma1[:, None, None]).real
-        out.update(glrt_phe=sigma0 ** target * det0 / (sigma1 ** target * det1),
-                   sigma0_hat=sigma0, sigma1_hat=sigma1)
-
-        # Rao (PHE): X^H R0^-1 s through the Woodbury identity in whitened space
-        E0s = st - np.einsum("bnk,bk->bn", Xt, e0)
-        num_vec = np.einsum("bnk,bn->bk", Xt.conj(), E0s)
-        den = np.einsum("bn,bn->b", st.conj(), E0s).real
-        out["rao_phe"] = (L + K) / sigma0 * np.einsum(
-            "bk,bk->b", num_vec.conj(), num_vec).real / den
-        # Wald (PHE): the projected-data Gram kills the steering component, so the
-        # statistic collapses onto the generalized AMF rescaled by the H1 MLE.
-        out["wald_phe"] = (L + K) / sigma1 * out["gamf"]
-    return outs
+    # Rao (PHE): X^H R0^-1 s through the Woodbury identity in whitened space
+    e0 = np.linalg.solve(sigma0[:, None, None] * IK + G0, c[..., None])[..., 0]
+    E0s = st - np.einsum("bnk,bk->bn", Xt, e0)
+    num_vec = np.einsum("bnk,bn->bk", Xt.conj(), E0s)
+    den = np.einsum("bn,bn->b", st.conj(), E0s).real
+    out["rao_phe"] = (L + K) / sigma0 * np.einsum(
+        "bk,bk->b", num_vec.conj(), num_vec).real / den
+    # Wald (PHE): the projected-data Gram kills the steering component, so the
+    # statistic collapses onto the generalized AMF rescaled by the H1 MLE.
+    out["wald_phe"] = (L + K) / sigma1 * out["gamf"]
+    return out
 
 
 def _subspace_banks(prep, Xt, trG0):

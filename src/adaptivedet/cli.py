@@ -66,7 +66,9 @@ def _fmt(value) -> str:
 
 def emit_csv(rows, path, columns):
     """Write rows (dicts) as UTF-8 CSV with LF endings and 10 significant
-    digits, formatted a column at a time; on failure any partial file is removed."""
+    digits, formatted a column at a time.  A regular file is replaced
+    atomically, and on failure any partial file is removed; a target that
+    exists and is not a regular file (a device or a FIFO) is written in place."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -74,6 +76,10 @@ def emit_csv(rows, path, columns):
     text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
         return
     tmp = path + ".tmp"
     try:

@@ -34,12 +34,13 @@ the same row of the same block whatever the batch size or trial count, and
 results are a pure function of the plan and its means.  Aggregation is
 count-based.
 
-In the canonical frame the subspace, rank-one and distributed statistics
-see the same flag coordinates under every covariance, so a null pass gives
-them the same realization under each: ``cfar-check`` passes such a row by
-construction, at (r-1)/n on the calibrating covariance (r = ceil(n pfa), the
-order statistic's rank) and at (r-1)/n or r/n elsewhere, as the calibrating
-trial's statistic rounds there.
+In the canonical frame a CFAR row that reads no J sees only span(H) and
+the direction of s, which lie on the flag's first p axes under every
+covariance.  Such a covariance-free row is prepared once per batch on those
+axes (:func:`_noise_pass`), and at a zero mean evaluated once for every
+covariance (:func:`sweep_trials`), so ``cfar-check`` passes it by
+construction, at (r-1)/n on every covariance (r = ceil(n pfa), the order
+statistic's rank).
 
 Within a pass every trial uses the same white noise whatever its test mean
 or covariance, so one draw per batch serves every grid point, detector and
@@ -49,11 +50,9 @@ the white coordinates of each covariance R = A A^H (A its Cholesky factor):
 the geometry (H, J, s) and the test means are multiplied by ``A^-1``.  T is
 inverted once per batch, and ``T^-1``, an inverse square root of ``T
 T^H``, whitens for every covariance; no sample covariance is formed or
-factored.  A batch's covariances share its noise and ``T^-1``, and at a zero
-mean its whitened test block, so the statistics' covariance-independent half
-runs once per batch (:func:`sweep_trials`).  Only the test-data half of the statistics,
-and only the banks the plan's detectors read, runs per mean, ``GRID_CHUNK``
-means a call (:func:`~adaptivedet.batcheval.evaluate`, :func:`exceedance_counts`).
+factored.  Only the test-data half of the statistics, and only the banks
+the plan's detectors read, runs per mean, ``GRID_CHUNK`` means a call
+(:func:`~adaptivedet.batcheval.evaluate`, :func:`exceedance_counts`).
 """
 
 import logging
@@ -171,9 +170,11 @@ def _canonical(plan: TrialPlan, frames, energy):
 
 
 def _noise_pass(plan: TrialPlan, covariances, means=0.0):
-    """Yield ``(trials, noise, preps, whites)`` per batch of the plan, with
-    entry c of ``preps`` and ``whites`` for covariance ``covariances[c]``: a
-    batch's C prepared states are alive together.
+    """Yield ``(trials, noise, free, preps, whites)`` per batch of the plan:
+    ``free`` the prepared state of its covariance-free rows (CFAR, reading
+    no J), on the flag's first p axes and shared by every covariance, and
+    entry c of ``preps`` and ``whites`` the state of its other rows and its
+    white means under covariance ``covariances[c]``.
 
     Each batch is drawn once and every covariance reads that same draw (common
     random numbers), so its trials are bit-identical to a pass over it alone.
@@ -181,13 +182,15 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
     every covariance, as is the whitener ``T^-1`` (formed only for a plan with
     an adaptive detector).  In the white coordinates of each R = A A^H, a
     white mean is ``A^-1 means`` (G, N, K; one (N, K) mean or 0 is G = 1), and
-    a state is :func:`~adaptivedet.batcheval.prepare` of the plan's
-    detectors on the geometry ``A^-1 (H, J, s)``, whitened by ``T^-1``, with
-    R = I for the clairvoyant maps; at a flag dimension m < N
-    (:func:`_canonical`) in d = K + m rotated coordinates, of whitener
-    ``[[X, 0], [-T22^-1 t X, T22^-1]]`` with ``X = E^-1 G^H`` and test noise
-    ``[I_K; W2]``, no d x d inverse formed, the PHE target still at N.  A
-    white mean above ``MAX_SNR_DB`` is a ``ValueError``.
+    a state is :func:`~adaptivedet.batcheval.prepare` of its rows on the
+    geometry ``A^-1 (H, J, s)``, whitened by ``T^-1``, with R = I for the
+    clairvoyant maps; at a flag dimension m < N (:func:`_canonical`) in
+    d = K + m rotated coordinates, of whitener ``[[X, 0], [-T22^-1 t X,
+    T22^-1]]`` with ``X = E^-1 G^H`` and test noise ``[I_K; W2]``, no d x d
+    inverse formed, the PHE target still at N.  At m = N every row is a
+    covariance's own, and a group with no rows is an empty
+    :class:`~adaptivedet.batcheval.Prepared`.  A white mean above
+    ``MAX_SNR_DB`` is a ``ValueError``.
     """
     cfg, K = plan.scenario, plan.scenario.K
     adaptive = not all(registry.DETECTORS[name].clairvoyant for name in plan.detectors)
@@ -202,7 +205,11 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
                          "float64 cannot resolve the statistics' energies")
     m, frames = _canonical(plan, frames, energy)
     R = np.eye(frames[0][0].shape[0])  # d = N, or K + m
-    rows, cols = np.tril_indices(K, -1)
+    rows = registry.DETECTORS
+    free = tuple(n for n in plan.detectors
+                 if m < cfg.N and rows[n].cfar and "J" not in rows[n].reads)
+    own = tuple(n for n in plan.detectors if n not in free)
+    groups = [(free, R[:, K:K + cfg.p], None), *((own, Hw, Jw) for Hw, Jw, _ in frames)]
     per_batch = -(-plan.batch_size // BLOCK)
     n_blocks = -(-plan.n_trials // BLOCK)
     for first in range(0, n_blocks, per_batch):
@@ -213,22 +220,27 @@ def _noise_pass(plan: TrialPlan, covariances, means=0.0):
         T_inv = linalg.lower_inverse(T) if adaptive else None
         if m < cfg.N:
             (g, t, z), B = draws[3:], len(trials)
-            if adaptive:  # G and E stacked, each laid out like T22
-                GE = np.zeros((B, 2, K, K), dtype=np.complex128)
-                z = z.reshape(B, 2, 2, len(rows)) / np.sqrt(2.0)
-                GE[:, :, rows, cols] = z[:, :, 0] + 1j * z[:, :, 1]
-                GE[:, :, range(K), range(K)] = np.sqrt(g.reshape(B, 2, K))
-                X = linalg.lower_inverse(GE[:, 1]) @ np.conj(np.swapaxes(GE[:, 0], 1, 2))
+            if adaptive:  # G and E laid out like T22, with no test block
+                n, none = K * (K - 1), np.empty((B, 0))
+                G, _ = scenario.assemble_noise(z[:, :n], g[:, :K], none, K, 0)
+                E, _ = scenario.assemble_noise(z[:, n:], g[:, K:], none, K, 0)
+                X = linalg.lower_inverse(E) @ np.conj(np.swapaxes(G, 1, 2))
                 t = (t[:, :m * K] + 1j * t[:, m * K:]).reshape(B, m, K) / np.sqrt(2.0)
                 T22_inv, T_inv = T_inv, np.zeros((B, K + m, K + m), dtype=np.complex128)
                 T_inv[:, :K, :K], T_inv[:, K:, K:] = X, T22_inv
                 T_inv[:, K:, :K] = -(T22_inv @ t) @ X
             w_test = np.concatenate([np.broadcast_to(np.eye(K), (B, K, K)), w_test], axis=1)
+        states = (batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=names) if names
+                  else batcheval.Prepared() for names, Hw, Jw in groups)
         # a PHE half's target N K / (L + K) is at the scenario's N, not the frame's d
-        yield trials, cfg.test_scale * w_test, [
-            prep if prep.N is None else replace(prep, N=cfg.N) for prep in (
-                batcheval.prepare(T_inv, Hw, Jw, Hw[:, 0], R, cfg.L, want=plan.detectors)
-                for Hw, Jw, _ in frames)], [white for _, _, white in frames]
+        shared, *preps = [prep if prep.N is None else replace(prep, N=cfg.N) for prep in states]
+        yield trials, cfg.test_scale * w_test, shared, preps, [white for _, _, white in frames]
+
+
+def _evaluate(states, noise, white) -> dict:
+    """The statistics of those of ``states`` that hold rows, at ``white``."""
+    return {name: value for prep in states if prep.names
+            for name, value in batcheval.evaluate(prep, noise, white).items()}
 
 
 def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
@@ -236,21 +248,22 @@ def sweep_trials(plan: TrialPlan, covariances, mean=0.0) -> list:
     (N, K) mean) under each covariance model, from one draw of the plan's
     trial streams (common random numbers).
 
-    At a zero mean a batch's covariances share its whitened test block, and
-    the covariance-independent half runs once per batch
-    (:func:`~adaptivedet.batcheval.evaluate_sweep`).  Returns one dict per
-    covariance, in order; entry ``c`` maps detector name to an ``(n_trials,)``
-    array ordered by trial index, bit for bit ``run_trials(replace(plan,
-    covariance=covariances[c]), mean)``.
+    The covariance-free rows (:func:`_noise_pass`) are evaluated once per
+    batch at a zero mean, which whitens to 0 under every covariance, and
+    once per covariance's white mean otherwise; the other rows once per
+    covariance.  Returns one dict per covariance, in order; entry ``c`` maps
+    detector name to an ``(n_trials,)`` array ordered by trial index, bit
+    for bit ``run_trials(replace(plan, covariance=covariances[c]), mean)``.
     """
     if not covariances:
         raise ValueError("need at least one covariance model")
+    zero = not np.any(mean)
     out = [{name: np.empty(plan.n_trials) for name in plan.detectors} for _ in covariances]
-    for trials, noise, preps, whites in _noise_pass(plan, covariances, mean):
-        stats = (batcheval.evaluate_sweep(preps, noise, whites[0]) if not np.any(mean) else
-                 [batcheval.evaluate(prep, noise, white) for prep, white in zip(preps, whites)])
-        for ours, values in zip(out, stats):
-            for name, value in values.items():
+    for trials, noise, free, preps, whites in _noise_pass(plan, covariances, mean):
+        shared = _evaluate((free,), noise, whites[0]) if zero else {}
+        for ours, prep, white in zip(out, preps, whites):
+            stats = {**shared, **_evaluate((prep,) if zero else (free, prep), noise, white)}
+            for name, value in stats.items():
                 ours[name][trials.start:trials.stop] = value[:, 0]
     return out
 
@@ -281,9 +294,9 @@ def exceedance_counts(plan: TrialPlan, means, thresholds) -> np.ndarray:
     plus the (G, D) counts.
     """
     counts = np.zeros((len(means), len(plan.detectors)), dtype=np.int64)
-    for _, noise, (prepared,), (white,) in _noise_pass(plan, (plan.covariance,), means):
+    for _, noise, free, (own,), (white,) in _noise_pass(plan, (plan.covariance,), means):
         for chunk in (slice(g, g + GRID_CHUNK) for g in range(0, len(means), GRID_CHUNK)):
-            stats = batcheval.evaluate(prepared, noise, white[chunk])
+            stats = _evaluate((free, own), noise, white[chunk])
             for d, name in enumerate(plan.detectors):
                 counts[chunk, d] += np.count_nonzero(stats[name] > thresholds[name], axis=0)
     return counts

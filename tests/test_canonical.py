@@ -37,12 +37,14 @@ COVARIANCES = (sc.CovarianceModel.identity(), sc.CovarianceModel.ar1(0.9),
 @contextlib.contextmanager
 def _recorded_dims():
     """The dimension each batch's Bartlett factor is assembled in: the flag
-    dimension m of a reduced pass, N of a full one."""
+    dimension m of a reduced pass, N of a full one.  The K x K factors G and
+    E, assembled with no test block, are not recorded."""
     seen = []
     assemble = sc.assemble_noise
 
     def recording(normals, gammas, test, N, K):
-        seen.append(N)
+        if K:
+            seen.append(N)
         return assemble(normals, gammas, test, N, K)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -147,11 +149,11 @@ class TestEmbedding:
                             detectors=("sglrt",) if K == 1 else ("gkglrt",), batch_size=64)
         mean = _in_flag_mean(cfg, plan.covariance, 10.0) if K == 1 else 0.0
         batches = list(mc._noise_pass(plan, (plan.covariance,), mean))
-        trials, noise, (prep,), _ = batches[trial // 64]
+        trials, noise, free, _, _ = batches[trial // 64]
         T, w = oracles.draw_trial(12, trial, cfg.N, cfg.L, K, m=3)
         keep = [*range(K), 4, 5, 6]
         assert np.array_equal(noise[trial - trials.start], w[keep])
-        np.testing.assert_allclose(prep.T[trial - trials.start] @ T[np.ix_(keep, keep)],
+        np.testing.assert_allclose(free.T[trial - trials.start] @ T[np.ix_(keep, keep)],
                                    np.eye(K + 3), rtol=0, atol=1e-12)
         assert np.array_equal(T[K:4, K:4], np.eye(4 - K)) and not T[4:, K:4].any()
 
@@ -319,9 +321,9 @@ class TestCfarPower:
     """A null pass in the canonical frame keeps ``cfar-check`` able to tell
     covariances apart where the statistics depend on them.  The frame puts
     span(H) and s on the same coordinates under every covariance, so the
-    subspace, rank-one and distributed CFAR rows have one realization under
-    all three (and pass by construction); the rows that read J or the scale
-    of s do not."""
+    subspace, rank-one and distributed CFAR rows are evaluated once and have
+    the same bits under all three (and pass by construction); the rows that
+    read J or the scale of s do not."""
 
     @staticmethod
     def _sweep(cfg, names):
@@ -339,7 +341,7 @@ class TestCfarPower:
         for stats, names in ((point, invariant), (dist, DISTRIBUTED)):
             for other in stats[1:]:
                 for name in names:
-                    assert _rel_err(other[name], stats[0][name]).max() <= 1e-12, name
+                    assert np.array_equal(other[name], stats[0][name]), name
         for name in ("wald_he_i", "smi", "mf"):
             for other in point[1:]:
                 assert _rel_err(other[name], point[0][name]).max() > 1e-3, name

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -65,6 +66,26 @@ class TestEmitCsv:
         cli.emit_csv([{"detector": "a"}], str(out), cli.GRID_COLUMNS)
         raw = out.read_bytes()
         assert b"\r" not in raw
+
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        """``--out`` naming a FIFO writes the CSV into it and leaves it a
+        FIFO, where a rename over it would put a regular file in its place."""
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # the read end first, so that opening the write end does not block
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli.main(["identities", "--trials", "1000", "--out", str(fifo)]) == 0
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert cli.main(["identities", "--trials", "1000"]) == 0
+        assert b"".join(chunks).decode() == capsys.readouterr().out
+        assert sorted(os.listdir(tmp_path)) == ["out.fifo"]
 
 
 class TestGridCommands:

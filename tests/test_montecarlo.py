@@ -22,6 +22,13 @@ def _point_plan(n=2000, seed=11, **kw):
         detectors=tuple(sorted(registry.names(family="point"))), **kw)
 
 
+def _states(plan):
+    """The shared state of a one-batch pass's covariance-free rows and the
+    state of its other rows under the plan's covariance."""
+    (_, _, free, (own,), _), = mc._noise_pass(plan, (plan.covariance,))
+    return free, own
+
+
 def _calibrate(plan, detector):
     """The detector's threshold calibrated on the plan's own H0 statistics."""
     return mc.calibrate_threshold(plan, detector, mc.run_trials(plan)[detector])
@@ -291,8 +298,9 @@ class TestClairvoyantPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, (prepared,), _), = mc._noise_pass(plan, (plan.covariance,))
-        assert (prepared.W is not None, prepared.mvdr is not None) == (has_W, has_mvdr)
+        states = _states(plan)
+        assert (any(prep.W is not None for prep in states),
+                any(prep.mvdr is not None for prep in states)) == (has_W, has_mvdr)
 
 
 class TestPointBankPreparation:
@@ -347,11 +355,12 @@ class TestPointBankPreparation:
         cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
         plan = mc.TrialPlan(n_trials=50, master_seed=5, scenario=cfg,
                             covariance=sc.CovarianceModel.ar1(0.5), detectors=detectors)
-        (_, _, (prepared,), _), = mc._noise_pass(plan, (plan.covariance,))
-        assert prepared.names == detectors
-        assert {f.name for f in fields(prepared)
+        states = _states(plan)
+        assert sorted(sum((prep.names for prep in states), ()), key=detectors.index) == list(
+            detectors)
+        assert {f.name for prep in states for f in fields(prep)
                 if f.name not in ("names", "banks")
-                and getattr(prepared, f.name) is not None} == set(held)
+                and getattr(prep, f.name) is not None} == set(held)
 
     @pytest.mark.parametrize("detectors, returned", [
         (("smf",), {"smf"}),
@@ -373,8 +382,9 @@ class TestPointBankPreparation:
             return real(T)
 
         monkeypatch.setattr(linalg, "lower_inverse", refuse)
-        (_, noise, (prepared,), (white,)), = mc._noise_pass(plan, (plan.covariance,))
-        assert set(batcheval.evaluate(prepared, noise, white)) == returned
+        (_, noise, free, (own,), (white,)), = mc._noise_pass(plan, (plan.covariance,))
+        assert set(batcheval.evaluate(free, noise, white)) | set(
+            batcheval.evaluate(own, noise, white)) == returned
 
 
 class TestMixedFamilyPlan:
@@ -700,27 +710,31 @@ class TestSweepTrials:
                 assert np.array_equal(stats[name], alone[name], equal_nan=True), (
                     cov.label(), name)
 
-    @pytest.mark.parametrize("snr_db, per_batch", [(None, 1), (8.0, 3)])
-    def test_zero_mean_whitens_the_test_block_once_per_batch(self, snr_db, per_batch,
-                                                             monkeypatch):
-        """At a zero mean the three covariances of a batch share one whitened
-        test block for each family, and with it one distributed rank-one
-        bank (one ``(I + G0)`` solve of three columns); a nonzero mean is
-        whitened per covariance."""
-        calls = {"point": [], "distributed": []}
-        point, distributed = batcheval._point_whitened, batcheval._distributed_banks
+    @pytest.mark.parametrize("N, snr_db, per_batch", [(6, None, 1), (6, 8.0, 3), (4, None, 0)],
+                             ids=["zero mean", "nonzero mean", "full N"])
+    def test_shared_state_is_evaluated_once_per_batch_at_a_zero_mean(self, N, snr_db,
+                                                                      per_batch, monkeypatch):
+        """In the canonical frame the plan's rows, all CFAR and none reading
+        J, share one prepared state: at a zero mean, which whitens to 0
+        under every covariance, it is evaluated once per batch for the
+        three covariances, and at a nonzero mean once per covariance.  At
+        full N (K + p + q = N) it is empty and never evaluated, and each
+        covariance's own state holds every row."""
+        shared, calls = [], []
+        noise_pass, evaluate = mc._noise_pass, batcheval.evaluate
 
-        def counting_point(T, x, M):
-            calls["point"].append(len(T))
-            return point(T, x, M)
+        def recording_pass(*args):
+            for batch in noise_pass(*args):
+                shared.append(batch[2])
+                yield batch
 
-        def counting_distributed(preps, X):
-            calls["distributed"].append(len(preps))
-            return distributed(preps, X)
+        def recording(prep, X, means=None):
+            calls.append(any(prep is free for free in shared))
+            return evaluate(prep, X, means)
 
-        monkeypatch.setattr(batcheval, "_point_whitened", counting_point)
-        monkeypatch.setattr(batcheval, "_distributed_banks", counting_distributed)
-        cfg = sc.ScenarioConfig(N=6, p=2, q=1, L=12, pfa=1e-2)
+        monkeypatch.setattr(mc, "_noise_pass", recording_pass)
+        monkeypatch.setattr(batcheval, "evaluate", recording)
+        cfg = sc.ScenarioConfig(N=N, p=2, q=1, L=12, pfa=1e-2)
         H, _ = sc.default_geometry(cfg.N, cfg.p, cfg.q)
         mean = 0.0 if snr_db is None else oracles.signal(H, np.eye(cfg.N), snr_db,
                                                           seed=1)[:, None]
@@ -728,9 +742,9 @@ class TestSweepTrials:
                             covariance=self.COVS[0], detectors=("sglrt", "smf", "gkglrt"),
                             batch_size=128)
         mc.sweep_trials(plan, self.COVS, mean)
-        batches = [128, 128, 44]
-        assert calls["point"] == [b for b in batches for _ in range(per_batch)]
-        assert calls["distributed"] == [len(self.COVS) // per_batch] * per_batch * len(batches)
+        assert [free.names for free in shared] == [plan.detectors if per_batch else ()] * 3
+        assert calls.count(True) == per_batch * 3  # 300 trials: three batches
+        assert calls.count(False) == (0 if per_batch else len(self.COVS) * 3)
 
 
 class TestOrientationAndScale:
