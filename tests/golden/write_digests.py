@@ -48,8 +48,10 @@ def _argvs():
     evaluation takes, an analytic mesa of the interference laws on the
     default 861-cell grid, a cfar-check and a Monte Carlo SNR grid of plans
     that mix both families at K = 1, a jammed and a distributed (K = 4)
-    SNR grid run both ways, validate-dist at small n, and
-    identities at more instances than one evaluation of a size class takes."""
+    SNR grid run both ways, an analytic ``asd`` SNR grid at p = N - 1 and an
+    analytic mesa at 40-80 dB, where the loss factor's density is narrow,
+    validate-dist at small n, and identities at more instances than one
+    evaluation of a size class takes."""
     argvs = {name: list(w.command) for name, w in sorted(workloads.WORKLOADS.items())}
     argvs["mc_point_grid_batch64"] = argvs["mc_point_grid"] + ["--batch-size", "64"]
     argvs["cfar_check_distributed"] = [
@@ -88,6 +90,12 @@ def _argvs():
         "pd-vs-snr", "--mode", "both", "--N", "8", "--p", "2", "--K", "4", "--L", "16",
         "--pfa", "1e-2", "--snr", "0,6,12", "--cos2phi", "0.8",
         "--detectors", "gkglrt,gamf,glrdd", "--trials", "1000"]
+    argvs["pd_vs_snr_asd_edge"] = [
+        "pd-vs-snr", "--mode", "analytic", "--N", "4", "--p", "3", "--L", "8",
+        "--detectors", "asd"]
+    argvs["mesa_high_snr"] = [
+        "mesa", "--mode", "analytic", "--N", "4", "--p", "1", "--L", "5",
+        "--detectors", "samf,sglrt", "--snr", "40,60,80", "--cos2phi", "0,0.3,0.9"]
     argvs["validate_dist"] = ["validate-dist", "--trials", "500"]
     argvs["identities_chunked"] = ["identities", "--trials", "5000"]
     return argvs
@@ -119,12 +127,13 @@ def environment() -> dict:
 
 
 def run(argv) -> dict:
-    """Exit code and CSV sha256 of ``argv`` at ``SEED``, run in process."""
+    """Exit code and CSV sha256 of ``argv`` at ``SEED``, run in process; an
+    argv that writes no CSV (an error exit) has the sha256 of no bytes."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
-        code = cli.main(list(argv) + ["--seed", str(SEED), "--out", out])
-        with open(out, "rb") as fh:
-            return {"exit": code, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        out = Path(tmp, "out.csv")
+        code = cli.main(list(argv) + ["--seed", str(SEED), "--out", str(out)])
+        data = out.read_bytes() if out.exists() else b""
+        return {"exit": code, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _brief(entry) -> str:
