@@ -68,7 +68,8 @@ def emit_csv(rows, path, columns):
     """Write rows (dicts) as UTF-8 CSV with LF endings and 10 significant
     digits, formatted a column at a time.  A regular file is replaced
     atomically, and on failure any partial file is removed; a target that
-    exists and is not a regular file (a device or a FIFO) is written in place."""
+    exists and is not a regular file (a device, a FIFO, or a symlink such as
+    ``/dev/stdout``, which a rename would replace) is written in place."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -77,7 +78,7 @@ def emit_csv(rows, path, columns):
     if path is None:
         sys.stdout.write(text)
         return
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.exists(path) and (os.path.islink(path) or not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         return

@@ -8,22 +8,25 @@ parameters, or why none does; everything else takes its :class:`Law`.
 
 Detection probability is the loss-factor average of the conditional
 survival, by adaptive Gauss-Legendre quadrature with panel splits at the
-event's kinks.  :func:`integrate_adaptive` refines the panels of every cell
-of a call in one integrand call per round, and every per-node operation is
-elementwise, so a cell's value does not depend on which other cells share
-the call.  :func:`pd_grid` evaluates several laws, each at its threshold
-and cells, in one such call, so laws that share parameters share each round,
-and each keeps the bits of its own call (:func:`pd_cells`; :func:`pd_point`
-is one cell of a point law).  A PD needs only the absolute ``QUAD_TOL``, so
-the integrand's noncentral survivals are ``1 - cdf`` (:func:`_pd_sf`); the
-false-alarm probabilities, all central, keep their relative accuracy.
-Thresholds are solved alike: :func:`thresholds_for_pfa` inverts any mix of
-laws in one elementwise root solve, with one evaluation per distinct law
-parameters each round, and each threshold has the bits of its law solved
-alone.
+event's kinks and, where the loss factor's density is narrow (high SNR off
+the subspace), on its bulk, which the first round then already brackets
+(:func:`_bulk_breakpoints`).  :func:`integrate_adaptive` refines the panels
+of every cell of a call in one integrand call per round, and every per-node
+operation is elementwise, so a cell's value does not depend on which other
+cells share the call.  :func:`pd_grid` evaluates several laws, each at its
+threshold and cells, in one such call, so laws that share parameters share
+each round, and each keeps the bits of its own call (:func:`pd_cells`;
+:func:`pd_point` is one cell of a point law).  A PD needs only the absolute
+``QUAD_TOL``, so the integrand's noncentral survivals are ``1 - cdf``
+(:func:`_pd_sf`); the false-alarm probabilities, all central, keep their
+relative accuracy.  Thresholds are solved alike: :func:`thresholds_for_pfa`
+inverts any mix of laws in one elementwise root solve, with one evaluation
+per distinct law parameters each round, and each threshold has the bits of
+its law solved alone.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,11 @@ QUAD_TOL = 1e-6
 # unresolved panels an integral may carry into a refinement round: past it the
 # integrand's own rounding, not the quadrature, limits the accuracy
 MAX_PANELS = 256
+# a narrow loss-factor density starts its quadrature with breakpoints on its
+# bulk: the Gamma(a, 1) quantiles of about BULK_TAIL in each tail, scaled to
+# the cell, where the upper one lies below BULK_CUT (_bulk_breakpoints)
+BULK_TAIL = 1e-12
+BULK_CUT = 0.5
 # log-threshold range searched for a false-alarm target: every supported
 # false-alarm curve is near 1 at exp(-40) and negligible at exp(40)
 LOG_ETA_BRACKET = (-40.0, 40.0)
@@ -143,11 +151,42 @@ def _pd_sf(m, n, deltas, ts):
     return out
 
 
+def _gamma_bulk(a):
+    """``(t_lo, t_hi)`` holding all but about ``BULK_TAIL`` of ``Gamma(a, 1)``
+    in each tail, in closed forms: ``t_lo`` from ``P(G < t) <= t^a / a!``,
+    and ``t_hi = a + 7 sqrt(a) + 21`` (``lgamma``, as ``a!`` overflows a
+    float past 170)."""
+    return math.exp((math.log(BULK_TAIL) + math.lgamma(a + 1)) / a), a + 7.0 * math.sqrt(a) + 21.0
+
+
+def _bulk_breakpoints(a, b, deltas):
+    """Three loss factors on the bulk of each ``CBeta(a, b, delta_i)``, or
+    none where that bulk is not narrow against [0, 1].
+
+    Once ``delta`` is large, ``beta`` is about ``G s`` with ``G ~ Gamma(a,
+    1)``, F's denominator, and ``s = 1 / (a + b + delta)``.  A cell gets
+    ``t_lo s``, ``a s`` and ``t_hi s`` (:func:`_gamma_bulk`) when ``delta >
+    0`` and ``t_hi s < BULK_CUT``.
+    """
+    t_lo, t_hi = _gamma_bulk(a)
+    s = 1.0 / (a + b + deltas)
+    narrow = (deltas > 0.0) & (t_hi * s < BULK_CUT)
+    return [(t_lo * si, a * si, t_hi * si) if ok else () for si, ok in zip(s.tolist(), narrow)]
+
+
 def _pd_beta_mixture(detectors, etas, f_m, f_n, f_nc, beta_a, beta_b, beta_delta, tol):
     """Average the conditional F survival over the loss-factor law, for every
     cell at once: cell ``i`` has the threshold map of ``detectors[i]``,
     threshold ``etas[i]``, conditional noncentrality ``f_nc[i] * beta`` and
-    loss-factor noncentrality ``beta_delta[i]`` (1-D arrays)."""
+    loss-factor noncentrality ``beta_delta[i]`` (1-D arrays).
+
+    A cell's panels start at its threshold map's kinks and, where its
+    loss-factor density is narrow, at three points on that density's bulk
+    (:func:`_bulk_breakpoints`), so that the first round already brackets
+    it: a bulk narrower than the end panels' node spacing would otherwise
+    go unseen, and its empty panels be accepted.  Both depend on the cell
+    alone, so each PD keeps the bits of its one-cell call.
+    """
     pairs = list(zip(detectors, etas.tolist()))
     # the distinct (detector, threshold) pairs, and the one of each cell
     index = {pair: k for k, pair in enumerate(dict.fromkeys(pairs))}
@@ -168,8 +207,11 @@ def _pd_beta_mixture(detectors, etas, f_m, f_n, f_nc, beta_a, beta_b, beta_delta
         return dens * sf
 
     breaks = [registry.lookup(d).breakpoints(e) for d, e in laws]
+    bulk = _bulk_breakpoints(beta_a, beta_b, beta_delta)
+    if len(laws) > 1 or any(bulk):
+        breaks = [breaks[k] + cell_bulk for k, cell_bulk in zip(law, bulk)]
     pd = integrate_adaptive(integrand, 0.0, 1.0, tol=tol, n=etas.size,
-                            breakpoints=breaks[0] if len(laws) == 1 else [breaks[k] for k in law])
+                            breakpoints=breaks[0] if len(breaks) == 1 else breaks)
     # a threshold <= 0 is crossed with certainty
     return np.where(etas > 0.0, np.clip(pd, 0.0, 1.0), 1.0)
 

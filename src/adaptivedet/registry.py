@@ -37,10 +37,19 @@ def _asd(eta, beta):
     return eta * (1.0 - beta) / (1.0 - eta)
 
 
+def _asd_breakpoints(eta):
+    # near eta = 1 the event needs 1 - beta of order (1 - eta) / eta, a sliver
+    # below the last node spacing: mark it at three scales
+    if not 0.0 < eta < 1.0:
+        return ()
+    odds = (1.0 - eta) / eta
+    return tuple(1.0 - c * odds for c in (1.0, 4.0, 16.0) if c * odds < 0.25)
+
+
 # canonical point statistic -> (conditional-threshold map, event breakpoints):
 # given beta, the event "statistic > eta" is "conditional F > g", which is
 # certain where g <= 0 and empty where g is infinite; the breakpoints are the
-# event's kinks in beta
+# event's kinks in beta, and for asd the scales of its sliver near beta = 1
 _THRESHOLD_MAPS = {
     "sglrt": (lambda eta, beta: np.full_like(beta, eta), lambda eta: ()),
     "samf": (lambda eta, beta: eta * beta, lambda eta: ()),
@@ -48,7 +57,7 @@ _THRESHOLD_MAPS = {
     "wsabort": (_wsabort, lambda eta: ()),
     "srao": (_srao, lambda eta: (eta,)),
     "dnsamf": (_dnsamf, lambda eta: (eta,)),
-    "asd": (_asd, lambda eta: ()),
+    "asd": (_asd, _asd_breakpoints),
     "aed": (lambda eta, beta: (1.0 + eta) * beta - 1.0, lambda eta: (1.0 / (1.0 + eta),)),
 }
 
@@ -98,7 +107,8 @@ class Detector:
         return _THRESHOLD_MAPS[self.canonical][0](eta, beta)
 
     def breakpoints(self, eta: float) -> tuple:
-        """Loss factors where the conditional event has a kink."""
+        """Loss factors where the conditional event has a kink or, for
+        ``asd`` near ``eta = 1``, the scales of its narrow support."""
         return _THRESHOLD_MAPS[self.canonical][1](eta)
 
 

@@ -10,8 +10,9 @@ would compare the kernels with themselves.
 
 It also holds the tests' one-realization data draw (:func:`synthesize`),
 their signal vector of one seed (:func:`signal`), their exceedance count
-over a whole plan (:func:`estimate_pd`) and their one test of Monte Carlo
-counts against known rates (:func:`assert_counts`).
+over a whole plan (:func:`estimate_pd`), their one test of Monte Carlo
+counts against known rates (:func:`assert_counts`), and the fixed-rule
+reference of the analytic engine's loss-factor quadrature (:func:`pd_dense`).
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, stats
 
-from adaptivedet import linalg, montecarlo as mc, scenario as sc
+from adaptivedet import linalg, montecarlo as mc, registry, scenario as sc
+from adaptivedet.distributions import cbeta_pdf_nodes, cf_sf_nodes
 from adaptivedet.errors import InfeasibleError, RankError
 
 
@@ -531,3 +533,48 @@ def trials_to_detect(delta, rows=1, power=0.99, alpha=MC_TAIL) -> int:
     ``power``, at the worst rate 1/2 (normal approximation)."""
     z = stats.norm.isf(alpha / rows) + stats.norm.isf(1.0 - power)
     return int(np.ceil((0.5 * z / delta) ** 2))
+
+
+# pd_dense's grid: points 1/2 q**-k toward each end of [0, 1], down to DENSE_FLOOR
+# from it, with the last panel closing on the end
+DENSE_RATIO = 1.05
+DENSE_FLOOR = 1e-24
+_GAUSS3 = (np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)]), np.array([5.0, 8.0, 5.0]) / 9.0)
+
+
+def _dense_grid(breakpoints) -> np.ndarray:
+    """Panel ends on [0, 1]: geometric toward both ends, so that a density
+    bulk at any scale down to ``DENSE_FLOOR`` from an end spans panels of
+    about 5 % of its distance from it, plus ``breakpoints``."""
+    k = np.arange(int(np.ceil(np.log(0.5 / DENSE_FLOOR) / np.log(DENSE_RATIO))) + 1)
+    half = 0.5 * DENSE_RATIO ** -k
+    inner = [p for p in breakpoints if 0.0 < p < 1.0]
+    return np.unique(np.concatenate(([0.0, 1.0], half, 1.0 - half, inner)))
+
+
+def pd_dense(law, eta, rho, cos2phi) -> float:
+    """Detection probability of a loss-factor ``law`` (a ``("mixture", ...)``
+    :class:`adaptivedet.distributions.Law`) at threshold ``eta``, SNR ``rho``
+    and ``cos2phi``, by a fixed composite 3-point Gauss rule on
+    :func:`_dense_grid` with the law's kinks added.
+
+    The reference of the adaptive quadrature: it shares only the integrand's
+    kernels (the loss-factor density and the F survival, its tail included),
+    not the panel choice, so a density bulk that no adaptive node sees does
+    not hide from it.
+    """
+    form, f_m, f_n, a, b = law.params
+    assert form == "mixture", law.params
+    spec = registry.lookup(law.canonical)
+    ends = _dense_grid(spec.breakpoints(eta))
+    mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
+    nodes, weights = _GAUSS3
+    beta = (mid[:, None] + half[:, None] * nodes).ravel()
+    c, delta = rho * cos2phi, rho * (1.0 - cos2phi)
+    g = spec.threshold_map(eta, beta)
+    # g <= 0 is crossed with certainty, g = inf never
+    sf = np.where(g > 0.0, 0.0, 1.0)
+    todo = (g > 0.0) & np.isfinite(g)
+    sf[todo] = cf_sf_nodes(f_m, f_n, c * beta[todo], g[todo])
+    dens = cbeta_pdf_nodes(a, b, np.full(beta.shape, delta), beta)
+    return float((half * ((dens * sf).reshape(-1, nodes.size) * weights).sum(axis=1)).sum())

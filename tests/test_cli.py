@@ -87,6 +87,18 @@ class TestEmitCsv:
         assert b"".join(chunks).decode() == capsys.readouterr().out
         assert sorted(os.listdir(tmp_path)) == ["out.fifo"]
 
+    def test_symlink_is_written_through(self, tmp_path):
+        """``--out`` naming a symlink to a regular file (``/dev/stdout``
+        under a shell redirect) writes the file it names and keeps the link,
+        where a rename would put a regular file in the link's place."""
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert cli.main(["identities", "--trials", "1000", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text(encoding="utf-8").startswith("identity,")
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
 
 class TestGridCommands:
     def test_pd_vs_snr_cardinality_and_schema(self, tmp_path):

@@ -26,6 +26,8 @@ from adaptivedet.distributions import core, detection
 from adaptivedet.distributions.detection import QUAD_TOL, Law, _pd_beta_mixture, resolve_law
 from adaptivedet.errors import InfeasibleError
 
+import oracles
+
 
 def pd_point_generic_aed(N, p, L, rho, cos2phi, eta, tol=QUAD_TOL) -> float:
     """AED detection probability through the loss-factor mixture (cross-check
@@ -680,6 +682,52 @@ class TestPointCurves:
         law = resolve_law("samf", 12, 2, 24)
         with pytest.raises(ValueError, match="finite"):
             pd_cells(law, eta, [10.0, rho], [1.0, cos2phi])
+
+
+class TestLossFactorBulk:
+    """At high SNR the loss factor's density is a bulk near ``a / (a + b +
+    delta)``, narrower than any node spacing of [0, 1]; each cell's
+    quadrature starts on it, and the PDs follow an independent dense rule."""
+
+    # perfbench's ANALYTIC_PD_TOL
+    PD_TOL = 10 * QUAD_TOL
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 15, 111, 680, 2000])
+    def test_gamma_tail_bounds(self, a):
+        t_lo, t_hi = detection._gamma_bulk(a)
+        assert 1.0 - core._erlang_sf(a, np.array([t_lo]))[0] <= detection.BULK_TAIL
+        assert core._erlang_sf(a, np.array([t_hi]))[0] <= detection.BULK_TAIL
+
+    @pytest.mark.parametrize("N, p, L", [(4, 1, 5), (8, 2, 16), (12, 2, 24)])
+    def test_high_snr_pds_follow_the_dense_rule(self, N, p, L):
+        snr_db, cos2 = np.meshgrid([24.0, 36.0, 48.0, 60.0, 80.0, 100.0], [0.0, 0.3, 0.9])
+        rho, cos2 = 10.0 ** (snr_db.ravel() / 10.0), cos2.ravel()
+        for det in ("samf", "sglrt", "sabort"):
+            law = resolve_law(det, N, p, L)
+            eta = thresholds_for_pfa([law], 1e-3)[0]
+            got = pd_cells(law, eta, rho, cos2)
+            want = [oracles.pd_dense(law, eta, r, c) for r, c in zip(rho, cos2)]
+            assert np.max(np.abs(got - want)) <= self.PD_TOL, det
+
+    def test_a_cell_keeps_the_bits_of_its_own_call(self):
+        # cells with and without bulk breakpoints share one integration
+        law = resolve_law("sabort", 4, 1, 5)
+        rho = np.array([0.0, 10.0, 1e3, 1e6, 1e3, 1e6])
+        cos2 = np.array([1.0, 0.5, 0.0, 0.3, 1.0, 0.999])
+        grid = pd_cells(law, 7.5, rho, cos2)
+        for i in range(rho.size):
+            assert grid[i] == pd_cells(law, 7.5, rho[i], cos2[i])[0]
+
+    @pytest.mark.parametrize("N, p, L, pfa", [
+        (4, 3, 8, 1e-3), (4, 3, 20, 1e-3), (4, 3, 20, 1e-6), (8, 7, 16, 1e-3),
+        (12, 11, 24, 1e-2), (8, 6, 16, 1e-6)])
+    def test_asd_threshold_near_p_equal_n(self, N, p, L, pfa):
+        """Near eta = 1 the asd event is a sliver 1 - beta = O((1 - eta) /
+        eta), which its breakpoints mark: each of these solves failed to
+        converge without them."""
+        law = resolve_law("asd", N, p, L)
+        eta = thresholds_for_pfa([law], pfa)[0]
+        assert abs(oracles.pd_dense(law, eta, 0.0, 1.0) / pfa - 1.0) <= 1e-3
 
 
 class TestDistributedCurves:
