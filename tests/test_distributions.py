@@ -723,8 +723,8 @@ class TestLossFactorBulk:
         (12, 11, 24, 1e-2), (8, 6, 16, 1e-6)])
     def test_asd_threshold_near_p_equal_n(self, N, p, L, pfa):
         """Near eta = 1 the asd event is a sliver 1 - beta = O((1 - eta) /
-        eta), which its breakpoints mark: each of these solves failed to
-        converge without them."""
+        eta), narrower than the last node spacing unless its breakpoints mark
+        it; each of these solves needs them to converge."""
         law = resolve_law("asd", N, p, L)
         eta = thresholds_for_pfa([law], pfa)[0]
         assert abs(oracles.pd_dense(law, eta, 0.0, 1.0) / pfa - 1.0) <= 1e-3
